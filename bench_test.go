@@ -534,7 +534,7 @@ func BenchmarkReplayThroughput(b *testing.B) {
 			return err
 		}},
 		{"batched-readahead", "v2", func(l *logger.Logger, data []byte) error {
-			_, _, err := trace.ReplayWith(bytes.NewReader(data), l, trace.ReadOptions{ReadAhead: true})
+			_, _, err := trace.ReplayWith(bytes.NewReader(data), l, trace.ReadOptions{DecodeWorkers: 1})
 			return err
 		}},
 		{"batched-v3", "v3", func(l *logger.Logger, data []byte) error {
@@ -542,7 +542,7 @@ func BenchmarkReplayThroughput(b *testing.B) {
 			return err
 		}},
 		{"batched-readahead-v3", "v3", func(l *logger.Logger, data []byte) error {
-			_, _, err := trace.ReplayWith(bytes.NewReader(data), l, trace.ReadOptions{ReadAhead: true})
+			_, _, err := trace.ReplayWith(bytes.NewReader(data), l, trace.ReadOptions{DecodeWorkers: 1})
 			return err
 		}},
 		{"batched-v3-flate", "v3-flate", func(l *logger.Logger, data []byte) error {

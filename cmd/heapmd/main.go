@@ -109,7 +109,6 @@ func cmdSoak(args []string) error {
 	seed := fs.Int64("seed", 1, "soak seed (perturbs held-out inputs; equal seeds reproduce the scoreboard)")
 	faultList := fs.String("faults", "", "comma-separated fault names to soak (default: the whole catalog)")
 	policy := fs.String("policy", "block", "pipeline backpressure policy: block|drop")
-	ingestWorkersFlag := fs.Int("ingest-workers", 0, "ingest workers per iteration: 0 = auto (serial on a single core), 1 = serial, n >= 2 = mutator + n-1 speculative pre-resolvers (identical scoreboard at any setting)")
 	parallel := fs.Int("parallel", 0, "cells soaked concurrently (0 = all cores, 1 = serial)")
 	train := fs.Int("train", 0, "training inputs per workload model (0 = soak default)")
 	connectivity := fs.String("connectivity", "snapshot", "WCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
@@ -133,19 +132,14 @@ func cmdSoak(args []string) error {
 	if err != nil {
 		return err
 	}
-	ingestWorkers, err := sched.ParseIngestWorkers(*ingestWorkersFlag)
-	if err != nil {
-		return err
-	}
 	opts := soak.Options{
-		Duration:      *duration,
-		Seed:          *seed,
-		Parallel:      workers,
-		TrainInputs:   *train,
-		Connectivity:  conn,
-		SCC:           sccMode,
-		Extended:      *extended,
-		IngestWorkers: ingestWorkers,
+		Duration:     *duration,
+		Seed:         *seed,
+		Parallel:     workers,
+		TrainInputs:  *train,
+		Connectivity: conn,
+		SCC:          sccMode,
+		Extended:     *extended,
 	}
 	switch *policy {
 	case "block":
@@ -195,7 +189,6 @@ func cmdTrain(args []string) error {
 	traceFormat := fs.Uint("trace-format", uint(trace.VersionV3), "trace format version to record (2 or 3)")
 	compress := fs.Bool("compress", false, "flate-compress recorded v3 trace frames (smaller files, same replay)")
 	traceWorkers := fs.Int("trace-workers", 0, "encode recorded v3 frames on this many workers per run (0 = synchronous; bytes are identical)")
-	ingestWorkersFlag := fs.Int("ingest-workers", 0, "ingest workers per run: 0 = auto (serial on a single core), 1 = serial, n >= 2 = mutator + n-1 speculative pre-resolvers (identical model at any setting)")
 	connectivity := fs.String("connectivity", "snapshot", "WCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
 	sccPath := fs.String("scc", "snapshot", "SCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
 	extended := fs.Bool("extended", false, "train on the extended metric suite (adds WCC/SCC structure metrics)")
@@ -210,15 +203,11 @@ func cmdTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	ingestWorkers, err := sched.ParseIngestWorkers(*ingestWorkersFlag)
-	if err != nil {
-		return err
-	}
 	logOpts, err := connectivityOptions(*connectivity, *sccPath, *extended)
 	if err != nil {
 		return err
 	}
-	cfg := workloads.RunConfig{Version: *version, Parallel: workers, Logger: logOpts, IngestWorkers: ingestWorkers}
+	cfg := workloads.RunConfig{Version: *version, Parallel: workers, Logger: logOpts}
 	if *recordDir != "" {
 		// Recording stays parallel: the hook opens a private writer per
 		// run (see RunConfig.Record).
@@ -356,7 +345,6 @@ func cmdCheck(args []string) error {
 	traceFormat := fs.Uint("trace-format", uint(trace.VersionV3), "trace format version to record (2 or 3)")
 	compress := fs.Bool("compress", false, "flate-compress recorded v3 trace frames (smaller files, same replay)")
 	traceWorkers := fs.Int("trace-workers", 0, "encode recorded v3 frames on this many workers per run (0 = synchronous; bytes are identical)")
-	ingestWorkersFlag := fs.Int("ingest-workers", 0, "ingest workers per run: 0 = auto (serial on a single core), 1 = serial, n >= 2 = mutator + n-1 speculative pre-resolvers (identical findings at any setting)")
 	connectivity := fs.String("connectivity", "snapshot", "WCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
 	sccPath := fs.String("scc", "snapshot", "SCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
 	extended := fs.Bool("extended", false, "check with the extended metric suite (adds WCC/SCC structure metrics)")
@@ -368,10 +356,6 @@ func cmdCheck(args []string) error {
 		return err
 	}
 	workers, err := sched.ParseParallel(*parallel)
-	if err != nil {
-		return err
-	}
-	ingestWorkers, err := sched.ParseIngestWorkers(*ingestWorkersFlag)
 	if err != nil {
 		return err
 	}
@@ -425,7 +409,7 @@ func cmdCheck(args []string) error {
 		}
 		var b strings.Builder
 		out := checkOut{}
-		rep, p, err := workloads.RunLogged(w, in, workloads.RunConfig{Plan: plan, Version: *version, Record: record, Logger: logOpts, IngestWorkers: ingestWorkers})
+		rep, p, err := workloads.RunLogged(w, in, workloads.RunConfig{Plan: plan, Version: *version, Record: record, Logger: logOpts})
 		if err != nil {
 			fmt.Fprintf(&b, "%s: run crashed: %v\n", in.Name, err)
 			out.text = b.String()

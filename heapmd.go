@@ -119,10 +119,6 @@ type (
 	// backpressure policy of a Pipeline.
 	PipelineOptions = logger.PipelineOptions
 
-	// IngestStats are the speculative ingest pipeline's counters:
-	// worker count, speculation hits/fallbacks and stall breakdown.
-	IngestStats = logger.IngestStats
-
 	// ConnectivityMode selects how a component extension metric
 	// (Components via Options.Connectivity, SCCs via Options.SCC)
 	// obtains its count: snapshot walks, an incremental tracker, or
@@ -226,13 +222,23 @@ type Options struct {
 	// between amortized rebuilds (shared by the WCC and SCC
 	// trackers); zero selects the default. Ignored in snapshot modes.
 	RebuildThreshold int
-	// IngestWorkers >= 2 puts the pipeline-parallel ingestion stage
-	// (one strictly in-order mutator plus IngestWorkers-1 speculative
-	// address pre-resolvers, see logger.Ingest) between each run's
-	// process and its logger. Reports are byte-identical at any
-	// setting; 0 or 1 keeps the direct serial path. Run.Report closes
-	// the stage. Use sched.ParseIngestWorkers to resolve a flag value.
+	// IngestWorkers is ignored: every run's logger is subscribed to
+	// its process directly.
+	//
+	// Deprecated: ingestion is always serial.
 	IngestWorkers int
+}
+
+// IngestStats are the counters of the retired speculative ingest
+// stage. Run.IngestStats reports Workers 1 and zero counters.
+//
+// Deprecated: ingestion is always serial.
+type IngestStats struct {
+	Workers              int
+	SpeculationHits      uint64
+	SpeculationFallbacks uint64
+	PreResolveStalls     uint64
+	MutatorStalls        uint64
 }
 
 // Session manages model construction across training runs.
@@ -248,7 +254,6 @@ func NewSession(opts Options) *Session { return &Session{opts: opts} }
 type Run struct {
 	process *Process
 	log     *logger.Logger
-	ingest  *logger.Ingest // non-nil when Options.IngestWorkers >= 2
 }
 
 // NewRun creates an instrumented process for one execution of the
@@ -282,16 +287,8 @@ func (s *Session) newRun(program, input string, seed int64, plan *FaultPlan) *Ru
 		RebuildThreshold: s.opts.RebuildThreshold,
 	})
 	l.SetRun(program, input, 1)
-	r := &Run{process: p, log: l}
-	if s.opts.IngestWorkers >= 2 {
-		// The executing goroutine is the ingest stage's single
-		// producer; Report closes the stage before finalizing.
-		r.ingest = logger.NewIngest(l, logger.IngestOptions{Workers: s.opts.IngestWorkers})
-		p.Subscribe(r.ingest)
-	} else {
-		p.Subscribe(l)
-	}
-	return r
+	p.Subscribe(l)
+	return &Run{process: p, log: l}
 }
 
 // Pipeline puts a concurrent ingestion pipeline in front of a run's
@@ -311,25 +308,13 @@ func (r *Run) Process() *Process { return r.process }
 // run's logger. Must be called before executing the program.
 func (r *Run) Observe(d *Detector) { r.log.Observe(d) }
 
-// Report finalizes the run's metric report. With Options.IngestWorkers
-// it first flushes and closes the ingest stage, so the process must be
-// done executing; further process activity after Report is an error.
-func (r *Run) Report() *Report {
-	if r.ingest != nil {
-		r.ingest.Close()
-	}
-	return r.log.Report()
-}
+// Report finalizes the run's metric report.
+func (r *Run) Report() *Report { return r.log.Report() }
 
-// IngestStats returns the run's speculative ingest pipeline counters
-// (the zero value when Options.IngestWorkers left the serial path).
-// Call after Report.
-func (r *Run) IngestStats() IngestStats {
-	if r.ingest == nil {
-		return IngestStats{}
-	}
-	return r.ingest.Stats()
-}
+// IngestStats returns IngestStats{Workers: 1}.
+//
+// Deprecated: ingestion is always serial.
+func (r *Run) IngestStats() IngestStats { return IngestStats{Workers: 1} }
 
 // AddTraining adds a completed run's report to the training set.
 func (s *Session) AddTraining(r *Run) { s.reports = append(s.reports, r.Report()) }
@@ -433,14 +418,6 @@ func SaveModel(m *Model, w io.Writer) error { return m.Save(w) }
 // LoadModel deserializes a model written by SaveModel.
 func LoadModel(r io.Reader) (*Model, error) { return model.Load(r) }
 
-// DefaultReadAhead reports whether replay read-ahead (decoding the
-// next trace frame on a dedicated goroutine) is expected to pay off
-// on this machine; see trace.DefaultReadAhead for the heuristic.
-//
-// Deprecated: read-ahead is the DecodeWorkers=1 case of the decode
-// pipeline; use DefaultDecodeWorkers.
-func DefaultReadAhead() bool { return trace.DefaultReadAhead() }
-
 // DefaultDecodeWorkers returns the decode-worker count replay should
 // use on this machine: all cores on a multi-core machine, 0
 // (synchronous) on a single core; see trace.DefaultDecodeWorkers.
@@ -497,11 +474,6 @@ type ReplayOptions struct {
 	// the returned SalvageInfo and tallied in the report's health
 	// counters.
 	Salvage bool
-	// Pipelined decodes the trace and applies it to the heap image on
-	// separate goroutines (decode feeds a Pipeline producer), so CRC
-	// checking and framing overlap graph mutation. The reconstructed
-	// report is identical to a non-pipelined replay.
-	Pipelined bool
 	// MetricWorkers > 0 computes expensive extension metrics on
 	// worker goroutines during replay; see Options.MetricWorkers.
 	MetricWorkers int
@@ -512,17 +484,10 @@ type ReplayOptions struct {
 	// synchronously, 1 CRC-checks and decodes the next frame on one
 	// read-ahead goroutine, and n ≥ 2 runs a framing scanner plus n
 	// decode workers with ordered delivery. The report is identical at
-	// any setting; negative values force synchronous decode even when
-	// ReadAhead is set. DefaultDecodeWorkers returns this machine's
-	// recommended value. See trace.ReadOptions.DecodeWorkers.
+	// any setting; negative values decode synchronously.
+	// DefaultDecodeWorkers returns this machine's recommended value.
+	// See trace.ReadOptions.DecodeWorkers.
 	DecodeWorkers int
-	// ReadAhead CRC-checks and decodes the next trace frame on a
-	// dedicated goroutine while the logger consumes the current one;
-	// see trace.ReadOptions. The report is identical either way.
-	//
-	// Deprecated: equivalent to DecodeWorkers=1, which wins when both
-	// are set.
-	ReadAhead bool
 	// Stats, when non-nil, is filled with storage accounting for the
 	// replayed trace: format version, bytes per event, compression
 	// ratio.
@@ -536,16 +501,11 @@ type ReplayOptions struct {
 	// RebuildThreshold is the incremental trackers' dirty budget;
 	// see Options.RebuildThreshold.
 	RebuildThreshold int
-	// IngestWorkers >= 2 applies the trace through the speculative
-	// ingest stage: one strictly in-order mutator plus IngestWorkers-1
-	// pre-resolvers overlapping address resolution with application
-	// (see logger.Ingest). Composes with DecodeWorkers — a single
-	// stream then uses decode workers, pre-resolvers and the mutator
-	// concurrently. The report is byte-identical at any setting; 0 or
-	// 1 keeps the serial consumer. When >= 2 it subsumes Pipelined
-	// (the stage already decouples decode from application). The
-	// counters land in Stats. Use sched.ParseIngestWorkers to resolve
-	// a flag value.
+	// IngestWorkers is validated (negative values are an error) and
+	// otherwise ignored: the decoded trace is applied to the logger
+	// serially, in order. Stats.IngestWorkers reads 1.
+	//
+	// Deprecated: ingestion is always serial.
 	IngestWorkers int
 }
 
@@ -562,6 +522,9 @@ func ReplayTrace(rd io.ReadSeeker, program, input string, frequency uint64) (*Re
 // a SalvageInfo describing the loss; without it, damage yields an
 // error wrapping trace.ErrCorrupt.
 func ReplayTraceWith(rd io.ReadSeeker, program, input string, opts ReplayOptions) (*Report, *Symtab, *SalvageInfo, error) {
+	if _, err := sched.ParseIngestWorkers(opts.IngestWorkers); err != nil {
+		return nil, nil, nil, err
+	}
 	freq := opts.Frequency
 	if freq == 0 {
 		freq = logger.SimulationFrequency
@@ -575,45 +538,21 @@ func ReplayTraceWith(rd io.ReadSeeker, program, input string, opts ReplayOptions
 		RebuildThreshold: opts.RebuildThreshold,
 	})
 	l.SetRun(program, input, 1)
-	var sink event.Sink = l
-	var pipe *Pipeline
-	var prod *PipelineProducer
-	var ing *logger.Ingest
-	if opts.IngestWorkers >= 2 {
-		ing = logger.NewIngest(l, logger.IngestOptions{Workers: opts.IngestWorkers})
-		sink = ing
-	} else if opts.Pipelined {
-		pipe = logger.NewPipeline(l, PipelineOptions{})
-		prod = pipe.NewProducer()
-		sink = prod
-	}
 	var (
 		sym  *Symtab
 		info *SalvageInfo
 		err  error
 	)
-	ropts := trace.ReadOptions{DecodeWorkers: opts.DecodeWorkers, ReadAhead: opts.ReadAhead, Stats: opts.Stats}
+	ropts := trace.ReadOptions{DecodeWorkers: opts.DecodeWorkers, Stats: opts.Stats}
 	if opts.Salvage {
-		sym, info, err = trace.SalvageWith(rd, sink, ropts)
+		sym, info, err = trace.SalvageWith(rd, l, ropts)
 	} else {
 		var n uint64
-		sym, n, err = trace.ReplayWith(rd, sink, ropts)
+		sym, n, err = trace.ReplayWith(rd, l, ropts)
 		info = &SalvageInfo{EventsRecovered: n}
 	}
-	if ing != nil {
-		ing.Close()
-		if opts.Stats != nil {
-			st := ing.Stats()
-			opts.Stats.IngestWorkers = st.Workers
-			opts.Stats.SpeculationHits = st.SpeculationHits
-			opts.Stats.SpeculationFallbacks = st.SpeculationFallbacks
-			opts.Stats.PreResolveStalls = st.PreResolveStalls
-			opts.Stats.MutatorStalls = st.MutatorStalls
-		}
-	}
-	if pipe != nil {
-		prod.Close()
-		pipe.Close()
+	if opts.Stats != nil {
+		opts.Stats.IngestWorkers = 1
 	}
 	if err != nil {
 		return nil, nil, nil, err

@@ -75,27 +75,16 @@ func TestTrainManyFirstErrorWins(t *testing.T) {
 	}
 }
 
-// TestReplayReadAheadFacade checks the ReadAhead replay option
-// reconstructs the same report as the synchronous reader.
+// TestReplayReadAheadFacade checks the read-ahead decoder
+// (DecodeWorkers 1) reconstructs the same report as the synchronous
+// reader.
 func TestReplayReadAheadFacade(t *testing.T) {
-	sess := NewSession(Options{Frequency: 4})
-	run := sess.NewRun("listprog", "traced", 7)
-	var buf bytes.Buffer
-	closeTrace, err := RecordTrace(run, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buildListProgram(run.Process(), false, 400)
-	if err := closeTrace(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
+	data, _ := recordListProgTrace(t)
 	syncRep, _, _, err := ReplayTraceWith(bytes.NewReader(data), "listprog", "traced", ReplayOptions{Frequency: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raRep, _, _, err := ReplayTraceWith(bytes.NewReader(data), "listprog", "traced", ReplayOptions{Frequency: 4, ReadAhead: true})
+	raRep, _, _, err := ReplayTraceWith(bytes.NewReader(data), "listprog", "traced", ReplayOptions{Frequency: 4, DecodeWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,9 +70,7 @@ type chunk struct {
 // Table maps disjoint [base, base+size) ranges to values of type V
 // with O(1) expected stabbing queries. The zero Table is not ready to
 // use; call New. A Table is single-goroutine, like the logger that
-// owns it — except for the opt-in concurrent read path behind
-// EnableSharedReads/SharedStab (see shared.go), which other goroutines
-// may query while the owner keeps mutating.
+// owns it.
 type Table[V any] struct {
 	chunks map[uint64]*chunk
 	arena  []entry[V]
@@ -87,11 +85,6 @@ type Table[V any] struct {
 	lastHits  [2]int32
 	lastChunk *chunk // chunk of the last directory lookup
 	lastKey   uint64
-
-	// shared, when non-nil, is the reader-only projection maintained
-	// for concurrent SharedStab queries (see shared.go). Set once by
-	// EnableSharedReads, never cleared.
-	shared *sharedView
 }
 
 // New returns an empty table.
@@ -175,10 +168,6 @@ func removeRef(refs []int32, i int32) []int32 {
 // pointer refers to the stored value and remains valid until the next
 // Insert or Remove on the table.
 func (t *Table[V]) Insert(base, size uint64, value V) *V {
-	s := t.shared
-	if s != nil {
-		s.gen.Add(1) // odd: mutation in flight
-	}
 	var i int32
 	if k := len(t.free); k > 0 {
 		i = t.free[k-1]
@@ -202,10 +191,6 @@ func (t *Table[V]) Insert(base, size uint64, value V) *V {
 		}
 	}
 	t.n++
-	if s != nil {
-		t.sharedInsert(i, base, size)
-		s.gen.Add(1) // even: settled
-	}
 	return &t.arena[i].value
 }
 
@@ -258,12 +243,7 @@ func (t *Table[V]) Remove(base uint64) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	s := t.shared
-	if s != nil {
-		s.gen.Add(1) // odd: mutation in flight
-	}
 	e := &t.arena[i]
-	rbase, rsize := e.base, e.size
 	first, last := pageRange(e.base, e.size)
 	if e.size > 0 && last-first+1 > maxSpanPages {
 		t.huge = removeRef(t.huge, i)
@@ -291,10 +271,6 @@ func (t *Table[V]) Remove(base uint64) (V, bool) {
 	}
 	if t.lastHits[1] == i {
 		t.lastHits[1] = noEntry
-	}
-	if s != nil {
-		t.sharedRemove(i, rbase, rsize)
-		s.gen.Add(1) // even: settled
 	}
 	return v, true
 }

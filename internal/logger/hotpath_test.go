@@ -50,3 +50,44 @@ func TestStoreHotPathAllocs(t *testing.T) {
 		t.Fatalf("store hot path allocates %.1f times per 8-event batch; budget is 2", avg)
 	}
 }
+
+// storeBatches builds a steady-state store-only batch set over a
+// settled object population: batch 0 allocates n objects, the other
+// 63 are full batches of pointer stores between them.
+func storeBatches(n int) [][]event.Event {
+	addrs := make([]uint64, n)
+	allocs := make([]event.Event, n)
+	for i := range addrs {
+		addrs[i] = uint64(0x100_0000_0000) + uint64(i)*1024
+		allocs[i] = event.Event{Type: event.Alloc, Addr: addrs[i], Size: 512, Fn: 1}
+	}
+	batches := make([][]event.Event, 0, 64)
+	batches = append(batches, allocs)
+	for b := 0; b < 63; b++ {
+		batch := make([]event.Event, DefaultBatchSize)
+		for j := range batch {
+			i := b*DefaultBatchSize + j
+			src := addrs[(i*17)%n]
+			dst := addrs[(i*31+7)%n]
+			batch[j] = event.Event{Type: event.Store, Addr: src + uint64(i%64)*8, Value: dst}
+		}
+		batches = append(batches, batch)
+	}
+	return batches
+}
+
+// BenchmarkEmitBatch measures the batched fast path on a settled
+// population under pointer stores.
+func BenchmarkEmitBatch(b *testing.B) {
+	l := New(Options{Frequency: 1 << 62})
+	batches := storeBatches(4096)
+	l.EmitBatch(batches[0]) // population
+	steady := batches[1:]
+	perBatch := len(steady[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.EmitBatch(steady[i%len(steady)])
+	}
+	b.SetBytes(int64(perBatch))
+}

@@ -299,19 +299,12 @@ func (l *Logger) Emit(e event.Event) {
 // EmitBatch implements event.BatchSink: one devirtualized dispatch per
 // frame of replayed events instead of one interface call per event.
 // The batch slice is borrowed (see event.BatchSink) and fully consumed
-// before return.
-func (l *Logger) EmitBatch(batch []event.Event) {
-	l.applyBatch(batch, nil)
-}
-
-// applyBatch is the batch fast path shared by EmitBatch (res == nil)
-// and the ingest mutator (res carries per-event speculative
-// resolutions). Relative to per-event Emit it hoists the bookkeeping
+// before return. Relative to per-event Emit it hoists the bookkeeping
 // out of the inner loop: the event counter becomes one add per batch,
-// and the Frequency modulo on every Enter becomes a countdown
-// re-armed only at sampling points. Event semantics and ordering are
-// identical to Emit called in a loop.
-func (l *Logger) applyBatch(batch []event.Event, res []resolution) (hits, fallbacks uint64) {
+// and the Frequency modulo on every Enter becomes a countdown re-armed
+// only at sampling points. Event semantics and ordering are identical
+// to Emit called in a loop.
+func (l *Logger) EmitBatch(batch []event.Event) {
 	l.events += uint64(len(batch))
 	frq := l.opts.Frequency
 	toNext := frq - l.fnEntries%frq
@@ -319,14 +312,6 @@ func (l *Logger) applyBatch(batch []event.Event, res []resolution) (hits, fallba
 		e := &batch[i]
 		switch e.Type {
 		case event.Store:
-			if res != nil {
-				if r := &res[i]; l.acceptResolution(r, e.Addr, e.Value) {
-					l.onStoreResolved(e.Addr, e.Value, r.src, r.tgt)
-					hits++
-					continue
-				}
-				fallbacks++
-			}
 			l.onStore(e.Addr, e.Value)
 		case event.Enter:
 			l.stack.Enter(e.Fn)
@@ -349,7 +334,6 @@ func (l *Logger) applyBatch(batch []event.Event, res []resolution) (hits, fallba
 			l.health.UnknownEvents++
 		}
 	}
-	return hits, fallbacks
 }
 
 func (l *Logger) newVertex() heapgraph.VertexID {

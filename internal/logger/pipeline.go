@@ -74,13 +74,6 @@ type PipelineOptions struct {
 	// applying each batch. Testing hook: holding the gate closed
 	// deterministically fills the queue to exercise backpressure.
 	Gate <-chan struct{}
-	// IngestWorkers >= 2 puts the pipeline-parallel ingestion stage
-	// (see ingest.go) between the consumer and the Logger: the
-	// consumer becomes the ingest pipeline's single producer and
-	// batches are speculatively pre-resolved before the mutator
-	// applies them. Values below 2 keep the direct path. Use
-	// sched.ParseIngestWorkers to resolve a user-facing flag value.
-	IngestWorkers int
 }
 
 func (o PipelineOptions) withDefaults() PipelineOptions {
@@ -97,11 +90,10 @@ func (o PipelineOptions) withDefaults() PipelineOptions {
 // with NewPipeline, hand each producing goroutine its own Producer,
 // and Close the pipeline (after closing every Producer) to drain.
 type Pipeline struct {
-	log    *Logger
-	opts   PipelineOptions
-	ch     chan []event.Event
-	free   sync.Pool
-	ingest *Ingest // non-nil when IngestWorkers >= 2
+	log  *Logger
+	opts PipelineOptions
+	ch   chan []event.Event
+	free sync.Pool
 
 	dropped   atomic.Uint64
 	producers sync.WaitGroup
@@ -121,13 +113,6 @@ func NewPipeline(l *Logger, opts PipelineOptions) *Pipeline {
 		done: make(chan struct{}),
 	}
 	p.free.New = func() any { return make([]event.Event, 0, opts.BatchSize) }
-	if opts.IngestWorkers >= 2 {
-		p.ingest = NewIngest(l, IngestOptions{
-			Workers:    opts.IngestWorkers,
-			BatchSize:  opts.BatchSize,
-			QueueDepth: opts.QueueDepth,
-		})
-	}
 	go p.consume()
 	return p
 }
@@ -138,13 +123,7 @@ func (p *Pipeline) consume() {
 		if p.opts.Gate != nil {
 			<-p.opts.Gate
 		}
-		if p.ingest != nil {
-			// The consumer is the ingest pipeline's single producer;
-			// EmitBatch copies, honouring the pool round-trip below.
-			p.ingest.EmitBatch(batch)
-		} else {
-			p.log.EmitBatch(batch)
-		}
+		p.log.EmitBatch(batch)
 		p.free.Put(batch[:0]) //nolint:staticcheck // slice round-trips through the pool by value
 	}
 }
@@ -178,22 +157,10 @@ func (p *Pipeline) Close() error {
 		p.producers.Wait()
 		close(p.ch)
 		<-p.done
-		if p.ingest != nil {
-			p.ingest.Close()
-		}
 		p.log.Health().DroppedEvents += p.dropped.Load()
 		p.log.DrainMetrics()
 	})
 	return nil
-}
-
-// IngestStats returns the ingest stage's counters (zero value when
-// IngestWorkers < 2 left the direct path in place). Call after Close.
-func (p *Pipeline) IngestStats() IngestStats {
-	if p.ingest == nil {
-		return IngestStats{}
-	}
-	return p.ingest.Stats()
 }
 
 // Producer is one goroutine's batching front-end to the pipeline. It

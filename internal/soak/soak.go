@@ -94,13 +94,6 @@ type Options struct {
 	// RebuildThreshold is the incremental trackers' dirty budget
 	// between amortized rebuilds; 0 selects the default.
 	RebuildThreshold int
-	// IngestWorkers >= 2 routes every iteration's pipeline through the
-	// speculative ingest stage (one in-order mutator plus
-	// IngestWorkers-1 pre-resolvers, see logger.Ingest), soaking the
-	// full decode → pre-resolve → mutate pressure path. Scoreboards
-	// are byte-identical at any setting; 0 or 1 keeps the direct
-	// consumer.
-	IngestWorkers int
 	// Progress, when set, receives one line per completed cell.
 	Progress io.Writer
 }
@@ -272,9 +265,8 @@ func (r *runner) iteration(w workloads.Workload, in workloads.Input, plan *fault
 	l := logger.New(r.loggerOptions())
 	l.SetRun(w.Name(), in.Name, 1)
 	pipe := logger.NewPipeline(l, logger.PipelineOptions{
-		Policy:        r.opts.Policy,
-		QueueDepth:    r.opts.QueueDepth,
-		IngestWorkers: r.opts.IngestWorkers,
+		Policy:     r.opts.Policy,
+		QueueDepth: r.opts.QueueDepth,
 	})
 	prod := pipe.NewProducer()
 	p.Subscribe(prod)

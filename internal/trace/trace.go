@@ -527,26 +527,17 @@ type Stats struct {
 	// frame (or worker) is gating delivery. Pipeline only.
 	ResequencerStalls uint64
 
-	// IngestWorkers is the ingest parallelism replay actually used: 1
-	// (or 0) for the serial in-order consumer, n ≥ 2 for a mutator plus
-	// n-1 speculative pre-resolvers (logger.Ingest). Like DecodeWorkers
-	// and the counters below it is reader-configuration accounting,
-	// filled by the replay plumbing rather than the trace reader — the
-	// heap image, reports and health are byte-identical at any setting.
-	IngestWorkers int
-	// SpeculationHits counts stores applied from an accepted
-	// pre-resolution. Ingest pipeline only.
-	SpeculationHits uint64
-	// SpeculationFallbacks counts stores the mutator applied through
-	// the serial lookup despite the pipeline (abandoned or
-	// generation-invalidated resolutions). Ingest pipeline only.
+	// IngestWorkers, SpeculationHits, SpeculationFallbacks,
+	// PreResolveStalls and MutatorStalls are the counters of the
+	// retired speculative ingest stage. heapmd.ReplayTraceWith sets
+	// IngestWorkers to 1; the other four are always 0.
+	//
+	// Deprecated: ingestion is always serial.
+	IngestWorkers        int
+	SpeculationHits      uint64
 	SpeculationFallbacks uint64
-	// PreResolveStalls counts stores a pre-resolver abandoned because a
-	// table mutation was in flight. Ingest pipeline only.
-	PreResolveStalls uint64
-	// MutatorStalls counts batches the in-order mutator had to wait on
-	// before their resolution landed. Ingest pipeline only.
-	MutatorStalls uint64
+	PreResolveStalls     uint64
+	MutatorStalls        uint64
 }
 
 // shape strips the reader-configuration fields, leaving only the
@@ -558,11 +549,6 @@ func (s *Stats) shape() Stats {
 	c.DecodeWorkers = 0
 	c.ScannerStalls = 0
 	c.ResequencerStalls = 0
-	c.IngestWorkers = 0
-	c.SpeculationHits = 0
-	c.SpeculationFallbacks = 0
-	c.PreResolveStalls = 0
-	c.MutatorStalls = 0
 	return c
 }
 
@@ -582,17 +568,6 @@ func (s *Stats) CompressionRatio() float64 {
 	}
 	return float64(s.RawEventBytes) / float64(s.StoredEventBytes)
 }
-
-// DefaultReadAhead reports whether the read-ahead decoder is worth
-// enabling on this host. The decode goroutine overlaps CRC checking
-// and column decoding with heap-image mutation, but on a single-core
-// box it only adds channel overhead (BENCH_pr4.json: 25.6M vs 29.6M
-// events/sec synchronous), so the heuristic is: on iff more than one
-// core is usable. Callers that know better pass an explicit value.
-//
-// Deprecated: read-ahead is the DecodeWorkers=1 case of the parallel
-// decode pipeline; use DefaultDecodeWorkers.
-func DefaultReadAhead() bool { return runtime.GOMAXPROCS(0) > 1 }
 
 // DefaultDecodeWorkers is the recommended ReadOptions.DecodeWorkers
 // for this host: one decode worker per usable core on a multi-core
@@ -625,27 +600,9 @@ type ReadOptions struct {
 	// values read synchronously. See DefaultDecodeWorkers for the
 	// host heuristic; sched.ParseDecodeWorkers normalizes CLI values.
 	DecodeWorkers int
-	// ReadAhead is the legacy switch for the single-goroutine
-	// read-ahead decoder.
-	//
-	// Deprecated: equivalent to DecodeWorkers=1, which wins if both
-	// are set.
-	ReadAhead bool
 	// Stats, when non-nil, is filled with the trace's format and size
 	// accounting as replay proceeds.
 	Stats *Stats
-}
-
-// decodeWorkers resolves the configured parallelism: DecodeWorkers
-// wins over the deprecated ReadAhead flag.
-func (o *ReadOptions) decodeWorkers() int {
-	if o.DecodeWorkers > 0 {
-		return o.DecodeWorkers
-	}
-	if o.DecodeWorkers == 0 && o.ReadAhead {
-		return 1
-	}
-	return 0
 }
 
 // Replay reads a trace (either format version) and delivers every
@@ -902,13 +859,13 @@ const readAheadDepth = 4
 // envelope is shared, only the event-frame payload decoding differs.
 // Strict mode demands every frame intact plus a matching end frame;
 // salvage mode stops at the first damaged frame and keeps everything
-// before it. With opts.ReadAhead the frameDecoder runs on its own
+// before it. With opts.DecodeWorkers 1 the frameDecoder runs on its own
 // goroutine, recycling frameBufs through a channel pair; the
 // goroutine always terminates because the decoder emits exactly one
 // terminal message (error or end frame) and the consumer always reads
 // to it.
 func replayFramed(r io.ReadSeeker, sink event.Sink, version uint32, size int64, salvage bool, opts ReadOptions) (*event.Symtab, uint64, *SalvageInfo, error) {
-	workers := opts.decodeWorkers()
+	workers := max(opts.DecodeWorkers, 0)
 	if opts.Stats != nil {
 		opts.Stats.DecodeWorkers = workers
 	}

@@ -365,7 +365,7 @@ func TestV3ReadAheadEquivalence(t *testing.T) {
 			var syncEvents, raEvents []event.Event
 			var syncStats, raStats Stats
 			_, syncN, syncErr := ReplayWith(bytes.NewReader(data), collectSink(&syncEvents), ReadOptions{Stats: &syncStats})
-			_, raN, raErr := ReplayWith(bytes.NewReader(data), collectSink(&raEvents), ReadOptions{ReadAhead: true, Stats: &raStats})
+			_, raN, raErr := ReplayWith(bytes.NewReader(data), collectSink(&raEvents), ReadOptions{DecodeWorkers: 1, Stats: &raStats})
 			if (syncErr == nil) != (raErr == nil) ||
 				(syncErr != nil && syncErr.Error() != raErr.Error()) {
 				t.Fatalf("compress=%v variant %d: sync err %v, readahead err %v", compress, vi, syncErr, raErr)
@@ -386,7 +386,7 @@ func TestV3ReadAheadEquivalence(t *testing.T) {
 
 			var syncSalv, raSalv []event.Event
 			_, syncInfo, err1 := SalvageWith(bytes.NewReader(data), collectSink(&syncSalv), ReadOptions{})
-			_, raInfo, err2 := SalvageWith(bytes.NewReader(data), collectSink(&raSalv), ReadOptions{ReadAhead: true})
+			_, raInfo, err2 := SalvageWith(bytes.NewReader(data), collectSink(&raSalv), ReadOptions{DecodeWorkers: 1})
 			if err1 != nil || err2 != nil {
 				t.Fatalf("compress=%v variant %d salvage: errs %v, %v", compress, vi, err1, err2)
 			}

@@ -39,12 +39,11 @@ type RunConfig struct {
 	// builds private state per run, so recorded training remains
 	// parallel-safe.
 	Record func(in Input, p *prog.Process) (finish func() error, err error)
-	// IngestWorkers >= 2 puts the speculative ingest stage (one
-	// in-order mutator plus IngestWorkers-1 pre-resolvers, see
-	// logger.Ingest) between each run's process and its logger; each
-	// run owns a private stage, so parallel training stays isolated.
-	// Reports are byte-identical at any setting; 0 or 1 keeps the
-	// direct path.
+	// IngestWorkers is validated (negative values are an error) and
+	// otherwise ignored: each run's logger is subscribed to its
+	// process directly.
+	//
+	// Deprecated: ingestion is always serial.
 	IngestWorkers int
 }
 
@@ -58,6 +57,9 @@ const DefaultFrequency = logger.SimulationFrequency
 // logger and returns the metric report. The returned process allows
 // post-run heap inspection (leak counting, invariant checks).
 func RunLogged(w Workload, in Input, cfg RunConfig) (*logger.Report, *prog.Process, error) {
+	if _, err := sched.ParseIngestWorkers(cfg.IngestWorkers); err != nil {
+		return nil, nil, err
+	}
 	if cfg.Version == 0 {
 		cfg.Version = 1
 	}
@@ -70,13 +72,7 @@ func RunLogged(w Workload, in Input, cfg RunConfig) (*logger.Report, *prog.Proce
 	for _, o := range cfg.Observers {
 		l.Observe(o)
 	}
-	var ing *logger.Ingest
-	if cfg.IngestWorkers >= 2 {
-		ing = logger.NewIngest(l, logger.IngestOptions{Workers: cfg.IngestWorkers})
-		p.Subscribe(ing)
-	} else {
-		p.Subscribe(l)
-	}
+	p.Subscribe(l)
 	for _, s := range cfg.ExtraSinks {
 		p.Subscribe(s)
 	}
@@ -84,18 +80,11 @@ func RunLogged(w Workload, in Input, cfg RunConfig) (*logger.Report, *prog.Proce
 	if cfg.Record != nil {
 		f, err := cfg.Record(in, p)
 		if err != nil {
-			if ing != nil {
-				ing.Close()
-			}
 			return nil, nil, err
 		}
 		finish = f
 	}
 	err := prog.Run(func() { w.Run(p, in, cfg.Version) })
-	if ing != nil {
-		// Drain the ingest stage before Report finalizes the image.
-		ing.Close()
-	}
 	if finish != nil {
 		// A recorder flush failure only matters when the run itself was
 		// clean; a crashed run's partial trace is salvageable by design.

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"testing"
 
+	"heapmd/internal/event"
 	"heapmd/internal/logger"
 	"heapmd/internal/trace"
+	"heapmd/internal/workloads"
 )
 
 // v3BytesPerEventBudget is the CI trace-size regression gate: the
@@ -141,3 +143,37 @@ func TestRecordTraceWithFormats(t *testing.T) {
 }
 
 var _ = logger.SimulationFrequency // keep import if constants above change
+
+// recordV3 records one seeded run of the named workload as a v3 trace.
+func recordV3(t *testing.T, name string) []byte {
+	t.Helper()
+	w, err := workloads.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	tw, err := trace.NewWriterWith(&buf, trace.WriterOptions{Version: trace.VersionV3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, p, err := workloads.RunLogged(w, w.Inputs(1)[0], workloads.RunConfig{ExtraSinks: []event.Sink{tw}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(p.Sym()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRecordingReproducible: two recordings of one seeded run are
+// byte-identical, for every workload — no workload may emit events in
+// Go map iteration order (game_action's octree free is the case that
+// did).
+func TestRecordingReproducible(t *testing.T) {
+	for _, name := range workloads.Names() {
+		if a, b := recordV3(t, name), recordV3(t, name); !bytes.Equal(a, b) {
+			t.Errorf("%s: two recordings with one seed differ (%d vs %d bytes)", name, len(a), len(b))
+		}
+	}
+}
