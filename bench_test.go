@@ -624,15 +624,13 @@ func BenchmarkHeapSimulator(b *testing.B) {
 
 // BenchmarkConnectivityMetricPoint measures the cost of one Components
 // metric point — a burst of heap churn followed by the component-count
-// query — under the snapshot walk and the incremental union-find
-// tracker. The snapshot path pays O(V+E) per point, so its cost grows
-// with heap size; the incremental path is costed by the churn between
-// points, so the per-point cost stays flat and the ratio is the PR's
-// headline speedup.
+// query — on the incremental union-find tracker, against the reference
+// BFS walk as a yardstick. The walk pays O(V+E) per point, so its cost
+// grows with heap size; the tracker is costed by the churn between
+// points, so its per-point cost stays flat.
 func BenchmarkConnectivityMetricPoint(b *testing.B) {
-	build := func(n int, mode heapgraph.ConnectivityMode) *heapgraph.Graph {
+	build := func(n int) *heapgraph.Graph {
 		g := heapgraph.New()
-		g.SetConnectivity(mode, 0)
 		for i := 0; i < n; i++ {
 			g.AddVertex(heapgraph.VertexID(i))
 		}
@@ -648,13 +646,16 @@ func BenchmarkConnectivityMetricPoint(b *testing.B) {
 		return g
 	}
 	for _, n := range []int{10000, 50000, 200000} {
-		for _, mode := range []heapgraph.ConnectivityMode{
-			heapgraph.ConnectivitySnapshot,
-			heapgraph.ConnectivityIncremental,
-		} {
-			b.Run(fmt.Sprintf("V=%d/%s", n, mode), func(b *testing.B) {
-				g := build(n, mode)
-				g.ConnectedComponentCount() // settle the initial build
+		for _, walk := range []bool{true, false} {
+			query := func(g *heapgraph.Graph) int { return g.ConnectedComponentCount() }
+			name := "incremental"
+			if walk {
+				query = func(g *heapgraph.Graph) int { return g.WeaklyConnectedComponents().Count }
+				name = "reference-walk"
+			}
+			b.Run(fmt.Sprintf("V=%d/%s", n, name), func(b *testing.B) {
+				g := build(n)
+				query(g) // settle the initial build (and turn the tracker on)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -671,7 +672,7 @@ func BenchmarkConnectivityMetricPoint(b *testing.B) {
 					for j := 15; j >= 0; j-- {
 						g.RemoveVertex(old + heapgraph.VertexID(j))
 					}
-					g.ConnectedComponentCount()
+					query(g)
 				}
 			})
 		}
@@ -680,15 +681,14 @@ func BenchmarkConnectivityMetricPoint(b *testing.B) {
 
 // BenchmarkSCCMetricPoint is the strong-connectivity sibling of
 // BenchmarkConnectivityMetricPoint: one SCCs metric point — a burst of
-// heap churn followed by the strong component count query — under the
-// snapshot Tarjan walk and the incremental SCC tracker. The churn is
-// pendant-run allocation and teardown, which the tracker's exact
+// heap churn followed by the strong component count query — on the
+// incremental SCC tracker, against the reference Tarjan walk. The churn
+// is pendant-run allocation and teardown, which the tracker's exact
 // singleton delete class absorbs without a rebuild, so the incremental
-// per-point cost stays flat while the snapshot walk pays O(V+E).
+// per-point cost stays flat while the walk pays O(V+E).
 func BenchmarkSCCMetricPoint(b *testing.B) {
-	build := func(n int, mode heapgraph.ConnectivityMode) *heapgraph.Graph {
+	build := func(n int) *heapgraph.Graph {
 		g := heapgraph.New()
-		g.SetSCC(mode, 0)
 		for i := 0; i < n; i++ {
 			g.AddVertex(heapgraph.VertexID(i))
 		}
@@ -704,13 +704,16 @@ func BenchmarkSCCMetricPoint(b *testing.B) {
 		return g
 	}
 	for _, n := range []int{10000, 50000, 200000} {
-		for _, mode := range []heapgraph.ConnectivityMode{
-			heapgraph.ConnectivitySnapshot,
-			heapgraph.ConnectivityIncremental,
-		} {
-			b.Run(fmt.Sprintf("V=%d/%s", n, mode), func(b *testing.B) {
-				g := build(n, mode)
-				g.StronglyConnectedComponentCount() // settle the initial build
+		for _, walk := range []bool{true, false} {
+			query := func(g *heapgraph.Graph) int { return g.StronglyConnectedComponentCount() }
+			name := "incremental"
+			if walk {
+				query = func(g *heapgraph.Graph) int { return g.StronglyConnectedComponents().Count }
+				name = "reference-walk"
+			}
+			b.Run(fmt.Sprintf("V=%d/%s", n, name), func(b *testing.B) {
+				g := build(n)
+				query(g) // settle the initial build (and turn the tracker on)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -725,7 +728,7 @@ func BenchmarkSCCMetricPoint(b *testing.B) {
 					for j := 15; j >= 0; j-- {
 						g.RemoveVertex(old + heapgraph.VertexID(j))
 					}
-					g.StronglyConnectedComponentCount()
+					query(g)
 				}
 			})
 		}

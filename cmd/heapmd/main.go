@@ -27,7 +27,6 @@ import (
 
 	"heapmd/internal/detect"
 	"heapmd/internal/faults"
-	"heapmd/internal/heapgraph"
 	"heapmd/internal/logger"
 	"heapmd/internal/metrics"
 	"heapmd/internal/model"
@@ -111,8 +110,6 @@ func cmdSoak(args []string) error {
 	policy := fs.String("policy", "block", "pipeline backpressure policy: block|drop")
 	parallel := fs.Int("parallel", 0, "cells soaked concurrently (0 = all cores, 1 = serial)")
 	train := fs.Int("train", 0, "training inputs per workload model (0 = soak default)")
-	connectivity := fs.String("connectivity", "snapshot", "WCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
-	sccPath := fs.String("scc", "snapshot", "SCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
 	extended := fs.Bool("extended", false, "soak with the extended metric suite (adds WCC/SCC structure metrics)")
 	check := fs.Bool("check", false, "exit nonzero unless every verdict matches the taxonomy with zero warmup false positives")
 	out := fs.String("o", "", "write the JSON scoreboard to FILE (default: stdout)")
@@ -124,22 +121,12 @@ func cmdSoak(args []string) error {
 	if err != nil {
 		return err
 	}
-	conn, err := heapgraph.ParseConnectivity(*connectivity)
-	if err != nil {
-		return err
-	}
-	sccMode, err := heapgraph.ParseSCC(*sccPath)
-	if err != nil {
-		return err
-	}
 	opts := soak.Options{
-		Duration:     *duration,
-		Seed:         *seed,
-		Parallel:     workers,
-		TrainInputs:  *train,
-		Connectivity: conn,
-		SCC:          sccMode,
-		Extended:     *extended,
+		Duration:    *duration,
+		Seed:        *seed,
+		Parallel:    workers,
+		TrainInputs: *train,
+		Extended:    *extended,
 	}
 	switch *policy {
 	case "block":
@@ -189,8 +176,6 @@ func cmdTrain(args []string) error {
 	traceFormat := fs.Uint("trace-format", uint(trace.VersionV3), "trace format version to record (2 or 3)")
 	compress := fs.Bool("compress", false, "flate-compress recorded v3 trace frames (smaller files, same replay)")
 	traceWorkers := fs.Int("trace-workers", 0, "encode recorded v3 frames on this many workers per run (0 = synchronous; bytes are identical)")
-	connectivity := fs.String("connectivity", "snapshot", "WCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
-	sccPath := fs.String("scc", "snapshot", "SCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
 	extended := fs.Bool("extended", false, "train on the extended metric suite (adds WCC/SCC structure metrics)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -203,10 +188,7 @@ func cmdTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	logOpts, err := connectivityOptions(*connectivity, *sccPath, *extended)
-	if err != nil {
-		return err
-	}
+	logOpts := suiteOptions(*extended)
 	cfg := workloads.RunConfig{Version: *version, Parallel: workers, Logger: logOpts}
 	if *recordDir != "" {
 		// Recording stays parallel: the hook opens a private writer per
@@ -288,22 +270,14 @@ func traceRecorder(dir string, format uint32, compress bool, workers int) (func(
 	}, nil
 }
 
-// connectivityOptions resolves the -connectivity/-scc/-extended flag
-// triple shared by train and check into logger options.
-func connectivityOptions(connectivity, scc string, extended bool) (logger.Options, error) {
-	mode, err := heapgraph.ParseConnectivity(connectivity)
-	if err != nil {
-		return logger.Options{}, err
-	}
-	sccMode, err := heapgraph.ParseSCC(scc)
-	if err != nil {
-		return logger.Options{}, err
-	}
-	opts := logger.Options{Connectivity: mode, SCC: sccMode}
+// suiteOptions resolves the -extended flag shared by train and check
+// into logger options.
+func suiteOptions(extended bool) logger.Options {
+	var opts logger.Options
 	if extended {
 		opts.Suite = metrics.ExtendedSuite()
 	}
-	return opts, nil
+	return opts
 }
 
 // parseFault parses "name[:prob[:maxTriggers]]".
@@ -345,8 +319,6 @@ func cmdCheck(args []string) error {
 	traceFormat := fs.Uint("trace-format", uint(trace.VersionV3), "trace format version to record (2 or 3)")
 	compress := fs.Bool("compress", false, "flate-compress recorded v3 trace frames (smaller files, same replay)")
 	traceWorkers := fs.Int("trace-workers", 0, "encode recorded v3 frames on this many workers per run (0 = synchronous; bytes are identical)")
-	connectivity := fs.String("connectivity", "snapshot", "WCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
-	sccPath := fs.String("scc", "snapshot", "SCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
 	extended := fs.Bool("extended", false, "check with the extended metric suite (adds WCC/SCC structure metrics)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -359,10 +331,7 @@ func cmdCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	logOpts, err := connectivityOptions(*connectivity, *sccPath, *extended)
-	if err != nil {
-		return err
-	}
+	logOpts := suiteOptions(*extended)
 	var record func(workloads.Input, *prog.Process) (func() error, error)
 	if *recordDir != "" {
 		encodeWorkers, werr := sched.ParseEncodeWorkers(*traceWorkers)

@@ -44,10 +44,7 @@ func cmdReplay(args []string) error {
 	modelPath := fs.String("model", "", "optional model file: check each replayed report against it")
 	salvage := fs.Bool("salvage", false, "recover the longest valid prefix of a damaged trace")
 	decodeWorkersFlag := fs.Int("decode-workers", 0, "frame decode workers per trace: 0 = auto (all cores; synchronous on a single core), 1 = read-ahead, n = scanner + n-worker pipeline (identical report at any setting)")
-	workers := fs.Int("metric-workers", 0, "compute expensive extension metrics on this many workers (0 = inline)")
 	extended := fs.Bool("extended", false, "compute the extended metric suite (adds WCC/SCC structure metrics)")
-	connectivity := fs.String("connectivity", "snapshot", "WCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
-	sccPath := fs.String("scc", "snapshot", "SCC metric path: snapshot|incremental|verify (verify runs both and panics on divergence)")
 	freq := fs.Uint64("freq", 0, "sampling frequency; must match the recording (0 = simulation default)")
 	retries := fs.Int("retries", 3, "max retries per read/seek on transient I/O errors")
 	parallel := fs.Int("parallel", 0, "traces replayed in flight (0 = all cores, 1 = serial; output is identical)")
@@ -91,19 +88,7 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	metricWorkers, err := sched.ParseMetricWorkers(*workers)
-	if err != nil {
-		return err
-	}
 	decodeWorkers, err := sched.ParseDecodeWorkers(*decodeWorkersFlag)
-	if err != nil {
-		return err
-	}
-	conn, err := heapmd.ParseConnectivity(*connectivity)
-	if err != nil {
-		return err
-	}
-	sccMode, err := heapmd.ParseSCC(*sccPath)
 	if err != nil {
 		return err
 	}
@@ -116,10 +101,7 @@ func cmdReplay(args []string) error {
 			Frequency:     *freq,
 			Salvage:       *salvage,
 			DecodeWorkers: decodeWorkers,
-			MetricWorkers: metricWorkers,
 			Suite:         suite,
-			Connectivity:  conn,
-			SCC:           sccMode,
 		},
 		retries: *retries,
 		program: *program,

@@ -35,13 +35,13 @@
 package heapmd
 
 import (
+	"fmt"
 	"io"
 
 	"heapmd/internal/detect"
 	"heapmd/internal/event"
 	"heapmd/internal/faults"
 	"heapmd/internal/health"
-	"heapmd/internal/heapgraph"
 	"heapmd/internal/logger"
 	"heapmd/internal/metrics"
 	"heapmd/internal/model"
@@ -119,37 +119,34 @@ type (
 	// backpressure policy of a Pipeline.
 	PipelineOptions = logger.PipelineOptions
 
-	// ConnectivityMode selects how a component extension metric
-	// (Components via Options.Connectivity, SCCs via Options.SCC)
-	// obtains its count: snapshot walks, an incremental tracker, or
-	// both with a divergence check.
-	ConnectivityMode = heapgraph.ConnectivityMode
+	// ConnectivityMode is the type of the ignored Connectivity and
+	// SCC option fields; its one value's String is "incremental".
+	//
+	// Deprecated: component counts are always incremental.
+	ConnectivityMode = logger.ConnectivityMode
 )
 
-// Connectivity modes for Options.Connectivity and
-// ReplayOptions.Connectivity.
-const (
-	// ConnectivitySnapshot recomputes components with a
-	// generation-memoized full graph walk (default).
-	ConnectivitySnapshot = heapgraph.ConnectivitySnapshot
-	// ConnectivityIncremental maintains the component count under
-	// mutation, costing metric points by churn instead of heap size.
-	ConnectivityIncremental = heapgraph.ConnectivityIncremental
-	// ConnectivityVerify runs both paths and panics on divergence; a
-	// differential-oracle mode for tests and CI.
-	ConnectivityVerify = heapgraph.ConnectivityVerify
-)
-
-// ParseConnectivity resolves a -connectivity flag value
-// ("snapshot", "incremental" or "verify").
+// ParseConnectivity accepts the retired -connectivity spellings
+// (snapshot, incremental, verify) and returns the one mode there is.
+//
+// Deprecated: component counts are always incremental.
 func ParseConnectivity(s string) (ConnectivityMode, error) {
-	return heapgraph.ParseConnectivity(s)
+	return parseComponentMode("connectivity", s)
 }
 
-// ParseSCC resolves a -scc flag value (same spellings as
-// ParseConnectivity).
+// ParseSCC is ParseConnectivity for the retired -scc spellings.
+//
+// Deprecated: component counts are always incremental.
 func ParseSCC(s string) (ConnectivityMode, error) {
-	return heapgraph.ParseSCC(s)
+	return parseComponentMode("scc", s)
+}
+
+func parseComponentMode(what, s string) (ConnectivityMode, error) {
+	switch s {
+	case "snapshot", "incremental", "verify":
+		return 0, nil
+	}
+	return 0, fmt.Errorf("heapmd: unknown %s mode %q (want snapshot, incremental or verify)", what, s)
 }
 
 // Backpressure policies for PipelineOptions.Policy.
@@ -205,23 +202,18 @@ type Options struct {
 	// FieldGranularity builds the heap-graph with one vertex per
 	// word instead of per object (paper Figure 3 ablation).
 	FieldGranularity bool
-	// MetricWorkers > 0 computes the expensive extension metrics
-	// (WCC/SCC) on that many worker goroutines off the ingestion
-	// path; see logger.Options.MetricWorkers. Only meaningful with a
-	// suite that includes those metrics.
-	MetricWorkers int
-	// Connectivity selects how the Components metric obtains the
-	// weak component count; see logger.Options.Connectivity. The zero
-	// value is the snapshot walk.
-	Connectivity ConnectivityMode
-	// SCC selects the same for the SCCs metric's strong component
-	// count; see logger.Options.SCC. The zero value is the snapshot
-	// walk.
-	SCC ConnectivityMode
-	// RebuildThreshold is the incremental trackers' dirty budget
-	// between amortized rebuilds (shared by the WCC and SCC
-	// trackers); zero selects the default. Ignored in snapshot modes.
+	// RebuildThreshold is the incremental component trackers' dirty
+	// budget between amortized rebuilds (shared by the WCC and SCC
+	// trackers); zero selects the default.
 	RebuildThreshold int
+	// Connectivity is ignored.
+	//
+	// Deprecated: component counts are always incremental.
+	Connectivity ConnectivityMode
+	// SCC is ignored.
+	//
+	// Deprecated: component counts are always incremental.
+	SCC ConnectivityMode
 	// IngestWorkers is ignored: every run's logger is subscribed to
 	// its process directly.
 	//
@@ -281,9 +273,6 @@ func (s *Session) newRun(program, input string, seed int64, plan *FaultPlan) *Ru
 	l := logger.New(logger.Options{
 		Frequency:        freq,
 		Granularity:      gran,
-		MetricWorkers:    s.opts.MetricWorkers,
-		Connectivity:     s.opts.Connectivity,
-		SCC:              s.opts.SCC,
 		RebuildThreshold: s.opts.RebuildThreshold,
 	})
 	l.SetRun(program, input, 1)
@@ -474,9 +463,6 @@ type ReplayOptions struct {
 	// the returned SalvageInfo and tallied in the report's health
 	// counters.
 	Salvage bool
-	// MetricWorkers > 0 computes expensive extension metrics on
-	// worker goroutines during replay; see Options.MetricWorkers.
-	MetricWorkers int
 	// Suite selects the metric suite for the replay; zero value
 	// means the default seven-metric suite.
 	Suite metrics.Suite
@@ -492,15 +478,17 @@ type ReplayOptions struct {
 	// replayed trace: format version, bytes per event, compression
 	// ratio.
 	Stats *TraceStats
-	// Connectivity selects how the Components metric obtains the
-	// weak component count during replay; see Options.Connectivity.
-	Connectivity ConnectivityMode
-	// SCC selects the same for the SCCs metric's strong component
-	// count; see Options.SCC.
-	SCC ConnectivityMode
-	// RebuildThreshold is the incremental trackers' dirty budget;
-	// see Options.RebuildThreshold.
+	// RebuildThreshold is the incremental component trackers' dirty
+	// budget; see Options.RebuildThreshold.
 	RebuildThreshold int
+	// Connectivity is ignored.
+	//
+	// Deprecated: component counts are always incremental.
+	Connectivity ConnectivityMode
+	// SCC is ignored.
+	//
+	// Deprecated: component counts are always incremental.
+	SCC ConnectivityMode
 	// IngestWorkers is validated (negative values are an error) and
 	// otherwise ignored: the decoded trace is applied to the logger
 	// serially, in order. Stats.IngestWorkers reads 1.
@@ -532,9 +520,6 @@ func ReplayTraceWith(rd io.ReadSeeker, program, input string, opts ReplayOptions
 	l := logger.New(logger.Options{
 		Frequency:        freq,
 		Suite:            opts.Suite,
-		MetricWorkers:    opts.MetricWorkers,
-		Connectivity:     opts.Connectivity,
-		SCC:              opts.SCC,
 		RebuildThreshold: opts.RebuildThreshold,
 	})
 	l.SetRun(program, input, 1)

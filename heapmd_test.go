@@ -183,3 +183,29 @@ func TestFaultPlanFacade(t *testing.T) {
 		t.Error("fault plan not threaded into the run's process")
 	}
 }
+
+// TestParseConnectivity pins the deprecated -connectivity parser the
+// benchmark module still calls: every retired spelling resolves to the
+// one path there is, whose String is "incremental", and anything else
+// is an error.
+func TestParseConnectivity(t *testing.T) {
+	checkComponentParser(t, "ParseConnectivity", ParseConnectivity)
+}
+
+// TestParseSCC is TestParseConnectivity for the deprecated -scc parser.
+func TestParseSCC(t *testing.T) {
+	checkComponentParser(t, "ParseSCC", ParseSCC)
+}
+
+func checkComponentParser(t *testing.T, name string, parse func(string) (ConnectivityMode, error)) {
+	t.Helper()
+	for _, s := range []string{"snapshot", "incremental", "verify"} {
+		m, err := parse(s)
+		if err != nil || m.String() != "incremental" {
+			t.Errorf("%s(%q) = %v, %v; want incremental", name, s, m, err)
+		}
+	}
+	if _, err := parse("eventual"); err == nil {
+		t.Errorf("%s accepted an unknown mode", name)
+	}
+}

@@ -1,13 +1,15 @@
 package heapgraph
 
-// This file implements the on-demand whole-graph analyses backing
+// This file implements the whole-graph reference analyses for
 // HeapMD's extension metrics (paper Section 2.1 lists "the size and
 // number of connected and strongly connected components" as candidate
-// metrics beyond the degree suite). These walk the graph and are
-// therefore much more expensive than the O(1) degree metrics; the
-// logger only evaluates them when the extended metric set is enabled.
-// The arena layout pays off here too: traversal state is slot-indexed
-// slices rather than the maps the old map-of-vertices layout forced.
+// metrics beyond the degree suite). Metric points never walk the
+// graph: they read the incremental trackers (incremental.go,
+// incremental_scc.go). The walks here are the trackers' test oracles —
+// CheckComponents diffs the two, and the differential tests and
+// fuzzers call it after mutation sequences.
+
+import "fmt"
 
 // ComponentStats summarizes a components decomposition.
 type ComponentStats struct {
@@ -150,32 +152,6 @@ func (g *Graph) StronglyConnectedComponents() ComponentStats {
 	return stats
 }
 
-// WeaklyConnectedComponentsCached is WeaklyConnectedComponents with
-// generation-counter memoization: when the graph has not mutated since
-// the last cached computation, the cached stats are returned without a
-// walk. Metric evaluation calls this so that back-to-back samples over
-// an idle graph cost O(1) instead of O(V+E). Like mutation, it must
-// only be called from the graph's writer goroutine.
-func (g *Graph) WeaklyConnectedComponentsCached() ComponentStats {
-	if gen := g.Generation(); g.wccCache.valid && g.wccCache.gen == gen {
-		return g.wccCache.stats
-	}
-	st := g.WeaklyConnectedComponents()
-	g.wccCache = componentCache{gen: g.Generation(), stats: st, valid: true}
-	return st
-}
-
-// StronglyConnectedComponentsCached is StronglyConnectedComponents
-// with the same generation-counter memoization; writer goroutine only.
-func (g *Graph) StronglyConnectedComponentsCached() ComponentStats {
-	if gen := g.Generation(); g.sccCache.valid && g.sccCache.gen == gen {
-		return g.sccCache.stats
-	}
-	st := g.StronglyConnectedComponents()
-	g.sccCache = componentCache{gen: g.Generation(), stats: st, valid: true}
-	return st
-}
-
 // CheckInvariants verifies the incremental bookkeeping against a full
 // recomputation: histogram populations, the in==out counter, the edge
 // total, the VertexID → slot index, and the freelist must all match
@@ -231,15 +207,13 @@ func (g *Graph) CheckInvariants() string {
 		}
 		edges += out
 	}
-	for b := 0; b < maxTracked+2; b++ {
-		if inHist[b] != g.counts.sumIn(b) {
-			return "indegree histogram mismatch"
-		}
-		if outHist[b] != g.counts.sumOut(b) {
-			return "outdegree histogram mismatch"
-		}
+	if inHist != g.inHist {
+		return "indegree histogram mismatch"
 	}
-	if eq != g.counts.sumEq() {
+	if outHist != g.outHist {
+		return "outdegree histogram mismatch"
+	}
+	if eq != g.eq {
 		return "in==out counter mismatch"
 	}
 	if edges != g.NumEdges() {
@@ -288,6 +262,29 @@ func (g *Graph) CheckInvariants() string {
 		})
 		if asym != "" {
 			return asym
+		}
+	}
+	return ""
+}
+
+// CheckComponents compares each component tracker the graph carries
+// with its reference walk — the weak count with
+// WeaklyConnectedComponents, the strong count with
+// StronglyConnectedComponents — and returns a description of the
+// first disagreement, or "" when they agree (or no tracker is on).
+// Like a metric point, the query may first rebuild a dirty tracker.
+// Tests call it at every metric point as the differential oracle.
+func (g *Graph) CheckComponents() string {
+	if g.wcc != nil {
+		if inc, ref := g.ConnectedComponentCount(), g.WeaklyConnectedComponents().Count; inc != ref {
+			return fmt.Sprintf("weak components: incremental=%d reference=%d (V=%d E=%d)",
+				inc, ref, g.NumVertices(), g.NumEdges())
+		}
+	}
+	if g.scc != nil {
+		if inc, ref := g.StronglyConnectedComponentCount(), g.StronglyConnectedComponents().Count; inc != ref {
+			return fmt.Sprintf("strong components: incremental=%d reference=%d (V=%d E=%d)",
+				inc, ref, g.NumVertices(), g.NumEdges())
 		}
 	}
 	return ""

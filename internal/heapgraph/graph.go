@@ -28,19 +28,17 @@
 // graphs are dominated by degree 0–2 vertices, so the maps — and their
 // allocation and GC-scan cost — all but disappear.
 //
-// Concurrency: the adjacency structure is single-writer — only one
-// goroutine (the monitoring pipeline's consumer) may mutate the graph
-// or walk adjacency. The aggregate counts (CountInDegree,
-// CountOutDegree, CountInEqOut, NumVertices, NumEdges, Generation) are
-// maintained in lock-striped atomic shards (see sharded.go) and may be
-// read from any goroutine while mutation proceeds. Whole-graph
-// analyses from other goroutines must work on a Freeze() snapshot.
+// Component counts for the structure extension metrics come from
+// incremental trackers maintained under mutation (incremental.go,
+// incremental_scc.go); the whole-graph walks in analysis.go are their
+// test oracles.
+//
+// Concurrency: a Graph belongs to a single goroutine — the execution
+// logger's, which in the monitoring pipeline is its consumer. Every
+// method, reads of the counts included, must be called from it.
 package heapgraph
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // VertexID names a heap object in the graph. The execution logger
 // assigns IDs from an allocation generation counter, so a recycled
@@ -62,17 +60,8 @@ const denseSlack = 1 << 16
 // noSlot marks an absent vertex in slot lookups.
 const noSlot = int32(-1)
 
-// componentCache memoizes a components decomposition together with the
-// mutation generation it was computed at.
-type componentCache struct {
-	gen   uint64
-	stats ComponentStats
-	valid bool
-}
-
-// Graph is the mutable heap-graph image. Mutation and adjacency walks
-// are single-goroutine; the degree/size counters tolerate concurrent
-// readers (see the package comment).
+// Graph is the mutable heap-graph image. It is single-goroutine (see
+// the package comment).
 type Graph struct {
 	// VertexID → slot+1 (0 = absent). dense covers IDs below its
 	// length; sparse holds the stragglers and is nil until needed.
@@ -89,25 +78,20 @@ type Graph struct {
 
 	freeSlots []int32
 
-	counts shardedCounts
-	nVerts atomic.Int64
-	edges  atomic.Int64 // total edge multiplicity
-	// gen counts successful mutations. Metric evaluation uses it to
-	// reuse cached whole-graph analyses and to tag Freeze snapshots.
-	gen atomic.Uint64
+	// Degree histograms: inHist[d] (outHist[d]) counts the vertices
+	// with indegree (outdegree) d, the last bucket every degree above
+	// maxTracked. eq counts vertices with indegree == outdegree.
+	inHist  [maxTracked + 2]int
+	outHist [maxTracked + 2]int
+	eq      int
+	nVerts  int
+	edges   int // total edge multiplicity
 
-	wccCache componentCache
-	sccCache componentCache
-
-	// Incremental weak-connectivity tracking (incremental.go). wcc is
-	// nil in snapshot mode; both fields are writer-goroutine state.
-	connMode ConnectivityMode
-	wcc      *wccTracker
-
-	// Incremental strong-connectivity tracking (incremental_scc.go),
-	// the SCC sibling of the pair above. Same ownership rules.
-	sccMode ConnectivityMode
-	scc     *sccTracker
+	// Incremental weak (incremental.go) and strong
+	// (incremental_scc.go) connectivity trackers; nil until turned on
+	// or first queried.
+	wcc *wccTracker
+	scc *sccTracker
 }
 
 // New returns an empty heap-graph.
@@ -194,53 +178,49 @@ func bucket(d int) int {
 	return d
 }
 
-// track updates the histograms and eq counter for vertex v whose
+// track updates the histograms and eq counter for a vertex whose
 // degrees change from (oldIn, oldOut) to (newIn, newOut).
-func (g *Graph) track(v VertexID, oldIn, oldOut, newIn, newOut int) {
-	sh := g.counts.shard(v)
-	sh.inHist[bucket(oldIn)].Add(-1)
-	sh.outHist[bucket(oldOut)].Add(-1)
-	sh.inHist[bucket(newIn)].Add(1)
-	sh.outHist[bucket(newOut)].Add(1)
+func (g *Graph) track(oldIn, oldOut, newIn, newOut int) {
+	g.inHist[bucket(oldIn)]--
+	g.outHist[bucket(oldOut)]--
+	g.inHist[bucket(newIn)]++
+	g.outHist[bucket(newOut)]++
 	if oldIn == oldOut {
-		sh.eq.Add(-1)
+		g.eq--
 	}
 	if newIn == newOut {
-		sh.eq.Add(1)
+		g.eq++
 	}
 }
 
 // trackIn is track specialized for a change that touches only the
 // indegree (a non-self-loop edge mutation changes exactly one degree
-// of each endpoint). Skipping the unchanged direction's remove/re-add
-// pair halves the atomic traffic of the edge hot path — the histogram
-// update is the single most expensive step of a store event.
-func (g *Graph) trackIn(v VertexID, oldIn, newIn, out int) {
-	sh := g.counts.shard(v)
+// of each endpoint), skipping the unchanged direction's remove/re-add
+// pair on the edge hot path.
+func (g *Graph) trackIn(oldIn, newIn, out int) {
 	if bo, bn := bucket(oldIn), bucket(newIn); bo != bn {
-		sh.inHist[bo].Add(-1)
-		sh.inHist[bn].Add(1)
+		g.inHist[bo]--
+		g.inHist[bn]++
 	}
 	if oldIn == out {
-		sh.eq.Add(-1)
+		g.eq--
 	}
 	if newIn == out {
-		sh.eq.Add(1)
+		g.eq++
 	}
 }
 
 // trackOut is trackIn for the outdegree.
-func (g *Graph) trackOut(v VertexID, in, oldOut, newOut int) {
-	sh := g.counts.shard(v)
+func (g *Graph) trackOut(in, oldOut, newOut int) {
 	if bo, bn := bucket(oldOut), bucket(newOut); bo != bn {
-		sh.outHist[bo].Add(-1)
-		sh.outHist[bn].Add(1)
+		g.outHist[bo]--
+		g.outHist[bn]++
 	}
 	if oldOut == in {
-		sh.eq.Add(-1)
+		g.eq--
 	}
 	if newOut == in {
-		sh.eq.Add(1)
+		g.eq++
 	}
 }
 
@@ -253,12 +233,10 @@ func (g *Graph) AddVertex(v VertexID) {
 	}
 	s := g.newSlot(v)
 	g.setSlot(v, s)
-	sh := g.counts.shard(v)
-	sh.inHist[0].Add(1)
-	sh.outHist[0].Add(1)
-	sh.eq.Add(1) // 0 == 0
-	g.nVerts.Add(1)
-	g.gen.Add(1)
+	g.inHist[0]++
+	g.outHist[0]++
+	g.eq++ // 0 == 0
+	g.nVerts++
 	g.wccAddVertex(s)
 	g.sccAddVertex(s)
 }
@@ -284,13 +262,13 @@ func (g *Graph) RemoveVertex(v VertexID) {
 	// multiplicity. The callbacks mutate only the neighbours' sets,
 	// never slot s's own, which each() permits.
 	g.outAdj[s].each(func(succ VertexID, mult int32) bool {
-		g.edges.Add(-int64(mult))
+		g.edges -= int(mult)
 		if succ == v {
 			return true // self-loop dies with the vertex
 		}
 		ss := g.slotOf(succ)
 		in, out := int(g.inDeg[ss]), int(g.outDeg[ss])
-		g.trackIn(succ, in, in-int(mult), out)
+		g.trackIn(in, in-int(mult), out)
 		g.inDeg[ss] -= mult
 		g.inAdj[ss].drop(v)
 		return true
@@ -302,18 +280,17 @@ func (g *Graph) RemoveVertex(v VertexID) {
 		}
 		ps := g.slotOf(pred)
 		in, out := int(g.inDeg[ps]), int(g.outDeg[ps])
-		g.trackOut(pred, in, out, out-int(mult))
+		g.trackOut(in, out, out-int(mult))
 		g.outDeg[ps] -= mult
 		g.outAdj[ps].drop(v)
-		g.edges.Add(-int64(mult))
+		g.edges -= int(mult)
 		return true
 	})
 	// Remove v itself from the histograms.
-	sh := g.counts.shard(v)
-	sh.inHist[bucket(int(g.inDeg[s]))].Add(-1)
-	sh.outHist[bucket(int(g.outDeg[s]))].Add(-1)
+	g.inHist[bucket(int(g.inDeg[s]))]--
+	g.outHist[bucket(int(g.outDeg[s]))]--
 	if g.inDeg[s] == g.outDeg[s] {
-		sh.eq.Add(-1)
+		g.eq--
 	}
 	// Reset now (not at reuse) so spill maps become collectable.
 	g.outAdj[s].reset()
@@ -321,8 +298,7 @@ func (g *Graph) RemoveVertex(v VertexID) {
 	g.alive[s] = false
 	g.clearSlot(v)
 	g.freeSlots = append(g.freeSlots, s)
-	g.nVerts.Add(-1)
-	g.gen.Add(1)
+	g.nVerts--
 	g.wccSettle()
 	g.sccSettle()
 }
@@ -343,21 +319,20 @@ func (g *Graph) AddEdge(u, v VertexID) bool {
 	g.inAdj[vs].inc(u)
 	if u == v {
 		in, out := int(g.inDeg[us]), int(g.outDeg[us])
-		g.track(u, in, out, in+1, out+1)
+		g.track(in, out, in+1, out+1)
 		g.inDeg[us]++
 		g.outDeg[us]++
 	} else {
 		in, out := int(g.inDeg[us]), int(g.outDeg[us])
-		g.trackOut(u, in, out, out+1)
+		g.trackOut(in, out, out+1)
 		g.outDeg[us]++
 		in, out = int(g.inDeg[vs]), int(g.outDeg[vs])
-		g.trackIn(v, in, in+1, out)
+		g.trackIn(in, in+1, out)
 		g.inDeg[vs]++
 		g.wccAddEdge(us, vs)
 		g.sccAddEdge(us, vs)
 	}
-	g.edges.Add(1)
-	g.gen.Add(1)
+	g.edges++
 	// Unlike weak connectivity, edge *insertion* can dirty the SCC
 	// tracker (a probe-budget bailout), so inserts also settle.
 	g.sccSettle()
@@ -376,21 +351,20 @@ func (g *Graph) RemoveEdge(u, v VertexID) bool {
 	g.inAdj[vs].dec(u)
 	if u == v {
 		in, out := int(g.inDeg[us]), int(g.outDeg[us])
-		g.track(u, in, out, in-1, out-1)
+		g.track(in, out, in-1, out-1)
 		g.inDeg[us]--
 		g.outDeg[us]--
 	} else {
 		in, out := int(g.inDeg[us]), int(g.outDeg[us])
-		g.trackOut(u, in, out, out-1)
+		g.trackOut(in, out, out-1)
 		g.outDeg[us]--
 		in, out = int(g.inDeg[vs]), int(g.outDeg[vs])
-		g.trackIn(v, in, in-1, out)
+		g.trackIn(in, in-1, out)
 		g.inDeg[vs]--
 		g.wccRemoveEdge(u, v, us, vs)
 		g.sccRemoveEdge(v, us, vs)
 	}
-	g.edges.Add(-1)
-	g.gen.Add(1)
+	g.edges--
 	g.wccSettle()
 	g.sccSettle()
 	return true
@@ -405,51 +379,42 @@ func (g *Graph) Multiplicity(u, v VertexID) int {
 	return int(g.outAdj[us].get(v))
 }
 
-// NumVertices returns the number of vertices. Safe to call
-// concurrently with mutation.
-func (g *Graph) NumVertices() int { return int(g.nVerts.Load()) }
+// NumVertices returns the number of vertices.
+func (g *Graph) NumVertices() int { return g.nVerts }
 
-// NumEdges returns the total edge multiplicity. Safe to call
-// concurrently with mutation.
-func (g *Graph) NumEdges() int { return int(g.edges.Load()) }
-
-// Generation returns the mutation-generation counter: it increments on
-// every successful vertex or edge mutation, so two reads returning the
-// same value bracket a window in which the graph did not change. Safe
-// to call concurrently with mutation.
-func (g *Graph) Generation() uint64 { return g.gen.Load() }
+// NumEdges returns the total edge multiplicity.
+func (g *Graph) NumEdges() int { return g.edges }
 
 // CountInDegree returns the number of vertices with indegree exactly d
 // (for d <= maxTracked; larger d values return 0 — use
-// CountInDegreeOverflow for the tail). Safe to call concurrently with
-// mutation.
+// CountInDegreeOverflow for the tail).
 func (g *Graph) CountInDegree(d int) int {
 	if d < 0 || d > maxTracked {
 		return 0
 	}
-	return g.counts.sumIn(d)
+	return g.inHist[d]
 }
 
 // CountOutDegree returns the number of vertices with outdegree exactly
-// d (d <= maxTracked). Safe to call concurrently with mutation.
+// d (d <= maxTracked).
 func (g *Graph) CountOutDegree(d int) int {
 	if d < 0 || d > maxTracked {
 		return 0
 	}
-	return g.counts.sumOut(d)
+	return g.outHist[d]
 }
 
 // CountInDegreeOverflow returns the number of vertices with indegree
 // greater than maxTracked.
-func (g *Graph) CountInDegreeOverflow() int { return g.counts.sumIn(maxTracked + 1) }
+func (g *Graph) CountInDegreeOverflow() int { return g.inHist[maxTracked+1] }
 
 // CountOutDegreeOverflow returns the number of vertices with outdegree
 // greater than maxTracked.
-func (g *Graph) CountOutDegreeOverflow() int { return g.counts.sumOut(maxTracked + 1) }
+func (g *Graph) CountOutDegreeOverflow() int { return g.outHist[maxTracked+1] }
 
 // CountInEqOut returns the number of vertices whose indegree equals
-// their outdegree. Safe to call concurrently with mutation.
-func (g *Graph) CountInEqOut() int { return g.counts.sumEq() }
+// their outdegree.
+func (g *Graph) CountInEqOut() int { return g.eq }
 
 // InDegree returns v's indegree (total incoming multiplicity).
 func (g *Graph) InDegree(v VertexID) int {

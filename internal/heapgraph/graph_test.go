@@ -2,7 +2,6 @@ package heapgraph
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -358,216 +357,35 @@ func TestGraphMetricsMatchBruteForce(t *testing.T) {
 	}
 }
 
-// TestShardedCountsConcurrentReaders runs one mutator against several
-// reader goroutines hammering the lock-striped counts, then — at
-// quiescence — asserts the sharded degree counts match the brute-force
-// oracle exactly. The mid-flight reads have no asserted values (the
-// shards are eventually consistent); under -race this verifies the
-// synchronization, and the final comparison verifies that no update
-// was lost or double-counted under any interleaving.
-func TestShardedCountsConcurrentReaders(t *testing.T) {
-	const readers = 4
-	g := New()
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					s := g.NumVertices() + g.NumEdges() + g.CountInEqOut() +
-						int(g.Generation()) + g.CountInDegreeOverflow() + g.CountOutDegreeOverflow()
-					for d := 0; d <= maxTracked; d++ {
-						s += g.CountInDegree(d) + g.CountOutDegree(d)
-					}
-					_ = s
-				}
-			}
-		}()
-	}
-
-	// Deterministic mutation schedule on the single writer goroutine.
-	rng := rand.New(rand.NewSource(7))
-	const verts = 300
-	for i := 0; i < 20000; i++ {
-		u, v := VertexID(rng.Intn(verts)), VertexID(rng.Intn(verts))
-		switch rng.Intn(10) {
-		case 0, 1, 2:
-			g.AddVertex(u)
-		case 3:
-			g.RemoveVertex(u)
-		case 4, 5, 6, 7:
-			g.AddEdge(u, v)
-		default:
-			g.RemoveEdge(u, v)
-		}
-	}
-	close(stop)
-	wg.Wait()
-
-	// Quiescent: the sharded counts must be exact.
-	if msg := g.CheckInvariants(); msg != "" {
-		t.Fatalf("invariants after concurrent reads: %s", msg)
-	}
-	for d := 0; d <= maxTracked; d++ {
-		wantIn, wantOut := 0, 0
-		g.Vertices(func(v VertexID) bool {
-			if g.InDegree(v) == d {
-				wantIn++
-			}
-			if g.OutDegree(v) == d {
-				wantOut++
-			}
-			return true
-		})
-		if g.CountInDegree(d) != wantIn {
-			t.Errorf("CountInDegree(%d) = %d, want %d", d, g.CountInDegree(d), wantIn)
-		}
-		if g.CountOutDegree(d) != wantOut {
-			t.Errorf("CountOutDegree(%d) = %d, want %d", d, g.CountOutDegree(d), wantOut)
-		}
-	}
-	wantEq := 0
-	g.Vertices(func(v VertexID) bool {
-		if g.InDegree(v) == g.OutDegree(v) {
-			wantEq++
-		}
-		return true
-	})
-	if g.CountInEqOut() != wantEq {
-		t.Errorf("CountInEqOut = %d, want %d", g.CountInEqOut(), wantEq)
-	}
-}
-
-// randomGraph builds a pseudo-random graph with the given seed.
-func randomGraph(seed int64, verts, edges, removals int) *Graph {
-	rng := rand.New(rand.NewSource(seed))
-	g := New()
-	for i := 0; i < verts; i++ {
-		g.AddVertex(VertexID(i))
-	}
-	for i := 0; i < edges; i++ {
-		g.AddEdge(VertexID(rng.Intn(verts)), VertexID(rng.Intn(verts)))
-	}
-	for i := 0; i < removals; i++ {
-		g.RemoveVertex(VertexID(rng.Intn(verts)))
-	}
-	return g
-}
-
-// TestFreezeStructureMatchesGraph: the frozen Structure's component
-// analyses must agree with the live graph's map-based ones, and the
-// frozen snapshot must be immune to later mutation.
-func TestFreezeStructureMatchesGraph(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		g := randomGraph(seed, 400, 900, 60)
-		st := g.Freeze()
-		if st.NumVertices() != g.NumVertices() {
-			t.Fatalf("seed %d: frozen vertices = %d, want %d", seed, st.NumVertices(), g.NumVertices())
-		}
-		if st.Generation() != g.Generation() {
-			t.Fatalf("seed %d: frozen gen = %d, want %d", seed, st.Generation(), g.Generation())
-		}
-		wantWCC := g.WeaklyConnectedComponents()
-		wantSCC := g.StronglyConnectedComponents()
-		if got := st.WeaklyConnectedComponents(); got != wantWCC {
-			t.Errorf("seed %d: frozen WCC = %+v, want %+v", seed, got, wantWCC)
-		}
-		if got := st.StronglyConnectedComponents(); got != wantSCC {
-			t.Errorf("seed %d: frozen SCC = %+v, want %+v", seed, got, wantSCC)
-		}
-
-		// Mutate the live graph; the frozen structure must not move.
-		g.AddVertex(100000)
-		g.AddVertex(100001)
-		g.AddEdge(100000, 100001)
-		if got := st.WeaklyConnectedComponents(); got != wantWCC {
-			t.Errorf("seed %d: frozen WCC changed after graph mutation: %+v", seed, got)
-		}
-		if st.Generation() == g.Generation() {
-			t.Errorf("seed %d: generation did not advance on mutation", seed)
-		}
-	}
-}
-
-// TestStructureSelfLoopAndMultiEdge: freezing must preserve self-loops
-// (their own SCC of size 1, no effect on WCC) and collapse
-// multi-edges without breaking the walks.
+// TestStructureSelfLoopAndMultiEdge: self-loops (their own SCC of
+// size 1, no effect on WCC) and multi-edges must not disturb the
+// reference walks or the incremental trackers, and removing one copy
+// of a multi-edge must keep the endpoints connected.
 func TestStructureSelfLoopAndMultiEdge(t *testing.T) {
 	g := New()
+	g.TrackConnectivity(0)
+	g.TrackSCC(0)
 	g.AddVertex(1)
 	g.AddVertex(2)
 	g.AddEdge(1, 1) // self-loop
 	g.AddEdge(1, 2)
 	g.AddEdge(1, 2) // multi-edge
-	st := g.Freeze()
-	if got, want := st.WeaklyConnectedComponents(), g.WeaklyConnectedComponents(); got != want {
-		t.Errorf("WCC = %+v, want %+v", got, want)
+	if got := g.WeaklyConnectedComponents(); got != (ComponentStats{Count: 1, Largest: 2}) {
+		t.Errorf("WCC = %+v, want 1 component of 2", got)
 	}
-	if got, want := st.StronglyConnectedComponents(), g.StronglyConnectedComponents(); got != want {
-		t.Errorf("SCC = %+v, want %+v", got, want)
+	if got := g.StronglyConnectedComponents(); got != (ComponentStats{Count: 2, Largest: 1}) {
+		t.Errorf("SCC = %+v, want 2 singletons", got)
 	}
-}
-
-// TestComponentCacheGeneration verifies the generation-memoized
-// component accessors: repeated calls over an unchanged graph reuse
-// the cache, and any mutation invalidates it.
-func TestComponentCacheGeneration(t *testing.T) {
-	g := randomGraph(11, 200, 300, 20)
-
-	first := g.WeaklyConnectedComponentsCached()
-	if !g.wccCache.valid || g.wccCache.gen != g.Generation() {
-		t.Fatal("cache not installed after first computation")
+	if msg := g.CheckComponents(); msg != "" {
+		t.Fatal(msg)
 	}
-	if again := g.WeaklyConnectedComponentsCached(); again != first {
-		t.Fatalf("cache hit returned %+v, want %+v", again, first)
+	g.RemoveEdge(1, 2)
+	g.RemoveEdge(1, 1)
+	if g.ConnectedComponentCount() != 1 {
+		t.Errorf("WCC count = %d after dropping one multi-edge copy, want 1", g.ConnectedComponentCount())
 	}
-	if again := g.WeaklyConnectedComponents(); again != first {
-		t.Fatalf("uncached recomputation %+v disagrees with cached %+v", again, first)
-	}
-
-	// Join two components: the cached accessor must notice.
-	gen := g.Generation()
-	g.AddVertex(50000)
-	g.AddVertex(50001)
-	g.AddEdge(50000, 50001)
-	if g.Generation() == gen {
-		t.Fatal("mutation did not advance the generation")
-	}
-	fresh := g.WeaklyConnectedComponentsCached()
-	if fresh == first {
-		t.Fatal("cached accessor returned stale components after mutation")
-	}
-	if want := g.WeaklyConnectedComponents(); fresh != want {
-		t.Fatalf("post-mutation cached WCC = %+v, want %+v", fresh, want)
-	}
-
-	// Same contract for the SCC cache.
-	scc1 := g.StronglyConnectedComponentsCached()
-	if !g.sccCache.valid {
-		t.Fatal("SCC cache not installed")
-	}
-	g.AddEdge(50001, 50000) // close a 2-cycle
-	scc2 := g.StronglyConnectedComponentsCached()
-	if scc2 == scc1 {
-		t.Fatal("SCC cache returned stale stats after mutation")
-	}
-	if want := g.StronglyConnectedComponents(); scc2 != want {
-		t.Fatalf("post-mutation cached SCC = %+v, want %+v", scc2, want)
-	}
-
-	// No-op mutations (duplicate vertex, absent edge removal) must not
-	// invalidate: generation only advances on successful mutation.
-	gen = g.Generation()
-	g.AddVertex(50000)     // duplicate
-	g.RemoveEdge(999, 998) // absent
-	if g.Generation() != gen {
-		t.Error("no-op mutations advanced the generation")
+	if msg := g.CheckComponents(); msg != "" {
+		t.Fatal(msg)
 	}
 }
 

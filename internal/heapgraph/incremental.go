@@ -2,13 +2,12 @@ package heapgraph
 
 // This file implements incremental weak-connectivity tracking (the
 // strong-connectivity sibling lives in incremental_scc.go and shares
-// the union-find core and mode machinery defined here). The
-// snapshot path (structure.go) recomputes components with an O(V+E)
-// walk at every metric computation point, which caps the viable
-// sampling frequency by heap *size*; the incremental tracker instead
-// maintains the component count under mutation, so a metric point
-// costs O(α) per graph operation since the previous point — heap
-// *churn*, not heap size.
+// the union-find core defined here). Recomputing components with an
+// O(V+E) walk at every metric computation point (the reference walk
+// in analysis.go) would cap the viable sampling frequency by heap
+// *size*; the tracker instead maintains the component count under
+// mutation, so a metric point costs O(α) per graph operation since the
+// previous point — heap *churn*, not heap size.
 //
 // Union-find handles vertex and edge additions exactly in O(α)
 // amortized. Deletions are where naive union-find gives up (it cannot
@@ -28,9 +27,9 @@ package heapgraph
 //
 // Dirty deletes are amortized by generation-tagged rebuilds: when the
 // dirty counter reaches the rebuild threshold the tracker re-unions
-// from the live adjacency during the mutation (synchronously, on the
-// writer goroutine — the graph is single-writer, so there is no
-// background rebuild to race with), and a query on a dirty tracker
+// from the live adjacency during the mutation (synchronously — the
+// graph is single-goroutine, so there is no background rebuild to race
+// with), and a query on a dirty tracker
 // rebuilds lazily first. A rebuild is one O(V+E) walk amortized over
 // at least `threshold` deletes, and workloads dominated by exact
 // shapes (lists, trees, pools — the paper's heaps) never trigger one.
@@ -48,69 +47,20 @@ package heapgraph
 // The tracker maintains Count only. Largest requires knowing, at
 // every moment, the size of a component that deletions may have
 // silently shrunk — exactly the information union-find cannot keep
-// under splits — so Largest remains a snapshot-path statistic. The
-// metric suite only consumes Count (WCC per 100 vertices), so reports
-// are unaffected.
-
-import "fmt"
-
-// ConnectivityMode selects how the Components metric obtains the weak
-// component count.
-type ConnectivityMode uint8
-
-const (
-	// ConnectivitySnapshot recomputes components with a full
-	// generation-memoized graph walk at each query (the original
-	// behavior, and the differential oracle for the other modes).
-	ConnectivitySnapshot ConnectivityMode = iota
-	// ConnectivityIncremental maintains the count under mutation with
-	// the union-find tracker; queries are O(1) unless a rebuild is
-	// pending.
-	ConnectivityIncremental
-	// ConnectivityVerify runs both paths at every query and panics on
-	// divergence. It is an oracle mode for tests and CI, not for
-	// production monitoring: each query still pays the snapshot walk.
-	ConnectivityVerify
-)
-
-// String returns the mode's flag spelling.
-func (m ConnectivityMode) String() string {
-	switch m {
-	case ConnectivitySnapshot:
-		return "snapshot"
-	case ConnectivityIncremental:
-		return "incremental"
-	case ConnectivityVerify:
-		return "verify"
-	}
-	return fmt.Sprintf("ConnectivityMode(%d)", uint8(m))
-}
-
-// ParseConnectivity resolves a -connectivity flag value.
-func ParseConnectivity(s string) (ConnectivityMode, error) {
-	switch s {
-	case "snapshot":
-		return ConnectivitySnapshot, nil
-	case "incremental":
-		return ConnectivityIncremental, nil
-	case "verify":
-		return ConnectivityVerify, nil
-	}
-	return 0, fmt.Errorf("heapgraph: unknown connectivity mode %q (want snapshot, incremental or verify)", s)
-}
+// under splits — so Largest is left to the reference walk. The metric
+// suite only consumes Count (WCC per 100 vertices).
 
 // DefaultRebuildThreshold is the number of conservatively-counted
 // deletes that triggers an amortized re-union. One rebuild is an
 // O(V+E) walk; at 64 deletes per rebuild the amortized cost per
-// delete stays far below one snapshot walk per metric point even on
+// delete stays far below one full walk per metric point even on
 // delete-heavy churn.
 const DefaultRebuildThreshold = 64
 
 // ufCore is the union-find state shared by the weak-connectivity
 // tracker below and the strong-connectivity tracker
 // (incremental_scc.go): the node-indirection table, the node arena,
-// and the count/dirty/threshold bookkeeping. All access is from the
-// graph's writer goroutine.
+// and the count/dirty/threshold bookkeeping.
 type ufCore struct {
 	// node maps arena slot → union-find node, parallel to Graph.ids.
 	// Entries for dead slots are stale and never read.
@@ -180,51 +130,26 @@ func (t *wccTracker) detach(s int32) {
 	t.count++
 }
 
-// SetConnectivity selects the connectivity mode and, for the
-// incremental and verify modes, the rebuild threshold (<= 0 selects
-// DefaultRebuildThreshold). Like mutation, it must be called from the
-// graph's writer goroutine; switching to snapshot discards the
-// tracker.
-func (g *Graph) SetConnectivity(mode ConnectivityMode, rebuildThreshold int) {
-	g.connMode = mode
-	if mode == ConnectivitySnapshot {
-		g.wcc = nil
-		return
-	}
+// TrackConnectivity turns on the weak-connectivity tracker with the
+// given rebuild threshold (<= 0 selects DefaultRebuildThreshold),
+// replacing any tracker already on. The tracker builds itself from the
+// live adjacency at the first query, so it may be turned on at any
+// time.
+func (g *Graph) TrackConnectivity(rebuildThreshold int) {
 	if rebuildThreshold <= 0 {
 		rebuildThreshold = DefaultRebuildThreshold
 	}
 	g.wcc = &wccTracker{ufCore: ufCore{threshold: rebuildThreshold}}
 }
 
-// Connectivity returns the graph's connectivity mode.
-func (g *Graph) Connectivity() ConnectivityMode { return g.connMode }
-
 // ConnectedComponentCount returns the number of weakly connected
-// components through the configured mode. Writer goroutine only (both
-// the tracker and the memoized snapshot path require it). In verify
-// mode it computes both paths and panics on divergence.
+// components from the incremental tracker, turning it on at the
+// default threshold if it is off and rebuilding it first if it has
+// never been built or deletes have dirtied it.
 func (g *Graph) ConnectedComponentCount() int {
-	switch g.connMode {
-	case ConnectivityIncremental:
-		return g.incrementalWCCCount()
-	case ConnectivityVerify:
-		inc := g.incrementalWCCCount()
-		snap := g.WeaklyConnectedComponentsCached().Count
-		if inc != snap {
-			panic(fmt.Sprintf(
-				"heapgraph: connectivity verify divergence: incremental=%d snapshot=%d (V=%d E=%d gen=%d)",
-				inc, snap, g.NumVertices(), g.NumEdges(), g.Generation()))
-		}
-		return inc
-	default:
-		return g.WeaklyConnectedComponentsCached().Count
+	if g.wcc == nil {
+		g.TrackConnectivity(0)
 	}
-}
-
-// incrementalWCCCount returns the tracker's count, rebuilding first if
-// the tracker has never been built or deletes have dirtied it.
-func (g *Graph) incrementalWCCCount() int {
 	t := g.wcc
 	if !t.valid || t.dirty > 0 {
 		g.rebuildWCC()

@@ -3,9 +3,9 @@ package heapgraph
 // This file implements incremental strong-connectivity tracking, the
 // SCC sibling of the weak-connectivity tracker in incremental.go. It
 // shares the union-find core (node indirection, growable node arena,
-// dirty/threshold bookkeeping) and the ConnectivityMode machinery, and
-// removes the last O(V+E) walk from the extended metric suite: with
-// both trackers on, a metric point costs O(churn), never O(heap).
+// dirty/threshold bookkeeping) and keeps the extended metric suite
+// free of O(V+E) walks: with both trackers on, a metric point costs
+// O(churn), never O(heap).
 //
 // Strong connectivity is harder than weak on both mutation kinds:
 //
@@ -48,15 +48,12 @@ package heapgraph
 // bailouts dirty on *insert*), and queries on a dirty tracker rebuild
 // lazily first. The rebuild is an iterative Tarjan walk over the live
 // adjacency using tracker-owned scratch (a CSR copy of the out-edges
-// plus index/lowlink/stack arrays), mirroring FreezeSCC's pre-shrunk
-// reduction — isolated vertices become singleton SCCs directly,
-// without Tarjan frames — but without materializing a snapshot, so
-// steady-state rebuilds reuse capacity and allocate nothing.
+// plus index/lowlink/stack arrays). Isolated vertices become singleton
+// SCCs directly, without Tarjan frames, and steady-state rebuilds
+// reuse capacity and allocate nothing.
 //
 // Like the WCC tracker, only Count is maintained (the suite consumes
-// SCC per 100 vertices); Largest stays a snapshot-path statistic.
-
-import "fmt"
+// SCC per 100 vertices); Largest is left to the reference walk.
 
 // DefaultSCCProbeBudget caps the adjacency entries one edge-insert
 // probe may scan (both passes combined) before giving up and marking
@@ -72,8 +69,7 @@ type sccFrame struct {
 	pos int32
 }
 
-// sccTracker is the incremental strong-connectivity state. All access
-// is from the graph's writer goroutine.
+// sccTracker is the incremental strong-connectivity state.
 type sccTracker struct {
 	ufCore
 
@@ -100,18 +96,11 @@ type sccTracker struct {
 	stack   []int32
 }
 
-// SetSCC selects how StronglyConnectedComponentCount obtains the SCC
-// count — the strong-connectivity analogue of SetConnectivity, with
-// identical mode semantics and flag spellings — and, for the
-// incremental and verify modes, the rebuild threshold (<= 0 selects
-// DefaultRebuildThreshold). Writer goroutine only; switching to
-// snapshot discards the tracker.
-func (g *Graph) SetSCC(mode ConnectivityMode, rebuildThreshold int) {
-	g.sccMode = mode
-	if mode == ConnectivitySnapshot {
-		g.scc = nil
-		return
-	}
+// TrackSCC turns on the strong-connectivity tracker with the given
+// rebuild threshold (<= 0 selects DefaultRebuildThreshold) and the
+// default probe budget, replacing any tracker already on. Like
+// TrackConnectivity, the tracker builds itself at the first query.
+func (g *Graph) TrackSCC(rebuildThreshold int) {
 	if rebuildThreshold <= 0 {
 		rebuildThreshold = DefaultRebuildThreshold
 	}
@@ -121,22 +110,10 @@ func (g *Graph) SetSCC(mode ConnectivityMode, rebuildThreshold int) {
 	}
 }
 
-// SCCMode returns the graph's strong-connectivity mode.
-func (g *Graph) SCCMode() ConnectivityMode { return g.sccMode }
-
-// ParseSCC resolves a -scc flag value. The mode spellings are shared
-// with ParseConnectivity; only the error wording differs.
-func ParseSCC(s string) (ConnectivityMode, error) {
-	m, err := ParseConnectivity(s)
-	if err != nil {
-		return 0, fmt.Errorf("heapgraph: unknown scc mode %q (want snapshot, incremental or verify)", s)
-	}
-	return m, nil
-}
-
 // SetSCCProbeBudget overrides the edge-insert probe budget (<= 0
-// restores DefaultSCCProbeBudget). No-op in snapshot mode. Exposed for
-// tests and tuning; the default is right for the paper's heap shapes.
+// restores DefaultSCCProbeBudget). No-op while the tracker is off.
+// Exposed for tests and tuning; the default is right for the paper's
+// heap shapes.
 func (g *Graph) SetSCCProbeBudget(n int) {
 	if g.scc == nil {
 		return
@@ -148,36 +125,13 @@ func (g *Graph) SetSCCProbeBudget(n int) {
 }
 
 // StronglyConnectedComponentCount returns the number of strongly
-// connected components through the configured mode. Writer goroutine
-// only. In verify mode it computes both paths and panics on
-// divergence.
+// connected components from the incremental tracker, turning it on at
+// the default threshold if it is off and rebuilding it first if it has
+// never been built or mutations have dirtied it.
 func (g *Graph) StronglyConnectedComponentCount() int {
-	switch g.sccMode {
-	case ConnectivityIncremental:
-		return g.incrementalSCCCount()
-	case ConnectivityVerify:
-		inc := g.incrementalSCCCount()
-		snap := g.StronglyConnectedComponentsCached().Count
-		if inc != snap {
-			panic(fmtSCCDivergence(g, inc, snap))
-		}
-		return inc
-	default:
-		return g.StronglyConnectedComponentsCached().Count
+	if g.scc == nil {
+		g.TrackSCC(0)
 	}
-}
-
-// fmtSCCDivergence builds the verify-mode panic message (kept out of
-// line so the query path stays tiny).
-func fmtSCCDivergence(g *Graph, inc, snap int) string {
-	return "heapgraph: scc verify divergence: incremental=" + itoa(uint64(inc)) +
-		" snapshot=" + itoa(uint64(snap)) + " (V=" + itoa(uint64(g.NumVertices())) +
-		" E=" + itoa(uint64(g.NumEdges())) + " gen=" + itoa(g.Generation()) + ")"
-}
-
-// incrementalSCCCount returns the tracker's count, rebuilding first if
-// the tracker has never been built or mutations have dirtied it.
-func (g *Graph) incrementalSCCCount() int {
 	t := g.scc
 	if !t.valid || t.dirty > 0 {
 		g.rebuildSCC()
@@ -410,9 +364,8 @@ func (g *Graph) sccMaybeCompact() {
 
 // rebuildSCC recomputes the tracker from the live adjacency with an
 // iterative Tarjan walk: one union-find node per SCC, every member
-// slot pointing at it. Mirroring the FreezeSCC reduction, isolated
-// vertices (no edges in either direction) shortcut to singleton nodes
-// without entering Tarjan. All scratch — the CSR edge copy and the
+// slot pointing at it. Isolated vertices (no edges in either
+// direction) shortcut to singleton nodes without entering Tarjan. All scratch — the CSR edge copy and the
 // Tarjan arrays — is tracker-owned and capacity-reused, so rebuilds
 // after the first allocate only when the graph has grown. This is
 // also the compaction path.
@@ -537,11 +490,13 @@ func (g *Graph) rebuildSCC() {
 }
 
 // sizeI32 returns a slice of length n, reusing s's capacity when it
-// suffices. Contents are unspecified; callers overwrite every entry
-// they read.
+// suffices and otherwise growing with a quarter's headroom, so a slowly
+// growing graph (one more edge per rebuild) does not reallocate at
+// every rebuild. Contents are unspecified; callers overwrite every
+// entry they read.
 func sizeI32(s []int32, n int) []int32 {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]int32, n, n+n/4)
 	}
 	return s[:n]
 }

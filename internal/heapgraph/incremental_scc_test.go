@@ -63,7 +63,7 @@ func TestIncrementalSCCMatchesSnapshotRandom(t *testing.T) {
 			t.Run("threshold="+itoa(uint64(th))+"/budget="+itoa(uint64(budget)), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(th)*7919 + int64(budget)*13 + 29))
 				g := New()
-				g.SetSCC(ConnectivityIncremental, th)
+				g.TrackSCC(th)
 				g.SetSCCProbeBudget(budget)
 				sccRandomMix(t, g, rng, 4000, 48)
 			})
@@ -77,8 +77,8 @@ func TestIncrementalSCCMatchesSnapshotRandom(t *testing.T) {
 func TestIncrementalSCCWithWCCRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	g := New()
-	g.SetConnectivity(ConnectivityIncremental, 4)
-	g.SetSCC(ConnectivityIncremental, 4)
+	g.TrackConnectivity(4)
+	g.TrackSCC(4)
 	for step := 0; step < 3000; step++ {
 		u := VertexID(rng.Intn(40))
 		v := VertexID(rng.Intn(40))
@@ -101,13 +101,18 @@ func TestIncrementalSCCWithWCCRandom(t *testing.T) {
 	sccOracleCheck(t, g)
 }
 
-// TestIncrementalSCCVerifyMode runs a mutation mix through verify
-// mode, whose query path panics on divergence — the test passing IS
-// the differential result.
+// TestIncrementalSCCVerifyMode runs a mutation mix with the
+// CheckComponents oracle (the tracker against the reference Tarjan
+// walk) at every query point.
 func TestIncrementalSCCVerifyMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(177))
 	g := New()
-	g.SetSCC(ConnectivityVerify, 2)
+	g.TrackSCC(2)
+	verify := func(step int) {
+		if msg := g.CheckComponents(); msg != "" {
+			t.Fatalf("step %d: %s", step, msg)
+		}
+	}
 	for step := 0; step < 2000; step++ {
 		u := VertexID(rng.Intn(32))
 		v := VertexID(rng.Intn(32))
@@ -121,32 +126,27 @@ func TestIncrementalSCCVerifyMode(t *testing.T) {
 		case 5, 6:
 			g.RemoveVertex(u)
 		case 7:
-			g.StronglyConnectedComponentCount()
+			verify(step)
 		}
 	}
-	g.StronglyConnectedComponentCount()
+	verify(2000)
 }
 
-// TestIncrementalSCCVerifyPanicsOnDivergence corrupts the tracker's
-// count in-package and checks verify mode actually trips.
-func TestIncrementalSCCVerifyPanicsOnDivergence(t *testing.T) {
+// TestCheckComponentsReportsSCCDivergence corrupts the tracker's count
+// in-package and checks the oracle actually trips.
+func TestCheckComponentsReportsSCCDivergence(t *testing.T) {
 	g := New()
-	g.SetSCC(ConnectivityVerify, 0)
+	g.TrackSCC(0)
 	g.AddVertex(1)
 	g.AddVertex(2)
 	g.AddEdge(1, 2)
-	g.StronglyConnectedComponentCount() // build the tracker
-	g.scc.count += 3                    // inject divergence
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("verify mode did not panic on a diverged count")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "scc verify divergence") {
-			t.Fatalf("unexpected panic payload: %v", r)
-		}
-	}()
-	g.StronglyConnectedComponentCount()
+	if msg := g.CheckComponents(); msg != "" {
+		t.Fatalf("clean tracker reported: %s", msg)
+	}
+	g.scc.count += 3 // inject divergence
+	if msg := g.CheckComponents(); !strings.Contains(msg, "strong components: incremental=5 reference=2") {
+		t.Fatalf("CheckComponents = %q, want the strong divergence", msg)
+	}
 }
 
 // TestIncrementalSCCExactShapes pins the mutation shapes the tracker
@@ -168,7 +168,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 
 	t.Run("edge into fresh target", func(t *testing.T) {
 		g := New()
-		g.SetSCC(ConnectivityIncremental, 0)
+		g.TrackSCC(0)
 		g.AddVertex(1)
 		g.AddVertex(2)
 		clean(t, g, 2)
@@ -178,7 +178,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 
 	t.Run("two-cycle closure", func(t *testing.T) {
 		g := New()
-		g.SetSCC(ConnectivityIncremental, 0)
+		g.TrackSCC(0)
 		g.AddVertex(1)
 		g.AddVertex(2)
 		g.AddEdge(1, 2)
@@ -189,7 +189,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 
 	t.Run("long-cycle closure", func(t *testing.T) {
 		g := New()
-		g.SetSCC(ConnectivityIncremental, 0)
+		g.TrackSCC(0)
 		for i := 1; i <= 6; i++ {
 			g.AddVertex(VertexID(i))
 			if i > 1 {
@@ -205,7 +205,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 		// Two disjoint v⇝u paths: closing u→v must merge the SCCs on
 		// BOTH paths, which a naive single-path union would miss.
 		g := New()
-		g.SetSCC(ConnectivityIncremental, 0)
+		g.TrackSCC(0)
 		for i := 1; i <= 4; i++ {
 			g.AddVertex(VertexID(i))
 		}
@@ -221,7 +221,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 
 	t.Run("intra-SCC edge add", func(t *testing.T) {
 		g := New()
-		g.SetSCC(ConnectivityIncremental, 0)
+		g.TrackSCC(0)
 		g.AddVertex(1)
 		g.AddVertex(2)
 		g.AddEdge(1, 2)
@@ -235,7 +235,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 		// A fresh vertex pointing INTO a cycle reaches it but is not
 		// reached back: exact no-merge.
 		g := New()
-		g.SetSCC(ConnectivityIncremental, 0)
+		g.TrackSCC(0)
 		for i := 1; i <= 4; i++ {
 			g.AddVertex(VertexID(i))
 		}
@@ -249,7 +249,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 
 	t.Run("cross-SCC edge removal", func(t *testing.T) {
 		g := New()
-		g.SetSCC(ConnectivityIncremental, 0)
+		g.TrackSCC(0)
 		for i := 1; i <= 3; i++ {
 			g.AddVertex(VertexID(i))
 		}
@@ -262,7 +262,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 
 	t.Run("parallel intra-SCC edge removal", func(t *testing.T) {
 		g := New()
-		g.SetSCC(ConnectivityIncremental, 0)
+		g.TrackSCC(0)
 		g.AddVertex(1)
 		g.AddVertex(2)
 		g.AddEdge(1, 2)
@@ -275,7 +275,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 
 	t.Run("self-loop add and removal", func(t *testing.T) {
 		g := New()
-		g.SetSCC(ConnectivityIncremental, 0)
+		g.TrackSCC(0)
 		g.AddVertex(1)
 		g.AddEdge(1, 1)
 		clean(t, g, 1)
@@ -285,7 +285,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 
 	t.Run("isolated vertex removal", func(t *testing.T) {
 		g := New()
-		g.SetSCC(ConnectivityIncremental, 0)
+		g.TrackSCC(0)
 		g.AddVertex(1)
 		g.AddVertex(2)
 		clean(t, g, 2)
@@ -298,7 +298,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 		// taxonomy handles exactly: a chain interior is its own SCC,
 		// so removing it just drops the count by one.
 		g := New()
-		g.SetSCC(ConnectivityIncremental, 1<<30)
+		g.TrackSCC(1 << 30)
 		for i := 1; i <= 3; i++ {
 			g.AddVertex(VertexID(i))
 		}
@@ -311,7 +311,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 
 	t.Run("self-loop vertex removal", func(t *testing.T) {
 		g := New()
-		g.SetSCC(ConnectivityIncremental, 0)
+		g.TrackSCC(0)
 		g.AddVertex(1)
 		g.AddVertex(2)
 		g.AddEdge(1, 1)
@@ -323,7 +323,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 
 	t.Run("intra-SCC edge removal goes conservative", func(t *testing.T) {
 		g := New()
-		g.SetSCC(ConnectivityIncremental, 1<<30)
+		g.TrackSCC(1 << 30)
 		g.AddVertex(1)
 		g.AddVertex(2)
 		g.AddEdge(1, 2)
@@ -343,7 +343,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 
 	t.Run("multi-member SCC vertex removal goes conservative", func(t *testing.T) {
 		g := New()
-		g.SetSCC(ConnectivityIncremental, 1<<30)
+		g.TrackSCC(1 << 30)
 		for i := 1; i <= 3; i++ {
 			g.AddVertex(VertexID(i))
 		}
@@ -369,7 +369,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 // and the next query must recover exactness via rebuild.
 func TestIncrementalSCCProbeBudgetBailout(t *testing.T) {
 	g := New()
-	g.SetSCC(ConnectivityIncremental, 1<<30)
+	g.TrackSCC(1 << 30)
 	g.SetSCCProbeBudget(3)
 	const n = 32
 	for i := 0; i < n; i++ {
@@ -396,7 +396,7 @@ func TestIncrementalSCCProbeBudgetBailout(t *testing.T) {
 // a fresh singleton SCC, not inherit the dead vertex's component.
 func TestIncrementalSCCSlotReuse(t *testing.T) {
 	g := New()
-	g.SetSCC(ConnectivityIncremental, 1<<30)
+	g.TrackSCC(1 << 30)
 	const n = 12
 	for i := 0; i < n; i++ {
 		g.AddVertex(VertexID(i))
@@ -422,12 +422,11 @@ func TestIncrementalSCCSlotReuse(t *testing.T) {
 	}
 }
 
-// TestIncrementalSCCSwitchModes flips a live graph between modes;
-// switching back to incremental must rebuild from scratch rather than
-// trust stale tracker state.
+// TestIncrementalSCCSwitchModes turns the tracker on over a graph
+// that mutated untracked, and replaces a live tracker: both must
+// rebuild from the live adjacency rather than trust stale state.
 func TestIncrementalSCCSwitchModes(t *testing.T) {
 	g := New()
-	g.SetSCC(ConnectivityIncremental, 0)
 	for i := 0; i < 8; i++ {
 		g.AddVertex(VertexID(i))
 		if i > 0 {
@@ -435,16 +434,13 @@ func TestIncrementalSCCSwitchModes(t *testing.T) {
 		}
 	}
 	g.AddEdge(7, 0)
-	sccOracleCheck(t, g)
-	g.SetSCC(ConnectivitySnapshot, 0)
-	if g.scc != nil {
-		t.Fatal("snapshot mode should discard the tracker")
-	}
 	g.RemoveVertex(3) // mutate while untracked
-	if got, want := g.StronglyConnectedComponentCount(), g.StronglyConnectedComponents().Count; got != want {
-		t.Fatalf("snapshot count = %d, want %d", got, want)
+	if g.scc != nil {
+		t.Fatal("tracker on before anything asked for it")
 	}
-	g.SetSCC(ConnectivityIncremental, 0)
+	sccOracleCheck(t, g) // the first query turns the tracker on
+	g.AddEdge(2, 1)
+	g.TrackSCC(0)
 	sccOracleCheck(t, g)
 	g.RemoveEdge(1, 2)
 	sccOracleCheck(t, g)
@@ -457,7 +453,7 @@ func TestIncrementalSCCSwitchModes(t *testing.T) {
 // into CI without -race (race instrumentation allocates).
 func TestIncrementalSCCAllocs(t *testing.T) {
 	g := New()
-	g.SetSCC(ConnectivityIncremental, 8)
+	g.TrackSCC(8)
 	const chain = 256
 	for i := 0; i < chain; i++ {
 		g.AddVertex(VertexID(i))
@@ -497,21 +493,6 @@ func TestIncrementalSCCAllocs(t *testing.T) {
 	}
 }
 
-// TestParseSCC covers the -scc flag spellings and the error path.
-func TestParseSCC(t *testing.T) {
-	for _, mode := range []ConnectivityMode{ConnectivitySnapshot, ConnectivityIncremental, ConnectivityVerify} {
-		got, err := ParseSCC(mode.String())
-		if err != nil || got != mode {
-			t.Errorf("ParseSCC(%q) = %v, %v", mode.String(), got, err)
-		}
-	}
-	if _, err := ParseSCC("eventual"); err == nil {
-		t.Error("ParseSCC accepted an unknown mode")
-	} else if !strings.Contains(err.Error(), "scc mode") {
-		t.Errorf("ParseSCC error should name the scc flag: %v", err)
-	}
-}
-
 // FuzzIncrementalSCC feeds arbitrary byte programs to the tracker as
 // mutation sequences and diffs the maintained count against the
 // Tarjan oracle, across the rebuild-threshold and probe-budget grid.
@@ -528,7 +509,7 @@ func FuzzIncrementalSCC(f *testing.F) {
 		for _, th := range []int{1, 4, DefaultRebuildThreshold, 1 << 30} {
 			for _, budget := range []int{2, DefaultSCCProbeBudget} {
 				g := New()
-				g.SetSCC(ConnectivityIncremental, th)
+				g.TrackSCC(th)
 				g.SetSCCProbeBudget(budget)
 				for i := 0; i+1 < len(data); i += 2 {
 					u := VertexID(data[i+1] >> 4)

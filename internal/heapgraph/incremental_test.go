@@ -24,7 +24,7 @@ func oracleCheck(t *testing.T, g *Graph) {
 // TestIncrementalWCCMatchesSnapshotRandom drives a delete-heavy random
 // mutation mix against the incremental tracker at several rebuild
 // thresholds (1 = rebuild on every conservative delete, 1<<30 = only
-// lazy query rebuilds) and checks the count against the snapshot walk
+// lazy query rebuilds) and checks the count against the reference walk
 // after every few operations.
 func TestIncrementalWCCMatchesSnapshotRandom(t *testing.T) {
 	for _, th := range []int{1, 4, DefaultRebuildThreshold, 1 << 30} {
@@ -32,7 +32,7 @@ func TestIncrementalWCCMatchesSnapshotRandom(t *testing.T) {
 		t.Run("threshold="+itoa(uint64(th)), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(th)*7919 + 17))
 			g := New()
-			g.SetConnectivity(ConnectivityIncremental, th)
+			g.TrackConnectivity(th)
 			const idSpace = 48
 			for step := 0; step < 4000; step++ {
 				u := VertexID(rng.Intn(idSpace))
@@ -60,13 +60,18 @@ func TestIncrementalWCCMatchesSnapshotRandom(t *testing.T) {
 	}
 }
 
-// TestIncrementalWCCVerifyMode runs the same mutation mix through
-// verify mode, whose query path panics on divergence — the test
-// passing IS the differential result.
+// TestIncrementalWCCVerifyMode runs the same mutation mix with the
+// CheckComponents oracle (the tracker against the reference walk) at
+// every query point.
 func TestIncrementalWCCVerifyMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g := New()
-	g.SetConnectivity(ConnectivityVerify, 2)
+	g.TrackConnectivity(2)
+	verify := func(step int) {
+		if msg := g.CheckComponents(); msg != "" {
+			t.Fatalf("step %d: %s", step, msg)
+		}
+	}
 	for step := 0; step < 2000; step++ {
 		u := VertexID(rng.Intn(32))
 		v := VertexID(rng.Intn(32))
@@ -80,32 +85,27 @@ func TestIncrementalWCCVerifyMode(t *testing.T) {
 		case 5, 6:
 			g.RemoveVertex(u)
 		case 7:
-			g.ConnectedComponentCount()
+			verify(step)
 		}
 	}
-	g.ConnectedComponentCount()
+	verify(2000)
 }
 
-// TestIncrementalWCCVerifyPanicsOnDivergence corrupts the tracker's
-// count in-package and checks verify mode actually trips.
-func TestIncrementalWCCVerifyPanicsOnDivergence(t *testing.T) {
+// TestCheckComponentsReportsWCCDivergence corrupts the tracker's count
+// in-package and checks the oracle actually trips.
+func TestCheckComponentsReportsWCCDivergence(t *testing.T) {
 	g := New()
-	g.SetConnectivity(ConnectivityVerify, 0)
+	g.TrackConnectivity(0)
 	g.AddVertex(1)
 	g.AddVertex(2)
 	g.AddEdge(1, 2)
-	g.ConnectedComponentCount() // build the tracker
-	g.wcc.count += 3            // inject divergence
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("verify mode did not panic on a diverged count")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "connectivity verify divergence") {
-			t.Fatalf("unexpected panic payload: %v", r)
-		}
-	}()
-	g.ConnectedComponentCount()
+	if msg := g.CheckComponents(); msg != "" {
+		t.Fatalf("clean tracker reported: %s", msg)
+	}
+	g.wcc.count += 3 // inject divergence
+	if msg := g.CheckComponents(); !strings.Contains(msg, "weak components: incremental=4 reference=1") {
+		t.Fatalf("CheckComponents = %q, want the weak divergence", msg)
+	}
 }
 
 // TestIncrementalWCCExactShapes pins the delete shapes the tracker
@@ -125,7 +125,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("parallel edge", func(t *testing.T) {
 		g := New()
-		g.SetConnectivity(ConnectivityIncremental, 0)
+		g.TrackConnectivity(0)
 		g.AddVertex(1)
 		g.AddVertex(2)
 		g.AddEdge(1, 2)
@@ -137,7 +137,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("reverse edge", func(t *testing.T) {
 		g := New()
-		g.SetConnectivity(ConnectivityIncremental, 0)
+		g.TrackConnectivity(0)
 		g.AddVertex(1)
 		g.AddVertex(2)
 		g.AddEdge(1, 2)
@@ -149,7 +149,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("edge isolating one endpoint", func(t *testing.T) {
 		g := New()
-		g.SetConnectivity(ConnectivityIncremental, 0)
+		g.TrackConnectivity(0)
 		for i := 1; i <= 3; i++ {
 			g.AddVertex(VertexID(i))
 		}
@@ -162,7 +162,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("edge isolating both endpoints", func(t *testing.T) {
 		g := New()
-		g.SetConnectivity(ConnectivityIncremental, 0)
+		g.TrackConnectivity(0)
 		g.AddVertex(1)
 		g.AddVertex(2)
 		g.AddEdge(1, 2)
@@ -173,7 +173,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("self-loop removal", func(t *testing.T) {
 		g := New()
-		g.SetConnectivity(ConnectivityIncremental, 0)
+		g.TrackConnectivity(0)
 		g.AddVertex(1)
 		g.AddEdge(1, 1)
 		clean(t, g, 1)
@@ -183,7 +183,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("singleton vertex removal", func(t *testing.T) {
 		g := New()
-		g.SetConnectivity(ConnectivityIncremental, 0)
+		g.TrackConnectivity(0)
 		g.AddVertex(1)
 		g.AddVertex(2)
 		clean(t, g, 2)
@@ -193,7 +193,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("leaf vertex removal", func(t *testing.T) {
 		g := New()
-		g.SetConnectivity(ConnectivityIncremental, 0)
+		g.TrackConnectivity(0)
 		for i := 1; i <= 4; i++ {
 			g.AddVertex(VertexID(i))
 		}
@@ -207,7 +207,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("leaf with parallel and reverse edges", func(t *testing.T) {
 		g := New()
-		g.SetConnectivity(ConnectivityIncremental, 0)
+		g.TrackConnectivity(0)
 		g.AddVertex(1)
 		g.AddVertex(2)
 		g.AddVertex(3)
@@ -223,7 +223,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("interior vertex removal goes conservative", func(t *testing.T) {
 		g := New()
-		g.SetConnectivity(ConnectivityIncremental, 1<<30)
+		g.TrackConnectivity(1 << 30)
 		for i := 1; i <= 3; i++ {
 			g.AddVertex(VertexID(i))
 		}
@@ -248,7 +248,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 // a fresh singleton, not inherit the dead vertex's component.
 func TestIncrementalWCCSlotReuse(t *testing.T) {
 	g := New()
-	g.SetConnectivity(ConnectivityIncremental, 1<<30)
+	g.TrackConnectivity(1 << 30)
 	for i := 0; i < 16; i++ {
 		g.AddVertex(VertexID(i))
 	}
@@ -274,28 +274,24 @@ func TestIncrementalWCCSlotReuse(t *testing.T) {
 	}
 }
 
-// TestIncrementalWCCSwitchModes flips a live graph between modes;
-// switching back to incremental must rebuild from scratch rather than
-// trust stale tracker state.
+// TestIncrementalWCCSwitchModes turns the tracker on over a graph
+// that mutated untracked, and replaces a live tracker: both must
+// rebuild from the live adjacency rather than trust stale state.
 func TestIncrementalWCCSwitchModes(t *testing.T) {
 	g := New()
-	g.SetConnectivity(ConnectivityIncremental, 0)
 	for i := 0; i < 8; i++ {
 		g.AddVertex(VertexID(i))
 		if i > 0 {
 			g.AddEdge(VertexID(i-1), VertexID(i))
 		}
 	}
-	oracleCheck(t, g)
-	g.SetConnectivity(ConnectivitySnapshot, 0)
-	if g.wcc != nil {
-		t.Fatal("snapshot mode should discard the tracker")
-	}
 	g.RemoveVertex(3) // mutate while untracked
-	if got, want := g.ConnectedComponentCount(), g.WeaklyConnectedComponents().Count; got != want {
-		t.Fatalf("snapshot count = %d, want %d", got, want)
+	if g.wcc != nil {
+		t.Fatal("tracker on before anything asked for it")
 	}
-	g.SetConnectivity(ConnectivityIncremental, 0)
+	oracleCheck(t, g) // the first query turns the tracker on
+	g.RemoveEdge(5, 6)
+	g.TrackConnectivity(0)
 	oracleCheck(t, g)
 	g.RemoveEdge(1, 2)
 	oracleCheck(t, g)
@@ -307,7 +303,7 @@ func TestIncrementalWCCSwitchModes(t *testing.T) {
 // Wired into CI without -race (race instrumentation allocates).
 func TestIncrementalWCCAllocs(t *testing.T) {
 	g := New()
-	g.SetConnectivity(ConnectivityIncremental, 8)
+	g.TrackConnectivity(8)
 	const ring = 256
 	for i := 0; i < ring; i++ {
 		g.AddVertex(VertexID(i))
@@ -344,48 +340,5 @@ func TestIncrementalWCCAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(50, round); avg != 0 {
 		t.Fatalf("steady-state churn allocates: %.1f allocs/round, want 0", avg)
-	}
-}
-
-// TestParseConnectivity covers the flag spellings and their round-trip
-// through String.
-func TestParseConnectivity(t *testing.T) {
-	for _, mode := range []ConnectivityMode{ConnectivitySnapshot, ConnectivityIncremental, ConnectivityVerify} {
-		got, err := ParseConnectivity(mode.String())
-		if err != nil || got != mode {
-			t.Errorf("ParseConnectivity(%q) = %v, %v", mode.String(), got, err)
-		}
-	}
-	if _, err := ParseConnectivity("eventual"); err == nil {
-		t.Error("ParseConnectivity accepted an unknown mode")
-	}
-}
-
-// TestFreezeSCCExcludesIsolated checks the SCC-only freeze: isolated
-// vertices are returned as a count instead of materialized, and the
-// structure still walks to the same SCC statistics once they are
-// added back.
-func TestFreezeSCCExcludesIsolated(t *testing.T) {
-	g := New()
-	for i := 0; i < 10; i++ {
-		g.AddVertex(VertexID(i))
-	}
-	// A 3-cycle, a 2-path, and 5 isolated vertices.
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
-	g.AddEdge(3, 4)
-	st, isolated := g.FreezeSCC()
-	if isolated != 5 {
-		t.Fatalf("isolated = %d, want 5", isolated)
-	}
-	if st.NumVertices() != 5 {
-		t.Fatalf("frozen vertices = %d, want 5", st.NumVertices())
-	}
-	scc := st.StronglyConnectedComponents()
-	scc.Count += isolated
-	want := g.StronglyConnectedComponents()
-	if scc.Count != want.Count || scc.Largest != want.Largest {
-		t.Fatalf("SCC via FreezeSCC = %+v, full walk = %+v", scc, want)
 	}
 }

@@ -83,33 +83,30 @@ type Options struct {
 	Granularity Granularity
 	// Symtab resolves function IDs for reporting; optional.
 	Symtab *event.Symtab
-	// MetricWorkers > 0 evaluates snapshot-mode extension metrics
-	// (WCC/SCC) on that many worker goroutines instead of inline at
-	// the metric computation point, so sampling never stalls event
-	// ingestion for a whole-graph walk. Exact results are joined back
-	// into the recorded snapshots by tick before Report returns;
-	// observers see the newest completed values in the async slots
-	// (carry-forward) rather than blocking. Ignored when no metric in
-	// the suite needs async dispatch under the configured component
-	// modes — with both Components and SCCs incremental there is
-	// nothing to dispatch and no worker is started.
-	MetricWorkers int
-	// Connectivity selects how the Components metric obtains the weak
-	// component count: recomputed from a snapshot walk (the zero
-	// value, the original behavior), maintained incrementally under
-	// mutation, or both with a divergence check (verify — an oracle
-	// mode for tests). See heapgraph.ConnectivityMode.
-	Connectivity heapgraph.ConnectivityMode
-	// SCC selects the same for the SCCs metric's strong component
-	// count, independently of Connectivity (the modes share spellings
-	// and semantics).
-	SCC heapgraph.ConnectivityMode
-	// RebuildThreshold is the incremental trackers' dirty budget
-	// between amortized rebuilds, shared by both trackers; zero
-	// selects heapgraph.DefaultRebuildThreshold. Ignored in snapshot
-	// modes.
+	// RebuildThreshold is the incremental component trackers' dirty
+	// budget between amortized rebuilds, shared by both trackers; zero
+	// selects heapgraph.DefaultRebuildThreshold. Only meaningful when
+	// the suite contains Components or SCCs.
 	RebuildThreshold int
+	// Connectivity is ignored.
+	//
+	// Deprecated: component counts are always incremental.
+	Connectivity ConnectivityMode
+	// SCC is ignored.
+	//
+	// Deprecated: component counts are always incremental.
+	SCC ConnectivityMode
 }
+
+// ConnectivityMode is the type of the retired Options.Connectivity and
+// Options.SCC fields. Its one value names the only component-count
+// path there is.
+//
+// Deprecated: component counts are always incremental.
+type ConnectivityMode uint8
+
+// String returns "incremental".
+func (ConnectivityMode) String() string { return "incremental" }
 
 // SampleObserver is notified at every metric computation point with
 // the fresh snapshot and a view of the current call stack. The online
@@ -187,7 +184,6 @@ func (r *Report) Series(id metrics.ID) []float64 {
 type Logger struct {
 	opts  Options
 	suite metrics.Suite
-	async *metrics.Async // non-nil when MetricWorkers > 0 and the suite needs it
 
 	graph   *heapgraph.Graph
 	objects *addrindex.Table[objInfo]
@@ -229,13 +225,13 @@ func New(opts Options) *Logger {
 		stack:   callstack.NewTracker(),
 		freed:   make(map[uint64]struct{}),
 	}
-	l.graph.SetConnectivity(opts.Connectivity, opts.RebuildThreshold)
-	l.graph.SetSCC(opts.SCC, opts.RebuildThreshold)
-	// Async machinery exists for snapshot-mode component walks only:
-	// a suite whose component metrics are all incremental (or absent)
-	// computes every sample inline and skips the workers entirely.
-	if opts.MetricWorkers > 0 && opts.Suite.NeedsAsync(opts.Connectivity, opts.SCC) {
-		l.async = metrics.NewAsync(opts.Suite, opts.MetricWorkers)
+	// The component trackers cost work on every mutation, so only a
+	// suite that reads them turns them on.
+	if opts.Suite.Index(metrics.Components) >= 0 {
+		l.graph.TrackConnectivity(opts.RebuildThreshold)
+	}
+	if opts.Suite.Index(metrics.SCCs) >= 0 {
+		l.graph.TrackSCC(opts.RebuildThreshold)
 	}
 	return l
 }
@@ -497,20 +493,8 @@ func (l *Logger) onStore(addr, value uint64) {
 // and one faulty diagnostic attachment must not end the diagnosis.
 func (l *Logger) sample() {
 	l.tick++
-	var snap metrics.Snapshot
-	if l.async != nil {
-		// Workers overwrite the recorded snapshot's expensive slots in
-		// place when exact results land; observers get the stable copy
-		// Compute took before dispatch, so a retained slice never
-		// mutates under them.
-		var observed []float64
-		snap, observed = l.async.Compute(l.graph, l.tick)
-		l.snaps = append(l.snaps, snap)
-		snap.Values = observed
-	} else {
-		snap = l.suite.Compute(l.graph, l.tick)
-		l.snaps = append(l.snaps, snap)
-	}
+	snap := l.suite.Compute(l.graph, l.tick)
+	l.snaps = append(l.snaps, snap)
 	for i := 0; i < len(l.observers); i++ {
 		if l.dispatch(l.observers[i], snap) {
 			continue
@@ -537,29 +521,8 @@ func (l *Logger) dispatch(o SampleObserver, snap metrics.Snapshot) (ok bool) {
 // Ticks returns the number of metric computation points sampled.
 func (l *Logger) Ticks() uint64 { return l.tick }
 
-// Join blocks until every in-flight asynchronous metric computation
-// has written its exact results into the recorded snapshots. No-op
-// without MetricWorkers.
-func (l *Logger) Join() {
-	if l.async != nil {
-		l.async.Wait()
-	}
-}
-
-// DrainMetrics joins outstanding asynchronous metric work and stops
-// the metric workers. Call it when the logger is done ingesting (the
-// Pipeline does this in Close); the logger remains usable, but further
-// samples evaluate expensive metrics inline.
-func (l *Logger) DrainMetrics() {
-	if l.async != nil {
-		l.async.Close()
-		l.async = nil
-	}
-}
-
 // Report finalizes and returns the metric report for the run.
 func (l *Logger) Report() *Report {
-	l.Join()
 	names := make([]string, l.suite.Len())
 	for i, id := range l.suite.IDs() {
 		names[i] = id.String()

@@ -144,21 +144,20 @@ func (p *Pipeline) NewProducer() *Producer {
 func (p *Pipeline) Dropped() uint64 { return p.dropped.Load() }
 
 // Logger returns the consuming logger. Until Close has returned, the
-// logger's accessors are only safe from the consumer's own callbacks
-// (observers); the counts-only methods of its Graph are safe anywhere.
+// logger and its Graph are only safe to touch from the consumer's own
+// callbacks (observers).
 func (p *Pipeline) Logger() *Logger { return p.log }
 
 // Close waits for every Producer to be closed, drains the queue, stops
-// the consumer, folds the drop counter into the logger's health
-// accounting, and releases the logger's metric workers. After Close
-// the Logger is exclusively the caller's again (Report is safe).
+// the consumer and folds the drop counter into the logger's health
+// accounting. After Close the Logger is exclusively the caller's again
+// (Report is safe).
 func (p *Pipeline) Close() error {
 	p.closeOnce.Do(func() {
 		p.producers.Wait()
 		close(p.ch)
 		<-p.done
 		p.log.Health().DroppedEvents += p.dropped.Load()
-		p.log.DrainMetrics()
 	})
 	return nil
 }

@@ -94,8 +94,8 @@ func TestPipelineSingleProducerMatchesDirect(t *testing.T) {
 // TestPipelineConcurrentProducersDeterministicCounts: ≥4 producers in
 // disjoint arenas ingested concurrently must yield exactly the graph
 // aggregates of a serial reference ingestion, regardless of
-// interleaving — the sharded degree counts may not lose or double-count
-// under any schedule.
+// interleaving — the consumer's degree counts may not lose or
+// double-count under any schedule.
 func TestPipelineConcurrentProducersDeterministicCounts(t *testing.T) {
 	const producers = 4
 	const objs = 400
@@ -157,28 +157,6 @@ func TestPipelineStressRace(t *testing.T) {
 	l := New(Options{Frequency: 64})
 	p := NewPipeline(l, PipelineOptions{BatchSize: 128, QueueDepth: 16})
 
-	// Concurrent readers: poll the sharded counts while ingestion
-	// runs. Values are transient; the assertion is purely that -race
-	// stays quiet and nothing panics.
-	stopReaders := make(chan struct{})
-	var readers sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			g := l.Graph()
-			for {
-				select {
-				case <-stopReaders:
-					return
-				default:
-					_ = g.CountInDegree(0) + g.CountOutDegree(1) + g.CountInEqOut() +
-						g.NumVertices() + g.NumEdges() + int(g.Generation())
-				}
-			}
-		}()
-	}
-
 	var wg sync.WaitGroup
 	for a := 0; a < producers; a++ {
 		wg.Add(1)
@@ -218,9 +196,6 @@ func TestPipelineStressRace(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	close(stopReaders)
-	readers.Wait()
-
 	if p.Dropped() != 0 {
 		t.Fatalf("Block policy dropped %d events", p.Dropped())
 	}
@@ -275,10 +250,10 @@ func TestPipelineDropPolicy(t *testing.T) {
 	}
 }
 
-// TestPipelineAsyncMetricsMatchSync: a logger with MetricWorkers joins
-// exact WCC/SCC values back into the recorded snapshots by tick, so
-// after Close/Report the snapshots must equal a synchronous run over
-// the same events.
+// TestPipelineAsyncMetricsMatchSync: the extended suite's WCC/SCC
+// trackers live on the pipeline's consumer goroutine, so after
+// Close/Report the snapshots must equal a synchronous run over the
+// same events.
 func TestPipelineAsyncMetricsMatchSync(t *testing.T) {
 	evs := arenaEvents(0, 600)
 
@@ -288,7 +263,7 @@ func TestPipelineAsyncMetricsMatchSync(t *testing.T) {
 	}
 	want := sync1.Report()
 
-	asyncL := New(Options{Frequency: 16, Suite: metrics.ExtendedSuite(), MetricWorkers: 3})
+	asyncL := New(Options{Frequency: 16, Suite: metrics.ExtendedSuite()})
 	p := NewPipeline(asyncL, PipelineOptions{BatchSize: 64})
 	pr := p.NewProducer()
 	for _, e := range evs {
@@ -310,11 +285,11 @@ func TestPipelineAsyncMetricsMatchSync(t *testing.T) {
 	}
 }
 
-// TestPipelineAsyncObserverSeesDefinedValues: observers in async mode
-// receive carry-forward values for expensive metrics — defined (not
-// NaN) and not racing with the workers' in-place joins.
+// TestPipelineAsyncObserverSeesDefinedValues: observers on the
+// consumer goroutine receive the exact component metrics — defined
+// (not NaN) and equal to the snapshots the report records.
 func TestPipelineAsyncObserverSeesDefinedValues(t *testing.T) {
-	l := New(Options{Frequency: 16, Suite: metrics.ExtendedSuite(), MetricWorkers: 2})
+	l := New(Options{Frequency: 16, Suite: metrics.ExtendedSuite()})
 	suite := l.Suite()
 	wccIdx := suite.Index(metrics.Components)
 	var observed [][]float64
@@ -342,6 +317,17 @@ func TestPipelineAsyncObserverSeesDefinedValues(t *testing.T) {
 			t.Fatalf("sample %d carries NaN for %s", i, metrics.Components)
 		}
 	}
+	if rep := l.Report(); !reflect.DeepEqual(observed, seriesOf(rep.Snapshots)) {
+		t.Fatal("observed samples differ from the recorded snapshots")
+	}
+}
+
+func seriesOf(snaps []metrics.Snapshot) [][]float64 {
+	out := make([][]float64, len(snaps))
+	for i, s := range snaps {
+		out[i] = s.Values
+	}
+	return out
 }
 
 // observerFunc adapts a function to SampleObserver.

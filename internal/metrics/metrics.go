@@ -43,12 +43,12 @@ const (
 	// Components is the number of weakly connected components per
 	// 100 vertices. Normalizing by graph size keeps the metric
 	// comparable across heap sizes, like the percentage metrics.
-	// Extension metric: a full graph walk per sample in snapshot
-	// mode, O(churn) under the incremental tracker.
+	// Extension metric, read from the graph's incremental union-find
+	// tracker: O(churn since the last sample), not O(heap).
 	Components
 	// SCCs is the number of strongly connected components per 100
-	// vertices. Extension metric: like Components, a walk per sample
-	// only in snapshot mode.
+	// vertices. Extension metric, read from the incremental SCC
+	// tracker like Components.
 	SCCs
 
 	numIDs
@@ -76,37 +76,6 @@ func (id ID) String() string {
 		return fmt.Sprintf("metrics.ID(%d)", int(id))
 	}
 	return names[id]
-}
-
-// NeedsWalk reports whether evaluating the metric requires a full
-// graph walk at metric points, given the graph's configured component
-// modes. Only the extension metrics ever walk, and only in snapshot
-// mode: incremental mode maintains the count under mutation, and
-// verify mode pays its oracle walk inline on the writer goroutine (a
-// deterministic divergence check cannot ride the async worker). This
-// replaces the old hardcoded ID.Expensive() gate, which predates the
-// incremental trackers and would spin up async machinery for suites
-// that never dispatch a job.
-func (id ID) NeedsWalk(conn, scc heapgraph.ConnectivityMode) bool {
-	switch id {
-	case Components:
-		return conn == heapgraph.ConnectivitySnapshot
-	case SCCs:
-		return scc == heapgraph.ConnectivitySnapshot
-	}
-	return false
-}
-
-// NeedsAsync reports whether any metric in the suite would benefit
-// from async dispatch under the given component modes — the gate for
-// constructing an Async evaluator at all.
-func (s Suite) NeedsAsync(conn, scc heapgraph.ConnectivityMode) bool {
-	for _, id := range s.ids {
-		if id.NeedsWalk(conn, scc) {
-			return true
-		}
-	}
-	return false
 }
 
 // ParseID resolves a display name back to an ID.
@@ -213,16 +182,8 @@ func (s Suite) Compute(g *heapgraph.Graph, tick uint64) Snapshot {
 		case InEqOut:
 			snap.Values[i] = pct(g.CountInEqOut())
 		case Components:
-			// ConnectedComponentCount dispatches on the graph's
-			// connectivity mode: the incremental union-find tracker,
-			// the generation-memoized snapshot walk (consecutive
-			// samples over an unchanged graph skip the walk entirely),
-			// or both with a divergence check in verify mode.
 			snap.Values[i] = float64(g.ConnectedComponentCount()) / float64(n) * 100
 		case SCCs:
-			// Mode dispatch mirrors Components: incremental tracker,
-			// memoized snapshot walk, or verify (both + panic on
-			// divergence).
 			snap.Values[i] = float64(g.StronglyConnectedComponentCount()) / float64(n) * 100
 		}
 	}

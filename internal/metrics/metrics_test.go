@@ -47,50 +47,8 @@ func TestDefaultSuite(t *testing.T) {
 	if s.Len() != 7 {
 		t.Fatalf("default suite has %d metrics, want 7", s.Len())
 	}
-	for _, id := range s.IDs() {
-		if id.NeedsWalk(heapgraph.ConnectivitySnapshot, heapgraph.ConnectivitySnapshot) {
-			t.Errorf("default suite contains walk-requiring metric %v", id)
-		}
-	}
-	if s.NeedsAsync(heapgraph.ConnectivitySnapshot, heapgraph.ConnectivitySnapshot) {
-		t.Error("default suite claims to need async dispatch")
-	}
-}
-
-// TestNeedsWalkModeAware pins the mode-aware dispatch decisions that
-// replaced the hardcoded Expensive() gate: a component metric needs a
-// whole-graph walk at metric points only in snapshot mode.
-func TestNeedsWalkModeAware(t *testing.T) {
-	snapM, inc, ver := heapgraph.ConnectivitySnapshot, heapgraph.ConnectivityIncremental, heapgraph.ConnectivityVerify
-	cases := []struct {
-		id       ID
-		conn, sc heapgraph.ConnectivityMode
-		want     bool
-	}{
-		{Components, snapM, snapM, true},
-		{Components, inc, snapM, false},
-		{Components, ver, snapM, false}, // verify walks inline, not async
-		{Components, snapM, inc, true},  // SCC mode is irrelevant to Components
-		{SCCs, snapM, snapM, true},
-		{SCCs, snapM, inc, false},
-		{SCCs, snapM, ver, false},
-		{SCCs, inc, snapM, true}, // WCC mode is irrelevant to SCCs
-		{Roots, snapM, snapM, false},
-		{InEqOut, snapM, snapM, false},
-	}
-	for _, c := range cases {
-		if got := c.id.NeedsWalk(c.conn, c.sc); got != c.want {
-			t.Errorf("%v.NeedsWalk(%v, %v) = %v, want %v", c.id, c.conn, c.sc, got, c.want)
-		}
-	}
-	if !ExtendedSuite().NeedsAsync(inc, snapM) {
-		t.Error("extended suite with snapshot SCCs should need async")
-	}
-	if ExtendedSuite().NeedsAsync(inc, inc) {
-		t.Error("fully incremental extended suite should not need async")
-	}
-	if ExtendedSuite().NeedsAsync(ver, ver) {
-		t.Error("verify modes pay their walks inline; no async needed")
+	if s.Index(Components) >= 0 || s.Index(SCCs) >= 0 {
+		t.Error("default suite contains a structure extension metric")
 	}
 }
 
@@ -267,17 +225,13 @@ func TestSeriesCheckedSkipsNarrowSnapshots(t *testing.T) {
 	}
 }
 
-// TestAsyncMatchesSyncCompute drives the asynchronous evaluator
-// through a mutating graph and verifies that once Wait returns, every
-// recorded snapshot holds exactly the values synchronous evaluation
-// produced at the same points.
-func TestAsyncMatchesSyncCompute(t *testing.T) {
+// TestComputeExtendedMatchesReference drives the extended suite
+// through a mutating graph and checks every sample's component metrics
+// against the reference walks at the same point.
+func TestComputeExtendedMatchesReference(t *testing.T) {
 	suite := ExtendedSuite()
-	a := NewAsync(suite, 3)
-	defer a.Close()
-
+	wcc, scc := suite.Index(Components), suite.Index(SCCs)
 	g := heapgraph.New()
-	var syncSnaps, asyncSnaps []Snapshot
 	next := heapgraph.VertexID(1)
 	for tick := uint64(1); tick <= 40; tick++ {
 		// Grow a few linked chains, occasionally closing cycles.
@@ -294,37 +248,13 @@ func TestAsyncMatchesSyncCompute(t *testing.T) {
 		if tick%11 == 0 {
 			g.RemoveVertex(next - 2)
 		}
-		syncSnaps = append(syncSnaps, suite.Compute(g, tick))
-		snap, observed := a.Compute(g, tick)
-		if len(observed) != suite.Len() {
-			t.Fatalf("tick %d: observed width %d, want %d", tick, len(observed), suite.Len())
+		snap := suite.Compute(g, tick)
+		n := float64(g.NumVertices())
+		if want := float64(g.WeaklyConnectedComponents().Count) / n * 100; snap.Values[wcc] != want {
+			t.Fatalf("tick %d: %v = %v, reference %v", tick, Components, snap.Values[wcc], want)
 		}
-		asyncSnaps = append(asyncSnaps, snap)
-	}
-	a.Wait()
-
-	for i := range syncSnaps {
-		w, g := syncSnaps[i], asyncSnaps[i]
-		if w.Tick != g.Tick || w.Vertices != g.Vertices || w.Edges != g.Edges {
-			t.Fatalf("snapshot %d metadata differs: %+v vs %+v", i, g, w)
-		}
-		for j := range w.Values {
-			if w.Values[j] != g.Values[j] {
-				t.Fatalf("snapshot %d metric %s: async %v, sync %v",
-					i, suite.IDs()[j], g.Values[j], w.Values[j])
-			}
+		if want := float64(g.StronglyConnectedComponents().Count) / n * 100; snap.Values[scc] != want {
+			t.Fatalf("tick %d: %v = %v, reference %v", tick, SCCs, snap.Values[scc], want)
 		}
 	}
-
-	// Quiescent memo hit: with no mutation since the last completed
-	// job, Compute returns exact values immediately.
-	snap, observed := a.Compute(g, 41)
-	want := suite.Compute(g, 41)
-	for j := range want.Values {
-		if snap.Values[j] != want.Values[j] || observed[j] != want.Values[j] {
-			t.Fatalf("memo-hit metric %s: got %v/%v, want %v",
-				suite.IDs()[j], snap.Values[j], observed[j], want.Values[j])
-		}
-	}
-	a.Wait()
 }

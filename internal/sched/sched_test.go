@@ -170,21 +170,6 @@ func TestParseParallel(t *testing.T) {
 	}
 }
 
-// TestParseMetricWorkers pins the normalized -metric-workers
-// semantics: 0 = inline, positive = workers, negative = error
-// (previously silently treated as inline).
-func TestParseMetricWorkers(t *testing.T) {
-	if got, err := ParseMetricWorkers(0); err != nil || got != 0 {
-		t.Fatalf("ParseMetricWorkers(0) = %d, %v", got, err)
-	}
-	if got, err := ParseMetricWorkers(4); err != nil || got != 4 {
-		t.Fatalf("ParseMetricWorkers(4) = %d, %v", got, err)
-	}
-	if _, err := ParseMetricWorkers(-2); err == nil {
-		t.Fatal("ParseMetricWorkers(-2) did not error")
-	}
-}
-
 func TestParseDecodeWorkers(t *testing.T) {
 	got, err := ParseDecodeWorkers(0)
 	if err != nil {

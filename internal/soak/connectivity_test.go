@@ -2,121 +2,138 @@ package soak
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"sync"
 	"testing"
 
+	"heapmd/internal/callstack"
 	"heapmd/internal/faults"
 	"heapmd/internal/heapgraph"
+	"heapmd/internal/logger"
+	"heapmd/internal/metrics"
 )
 
-// TestSoakConnectivityVerify drives the full warmup → fault → recovery
-// schedule with the extended suite in verify connectivity mode, at a
-// rebuild threshold of 1 (rebuild on every conservative delete) and 8
-// (amortized), over the two faults that stress the incremental
-// tracker hardest: frag-storm (detach-heavy churn) and
-// aba-dangling-rewire (wild rewiring). Verify mode panics on the
-// first divergence between the incremental count and the snapshot
-// walk, so completing the schedule IS the differential result.
-func TestSoakConnectivityVerify(t *testing.T) {
-	for _, th := range []int{1, 8} {
-		sb, err := Run(Options{
-			Seed:             1,
-			Faults:           []string{faults.FragStorm, faults.ABARewire},
-			Extended:         true,
-			Connectivity:     heapgraph.ConnectivityVerify,
-			RebuildThreshold: th,
-			Parallel:         -1,
-		})
-		if err != nil {
-			t.Fatalf("threshold %d: %v", th, err)
-		}
-		if len(sb.Cells) == 0 {
-			t.Fatalf("threshold %d: no cells ran", th)
-		}
-	}
-}
+var updateGoldens = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
 
-// TestSoakConnectivityScoreboardEquivalence runs the same seeded cells
-// under snapshot and incremental connectivity and requires
-// byte-identical scoreboards: the metric path must not change a single
+// scoreboardGolden is the extended-suite scoreboard of seed 1 over
+// frag-storm, aba-dangling-rewire and typo-wrong-index-leak. It was
+// generated when the component metrics still came from full graph
+// walks, so matching it proves the incremental trackers change no
 // verdict, latency or counter.
-func TestSoakConnectivityScoreboardEquivalence(t *testing.T) {
-	run := func(mode heapgraph.ConnectivityMode) []byte {
-		sb, err := Run(Options{
-			Seed:         1,
-			Faults:       []string{faults.FragStorm, faults.ABARewire, faults.TypoLeak},
-			Extended:     true,
-			Connectivity: mode,
-			Parallel:     -1,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		var buf bytes.Buffer
-		if err := sb.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	snap := run(heapgraph.ConnectivitySnapshot)
-	inc := run(heapgraph.ConnectivityIncremental)
-	if !bytes.Equal(snap, inc) {
-		t.Fatalf("scoreboards differ between connectivity modes:\nsnapshot:    %s\nincremental: %s", snap, inc)
+const scoreboardGolden = "testdata/golden/scoreboard-extended.json"
+
+// componentOracle collects CheckComponents results from every soak
+// iteration's logger. Cells run concurrently, so it is shared under a
+// mutex; each logger gets its own observer.
+type componentOracle struct {
+	mu       sync.Mutex
+	points   int
+	failures []string
+}
+
+// attach is the Options.observe hook.
+func (o *componentOracle) attach(l *logger.Logger) {
+	l.Observe(oracleObserver{o: o, g: l.Graph()})
+}
+
+type oracleObserver struct {
+	o *componentOracle
+	g *heapgraph.Graph
+}
+
+func (s oracleObserver) Sample(metrics.Snapshot, *callstack.Tracker) {
+	msg := s.g.CheckComponents()
+	s.o.mu.Lock()
+	defer s.o.mu.Unlock()
+	s.o.points++
+	if msg != "" && len(s.o.failures) < 5 {
+		s.o.failures = append(s.o.failures, msg)
 	}
 }
 
-// TestSoakSCCVerify mirrors TestSoakConnectivityVerify for the strong
-// connectivity tracker: the frag-storm and aba-dangling-rewire cells
-// run the full warmup → fault → recovery schedule with the SCCs metric
-// in verify mode at rebuild thresholds 1 and 8. Every metric point
-// compares the incremental SCC count against the snapshot Tarjan walk
-// and panics on divergence, so a completed schedule is the
-// differential result.
-func TestSoakSCCVerify(t *testing.T) {
-	for _, th := range []int{1, 8} {
-		sb, err := Run(Options{
-			Seed:             1,
-			Faults:           []string{faults.FragStorm, faults.ABARewire},
-			Extended:         true,
-			SCC:              heapgraph.ConnectivityVerify,
-			RebuildThreshold: th,
-			Parallel:         -1,
-		})
-		if err != nil {
-			t.Fatalf("threshold %d: %v", th, err)
-		}
-		if len(sb.Cells) == 0 {
-			t.Fatalf("threshold %d: no cells ran", th)
-		}
+// soakWithOracle runs the warmup → fault → recovery schedule of seed 1
+// with the extended suite over the two faults that stress the
+// trackers hardest — frag-storm (detach-heavy churn) and
+// aba-dangling-rewire (wild rewiring) — at the given rebuild
+// threshold, diffing both component trackers against the reference
+// walks at every metric point of every soak iteration.
+func soakWithOracle(t *testing.T, threshold int) {
+	t.Helper()
+	oracle := &componentOracle{}
+	sb, err := Run(Options{
+		Seed:             1,
+		Faults:           []string{faults.FragStorm, faults.ABARewire},
+		Extended:         true,
+		RebuildThreshold: threshold,
+		Parallel:         -1,
+		observe:          oracle.attach,
+	})
+	if err != nil {
+		t.Fatalf("threshold %d: %v", threshold, err)
+	}
+	if len(sb.Cells) == 0 {
+		t.Fatalf("threshold %d: no cells ran", threshold)
+	}
+	if oracle.points == 0 {
+		t.Fatalf("threshold %d: the oracle saw no metric points", threshold)
+	}
+	if len(oracle.failures) > 0 {
+		t.Fatalf("threshold %d: trackers diverged from the reference walks:\n%v", threshold, oracle.failures)
 	}
 }
 
-// TestSoakSCCScoreboardEquivalence requires that switching the SCCs
-// metric from the snapshot walk to the incremental tracker — with the
-// weak connectivity tracker incremental as well, the all-incremental
-// production configuration — changes nothing observable: byte-identical
-// scoreboards, down to every verdict, latency bucket and counter.
-func TestSoakSCCScoreboardEquivalence(t *testing.T) {
-	run := func(scc heapgraph.ConnectivityMode) []byte {
-		sb, err := Run(Options{
-			Seed:         1,
-			Faults:       []string{faults.FragStorm, faults.ABARewire, faults.TypoLeak},
-			Extended:     true,
-			Connectivity: heapgraph.ConnectivityIncremental,
-			SCC:          scc,
-			Parallel:     -1,
-		})
-		if err != nil {
-			t.Fatalf("scc %s: %v", scc, err)
-		}
-		var buf bytes.Buffer
-		if err := sb.WriteJSON(&buf); err != nil {
+// TestSoakComponentsOracle runs the oracle soak at the default rebuild
+// threshold.
+func TestSoakComponentsOracle(t *testing.T) { soakWithOracle(t, 0) }
+
+// TestSoakWCCVerify runs the oracle soak at rebuild threshold 1: every
+// conservative mutation rebuilds.
+func TestSoakWCCVerify(t *testing.T) { soakWithOracle(t, 1) }
+
+// TestSoakSCCVerify runs the oracle soak at rebuild threshold 8:
+// amortized rebuilds, so dirty trackers also meet the oracle through
+// the lazy rebuild at query time.
+func TestSoakSCCVerify(t *testing.T) { soakWithOracle(t, 8) }
+
+// checkScoreboardGolden runs the golden's cells at the given rebuild
+// threshold and requires a byte-identical scoreboard.
+func checkScoreboardGolden(t *testing.T, threshold int) {
+	t.Helper()
+	sb, err := Run(Options{
+		Seed:             1,
+		Faults:           []string{faults.FragStorm, faults.ABARewire, faults.TypoLeak},
+		Extended:         true,
+		RebuildThreshold: threshold,
+		Parallel:         -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sb.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if *updateGoldens {
+		if err := os.WriteFile(scoreboardGolden, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return
 	}
-	snap := run(heapgraph.ConnectivitySnapshot)
-	inc := run(heapgraph.ConnectivityIncremental)
-	if !bytes.Equal(snap, inc) {
-		t.Fatalf("scoreboards differ between scc modes:\nsnapshot:    %s\nincremental: %s", snap, inc)
+	want, err := os.ReadFile(scoreboardGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, buf.Bytes()) {
+		t.Fatalf("scoreboard at rebuild threshold %d differs from the golden:\ngolden: %s\ngot:    %s",
+			threshold, want, buf.Bytes())
 	}
 }
+
+// TestSoakConnectivityScoreboardEquivalence: rebuilding on every
+// conservative mutation must not move the scoreboard off the golden.
+func TestSoakConnectivityScoreboardEquivalence(t *testing.T) { checkScoreboardGolden(t, 1) }
+
+// TestSoakSCCScoreboardEquivalence: the production configuration
+// (default rebuild threshold) must reproduce the golden scoreboard.
+func TestSoakSCCScoreboardEquivalence(t *testing.T) { checkScoreboardGolden(t, 0) }

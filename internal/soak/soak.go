@@ -33,7 +33,6 @@ import (
 
 	"heapmd/internal/detect"
 	"heapmd/internal/faults"
-	"heapmd/internal/heapgraph"
 	"heapmd/internal/logger"
 	"heapmd/internal/metrics"
 	"heapmd/internal/model"
@@ -79,23 +78,20 @@ type Options struct {
 	// value means model.Defaults().
 	Thresholds model.Thresholds
 	// Extended soaks (and trains) with the extended metric suite —
-	// the degree metrics plus the WCC/SCC structure metrics. Required
-	// for the Connectivity setting to be observable: only the
-	// Components metric consults the connectivity path.
+	// the degree metrics plus the WCC/SCC structure metrics, which
+	// turn on the incremental component trackers.
 	Extended bool
-	// Connectivity selects how the Components metric obtains the
-	// weak component count in every iteration's logger (and during
-	// training, so models and soak runs see the same path); see
-	// heapgraph.ConnectivityMode. Zero value is the snapshot walk.
-	Connectivity heapgraph.ConnectivityMode
-	// SCC selects the same for the SCCs metric's strong component
-	// count. Zero value is the snapshot walk.
-	SCC heapgraph.ConnectivityMode
 	// RebuildThreshold is the incremental trackers' dirty budget
-	// between amortized rebuilds; 0 selects the default.
+	// between amortized rebuilds; 0 selects the default. Only
+	// observable with Extended.
 	RebuildThreshold int
 	// Progress, when set, receives one line per completed cell.
 	Progress io.Writer
+
+	// observe, when set, is called with every soak iteration's logger
+	// before the run starts (a same-package test hook: the component
+	// oracle test attaches its observer here).
+	observe func(*logger.Logger)
 }
 
 func (o Options) withDefaults() Options {
@@ -242,13 +238,11 @@ func (r *runner) signal(f *detect.Finding) bool {
 }
 
 // loggerOptions builds the logger configuration shared by training
-// runs and soak iterations: suite and connectivity must match so the
-// calibrated model and the soaked runs measure the same thing.
+// runs and soak iterations: the suite must match so the calibrated
+// model and the soaked runs measure the same thing.
 func (r *runner) loggerOptions() logger.Options {
 	opts := logger.Options{
 		Frequency:        workloads.DefaultFrequency,
-		Connectivity:     r.opts.Connectivity,
-		SCC:              r.opts.SCC,
 		RebuildThreshold: r.opts.RebuildThreshold,
 	}
 	if r.opts.Extended {
@@ -264,6 +258,9 @@ func (r *runner) iteration(w workloads.Workload, in workloads.Input, plan *fault
 	p := prog.NewProcess(prog.Options{Seed: in.Seed, Plan: plan})
 	l := logger.New(r.loggerOptions())
 	l.SetRun(w.Name(), in.Name, 1)
+	if r.opts.observe != nil {
+		r.opts.observe(l)
+	}
 	pipe := logger.NewPipeline(l, logger.PipelineOptions{
 		Policy:     r.opts.Policy,
 		QueueDepth: r.opts.QueueDepth,

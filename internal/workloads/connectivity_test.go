@@ -6,172 +6,121 @@ import (
 	"reflect"
 	"testing"
 
+	"heapmd/internal/callstack"
 	"heapmd/internal/detect"
 	"heapmd/internal/faults"
 	"heapmd/internal/heapgraph"
 	"heapmd/internal/logger"
 	"heapmd/internal/metrics"
 	"heapmd/internal/model"
+	"heapmd/internal/prog"
 )
 
-// runWithConnectivity executes one logged run with the extended suite
-// under the given connectivity mode.
-func runWithConnectivity(t *testing.T, w Workload, in Input, mode heapgraph.ConnectivityMode, plan *faults.Plan) *logger.Report {
+// componentOracle diffs the logger's incremental component trackers
+// against the reference walks at every metric point. It records the
+// first disagreement instead of panicking: the logger quarantines a
+// panicking observer.
+type componentOracle struct {
+	g       *heapgraph.Graph
+	points  int
+	failure string
+}
+
+func (o *componentOracle) Sample(metrics.Snapshot, *callstack.Tracker) {
+	o.points++
+	if o.failure == "" {
+		o.failure = o.g.CheckComponents()
+	}
+}
+
+// runWithOracle is RunLogged with the component oracle observing the
+// logger: one run of w on in under suite at the given rebuild
+// threshold (0 = default). It fails the test on the first tracker
+// divergence.
+func runWithOracle(t *testing.T, w Workload, in Input, suite metrics.Suite, threshold int, plan *faults.Plan) *logger.Report {
 	t.Helper()
-	rep, _, err := RunLogged(w, in, RunConfig{
-		Plan: plan,
-		Logger: logger.Options{
-			Suite:        metrics.ExtendedSuite(),
-			Connectivity: mode,
-		},
-	})
+	p := prog.NewProcess(prog.Options{Seed: in.Seed, Plan: plan})
+	l := logger.New(logger.Options{Frequency: DefaultFrequency, Suite: suite, RebuildThreshold: threshold})
+	l.SetRun(w.Name(), in.Name, 1)
+	oracle := &componentOracle{g: l.Graph()}
+	l.Observe(oracle)
+	p.Subscribe(l)
+	if err := prog.Run(func() { w.Run(p, in, 1) }); err != nil {
+		t.Fatalf("%s/threshold=%d: %v", w.Name(), threshold, err)
+	}
+	if oracle.failure != "" {
+		t.Fatalf("%s/threshold=%d: %s", w.Name(), threshold, oracle.failure)
+	}
+	if oracle.points == 0 {
+		t.Fatalf("%s: no metric points", w.Name())
+	}
+	return l.Report()
+}
+
+// runPlain is one production run (no oracle, default threshold).
+func runPlain(t *testing.T, w Workload, in Input, suite metrics.Suite, plan *faults.Plan) *logger.Report {
+	t.Helper()
+	rep, _, err := RunLogged(w, in, RunConfig{Plan: plan, Logger: logger.Options{Suite: suite}})
 	if err != nil {
-		t.Fatalf("%s/%s: %v", w.Name(), mode, err)
+		t.Fatalf("%s: %v", w.Name(), err)
 	}
 	return rep
 }
 
-// TestConnectivityModesByteIdenticalReports is the PR's differential
-// acceptance test: every workload, run with the extended suite under
-// snapshot, incremental and verify connectivity, must produce
-// byte-identical reports. Verify mode additionally panics mid-run on
-// any divergence, so this doubles as an oracle sweep over all 13
-// workloads' allocation patterns.
+func mustJSON(t *testing.T, rep *logger.Report) []byte {
+	t.Helper()
+	buf, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// sweepThresholds runs every workload under suite with the oracle at
+// rebuild thresholds 1 (rebuild on every conservative mutation) and
+// the default, and requires both reports to be byte-identical to the
+// production run's.
+func sweepThresholds(t *testing.T, suite metrics.Suite) {
+	for _, w := range All() {
+		w := w
+		t.Run(w.Name(), func(t *testing.T) {
+			t.Parallel()
+			in := w.Inputs(1)[0]
+			base := mustJSON(t, runPlain(t, w, in, suite, nil))
+			for _, th := range []int{1, 0} {
+				got := mustJSON(t, runWithOracle(t, w, in, suite, th, nil))
+				if !bytes.Equal(base, got) {
+					t.Fatalf("threshold %d report differs from the production run:\nproduction: %s\ngot:        %s",
+						th, base, got)
+				}
+			}
+		})
+	}
+}
+
+// TestConnectivityModesByteIdenticalReports is the weak-connectivity
+// oracle sweep over all 13 workloads' allocation patterns: with only
+// the WCC tracker on (the degree suite plus Components), the tracker
+// must agree with the reference walk at every metric point, at every
+// rebuild threshold, without changing a byte of the report.
 func TestConnectivityModesByteIdenticalReports(t *testing.T) {
-	for _, w := range All() {
-		w := w
-		t.Run(w.Name(), func(t *testing.T) {
-			t.Parallel()
-			in := w.Inputs(1)[0]
-			base := runWithConnectivity(t, w, in, heapgraph.ConnectivitySnapshot, nil)
-			baseJSON, err := json.Marshal(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range []heapgraph.ConnectivityMode{
-				heapgraph.ConnectivityIncremental,
-				heapgraph.ConnectivityVerify,
-			} {
-				rep := runWithConnectivity(t, w, in, mode, nil)
-				repJSON, err := json.Marshal(rep)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(baseJSON, repJSON) {
-					t.Fatalf("%s report differs from snapshot mode:\nsnapshot:    %s\n%-11s: %s",
-						mode, baseJSON, mode, repJSON)
-				}
-			}
-		})
-	}
+	ids := append(append([]metrics.ID(nil), metrics.DefaultSuite().IDs()...), metrics.Components)
+	sweepThresholds(t, metrics.NewSuite(ids...))
 }
 
-// TestConnectivityModesIdenticalFindings closes the loop through the
-// detector: a model trained on snapshot-mode reports must yield
-// identical findings when checking faulty runs executed under each
-// connectivity mode.
-func TestConnectivityModesIdenticalFindings(t *testing.T) {
-	w, _ := Get("webapp")
-	cfg := RunConfig{Logger: logger.Options{Suite: metrics.ExtendedSuite()}}
-	training, err := Train(w, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := model.Build(training, model.Thresholds{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	in := w.Inputs(2)[1]
-	plan := func() *faults.Plan { return faults.NewPlan().EnableAlways(faults.TypoLeak) }
-	base := runWithConnectivity(t, w, in, heapgraph.ConnectivitySnapshot, plan())
-	baseFindings := detect.CheckReport(built.Model, base, detect.Options{})
-	for _, mode := range []heapgraph.ConnectivityMode{
-		heapgraph.ConnectivityIncremental,
-		heapgraph.ConnectivityVerify,
-	} {
-		rep := runWithConnectivity(t, w, in, mode, plan())
-		findings := detect.CheckReport(built.Model, rep, detect.Options{})
-		if !reflect.DeepEqual(baseFindings, findings) {
-			t.Fatalf("%s findings differ from snapshot mode:\nsnapshot: %v\n%s: %v",
-				mode, baseFindings, mode, findings)
-		}
-	}
-}
-
-// runWithModes is runWithConnectivity with both component-metric modes
-// under control.
-func runWithModes(t *testing.T, w Workload, in Input, conn, scc heapgraph.ConnectivityMode, plan *faults.Plan) *logger.Report {
-	t.Helper()
-	rep, _, err := RunLogged(w, in, RunConfig{
-		Plan: plan,
-		Logger: logger.Options{
-			Suite:        metrics.ExtendedSuite(),
-			Connectivity: conn,
-			SCC:          scc,
-		},
-	})
-	if err != nil {
-		t.Fatalf("%s/conn=%s,scc=%s: %v", w.Name(), conn, scc, err)
-	}
-	return rep
-}
-
-// TestSCCModesByteIdenticalReports is the strong-connectivity
-// differential acceptance sweep: every workload, run with the extended
-// suite under snapshot, fully-incremental (both trackers) and
-// fully-verify modes, must produce byte-identical reports. The verify
-// legs panic mid-run on any divergence of either tracker, so this is
-// an oracle sweep of both incremental paths over all 13 workloads'
-// allocation patterns.
+// TestSCCModesByteIdenticalReports is the same sweep for the full
+// extended suite, both trackers on.
 func TestSCCModesByteIdenticalReports(t *testing.T) {
-	for _, w := range All() {
-		w := w
-		t.Run(w.Name(), func(t *testing.T) {
-			t.Parallel()
-			in := w.Inputs(1)[0]
-			base := runWithModes(t, w, in, heapgraph.ConnectivitySnapshot, heapgraph.ConnectivitySnapshot, nil)
-			baseJSON, err := json.Marshal(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range []heapgraph.ConnectivityMode{
-				heapgraph.ConnectivityIncremental,
-				heapgraph.ConnectivityVerify,
-			} {
-				rep := runWithModes(t, w, in, mode, mode, nil)
-				repJSON, err := json.Marshal(rep)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(baseJSON, repJSON) {
-					t.Fatalf("conn+scc %s report differs from snapshot mode:\nsnapshot:    %s\n%-11s: %s",
-						mode, baseJSON, mode, repJSON)
-				}
-			}
-			// SCC incremental alone (Components still snapshot) must
-			// also be invisible in the report.
-			rep := runWithModes(t, w, in, heapgraph.ConnectivitySnapshot, heapgraph.ConnectivityIncremental, nil)
-			repJSON, err := json.Marshal(rep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(baseJSON, repJSON) {
-				t.Fatalf("scc-only incremental report differs from snapshot mode:\nsnapshot: %s\ngot:      %s",
-					baseJSON, repJSON)
-			}
-		})
-	}
+	sweepThresholds(t, metrics.ExtendedSuite())
 }
 
-// TestSCCModesIdenticalFindings closes the loop through the detector
-// for the SCC tracker: a model trained on snapshot-mode reports must
-// yield identical findings when checking faulty runs executed with the
-// SCC metric incremental or verified.
-func TestSCCModesIdenticalFindings(t *testing.T) {
+// checkFindingsUnderOracle closes the loop through the detector: a
+// model trained on production extended-suite reports must yield the
+// same findings for a faulty run whether it ran on the production path
+// or under the oracle at rebuild threshold 1.
+func checkFindingsUnderOracle(t *testing.T, suite metrics.Suite) {
 	w, _ := Get("webapp")
-	cfg := RunConfig{Logger: logger.Options{Suite: metrics.ExtendedSuite()}}
-	training, err := Train(w, 4, cfg)
+	training, err := Train(w, 4, RunConfig{Logger: logger.Options{Suite: suite}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,20 +128,24 @@ func TestSCCModesIdenticalFindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	in := w.Inputs(2)[1]
 	plan := func() *faults.Plan { return faults.NewPlan().EnableAlways(faults.TypoLeak) }
-	base := runWithModes(t, w, in, heapgraph.ConnectivitySnapshot, heapgraph.ConnectivitySnapshot, plan())
-	baseFindings := detect.CheckReport(built.Model, base, detect.Options{})
-	for _, mode := range []heapgraph.ConnectivityMode{
-		heapgraph.ConnectivityIncremental,
-		heapgraph.ConnectivityVerify,
-	} {
-		rep := runWithModes(t, w, in, heapgraph.ConnectivityIncremental, mode, plan())
-		findings := detect.CheckReport(built.Model, rep, detect.Options{})
-		if !reflect.DeepEqual(baseFindings, findings) {
-			t.Fatalf("scc=%s findings differ from snapshot mode:\nsnapshot: %v\nscc=%s: %v",
-				mode, baseFindings, mode, findings)
-		}
+	want := detect.CheckReport(built.Model, runPlain(t, w, in, suite, plan()), detect.Options{})
+	got := detect.CheckReport(built.Model, runWithOracle(t, w, in, suite, 1, plan()), detect.Options{})
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("findings under the oracle differ:\nproduction: %v\noracle:     %v", want, got)
 	}
+}
+
+// TestConnectivityModesIdenticalFindings runs the findings check with
+// the WCC tracker alone.
+func TestConnectivityModesIdenticalFindings(t *testing.T) {
+	ids := append(append([]metrics.ID(nil), metrics.DefaultSuite().IDs()...), metrics.Components)
+	checkFindingsUnderOracle(t, metrics.NewSuite(ids...))
+}
+
+// TestSCCModesIdenticalFindings runs the findings check with both
+// trackers.
+func TestSCCModesIdenticalFindings(t *testing.T) {
+	checkFindingsUnderOracle(t, metrics.ExtendedSuite())
 }
