@@ -89,9 +89,11 @@ type Graph struct {
 
 	// Incremental weak (incremental.go) and strong
 	// (incremental_scc.go) connectivity trackers; nil until turned on
-	// or first queried.
-	wcc *wccTracker
-	scc *sccTracker
+	// or first queried. srch is the scratch their searches share,
+	// allocated with the first tracker search or rebuild.
+	wcc  *wccTracker
+	scc  *sccTracker
+	srch *search
 }
 
 // New returns an empty heap-graph.
@@ -256,7 +258,7 @@ func (g *Graph) RemoveVertex(v VertexID) {
 	}
 	// Classify the removal for the connectivity trackers before the
 	// neighbour sets are torn down (they need the original adjacency).
-	g.wccRemoveVertex(v, s)
+	g.wccRemoveVertex(s)
 	g.sccRemoveVertex(s)
 	// Detach outgoing edges: each successor loses incoming
 	// multiplicity. The callbacks mutate only the neighbours' sets,
@@ -334,7 +336,7 @@ func (g *Graph) AddEdge(u, v VertexID) bool {
 	}
 	g.edges++
 	// Unlike weak connectivity, edge *insertion* can dirty the SCC
-	// tracker (a probe-budget bailout), so inserts also settle.
+	// tracker (a probe out of allowance), so inserts also settle.
 	g.sccSettle()
 	return true
 }

@@ -1,73 +1,98 @@
 package heapgraph
 
+import (
+	"cmp"
+	"slices"
+)
+
 // This file implements incremental weak-connectivity tracking (the
 // strong-connectivity sibling lives in incremental_scc.go and shares
-// the union-find core defined here). Recomputing components with an
-// O(V+E) walk at every metric computation point (the reference walk
-// in analysis.go) would cap the viable sampling frequency by heap
-// *size*; the tracker instead maintains the component count under
-// mutation, so a metric point costs O(α) per graph operation since the
-// previous point — heap *churn*, not heap size.
+// the union-find core and the search scratch defined here).
+// Recomputing components with an O(V+E) walk at every metric
+// computation point (the reference walk in analysis.go) would cap the
+// viable sampling frequency by heap *size*; the tracker instead
+// maintains the component count under mutation, so a metric point
+// costs the work of the mutations since the previous point — heap
+// *churn*, not heap size.
 //
-// Union-find handles vertex and edge additions exactly in O(α)
-// amortized. Deletions are where naive union-find gives up (it cannot
-// split); the tracker recovers exactness for the overwhelmingly common
-// delete shapes and falls back to counting the rest:
+// The tracker keeps a spanning forest of the undirected heap graph
+// (per-slot forest parents, fpar) next to a union-find over its trees.
+// This is the replacement-edge idea of dynamic connectivity (Holm, de
+// Lichtenberg & Thorup, JACM 2001) without the levels:
 //
-//   - removing an edge whose endpoints remain directly linked (a
-//     parallel edge or the reverse direction) cannot change weak
-//     connectivity: exact no-op;
-//   - removing an edge that isolates an endpoint detaches that vertex
-//     into a fresh singleton via node indirection (below): exact;
-//   - removing a vertex with zero or one distinct neighbour removes a
-//     singleton or a leaf; a leaf never disconnects anything (every
-//     path through it can be shortcut at its sole neighbour): exact;
-//   - anything else *may* split a component: the tracker marks itself
-//     dirty and counts the delete.
+//   - a new vertex is a new singleton tree;
+//   - a new edge inside one component changes nothing; one between two
+//     components becomes a forest edge: the smaller tree is rerooted at
+//     its endpoint (a walk no longer than that tree) and hung under the
+//     other endpoint, and the union-find joins the two;
+//   - losing the last link between two vertices (either direction) that
+//     is not a forest edge leaves the forest spanning: exact no-op;
+//   - losing a forest edge cuts a tree in two. Both halves are
+//     enumerated along forest links in lockstep until the smaller is
+//     complete; that half is scanned for an edge leaving it. If one
+//     exists it becomes the new forest edge (count unchanged);
+//     otherwise the half really split off and moves, whole, to one
+//     fresh union-find node (count +1);
+//   - removing a vertex with no forest children (a singleton or a
+//     forest leaf, however many non-forest edges it carries) or a
+//     forest root with one child leaves every tree connected: exact.
+//     Removing an interior forest vertex may split several subtrees at
+//     once: the tracker marks itself dirty and counts the delete.
 //
-// Dirty deletes are amortized by generation-tagged rebuilds: when the
-// dirty counter reaches the rebuild threshold the tracker re-unions
-// from the live adjacency during the mutation (synchronously — the
-// graph is single-goroutine, so there is no background rebuild to race
-// with), and a query on a dirty tracker
-// rebuilds lazily first. A rebuild is one O(V+E) walk amortized over
-// at least `threshold` deletes, and workloads dominated by exact
-// shapes (lists, trees, pools — the paper's heaps) never trigger one.
+// Searches (cut enumerations here, probes and re-splits in the SCC
+// tracker) charge every adjacency entry they scan against an allowance
+// of V+E+64 entries, refilled at every count query and every rebuild.
+// A search that exhausts it gives up and marks the tracker dirty, so
+// a query interval costs at most about two rebuilds' worth of work.
+//
+// Dirty states are amortized by rebuilds: when the dirty counter
+// reaches the rebuild threshold the tracker rebuilds at the end of the
+// mutation (synchronously — the graph is single-goroutine, so there is
+// no background rebuild to race with), and a query on a dirty tracker
+// rebuilds lazily first. A rebuild replays the graph's links in
+// vertex-age order — each vertex, oldest first, linked to its older
+// neighbours with the same rule as an edge insert — so it rebuilds the
+// forest incremental maintenance would have grown: a tree's forest is
+// the tree, and a cross edge stays a non-forest link whose re-pointing
+// costs nothing. (A BFS forest would pick up cross edges, and then
+// every re-pointed cross edge is a cut.)
 //
 // Node indirection. A union-find element cannot be detached from its
 // tree without breaking other elements' parent chains through it. The
-// tracker therefore separates *vertices* from *union-find nodes*: a
+// trackers therefore separate *vertices* from *union-find nodes*: a
 // per-slot table maps each live vertex to a node in a growable node
-// arena, and detaching a vertex just points its slot at a fresh
-// singleton node, leaving the old node in place as an interior link.
-// Abandoned nodes accumulate; when the node arena exceeds ~4x the
-// live vertex count a rebuild compacts it (reusing the slices'
-// capacity, so steady-state churn performs no allocation).
+// arena, and splitting vertices off just points their slots at a fresh
+// node, leaving the old nodes in place as interior links. Abandoned
+// nodes accumulate; when the node arena exceeds ~4x the live vertex
+// count a rebuild compacts it (reusing the slices' capacity, so
+// steady-state churn performs no allocation).
 //
-// The tracker maintains Count only. Largest requires knowing, at
-// every moment, the size of a component that deletions may have
-// silently shrunk — exactly the information union-find cannot keep
-// under splits — so Largest is left to the reference walk. The metric
-// suite only consumes Count (WCC per 100 vertices).
+// The tracker maintains Count only. The metric suite only consumes
+// Count (WCC per 100 vertices); Largest is left to the reference walk.
 
 // DefaultRebuildThreshold is the number of conservatively-counted
-// deletes that triggers an amortized re-union. One rebuild is an
-// O(V+E) walk; at 64 deletes per rebuild the amortized cost per
-// delete stays far below one full walk per metric point even on
+// mutations that triggers an amortized rebuild. One rebuild is an
+// O(V+E) walk; at 64 dirtying mutations per rebuild the amortized cost
+// per mutation stays far below one full walk per metric point even on
 // delete-heavy churn.
 const DefaultRebuildThreshold = 64
+
+// allowanceSlack is the constant part of a tracker's search allowance
+// (V+E+allowanceSlack adjacency entries per query interval), so tiny
+// graphs still get room for a search or two.
+const allowanceSlack = 64
 
 // ufCore is the union-find state shared by the weak-connectivity
 // tracker below and the strong-connectivity tracker
 // (incremental_scc.go): the node-indirection table, the node arena,
-// and the count/dirty/threshold bookkeeping.
+// the count/dirty/threshold bookkeeping and the search allowance.
 type ufCore struct {
 	// node maps arena slot → union-find node, parallel to Graph.ids.
 	// Entries for dead slots are stale and never read.
 	node []int32
 	// parent/size form the union-find node arena. size is only
 	// meaningful at roots and counts live vertices (not nodes), so
-	// detached vertices leave their abandoned nodes uncounted.
+	// abandoned nodes stay uncounted.
 	parent []int32
 	size   []int32
 
@@ -75,6 +100,10 @@ type ufCore struct {
 	dirty     int // conservative mutations since the tracker was last exact
 	threshold int // dirty level that forces a rebuild during mutation
 	valid     bool
+
+	allow    int // adjacency entries searches may still scan this interval
+	allowCap int // test override of the allowance (0 = V+E+allowanceSlack)
+	rebuilds int // full rebuilds so far (read by tests)
 }
 
 // newNode appends a fresh singleton node to the node arena.
@@ -83,6 +112,27 @@ func (t *ufCore) newNode() int32 {
 	t.parent = append(t.parent, n)
 	t.size = append(t.size, 1)
 	return n
+}
+
+// resetArena empties the node arena for a rebuild over n slots,
+// keeping room for n nodes and a quarter's headroom so neither the
+// rebuild nor the churn after it regrows the arena a step at a time.
+func (t *ufCore) resetArena(n int) {
+	t.parent = sizeI32(t.parent, n)[:0]
+	t.size = sizeI32(t.size, n)[:0]
+	t.count = 0
+}
+
+// sizeI32 returns a slice of length n, reusing s's capacity when it
+// suffices and otherwise growing with a quarter's headroom, so a slowly
+// growing graph (one more edge per rebuild) does not reallocate at
+// every rebuild. Contents are unspecified; callers overwrite every
+// entry they read.
+func sizeI32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n, n+n/4)
+	}
+	return s[:n]
 }
 
 // find returns x's root, halving the path as it goes.
@@ -94,13 +144,9 @@ func (t *ufCore) find(x int32) int32 {
 	return x
 }
 
-// union joins the components of nodes a and b (union by size),
-// decrementing the count when they were distinct.
-func (t *ufCore) union(a, b int32) {
-	ra, rb := t.find(a), t.find(b)
-	if ra == rb {
-		return
-	}
+// unite joins the distinct roots ra and rb (union by size) and
+// decrements the count.
+func (t *ufCore) unite(ra, rb int32) {
 	if t.size[ra] < t.size[rb] {
 		ra, rb = rb, ra
 	}
@@ -109,25 +155,133 @@ func (t *ufCore) union(a, b int32) {
 	t.count--
 }
 
-// wccTracker is the incremental weak-connectivity state: the shared
-// union-find core is the whole of it (weak connectivity needs no
-// probe or Tarjan scratch).
-type wccTracker struct {
-	ufCore
+// union joins the components of nodes a and b, decrementing the count
+// when they were distinct.
+func (t *ufCore) union(a, b int32) {
+	if ra, rb := t.find(a), t.find(b); ra != rb {
+		t.unite(ra, rb)
+	}
 }
 
-// detach moves the vertex at slot s (already known to be isolated in
-// the graph) out of its component into a fresh singleton node. The old
-// node stays behind as an interior link so other vertices' parent
-// chains through it remain intact.
-func (t *wccTracker) detach(s int32) {
-	r := t.find(t.node[s])
-	t.size[r]--
-	if t.size[r] == 0 {
-		t.count-- // the vertex was the component's last member
+// refill resets the search allowance for a new query interval.
+func (t *ufCore) refill(g *Graph) {
+	t.allow = t.allowCap
+	if t.allow <= 0 {
+		t.allow = g.nVerts + g.edges + allowanceSlack
 	}
-	t.node[s] = t.newNode()
-	t.count++
+}
+
+// needsRebuild reports whether a built tracker should rebuild at the
+// end of a mutation: the dirty counter has reached the rebuild
+// threshold, or abandoned nodes dominate the node arena.
+func (t *ufCore) needsRebuild(nVerts int) bool {
+	return t.valid && (t.dirty >= t.threshold || len(t.parent) > 4*nVerts+64)
+}
+
+// Search marks. A mark entry holds the search epoch in its high bits
+// and up to three flags in its low bits, so bumping the epoch clears
+// every mark at once.
+const (
+	markA    = 1 << iota // first side of a lockstep search
+	markB                // second side
+	markR                // second-pass closure / member set
+	markBits = 3
+)
+
+// search is the scratch every tracker search uses: one per Graph and
+// shared by both trackers (searches never nest). The two sides of a
+// lockstep search keep their visit lists in qa and qb — each list is
+// its own queue, consumed through a head index — and their seeds in sa
+// and sb; work is a closure worklist.
+type search struct {
+	mark   []uint32
+	epoch  uint32
+	qa, qb []int32
+	sa, sb []int32
+	work   []int32
+}
+
+// beginSearch starts a new search epoch over the current vertex arena
+// and empties the lists. The mark array grows with 50% headroom: the
+// arena creeps one slot per AddVertex while the heap grows, and an
+// exact fit would reallocate on every search of that phase.
+func (g *Graph) beginSearch() *search {
+	s := g.scratch()
+	if n := len(g.ids); len(s.mark) < n {
+		s.mark = make([]uint32, n+n/2)
+		s.epoch = 0
+	}
+	if s.epoch == 1<<(32-markBits)-1 {
+		clear(s.mark)
+		s.epoch = 0
+	}
+	s.epoch++
+	s.qa, s.qb, s.sa, s.sb, s.work = s.qa[:0], s.qb[:0], s.sa[:0], s.sb[:0], s.work[:0]
+	return s
+}
+
+// scratch returns the graph's search scratch, allocating it on first
+// use so that graphs without a tracker do not carry it.
+func (g *Graph) scratch() *search {
+	if g.srch == nil {
+		g.srch = new(search)
+	}
+	return g.srch
+}
+
+// has reports whether slot x carries flag f in this epoch.
+func (s *search) has(x int32, f uint32) bool {
+	m := s.mark[x]
+	return m>>markBits == s.epoch && m&f != 0
+}
+
+// set adds flag f to slot x's mark.
+func (s *search) set(x int32, f uint32) {
+	m := s.mark[x]
+	if m>>markBits != s.epoch {
+		m = s.epoch << markBits
+	}
+	s.mark[x] = m | f
+}
+
+// wccTracker is the incremental weak-connectivity state: the shared
+// union-find core plus the spanning forest.
+type wccTracker struct {
+	ufCore
+	// fpar is the forest parent of each slot (-1 at a tree root),
+	// parallel to node. Every forest edge is backed by at least one
+	// graph edge between its endpoints, in either direction.
+	fpar []int32
+}
+
+// reroot makes slot x the root of its forest tree by reversing the
+// parent links on its path to the old root.
+func (t *wccTracker) reroot(x int32) {
+	prev := int32(-1)
+	for x >= 0 {
+		next := t.fpar[x]
+		t.fpar[x] = prev
+		prev, x = x, next
+	}
+}
+
+// link records a graph link between slots a and b. Within one
+// component it changes nothing; across two it becomes a forest edge,
+// hanging the smaller tree (rerooted at its endpoint) under the other
+// endpoint — b's tree on a tie.
+func (t *wccTracker) link(a, b int32) {
+	ra, rb := t.find(t.node[a]), t.find(t.node[b])
+	if ra == rb {
+		return
+	}
+	if t.size[ra] < t.size[rb] {
+		t.reroot(a)
+		t.fpar[a] = b
+	} else {
+		t.reroot(b)
+		t.fpar[b] = a
+	}
+	t.unite(ra, rb)
 }
 
 // TrackConnectivity turns on the weak-connectivity tracker with the
@@ -145,7 +299,7 @@ func (g *Graph) TrackConnectivity(rebuildThreshold int) {
 // ConnectedComponentCount returns the number of weakly connected
 // components from the incremental tracker, turning it on at the
 // default threshold if it is off and rebuilding it first if it has
-// never been built or deletes have dirtied it.
+// never been built or mutations have dirtied it.
 func (g *Graph) ConnectedComponentCount() int {
 	if g.wcc == nil {
 		g.TrackConnectivity(0)
@@ -154,47 +308,52 @@ func (g *Graph) ConnectedComponentCount() int {
 	if !t.valid || t.dirty > 0 {
 		g.rebuildWCC()
 	}
+	t.refill(g)
 	return t.count
 }
 
-// rebuildWCC re-unions the tracker from the live adjacency: one fresh
-// node per live vertex, one union per distinct out-edge (the symmetry
-// invariant makes the in-adjacency redundant). Existing slice capacity
-// is reused, so rebuilds after the first allocate only when the arena
-// has grown. This is also the compaction path: it resets the node
-// arena to exactly one node per live vertex.
+// rebuildWCC rebuilds the tracker from the live adjacency: one fresh
+// node and one singleton tree per live vertex, then every vertex in
+// age (VertexID) order linked to its older neighbours — in-edges
+// first, since the edge that attached an object to the heap is
+// usually the first pointer stored to it. Existing slice capacity is
+// reused, so rebuilds after the first allocate only when the arena has
+// grown. This is also the compaction path: it resets the node arena to
+// exactly one node per live vertex.
 func (g *Graph) rebuildWCC() {
 	t := g.wcc
-	if cap(t.node) < len(g.ids) {
-		t.node = make([]int32, len(g.ids))
-	} else {
-		t.node = t.node[:len(g.ids)]
-	}
-	t.parent = t.parent[:0]
-	t.size = t.size[:0]
-	t.count = 0
+	n := len(g.ids)
+	t.node = sizeI32(t.node, n)
+	t.fpar = sizeI32(t.fpar, n)
+	t.resetArena(n)
+	sc := g.scratch()
+	order := sizeI32(sc.qa, n)[:0] // the search lists are idle during a rebuild
 	for s := range g.ids {
 		if !g.alive[s] {
 			continue
 		}
+		order = append(order, int32(s))
 		t.node[s] = t.newNode()
+		t.fpar[s] = -1
 		t.count++
 	}
-	for s := range g.ids {
-		if !g.alive[s] {
-			continue
-		}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(g.ids[a], g.ids[b]) })
+	for _, s := range order {
 		self := g.ids[s]
-		a := t.node[s]
-		g.outAdj[s].each(func(id VertexID, _ int32) bool {
-			if id != self {
-				t.union(a, t.node[g.slotOf(id)])
+		older := func(id VertexID, _ int32) bool {
+			if id < self {
+				t.link(g.slotOf(id), s)
 			}
 			return true
-		})
+		}
+		g.inAdj[s].each(older)
+		g.outAdj[s].each(older)
 	}
+	sc.qa = order
 	t.dirty = 0
 	t.valid = true
+	t.rebuilds++
+	t.refill(g)
 }
 
 // wccMaintain reports whether the tracker is present and exact, i.e.
@@ -205,7 +364,7 @@ func (g *Graph) wccMaintain() bool {
 }
 
 // wccAddVertex is the AddVertex hook: a new vertex is a new singleton
-// component.
+// tree.
 func (g *Graph) wccAddVertex(s int32) {
 	if !g.wccMaintain() {
 		return
@@ -214,27 +373,27 @@ func (g *Graph) wccAddVertex(s int32) {
 	if int(s) >= len(t.node) {
 		// The vertex arena grew; mirror it. Amortized like append.
 		t.node = append(t.node, 0)
+		t.fpar = append(t.fpar, 0)
 	}
 	t.node[s] = t.newNode()
+	t.fpar[s] = -1
 	t.count++
-	g.wccMaybeCompact()
+	g.wccSettle() // the arena may need compacting
 }
 
 // wccAddEdge is the AddEdge hook (u != v slots; self-loops never
 // change weak connectivity and are filtered by the caller).
 func (g *Graph) wccAddEdge(us, vs int32) {
-	if !g.wccMaintain() {
-		return
+	if g.wccMaintain() {
+		g.wcc.link(us, vs)
 	}
-	t := g.wcc
-	t.union(t.node[us], t.node[vs])
 }
 
 // wccRemoveEdge is the RemoveEdge hook, called after the adjacency
-// decrement for a non-self-loop edge u→v. Exact cases: the endpoints
-// remain directly linked (no-op), or an endpoint lost its last edge
-// (detach to singleton). Anything else may have split the component:
-// count it toward the rebuild budget.
+// decrement for a non-self-loop edge u→v. While any link between the
+// endpoints remains, or the lost link was not a forest edge, the
+// forest still spans every component: exact no-op. Losing a forest
+// edge runs the cut search.
 func (g *Graph) wccRemoveEdge(u, v VertexID, us, vs int32) {
 	t := g.wcc
 	if t == nil || !t.valid {
@@ -247,27 +406,119 @@ func (g *Graph) wccRemoveEdge(u, v VertexID, us, vs int32) {
 	if g.outAdj[us].get(v) > 0 || g.outAdj[vs].get(u) > 0 {
 		return // still directly linked in some direction
 	}
-	split := true
-	if g.distinctNeighbors(us, u, 1) == 0 {
-		t.detach(us)
-		split = false
-	}
-	if g.distinctNeighbors(vs, v, 1) == 0 {
-		t.detach(vs)
-		split = false
-	}
-	if split {
-		t.dirty++
+	switch {
+	case t.fpar[us] == vs:
+		g.wccCut(us, vs)
+	case t.fpar[vs] == us:
+		g.wccCut(vs, us)
 	}
 }
 
+// wccCut handles the loss of the forest edge between slot c and its
+// forest parent p: it enumerates c's subtree and p's remaining tree in
+// lockstep until one is complete, then looks for a graph edge leaving
+// that smaller half. One found becomes the replacement forest edge;
+// none means the half is a component of its own, and it moves to one
+// fresh union-find node. Running out of allowance marks the tracker
+// dirty instead.
+func (g *Graph) wccCut(c, p int32) {
+	t := g.wcc
+	t.fpar[c] = -1
+	s := g.beginSearch()
+	s.set(c, markA)
+	s.set(p, markB)
+	s.qa = append(s.qa, c)
+	s.qb = append(s.qb, p)
+	budget := t.allow
+	var small []int32
+	var flag uint32
+	for i := 0; ; i++ {
+		if i == len(s.qa) {
+			small, flag = s.qa, markA
+			break
+		}
+		if i == len(s.qb) {
+			small, flag = s.qb, markB
+			break
+		}
+		s.qa = g.forestExpand(s, s.qa, s.qa[i], markA, &budget)
+		s.qb = g.forestExpand(s, s.qb, s.qb[i], markB, &budget)
+		if budget < 0 {
+			t.allow = 0
+			t.dirty++
+			return
+		}
+	}
+	// The half is complete; any neighbour without its flag lies in the
+	// other half.
+	for _, x := range small {
+		exit := int32(-1)
+		leaves := func(id VertexID, _ int32) bool {
+			budget--
+			if y := g.slotOf(id); !s.has(y, flag) {
+				exit = y
+			}
+			return exit < 0 && budget >= 0
+		}
+		g.outAdj[x].each(leaves)
+		if exit < 0 && budget >= 0 {
+			g.inAdj[x].each(leaves)
+		}
+		if budget < 0 {
+			t.allow = 0
+			t.dirty++
+			return
+		}
+		if exit >= 0 {
+			t.reroot(x)
+			t.fpar[x] = exit
+			t.allow = budget
+			return
+		}
+	}
+	t.allow = budget
+	old := t.find(t.node[c])
+	r := t.newNode()
+	t.size[r] = int32(len(small))
+	t.size[old] -= int32(len(small))
+	for _, x := range small {
+		t.node[x] = r
+	}
+	t.count++
+}
+
+// forestExpand appends to list the unvisited forest neighbours of slot
+// x — its forest parent and every graph neighbour whose forest parent
+// is x — marking them with flag and charging each adjacency entry
+// scanned to budget.
+func (g *Graph) forestExpand(s *search, list []int32, x int32, flag uint32, budget *int) []int32 {
+	fpar := g.wcc.fpar
+	if p := fpar[x]; p >= 0 && !s.has(p, flag) {
+		s.set(p, flag)
+		list = append(list, p)
+	}
+	child := func(id VertexID, _ int32) bool {
+		*budget--
+		if y := g.slotOf(id); fpar[y] == x && !s.has(y, flag) {
+			s.set(y, flag)
+			list = append(list, y)
+		}
+		return *budget >= 0
+	}
+	g.outAdj[x].each(child)
+	if *budget >= 0 {
+		g.inAdj[x].each(child)
+	}
+	return list
+}
+
 // wccRemoveVertex is the RemoveVertex hook. It must run BEFORE the
-// edges are detached — the classification needs the vertex's original
-// neighbour set. Exact cases: an isolated vertex (singleton removal)
-// and a vertex with exactly one distinct neighbour (leaf removal —
-// every path through a sole-neighbour vertex shortcuts through that
-// neighbour, so the rest of the component stays connected).
-func (g *Graph) wccRemoveVertex(v VertexID, s int32) {
+// edges are detached — finding the vertex's forest children needs its
+// adjacency. Exact cases: no forest children (a singleton tree, or a
+// forest leaf whose other links are all non-forest edges) and a
+// forest root with one child (the child becomes the root). An interior
+// forest vertex may split its tree several ways: dirty.
+func (g *Graph) wccRemoveVertex(s int32) {
 	t := g.wcc
 	if t == nil || !t.valid {
 		return
@@ -276,71 +527,41 @@ func (g *Graph) wccRemoveVertex(v VertexID, s int32) {
 		t.dirty++
 		return
 	}
-	switch g.distinctNeighbors(s, v, 2) {
-	case 0:
-		// Isolated: its component is exactly itself.
-		r := t.find(t.node[s])
+	child, kids := int32(-1), 0
+	count := func(id VertexID, _ int32) bool {
+		if y := g.slotOf(id); t.fpar[y] == s && y != child {
+			child = y
+			kids++
+		}
+		return kids < 2
+	}
+	g.outAdj[s].each(count)
+	if kids < 2 {
+		g.inAdj[s].each(count)
+	}
+	r := t.find(t.node[s])
+	switch {
+	case kids == 0:
 		t.size[r]--
-		t.count--
-	case 1:
-		// Leaf: the component loses one member, no split.
-		r := t.find(t.node[s])
+		if t.fpar[s] < 0 {
+			t.count-- // a childless root: the tree was the vertex alone
+		}
+	case kids == 1 && t.fpar[s] < 0:
+		t.fpar[child] = -1
 		t.size[r]--
 	default:
 		t.dirty++
 	}
 }
 
-// wccSettle runs at the END of a delete mutation: once the dirty
-// counter has spent the rebuild budget, re-union now rather than at
-// the next query, keeping worst-case query latency flat. It must not
-// run mid-mutation — wccRemoveVertex classifies before the edges are
-// detached, and a rebuild at that point would capture the
-// half-removed vertex.
+// wccSettle runs at the END of a mutation: once the dirty counter has
+// spent the rebuild threshold (or the node arena needs compacting),
+// rebuild now rather than at the next query, keeping worst-case query
+// latency flat. It must not run mid-mutation — wccRemoveVertex
+// classifies before the edges are detached, and a rebuild at that
+// point would capture the half-removed vertex.
 func (g *Graph) wccSettle() {
-	if t := g.wcc; t != nil && t.valid && t.dirty >= t.threshold {
+	if t := g.wcc; t != nil && t.needsRebuild(g.nVerts) {
 		g.rebuildWCC()
 	}
-}
-
-// wccMaybeCompact rebuilds when abandoned nodes dominate the node
-// arena, bounding its growth under detach-heavy churn and letting
-// steady state reuse capacity instead of allocating.
-func (g *Graph) wccMaybeCompact() {
-	t := g.wcc
-	if len(t.parent) > 4*g.NumVertices()+64 {
-		g.rebuildWCC()
-	}
-}
-
-// distinctNeighbors counts the distinct non-self neighbours of the
-// vertex at slot s (union of both directions), stopping as soon as
-// the count exceeds limit, which keeps the scan O(limit). Only the
-// first neighbour found is deduplicated across the two directions, so
-// the result is exact for true counts 0 and 1 (the only neighbour is
-// the only possible duplicate) and a lower bound of 2 otherwise —
-// precisely the classes the delete hooks distinguish.
-func (g *Graph) distinctNeighbors(s int32, self VertexID, limit int) int {
-	count := 0
-	first := VertexID(0)
-	scan := func(id VertexID, _ int32) bool {
-		if id == self {
-			return true
-		}
-		if count == 0 {
-			first = id
-			count = 1
-			return true
-		}
-		if id == first {
-			return true
-		}
-		count++
-		return count <= limit
-	}
-	g.outAdj[s].each(scan)
-	if count <= limit {
-		g.inAdj[s].each(scan)
-	}
-	return count
 }

@@ -3,90 +3,82 @@ package heapgraph
 // This file implements incremental strong-connectivity tracking, the
 // SCC sibling of the weak-connectivity tracker in incremental.go. It
 // shares the union-find core (node indirection, growable node arena,
-// dirty/threshold bookkeeping) and keeps the extended metric suite
-// free of O(V+E) walks: with both trackers on, a metric point costs
-// O(churn), never O(heap).
-//
-// Strong connectivity is harder than weak on both mutation kinds:
+// dirty/threshold bookkeeping, search allowance) and the search
+// scratch, and keeps the extended metric suite free of O(V+E) walks:
+// with both trackers on, a metric point costs O(churn), never O(heap).
 //
 // Edge inserts. Adding u→v merges SCCs exactly when v already reaches
-// u; every SCC on a v⇝u path joins u's SCC. The tracker answers this
-// with a bounded two-pass probe (sccAddEdge): a forward search from v
-// that treats SCC(u) as a single super-node — members of SCC(u) are
-// recorded as hits but never expanded — collecting the visited set F,
-// then a backward closure over in-edges restricted to F from the
-// vertices that touched SCC(u). Every vertex in F that reaches SCC(u)
-// lies on a v⇝u path and is merged into SCC(u). The result is EXACT,
-// not heuristic: in the condensation DAG a path from SCC(v) to SCC(u)
-// cannot pass through SCC(u) as an intermediate (the DAG is acyclic),
-// so refusing to expand SCC(u) members cannot hide any merge
-// candidate. The probe charges every adjacency entry it scans against
-// a budget (DefaultSCCProbeBudget); exceeding it abandons the probe
-// and marks the tracker dirty — the common fast paths (edge into a
-// fresh object, edge inside an existing SCC) complete in O(1)-ish
-// work, and pathological hub fan-outs degrade to the amortized
-// rebuild instead of an unbounded walk on the mutation path.
+// u; every SCC on a v⇝u path joins u's SCC. The probe (sccProbe) runs
+// a forward search from v that never expands members of SCC(u) in
+// lockstep with a backward search from u that never expands members
+// of SCC(v), and stops as soon as either side's closure is complete:
 //
-// Deletes. Union-find cannot split, so deletes use an exact-shape
-// taxonomy mirroring the WCC tracker's, with different shapes:
+//   - forward complete: v reaches u iff some visited vertex has an edge
+//     into SCC(u) (a seed). The merge set is every visited vertex that
+//     reaches a seed — a backward closure over in-edges restricted to
+//     the visited set F;
+//   - backward complete: the mirror image — v reaches u iff some
+//     visited vertex has an edge from SCC(v), and the merge set is a
+//     forward closure over out-edges restricted to the visited set B.
+//
+// The result is exact, not heuristic: in the condensation DAG a path
+// SCC(v) ⇝ SCC(u) cannot pass through either end SCC as an
+// intermediate (the DAG is acyclic), so refusing to expand them hides
+// no merge candidate. The lockstep makes the probe cost about twice
+// the smaller closure: inserting an edge below a large subtree costs
+// the few ancestors the backward side sees, not the subtree.
+//
+// Deletes.
 //
 //   - removing an edge with a parallel edge remaining: no-op;
 //   - removing a CROSS-SCC edge: exact no-op — a cycle through the
-//     edge would have put its endpoints in one SCC already, so no
-//     cycle dies and no SCC can merge by losing an edge;
-//   - removing an INTRA-SCC edge may split the SCC: dirty;
+//     edge would have put its endpoints in one SCC already;
+//   - removing an INTRA-SCC edge u→v: the SCC survives iff u still
+//     reaches v, and any such path stays inside the SCC. A lockstep
+//     forward search from u and backward search from v, both confined
+//     to the SCC's union-find class, settle it: if they meet, no-op;
+//     if either completes first, the SCC splits. Every member still
+//     reaches u (a simple path into u never uses an edge out of u), so
+//     the backward closure of u within the class enumerates the old
+//     SCC, and Tarjan over those members alone re-splits it, each new
+//     SCC on a fresh union-find node;
 //   - removing a vertex whose SCC has size 1: exact count decrement —
-//     no cycle passes through a singleton-SCC vertex, so every other
-//     SCC keeps its internal cycles intact (this covers isolated
-//     vertices and, unlike the WCC taxonomy, every chain/tree/DAG
+//     no cycle passes through it (this covers every chain, tree and DAG
 //     vertex regardless of degree);
-//   - removing a member of a multi-vertex SCC: dirty.
+//   - removing a member of a multi-vertex SCC: the same local re-split
+//     over the SCC's other members.
 //
-// Dirty states amortize exactly like the WCC tracker: the dirty
-// counter forces a rebuild at the configured threshold during
-// mutation (sccSettle — note AddEdge also settles, because probe
-// bailouts dirty on *insert*), and queries on a dirty tracker rebuild
-// lazily first. The rebuild is an iterative Tarjan walk over the live
-// adjacency using tracker-owned scratch (a CSR copy of the out-edges
-// plus index/lowlink/stack arrays). Isolated vertices become singleton
-// SCCs directly, without Tarjan frames, and steady-state rebuilds
-// reuse capacity and allocate nothing.
+// Probes, cut searches and re-splits charge the allowance shared with
+// the file comment of incremental.go (V+E+64 adjacency entries per
+// query interval); exhausting it marks the tracker dirty. Dirty states
+// amortize exactly like the WCC tracker's: the dirty counter forces a
+// rebuild at the configured threshold at the end of a mutation
+// (sccSettle — AddEdge settles too, because probe bailouts dirty on
+// insert), and queries on a dirty tracker rebuild lazily first. The
+// rebuild is the same iterative Tarjan as the local re-split, run over
+// every live vertex with an edge; isolated vertices become singleton
+// SCCs directly. All Tarjan scratch is tracker-owned and
+// capacity-reused, so steady-state rebuilds and re-splits allocate
+// nothing.
 //
 // Like the WCC tracker, only Count is maintained (the suite consumes
 // SCC per 100 vertices); Largest is left to the reference walk.
 
-// DefaultSCCProbeBudget caps the adjacency entries one edge-insert
-// probe may scan (both passes combined) before giving up and marking
-// the tracker dirty. The budget bounds the mutation-path cost at hub
-// vertices; the overwhelmingly common insert shapes (fresh target,
-// intra-SCC edge, short cycle closure) complete well under it.
-const DefaultSCCProbeBudget = 128
-
-// sccFrame is one iterative-Tarjan stack frame: a vertex slot and the
-// next unexplored position within its CSR edge range.
+// sccFrame is one iterative-Tarjan stack frame: a vertex slot, the
+// next unexplored position within its CSR edge range, and the range
+// end.
 type sccFrame struct {
-	v   int32
-	pos int32
+	v, pos, end int32
 }
 
 // sccTracker is the incremental strong-connectivity state.
 type sccTracker struct {
 	ufCore
 
-	budget int // probe budget (adjacency entries per insert probe)
-
-	// Probe scratch (sccAddEdge). visit/reach are stamp arrays indexed
-	// by slot: visit marks membership in the forward set F, reach marks
-	// the backward closure. One stamp increment invalidates both.
-	visit []uint32
-	reach []uint32
-	stamp uint32
-	queue []int32 // BFS worklist, reused by both passes
-	fset  []int32 // the forward set F, in visit order
-	seeds []int32 // F members with an edge into SCC(u)
-
-	// Rebuild scratch (rebuildSCC): a CSR copy of the live out-edges
-	// and the iterative-Tarjan arrays.
+	// Tarjan scratch (rebuildSCC and the local re-split), indexed by
+	// slot: a CSR copy of the members' out-edges — offs[s] points at a
+	// header entry in targets holding s's edge count, followed by the
+	// edges — and the iterative-Tarjan arrays.
 	offs    []int32
 	targets []int32
 	index   []int32
@@ -97,31 +89,14 @@ type sccTracker struct {
 }
 
 // TrackSCC turns on the strong-connectivity tracker with the given
-// rebuild threshold (<= 0 selects DefaultRebuildThreshold) and the
-// default probe budget, replacing any tracker already on. Like
-// TrackConnectivity, the tracker builds itself at the first query.
+// rebuild threshold (<= 0 selects DefaultRebuildThreshold), replacing
+// any tracker already on. Like TrackConnectivity, the tracker builds
+// itself at the first query.
 func (g *Graph) TrackSCC(rebuildThreshold int) {
 	if rebuildThreshold <= 0 {
 		rebuildThreshold = DefaultRebuildThreshold
 	}
-	g.scc = &sccTracker{
-		ufCore: ufCore{threshold: rebuildThreshold},
-		budget: DefaultSCCProbeBudget,
-	}
-}
-
-// SetSCCProbeBudget overrides the edge-insert probe budget (<= 0
-// restores DefaultSCCProbeBudget). No-op while the tracker is off.
-// Exposed for tests and tuning; the default is right for the paper's
-// heap shapes.
-func (g *Graph) SetSCCProbeBudget(n int) {
-	if g.scc == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultSCCProbeBudget
-	}
-	g.scc.budget = n
+	g.scc = &sccTracker{ufCore: ufCore{threshold: rebuildThreshold}}
 }
 
 // StronglyConnectedComponentCount returns the number of strongly
@@ -136,6 +111,7 @@ func (g *Graph) StronglyConnectedComponentCount() int {
 	if !t.valid || t.dirty > 0 {
 		g.rebuildSCC()
 	}
+	t.refill(g)
 	return t.count
 }
 
@@ -157,148 +133,122 @@ func (g *Graph) sccAddVertex(s int32) {
 	}
 	t.node[s] = t.newNode()
 	t.count++
-	g.sccMaybeCompact()
+	g.sccSettle() // the arena may need compacting
 }
 
 // sccAddEdge is the AddEdge hook (u != v slots; a self-loop never
 // changes the SCC partition and is filtered by the caller). If u and v
 // are already strongly connected the insert is a no-op; otherwise the
-// bounded probe decides exactly which SCCs the new edge merges, or
-// dirties the tracker when the probe budget runs out.
+// probe decides exactly which SCCs the new edge merges.
 func (g *Graph) sccAddEdge(us, vs int32) {
 	if !g.sccMaintain() {
 		return
 	}
 	t := g.scc
-	ru := t.find(t.node[us])
-	if ru == t.find(t.node[vs]) {
-		return // intra-SCC edge: partition unchanged
+	ru, rv := t.find(t.node[us]), t.find(t.node[vs])
+	if ru != rv {
+		g.sccProbe(us, vs, ru, rv)
 	}
-	g.sccProbe(us, vs, ru)
 }
 
-// sccProbe implements the two-pass reverse-reachability probe for a
-// new edge u→v whose endpoints are in distinct SCCs (ru = root of
-// SCC(u)). See the file comment for the exactness argument.
-func (g *Graph) sccProbe(us, vs, ru int32) {
+// sccProbe is the lockstep insert probe for a new edge u→v between
+// distinct SCCs (roots ru, rv). See the file comment for the exactness
+// argument.
+func (g *Graph) sccProbe(us, vs, ru, rv int32) {
 	t := g.scc
-	t.ensureProbeScratch(len(g.ids))
-	t.stamp++
-	work, budget := 0, t.budget
-	hit, bail := false, false
-
-	// Pass 1: forward search from v over out-edges, never expanding
-	// members of SCC(u). F = every visited vertex outside SCC(u).
-	t.queue = append(t.queue[:0], vs)
-	t.fset = append(t.fset[:0], vs)
-	t.seeds = t.seeds[:0]
-	t.visit[vs] = t.stamp
-	for len(t.queue) > 0 && !bail {
-		s := t.queue[len(t.queue)-1]
-		t.queue = t.queue[:len(t.queue)-1]
-		self := g.ids[s]
-		touched := false
-		g.outAdj[s].each(func(id VertexID, _ int32) bool {
-			if work++; work > budget {
-				bail = true
-				return false
-			}
-			if id == self {
-				return true
-			}
-			ws := g.slotOf(id)
-			if t.visit[ws] == t.stamp {
-				return true
-			}
-			if t.find(t.node[ws]) == ru {
-				hit = true
-				touched = true // s has an edge into SCC(u)
-				return true
-			}
-			t.visit[ws] = t.stamp
-			t.queue = append(t.queue, ws)
-			t.fset = append(t.fset, ws)
-			return true
-		})
-		if touched {
-			t.seeds = append(t.seeds, s)
+	s := g.beginSearch()
+	s.set(vs, markA)
+	s.set(us, markB)
+	s.qa = append(s.qa, vs)
+	s.qb = append(s.qb, us)
+	budget := t.allow
+	for i := 0; i < len(s.qa) && i < len(s.qb); i++ {
+		g.probeStep(s, &s.qa, &s.sa, s.qa[i], markA, g.outAdj, ru, &budget)
+		g.probeStep(s, &s.qb, &s.sb, s.qb[i], markB, g.inAdj, rv, &budget)
+		if budget < 0 {
+			t.allow = 0
+			t.dirty++
+			return
 		}
 	}
-	if bail {
-		t.dirty++
-		return
+	// The shorter list is the complete side (the lockstep stopped
+	// when the first one ran out).
+	side, list, seeds, back := uint32(markA), s.qa, s.sa, g.inAdj
+	if len(s.qb) < len(s.qa) {
+		side, list, seeds, back = markB, s.qb, s.sb, g.outAdj
 	}
-	if !hit {
+	if len(seeds) == 0 {
+		t.allow = budget
 		return // v does not reach u: no cycle, exact no-op
 	}
-
-	// Pass 2: backward closure inside F from the seeds. A vertex of F
-	// reaches SCC(u) iff some F-path leads from it to a seed, because
-	// the forward pass made F closed under out-edges (modulo edges
-	// into SCC(u), which the seeds account for).
-	t.queue = t.queue[:0]
-	for _, s := range t.seeds {
-		if t.reach[s] != t.stamp {
-			t.reach[s] = t.stamp
-			t.queue = append(t.queue, s)
-		}
-	}
-	for len(t.queue) > 0 && !bail {
-		s := t.queue[len(t.queue)-1]
-		t.queue = t.queue[:len(t.queue)-1]
-		g.inAdj[s].each(func(id VertexID, _ int32) bool {
-			if work++; work > budget {
-				bail = true
-				return false
-			}
-			ws := g.slotOf(id)
-			if t.visit[ws] == t.stamp && t.reach[ws] != t.stamp {
-				t.reach[ws] = t.stamp
-				t.queue = append(t.queue, ws)
-			}
-			return true
-		})
-	}
-	if bail {
+	g.closure(s, seeds, side, back, &budget)
+	if budget < 0 {
+		t.allow = 0
 		t.dirty++
 		return
 	}
-
-	// Merge: every F vertex that reaches SCC(u) is on a v⇝u path and
-	// now shares a cycle with u through the new edge.
-	for _, s := range t.fset {
-		if t.reach[s] == t.stamp {
-			t.union(t.node[s], t.node[us])
+	t.allow = budget
+	// Every marked vertex is on a v⇝u path and now shares a cycle with
+	// u through the new edge.
+	for _, x := range list {
+		if s.has(x, markR) {
+			t.union(t.node[x], t.node[us])
 		}
+	}
+	t.union(t.node[vs], t.node[us])
+}
+
+// probeStep expands slot x on one side of the insert probe: a
+// neighbour along adj in the far endpoint's SCC (root stop) makes x a
+// seed and is not expanded; any other unvisited neighbour joins the
+// side's list.
+func (g *Graph) probeStep(s *search, list, seeds *[]int32, x int32, flag uint32, adj []adjacency, stop int32, budget *int) {
+	t := g.scc
+	seed := false
+	adj[x].each(func(id VertexID, _ int32) bool {
+		*budget--
+		switch w := g.slotOf(id); {
+		case s.has(w, flag):
+		case t.find(t.node[w]) == stop:
+			seed = true
+		default:
+			s.set(w, flag)
+			*list = append(*list, w)
+		}
+		return *budget >= 0
+	})
+	if seed {
+		*seeds = append(*seeds, x)
 	}
 }
 
-// ensureProbeScratch sizes the stamp arrays to the vertex arena and
-// handles stamp wraparound. Called at probe start, so growth never
-// invalidates in-flight marks. Growth takes 50% headroom: the arena
-// creeps one slot per AddVertex while the heap grows, and exact-fit
-// arrays would reallocate megabytes on every mutation of that phase.
-func (t *sccTracker) ensureProbeScratch(n int) {
-	if len(t.visit) < n {
-		c := n + n/2
-		t.visit = make([]uint32, c)
-		t.reach = make([]uint32, c)
-		t.stamp = 0
+// closure marks with markR every slot carrying flag within that
+// reaches one of seeds along adj, staying inside the within set.
+func (g *Graph) closure(s *search, seeds []int32, within uint32, adj []adjacency, budget *int) {
+	work := s.work[:0]
+	for _, x := range seeds {
+		s.set(x, markR)
+		work = append(work, x)
 	}
-	if t.stamp == ^uint32(0) {
-		for i := range t.visit {
-			t.visit[i] = 0
-			t.reach[i] = 0
-		}
-		t.stamp = 0
+	for len(work) > 0 && *budget >= 0 {
+		x := work[len(work)-1]
+		work = work[:len(work)-1]
+		adj[x].each(func(id VertexID, _ int32) bool {
+			*budget--
+			if w := g.slotOf(id); s.has(w, within) && !s.has(w, markR) {
+				s.set(w, markR)
+				work = append(work, w)
+			}
+			return *budget >= 0
+		})
 	}
+	s.work = work
 }
 
 // sccRemoveEdge is the RemoveEdge hook, called after the adjacency
-// decrement for a non-self-loop edge u→v (slots us→vs). Exact cases: a
-// parallel edge remains, or the edge was cross-SCC (losing it cannot
-// split any cycle). An intra-SCC edge may have been the cycle's back
-// edge: count it toward the rebuild budget.
+// decrement for a non-self-loop edge u→v (slots us→vs). Exact no-ops:
+// a parallel edge remains, or the edge was cross-SCC (losing it cannot
+// split any cycle). An intra-SCC edge runs the cut search.
 func (g *Graph) sccRemoveEdge(v VertexID, us, vs int32) {
 	t := g.scc
 	if t == nil || !t.valid {
@@ -311,19 +261,104 @@ func (g *Graph) sccRemoveEdge(v VertexID, us, vs int32) {
 	if g.outAdj[us].get(v) > 0 {
 		return // parallel edge remains: same reachability
 	}
-	if t.find(t.node[us]) != t.find(t.node[vs]) {
-		return // cross-SCC edge: no cycle passed through it
+	if r := t.find(t.node[us]); r == t.find(t.node[vs]) {
+		g.sccCut(us, vs, r)
 	}
-	t.dirty++
+}
+
+// sccCut handles the loss of the last u→v edge inside the SCC with
+// root r: a lockstep u⇝v check confined to the class, then, if u no
+// longer reaches v, a re-split of the old SCC.
+func (g *Graph) sccCut(us, vs, r int32) {
+	t := g.scc
+	s := g.beginSearch()
+	s.set(us, markA)
+	s.set(vs, markB)
+	s.qa = append(s.qa, us)
+	s.qb = append(s.qb, vs)
+	budget := t.allow
+	met := false
+	for i := 0; !met && i < len(s.qa) && i < len(s.qb); i++ {
+		met = g.cutStep(s, &s.qa, s.qa[i], markA, markB, g.outAdj, r, &budget) ||
+			g.cutStep(s, &s.qb, s.qb[i], markB, markA, g.inAdj, r, &budget)
+		if budget < 0 {
+			t.allow = 0
+			t.dirty++
+			return
+		}
+	}
+	if !met {
+		members := g.sccClass(s, us, r, &budget)
+		g.sccResplit(members, &budget)
+		return
+	}
+	t.allow = budget
+}
+
+// cutStep expands slot x on one side of the cut search, within the
+// class with root r: it reports a meeting with the other side, and
+// otherwise appends the class's unvisited neighbours along adj to the
+// side's list.
+func (g *Graph) cutStep(s *search, list *[]int32, x int32, flag, other uint32, adj []adjacency, r int32, budget *int) bool {
+	t := g.scc
+	met := false
+	adj[x].each(func(id VertexID, _ int32) bool {
+		*budget--
+		switch w := g.slotOf(id); {
+		case s.has(w, other):
+			met = true
+		case !s.has(w, flag) && t.find(t.node[w]) == r:
+			s.set(w, flag)
+			*list = append(*list, w)
+		}
+		return !met && *budget >= 0
+	})
+	return met
+}
+
+// sccClass enumerates, marking them with markR, the members of the
+// class with root r that reach slot x — the whole SCC, since all its
+// members reach each other.
+func (g *Graph) sccClass(s *search, x, r int32, budget *int) []int32 {
+	t := g.scc
+	list := append(s.work[:0], x)
+	s.set(x, markR)
+	for i := 0; i < len(list) && *budget >= 0; i++ {
+		g.inAdj[list[i]].each(func(id VertexID, _ int32) bool {
+			*budget--
+			if w := g.slotOf(id); !s.has(w, markR) && t.find(t.node[w]) == r {
+				s.set(w, markR)
+				list = append(list, w)
+			}
+			return *budget >= 0
+		})
+	}
+	s.work = list
+	return list
+}
+
+// sccResplit replaces one SCC by the SCCs Tarjan finds among members
+// (the slots marked markR), following only edges between members. Out
+// of allowance, it marks the tracker dirty instead.
+func (g *Graph) sccResplit(members []int32, budget *int) {
+	t := g.scc
+	if *budget < 0 || !g.sccCSR(members, true, budget) {
+		t.allow = 0
+		t.dirty++
+		return
+	}
+	t.allow = *budget
+	t.count--
+	g.tarjan(members)
 }
 
 // sccRemoveVertex is the RemoveVertex hook. It must run BEFORE the
-// edges are detached (the slot's node entry and SCC size are what is
-// classified). Exact case: the vertex is its own SCC — no cycle runs
-// through it, so every other SCC survives intact and the count just
-// drops by one. Removing a member of a multi-vertex SCC shatters it
-// unpredictably: dirty.
-func (g *Graph) sccRemoveVertex(s int32) {
+// edges are detached (the slot's SCC and adjacency are what is
+// classified). A vertex that is its own SCC lies on no cycle, so every
+// other SCC survives intact and the count just drops by one. Removing
+// a member of a larger SCC breaks the cycles through it: the other
+// members are re-split locally.
+func (g *Graph) sccRemoveVertex(x int32) {
 	t := g.scc
 	if t == nil || !t.valid {
 		return
@@ -332,129 +367,136 @@ func (g *Graph) sccRemoveVertex(s int32) {
 		t.dirty++
 		return
 	}
-	r := t.find(t.node[s])
+	r := t.find(t.node[x])
 	if t.size[r] == 1 {
 		t.size[r] = 0
 		t.count--
 		return
 	}
-	t.dirty++
+	s := g.beginSearch()
+	budget := t.allow
+	members := g.sccClass(s, x, r, &budget)
+	s.mark[x] &^= markR // x heads the list; the re-split leaves it out
+	g.sccResplit(members[1:], &budget)
 }
 
-// sccSettle runs at the end of a mutation (deletes AND inserts — a
-// probe bailout dirties on insert): once the dirty counter has spent
-// the rebuild budget, rebuild now rather than at the next query,
-// keeping worst-case query latency flat. Like wccSettle it must not
-// run mid-mutation.
+// sccSettle runs at the end of a mutation (inserts too — a probe
+// bailout dirties on insert): once the dirty counter has spent the
+// rebuild threshold (or the node arena needs compacting), rebuild now
+// rather than at the next query, keeping worst-case query latency
+// flat. Like wccSettle it must not run mid-mutation.
 func (g *Graph) sccSettle() {
-	if t := g.scc; t != nil && t.valid && t.dirty >= t.threshold {
+	if t := g.scc; t != nil && t.needsRebuild(g.nVerts) {
 		g.rebuildSCC()
 	}
 }
 
-// sccMaybeCompact rebuilds when abandoned nodes dominate the node
-// arena, bounding its growth under churn (the rebuild resets to one
-// node per SCC).
-func (g *Graph) sccMaybeCompact() {
-	t := g.scc
-	if len(t.parent) > 4*g.NumVertices()+64 {
-		g.rebuildSCC()
-	}
-}
-
-// rebuildSCC recomputes the tracker from the live adjacency with an
-// iterative Tarjan walk: one union-find node per SCC, every member
-// slot pointing at it. Isolated vertices (no edges in either
-// direction) shortcut to singleton nodes without entering Tarjan. All scratch — the CSR edge copy and the
-// Tarjan arrays — is tracker-owned and capacity-reused, so rebuilds
-// after the first allocate only when the graph has grown. This is
-// also the compaction path.
+// rebuildSCC recomputes the tracker from the live adjacency: isolated
+// vertices (no edges in either direction) become singleton SCCs
+// directly, and one Tarjan pass over every other live vertex gives
+// each SCC one union-find node. This is also the compaction path.
 func (g *Graph) rebuildSCC() {
 	t := g.scc
 	n := len(g.ids)
-	if cap(t.node) < n {
-		t.node = make([]int32, n)
-	} else {
-		t.node = t.node[:n]
+	t.node = sizeI32(t.node, n)
+	t.resetArena(n)
+	sc := g.scratch()
+	members := sizeI32(sc.qa, n)[:0] // the search lists are idle during a rebuild
+	for s := 0; s < n; s++ {
+		switch {
+		case !g.alive[s]:
+		case g.inDeg[s] == 0 && g.outDeg[s] == 0:
+			t.node[s] = t.newNode()
+			t.count++
+		default:
+			members = append(members, int32(s))
+		}
 	}
-	t.parent = t.parent[:0]
-	t.size = t.size[:0]
-	t.count = 0
+	sc.qa = members
+	g.sccCSR(members, false, nil)
+	g.tarjan(members)
+	t.dirty = 0
+	t.valid = true
+	t.rebuilds++
+	t.refill(g)
+}
 
-	t.offs = sizeI32(t.offs, n+1)
+// sccCSR copies the out-edges of members into the tracker's CSR. A
+// local copy keeps only edges to slots marked markR and charges the
+// copied adjacency to budget, reporting false, with nothing copied, if
+// that overdraws it; a rebuild copies every edge (all targets of a
+// live vertex's edges are members) without a budget.
+func (g *Graph) sccCSR(members []int32, local bool, budget *int) bool {
+	t := g.scc
+	total := 0
+	for _, x := range members {
+		total += 1 + g.outAdj[x].distinct()
+	}
+	if local {
+		if *budget -= total; *budget < 0 {
+			return false
+		}
+	}
+	t.offs = sizeI32(t.offs, len(g.ids))
+	t.targets = sizeI32(t.targets, total)
+	s := g.srch // set up by the search that collected a local member set
+	i := int32(0)
+	for _, x := range members {
+		head := i
+		t.offs[x] = head
+		i++
+		g.outAdj[x].each(func(id VertexID, _ int32) bool {
+			if w := g.slotOf(id); !local || s.has(w, markR) {
+				t.targets[i] = w
+				i++
+			}
+			return true
+		})
+		t.targets[head] = i - head - 1
+	}
+	return true
+}
+
+// tarjan runs iterative Tarjan over members along the CSR copy, giving
+// every SCC found a fresh union-find node and counting it.
+func (g *Graph) tarjan(members []int32) {
+	t := g.scc
+	n := len(g.ids)
 	t.index = sizeI32(t.index, n)
 	t.low = sizeI32(t.low, n)
 	if cap(t.onStack) < n {
-		t.onStack = make([]bool, n)
+		t.onStack = make([]bool, n, n+n/4)
 	} else {
 		t.onStack = t.onStack[:n]
 	}
-	for s := 0; s < n; s++ {
+	for _, s := range members {
 		t.index[s] = 0
 		t.onStack[s] = false
 	}
-
-	// CSR copy of the out-edges of live, non-isolated vertices (dead
-	// and isolated slots get empty ranges). Targets of a live edge are
-	// never isolated, so the reduced graph is closed.
-	live := func(s int) bool {
-		return g.alive[s] && (g.inDeg[s] != 0 || g.outDeg[s] != 0)
-	}
-	total := int32(0)
-	for s := 0; s < n; s++ {
-		t.offs[s] = total
-		if live(s) {
-			total += int32(g.outAdj[s].distinct())
-		}
-	}
-	t.offs[n] = total
-	t.targets = sizeI32(t.targets, int(total))
-	for s := 0; s < n; s++ {
-		if !live(s) {
-			continue
-		}
-		i := t.offs[s]
-		g.outAdj[s].each(func(id VertexID, _ int32) bool {
-			t.targets[i] = g.slotOf(id)
-			i++
-			return true
-		})
-	}
-
-	// Isolated vertices: singleton SCCs, no Tarjan.
-	for s := 0; s < n; s++ {
-		if g.alive[s] && g.inDeg[s] == 0 && g.outDeg[s] == 0 {
-			t.node[s] = t.newNode()
-			t.count++
-		}
-	}
-
-	// Iterative Tarjan over the CSR reduction.
 	next := int32(1)
+	visit := func(w int32) {
+		t.index[w] = next
+		t.low[w] = next
+		next++
+		t.stack = append(t.stack, w)
+		t.onStack[w] = true
+		head := t.offs[w]
+		t.frames = append(t.frames, sccFrame{v: w, pos: head + 1, end: head + 1 + t.targets[head]})
+	}
 	t.stack = t.stack[:0]
 	t.frames = t.frames[:0]
-	for root := 0; root < n; root++ {
-		if !live(root) || t.index[root] != 0 {
+	for _, root := range members {
+		if t.index[root] != 0 {
 			continue
 		}
-		t.index[root] = next
-		t.low[root] = next
-		next++
-		t.stack = append(t.stack, int32(root))
-		t.onStack[root] = true
-		t.frames = append(t.frames, sccFrame{v: int32(root)})
+		visit(root)
 		for len(t.frames) > 0 {
 			f := &t.frames[len(t.frames)-1]
-			if base := t.offs[f.v]; base+f.pos < t.offs[f.v+1] {
-				w := t.targets[base+f.pos]
+			if f.pos < f.end {
+				w := t.targets[f.pos]
 				f.pos++
 				if t.index[w] == 0 {
-					t.index[w] = next
-					t.low[w] = next
-					next++
-					t.stack = append(t.stack, w)
-					t.onStack[w] = true
-					t.frames = append(t.frames, sccFrame{v: w})
+					visit(w)
 				} else if t.onStack[w] && t.index[w] < t.low[f.v] {
 					t.low[f.v] = t.index[w]
 				}
@@ -485,18 +527,4 @@ func (g *Graph) rebuildSCC() {
 			}
 		}
 	}
-	t.dirty = 0
-	t.valid = true
-}
-
-// sizeI32 returns a slice of length n, reusing s's capacity when it
-// suffices and otherwise growing with a quarter's headroom, so a slowly
-// growing graph (one more edge per rebuild) does not reallocate at
-// every rebuild. Contents are unspecified; callers overwrite every
-// entry they read.
-func sizeI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n, n+n/4)
-	}
-	return s[:n]
 }

@@ -53,18 +53,19 @@ func sccRandomMix(t *testing.T, g *Graph, rng *rand.Rand, steps, idSpace int) {
 // TestIncrementalSCCMatchesSnapshotRandom drives a random mutation mix
 // against the incremental tracker at several rebuild thresholds (1 =
 // rebuild on every dirtying mutation, 1<<30 = only lazy query
-// rebuilds) and probe budgets (2 = nearly every probe bails out,
-// forcing the dirty path; default = probes mostly complete), checking
-// the count against the Tarjan walk after every few operations.
+// rebuilds) and search allowances (budget=2: nearly every probe, cut
+// search and re-split bails out, forcing the dirty path; budget=128:
+// searches mostly complete), checking the count against the Tarjan walk
+// after every few operations.
 func TestIncrementalSCCMatchesSnapshotRandom(t *testing.T) {
 	for _, th := range []int{1, 4, DefaultRebuildThreshold, 1 << 30} {
-		for _, budget := range []int{2, DefaultSCCProbeBudget} {
+		for _, budget := range []int{2, 128} {
 			th, budget := th, budget
 			t.Run("threshold="+itoa(uint64(th))+"/budget="+itoa(uint64(budget)), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(th)*7919 + int64(budget)*13 + 29))
 				g := New()
 				g.TrackSCC(th)
-				g.SetSCCProbeBudget(budget)
+				g.setAllowance(budget)
 				sccRandomMix(t, g, rng, 4000, 48)
 			})
 		}
@@ -151,9 +152,9 @@ func TestCheckComponentsReportsSCCDivergence(t *testing.T) {
 
 // TestIncrementalSCCExactShapes pins the mutation shapes the tracker
 // claims to handle exactly: after each, the tracker must still be
-// clean (no dirty rebuild pending) and correct. The taxonomy differs
-// from the WCC tracker's — interior singleton-SCC vertex removals are
-// exact here, intra-SCC edge removals are not.
+// clean (no dirty rebuild pending) and correct. The shapes differ
+// from the WCC tracker's — any singleton-SCC vertex removal is exact
+// here, and intra-SCC deletes re-split the one SCC they touch.
 func TestIncrementalSCCExactShapes(t *testing.T) {
 	clean := func(t *testing.T, g *Graph, wantCount int) {
 		t.Helper()
@@ -321,44 +322,135 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 		clean(t, g, 1)
 	})
 
-	t.Run("intra-SCC edge removal goes conservative", func(t *testing.T) {
+	t.Run("intra-SCC edge delete the SCC survives", func(t *testing.T) {
+		g := New()
+		g.TrackSCC(0)
+		for i := 1; i <= 3; i++ {
+			g.AddVertex(VertexID(i))
+		}
+		g.AddEdge(1, 2)
+		g.AddEdge(2, 1)
+		g.AddEdge(1, 3)
+		g.AddEdge(3, 2)
+		clean(t, g, 1)
+		g.RemoveEdge(1, 2) // 1 still reaches 2 through 3: no-op
+		clean(t, g, 1)
+	})
+
+	t.Run("intra-SCC edge removal re-splits locally", func(t *testing.T) {
 		g := New()
 		g.TrackSCC(1 << 30)
 		g.AddVertex(1)
 		g.AddVertex(2)
 		g.AddEdge(1, 2)
 		g.AddEdge(2, 1)
-		if g.StronglyConnectedComponentCount() != 1 {
-			t.Fatal("setup")
-		}
-		g.RemoveEdge(2, 1) // breaks the cycle: must dirty, split must be seen
-		if g.scc.dirty == 0 {
-			t.Fatal("intra-SCC edge removal did not mark the tracker dirty")
-		}
-		if got := g.StronglyConnectedComponentCount(); got != 2 {
-			t.Fatalf("count after split = %d, want 2", got)
-		}
-		sccOracleCheck(t, g)
+		clean(t, g, 1)
+		g.RemoveEdge(2, 1) // breaks the only cycle
+		clean(t, g, 2)
 	})
 
-	t.Run("multi-member SCC vertex removal goes conservative", func(t *testing.T) {
+	t.Run("intra-SCC delete splits into sub-SCCs", func(t *testing.T) {
+		// Two 2-cycles {1,2} and {3,4} joined into one SCC by 2→3 and
+		// 4→1, beside an unrelated cycle {5,6}.
 		g := New()
 		g.TrackSCC(1 << 30)
-		for i := 1; i <= 3; i++ {
+		for i := 1; i <= 6; i++ {
+			g.AddVertex(VertexID(i))
+		}
+		for _, e := range [][2]VertexID{{1, 2}, {2, 1}, {3, 4}, {4, 3}, {5, 6}, {6, 5}, {2, 3}} {
+			g.AddEdge(e[0], e[1])
+		}
+		clean(t, g, 3)
+		g.AddEdge(4, 1) // merges {1,2} and {3,4}
+		clean(t, g, 2)
+		g.RemoveEdge(4, 1) // and the re-split separates them again
+		clean(t, g, 3)
+		g.AddEdge(4, 1)
+		clean(t, g, 2)
+	})
+
+	t.Run("multi-member SCC vertex removal", func(t *testing.T) {
+		g := New()
+		g.TrackSCC(1 << 30)
+		for i := 1; i <= 4; i++ {
 			g.AddVertex(VertexID(i))
 		}
 		g.AddEdge(1, 2)
 		g.AddEdge(2, 3)
 		g.AddEdge(3, 1)
+		g.AddEdge(3, 4)
+		g.AddEdge(4, 3)
+		clean(t, g, 1)
+		g.RemoveVertex(2) // shatters the 3-cycle; 3↔4 survives
+		clean(t, g, 2)
+		g.RemoveVertex(4)
+		clean(t, g, 2)
+	})
+
+	t.Run("backward-complete probe, no merge", func(t *testing.T) {
+		// v heads a 20-vertex chain; u has no predecessors, so the
+		// backward side completes at once. An allowance of 8 entries
+		// would not let the forward side finish.
+		g := New()
+		g.TrackSCC(1 << 30)
+		g.AddVertex(1)
+		for i := 10; i < 30; i++ {
+			g.AddVertex(VertexID(i))
+			if i > 10 {
+				g.AddEdge(VertexID(i-1), VertexID(i))
+			}
+		}
+		clean(t, g, 21)
+		g.setAllowance(8)
+		g.AddEdge(1, 10)
+		clean(t, g, 21)
+	})
+
+	t.Run("backward-complete probe with a merge", func(t *testing.T) {
+		// v = 10 reaches u = 1 through 11, and also heads a 20-vertex
+		// chain that the forward side would have to exhaust; u's only
+		// predecessor is 11.
+		g := New()
+		g.TrackSCC(1 << 30)
+		g.AddVertex(1)
+		g.AddVertex(10)
+		g.AddVertex(11)
+		g.AddEdge(10, 11)
+		g.AddEdge(11, 1)
+		for i := 20; i < 40; i++ {
+			g.AddVertex(VertexID(i))
+			if i == 20 {
+				g.AddEdge(10, 20)
+			} else {
+				g.AddEdge(VertexID(i-1), VertexID(i))
+			}
+		}
+		clean(t, g, 23)
+		g.setAllowance(10)
+		g.AddEdge(1, 10) // closes 1→10→11→1
+		clean(t, g, 21)
+	})
+
+	t.Run("over-allowance cut goes conservative", func(t *testing.T) {
+		g := New()
+		g.TrackSCC(1 << 30)
+		const n = 16
+		for i := 0; i < n; i++ {
+			g.AddVertex(VertexID(i))
+		}
+		for i := 0; i < n; i++ {
+			g.AddEdge(VertexID(i), VertexID((i+1)%n))
+		}
 		if g.StronglyConnectedComponentCount() != 1 {
 			t.Fatal("setup")
 		}
-		g.RemoveVertex(2) // shatters the 3-cycle: must dirty
+		g.setAllowance(2)
+		g.RemoveEdge(7, 8) // the u⇝v check needs far more than 2 entries
 		if g.scc.dirty == 0 {
-			t.Fatal("multi-member SCC vertex removal did not mark the tracker dirty")
+			t.Fatal("an over-allowance cut search did not mark the tracker dirty")
 		}
-		if got := g.StronglyConnectedComponentCount(); got != 2 {
-			t.Fatalf("count after shatter = %d, want 2", got)
+		if got := g.StronglyConnectedComponentCount(); got != n {
+			t.Fatalf("count after rebuild = %d, want %d", got, n)
 		}
 		sccOracleCheck(t, g)
 	})
@@ -370,7 +462,7 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 func TestIncrementalSCCProbeBudgetBailout(t *testing.T) {
 	g := New()
 	g.TrackSCC(1 << 30)
-	g.SetSCCProbeBudget(3)
+	g.setAllowance(3)
 	const n = 32
 	for i := 0; i < n; i++ {
 		g.AddVertex(VertexID(i))
@@ -448,9 +540,10 @@ func TestIncrementalSCCSwitchModes(t *testing.T) {
 
 // TestIncrementalSCCAllocs is the steady-state allocation gate: once
 // the scratch arrays have hit their high-water marks, churn — probe
-// completions, probe-driven unions, singleton removals, dirtying
-// removals and the rebuilds they force — must reuse capacity. Wired
-// into CI without -race (race instrumentation allocates).
+// completions, probe-driven unions, cut searches, local re-splits after
+// edge and vertex removals, singleton removals and the rebuilds they
+// may force — must reuse capacity. Wired into CI without -race (race
+// instrumentation allocates).
 func TestIncrementalSCCAllocs(t *testing.T) {
 	g := New()
 	g.TrackSCC(8)
@@ -465,11 +558,20 @@ func TestIncrementalSCCAllocs(t *testing.T) {
 
 	round := func() {
 		// Cycle churn: closing the tail cycle exercises the probe's
-		// merge path; breaking it is an intra-SCC removal that dirties
-		// and forces rebuilds (lazily at the query).
+		// merge path; breaking it is an intra-SCC removal whose cut
+		// search fails and whose SCC is re-split locally.
 		for k := 0; k < 16; k++ {
 			g.AddEdge(chain-1, chain-6)
 			g.RemoveEdge(chain-1, chain-6)
+			g.StronglyConnectedComponentCount()
+		}
+		// Vertex re-split churn: a vertex closing a 4-cycle on the
+		// chain, removed again.
+		for k := 0; k < 8; k++ {
+			g.AddVertex(2000)
+			g.AddEdge(chain-30, 2000)
+			g.AddEdge(2000, chain-32)
+			g.RemoveVertex(2000)
 			g.StronglyConnectedComponentCount()
 		}
 		// Vertex churn: pendants on distinct hosts (so the inline
@@ -495,7 +597,8 @@ func TestIncrementalSCCAllocs(t *testing.T) {
 
 // FuzzIncrementalSCC feeds arbitrary byte programs to the tracker as
 // mutation sequences and diffs the maintained count against the
-// Tarjan oracle, across the rebuild-threshold and probe-budget grid.
+// Tarjan oracle, across the rebuild thresholds and two search
+// allowances (the default, and 2 entries: nearly every search bails).
 // Two bytes encode one operation: an opcode and two 4-bit vertex
 // operands.
 func FuzzIncrementalSCC(f *testing.F) {
@@ -507,10 +610,10 @@ func FuzzIncrementalSCC(f *testing.F) {
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, th := range []int{1, 4, DefaultRebuildThreshold, 1 << 30} {
-			for _, budget := range []int{2, DefaultSCCProbeBudget} {
+			for _, budget := range []int{2, 0} {
 				g := New()
 				g.TrackSCC(th)
-				g.SetSCCProbeBudget(budget)
+				g.setAllowance(budget)
 				for i := 0; i+1 < len(data); i += 2 {
 					u := VertexID(data[i+1] >> 4)
 					v := VertexID(data[i+1] & 0x0f)

@@ -221,7 +221,99 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 		clean(t, g, 1)
 	})
 
+	t.Run("non-forest cross-edge delete", func(t *testing.T) {
+		g := New()
+		g.TrackConnectivity(0)
+		for i := 1; i <= 3; i++ {
+			g.AddVertex(VertexID(i))
+		}
+		g.AddEdge(1, 2)
+		g.AddEdge(1, 3)
+		clean(t, g, 1)  // the forest is the tree 1-2, 1-3
+		g.AddEdge(2, 3) // inside the component: a non-forest link
+		g.RemoveEdge(2, 3)
+		clean(t, g, 1)
+	})
+
+	t.Run("forest-edge delete with a replacement", func(t *testing.T) {
+		g := New()
+		g.TrackConnectivity(0)
+		for i := 1; i <= 4; i++ {
+			g.AddVertex(VertexID(i))
+		}
+		g.AddEdge(1, 2)
+		g.AddEdge(2, 3)
+		g.AddEdge(3, 4)
+		clean(t, g, 1)  // forest: the path 1-2-3-4
+		g.AddEdge(4, 1) // non-forest: closes the cycle
+		g.RemoveEdge(2, 3)
+		if g.wcc.fpar[g.slotOf(3)] == g.slotOf(2) {
+			t.Fatal("the cut forest edge is still in the forest")
+		}
+		clean(t, g, 1)     // 4-1 replaces 2-3
+		g.RemoveEdge(4, 1) // now a forest edge with no replacement
+		clean(t, g, 2)
+	})
+
+	t.Run("forest-edge delete that splits", func(t *testing.T) {
+		g := New()
+		g.TrackConnectivity(0)
+		for i := 1; i <= 6; i++ {
+			g.AddVertex(VertexID(i))
+			if i > 1 {
+				g.AddEdge(VertexID(i-1), VertexID(i))
+			}
+		}
+		g.AddEdge(6, 5) // a reverse edge: still one link
+		clean(t, g, 1)
+		g.RemoveEdge(2, 3) // {1,2} and {3..6}: the smaller half moves out
+		clean(t, g, 2)
+		g.RemoveEdge(5, 6) // 6→5 remains
+		clean(t, g, 2)
+		g.AddEdge(6, 1) // the split halves merge again
+		clean(t, g, 1)
+		g.RemoveEdge(4, 5)
+		clean(t, g, 2)
+	})
+
+	t.Run("forest leaf with cross edges removal", func(t *testing.T) {
+		g := New()
+		g.TrackConnectivity(0)
+		for i := 1; i <= 5; i++ {
+			g.AddVertex(VertexID(i))
+		}
+		g.AddEdge(1, 2)
+		g.AddEdge(1, 3)
+		g.AddEdge(2, 4)
+		g.AddEdge(3, 5)
+		clean(t, g, 1)
+		g.AddEdge(4, 3) // cross edges: 4 has three distinct neighbours
+		g.AddEdge(5, 4)
+		g.RemoveVertex(4) // but no forest children: exact
+		clean(t, g, 1)
+	})
+
+	t.Run("interior forest root removal", func(t *testing.T) {
+		// A triangle: 1 is the forest root with one child (the forest
+		// is 1-2-3) and two distinct neighbours.
+		g := New()
+		g.TrackConnectivity(0)
+		for i := 1; i <= 3; i++ {
+			g.AddVertex(VertexID(i))
+		}
+		g.AddEdge(1, 2)
+		g.AddEdge(2, 3)
+		g.AddEdge(3, 1)
+		clean(t, g, 1)
+		g.RemoveVertex(1) // its child becomes the root: exact
+		clean(t, g, 1)
+		g.RemoveEdge(2, 3)
+		clean(t, g, 2)
+	})
+
 	t.Run("interior vertex removal goes conservative", func(t *testing.T) {
+		// The shape that must still dirty: an interior forest vertex,
+		// with a forest parent and a forest child.
 		g := New()
 		g.TrackConnectivity(1 << 30)
 		for i := 1; i <= 3; i++ {
@@ -232,12 +324,35 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 		if g.ConnectedComponentCount() != 1 {
 			t.Fatal("setup")
 		}
-		g.RemoveVertex(2) // ≥2 neighbours: must dirty, and the split must be seen
+		g.RemoveVertex(2) // must dirty, and the split must be seen
 		if g.wcc.dirty == 0 {
 			t.Fatal("interior removal did not mark the tracker dirty")
 		}
 		if got := g.ConnectedComponentCount(); got != 2 {
 			t.Fatalf("count after split = %d, want 2", got)
+		}
+		oracleCheck(t, g)
+	})
+
+	t.Run("over-allowance cut goes conservative", func(t *testing.T) {
+		g := New()
+		g.TrackConnectivity(1 << 30)
+		for i := 1; i <= 16; i++ {
+			g.AddVertex(VertexID(i))
+			if i > 1 {
+				g.AddEdge(VertexID(i-1), VertexID(i))
+			}
+		}
+		if g.ConnectedComponentCount() != 1 {
+			t.Fatal("setup")
+		}
+		g.setAllowance(2)
+		g.RemoveEdge(8, 9) // both halves need more than 2 entries
+		if g.wcc.dirty == 0 {
+			t.Fatal("an over-allowance cut did not mark the tracker dirty")
+		}
+		if got := g.ConnectedComponentCount(); got != 2 {
+			t.Fatalf("count after rebuild = %d, want 2", got)
 		}
 		oracleCheck(t, g)
 	})
@@ -298,9 +413,11 @@ func TestIncrementalWCCSwitchModes(t *testing.T) {
 }
 
 // TestIncrementalWCCAllocs is the steady-state allocation gate: once
-// the node arena has hit its high-water mark, churn (including detach
-// growth, threshold rebuilds and compaction) must reuse capacity.
-// Wired into CI without -race (race instrumentation allocates).
+// the node arena and the search scratch have hit their high-water
+// marks, churn — forest cuts that split, cuts that find a replacement,
+// over-allowance cuts, threshold rebuilds and compaction — must reuse
+// capacity. Wired into CI without -race (race instrumentation
+// allocates).
 func TestIncrementalWCCAllocs(t *testing.T) {
 	g := New()
 	g.TrackConnectivity(8)
@@ -314,18 +431,32 @@ func TestIncrementalWCCAllocs(t *testing.T) {
 	pendant := VertexID(ring)
 	g.AddVertex(pendant)
 	g.AddEdge(0, pendant)
+	// A 4-cycle: each cut of a forest edge finds its replacement
+	// within a few entries.
+	const square = 1000
+	for i := 0; i < 4; i++ {
+		g.AddVertex(square + VertexID(i))
+	}
+	for i := 0; i < 4; i++ {
+		g.AddEdge(square+VertexID(i), square+VertexID((i+1)%4))
+	}
 	g.ConnectedComponentCount()
 
 	round := func() {
 		for k := 0; k < 32; k++ {
-			// Detach churn: isolating the pendant appends a node to the
-			// arena; re-linking unions it back.
+			// Split churn: cutting the pendant's forest edge moves it to
+			// a fresh node; re-linking joins it back.
 			g.RemoveEdge(0, pendant)
 			g.AddEdge(0, pendant)
+			// Replacement churn on the square.
+			e := square + VertexID(k%4)
+			g.RemoveEdge(e, square+(e+1-square)%4)
+			g.AddEdge(e, square+(e+1-square)%4)
 			g.ConnectedComponentCount()
 		}
-		// Conservative churn: a ring edge removal can split, so it
-		// dirties the tracker and exercises the threshold rebuild.
+		// Ring cuts: the halves run up to 128 vertices, so cuts may
+		// find the replacement or overrun the allowance, dirty the
+		// tracker and exercise the threshold rebuild.
 		for k := 0; k < 16; k++ {
 			e := VertexID(k * 7 % ring)
 			g.RemoveEdge(e, VertexID((int(e)+1)%ring))
