@@ -9,14 +9,17 @@
 // nodes; this table answers them with a couple of array indexes:
 //
 //	addr ──▶ chunk directory ──▶ page ref list ──▶ object record
-//	         (hash, cached)      (array index)     (arena slot)
+//	         (hash, cached)      (binary search)   (arena slot)
 //
 // Layout. The address space is cut into 4 KiB pages and pages are
 // grouped into 512-page (2 MiB) chunks. A chunk holds, per page, the
-// list of object records whose [base, base+size) range intersects that
-// page, sorted by base. Object records themselves live in a flat arena
-// slice with freelist recycling, so steady-state alloc/free traffic
-// performs no heap allocation at all. Two single-entry caches make the
+// list of objects whose [base, base+size) range intersects that page,
+// sorted by base. Each ref carries its object's base next to the arena
+// index, so the binary search runs over one contiguous list and the
+// arena is touched once, for the containment check. Object records
+// live in a segmented arena (arena.Seg) with freelist recycling: it
+// grows without copying, and steady-state alloc/free traffic performs
+// no heap allocation at all. Two single-entry caches make the
 // common cases pure array work: a last-hit cache (store bursts into
 // one object resolve with one comparison) and a last-chunk cache
 // (locality across objects skips the chunk directory hash).
@@ -33,7 +36,11 @@
 // are Get/Remove-able but transparent to Stab.
 package addrindex
 
-import "sort"
+import (
+	"sort"
+
+	"heapmd/internal/arena"
+)
 
 const (
 	// PageShift selects the 4 KiB page granularity of the index.
@@ -59,12 +66,18 @@ type entry[V any] struct {
 	live  bool
 }
 
+// ref names one object record: its base address and arena index.
+type ref struct {
+	base uint64
+	i    int32
+}
+
 // chunk holds the per-page object ref lists for one 2 MiB address
-// range. refs[i] lists arena indices of every live object whose range
-// intersects page i, sorted by base. Most pages hold a handful of
-// objects, so the lists stay in the small-slice regime.
+// range. refs[i] lists every live object whose range intersects page
+// i, sorted by base. Most pages hold a handful of objects, so the
+// lists stay in the small-slice regime.
 type chunk struct {
-	refs [chunkPages][]int32
+	refs [chunkPages][]ref
 }
 
 // Table maps disjoint [base, base+size) ranges to values of type V
@@ -73,9 +86,9 @@ type chunk struct {
 // owns it.
 type Table[V any] struct {
 	chunks map[uint64]*chunk
-	arena  []entry[V]
+	arena  arena.Seg[entry[V]]
 	free   []int32
-	huge   []int32 // arena indices of ranges wider than maxSpanPages
+	huge   []ref // ranges wider than maxSpanPages
 	n      int
 
 	// lastHits caches the arena indices of recent successful Stabs
@@ -140,21 +153,35 @@ func pageRange(base, size uint64) (first, last uint64) {
 	return first, end >> PageShift
 }
 
-// insertRef adds arena index i into the sorted ref list of one page.
-func (t *Table[V]) insertRef(refs []int32, i int32, base uint64) []int32 {
-	pos := sort.Search(len(refs), func(k int) bool {
-		return t.arena[refs[k]].base >= base
-	})
-	refs = append(refs, 0)
+// search returns the position of the first ref in refs whose base is
+// at least base (hand rolled: the sort.Search closure is measurable on
+// the event hot path).
+func search(refs []ref, base uint64) int {
+	lo, hi := 0, len(refs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if refs[mid].base >= base {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// insertRef adds r into a sorted ref list.
+func insertRef(refs []ref, r ref) []ref {
+	pos := search(refs, r.base)
+	refs = append(refs, ref{})
 	copy(refs[pos+1:], refs[pos:])
-	refs[pos] = i
+	refs[pos] = r
 	return refs
 }
 
-// removeRef deletes arena index i from one page's ref list.
-func removeRef(refs []int32, i int32) []int32 {
+// removeRef deletes the ref to arena index i from a ref list.
+func removeRef(refs []ref, i int32) []ref {
 	for k, r := range refs {
-		if r == i {
+		if r.i == i {
 			copy(refs[k:], refs[k+1:])
 			return refs[:len(refs)-1]
 		}
@@ -165,33 +192,36 @@ func removeRef(refs []int32, i int32) []int32 {
 // Insert adds the range [base, base+size) with the given value. The
 // caller must guarantee the range does not overlap an existing one;
 // allocators never hand out overlapping live ranges. The returned
-// pointer refers to the stored value and remains valid until the next
-// Insert or Remove on the table.
+// pointer refers to the stored value and remains valid until the range
+// is removed.
 func (t *Table[V]) Insert(base, size uint64, value V) *V {
 	var i int32
+	var e *entry[V]
 	if k := len(t.free); k > 0 {
 		i = t.free[k-1]
 		t.free = t.free[:k-1]
-		t.arena[i] = entry[V]{base: base, size: size, value: value, live: true}
+		e = t.arena.At(i)
 	} else {
-		i = int32(len(t.arena))
-		t.arena = append(t.arena, entry[V]{base: base, size: size, value: value, live: true})
+		i = int32(t.arena.Len())
+		e = t.arena.Push()
 	}
+	*e = entry[V]{base: base, size: size, value: value, live: true}
+	r := ref{base: base, i: i}
 	first, last := pageRange(base, size)
 	if size > 0 && last-first+1 > maxSpanPages {
-		t.huge = append(t.huge, i)
+		t.huge = append(t.huge, r)
 	} else {
 		for p := first; ; p++ {
 			c := t.chunkFor(p)
 			pi := p & (chunkPages - 1)
-			c.refs[pi] = t.insertRef(c.refs[pi], i, base)
+			c.refs[pi] = insertRef(c.refs[pi], r)
 			if p == last {
 				break
 			}
 		}
 	}
 	t.n++
-	return &t.arena[i].value
+	return &e.value
 }
 
 // findExact returns the arena index of the range based exactly at
@@ -200,39 +230,26 @@ func (t *Table[V]) findExact(base uint64) int32 {
 	c := t.lookupChunk(base >> PageShift)
 	if c != nil {
 		refs := c.refs[(base>>PageShift)&(chunkPages-1)]
-		// Binary search for the first entry with base >= target (hand
-		// rolled: the sort.Search closure is measurable on the event
-		// hot path), then check for an exact base match.
-		lo, hi := 0, len(refs)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if t.arena[refs[mid]].base >= base {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		if lo < len(refs) && t.arena[refs[lo]].base == base {
-			return refs[lo]
+		if k := search(refs, base); k < len(refs) && refs[k].base == base {
+			return refs[k].i
 		}
 	}
-	for _, i := range t.huge {
-		if t.arena[i].base == base {
-			return i
+	for _, r := range t.huge {
+		if r.base == base {
+			return r.i
 		}
 	}
 	return noEntry
 }
 
 // Get returns a pointer to the value of the range based exactly at
-// base, or nil. The pointer remains valid until the next Insert or
-// Remove.
+// base, or nil. The pointer remains valid until the range is removed.
 func (t *Table[V]) Get(base uint64) *V {
 	i := t.findExact(base)
 	if i == noEntry {
 		return nil
 	}
-	return &t.arena[i].value
+	return &t.arena.At(i).value
 }
 
 // Remove deletes the range based exactly at base, returning its value
@@ -243,7 +260,7 @@ func (t *Table[V]) Remove(base uint64) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	e := &t.arena[i]
+	e := t.arena.At(i)
 	first, last := pageRange(e.base, e.size)
 	if e.size > 0 && last-first+1 > maxSpanPages {
 		t.huge = removeRef(t.huge, i)
@@ -286,8 +303,8 @@ func (t *Table[V]) remember(i int32) {
 // Stab returns the base, size and value of the range containing addr.
 // Interior addresses resolve to their containing range. The semantics
 // are identical to intervals.Map.Stab: half-open ranges, zero-size
-// ranges transparent. The value pointer remains valid until the next
-// Insert or Remove.
+// ranges transparent. The value pointer remains valid until the range
+// is removed.
 func (t *Table[V]) Stab(addr uint64) (base, size uint64, value *V, ok bool) {
 	// Last-hit cache: consecutive stores into one object resolve with
 	// a single comparison. addr-e.base underflows to a huge value when
@@ -296,7 +313,7 @@ func (t *Table[V]) Stab(addr uint64) (base, size uint64, value *V, ok bool) {
 		if i == noEntry {
 			continue
 		}
-		e := &t.arena[i]
+		e := t.arena.At(i)
 		if addr-e.base < e.size {
 			if k != 0 {
 				t.remember(i)
@@ -313,31 +330,30 @@ func (t *Table[V]) Stab(addr uint64) (base, size uint64, value *V, ok bool) {
 		// transparent — they are registered on their base page for
 		// Get/Remove but always fail the containment check — and keeps
 		// the search robust when a damaged trace registers
-		// overlapping ranges. The binary search (first base > addr) is
-		// hand rolled: this is the hottest loop in the logger, and the
-		// sort.Search closure calls are measurable here.
+		// overlapping ranges. The binary search (first base > addr,
+		// hand rolled like search) reads only the ref list; the arena
+		// is touched for the containment check alone.
 		lo, hi := 0, len(refs)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if t.arena[refs[mid]].base > addr {
+			if refs[mid].base > addr {
 				hi = mid
 			} else {
 				lo = mid + 1
 			}
 		}
 		for pos := lo - 1; pos >= 0; pos-- {
-			e := &t.arena[refs[pos]]
-			if addr-e.base < e.size {
-				t.remember(refs[pos])
-				return e.base, e.size, &e.value, true
+			r := refs[pos]
+			if e := t.arena.At(r.i); addr-r.base < e.size {
+				t.remember(r.i)
+				return r.base, e.size, &e.value, true
 			}
 		}
 	}
-	for _, i := range t.huge {
-		e := &t.arena[i]
-		if addr-e.base < e.size {
-			t.remember(i)
-			return e.base, e.size, &e.value, true
+	for _, r := range t.huge {
+		if e := t.arena.At(r.i); addr-r.base < e.size {
+			t.remember(r.i)
+			return r.base, e.size, &e.value, true
 		}
 	}
 	return 0, 0, nil, false
@@ -349,16 +365,16 @@ func (t *Table[V]) Stab(addr uint64) (base, size uint64, value *V, ok bool) {
 // diagnostics, not the hot path.
 func (t *Table[V]) Walk(fn func(base, size uint64, value *V) bool) {
 	idx := make([]int32, 0, t.n)
-	for i := range t.arena {
-		if t.arena[i].live {
-			idx = append(idx, int32(i))
+	for i := int32(0); i < int32(t.arena.Len()); i++ {
+		if t.arena.At(i).live {
+			idx = append(idx, i)
 		}
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		return t.arena[idx[a]].base < t.arena[idx[b]].base
+		return t.arena.At(idx[a]).base < t.arena.At(idx[b]).base
 	})
 	for _, i := range idx {
-		e := &t.arena[i]
+		e := t.arena.At(i)
 		if !fn(e.base, e.size, &e.value) {
 			return
 		}

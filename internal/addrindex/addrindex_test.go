@@ -171,10 +171,10 @@ func TestLastHitCacheInvalidation(t *testing.T) {
 func TestMultiPageObjects(t *testing.T) {
 	tb := New[int]()
 	const base = uint64(0x100_0000_0000)
-	const size = uint64(5 * pageSize)        // five pages
-	tb.Insert(base-64, 64, 7)                // neighbour before
-	tb.Insert(base, size, 1)                 // the spanning object
-	tb.Insert(base+size, 128, 9)             // neighbour after
+	const size = uint64(5 * pageSize)                               // five pages
+	tb.Insert(base-64, 64, 7)                                       // neighbour before
+	tb.Insert(base, size, 1)                                        // the spanning object
+	tb.Insert(base+size, 128, 9)                                    // neighbour after
 	tb.Insert(base+7*chunkPages*pageSize, 3*chunkPages*pageSize, 2) // spans 3 chunks
 
 	probes := []struct {
@@ -300,14 +300,14 @@ func TestArenaRecycling(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		tb.Insert(uint64(4096+i*64), 64, i)
 	}
-	grown := len(tb.arena)
+	grown := tb.arena.Len()
 	for round := 0; round < 100; round++ {
 		b := uint64(4096 + (round%64)*64)
 		tb.Remove(b)
 		tb.Insert(b, 64, round)
 	}
-	if len(tb.arena) != grown {
-		t.Fatalf("arena grew from %d to %d under steady-state churn", grown, len(tb.arena))
+	if tb.arena.Len() != grown {
+		t.Fatalf("arena grew from %d to %d under steady-state churn", grown, tb.arena.Len())
 	}
 	if tb.Len() != 64 {
 		t.Fatalf("Len = %d, want 64", tb.Len())

@@ -9,6 +9,12 @@ package heapgraph
 // (neighbor, multiplicity) pairs; only a vertex that accumulates more
 // than inlineNeighbors distinct neighbours spills to a map, and once
 // spilled it stays spilled (no flapping at the boundary).
+//
+// Neighbours are named by arena slot, not VertexID: an entry is 8
+// bytes instead of 16, and the graph's walks and tracker searches use
+// the slot directly instead of resolving the ID through the index. A
+// slot is recycled only after RemoveVertex has dropped it from every
+// neighbour's set, so no set ever names a dead or reused slot.
 
 // inlineNeighbors is the spill threshold: vertices with at most this
 // many distinct neighbours per direction never allocate. It equals
@@ -18,17 +24,17 @@ package heapgraph
 // pay for a map.
 const inlineNeighbors = maxTracked
 
-// neighbor is one (vertex, edge multiplicity) pair.
+// neighbor is one (vertex slot, edge multiplicity) pair.
 type neighbor struct {
-	id   VertexID
+	slot int32
 	mult int32
 }
 
 // adjacency is one direction's neighbour set for one vertex. The zero
 // value is an empty set.
 type adjacency struct {
-	n      int32              // inline entries in use; meaningless once spilled
-	spill  map[VertexID]int32 // non-nil once spilled; inline unused from then on
+	n      int32           // inline entries in use; meaningless once spilled
+	spill  map[int32]int32 // non-nil once spilled; inline unused from then on
 	inline [inlineNeighbors]neighbor
 }
 
@@ -38,62 +44,63 @@ func (a *adjacency) reset() {
 	a.spill = nil
 }
 
-// get returns the multiplicity of id, or 0.
-func (a *adjacency) get(id VertexID) int32 {
+// get returns the multiplicity of slot w, or 0.
+func (a *adjacency) get(w int32) int32 {
 	if a.spill != nil {
-		return a.spill[id]
+		return a.spill[w]
 	}
 	for i := int32(0); i < a.n; i++ {
-		if a.inline[i].id == id {
+		if a.inline[i].slot == w {
 			return a.inline[i].mult
 		}
 	}
 	return 0
 }
 
-// inc adds one unit of multiplicity for id, returning the new
+// inc adds one unit of multiplicity for slot w, returning the new
 // multiplicity.
-func (a *adjacency) inc(id VertexID) int32 {
+func (a *adjacency) inc(w int32) int32 {
 	if a.spill != nil {
-		a.spill[id]++
-		return a.spill[id]
+		a.spill[w]++
+		return a.spill[w]
 	}
 	for i := int32(0); i < a.n; i++ {
-		if a.inline[i].id == id {
+		if a.inline[i].slot == w {
 			a.inline[i].mult++
 			return a.inline[i].mult
 		}
 	}
 	if a.n < inlineNeighbors {
-		a.inline[a.n] = neighbor{id: id, mult: 1}
+		a.inline[a.n] = neighbor{slot: w, mult: 1}
 		a.n++
 		return 1
 	}
-	// Fifth distinct neighbour: spill the inline entries to a map.
-	m := make(map[VertexID]int32, 2*inlineNeighbors)
+	// Distinct neighbour number inlineNeighbors+1: spill the inline
+	// entries to a map.
+	m := make(map[int32]int32, 2*inlineNeighbors)
 	for i := range a.inline {
-		m[a.inline[i].id] = a.inline[i].mult
+		m[a.inline[i].slot] = a.inline[i].mult
 	}
-	m[id] = 1
+	m[w] = 1
 	a.spill = m
 	return 1
 }
 
-// dec removes one unit of multiplicity for id, returning the new
+// dec removes one unit of multiplicity for slot w, returning the new
 // multiplicity. The caller must know the entry is present (checked via
 // get); a multiplicity reaching zero removes the entry.
-func (a *adjacency) dec(id VertexID) int32 {
+func (a *adjacency) dec(w int32) int32 {
 	if a.spill != nil {
-		m := a.spill[id] - 1
+		m := a.spill[w] - 1
 		if m == 0 {
-			delete(a.spill, id)
+			delete(a.spill, w)
 		} else {
-			a.spill[id] = m
+			a.spill[w] = m
 		}
 		return m
 	}
 	for i := int32(0); i < a.n; i++ {
-		if a.inline[i].id == id {
+		if a.inline[i].slot == w {
 			a.inline[i].mult--
 			if a.inline[i].mult == 0 {
 				a.n--
@@ -106,15 +113,15 @@ func (a *adjacency) dec(id VertexID) int32 {
 	return 0
 }
 
-// drop removes id entirely, regardless of multiplicity (vertex
+// drop removes slot w entirely, regardless of multiplicity (vertex
 // removal detaches whole edges, not single units).
-func (a *adjacency) drop(id VertexID) {
+func (a *adjacency) drop(w int32) {
 	if a.spill != nil {
-		delete(a.spill, id)
+		delete(a.spill, w)
 		return
 	}
 	for i := int32(0); i < a.n; i++ {
-		if a.inline[i].id == id {
+		if a.inline[i].slot == w {
 			a.n--
 			a.inline[i] = a.inline[a.n]
 			return
@@ -135,17 +142,17 @@ func (a *adjacency) distinct() int {
 // spilled entries in map order. fn must not mutate this adjacency set
 // (mutating other vertices' sets is fine — vertex removal relies on
 // it).
-func (a *adjacency) each(fn func(id VertexID, mult int32) bool) {
+func (a *adjacency) each(fn func(w, mult int32) bool) {
 	if a.spill != nil {
-		for id, m := range a.spill {
-			if !fn(id, m) {
+		for w, m := range a.spill {
+			if !fn(w, m) {
 				return
 			}
 		}
 		return
 	}
 	for i := int32(0); i < a.n; i++ {
-		if !fn(a.inline[i].id, a.inline[i].mult) {
+		if !fn(a.inline[i].slot, a.inline[i].mult) {
 			return
 		}
 	}

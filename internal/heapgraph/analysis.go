@@ -9,7 +9,11 @@ package heapgraph
 // CheckComponents diffs the two, and the differential tests and
 // fuzzers call it after mutation sequences.
 
-import "fmt"
+import (
+	"fmt"
+
+	"heapmd/internal/arena"
+)
 
 // ComponentStats summarizes a components decomposition.
 type ComponentStats struct {
@@ -36,16 +40,15 @@ func (g *Graph) WeaklyConnectedComponents() ComponentStats {
 			s := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			size++
-			visit := func(id VertexID, _ int32) bool {
-				w := g.slotOf(id)
+			visit := func(w, _ int32) bool {
 				if !seen[w] {
 					seen[w] = true
 					stack = append(stack, w)
 				}
 				return true
 			}
-			g.outAdj[s].each(visit)
-			g.inAdj[s].each(visit)
+			g.outAdj.At(s).each(visit)
+			g.inAdj.At(s).each(visit)
 		}
 		if size > stats.Largest {
 			stats.Largest = size
@@ -81,13 +84,14 @@ func (g *Graph) StronglyConnectedComponents() ComponentStats {
 	}
 
 	succsOf := func(s int32) []int32 {
-		d := g.outAdj[s].distinct()
+		a := g.outAdj.At(s)
+		d := a.distinct()
 		if d == 0 {
 			return nil
 		}
 		out := make([]int32, 0, d)
-		g.outAdj[s].each(func(id VertexID, _ int32) bool {
-			out = append(out, g.slotOf(id))
+		a.each(func(w, _ int32) bool {
+			out = append(out, w)
 			return true
 		})
 		return out
@@ -172,7 +176,7 @@ func (g *Graph) CheckInvariants() string {
 		}
 		in, out := 0, 0
 		violation := ""
-		g.inAdj[s].each(func(p VertexID, m int32) bool {
+		g.inAdj.At(int32(s)).each(func(_, m int32) bool {
 			if m <= 0 {
 				violation = "non-positive in-multiplicity at vertex " + itoa(uint64(v))
 				return false
@@ -183,7 +187,7 @@ func (g *Graph) CheckInvariants() string {
 		if violation != "" {
 			return violation
 		}
-		g.outAdj[s].each(func(p VertexID, m int32) bool {
+		g.outAdj.At(int32(s)).each(func(_, m int32) bool {
 			if m <= 0 {
 				violation = "non-positive out-multiplicity at vertex " + itoa(uint64(v))
 				return false
@@ -245,26 +249,37 @@ func (g *Graph) CheckInvariants() string {
 		}
 	}
 	// Symmetry: u's out-multiplicity to v must equal v's
-	// in-multiplicity from u.
+	// in-multiplicity from u, in both directions, and every neighbour
+	// slot must be live (a recycled slot would name the wrong vertex).
 	for s := range g.ids {
 		if !g.alive[s] {
 			continue
 		}
-		u := g.ids[s]
-		asym := ""
-		g.outAdj[s].each(func(v VertexID, m int32) bool {
-			vs := g.slotOf(v)
-			if vs == noSlot || g.inAdj[vs].get(u) != m {
-				asym = "adjacency asymmetry between " + itoa(uint64(u)) + " and " + itoa(uint64(v))
-				return false
-			}
-			return true
-		})
-		if asym != "" {
-			return asym
+		if msg := g.checkSymmetric(int32(s), g.outAdj.At(int32(s)), &g.inAdj); msg != "" {
+			return msg
+		}
+		if msg := g.checkSymmetric(int32(s), g.inAdj.At(int32(s)), &g.outAdj); msg != "" {
+			return msg
 		}
 	}
 	return ""
+}
+
+// checkSymmetric checks that every neighbour w in slot s's set a is
+// live and lists s in its own set in the mirror direction with the
+// same multiplicity.
+func (g *Graph) checkSymmetric(s int32, a *adjacency, mirror *arena.Seg[adjacency]) string {
+	asym := ""
+	a.each(func(w, m int32) bool {
+		switch {
+		case w < 0 || int(w) >= len(g.ids) || !g.alive[w]:
+			asym = "dead neighbour slot in the adjacency of " + itoa(uint64(g.ids[s]))
+		case mirror.At(w).get(s) != m:
+			asym = "adjacency asymmetry between " + itoa(uint64(g.ids[s])) + " and " + itoa(uint64(g.ids[w]))
+		}
+		return asym == ""
+	})
+	return asym
 }
 
 // CheckComponents compares each component tracker the graph carries

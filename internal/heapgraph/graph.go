@@ -16,17 +16,19 @@
 // contribute 2 to B's indegree, matching the "number of pointers"
 // reading of degree used by the paper.
 //
-// Storage. Vertices live in a flat arena of parallel slices indexed by
-// slot: ids, in/out degree (struct-of-arrays), and one adjacency set
-// per direction. Freed slots are recycled through a freelist, so
-// steady-state alloc/free traffic performs no heap allocation. The
-// VertexID → slot index is a dense slice while IDs stay near the
-// allocated frontier (the logger hands out sequential IDs, so in
-// practice it always is) with a sparse map fallback for outliers.
-// Adjacency sets inline up to four distinct neighbours per direction
-// and spill to a map beyond that (see adjacency.go); the paper's heap
-// graphs are dominated by degree 0–2 vertices, so the maps — and their
-// allocation and GC-scan cost — all but disappear.
+// Storage. Vertices live in an arena indexed by slot: parallel slices
+// for ids, in/out degree (struct-of-arrays) and liveness, and one
+// adjacency set per direction in a segmented arena (arena.Seg), which
+// grows by adding a segment and never copies the sets already there.
+// Freed slots are recycled through a freelist, so steady-state
+// alloc/free traffic performs no heap allocation. The VertexID → slot
+// index is a dense slice while IDs stay near the allocated frontier
+// (the logger hands out sequential IDs, so in practice it always is)
+// with a sparse map fallback for outliers. Adjacency sets name their
+// neighbours by slot, inline up to maxTracked (8) distinct neighbours
+// per direction and spill to a map beyond that (see adjacency.go); the
+// paper's heap graphs are dominated by degree 0–2 vertices, so the
+// maps — and their allocation and GC-scan cost — all but disappear.
 //
 // Component counts for the structure extension metrics come from
 // incremental trackers maintained under mutation (incremental.go,
@@ -38,7 +40,11 @@
 // method, reads of the counts included, must be called from it.
 package heapgraph
 
-import "fmt"
+import (
+	"fmt"
+
+	"heapmd/internal/arena"
+)
 
 // VertexID names a heap object in the graph. The execution logger
 // assigns IDs from an allocation generation counter, so a recycled
@@ -72,8 +78,8 @@ type Graph struct {
 	ids    []VertexID
 	inDeg  []int32 // total incoming multiplicity
 	outDeg []int32 // total outgoing multiplicity
-	outAdj []adjacency
-	inAdj  []adjacency
+	outAdj arena.Seg[adjacency]
+	inAdj  arena.Seg[adjacency]
 	alive  []bool
 
 	freeSlots []int32
@@ -167,8 +173,8 @@ func (g *Graph) newSlot(v VertexID) int32 {
 	g.ids = append(g.ids, v)
 	g.inDeg = append(g.inDeg, 0)
 	g.outDeg = append(g.outDeg, 0)
-	g.outAdj = append(g.outAdj, adjacency{})
-	g.inAdj = append(g.inAdj, adjacency{})
+	g.outAdj.Push()
+	g.inAdj.Push()
 	g.alive = append(g.alive, true)
 	return s
 }
@@ -263,28 +269,27 @@ func (g *Graph) RemoveVertex(v VertexID) {
 	// Detach outgoing edges: each successor loses incoming
 	// multiplicity. The callbacks mutate only the neighbours' sets,
 	// never slot s's own, which each() permits.
-	g.outAdj[s].each(func(succ VertexID, mult int32) bool {
+	oa, ia := g.outAdj.At(s), g.inAdj.At(s)
+	oa.each(func(ss, mult int32) bool {
 		g.edges -= int(mult)
-		if succ == v {
+		if ss == s {
 			return true // self-loop dies with the vertex
 		}
-		ss := g.slotOf(succ)
 		in, out := int(g.inDeg[ss]), int(g.outDeg[ss])
 		g.trackIn(in, in-int(mult), out)
 		g.inDeg[ss] -= mult
-		g.inAdj[ss].drop(v)
+		g.inAdj.At(ss).drop(s)
 		return true
 	})
 	// Detach incoming edges.
-	g.inAdj[s].each(func(pred VertexID, mult int32) bool {
-		if pred == v {
+	ia.each(func(ps, mult int32) bool {
+		if ps == s {
 			return true // self-loop already handled above
 		}
-		ps := g.slotOf(pred)
 		in, out := int(g.inDeg[ps]), int(g.outDeg[ps])
 		g.trackOut(in, out, out-int(mult))
 		g.outDeg[ps] -= mult
-		g.outAdj[ps].drop(v)
+		g.outAdj.At(ps).drop(s)
 		g.edges -= int(mult)
 		return true
 	})
@@ -295,8 +300,8 @@ func (g *Graph) RemoveVertex(v VertexID) {
 		g.eq--
 	}
 	// Reset now (not at reuse) so spill maps become collectable.
-	g.outAdj[s].reset()
-	g.inAdj[s].reset()
+	oa.reset()
+	ia.reset()
 	g.alive[s] = false
 	g.clearSlot(v)
 	g.freeSlots = append(g.freeSlots, s)
@@ -317,8 +322,8 @@ func (g *Graph) AddEdge(u, v VertexID) bool {
 	if vs == noSlot {
 		return false
 	}
-	g.outAdj[us].inc(v)
-	g.inAdj[vs].inc(u)
+	g.outAdj.At(us).inc(vs)
+	g.inAdj.At(vs).inc(us)
 	if u == v {
 		in, out := int(g.inDeg[us]), int(g.outDeg[us])
 		g.track(in, out, in+1, out+1)
@@ -344,13 +349,16 @@ func (g *Graph) AddEdge(u, v VertexID) bool {
 // RemoveEdge removes one unit of edge multiplicity from u to v,
 // reporting whether an edge was present to remove.
 func (g *Graph) RemoveEdge(u, v VertexID) bool {
-	us := g.slotOf(u)
-	if us == noSlot || g.outAdj[us].get(v) == 0 {
+	us, vs := g.slotOf(u), g.slotOf(v)
+	if us == noSlot || vs == noSlot {
 		return false
 	}
-	vs := g.slotOf(v) // present by the symmetry invariant
-	g.outAdj[us].dec(v)
-	g.inAdj[vs].dec(u)
+	oa := g.outAdj.At(us)
+	if oa.get(vs) == 0 {
+		return false
+	}
+	oa.dec(vs)
+	g.inAdj.At(vs).dec(us)
 	if u == v {
 		in, out := int(g.inDeg[us]), int(g.outDeg[us])
 		g.track(in, out, in-1, out-1)
@@ -363,8 +371,8 @@ func (g *Graph) RemoveEdge(u, v VertexID) bool {
 		in, out = int(g.inDeg[vs]), int(g.outDeg[vs])
 		g.trackIn(in, in-1, out)
 		g.inDeg[vs]--
-		g.wccRemoveEdge(u, v, us, vs)
-		g.sccRemoveEdge(v, us, vs)
+		g.wccRemoveEdge(us, vs)
+		g.sccRemoveEdge(us, vs)
 	}
 	g.edges--
 	g.wccSettle()
@@ -374,11 +382,11 @@ func (g *Graph) RemoveEdge(u, v VertexID) bool {
 
 // Multiplicity returns the number of parallel edges from u to v.
 func (g *Graph) Multiplicity(u, v VertexID) int {
-	us := g.slotOf(u)
-	if us == noSlot {
+	us, vs := g.slotOf(u), g.slotOf(v)
+	if us == noSlot || vs == noSlot {
 		return 0
 	}
-	return int(g.outAdj[us].get(v))
+	return int(g.outAdj.At(us).get(vs))
 }
 
 // NumVertices returns the number of vertices.
@@ -443,7 +451,7 @@ func (g *Graph) Successors(v VertexID, fn func(succ VertexID, mult int) bool) {
 	if s == noSlot {
 		return
 	}
-	g.outAdj[s].each(func(id VertexID, m int32) bool { return fn(id, int(m)) })
+	g.outAdj.At(s).each(func(w, m int32) bool { return fn(g.ids[w], int(m)) })
 }
 
 // Predecessors calls fn for every distinct predecessor of v with the
@@ -453,7 +461,7 @@ func (g *Graph) Predecessors(v VertexID, fn func(pred VertexID, mult int) bool) 
 	if s == noSlot {
 		return
 	}
-	g.inAdj[s].each(func(id VertexID, m int32) bool { return fn(id, int(m)) })
+	g.inAdj.At(s).each(func(w, m int32) bool { return fn(g.ids[w], int(m)) })
 }
 
 // Vertices calls fn for every vertex; iteration order is unspecified.

@@ -339,15 +339,14 @@ func (g *Graph) rebuildWCC() {
 	}
 	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(g.ids[a], g.ids[b]) })
 	for _, s := range order {
-		self := g.ids[s]
-		older := func(id VertexID, _ int32) bool {
-			if id < self {
-				t.link(g.slotOf(id), s)
+		older := func(w, _ int32) bool {
+			if g.ids[w] < g.ids[s] {
+				t.link(w, s)
 			}
 			return true
 		}
-		g.inAdj[s].each(older)
-		g.outAdj[s].each(older)
+		g.inAdj.At(s).each(older)
+		g.outAdj.At(s).each(older)
 	}
 	sc.qa = order
 	t.dirty = 0
@@ -390,11 +389,11 @@ func (g *Graph) wccAddEdge(us, vs int32) {
 }
 
 // wccRemoveEdge is the RemoveEdge hook, called after the adjacency
-// decrement for a non-self-loop edge u→v. While any link between the
+// decrement for a non-self-loop edge between slots us→vs. While any link between the
 // endpoints remains, or the lost link was not a forest edge, the
 // forest still spans every component: exact no-op. Losing a forest
 // edge runs the cut search.
-func (g *Graph) wccRemoveEdge(u, v VertexID, us, vs int32) {
+func (g *Graph) wccRemoveEdge(us, vs int32) {
 	t := g.wcc
 	if t == nil || !t.valid {
 		return // never queried yet; the first query builds from scratch
@@ -403,7 +402,7 @@ func (g *Graph) wccRemoveEdge(u, v VertexID, us, vs int32) {
 		t.dirty++
 		return
 	}
-	if g.outAdj[us].get(v) > 0 || g.outAdj[vs].get(u) > 0 {
+	if g.outAdj.At(us).get(vs) > 0 || g.outAdj.At(vs).get(us) > 0 {
 		return // still directly linked in some direction
 	}
 	switch {
@@ -453,16 +452,16 @@ func (g *Graph) wccCut(c, p int32) {
 	// other half.
 	for _, x := range small {
 		exit := int32(-1)
-		leaves := func(id VertexID, _ int32) bool {
+		leaves := func(y, _ int32) bool {
 			budget--
-			if y := g.slotOf(id); !s.has(y, flag) {
+			if !s.has(y, flag) {
 				exit = y
 			}
 			return exit < 0 && budget >= 0
 		}
-		g.outAdj[x].each(leaves)
+		g.outAdj.At(x).each(leaves)
 		if exit < 0 && budget >= 0 {
-			g.inAdj[x].each(leaves)
+			g.inAdj.At(x).each(leaves)
 		}
 		if budget < 0 {
 			t.allow = 0
@@ -497,17 +496,17 @@ func (g *Graph) forestExpand(s *search, list []int32, x int32, flag uint32, budg
 		s.set(p, flag)
 		list = append(list, p)
 	}
-	child := func(id VertexID, _ int32) bool {
+	child := func(y, _ int32) bool {
 		*budget--
-		if y := g.slotOf(id); fpar[y] == x && !s.has(y, flag) {
+		if fpar[y] == x && !s.has(y, flag) {
 			s.set(y, flag)
 			list = append(list, y)
 		}
 		return *budget >= 0
 	}
-	g.outAdj[x].each(child)
+	g.outAdj.At(x).each(child)
 	if *budget >= 0 {
-		g.inAdj[x].each(child)
+		g.inAdj.At(x).each(child)
 	}
 	return list
 }
@@ -528,16 +527,16 @@ func (g *Graph) wccRemoveVertex(s int32) {
 		return
 	}
 	child, kids := int32(-1), 0
-	count := func(id VertexID, _ int32) bool {
-		if y := g.slotOf(id); t.fpar[y] == s && y != child {
+	count := func(y, _ int32) bool {
+		if t.fpar[y] == s && y != child {
 			child = y
 			kids++
 		}
 		return kids < 2
 	}
-	g.outAdj[s].each(count)
+	g.outAdj.At(s).each(count)
 	if kids < 2 {
-		g.inAdj[s].each(count)
+		g.inAdj.At(s).each(count)
 	}
 	r := t.find(t.node[s])
 	switch {

@@ -1,5 +1,7 @@
 package heapgraph
 
+import "heapmd/internal/arena"
+
 // This file implements incremental strong-connectivity tracking, the
 // SCC sibling of the weak-connectivity tracker in incremental.go. It
 // shares the union-find core (node indirection, growable node arena,
@@ -163,8 +165,8 @@ func (g *Graph) sccProbe(us, vs, ru, rv int32) {
 	s.qb = append(s.qb, us)
 	budget := t.allow
 	for i := 0; i < len(s.qa) && i < len(s.qb); i++ {
-		g.probeStep(s, &s.qa, &s.sa, s.qa[i], markA, g.outAdj, ru, &budget)
-		g.probeStep(s, &s.qb, &s.sb, s.qb[i], markB, g.inAdj, rv, &budget)
+		g.probeStep(s, &s.qa, &s.sa, s.qa[i], markA, &g.outAdj, ru, &budget)
+		g.probeStep(s, &s.qb, &s.sb, s.qb[i], markB, &g.inAdj, rv, &budget)
 		if budget < 0 {
 			t.allow = 0
 			t.dirty++
@@ -173,9 +175,9 @@ func (g *Graph) sccProbe(us, vs, ru, rv int32) {
 	}
 	// The shorter list is the complete side (the lockstep stopped
 	// when the first one ran out).
-	side, list, seeds, back := uint32(markA), s.qa, s.sa, g.inAdj
+	side, list, seeds, back := uint32(markA), s.qa, s.sa, &g.inAdj
 	if len(s.qb) < len(s.qa) {
-		side, list, seeds, back = markB, s.qb, s.sb, g.outAdj
+		side, list, seeds, back = markB, s.qb, s.sb, &g.outAdj
 	}
 	if len(seeds) == 0 {
 		t.allow = budget
@@ -202,12 +204,12 @@ func (g *Graph) sccProbe(us, vs, ru, rv int32) {
 // neighbour along adj in the far endpoint's SCC (root stop) makes x a
 // seed and is not expanded; any other unvisited neighbour joins the
 // side's list.
-func (g *Graph) probeStep(s *search, list, seeds *[]int32, x int32, flag uint32, adj []adjacency, stop int32, budget *int) {
+func (g *Graph) probeStep(s *search, list, seeds *[]int32, x int32, flag uint32, adj *arena.Seg[adjacency], stop int32, budget *int) {
 	t := g.scc
 	seed := false
-	adj[x].each(func(id VertexID, _ int32) bool {
+	adj.At(x).each(func(w, _ int32) bool {
 		*budget--
-		switch w := g.slotOf(id); {
+		switch {
 		case s.has(w, flag):
 		case t.find(t.node[w]) == stop:
 			seed = true
@@ -224,7 +226,7 @@ func (g *Graph) probeStep(s *search, list, seeds *[]int32, x int32, flag uint32,
 
 // closure marks with markR every slot carrying flag within that
 // reaches one of seeds along adj, staying inside the within set.
-func (g *Graph) closure(s *search, seeds []int32, within uint32, adj []adjacency, budget *int) {
+func (g *Graph) closure(s *search, seeds []int32, within uint32, adj *arena.Seg[adjacency], budget *int) {
 	work := s.work[:0]
 	for _, x := range seeds {
 		s.set(x, markR)
@@ -233,9 +235,9 @@ func (g *Graph) closure(s *search, seeds []int32, within uint32, adj []adjacency
 	for len(work) > 0 && *budget >= 0 {
 		x := work[len(work)-1]
 		work = work[:len(work)-1]
-		adj[x].each(func(id VertexID, _ int32) bool {
+		adj.At(x).each(func(w, _ int32) bool {
 			*budget--
-			if w := g.slotOf(id); s.has(w, within) && !s.has(w, markR) {
+			if s.has(w, within) && !s.has(w, markR) {
 				s.set(w, markR)
 				work = append(work, w)
 			}
@@ -246,10 +248,10 @@ func (g *Graph) closure(s *search, seeds []int32, within uint32, adj []adjacency
 }
 
 // sccRemoveEdge is the RemoveEdge hook, called after the adjacency
-// decrement for a non-self-loop edge u→v (slots us→vs). Exact no-ops:
+// decrement for a non-self-loop edge between slots us→vs. Exact no-ops:
 // a parallel edge remains, or the edge was cross-SCC (losing it cannot
 // split any cycle). An intra-SCC edge runs the cut search.
-func (g *Graph) sccRemoveEdge(v VertexID, us, vs int32) {
+func (g *Graph) sccRemoveEdge(us, vs int32) {
 	t := g.scc
 	if t == nil || !t.valid {
 		return // never queried yet; the first query builds from scratch
@@ -258,7 +260,7 @@ func (g *Graph) sccRemoveEdge(v VertexID, us, vs int32) {
 		t.dirty++
 		return
 	}
-	if g.outAdj[us].get(v) > 0 {
+	if g.outAdj.At(us).get(vs) > 0 {
 		return // parallel edge remains: same reachability
 	}
 	if r := t.find(t.node[us]); r == t.find(t.node[vs]) {
@@ -279,8 +281,8 @@ func (g *Graph) sccCut(us, vs, r int32) {
 	budget := t.allow
 	met := false
 	for i := 0; !met && i < len(s.qa) && i < len(s.qb); i++ {
-		met = g.cutStep(s, &s.qa, s.qa[i], markA, markB, g.outAdj, r, &budget) ||
-			g.cutStep(s, &s.qb, s.qb[i], markB, markA, g.inAdj, r, &budget)
+		met = g.cutStep(s, &s.qa, s.qa[i], markA, markB, &g.outAdj, r, &budget) ||
+			g.cutStep(s, &s.qb, s.qb[i], markB, markA, &g.inAdj, r, &budget)
 		if budget < 0 {
 			t.allow = 0
 			t.dirty++
@@ -299,12 +301,12 @@ func (g *Graph) sccCut(us, vs, r int32) {
 // class with root r: it reports a meeting with the other side, and
 // otherwise appends the class's unvisited neighbours along adj to the
 // side's list.
-func (g *Graph) cutStep(s *search, list *[]int32, x int32, flag, other uint32, adj []adjacency, r int32, budget *int) bool {
+func (g *Graph) cutStep(s *search, list *[]int32, x int32, flag, other uint32, adj *arena.Seg[adjacency], r int32, budget *int) bool {
 	t := g.scc
 	met := false
-	adj[x].each(func(id VertexID, _ int32) bool {
+	adj.At(x).each(func(w, _ int32) bool {
 		*budget--
-		switch w := g.slotOf(id); {
+		switch {
 		case s.has(w, other):
 			met = true
 		case !s.has(w, flag) && t.find(t.node[w]) == r:
@@ -324,9 +326,9 @@ func (g *Graph) sccClass(s *search, x, r int32, budget *int) []int32 {
 	list := append(s.work[:0], x)
 	s.set(x, markR)
 	for i := 0; i < len(list) && *budget >= 0; i++ {
-		g.inAdj[list[i]].each(func(id VertexID, _ int32) bool {
+		g.inAdj.At(list[i]).each(func(w, _ int32) bool {
 			*budget--
-			if w := g.slotOf(id); !s.has(w, markR) && t.find(t.node[w]) == r {
+			if !s.has(w, markR) && t.find(t.node[w]) == r {
 				s.set(w, markR)
 				list = append(list, w)
 			}
@@ -430,7 +432,7 @@ func (g *Graph) sccCSR(members []int32, local bool, budget *int) bool {
 	t := g.scc
 	total := 0
 	for _, x := range members {
-		total += 1 + g.outAdj[x].distinct()
+		total += 1 + g.outAdj.At(x).distinct()
 	}
 	if local {
 		if *budget -= total; *budget < 0 {
@@ -445,8 +447,8 @@ func (g *Graph) sccCSR(members []int32, local bool, budget *int) bool {
 		head := i
 		t.offs[x] = head
 		i++
-		g.outAdj[x].each(func(id VertexID, _ int32) bool {
-			if w := g.slotOf(id); !local || s.has(w, markR) {
+		g.outAdj.At(x).each(func(w, _ int32) bool {
+			if !local || s.has(w, markR) {
 				t.targets[i] = w
 				i++
 			}

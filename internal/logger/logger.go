@@ -116,12 +116,11 @@ type SampleObserver interface {
 }
 
 // objInfo is the logger's record of one live heap object. It is
-// stored by value inside the address table's arena; pointers obtained
-// from Stab/Get are valid until the table's next Insert or Remove.
+// stored by value inside the address table's arena, which also holds
+// the object's range; pointers obtained from Stab/Get are valid until
+// the object is removed from the table.
 type objInfo struct {
 	vertex heapgraph.VertexID // object-granularity vertex
-	base   uint64
-	size   uint64
 	// slots records which offsets within the object currently hold a
 	// pointer, mapping each to the *target vertex* recorded when the
 	// write was observed. At field granularity the key is the same
@@ -338,7 +337,7 @@ func (l *Logger) newVertex() heapgraph.VertexID {
 }
 
 func (l *Logger) onAlloc(base, size uint64) {
-	info := objInfo{base: base, size: size}
+	var info objInfo
 	if l.opts.Granularity == FieldGranularity {
 		nWords := size / 8
 		info.wordVertices = make([]heapgraph.VertexID, nWords)
@@ -397,7 +396,6 @@ func (l *Logger) onRealloc(oldBase, newBase, newSize uint64) {
 	info.slots.resize(newSize, func(_ uint64, target heapgraph.VertexID) {
 		l.graph.RemoveEdge(info.vertex, target)
 	})
-	info.base, info.size = newBase, newSize
 	l.objects.Insert(newBase, newSize, info)
 }
 
@@ -422,7 +420,7 @@ func (l *Logger) reallocField(info *objInfo, newBase, newSize uint64) {
 	// a multiple of 8, a slot can sit below newSize but inside the
 	// truncated tail word.
 	info.slots.resize(newWords*8, nil)
-	info.base, info.size, info.wordVertices = newBase, newSize, wv
+	info.wordVertices = wv
 	l.objects.Insert(newBase, newSize, *info)
 }
 
@@ -457,7 +455,7 @@ func (l *Logger) targetVertex(value uint64) (heapgraph.VertexID, bool) {
 }
 
 func (l *Logger) onStore(addr, value uint64) {
-	base, _, info, ok := l.objects.Stab(addr)
+	base, size, info, ok := l.objects.Stab(addr)
 	if !ok {
 		// Wild store: not part of the live heap image. The write is
 		// dropped, but its existence is a corruption signal.
@@ -478,11 +476,11 @@ func (l *Logger) onStore(addr, value uint64) {
 		info.slots.del(off)
 	}
 	// Install the new edge if the value points into a live object.
-	// targetVertex stabs the table but never inserts or removes, so
-	// the info pointer stays valid across it.
+	// targetVertex stabs the table but never removes, so the info
+	// pointer stays valid across it.
 	if target, isPtr := l.targetVertex(value); isPtr {
 		l.graph.AddEdge(src, target)
-		info.slots.set(off, target, info.size)
+		info.slots.set(off, target, size)
 	}
 }
 

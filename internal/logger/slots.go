@@ -33,8 +33,9 @@ type slotTable struct {
 	spill  map[uint64]heapgraph.VertexID
 }
 
-// inlineSlots is the inline capacity of a slotTable; chosen to match
-// the heap-graph's inline adjacency degree.
+// inlineSlots is the inline capacity of a slotTable: most objects hold
+// at most a few pointers, and each inline entry costs 16 bytes in every
+// address-table record.
 const inlineSlots = 4
 
 // maxWordBytes bounds the words tier: an object larger than this uses
