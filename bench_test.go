@@ -21,8 +21,11 @@ package heapmd
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"heapmd/internal/event"
 	"heapmd/internal/experiments"
@@ -31,6 +34,7 @@ import (
 	"heapmd/internal/logger"
 	"heapmd/internal/metrics"
 	"heapmd/internal/model"
+	"heapmd/internal/prog"
 	"heapmd/internal/trace"
 	"heapmd/internal/workloads"
 )
@@ -507,6 +511,54 @@ func recordParserTraces(t testing.TB) (map[string][]byte, uint64) {
 		out[f.name] = bufs[i].Bytes()
 	}
 	return out, nEvents
+}
+
+// BenchmarkRecordWhileMonitoring measures live recording: one corpus
+// program (parser, input 0) runs under the execution logger while
+// RecordTraceWith writes its flate-compressed v3 trace, with frames
+// encoded on the emitting goroutine (workers-0) or on a two-goroutine
+// encode pool (workers-2). It reports wall-clock and process CPU
+// nanoseconds per recorded event.
+func BenchmarkRecordWhileMonitoring(b *testing.B) {
+	w, err := workloads.Get("parser")
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := w.Inputs(1)[0]
+	for _, workers := range []int{0, 2} {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			var events uint64
+			cpu0 := processCPU()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run := NewSession(Options{}).NewRun(w.Name(), in.Name, in.Seed)
+				closeTrace, err := RecordTraceWith(run, io.Discard,
+					TraceOptions{Version: TraceFormatV3, Compress: true, Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := prog.Run(func() { w.Run(run.Process(), in, 1) }); err != nil {
+					b.Fatal(err)
+				}
+				if err := closeTrace(); err != nil {
+					b.Fatal(err)
+				}
+				events += run.Report().Events
+			}
+			b.StopTimer()
+			cpu := processCPU() - cpu0
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "wall-ns/event")
+			b.ReportMetric(float64(cpu.Nanoseconds())/float64(events), "cpu-ns/event")
+		})
+	}
+}
+
+// processCPU is the user plus system CPU time this process has used.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	// RUSAGE_SELF with a valid pointer cannot fail.
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // BenchmarkReplayThroughput measures the batched trace replay fast

@@ -434,10 +434,11 @@ type TraceOptions struct {
 // it periodically and a run that crashes before the returned close
 // function runs still leaves a salvageable, symbolized trace. Call
 // the close function after execution for a cleanly-terminated trace.
-// The trace is written in the v2 format for compatibility; use
-// RecordTraceWith for the smaller v3 format.
+// The trace is written in the columnar v3 format, uncompressed — the
+// zero TraceOptions of RecordTraceWith, which also offers flate
+// compression and the legacy v2 format.
 func RecordTrace(r *Run, w io.Writer) (func() error, error) {
-	return RecordTraceWith(r, w, TraceOptions{Version: TraceFormatV2})
+	return RecordTraceWith(r, w, TraceOptions{})
 }
 
 // RecordTraceWith is RecordTrace with format control; the zero

@@ -1,0 +1,144 @@
+package trace
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"heapmd/internal/event"
+)
+
+var updateLegacy = flag.Bool("update", false, "rewrite the legacy trace fixture goldens under testdata/")
+
+// legacyFixtures are traces written by an older writer and checked in
+// as bytes, so a change to the writer cannot silently change what the
+// reader is tested against. All five hold one short corpus run: mcf
+// input 0 with its scale quartered (Scale 35, 4242 events), the run's
+// symbol table attached, recorded by the writer of commit 342a38d —
+// 512-record event frames, a symtab checkpoint every 8 event frames:
+//
+//	v2             format v2, fixed-width records
+//	v3             format v3, raw columnar frames
+//	v3-flate       format v3, every frame flate-compressed
+//	v3-flate-trunc v3-flate cut in the middle of its last event frame
+//	v3-flate-flip  v3-flate with one payload byte of event frame 4 flipped
+var legacyFixtures = []string{"v2", "v3", "v3-flate", "v3-flate-trunc", "v3-flate-flip"}
+
+// legacyGolden is what replaying a fixture must yield. Strict replay
+// and salvage deliver the same events, symbols and Stats; strict fails
+// with Strict ("" for a clean trace) where salvage reports Salvage.
+type legacyGolden struct {
+	Strict  string      `json:"strict"`
+	Events  uint64      `json:"events"`
+	Digest  string      `json:"digest"`
+	Symbols []string    `json:"symbols"`
+	Salvage SalvageInfo `json:"salvage"`
+	Stats   legacyStats `json:"stats"`
+}
+
+// legacyStats is the trace-shape part of Stats.
+type legacyStats struct {
+	Version          uint32 `json:"version"`
+	TotalBytes       uint64 `json:"total_bytes"`
+	EventFrames      uint64 `json:"event_frames"`
+	CompressedFrames uint64 `json:"compressed_frames"`
+	StoredEventBytes uint64 `json:"stored_event_bytes"`
+	RawEventBytes    uint64 `json:"raw_event_bytes"`
+}
+
+// eventDigest is FNV-1a (64-bit) over the events' fixed-width records.
+func eventDigest(evs []event.Event) string {
+	h := fnv.New64a()
+	var rec []byte
+	for _, e := range evs {
+		rec = append(rec[:0], byte(e.Type))
+		rec = binary.LittleEndian.AppendUint32(rec, uint32(e.Fn))
+		rec = binary.LittleEndian.AppendUint64(rec, e.Addr)
+		rec = binary.LittleEndian.AppendUint64(rec, e.Value)
+		rec = binary.LittleEndian.AppendUint64(rec, e.Old)
+		rec = binary.LittleEndian.AppendUint64(rec, e.Size)
+		h.Write(rec)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+func goldenOf(strict, salvage replayOutcome) legacyGolden {
+	st := salvage.stats
+	return legacyGolden{
+		Strict:  strict.errStr,
+		Events:  uint64(len(salvage.events)),
+		Digest:  eventDigest(salvage.events),
+		Symbols: salvage.syms,
+		Salvage: salvage.info,
+		Stats: legacyStats{
+			Version:          st.Version,
+			TotalBytes:       st.TotalBytes,
+			EventFrames:      st.EventFrames,
+			CompressedFrames: st.CompressedFrames,
+			StoredEventBytes: st.StoredEventBytes,
+			RawEventBytes:    st.RawEventBytes,
+		},
+	}
+}
+
+// TestLegacyTraceFixtures replays every checked-in legacy trace in
+// strict and salvage mode on the synchronous reader, the read-ahead
+// reader and a two-worker pipeline, and checks each against its golden.
+// Run with -update to rewrite the goldens from the current reader.
+func TestLegacyTraceFixtures(t *testing.T) {
+	for _, name := range legacyFixtures {
+		t.Run(name, func(t *testing.T) {
+			base := filepath.Join("testdata", "legacy-mcf-"+name)
+			data, err := os.ReadFile(base + ".trace")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *updateLegacy {
+				g := goldenOf(runReplay(t, data, false, 0), runReplay(t, data, true, 0))
+				js, err := json.MarshalIndent(g, "", "  ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(base+".json", append(js, '\n'), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			js, err := os.ReadFile(base + ".json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want legacyGolden
+			if err := json.Unmarshal(js, &want); err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{0, 1, 2} {
+				strict, salvage := runReplay(t, data, false, workers), runReplay(t, data, true, workers)
+				if salvage.errStr != "" {
+					t.Fatalf("workers %d: salvage failed: %s", workers, salvage.errStr)
+				}
+				if strict.errStr != "" && !strings.HasPrefix(strict.errStr, ErrCorrupt.Error()) {
+					t.Errorf("workers %d: strict error %q does not wrap ErrCorrupt", workers, strict.errStr)
+				}
+				// Apart from the error and the SalvageInfo, strict replay
+				// must deliver exactly what salvage does.
+				same := salvage
+				same.errStr, same.info = strict.errStr, SalvageInfo{}
+				if d := diffOutcome(same, strict); d != "" {
+					t.Errorf("workers %d: strict and salvage replays differ: %s", workers, d)
+				}
+				got := goldenOf(strict, salvage)
+				gotJS, _ := json.Marshal(got)
+				wantJS, _ := json.Marshal(want)
+				if string(gotJS) != string(wantJS) {
+					t.Errorf("workers %d: replay differs from golden\n got  %s\n want %s", workers, gotJS, wantJS)
+				}
+			}
+		})
+	}
+}

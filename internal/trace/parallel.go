@@ -76,6 +76,7 @@ type decodePipeline struct {
 	wg      sync.WaitGroup
 
 	depth   int
+	bufs    []*frameBuf // every buffer in flight, pooled again by halt
 	ring    []frameMsg
 	have    []bool
 	nextSeq uint64
@@ -102,11 +103,13 @@ func newDecodePipeline(r io.Reader, version uint32, size int64, workers int, sta
 		have:    make([]bool, depth),
 		stats:   stats,
 	}
-	for i := 0; i < depth; i++ {
-		p.free <- new(frameBuf)
+	p.bufs = make([]*frameBuf, depth)
+	for i := range p.bufs {
+		p.bufs[i] = getFrameBuf()
+		p.free <- p.bufs[i]
 	}
 	p.wg.Add(1 + workers)
-	go p.scan(bufio.NewReaderSize(r, 1<<16), size)
+	go p.scan(getReader(r), size)
 	for i := 0; i < workers; i++ {
 		go p.worker(version)
 	}
@@ -119,6 +122,7 @@ func newDecodePipeline(r io.Reader, version uint32, size int64, workers int, sta
 func (p *decodePipeline) scan(br *bufio.Reader, size int64) {
 	defer p.wg.Done()
 	defer close(p.work)
+	defer putReader(br)
 	offset := int64(8) // consumed through the last fully-scanned frame
 	var seq uint64
 	var hdr [frameHeaderSize]byte
@@ -192,11 +196,13 @@ func (p *decodePipeline) scan(br *bufio.Reader, size int64) {
 }
 
 // worker CRC-checks and decodes scanned frames. Each worker owns one
-// payloadDecoder, so inflate state and decompression scratch are
-// O(workers), reused across all frames the worker touches.
+// pooled payloadDecoder, so inflate state and decompression scratch are
+// O(workers), reused across all frames the worker touches and, through
+// the pool, across replays.
 func (p *decodePipeline) worker(version uint32) {
 	defer p.wg.Done()
-	dec := payloadDecoder{version: version}
+	dec := getDecoder(version)
+	defer decoderPool.Put(dec)
 	for job := range p.work {
 		msg := frameMsg{seq: job.seq, buf: job.buf, end: job.start}
 		if crc32.Checksum(job.payload, crcTable) != job.wantCRC {
@@ -249,11 +255,15 @@ func (p *decodePipeline) release(b *frameBuf) {
 }
 
 // halt tears the pipeline down and waits for every stage to exit,
-// then folds the scanner's stall count into Stats. Safe to call on
-// any consumer exit path, clean or corrupt.
+// then pools the frame buffers and folds the scanner's stall count
+// into Stats. Safe to call on any consumer exit path, clean or
+// corrupt, once the consumer is done with the last frame's events.
 func (p *decodePipeline) halt() {
 	close(p.stop)
 	p.wg.Wait()
+	for _, b := range p.bufs {
+		frameBufPool.Put(b)
+	}
 	if p.stats != nil {
 		p.stats.ScannerStalls = p.scannerStalls.Load()
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -110,15 +111,15 @@ func parallelOracleTraces(t *testing.T) map[string][]byte {
 	sym.Intern("alpha")
 	sym.Intern("beta")
 	evs := v3TestEvents(30)
-	big := v3TestEvents(3*DefaultBatchRecords + 17)
+	big := v3TestEvents(3*shortFrame + 17)
 
 	traces := map[string][]byte{
 		"v2":       writeV2(t, evs, sym, 5),
 		"v3":       writeV3(t, evs, sym, 5, false),
 		"v3-flate": writeV3(t, evs, sym, 5, true),
-		"v2-big":   writeV2(t, big, sym, 0),
-		"v3-big":   writeV3(t, big, sym, 0, false),
-		"v3z-big":  writeV3(t, big, sym, 0, true),
+		"v2-big":   writeV2(t, big, sym, shortFrame),
+		"v3-big":   writeV3(t, big, sym, shortFrame, false),
+		"v3z-big":  writeV3(t, big, sym, shortFrame, true),
 	}
 	// Trailing garbage after a valid end frame: scanner must stop at
 	// the end frame and report the same trailing-byte error/salvage.
@@ -251,7 +252,7 @@ func TestParallelWriterDeterminism(t *testing.T) {
 	sym := event.NewSymtab()
 	sym.Intern("alpha")
 	sym.Intern("beta")
-	evs := v3TestEvents(10*DefaultBatchRecords + 73) // >8 frames: symtab checkpoints fire
+	evs := v3TestEvents(10*DefaultBatchRecords + 73) // 11 frames, each followed by a symtab checkpoint
 
 	write := func(workers, flushEvery int, compress bool) []byte {
 		var buf bytes.Buffer
@@ -429,4 +430,45 @@ func TestParallelNoGoroutineLeak(t *testing.T) {
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestParallelReplaysSharePools runs replays of differently shaped
+// traces — v2 and v3, raw and flate, clean and damaged — on several
+// goroutines at once and on every reader, so pooled frame buffers and
+// decoders pass between concurrent replays. Each replay must still
+// match the synchronous reader's outcome.
+func TestParallelReplaysSharePools(t *testing.T) {
+	sym := event.NewSymtab()
+	sym.Intern("alpha")
+	evs := v3TestEvents(2*DefaultBatchRecords + 17)
+	flate := writeV3(t, evs, sym, 0, true)
+	flipped := bytes.Clone(flate)
+	flipped[len(flipped)/2] ^= 0x40
+	traces := [][]byte{
+		writeV2(t, evs[:999], sym, 0),
+		writeV3(t, evs, sym, shortFrame, false),
+		flate,
+		flate[:len(flate)*2/3],
+		flipped,
+	}
+	want := make([][2]replayOutcome, len(traces))
+	for k, data := range traces {
+		want[k] = [2]replayOutcome{runReplay(t, data, false, 0), runReplay(t, data, true, 0)}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				k, salvage, workers := (g+i)%len(traces), i%2, (g+i)%3
+				got := runReplay(t, traces[k], salvage == 1, workers)
+				if d := diffOutcome(want[k][salvage], got); d != "" {
+					t.Errorf("trace %d salvage=%v workers=%d: %s", k, salvage == 1, workers, d)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -43,6 +43,12 @@ type boundary struct {
 	events uint64
 }
 
+// shortFrame is the frame size, sealed with Writer.Flush, of the
+// traces the equivalence oracles cut at every stride: short frames
+// keep many frame boundaries in a trace small enough to replay
+// thousands of times.
+const shortFrame = 512
+
 // frameBoundaries walks a well-formed v2 trace and returns, for each
 // frame end, the byte offset and the cumulative event count durable
 // there — the ground truth a salvage of any prefix must reproduce.

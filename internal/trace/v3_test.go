@@ -350,8 +350,8 @@ func TestV3ReadAheadEquivalence(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		sym := event.NewSymtab()
 		sym.Intern("alpha")
-		evs := v3TestEvents(4 * DefaultBatchRecords)
-		clean := writeV3(t, evs, sym, DefaultBatchRecords, compress)
+		evs := v3TestEvents(4 * shortFrame)
+		clean := writeV3(t, evs, sym, shortFrame, compress)
 
 		variants := [][]byte{clean}
 		for cut := 9; cut < len(clean); cut += 97 {

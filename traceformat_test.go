@@ -89,7 +89,7 @@ func TestTraceV3SizeBudget(t *testing.T) {
 
 // TestRecordTraceWithFormats checks the facade recording path: each
 // format option produces a trace that replays to the recorded event
-// count, and the compatibility default of RecordTrace stays v2.
+// count, and RecordTrace records v3 like RecordTraceWith's zero options.
 func TestRecordTraceWithFormats(t *testing.T) {
 	run := func(record func(r *Run, w *bytes.Buffer) (func() error, error)) ([]byte, uint64) {
 		s := NewSession(Options{Frequency: 1024})
@@ -128,7 +128,7 @@ func TestRecordTraceWithFormats(t *testing.T) {
 		}
 	}
 	data, n := run(func(r *Run, w *bytes.Buffer) (func() error, error) { return RecordTrace(r, w) })
-	check("RecordTrace", data, n, uint64(trace.Version))
+	check("RecordTrace", data, n, uint64(trace.VersionV3))
 	data, n = run(func(r *Run, w *bytes.Buffer) (func() error, error) {
 		return RecordTraceWith(r, w, TraceOptions{})
 	})
