@@ -8,11 +8,17 @@ import (
 	"testing"
 
 	"heapmd/internal/sched"
+	"heapmd/internal/trace"
 )
 
 // The ingest-worker options survive only as accepted, ignored names:
 // ingestion is one serial, in-order path. These tests pin that the
 // names still compile, change nothing, and report the serial stage.
+
+// listProgTraceIters sizes the recorded listprog run: about 18.5k
+// events, five trace frames, so a trace cut at two thirds or damaged
+// in the middle still keeps a valid prefix of several whole frames.
+const listProgTraceIters = 2000
 
 // recordListProgTrace records one listprog run and returns the trace
 // bytes plus the report the recording session itself produced.
@@ -25,7 +31,7 @@ func recordListProgTrace(t *testing.T) ([]byte, *Report) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buildListProgram(run.Process(), false, 400)
+	buildListProgram(run.Process(), false, listProgTraceIters)
 	if err := closeTrace(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +93,8 @@ func TestIngestReplayFacade(t *testing.T) {
 
 // TestIngestReplayFacadeDamaged: corrupt and truncated traces behave
 // identically with IngestWorkers set — same error in strict mode, same
-// salvaged report and SalvageInfo in salvage mode.
+// salvaged report and SalvageInfo in salvage mode. Both damages land
+// past the second frame, so salvage must recover whole frames.
 func TestIngestReplayFacadeDamaged(t *testing.T) {
 	data, _ := recordListProgTrace(t)
 	cut := data[:len(data)*2/3]
@@ -115,6 +122,14 @@ func TestIngestReplayFacadeDamaged(t *testing.T) {
 		diffFacadeReports(t, name+" salvage", ingestRep, serialRep)
 		if *serialInfo != *ingestInfo {
 			t.Errorf("%s salvage info: %+v vs %+v", name, serialInfo, ingestInfo)
+		}
+		if serialInfo.EventsRecovered < 2*trace.DefaultBatchRecords {
+			t.Errorf("%s salvage recovered %d events, want at least two frames (%d)",
+				name, serialInfo.EventsRecovered, 2*trace.DefaultBatchRecords)
+		}
+		if serialRep.Events != serialInfo.EventsRecovered || len(serialRep.Snapshots) == 0 {
+			t.Errorf("%s salvaged report holds %d events and %d snapshots, want %d events and some snapshots",
+				name, serialRep.Events, len(serialRep.Snapshots), serialInfo.EventsRecovered)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"heapmd/internal/faults"
 	"heapmd/internal/model"
+	"heapmd/internal/trace"
 )
 
 func TestFillThresholdsPartialOverride(t *testing.T) {
@@ -44,7 +45,7 @@ func TestSessionBuildKeepsPartialThresholds(t *testing.T) {
 }
 
 // recordListTrace records a run of buildListProgram and returns the
-// trace bytes.
+// trace bytes: about 13k events, four trace frames.
 func recordListTrace(t *testing.T) []byte {
 	t.Helper()
 	sess := NewSession(Options{Frequency: 4})
@@ -54,7 +55,7 @@ func recordListTrace(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buildListProgram(run.Process(), false, 200)
+	buildListProgram(run.Process(), false, 1400)
 	if err := closeTrace(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +80,15 @@ func TestReplayTruncatedTraceSalvage(t *testing.T) {
 	}
 	if info.BytesDropped == 0 || !info.Truncated {
 		t.Errorf("salvage info = %v", info)
+	}
+	// The cut keeps two thirds of the trace: whole frames survive it.
+	if info.EventsRecovered < 2*trace.DefaultBatchRecords {
+		t.Errorf("salvage recovered %d events, want at least two frames (%d)",
+			info.EventsRecovered, 2*trace.DefaultBatchRecords)
+	}
+	if rep.Events != info.EventsRecovered || len(rep.Snapshots) == 0 {
+		t.Errorf("salvaged report holds %d events and %d snapshots, want %d events and some snapshots",
+			rep.Events, len(rep.Snapshots), info.EventsRecovered)
 	}
 	if sym == nil {
 		t.Fatal("salvage returned nil symtab")
