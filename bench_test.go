@@ -22,6 +22,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"syscall"
 	"testing"
@@ -243,7 +245,7 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
-			tw, err := trace.NewWriter(&buf)
+			tw, err := trace.NewWriterWith(&buf, trace.WriterOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -468,7 +470,7 @@ type emitOnlySink struct{ s event.Sink }
 func (w emitOnlySink) Emit(e event.Event) { w.s.Emit(e) }
 
 // recordParserTraces records one parser-workload run simultaneously
-// into every trace format and returns the encoded traces plus the
+// as raw and compressed v3 and returns the encoded traces plus the
 // event count. Function-entry dominated, like the production traces
 // post-mortem mode replays; shared by the replay benchmarks and the
 // v3 size-budget test.
@@ -481,9 +483,8 @@ func recordParserTraces(t testing.TB) (map[string][]byte, uint64) {
 		name string
 		opts trace.WriterOptions
 	}{
-		{"v2", trace.WriterOptions{Version: trace.Version}},
-		{"v3", trace.WriterOptions{Version: trace.VersionV3}},
-		{"v3-flate", trace.WriterOptions{Version: trace.VersionV3, Compress: true}},
+		{"v3", trace.WriterOptions{}},
+		{"v3-flate", trace.WriterOptions{Compress: true}},
 	}
 	bufs := make([]bytes.Buffer, len(formats))
 	writers := make([]*trace.Writer, len(formats))
@@ -533,7 +534,7 @@ func BenchmarkRecordWhileMonitoring(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				run := NewSession(Options{}).NewRun(w.Name(), in.Name, in.Seed)
 				closeTrace, err := RecordTraceWith(run, io.Discard,
-					TraceOptions{Version: TraceFormatV3, Compress: true, Workers: workers})
+					TraceOptions{Compress: true, Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -564,14 +565,26 @@ func processCPU() time.Duration {
 // BenchmarkReplayThroughput measures the batched trace replay fast
 // path into a real logger: per-event delivery (the old code path),
 // frame-batched delivery through the batch-sink interface, and
-// batched delivery with the read-ahead decoder goroutine — for the
-// fixed-width v2 format and the columnar v3 format, compressed and
-// not. The frame-decode loop reuses its payload and batch buffers, so
+// batched delivery through the one-worker decode pipeline — for the
+// columnar v3 format, compressed and not, and for the legacy
+// fixed-width v2 format. The v3 rows replay a fresh parser recording;
+// the v2 rows replay the trace package's legacy-mcf-v2 fixture (a
+// shorter mcf run in 512-record frames), since nothing writes v2 any
+// more. The frame-decode loop reuses its payload and batch buffers, so
 // the batched variants hold allocs/op flat regardless of trace
 // length; bytes/event shows the storage density each format trades
 // that throughput against.
 func BenchmarkReplayThroughput(b *testing.B) {
 	traces, nEvents := recordParserTraces(b)
+	events := map[string]uint64{"v3": nEvents, "v3-flate": nEvents}
+	v2, err := os.ReadFile(filepath.Join("internal", "trace", "testdata", "legacy-mcf-v2.trace"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	traces["v2"] = v2
+	if _, events["v2"], err = trace.Replay(bytes.NewReader(v2), event.SinkFunc(func(event.Event) {})); err != nil {
+		b.Fatal(err)
+	}
 	variants := []struct {
 		name   string
 		format string
@@ -585,7 +598,7 @@ func BenchmarkReplayThroughput(b *testing.B) {
 			_, _, err := trace.Replay(bytes.NewReader(data), l)
 			return err
 		}},
-		{"batched-readahead", "v2", func(l *logger.Logger, data []byte) error {
+		{"batched-pipeline-1", "v2", func(l *logger.Logger, data []byte) error {
 			_, _, err := trace.ReplayWith(bytes.NewReader(data), l, trace.ReadOptions{DecodeWorkers: 1})
 			return err
 		}},
@@ -593,7 +606,7 @@ func BenchmarkReplayThroughput(b *testing.B) {
 			_, _, err := trace.Replay(bytes.NewReader(data), l)
 			return err
 		}},
-		{"batched-readahead-v3", "v3", func(l *logger.Logger, data []byte) error {
+		{"batched-pipeline-1-v3", "v3", func(l *logger.Logger, data []byte) error {
 			_, _, err := trace.ReplayWith(bytes.NewReader(data), l, trace.ReadOptions{DecodeWorkers: 1})
 			return err
 		}},
@@ -614,7 +627,7 @@ func BenchmarkReplayThroughput(b *testing.B) {
 		}},
 	}
 	for _, v := range variants {
-		data := traces[v.format]
+		data, nEvents := traces[v.format], events[v.format]
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))

@@ -18,7 +18,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -173,9 +172,8 @@ func cmdTrain(args []string) error {
 	version := fs.Int("version", 1, "development version (commercial workloads)")
 	parallel := fs.Int("parallel", 0, "training runs in flight (0 = all cores, 1 = serial; results are identical)")
 	recordDir := fs.String("record-traces", "", "record each run's event stream to DIR/<input>.trace for later 'heapmd replay'")
-	traceFormat := fs.Uint("trace-format", uint(trace.VersionV3), "trace format version to record (2 or 3)")
-	compress := fs.Bool("compress", false, "flate-compress recorded v3 trace frames (smaller files, same replay)")
-	traceWorkers := fs.Int("trace-workers", 0, "encode recorded v3 frames on this many workers per run (0 = synchronous; bytes are identical)")
+	compress := fs.Bool("compress", false, "flate-compress recorded trace frames (smaller files, same replay)")
+	traceWorkers := fs.Int("trace-workers", 0, "encode recorded trace frames on this many workers per run (0 = synchronous; bytes are identical)")
 	extended := fs.Bool("extended", false, "train on the extended metric suite (adds WCC/SCC structure metrics)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -197,7 +195,7 @@ func cmdTrain(args []string) error {
 		if err != nil {
 			return err
 		}
-		cfg.Record, err = traceRecorder(*recordDir, uint32(*traceFormat), *compress, encodeWorkers)
+		cfg.Record, err = traceRecorder(*recordDir, *compress, encodeWorkers)
 		if err != nil {
 			return err
 		}
@@ -233,27 +231,19 @@ func cmdTrain(args []string) error {
 }
 
 // traceRecorder returns a RunConfig.Record hook that writes each
-// run's event stream to dir/<input>.trace in the selected format. The
-// hook builds a fresh writer per run, so recorded training and check
-// runs still fan out across workers.
-func traceRecorder(dir string, format uint32, compress bool, workers int) (func(in workloads.Input, p *prog.Process) (func() error, error), error) {
+// run's event stream to dir/<input>.trace. The hook builds a fresh
+// writer per run, so recorded training and check runs still fan out
+// across workers.
+func traceRecorder(dir string, compress bool, workers int) (func(in workloads.Input, p *prog.Process) (func() error, error), error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	// Validate the format/compression/worker combination once, up
-	// front, rather than failing on every run. The probe must be closed
-	// so a pipelined writer's goroutines do not outlive it.
-	probe, err := trace.NewWriterWith(io.Discard, trace.WriterOptions{Version: format, Compress: compress, Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	probe.Close(nil)
 	return func(in workloads.Input, p *prog.Process) (func() error, error) {
 		f, err := os.Create(filepath.Join(dir, in.Name+".trace"))
 		if err != nil {
 			return nil, err
 		}
-		tw, err := trace.NewWriterWith(f, trace.WriterOptions{Version: format, Compress: compress, Workers: workers})
+		tw, err := trace.NewWriterWith(f, trace.WriterOptions{Compress: compress, Workers: workers})
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -316,9 +306,8 @@ func cmdCheck(args []string) error {
 	version := fs.Int("version", 1, "development version")
 	parallel := fs.Int("parallel", 0, "check runs in flight (0 = all cores, 1 = serial; output is identical)")
 	recordDir := fs.String("record-traces", "", "record each run's event stream to DIR/<input>.trace for later 'heapmd replay'")
-	traceFormat := fs.Uint("trace-format", uint(trace.VersionV3), "trace format version to record (2 or 3)")
-	compress := fs.Bool("compress", false, "flate-compress recorded v3 trace frames (smaller files, same replay)")
-	traceWorkers := fs.Int("trace-workers", 0, "encode recorded v3 frames on this many workers per run (0 = synchronous; bytes are identical)")
+	compress := fs.Bool("compress", false, "flate-compress recorded trace frames (smaller files, same replay)")
+	traceWorkers := fs.Int("trace-workers", 0, "encode recorded trace frames on this many workers per run (0 = synchronous; bytes are identical)")
 	extended := fs.Bool("extended", false, "check with the extended metric suite (adds WCC/SCC structure metrics)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -338,7 +327,7 @@ func cmdCheck(args []string) error {
 		if werr != nil {
 			return werr
 		}
-		record, err = traceRecorder(*recordDir, uint32(*traceFormat), *compress, encodeWorkers)
+		record, err = traceRecorder(*recordDir, *compress, encodeWorkers)
 		if err != nil {
 			return err
 		}

@@ -43,7 +43,7 @@ func cmdReplay(args []string) error {
 	tracePath := fs.String("trace", "", "trace file recorded with heapmd.RecordTrace, or a directory of traces")
 	modelPath := fs.String("model", "", "optional model file: check each replayed report against it")
 	salvage := fs.Bool("salvage", false, "recover the longest valid prefix of a damaged trace")
-	decodeWorkersFlag := fs.Int("decode-workers", 0, "frame decode workers per trace: 0 = auto (all cores; synchronous on a single core), 1 = read-ahead, n = scanner + n-worker pipeline (identical report at any setting)")
+	decodeWorkersFlag := fs.Int("decode-workers", 0, "frame decode workers per trace: 0 = auto (all cores; synchronous on a single core), n = scanner + n-worker pipeline (identical report at any setting)")
 	extended := fs.Bool("extended", false, "compute the extended metric suite (adds WCC/SCC structure metrics)")
 	freq := fs.Uint64("freq", 0, "sampling frequency; must match the recording (0 = simulation default)")
 	retries := fs.Int("retries", 3, "max retries per read/seek on transient I/O errors")
@@ -269,7 +269,7 @@ func replayOne(path string, cfg replayConfig) (*replayOut, error) {
 		}
 		b.WriteByte('\n')
 	}
-	if st.DecodeWorkers >= 2 {
+	if st.DecodeWorkers >= 1 {
 		// Stall counters locate the pipeline bottleneck: scanner stalls
 		// mean decode or the sink is behind; resequencer stalls mean
 		// worker skew is gating in-order delivery.

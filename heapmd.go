@@ -164,17 +164,13 @@ const (
 // differs from the paper's frq = 1/100,000.
 const SimulationFrequency = logger.SimulationFrequency
 
-// Trace format versions for TraceOptions.Version. Replay auto-detects
-// the version from the header, so these matter only when recording.
-const (
-	// TraceFormatV2 is the framed fixed-width format: CRC32-protected
-	// frames of 37-byte records.
-	TraceFormatV2 = trace.Version
-	// TraceFormatV3 is the columnar delta-encoded format: same frame
-	// envelope, several times smaller on real event streams, with
-	// optional per-frame compression. The default for new recordings.
-	TraceFormatV3 = trace.VersionV3
-)
+// TraceFormatV3 is the columnar delta-encoded trace format that
+// RecordTrace writes: CRC32-protected frames, several times smaller
+// than fixed-width records on real event streams, with optional
+// per-frame compression. Replay auto-detects the version from the
+// header (TraceStats.Version) and still reads the legacy v1 and v2
+// formats.
+const TraceFormatV3 = trace.VersionV3
 
 // The paper's seven degree-based metrics.
 const (
@@ -414,17 +410,14 @@ func DefaultDecodeWorkers() int { return trace.DefaultDecodeWorkers() }
 
 // TraceOptions configure RecordTraceWith.
 type TraceOptions struct {
-	// Version selects the trace format (TraceFormatV2 or
-	// TraceFormatV3). Zero means TraceFormatV3.
-	Version uint32
-	// Compress flate-compresses v3 event frames when that makes them
-	// smaller; replay output is identical. Only valid with v3.
+	// Compress flate-compresses event frames when that makes them
+	// smaller; replay output is identical.
 	Compress bool
 	// Workers encodes (and, with Compress, flate-compresses) sealed
-	// v3 frames on a pool of that many goroutines instead of the
-	// emitting goroutine, with a single ordered writer performing the
-	// I/O. The trace bytes are identical at any worker count. Zero
-	// means synchronous. Only valid with v3.
+	// frames on a pool of that many goroutines instead of the emitting
+	// goroutine, with a single ordered writer performing the I/O. The
+	// trace bytes are identical at any worker count. Zero means
+	// synchronous.
 	Workers int
 }
 
@@ -436,15 +429,15 @@ type TraceOptions struct {
 // the close function after execution for a cleanly-terminated trace.
 // The trace is written in the columnar v3 format, uncompressed — the
 // zero TraceOptions of RecordTraceWith, which also offers flate
-// compression and the legacy v2 format.
+// compression and an encode pool.
 func RecordTrace(r *Run, w io.Writer) (func() error, error) {
 	return RecordTraceWith(r, w, TraceOptions{})
 }
 
-// RecordTraceWith is RecordTrace with format control; the zero
-// options record columnar v3, uncompressed.
+// RecordTraceWith is RecordTrace with control over compression and
+// encoding; the zero options record uncompressed, synchronously.
 func RecordTraceWith(r *Run, w io.Writer, opts TraceOptions) (func() error, error) {
-	tw, err := trace.NewWriterWith(w, trace.WriterOptions{Version: opts.Version, Compress: opts.Compress, Workers: opts.Workers})
+	tw, err := trace.NewWriterWith(w, trace.WriterOptions{Compress: opts.Compress, Workers: opts.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -467,11 +460,10 @@ type ReplayOptions struct {
 	// Suite selects the metric suite for the replay; zero value
 	// means the default seven-metric suite.
 	Suite metrics.Suite
-	// DecodeWorkers selects the trace decode pipeline: 0 decodes
-	// synchronously, 1 CRC-checks and decodes the next frame on one
-	// read-ahead goroutine, and n ≥ 2 runs a framing scanner plus n
-	// decode workers with ordered delivery. The report is identical at
-	// any setting; negative values decode synchronously.
+	// DecodeWorkers selects the trace decode path: 0 decodes
+	// synchronously, and n ≥ 1 runs a framing scanner plus n decode
+	// workers with ordered delivery. The report is identical at any
+	// setting; negative values decode synchronously.
 	// DefaultDecodeWorkers returns this machine's recommended value.
 	// See trace.ReadOptions.DecodeWorkers.
 	DecodeWorkers int

@@ -75,9 +75,9 @@ func TestTrainManyFirstErrorWins(t *testing.T) {
 	}
 }
 
-// TestReplayReadAheadFacade checks the read-ahead decoder
-// (DecodeWorkers 1) reconstructs the same report as the synchronous
-// reader.
+// TestReplayReadAheadFacade checks the one-worker decode pipeline
+// (DecodeWorkers 1, once a read-ahead goroutine) reconstructs the same
+// report as the synchronous reader.
 func TestReplayReadAheadFacade(t *testing.T) {
 	data, _ := recordListProgTrace(t)
 	syncRep, _, _, err := ReplayTraceWith(bytes.NewReader(data), "listprog", "traced", ReplayOptions{Frequency: 4})
@@ -89,10 +89,10 @@ func TestReplayReadAheadFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprintf("%+v", syncRep.Snapshots) != fmt.Sprintf("%+v", raRep.Snapshots) {
-		t.Error("read-ahead replay produced different metric snapshots")
+		t.Error("one-worker pipeline replay produced different metric snapshots")
 	}
 	if syncRep.Health != raRep.Health {
-		t.Errorf("read-ahead replay produced different health counters: %+v vs %+v",
+		t.Errorf("one-worker pipeline replay produced different health counters: %+v vs %+v",
 			syncRep.Health, raRep.Health)
 	}
 }

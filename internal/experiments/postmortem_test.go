@@ -35,7 +35,7 @@ func TestPostMortemAgreesWithLive(t *testing.T) {
 		}
 		// Live run with a trace recorder attached.
 		var buf bytes.Buffer
-		tw, err := trace.NewWriter(&buf)
+		tw, err := trace.NewWriterWith(&buf, trace.WriterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,6 +26,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"heapmd/internal/trace"
 )
 
 // Workers resolves a worker-count setting: values <= 0 select
@@ -54,21 +56,17 @@ func ParseParallel(n int) (int, error) {
 
 // ParseDecodeWorkers validates a -decode-workers flag value and
 // resolves it to a trace.ReadOptions.DecodeWorkers setting: 0 selects
-// the machine default — all cores on a multi-core machine, the
-// synchronous decoder on a single core, where extra goroutines only
-// add handoff cost (always-on read-ahead was a measured regression
-// there). Positive values are exact: 1 is the fused read-ahead
-// pipeline, n ≥ 2 a scanner plus n decode workers. Negative values
-// are an error. This is the one decode knob; ingestion is serial.
+// the machine default, trace.DefaultDecodeWorkers — all cores on a
+// multi-core machine, the synchronous decoder on a single core, where
+// extra goroutines only add handoff cost. Positive values are exact: a
+// scanner plus n decode workers. Negative values are an error. This is
+// the one decode knob; ingestion is serial.
 func ParseDecodeWorkers(n int) (int, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("sched: -decode-workers must be >= 0 (0 = auto), got %d", n)
 	}
 	if n == 0 {
-		if p := runtime.GOMAXPROCS(0); p > 1 {
-			return p, nil
-		}
-		return 0, nil
+		return trace.DefaultDecodeWorkers(), nil
 	}
 	return n, nil
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -43,7 +45,7 @@ func TestBatchSinkEquivalence(t *testing.T) {
 	sym.Intern("alpha")
 	sym.Intern("beta")
 	evs := testEvents(3 * DefaultBatchRecords / 2) // multiple frames, last partial
-	data := writeV2(t, evs, sym, 0)
+	data := writeV3(t, evs, sym, 0, false)
 
 	var perEvent []event.Event
 	_, nSerial, err := Replay(bytes.NewReader(data), emitOnly{collectSink(&perEvent)})
@@ -73,63 +75,33 @@ func TestBatchSinkEquivalence(t *testing.T) {
 	}
 }
 
-// TestReadAheadEquivalence checks that the read-ahead decoder produces
-// outcomes identical to the synchronous reader — same events, same
-// counts, same errors in strict mode, same SalvageInfo in salvage mode
-// — on a clean trace, on every possible truncation, and on a bit flip.
-func TestReadAheadEquivalence(t *testing.T) {
-	sym := event.NewSymtab()
-	sym.Intern("alpha")
-	evs := testEvents(4 * shortFrame)
-	clean := writeV2(t, evs, sym, shortFrame)
-
-	variants := [][]byte{clean}
-	for cut := 9; cut < len(clean); cut += 97 {
-		variants = append(variants, clean[:cut])
+// v2FrameTrace builds a v2 trace of n event frames by repeating the
+// mcf-v2 fixture's 512-record event frames verbatim, closed by an end
+// frame declaring their summed event count: long legacy traces for the
+// decode-loop gate without a v2 writer.
+func v2FrameTrace(t testing.TB, n int) []byte {
+	fixture := legacyTrace(t, "mcf-v2")
+	var frames [][]byte
+	for off := 8; off < len(fixture); {
+		size := frameHeaderSize + int(binary.LittleEndian.Uint32(fixture[off+1:]))
+		if fixture[off] == frameEvents {
+			frames = append(frames, fixture[off:off+size])
+		}
+		off += size
 	}
-	flipped := bytes.Clone(clean)
-	flipped[len(flipped)/2] ^= 0x40
-	variants = append(variants, flipped)
-
-	for vi, data := range variants {
-		var syncEvents, raEvents []event.Event
-		syncSym, syncN, syncErr := ReplayWith(bytes.NewReader(data), collectSink(&syncEvents), ReadOptions{})
-		raSym, raN, raErr := ReplayWith(bytes.NewReader(data), collectSink(&raEvents), ReadOptions{DecodeWorkers: 1})
-		if (syncErr == nil) != (raErr == nil) ||
-			(syncErr != nil && syncErr.Error() != raErr.Error()) {
-			t.Fatalf("variant %d strict: sync err %v, readahead err %v", vi, syncErr, raErr)
-		}
-		if syncN != raN || len(syncEvents) != len(raEvents) {
-			t.Fatalf("variant %d strict: sync %d/%d events, readahead %d/%d",
-				vi, syncN, len(syncEvents), raN, len(raEvents))
-		}
-		for i := range syncEvents {
-			if syncEvents[i] != raEvents[i] {
-				t.Fatalf("variant %d strict: event %d differs", vi, i)
-			}
-		}
-		if syncErr == nil && syncSym.Len() != raSym.Len() {
-			t.Fatalf("variant %d strict: symtab %d vs %d", vi, syncSym.Len(), raSym.Len())
-		}
-
-		var syncSalv, raSalv []event.Event
-		_, syncInfo, syncErr2 := SalvageWith(bytes.NewReader(data), collectSink(&syncSalv), ReadOptions{})
-		_, raInfo, raErr2 := SalvageWith(bytes.NewReader(data), collectSink(&raSalv), ReadOptions{DecodeWorkers: 1})
-		if syncErr2 != nil || raErr2 != nil {
-			t.Fatalf("variant %d salvage: errs %v, %v", vi, syncErr2, raErr2)
-		}
-		if *syncInfo != *raInfo {
-			t.Fatalf("variant %d salvage: info %+v vs %+v", vi, *syncInfo, *raInfo)
-		}
-		if len(syncSalv) != len(raSalv) {
-			t.Fatalf("variant %d salvage: %d vs %d events", vi, len(syncSalv), len(raSalv))
-		}
-		for i := range syncSalv {
-			if syncSalv[i] != raSalv[i] {
-				t.Fatalf("variant %d salvage: event %d differs", vi, i)
-			}
-		}
+	out := bytes.Clone(fixture[:8])
+	var events uint64
+	for i := 0; i < n; i++ {
+		f := frames[i%len(frames)]
+		out = append(out, f...)
+		events += uint64(len(f)-frameHeaderSize) / recordSize
 	}
+	var end [8]byte
+	binary.LittleEndian.PutUint64(end[:], events)
+	out = append(out, frameEnd)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(end)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(end[:], crcTable))
+	return append(out, end[:]...)
 }
 
 // TestReplayFrameDecodeAllocs is the zero-alloc gate for the frame
@@ -194,27 +166,27 @@ func TestReplayFrameDecodeAllocs(t *testing.T) {
 		smallFrames = 16
 	}
 	for _, w := range []struct {
-		name string
-		opts WriterOptions
+		name    string
+		mkTrace func(frames int) []byte
 		// flate's inflater keeps per-stream state the stdlib may top up
 		// lazily; allow a handful of allocs, never one per frame.
 		slack float64
 	}{
-		{"v2", WriterOptions{Version: Version}, 0},
-		{"v3", WriterOptions{Version: VersionV3}, 0},
-		{"v3-flate", WriterOptions{Version: VersionV3, Compress: true}, 8},
+		{"v2", func(frames int) []byte { return v2FrameTrace(t, frames) }, 0},
+		{"v3", func(frames int) []byte { return mkTrace(frames, WriterOptions{}) }, 0},
+		{"v3-flate", func(frames int) []byte { return mkTrace(frames, WriterOptions{Compress: true}) }, 8},
 	} {
-		small, large := mkTrace(smallFrames, w.opts), mkTrace(128, w.opts)
+		small, large := w.mkTrace(smallFrames), w.mkTrace(128)
 		for _, tc := range []struct {
 			name  string
 			opts  ReadOptions
 			slack float64
 		}{
 			{"sync", ReadOptions{}, 0},
-			// The read-ahead path blocks on channels, and the runtime may
-			// allocate a sudog per park; allow a few allocs of noise but
-			// nothing near one per frame (112 or more extra frames).
-			{"readahead", ReadOptions{DecodeWorkers: 1}, 8},
+			// The one-worker pipeline blocks on channels, and the runtime
+			// may allocate a sudog per park; allow a few allocs of noise
+			// but nothing near one per frame (112 or more extra frames).
+			{"pipeline-1", ReadOptions{DecodeWorkers: 1}, 8},
 			// The decode pipeline allocates its channels, ring, and
 			// per-worker decoder state once per replay — O(workers), not
 			// O(frames). Parking on channels adds runtime noise.
@@ -230,8 +202,8 @@ func TestReplayFrameDecodeAllocs(t *testing.T) {
 }
 
 // recycleBudget is what one replay of a trace may allocate once the
-// decode-state pools are warm: the pipeline's channels and ring, the
-// read-ahead channels, closures, the symtab and SalvageInfo. It is a
+// decode-state pools are warm: the pipeline's channels and ring,
+// closures, the symtab and SalvageInfo. It is a
 // constant, so it cannot grow with DefaultBatchRecords, while a single
 // unrecycled frame buffer (DefaultBatchRecords decoded events) already
 // exceeds it.

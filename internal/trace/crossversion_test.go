@@ -8,45 +8,24 @@ import (
 	"heapmd/internal/event"
 )
 
-// traceVariant writes one run's events in a given format version.
+// traceVariant is one run's events in a given format version.
 type traceVariant struct {
 	name    string
 	version uint32
-	write   func(t *testing.T, evs []event.Event, sym *event.Symtab) []byte
+	data    []byte
 }
 
-func crossVersionVariants() []traceVariant {
+// crossVersionVariants returns smallFixtureEvents in every format: the
+// checked-in v1 and v2 fixtures, and v3 raw and flate written now with
+// the v2 fixture's framing (a frame every 5 events, symtab attached).
+func crossVersionVariants(t *testing.T) []traceVariant {
+	evs, sym := smallFixtureEvents(), smallFixtureSymtab()
 	return []traceVariant{
-		{"v1", VersionV1, func(t *testing.T, evs []event.Event, sym *event.Symtab) []byte {
-			var buf bytes.Buffer
-			w, err := NewWriterV1(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range evs {
-				w.Emit(e)
-			}
-			if err := w.Close(sym); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}},
-		{"v2", Version, func(t *testing.T, evs []event.Event, sym *event.Symtab) []byte {
-			return writeV2asT(t, evs, sym)
-		}},
-		{"v3", VersionV3, func(t *testing.T, evs []event.Event, sym *event.Symtab) []byte {
-			return writeV3(t, evs, sym, 0, false)
-		}},
-		{"v3-flate", VersionV3, func(t *testing.T, evs []event.Event, sym *event.Symtab) []byte {
-			return writeV3(t, evs, sym, 0, true)
-		}},
+		{"v1", VersionV1, legacyTrace(t, "small-v1")},
+		{"v2", VersionV2, legacyTrace(t, "small-v2")},
+		{"v3", VersionV3, writeV3(t, evs, sym, 5, false)},
+		{"v3-flate", VersionV3, writeV3(t, evs, sym, 5, true)},
 	}
-}
-
-// writeV2asT adapts writeV2 (which takes *testing.T) without the
-// flushEvery knob.
-func writeV2asT(t *testing.T, evs []event.Event, sym *event.Symtab) []byte {
-	return writeV2(t, evs, sym, 0)
 }
 
 // TestCrossVersionEquivalence is the format-compatibility oracle: the
@@ -54,10 +33,7 @@ func writeV2asT(t *testing.T, evs []event.Event, sym *event.Symtab) []byte {
 // byte-identical event sequences and identical symbol tables, with
 // correct per-format version reporting in Stats.
 func TestCrossVersionEquivalence(t *testing.T) {
-	sym := event.NewSymtab()
-	fMain := sym.Intern("main")
-	fLoop := sym.Intern("parse_loop")
-	evs := v3TestEvents(3*DefaultBatchRecords + 41)
+	evs := smallFixtureEvents()
 
 	type result struct {
 		name   string
@@ -66,8 +42,8 @@ func TestCrossVersionEquivalence(t *testing.T) {
 		stats  Stats
 	}
 	var results []result
-	for _, v := range crossVersionVariants() {
-		data := v.write(t, evs, sym)
+	for _, v := range crossVersionVariants(t) {
+		data := v.data
 		var got []event.Event
 		var st Stats
 		rsym, n, err := ReplayWith(bytes.NewReader(data), collectSink(&got), ReadOptions{Stats: &st})
@@ -80,13 +56,16 @@ func TestCrossVersionEquivalence(t *testing.T) {
 		if st.Version != v.version || st.Events != n || st.TotalBytes != uint64(len(data)) {
 			t.Errorf("%s: stats = %+v", v.name, st)
 		}
-		syms := []string{rsym.Name(fMain), rsym.Name(fLoop)}
-		results = append(results, result{v.name, got, syms, st})
+		results = append(results, result{v.name, got, symNames(rsym), st})
 	}
 	base := results[0]
+	if len(base.syms) != 2 {
+		t.Fatalf("%s: %d symbols, want 2", base.name, len(base.syms))
+	}
 	for _, r := range results[1:] {
-		if len(r.events) != len(base.events) {
-			t.Fatalf("%s: %d events vs %s's %d", r.name, len(r.events), base.name, len(base.events))
+		if len(r.events) != len(base.events) || len(r.syms) != len(base.syms) {
+			t.Fatalf("%s: %d events, %d symbols vs %s's %d, %d",
+				r.name, len(r.events), len(r.syms), base.name, len(base.events), len(base.syms))
 		}
 		for i := range r.events {
 			if r.events[i] != base.events[i] {
@@ -120,12 +99,10 @@ func TestCrossVersionEquivalence(t *testing.T) {
 // most one frame of events and never corrupts the prefix, regardless
 // of version; v1 recovers whole records.
 func TestCrossVersionSalvage(t *testing.T) {
-	sym := event.NewSymtab()
-	sym.Intern("fn")
-	evs := v3TestEvents(2*DefaultBatchRecords + 100)
-	for _, v := range crossVersionVariants() {
+	evs := smallFixtureEvents()
+	for _, v := range crossVersionVariants(t) {
 		t.Run(v.name, func(t *testing.T) {
-			data := v.write(t, evs, sym)
+			data := v.data
 			for _, frac := range []int{4, 2, 3} {
 				cut := len(data) * (frac - 1) / frac
 				var got []event.Event
@@ -150,29 +127,27 @@ func TestCrossVersionSalvage(t *testing.T) {
 }
 
 // TestV2ErrorStringsPinned pins the v2 corruption error strings as
-// public contract: v3's introduction must not reword what tools
-// already match on (ISSUE: "same error strings, same SalvageInfo
-// offsets for v2").
+// public contract: reader changes must not reword what tools already
+// match on. The damage is cut or flipped into the v2 fixture.
 func TestV2ErrorStringsPinned(t *testing.T) {
-	evs := v3TestEvents(DefaultBatchRecords)
-	clean := writeV2(t, evs, nil, 0)
+	clean := legacyTrace(t, "small-v2")
 
 	strict := func(data []byte) error {
 		_, _, err := Replay(bytes.NewReader(data), event.SinkFunc(func(event.Event) {}))
 		return err
 	}
 
-	// Truncated mid-frame: missing end frame.
+	// Truncated in the middle of an event frame's payload.
 	if err := strict(clean[:len(clean)/2]); err == nil || !strings.Contains(err.Error(), "truncated frame payload") {
 		t.Errorf("truncation error = %v", err)
 	}
-	// CRC mismatch on a payload byte.
+	// CRC mismatch on a payload byte of the first event frame.
 	mut := bytes.Clone(clean)
 	mut[20] ^= 0xff
 	if err := strict(mut); err == nil || !strings.Contains(err.Error(), "frame checksum mismatch") {
 		t.Errorf("crc error = %v", err)
 	}
-	// Unknown frame kind.
+	// Unknown frame kind (the kind byte is outside the CRC).
 	mut = bytes.Clone(clean)
 	mut[8] = 0x77
 	if err := strict(mut); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {

@@ -9,8 +9,8 @@ import (
 	"heapmd/internal/event"
 )
 
-// fuzzSeeds builds the seed corpus: clean and damaged traces in both
-// format versions, plus outright garbage. The fuzzer mutates from
+// fuzzSeeds builds the seed corpus: clean and damaged traces in every
+// format version, plus outright garbage. The fuzzer mutates from
 // here into the interesting corners (flipped CRCs, ragged frames,
 // lying length fields, truncated trailers).
 func fuzzSeeds(f *testing.F) {
@@ -24,34 +24,8 @@ func fuzzSeeds(f *testing.F) {
 			Fn:   event.FnID(i), Addr: uint64(i * 64), Value: uint64(i), Size: 8,
 		}
 	}
-	// Clean v2 with several frames.
-	var v2 bytes.Buffer
-	w, err := NewWriter(&v2)
-	if err != nil {
-		f.Fatal(err)
-	}
-	w.SetSymtab(sym)
-	for i, e := range evs {
-		w.Emit(e)
-		if i%7 == 6 {
-			w.Flush()
-		}
-	}
-	if err := w.Close(sym); err != nil {
-		f.Fatal(err)
-	}
-	// Clean v1.
-	var v1 bytes.Buffer
-	w1, err := NewWriterV1(&v1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, e := range evs {
-		w1.Emit(e)
-	}
-	if err := w1.Close(sym); err != nil {
-		f.Fatal(err)
-	}
+	// Clean v2 with several frames and clean v1, from the fixtures.
+	v2, v1 := legacyTrace(f, "small-v2"), legacyTrace(f, "small-v1")
 	// Clean v3, raw and compressed, several frames each.
 	var v3, v3z bytes.Buffer
 	for _, dst := range []struct {
@@ -89,8 +63,8 @@ func fuzzSeeds(f *testing.F) {
 	if err := wm.Close(sym); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2.Bytes())
-	f.Add(v1.Bytes())
+	f.Add(v2)
+	f.Add(v1)
 	f.Add(v3many.Bytes())
 	f.Add(v3many.Bytes()[:v3many.Len()-13])
 	f.Add(v3.Bytes())
@@ -98,9 +72,9 @@ func fuzzSeeds(f *testing.F) {
 	f.Add(v3.Bytes()[:v3.Len()*2/3])          // truncated v3
 	f.Add(v3z.Bytes()[:v3z.Len()/2])          // truncated compressed v3
 	f.Add(append([]byte("HMDT"), 3, 0, 0, 0)) // bare v3 header
-	f.Add(v2.Bytes()[:v2.Len()/2])            // truncated v2
-	f.Add(v1.Bytes()[:v1.Len()-25])           // v1 missing trailer
-	f.Add(v1.Bytes()[:11])                    // mid-record v1
+	f.Add(v2[:len(v2)/2])                     // truncated v2
+	f.Add(v1[:len(v1)-25])                    // v1 missing trailer
+	f.Add(v1[:11])                            // mid-record v1
 	f.Add([]byte("HMDT"))                     // header alone, short
 	f.Add(append([]byte("HMDT"), 2, 0, 0, 0)) // bare v2 header
 	f.Add(append([]byte("HMDT"), 1, 0, 0, 0)) // bare v1 header

@@ -17,18 +17,53 @@ import (
 var updateLegacy = flag.Bool("update", false, "rewrite the legacy trace fixture goldens under testdata/")
 
 // legacyFixtures are traces written by an older writer and checked in
-// as bytes, so a change to the writer cannot silently change what the
-// reader is tested against. All five hold one short corpus run: mcf
-// input 0 with its scale quartered (Scale 35, 4242 events), the run's
-// symbol table attached, recorded by the writer of commit 342a38d —
-// 512-record event frames, a symtab checkpoint every 8 event frames:
+// as bytes (testdata/legacy-<name>.trace), so a change to the writer
+// cannot silently change what the reader is tested against — and the
+// v1 and v2 readers keep their inputs now that only v3 is written.
 //
-//	v2             format v2, fixed-width records
-//	v3             format v3, raw columnar frames
-//	v3-flate       format v3, every frame flate-compressed
-//	v3-flate-trunc v3-flate cut in the middle of its last event frame
-//	v3-flate-flip  v3-flate with one payload byte of event frame 4 flipped
-var legacyFixtures = []string{"v2", "v3", "v3-flate", "v3-flate-trunc", "v3-flate-flip"}
+// The mcf fixtures hold one short corpus run: mcf input 0 with its
+// scale quartered (Scale 35, 4242 events), the run's symbol table
+// attached, recorded by the writer of commit 342a38d — 512-record
+// event frames, a symtab checkpoint every 8 event frames:
+//
+//	mcf-v2             format v2, fixed-width records
+//	mcf-v3             format v3, raw columnar frames
+//	mcf-v3-flate       format v3, every frame flate-compressed
+//	mcf-v3-flate-trunc mcf-v3-flate cut in the middle of its last event frame
+//	mcf-v3-flate-flip  mcf-v3-flate with one payload byte of event frame 4 flipped
+//
+// The small fixtures hold smallFixtureEvents with the symtab {alpha,
+// beta}, recorded by the v1 and v2 writers of commit ff3a4c7 (the last
+// to have them), small enough for tests that cut or flip every byte:
+//
+//	small-v1 format v1, unframed records and trailer
+//	small-v2 format v2, symtab attached, flushed every 5 events: six
+//	         event frames, each followed by a symtab checkpoint
+var legacyFixtures = []string{
+	"small-v1", "small-v2",
+	"mcf-v2", "mcf-v3", "mcf-v3-flate", "mcf-v3-flate-trunc", "mcf-v3-flate-flip",
+}
+
+// smallFixtureEvents returns the event stream the small fixtures hold.
+func smallFixtureEvents() []event.Event { return v3TestEvents(30) }
+
+// smallFixtureSymtab returns the symbol table the small fixtures hold.
+func smallFixtureSymtab() *event.Symtab {
+	sym := event.NewSymtab()
+	sym.Intern("alpha")
+	sym.Intern("beta")
+	return sym
+}
+
+// legacyTrace returns the bytes of the fixture testdata/legacy-<name>.trace.
+func legacyTrace(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy-"+name+".trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
 
 // legacyGolden is what replaying a fixture must yield. Strict replay
 // and salvage deliver the same events, symbols and Stats; strict fails
@@ -88,17 +123,16 @@ func goldenOf(strict, salvage replayOutcome) legacyGolden {
 }
 
 // TestLegacyTraceFixtures replays every checked-in legacy trace in
-// strict and salvage mode on the synchronous reader, the read-ahead
-// reader and a two-worker pipeline, and checks each against its golden.
-// Run with -update to rewrite the goldens from the current reader.
+// strict and salvage mode on the synchronous reader and on the
+// pipeline with one and two workers, and checks each against its
+// golden. Run with -update to rewrite the goldens from the current
+// reader. The mcf subtests keep the names they had before the small
+// fixtures joined (v2, v3, ...).
 func TestLegacyTraceFixtures(t *testing.T) {
 	for _, name := range legacyFixtures {
-		t.Run(name, func(t *testing.T) {
-			base := filepath.Join("testdata", "legacy-mcf-"+name)
-			data, err := os.ReadFile(base + ".trace")
-			if err != nil {
-				t.Fatal(err)
-			}
+		t.Run(strings.TrimPrefix(name, "mcf-"), func(t *testing.T) {
+			base := filepath.Join("testdata", "legacy-"+name)
+			data := legacyTrace(t, name)
 			if *updateLegacy {
 				g := goldenOf(runReplay(t, data, false, 0), runReplay(t, data, true, 0))
 				js, err := json.MarshalIndent(g, "", "  ")

@@ -1,16 +1,18 @@
-// Parallel frame-decode pipeline: the DecodeWorkers ≥ 2 read path.
+// Parallel frame-decode pipeline: the DecodeWorkers ≥ 1 read path.
 //
 // The v3 format was built for this — every frame is self-contained
 // (CRC32C envelope, per-frame delta-chain restart, per-frame codec
 // byte), so frames can be checked and decoded in any order as long as
 // delivery is resequenced. The pipeline has three stages:
 //
-//	scanner      one goroutine walks the length-delimited envelope,
-//	             reading each frame's header + payload into a recycled
-//	             frameBuf (the only stage touching the file)
+//	scanner      one goroutine walks the length-delimited envelope
+//	             (frameReader.readFrame), reading each frame's header +
+//	             payload into a recycled frameBuf (the only stage
+//	             touching the file)
 //	workers      n goroutines CRC-check the payload and decode it
-//	             (inflate + columnar decode for v3, fixed-width records
-//	             for v2, symtab/end parsing) into the frameBuf's batch
+//	             (payloadDecoder.decodeJob: inflate + columnar decode
+//	             for v3, fixed-width records for v2, symtab/end parsing)
+//	             into the frameBuf's batch
 //	resequencer  the consumer (replayFramed's loop) reorders decoded
 //	             frames by sequence number and feeds the sink
 //
@@ -25,11 +27,12 @@
 //     depth slots resequences without allocation and the stages can
 //     never deadlock: the frame the consumer waits for always ends up
 //     in the results channel, whose capacity admits every buffer.
-//   - Error semantics equal the serial reader's "first bad frame
-//     wins": the consumer inspects frames strictly in sequence order,
-//     so a decode failure on frame k surfaces if and only if frames
-//     < k were intact, with the same error and the same end offset
-//     (the start of frame k) the serial decoder would report. Scanner
+//   - Error semantics equal the synchronous reader's "first bad frame
+//     wins" by construction: both read frames with readFrame and
+//     decode them with decodeJob, and the consumer inspects frames
+//     strictly in sequence order, so a decode failure on frame k
+//     surfaces if and only if frames < k were intact, with the same
+//     error and the same end offset (the start of frame k). Scanner
 //     failures (truncated header/payload, implausible length, missing
 //     end frame) take the sequence number of the frame being scanned,
 //     which likewise only surfaces after every earlier frame decoded
@@ -44,27 +47,10 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
 	"io"
 	"sync"
 	"sync/atomic"
 )
-
-// scanJob is one scanned-but-unverified frame handed to a decode
-// worker. payload aliases buf.payload.
-type scanJob struct {
-	seq     uint64
-	kind    byte
-	wantCRC uint32
-	payload []byte
-	buf     *frameBuf
-	start   int64 // file offset of the frame header
-	end     int64 // file offset just past the frame
-}
 
 // decodePipeline wires the stages together. The consumer drives it
 // through next/release and must call halt when done (normally or not).
@@ -85,8 +71,10 @@ type decodePipeline struct {
 	stats         *Stats
 }
 
-// newDecodePipeline starts the scanner and workers ≥ 2 decode workers
-// over the framed region of a v2/v3 trace.
+// newDecodePipeline starts the scanner and workers ≥ 1 decode workers
+// over the framed region of a v2/v3 trace. With one worker the scanner
+// reads ahead while the worker decodes frame N+1 and the sink consumes
+// frame N.
 func newDecodePipeline(r io.Reader, version uint32, size int64, workers int, stats *Stats) *decodePipeline {
 	// Depth bounds both memory (each in-flight frame owns a frameBuf)
 	// and how far the scanner runs ahead: enough for every worker to
@@ -109,7 +97,7 @@ func newDecodePipeline(r io.Reader, version uint32, size int64, workers int, sta
 		p.free <- p.bufs[i]
 	}
 	p.wg.Add(1 + workers)
-	go p.scan(getReader(r), size)
+	go p.scan(newFrameReader(r, size))
 	for i := 0; i < workers; i++ {
 		go p.worker(version)
 	}
@@ -118,21 +106,13 @@ func newDecodePipeline(r io.Reader, version uint32, size int64, workers int, sta
 
 // scan walks frame envelopes and fans whole frames to the workers.
 // It owns all file I/O and performs no validation beyond the length
-// bound — CRC and payload structure are the workers' job.
-func (p *decodePipeline) scan(br *bufio.Reader, size int64) {
+// bound — CRC and payload structure are the workers' job. A frame with
+// an envelope error is dispatched like any other (decodeJob passes the
+// error through) and ends the scan.
+func (p *decodePipeline) scan(fr *frameReader) {
 	defer p.wg.Done()
 	defer close(p.work)
-	defer putReader(br)
-	offset := int64(8) // consumed through the last fully-scanned frame
-	var seq uint64
-	var hdr [frameHeaderSize]byte
-	terminal := func(buf *frameBuf, err error) {
-		m := frameMsg{seq: seq, end: offset, buf: buf, err: err}
-		select {
-		case p.results <- m:
-		case <-p.stop:
-		}
-	}
+	defer fr.release()
 	for {
 		var buf *frameBuf
 		select {
@@ -147,46 +127,13 @@ func (p *decodePipeline) scan(br *bufio.Reader, size int64) {
 				return
 			}
 		}
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF && offset == size {
-				terminal(buf, errors.New("missing end frame"))
-			} else {
-				terminal(buf, errors.New("truncated frame header"))
-			}
-			return
-		}
-		kind := hdr[0]
-		payloadLen := binary.LittleEndian.Uint32(hdr[1:])
-		wantCRC := binary.LittleEndian.Uint32(hdr[5:])
-		if payloadLen > maxFramePayload {
-			terminal(buf, fmt.Errorf("implausible frame length %d", payloadLen))
-			return
-		}
-		if cap(buf.payload) < int(payloadLen) {
-			buf.payload = make([]byte, max(int(payloadLen), 2*cap(buf.payload)))
-		}
-		payload := buf.payload[:payloadLen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			terminal(buf, errors.New("truncated frame payload"))
-			return
-		}
-		job := scanJob{
-			seq:     seq,
-			kind:    kind,
-			wantCRC: wantCRC,
-			payload: payload,
-			buf:     buf,
-			start:   offset,
-			end:     offset + int64(frameHeaderSize) + int64(payloadLen),
-		}
+		job := fr.readFrame(buf)
 		select {
 		case p.work <- job:
 		case <-p.stop:
 			return
 		}
-		seq++
-		offset = job.end
-		if kind == frameEnd {
+		if job.err != nil || job.kind == frameEnd {
 			// Terminal frame dispatched; its decoded message (or error)
 			// ends the stream. Bytes past it are the consumer's
 			// trailing-garbage check, not ours to read.
@@ -204,17 +151,8 @@ func (p *decodePipeline) worker(version uint32) {
 	dec := getDecoder(version)
 	defer decoderPool.Put(dec)
 	for job := range p.work {
-		msg := frameMsg{seq: job.seq, buf: job.buf, end: job.start}
-		if crc32.Checksum(job.payload, crcTable) != job.wantCRC {
-			msg.err = errors.New("frame checksum mismatch")
-		} else {
-			dec.decodePayload(job.kind, job.payload, job.buf, &msg)
-		}
-		if msg.err == nil {
-			msg.end = job.end
-		}
 		select {
-		case p.results <- msg:
+		case p.results <- dec.decodeJob(job):
 		case <-p.stop:
 			return
 		}

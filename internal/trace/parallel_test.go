@@ -11,8 +11,8 @@ import (
 	"heapmd/internal/event"
 )
 
-// parallelWorkerCounts is the oracle's worker matrix: the read-ahead
-// case (1), the smallest real pool (2), and a host-sized pool (at
+// parallelWorkerCounts is the oracle's worker matrix: a lone worker
+// (1), the smallest real pool (2), and a host-sized pool (at
 // least 4 so the resequencer sees real fan-out even on small CI
 // boxes).
 func parallelWorkerCounts() []int {
@@ -105,19 +105,19 @@ func diffOutcome(serial, parallel replayOutcome) string {
 
 // parallelOracleTraces builds small many-framed traces in every framed
 // format (plus damage-friendly extras): the cross-version matrix the
-// parallel reader must replay identically to the serial one.
+// parallel reader must replay identically to the serial one. The v2
+// rows are the checked-in fixtures: small-v2 holds the same events,
+// symbols and framing as the v3 row, and mcf-v2's twelve frames
+// outnumber the pipeline's buffers at one, two and four workers.
 func parallelOracleTraces(t *testing.T) map[string][]byte {
-	sym := event.NewSymtab()
-	sym.Intern("alpha")
-	sym.Intern("beta")
-	evs := v3TestEvents(30)
+	evs, sym := smallFixtureEvents(), smallFixtureSymtab()
 	big := v3TestEvents(3*shortFrame + 17)
 
 	traces := map[string][]byte{
-		"v2":       writeV2(t, evs, sym, 5),
+		"v2":       legacyTrace(t, "small-v2"),
 		"v3":       writeV3(t, evs, sym, 5, false),
 		"v3-flate": writeV3(t, evs, sym, 5, true),
-		"v2-big":   writeV2(t, big, sym, shortFrame),
+		"v2-big":   legacyTrace(t, "mcf-v2"),
 		"v3-big":   writeV3(t, big, sym, shortFrame, false),
 		"v3z-big":  writeV3(t, big, sym, shortFrame, true),
 	}
@@ -162,25 +162,31 @@ func TestParallelDecodeEquivalence(t *testing.T) {
 }
 
 // TestParallelBitFlipEquivalence flips every byte of a compressed v3
-// trace — frame headers, CRCs, compressed bodies — and demands the
-// parallel readers agree with the serial one on the exact failure.
+// trace and of the v2 fixture — frame headers, CRCs, compressed bodies,
+// fixed-width records — and demands the parallel readers agree with the
+// serial one on the exact failure.
 func TestParallelBitFlipEquivalence(t *testing.T) {
 	sym := event.NewSymtab()
 	sym.Intern("alpha")
-	data := writeV3(t, v3TestEvents(30), sym, 5, true)
-	for _, workers := range []int{2, parallelWorkerCounts()[2]} {
-		for i := range data {
-			mut := bytes.Clone(data)
-			mut[i] ^= 0x40
-			serial := runReplay(t, mut, false, 0)
-			parallel := runReplay(t, mut, false, workers)
-			if d := diffOutcome(serial, parallel); d != "" {
-				t.Fatalf("workers=%d flipped byte %d: %s", workers, i, d)
-			}
-			serialS := runReplay(t, mut, true, 0)
-			parallelS := runReplay(t, mut, true, workers)
-			if d := diffOutcome(serialS, parallelS); d != "" {
-				t.Fatalf("workers=%d flipped byte %d salvage: %s", workers, i, d)
+	traces := map[string][]byte{
+		"v3-flate": writeV3(t, v3TestEvents(30), sym, 5, true),
+		"v2":       legacyTrace(t, "small-v2"),
+	}
+	for name, data := range traces {
+		for _, workers := range parallelWorkerCounts() {
+			for i := range data {
+				mut := bytes.Clone(data)
+				mut[i] ^= 0x40
+				serial := runReplay(t, mut, false, 0)
+				parallel := runReplay(t, mut, false, workers)
+				if d := diffOutcome(serial, parallel); d != "" {
+					t.Fatalf("%s workers=%d flipped byte %d: %s", name, workers, i, d)
+				}
+				serialS := runReplay(t, mut, true, 0)
+				parallelS := runReplay(t, mut, true, workers)
+				if d := diffOutcome(serialS, parallelS); d != "" {
+					t.Fatalf("%s workers=%d flipped byte %d salvage: %s", name, workers, i, d)
+				}
 			}
 		}
 	}
@@ -190,21 +196,10 @@ func TestParallelBitFlipEquivalence(t *testing.T) {
 // setting must fall back to the synchronous reader and record that in
 // Stats.
 func TestParallelV1Serial(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriterV1(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := testEvents(100)
-	for _, e := range evs {
-		w.Emit(e)
-	}
-	if err := w.Close(event.NewSymtab()); err != nil {
-		t.Fatal(err)
-	}
+	evs := smallFixtureEvents()
 	var st Stats
 	var got []event.Event
-	_, n, err := ReplayWith(bytes.NewReader(buf.Bytes()), collectSink(&got), ReadOptions{DecodeWorkers: 8, Stats: &st})
+	_, n, err := ReplayWith(bytes.NewReader(legacyTrace(t, "small-v1")), collectSink(&got), ReadOptions{DecodeWorkers: 8, Stats: &st})
 	if err != nil || n != uint64(len(evs)) {
 		t.Fatalf("v1 replay with workers: n=%d err=%v", n, err)
 	}
@@ -346,13 +341,14 @@ func TestParallelWriterError(t *testing.T) {
 	}
 }
 
-// TestParallelWriterRejectsV2: encode workers are a v3 feature; the
-// fixed-width v2 writer must refuse them rather than silently ignore
-// the knob.
+// TestParallelWriterRejectsV2: v2 is read-only, so asking for it must
+// fail rather than silently write v3, with or without encode workers.
 func TestParallelWriterRejectsV2(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := NewWriterWith(&buf, WriterOptions{Version: Version, Workers: 2}); err == nil {
-		t.Fatal("v2 writer accepted Workers")
+	for _, workers := range []int{0, 2} {
+		var buf bytes.Buffer
+		if _, err := NewWriterWith(&buf, WriterOptions{Version: VersionV2, Workers: workers}); err == nil {
+			t.Fatalf("Workers %d: writer accepted format v2", workers)
+		}
 	}
 }
 
@@ -433,7 +429,7 @@ func TestParallelNoGoroutineLeak(t *testing.T) {
 }
 
 // TestParallelReplaysSharePools runs replays of differently shaped
-// traces — v2 and v3, raw and flate, clean and damaged — on several
+// traces — the v2 fixture and v3, raw and flate, clean and damaged — on several
 // goroutines at once and on every reader, so pooled frame buffers and
 // decoders pass between concurrent replays. Each replay must still
 // match the synchronous reader's outcome.
@@ -445,7 +441,7 @@ func TestParallelReplaysSharePools(t *testing.T) {
 	flipped := bytes.Clone(flate)
 	flipped[len(flipped)/2] ^= 0x40
 	traces := [][]byte{
-		writeV2(t, evs[:999], sym, 0),
+		legacyTrace(t, "mcf-v2"),
 		writeV3(t, evs, sym, shortFrame, false),
 		flate,
 		flate[:len(flate)*2/3],

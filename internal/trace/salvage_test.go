@@ -14,30 +14,6 @@ func collectSink(dst *[]event.Event) event.Sink {
 	return event.SinkFunc(func(e event.Event) { *dst = append(*dst, e) })
 }
 
-// writeV2 builds a v2 trace from evs with sym attached, flushing
-// after every flushEvery events (0 = never).
-func writeV2(t *testing.T, evs []event.Event, sym *event.Symtab, flushEvery int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.SetSymtab(sym)
-	for i, e := range evs {
-		w.Emit(e)
-		if flushEvery > 0 && (i+1)%flushEvery == 0 {
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := w.Close(sym); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 type boundary struct {
 	offset int
 	events uint64
@@ -49,11 +25,14 @@ type boundary struct {
 // thousands of times.
 const shortFrame = 512
 
-// frameBoundaries walks a well-formed v2 trace and returns, for each
-// frame end, the byte offset and the cumulative event count durable
-// there — the ground truth a salvage of any prefix must reproduce.
+// frameBoundaries walks a well-formed v2 or v3 trace and returns, for
+// each frame end, the byte offset and the cumulative event count
+// durable there — the ground truth a salvage of any prefix must
+// reproduce. A v2 event frame holds payloadLen/recordSize records; a
+// v3 one declares its count after the flags byte.
 func frameBoundaries(t *testing.T, data []byte) []boundary {
 	t.Helper()
+	v3 := binary.LittleEndian.Uint32(data[4:]) == VersionV3
 	var bounds []boundary
 	off := 8
 	var events uint64
@@ -63,7 +42,11 @@ func frameBoundaries(t *testing.T, data []byte) []boundary {
 		}
 		kind := data[off]
 		payloadLen := int(binary.LittleEndian.Uint32(data[off+1:]))
-		if kind == frameEvents {
+		switch {
+		case kind != frameEvents:
+		case v3:
+			events += uint64(binary.LittleEndian.Uint32(data[off+frameHeaderSize+1:]))
+		default:
 			events += uint64(payloadLen / recordSize)
 		}
 		off += frameHeaderSize + payloadLen
@@ -88,11 +71,8 @@ func testEvents(n int) []event.Event {
 }
 
 func TestV2CleanSalvageIsLossless(t *testing.T) {
-	sym := event.NewSymtab()
-	sym.Intern("alpha")
-	sym.Intern("beta")
-	evs := testEvents(100)
-	data := writeV2(t, evs, sym, 7)
+	evs := smallFixtureEvents()
+	data := legacyTrace(t, "small-v2")
 
 	var got []event.Event
 	gotSym, info, err := Salvage(bytes.NewReader(data), collectSink(&got))
@@ -120,10 +100,8 @@ func TestV2CleanSalvageIsLossless(t *testing.T) {
 // without panicking, recovering exactly the events of every complete
 // frame before the cut.
 func TestV2TruncationAtEveryOffset(t *testing.T) {
-	sym := event.NewSymtab()
-	sym.Intern("fn")
-	evs := testEvents(60)
-	data := writeV2(t, evs, sym, 5)
+	evs := smallFixtureEvents()
+	data := legacyTrace(t, "small-v2")
 	bounds := frameBoundaries(t, data)
 
 	expectAt := func(cut int) (uint64, int) {
@@ -166,8 +144,7 @@ func TestV2TruncationAtEveryOffset(t *testing.T) {
 // TestV2BitFlipDetected flips every byte of a v2 trace body in turn;
 // strict replay must reject each mutant and salvage must never panic.
 func TestV2BitFlipDetected(t *testing.T) {
-	evs := testEvents(20)
-	data := writeV2(t, evs, nil, 6)
+	data := legacyTrace(t, "small-v2")
 	devNull := event.SinkFunc(func(event.Event) {})
 	for i := 8; i < len(data); i++ {
 		mut := bytes.Clone(data)
@@ -181,18 +158,20 @@ func TestV2BitFlipDetected(t *testing.T) {
 	}
 }
 
-func TestV2SymtabCheckpointSurvivesCrash(t *testing.T) {
+// TestSymtabCheckpointSurvivesCrash: a writer killed before Close
+// still leaves its symbols behind, checkpointed after the event frame.
+func TestSymtabCheckpointSurvivesCrash(t *testing.T) {
 	sym := event.NewSymtab()
 	sym.Intern("durable")
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewWriterWith(&buf, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.SetSymtab(sym)
-	// Enough events to force DefaultCheckpointFrames event frames and
-	// therefore at least one symtab checkpoint.
-	n := DefaultBatchRecords * DefaultCheckpointFrames
+	// Enough events to seal one event frame and therefore one symtab
+	// checkpoint.
+	n := DefaultBatchRecords
 	for i := 0; i < n; i++ {
 		w.Emit(event.Event{Type: event.Enter, Fn: 1})
 	}
@@ -218,9 +197,8 @@ func TestV2SymtabCheckpointSurvivesCrash(t *testing.T) {
 }
 
 func TestV2TrailingGarbage(t *testing.T) {
-	evs := testEvents(10)
-	data := writeV2(t, evs, nil, 0)
-	data = append(data, []byte("garbage after a clean end frame")...)
+	evs := smallFixtureEvents()
+	data := append(legacyTrace(t, "small-v2"), []byte("garbage after a clean end frame")...)
 	devNull := event.SinkFunc(func(event.Event) {})
 	if _, _, err := Replay(bytes.NewReader(data), devNull); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("strict replay of trailing garbage: err = %v, want ErrCorrupt", err)
@@ -238,27 +216,18 @@ func TestV2TrailingGarbage(t *testing.T) {
 	}
 }
 
+// TestV1RoundTripCompat replays the v1 fixture: every record and the
+// trailer's symbol table come back, and salvage of the clean trace is
+// lossless.
 func TestV1RoundTripCompat(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriterV1(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sym := event.NewSymtab()
-	f1 := sym.Intern("legacy")
-	evs := testEvents(50)
-	for _, e := range evs {
-		w.Emit(e)
-	}
-	if err := w.Close(sym); err != nil {
-		t.Fatal(err)
-	}
+	data := legacyTrace(t, "small-v1")
+	evs := smallFixtureEvents()
 	var got []event.Event
-	gotSym, n, err := Replay(bytes.NewReader(buf.Bytes()), collectSink(&got))
+	gotSym, n, err := Replay(bytes.NewReader(data), collectSink(&got))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != uint64(len(evs)) {
+	if n != uint64(len(evs)) || len(got) != len(evs) {
 		t.Fatalf("replayed %d events, want %d", n, len(evs))
 	}
 	for i := range evs {
@@ -266,12 +235,12 @@ func TestV1RoundTripCompat(t *testing.T) {
 			t.Fatalf("event %d did not round-trip through v1", i)
 		}
 	}
-	if gotSym.Name(f1) != "legacy" {
+	if gotSym.Len() != 2 || gotSym.Name(1) != "alpha" || gotSym.Name(2) != "beta" {
 		t.Error("v1 symtab did not round-trip")
 	}
 	// Salvage of a clean v1 trace is also lossless.
 	var got2 []event.Event
-	_, info, err := Salvage(bytes.NewReader(buf.Bytes()), collectSink(&got2))
+	_, info, err := Salvage(bytes.NewReader(data), collectSink(&got2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,21 +253,10 @@ func TestV1RoundTripCompat(t *testing.T) {
 // whose writer died before Close, losing the symtab trailer. Strict
 // replay fails wholesale; salvage reinterprets every complete record.
 func TestV1TruncatedSalvage(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriterV1(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := testEvents(30)
-	for _, e := range evs {
-		w.Emit(e)
-	}
-	if err := w.Close(nil); err != nil {
-		t.Fatal(err)
-	}
+	evs := smallFixtureEvents()
 	// Simulate the crash: cut mid-record, before the trailer was
 	// durable.
-	data := buf.Bytes()[:8+len(evs)*recordSize-5]
+	data := legacyTrace(t, "small-v1")[:8+len(evs)*recordSize-5]
 
 	devNull := event.SinkFunc(func(event.Event) {})
 	if _, _, err := Replay(bytes.NewReader(data), devNull); !errors.Is(err, ErrCorrupt) {
@@ -343,7 +301,7 @@ func TestSalvageHeaderGarbage(t *testing.T) {
 
 func TestWriterFlushEstablishesSalvagePoint(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewWriterWith(&buf, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,46 +7,49 @@
 //
 // Because HeapMD runs against *buggy* programs, the trace is written
 // by a process that may crash, corrupt its own output, or be killed
-// mid-run. Format v2 is therefore crash-safe: events travel in framed
-// record batches, each frame carrying a CRC32 over its payload, and
-// the symbol table is checkpointed periodically instead of living
-// only in an end-of-file trailer. Replay of a truncated or corrupted
-// v2 trace can salvage every complete, checksum-valid frame before
-// the damage (see Salvage and SalvageInfo) instead of failing
-// wholesale.
+// mid-run. The framed formats are therefore crash-safe: events travel
+// in framed record batches, each frame carrying a CRC32 over its
+// payload, and the symbol table is checkpointed periodically instead
+// of living only in an end-of-file trailer. Replay of a truncated or
+// corrupted framed trace can salvage every complete, checksum-valid
+// frame before the damage (see Salvage and SalvageInfo) instead of
+// failing wholesale.
 //
-// Format v2 (all integers little-endian):
+// The Writer writes format v3 only. Formats v1 and v2 are read-only:
+// Replay and Salvage still accept traces written by earlier versions.
 //
-//	header:  magic "HMDT" | version u32 (=2)
+// Format v3 (written by NewWriterWith; all integers little-endian):
+//
+//	header:  magic "HMDT" | version u32 (=3)
 //	frames:  kind u8 | payloadLen u32 | crc32(payload) u32 | payload
-//	  kind 1 (events): payload is n records of 37 bytes each:
-//	         type u8 | fn u32 | addr u64 | value u64 | old u64 | size u64
+//	  kind 1 (events): flags u8 | count u32 | body
+//	         body: one array per Event field, delta+varint encoded
+//	         (see columnar.go); flags selects the body codec —
+//	         0 = raw, 1 = flate-compressed (only when smaller).
 //	  kind 2 (symtab): full symbol-table snapshot:
 //	         count u32, then count length-prefixed names.
 //	         Later checkpoints supersede earlier ones.
 //	  kind 3 (end): eventCount u64 — marks a clean close.
 //
-// Format v3 (written by NewWriterWith) keeps the v2 envelope — the
-// same header shape, frame kinds, CRC32C framing, symtab checkpoints
-// and end frame, so frame walking and salvage are version-independent
-// — but lays event-frame payloads out columnarly:
-//
-//	header:  magic "HMDT" | version u32 (=3)
-//	  kind 1 (events): flags u8 | count u32 | body
-//	         body: one array per Event field, delta+varint encoded
-//	         (see columnar.go); flags selects the body codec —
-//	         0 = raw, 1 = flate-compressed (only when smaller).
-//	  kinds 2 and 3: byte-identical to v2.
-//
 // Clustered addresses and near-monotonic columns collapse to one or
 // two bytes per event (~6x smaller than v2's fixed-width records on
 // recorded workload traces), and each frame's delta chains restart at
-// zero, so salvage still recovers every complete frame independently.
+// zero, so salvage recovers every complete frame independently.
 //
-// Format v1 (still readable; written by NewWriterV1):
+// Format v2 (read-only) has v3's envelope — the same header shape,
+// frame kinds, CRC32C framing, symtab checkpoints and end frame, so
+// frame walking and salvage are version-independent — but its event
+// frames hold fixed-width records:
+//
+//	header:  magic "HMDT" | version u32 (=2)
+//	  kind 1 (events): payload is n records of 37 bytes each:
+//	         type u8 | fn u32 | addr u64 | value u64 | old u64 | size u64
+//	  kinds 2 and 3: byte-identical to v3.
+//
+// Format v1 (read-only):
 //
 //	header:  magic "HMDT" | version u32 (=1)
-//	events:  n records of 37 bytes each (as above, unframed)
+//	events:  n records of 37 bytes each (as in v2, unframed)
 //	trailer: symtab (count u32, then count length-prefixed names)
 //	         | symtabLen u64 | eventCount u64 | magic "TDMH"
 //
@@ -75,21 +78,21 @@ var (
 	trailerMagic = [4]byte{'T', 'D', 'M', 'H'}
 )
 
-// Version is the v2 (crash-safe, fixed-width records) trace format
-// version: what NewWriter emits and the default interchange format.
-const Version uint32 = 2
-
 // VersionV1 is the legacy trailer-based format, still readable.
 const VersionV1 uint32 = 1
 
+// VersionV2 is the legacy framed format of fixed-width records, still
+// readable.
+const VersionV2 uint32 = 2
+
 // VersionV3 is the columnar delta-encoded format (optionally
-// flate-compressed per frame), written by NewWriterWith. It shares
-// v2's frame envelope and salvage semantics.
+// flate-compressed per frame), the only format the Writer writes. It
+// shares v2's frame envelope and salvage semantics.
 const VersionV3 uint32 = 3
 
 const recordSize = 1 + 4 + 8 + 8 + 8 + 8
 
-// Frame kinds (v2).
+// Frame kinds (v2 and v3).
 const (
 	frameEvents byte = 1
 	frameSymtab byte = 2
@@ -108,16 +111,12 @@ const maxFramePayload = 1 << 24
 // frame's dynamic Huffman header and the tables replay builds from it;
 // smaller batches lose less data when the monitored process dies
 // mid-batch: a crash between frames loses at most
-// DefaultBatchRecords-1 events. The reader takes frames of any size
-// within its corruption bounds, so traces sealed at 512 records by
-// earlier writers replay unchanged.
+// DefaultBatchRecords-1 events. A Writer with a symtab attached
+// checkpoints it after every event frame, so symbols are also
+// checkpointed every DefaultBatchRecords events. The reader takes
+// frames of any size within its corruption bounds, so traces sealed at
+// 512 records by earlier writers replay unchanged.
 const DefaultBatchRecords = 4096
-
-// DefaultCheckpointFrames documents how many event frames elapse
-// between symbol-table checkpoints when the Writer has a symtab
-// attached: the Writer checkpoints after every event frame, i.e. every
-// DefaultBatchRecords events.
-const DefaultCheckpointFrames = 1
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -134,8 +133,8 @@ type SalvageInfo struct {
 	// skipped (always a suffix: salvage keeps the longest valid
 	// prefix).
 	BytesDropped uint64
-	// Truncated reports that the trace did not end cleanly — the v2
-	// end frame (or v1 trailer) was missing or damaged, typically
+	// Truncated reports that the trace did not end cleanly — the end
+	// frame (or v1 trailer) was missing or damaged, typically
 	// because the monitored process crashed mid-run.
 	Truncated bool
 }
@@ -151,9 +150,8 @@ func (s *SalvageInfo) String() string {
 		s.EventsRecovered, s.BytesDropped, s.Truncated)
 }
 
-// Writer streams events to an underlying writer in format v2 or v3.
-// It implements event.Sink; I/O errors are sticky and surfaced by
-// Close.
+// Writer streams events to an underlying writer in format v3. It
+// implements event.Sink; I/O errors are sticky and surfaced by Close.
 //
 // Events accumulate into record batches that are sealed into CRC32-
 // framed chunks every DefaultBatchRecords events; if the process dies
@@ -164,18 +162,15 @@ func (s *SalvageInfo) String() string {
 // crash too.
 type Writer struct {
 	w       *bufio.Writer
-	version uint32
 	n       uint64 // events emitted
 	err     error
-	batch   []byte       // v2: pending, not-yet-framed records
-	evs     event.Batch  // v3: pending, not-yet-framed events
-	enc     []byte       // v3: columnar body scratch, reused per frame
-	payload []byte       // v3: assembled frame payload scratch
-	comp    bytes.Buffer // v3: compressed body scratch
-	cdc     codec        // v3: nil = never compress
+	evs     *event.Batch // pending, not-yet-framed events (from pl's pool when pl != nil)
+	enc     []byte       // columnar body scratch, reused per frame
+	payload []byte       // assembled frame payload scratch
+	comp    bytes.Buffer // compressed body scratch
+	cdc     codec        // nil = never compress
 	sym     *event.Symtab
-	pl      *encodePipeline // non-nil: v3 batches encode on a worker pool
-	pevs    *event.Batch    // pipelined path's pending batch (from pl's pool)
+	pl      *encodePipeline // non-nil: batches encode on a worker pool
 	// hdr is the frame-header scratch. A local array would be moved to
 	// the heap on every writeFrame call (bufio may hand the slice to
 	// the underlying io.Writer, so it escapes); keeping it on the
@@ -185,65 +180,43 @@ type Writer struct {
 
 // WriterOptions configure NewWriterWith.
 type WriterOptions struct {
-	// Version selects the trace format: Version (v2, fixed-width
-	// records) or VersionV3 (columnar delta-encoded batches). Zero
-	// means VersionV3 — callers reaching for options want the compact
-	// format; NewWriter keeps writing v2.
+	// Version must be 0 or VersionV3, the only format the Writer
+	// writes.
 	Version uint32
-	// Compress flate-compresses each v3 event-frame body, for traces
+	// Compress flate-compresses each event-frame body, for traces
 	// headed to cold storage. The flag is per frame on the wire: a
 	// frame is stored compressed only when that is actually smaller,
-	// and replay output is identical either way. Only valid with v3.
+	// and replay output is identical either way.
 	Compress bool
-	// Workers moves v3 frame encoding (columnar encode + flate) off
-	// the Emit path onto a pool of that many goroutines, with a single
+	// Workers moves frame encoding (columnar encode + flate) off the
+	// Emit path onto a pool of that many goroutines, with a single
 	// ordered writer performing all I/O. Output is byte-identical to
 	// the synchronous writer at any worker count. Zero means
-	// synchronous; negative is treated as zero. Only valid with v3.
+	// synchronous; negative is treated as zero.
 	Workers int
 }
 
-// NewWriter writes the v2 header and returns a Writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	return NewWriterWith(w, WriterOptions{Version: Version})
-}
-
-// NewWriterWith writes the header for the selected format version and
-// returns a Writer for it.
+// NewWriterWith writes the v3 header and returns a Writer.
 func NewWriterWith(w io.Writer, opts WriterOptions) (*Writer, error) {
-	v := opts.Version
-	if v == 0 {
-		v = VersionV3
-	}
-	if v != Version && v != VersionV3 {
-		return nil, fmt.Errorf("trace: cannot write format version %d", v)
-	}
-	if opts.Compress && v != VersionV3 {
-		return nil, errors.New("trace: compression requires format v3")
-	}
-	if opts.Workers > 0 && v != VersionV3 {
-		return nil, errors.New("trace: encode workers require format v3")
+	if opts.Version != 0 && opts.Version != VersionV3 {
+		return nil, fmt.Errorf("trace: cannot write format version %d", opts.Version)
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeHeader(bw, v); err != nil {
+	if err := writeHeader(bw, VersionV3); err != nil {
 		return nil, err
 	}
-	tw := &Writer{w: bw, version: v}
-	if v == Version {
-		tw.batch = make([]byte, 0, DefaultBatchRecords*recordSize)
-	}
+	tw := &Writer{w: bw}
 	if opts.Compress {
 		tw.cdc = &flateCodec{}
 	}
 	if opts.Workers > 0 {
 		tw.pl = newEncodePipeline(bw, opts.Compress, opts.Workers)
-		tw.pevs = <-tw.pl.freeBatch
+		tw.evs = <-tw.pl.freeBatch
+	} else {
+		tw.evs = new(event.Batch)
 	}
 	return tw, nil
 }
-
-// Version returns the format version this Writer emits.
-func (tw *Writer) Version() uint32 { return tw.version }
 
 func writeHeader(w io.Writer, version uint32) error {
 	if _, err := w.Write(headerMagic[:]); err != nil {
@@ -266,77 +239,39 @@ func (tw *Writer) Emit(e event.Event) {
 	if tw.err != nil {
 		return
 	}
-	if tw.version == VersionV3 {
-		if tw.pl != nil {
-			tw.pevs.Append(e)
-			tw.n++
-			if tw.pevs.Len() >= DefaultBatchRecords {
-				tw.flushBatch()
-			}
-			return
-		}
-		tw.evs.Append(e)
-		tw.n++
-		if tw.evs.Len() >= DefaultBatchRecords {
-			tw.flushBatch()
-		}
-		return
-	}
-	var rec [recordSize]byte
-	b := rec[:]
-	b[0] = byte(e.Type)
-	binary.LittleEndian.PutUint32(b[1:], uint32(e.Fn))
-	binary.LittleEndian.PutUint64(b[5:], e.Addr)
-	binary.LittleEndian.PutUint64(b[13:], e.Value)
-	binary.LittleEndian.PutUint64(b[21:], e.Old)
-	binary.LittleEndian.PutUint64(b[29:], e.Size)
-	tw.batch = append(tw.batch, b...)
+	tw.evs.Append(e)
 	tw.n++
-	if len(tw.batch) >= DefaultBatchRecords*recordSize {
+	if tw.evs.Len() >= DefaultBatchRecords {
 		tw.flushBatch()
 	}
 }
 
-// flushBatch seals the pending records into an event frame and, when
-// a symtab is attached, follows it with a symtab checkpoint.
+// flushBatch seals the pending events into an event frame and, when a
+// symtab is attached, follows it with a symtab checkpoint.
 func (tw *Writer) flushBatch() {
-	if tw.err != nil {
+	if tw.err != nil || tw.evs.Len() == 0 {
 		return
 	}
-	switch {
-	case tw.pl != nil:
-		if tw.pevs.Len() == 0 {
-			return
-		}
-		tw.pevs = tw.pl.submitEvents(tw.pevs)
-	case tw.version == VersionV3 && tw.evs.Len() > 0:
-		payload := tw.encodeEventsV3()
+	if tw.pl != nil {
+		tw.evs = tw.pl.submitEvents(tw.evs)
+	} else {
+		payload := tw.encodeEvents()
 		if tw.err != nil {
 			return
 		}
 		tw.writeFrame(frameEvents, payload)
 		tw.evs.Reset()
-	case tw.version == Version && len(tw.batch) > 0:
-		tw.writeFrame(frameEvents, tw.batch)
-		tw.batch = tw.batch[:0]
-	default:
-		return
 	}
 	if tw.sym != nil {
-		payload := encodeSymtab(tw.sym)
-		if tw.pl != nil {
-			tw.pl.submitFrame(frameSymtab, payload)
-		} else {
-			tw.writeFrame(frameSymtab, payload)
-		}
+		tw.putFrame(frameSymtab, encodeSymtab(tw.sym))
 	}
 }
 
-// encodeEventsV3 assembles the pending batch into a v3 event-frame
-// payload (flags | count | body), reusing the Writer's scratch
-// buffers. With a codec attached, the body is stored compressed only
-// when that is smaller — the flags byte records the choice per frame.
-func (tw *Writer) encodeEventsV3() []byte {
+// encodeEvents assembles the pending batch into an event-frame payload
+// (flags | count | body), reusing the Writer's scratch buffers. With a
+// codec attached, the body is stored compressed only when that is
+// smaller — the flags byte records the choice per frame.
+func (tw *Writer) encodeEvents() []byte {
 	evs := tw.evs.Events()
 	tw.enc = encodeColumns(tw.enc[:0], evs)
 	body := tw.enc
@@ -358,6 +293,16 @@ func (tw *Writer) encodeEventsV3() []byte {
 	tw.payload = append(tw.payload, count[:]...)
 	tw.payload = append(tw.payload, body...)
 	return tw.payload
+}
+
+// putFrame writes a caller-encoded frame (symtab, end) in sequence:
+// through the encode pool's ordered writer when there is one.
+func (tw *Writer) putFrame(kind byte, payload []byte) {
+	if tw.pl != nil {
+		tw.pl.submitFrame(kind, payload)
+		return
+	}
+	tw.writeFrame(kind, payload)
 }
 
 func (tw *Writer) writeFrame(kind byte, payload []byte) {
@@ -384,14 +329,14 @@ func (tw *Writer) Events() uint64 { return tw.n }
 // Writer remains usable.
 func (tw *Writer) Flush() error {
 	tw.flushBatch()
+	var err error
 	if tw.pl != nil {
-		if err := tw.pl.flush(); err != nil && tw.err == nil {
-			tw.err = err
-		}
-		return tw.err
+		err = tw.pl.flush()
+	} else if tw.err == nil {
+		err = tw.w.Flush()
 	}
 	if tw.err == nil {
-		tw.err = tw.w.Flush()
+		tw.err = err
 	}
 	return tw.err
 }
@@ -401,34 +346,25 @@ func (tw *Writer) Flush() error {
 // afterwards. sym may be nil if SetSymtab was used (or there are no
 // symbols).
 func (tw *Writer) Close(sym *event.Symtab) error {
-	if tw.err != nil {
-		if tw.pl != nil {
-			// The pipeline's goroutines must not outlive the Writer even
-			// on the sticky-error path.
-			tw.pl.close()
-			tw.pl = nil
+	if tw.err == nil {
+		tw.flushBatch()
+		if sym == nil {
+			sym = tw.sym
 		}
-		return tw.err
-	}
-	tw.flushBatch()
-	if sym == nil {
-		sym = tw.sym
-	}
-	if tw.pl != nil {
 		var end [8]byte
 		binary.LittleEndian.PutUint64(end[:], tw.n)
-		tw.pl.submitFrame(frameSymtab, encodeSymtab(sym))
-		tw.pl.submitFrame(frameEnd, end[:])
+		tw.putFrame(frameSymtab, encodeSymtab(sym))
+		tw.putFrame(frameEnd, end[:])
+	}
+	if tw.pl != nil {
+		// The pipeline's goroutines must not outlive the Writer, even on
+		// the sticky-error path.
 		if err := tw.pl.close(); err != nil && tw.err == nil {
 			tw.err = err
 		}
 		tw.pl = nil
 		return tw.err
 	}
-	tw.writeFrame(frameSymtab, encodeSymtab(sym))
-	var end [8]byte
-	binary.LittleEndian.PutUint64(end[:], tw.n)
-	tw.writeFrame(frameEnd, end[:])
 	if tw.err == nil {
 		tw.err = tw.w.Flush()
 	}
@@ -500,8 +436,8 @@ func decodeRecord(b []byte) event.Event {
 // format it was written in and what the bytes cost per event — the
 // numbers the replay CLI surfaces and the trace-size regression gate
 // checks. Populated via ReadOptions.Stats; identical between the
-// synchronous and read-ahead readers, and in salvage mode covers the
-// recovered prefix.
+// synchronous reader and the decode pipeline, and in salvage mode
+// covers the recovered prefix.
 type Stats struct {
 	// Version is the format version from the trace header.
 	Version uint32
@@ -519,10 +455,10 @@ type Stats struct {
 	// equal to StoredEventBytes when no frame is compressed.
 	RawEventBytes uint64
 	// DecodeWorkers is the decode parallelism replay actually used: 0
-	// for the synchronous reader, 1 for the fused read-ahead goroutine,
-	// n ≥ 2 for the scanner + n-worker pipeline. The only Stats field
-	// that may legitimately differ between reader configurations; all
-	// trace-shape fields above are identical at any worker count.
+	// for the synchronous reader, n ≥ 1 for the scanner + n-worker
+	// pipeline. The only Stats field that may legitimately differ
+	// between reader configurations; all trace-shape fields above are
+	// identical at any worker count.
 	DecodeWorkers int
 	// ScannerStalls counts the times the pipeline's framing scanner had
 	// a frame ready but no recycled buffer to scan it into — the
@@ -548,9 +484,9 @@ type Stats struct {
 }
 
 // shape strips the reader-configuration fields, leaving only the
-// trace-shape accounting that must be identical across the
-// synchronous, read-ahead, and parallel readers — what equivalence
-// tests compare.
+// trace-shape accounting that must be identical between the
+// synchronous reader and the pipeline at any worker count — what
+// equivalence tests compare.
 func (s *Stats) shape() Stats {
 	c := *s
 	c.DecodeWorkers = 0
@@ -578,9 +514,9 @@ func (s *Stats) CompressionRatio() float64 {
 
 // DefaultDecodeWorkers is the recommended ReadOptions.DecodeWorkers
 // for this host: one decode worker per usable core on a multi-core
-// box, and the synchronous reader (0) on a single core, where any
-// pipeline — including the old single-goroutine read-ahead — only
-// adds channel overhead for decode work the lone core must do anyway.
+// box, and the synchronous reader (0) on a single core, where the
+// pipeline only adds channel overhead for decode work the lone core
+// must do anyway.
 func DefaultDecodeWorkers() int {
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		return n
@@ -595,11 +531,10 @@ type ReadOptions struct {
 	// (v2/v3) traces; v1 traces (unframed) always read synchronously.
 	//
 	//	0   synchronous reader (decode inline with the sink)
-	//	1   read-ahead: one goroutine CRC-checks and decodes frame N+1
-	//	    while the sink consumes frame N
-	//	n≥2 pipeline: a framing scanner fans whole frames to n workers
+	//	n≥1 pipeline: a framing scanner fans whole frames to n workers
 	//	    (CRC + inflate + columnar decode into recycled buffers)
-	//	    and an in-order resequencer feeds the sink
+	//	    and an in-order resequencer feeds the sink; at 1 the lone
+	//	    worker decodes frame N+1 while the sink consumes frame N
 	//
 	// Delivery order, salvage behavior, and error semantics are
 	// identical to the synchronous reader at any setting — the lowest
@@ -670,7 +605,7 @@ func replay(r io.ReadSeeker, sink event.Sink, salvage bool, opts ReadOptions) (*
 	switch v {
 	case VersionV1:
 		return replayV1(r, sink, size, salvage, opts)
-	case Version, VersionV3:
+	case VersionV2, VersionV3:
 		return replayFramed(r, sink, v, size, salvage, opts)
 	default:
 		if opts.Stats != nil {
@@ -731,7 +666,7 @@ type frameMsg struct {
 	sym        *event.Symtab // frameSymtab: decoded checkpoint
 	declared   uint64        // frameEnd: writer's event count
 	end        int64         // offset consumed through the last fully-valid frame
-	buf        *frameBuf     // must be recycled by the consumer (nil on error paths)
+	buf        *frameBuf     // must be released by the consumer once delivered
 	err        error         // corruption, message-compatible with strict mode
 	stored     int           // frameEvents: on-disk payload bytes
 	raw        int           // frameEvents: payload bytes before compression
@@ -740,7 +675,7 @@ type frameMsg struct {
 
 // payloadDecoder turns one CRC-valid frame payload into a frameMsg.
 // It is the version-specific half of frame decoding, shared by the
-// serial frameDecoder and by each parallel decode worker; its decomp
+// synchronous reader and by each pipeline decode worker; its decomp
 // and flate state are reused across frames, so one instance belongs
 // to exactly one goroutine.
 type payloadDecoder struct {
@@ -792,50 +727,62 @@ func (d *payloadDecoder) decodePayload(kind byte, payload []byte, buf *frameBuf,
 	}
 }
 
-// frameDecoder reads, CRC-checks, and decodes v2/v3 frames
-// sequentially. Decoding the payload here — including symtab
-// checkpoints and v3 decompression — keeps the consumer side free of
-// mid-stream aborts, which is what lets the read-ahead goroutine
-// always run to a terminal frame and exit.
-type frameDecoder struct {
+// scanJob is one frame read whole but not yet verified. payload
+// aliases buf.payload.
+type scanJob struct {
+	seq     uint64
+	kind    byte
+	wantCRC uint32
+	payload []byte
+	buf     *frameBuf
+	start   int64 // file offset of the frame header
+	end     int64 // file offset just past the frame
+	err     error // envelope damage: the frame could not be read whole
+}
+
+// frameReader walks the length-delimited frame envelope of a v2/v3
+// trace. Its readFrame is the one framing routine: the synchronous
+// reader and the pipeline's scanner both call it, so both meet the
+// same envelope errors at the same offsets.
+type frameReader struct {
 	br     *bufio.Reader
-	offset int64 // consumed through the last fully-valid frame
+	offset int64 // file offset of the next frame header
 	size   int64
+	seq    uint64
 	hdr    [frameHeaderSize]byte // scratch; a local would escape via io.ReadFull
-	dec    *payloadDecoder
 }
 
-// newFrameDecoder takes a reader and a decoder from the pools for the
-// framed region of a trace whose 8-byte header r has consumed; release
-// returns them.
-func newFrameDecoder(r io.Reader, version uint32, size int64) *frameDecoder {
-	return &frameDecoder{br: getReader(r), offset: 8, size: size, dec: getDecoder(version)}
+// newFrameReader takes a reader from the pool for the framed region of
+// a trace whose 8-byte header r has consumed; release returns it.
+func newFrameReader(r io.Reader, size int64) *frameReader {
+	return &frameReader{br: getReader(r), offset: 8, size: size}
 }
 
-func (d *frameDecoder) release() {
-	putReader(d.br)
-	decoderPool.Put(d.dec)
-}
+func (fr *frameReader) release() { putReader(fr.br) }
 
-func (d *frameDecoder) next(buf *frameBuf) frameMsg {
-	msg := frameMsg{buf: buf, end: d.offset}
-	hdr := d.hdr[:]
-	if _, err := io.ReadFull(d.br, hdr); err != nil {
-		if err == io.EOF && d.offset == d.size {
-			// Clean EOF at a frame boundary but no end frame:
-			// the writer was killed between batches.
-			msg.err = errors.New("missing end frame")
+// readFrame reads the next frame's header and payload into buf,
+// checking only the length bound — the CRC and the payload structure
+// are decodeJob's. A frame that cannot be read whole comes back with
+// err set: a truncated header (or, at a clean EOF on a frame boundary,
+// a missing end frame), an implausible length, or a truncated payload.
+func (fr *frameReader) readFrame(buf *frameBuf) scanJob {
+	job := scanJob{seq: fr.seq, buf: buf, start: fr.offset}
+	if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
+		if err == io.EOF && fr.offset == fr.size {
+			// Clean EOF at a frame boundary but no end frame: the
+			// writer was killed between batches.
+			job.err = errors.New("missing end frame")
 		} else {
-			msg.err = errors.New("truncated frame header")
+			job.err = errors.New("truncated frame header")
 		}
-		return msg
+		return job
 	}
-	kind := hdr[0]
-	payloadLen := binary.LittleEndian.Uint32(hdr[1:])
-	wantCRC := binary.LittleEndian.Uint32(hdr[5:])
+	job.kind = fr.hdr[0]
+	payloadLen := binary.LittleEndian.Uint32(fr.hdr[1:])
+	job.wantCRC = binary.LittleEndian.Uint32(fr.hdr[5:])
 	if payloadLen > maxFramePayload {
-		msg.err = fmt.Errorf("implausible frame length %d", payloadLen)
-		return msg
+		job.err = fmt.Errorf("implausible frame length %d", payloadLen)
+		return job
 	}
 	if cap(buf.payload) < int(payloadLen) {
 		// Grow geometrically: v3 frame payloads vary in size (delta
@@ -843,21 +790,34 @@ func (d *frameDecoder) next(buf *frameBuf) frameMsg {
 		// reallocate on every slightly-larger frame.
 		buf.payload = make([]byte, max(int(payloadLen), 2*cap(buf.payload)))
 	}
-	payload := buf.payload[:payloadLen]
-	if _, err := io.ReadFull(d.br, payload); err != nil {
-		msg.err = errors.New("truncated frame payload")
-		return msg
+	job.payload = buf.payload[:payloadLen]
+	if _, err := io.ReadFull(fr.br, job.payload); err != nil {
+		job.err = errors.New("truncated frame payload")
+		return job
 	}
-	if crc32.Checksum(payload, crcTable) != wantCRC {
-		msg.err = errors.New("frame checksum mismatch")
-		return msg
-	}
-	d.dec.decodePayload(kind, payload, buf, &msg)
+	job.end = fr.offset + int64(frameHeaderSize) + int64(payloadLen)
+	fr.offset = job.end
+	fr.seq++
+	return job
+}
+
+// decodeJob CRC-checks and decodes one read frame. The message ends at
+// the frame's end offset when the frame is intact, and at its start —
+// the end of the last fully-valid frame — when it is not, so the first
+// bad frame is reported at the same offset by every reader.
+func (d *payloadDecoder) decodeJob(job scanJob) frameMsg {
+	msg := frameMsg{seq: job.seq, buf: job.buf, end: job.start, err: job.err}
 	if msg.err != nil {
 		return msg
 	}
-	d.offset += int64(frameHeaderSize) + int64(payloadLen)
-	msg.end = d.offset
+	if crc32.Checksum(job.payload, crcTable) != job.wantCRC {
+		msg.err = errors.New("frame checksum mismatch")
+		return msg
+	}
+	d.decodePayload(job.kind, job.payload, job.buf, &msg)
+	if msg.err == nil {
+		msg.end = job.end
+	}
 	return msg
 }
 
@@ -901,78 +861,34 @@ func (d *payloadDecoder) decodeEventsV3(payload []byte, buf *frameBuf, msg *fram
 	return nil
 }
 
-// readAheadDepth is how many decoded frames the read-ahead goroutine
-// may run in front of the consumer. Each in-flight frame owns its own
-// frameBuf, so depth bounds both memory and the msgs channel.
-const readAheadDepth = 4
-
 // replayFramed walks the frame sequence of a v2 or v3 trace — the
 // envelope is shared, only the event-frame payload decoding differs.
 // Strict mode demands every frame intact plus a matching end frame;
 // salvage mode stops at the first damaged frame and keeps everything
-// before it. With opts.DecodeWorkers 1 the frameDecoder runs on its own
-// goroutine, recycling frameBufs through a channel pair; the
-// goroutine always terminates because the decoder emits exactly one
-// terminal message (error or end frame) and the consumer always reads
-// to it.
+// before it. With opts.DecodeWorkers ≥ 1 frames come from the decode
+// pipeline (parallel.go), otherwise they are read and decoded inline.
 func replayFramed(r io.ReadSeeker, sink event.Sink, version uint32, size int64, salvage bool, opts ReadOptions) (*event.Symtab, uint64, *SalvageInfo, error) {
 	workers := max(opts.DecodeWorkers, 0)
 	if opts.Stats != nil {
 		opts.Stats.DecodeWorkers = workers
 	}
 	var next func() frameMsg
-	var release func(*frameBuf)
-	if workers >= 2 {
+	release := func(*frameBuf) {}
+	if workers >= 1 {
 		pl := newDecodePipeline(r, version, size, workers, opts.Stats)
 		defer pl.halt()
 		next = pl.next
 		release = pl.release
-	} else if workers == 1 {
-		dec := newFrameDecoder(r, version, size)
-		msgs := make(chan frameMsg, readAheadDepth)
-		recycle := make(chan *frameBuf, readAheadDepth)
-		var bufs [readAheadDepth]*frameBuf
-		for i := range bufs {
-			bufs[i] = getFrameBuf()
-			recycle <- bufs[i]
-		}
-		go func() {
-			for buf := range recycle {
-				m := dec.next(buf)
-				msgs <- m
-				if m.err != nil || m.kind == frameEnd {
-					return
-				}
-			}
-		}()
-		// Once the consumer holds the terminal message, the goroutine
-		// touches neither the decoder nor any buffer again. A sink that
-		// panics leaves it running instead, and its state unpooled.
-		terminal := false
-		defer func() {
-			if !terminal {
-				return
-			}
-			dec.release()
-			for _, b := range bufs {
-				frameBufPool.Put(b)
-			}
-		}()
-		next = func() frameMsg {
-			m := <-msgs
-			terminal = m.err != nil || m.kind == frameEnd
-			return m
-		}
-		release = func(b *frameBuf) { recycle <- b }
 	} else {
-		dec := newFrameDecoder(r, version, size)
+		fr := newFrameReader(r, size)
+		dec := getDecoder(version)
 		buf := getFrameBuf()
 		defer func() {
-			dec.release()
+			fr.release()
+			decoderPool.Put(dec)
 			frameBufPool.Put(buf)
 		}()
-		next = func() frameMsg { return dec.next(buf) }
-		release = func(*frameBuf) {}
+		next = func() frameMsg { return dec.decodeJob(fr.readFrame(buf)) }
 	}
 
 	info := &SalvageInfo{Truncated: true}
@@ -1160,67 +1076,4 @@ func salvageV1Prefix(r io.ReadSeeker, sink event.Sink, size int64) (*event.Symta
 		BytesDropped:    uint64(body % recordSize),
 		Truncated:       true,
 	}, nil
-}
-
-// WriterV1 writes the legacy v1 format; kept for compatibility tests
-// and for interoperating with tools that predate v2.
-type WriterV1 struct {
-	w   *bufio.Writer
-	n   uint64
-	err error
-	buf [recordSize]byte
-}
-
-// NewWriterV1 writes a v1 header and returns a legacy writer.
-func NewWriterV1(w io.Writer) (*WriterV1, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeHeader(bw, VersionV1); err != nil {
-		return nil, err
-	}
-	return &WriterV1{w: bw}, nil
-}
-
-// Emit implements event.Sink.
-func (tw *WriterV1) Emit(e event.Event) {
-	if tw.err != nil {
-		return
-	}
-	b := tw.buf[:]
-	b[0] = byte(e.Type)
-	binary.LittleEndian.PutUint32(b[1:], uint32(e.Fn))
-	binary.LittleEndian.PutUint64(b[5:], e.Addr)
-	binary.LittleEndian.PutUint64(b[13:], e.Value)
-	binary.LittleEndian.PutUint64(b[21:], e.Old)
-	binary.LittleEndian.PutUint64(b[29:], e.Size)
-	if _, err := tw.w.Write(b); err != nil {
-		tw.err = err
-		return
-	}
-	tw.n++
-}
-
-// Events returns the number of events written so far.
-func (tw *WriterV1) Events() uint64 { return tw.n }
-
-// Close writes the symbol-table trailer and flushes. The Writer is
-// unusable afterwards.
-func (tw *WriterV1) Close(sym *event.Symtab) error {
-	if tw.err != nil {
-		return tw.err
-	}
-	payload := encodeSymtab(sym)
-	if _, err := tw.w.Write(payload); err != nil {
-		tw.err = err
-		return tw.err
-	}
-	var tail [20]byte
-	binary.LittleEndian.PutUint64(tail[0:], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(tail[8:], tw.n)
-	copy(tail[16:], trailerMagic[:])
-	if _, err := tw.w.Write(tail[:]); err != nil {
-		tw.err = err
-		return tw.err
-	}
-	tw.err = tw.w.Flush()
-	return tw.err
 }

@@ -19,7 +19,7 @@ func replayBytes(t *testing.T, data []byte, sink event.Sink) (*event.Symtab, uin
 
 func TestRoundTripEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewWriterWith(&buf, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestRoundTripEmpty(t *testing.T) {
 
 func TestRoundTripEvents(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewWriterWith(&buf, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRoundTripProperty(t *testing.T) {
 		A, V uint64
 	}) bool {
 		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
+		w, err := NewWriterWith(&buf, WriterOptions{})
 		if err != nil {
 			return false
 		}
@@ -141,7 +141,7 @@ func TestCorruptHeader(t *testing.T) {
 
 func TestCorruptTruncatedTrailer(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewWriterWith(&buf, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestCorruptTruncatedTrailer(t *testing.T) {
 
 func TestVersionMismatch(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewWriterWith(&buf, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestVersionMismatch(t *testing.T) {
 // one.
 func TestOfflinePipeline(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewWriterWith(&buf, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,6 @@ func BenchmarkWriterEmit(b *testing.B) {
 		name string
 		opts WriterOptions
 	}{
-		{"v2", WriterOptions{Version: Version}},
 		{"v3", WriterOptions{Version: VersionV3}},
 		{"v3-flate", WriterOptions{Version: VersionV3, Compress: true}},
 		{"v3-workers", WriterOptions{Version: VersionV3, Workers: 2}},
@@ -298,7 +297,7 @@ func BenchmarkWriterEmit(b *testing.B) {
 
 func BenchmarkReplay(b *testing.B) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := NewWriterWith(&buf, WriterOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

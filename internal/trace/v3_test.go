@@ -36,30 +36,6 @@ func writeV3(t testing.TB, evs []event.Event, sym *event.Symtab, flushEvery int,
 	return buf.Bytes()
 }
 
-// frameBoundariesV3 walks a well-formed v3 trace and returns, per
-// frame end, the byte offset and cumulative durable event count — the
-// v3 counterpart of frameBoundaries (v3 event counts live in the
-// payload's count field, not in payloadLen/recordSize).
-func frameBoundariesV3(t *testing.T, data []byte) []boundary {
-	t.Helper()
-	var bounds []boundary
-	off := 8
-	var events uint64
-	for off < len(data) {
-		if off+frameHeaderSize > len(data) {
-			t.Fatalf("ragged frame header at %d", off)
-		}
-		kind := data[off]
-		payloadLen := int(binary.LittleEndian.Uint32(data[off+1:]))
-		if kind == frameEvents {
-			events += uint64(binary.LittleEndian.Uint32(data[off+frameHeaderSize+1:]))
-		}
-		off += frameHeaderSize + payloadLen
-		bounds = append(bounds, boundary{offset: off, events: events})
-	}
-	return bounds
-}
-
 // v3TestEvents builds an event mix with the clustering real traces
 // have (nearby addresses, small fn deltas) plus occasional jumps, so
 // both the one-byte varint fast path and the multi-byte path run.
@@ -141,13 +117,14 @@ func TestV3EmptyTrace(t *testing.T) {
 
 // TestV3SmallerThanV2 pins the point of the format: on clustered
 // event streams the columnar encoding is at least 3x smaller than
-// v2's fixed-width records.
+// v2's fixed-width records alone (a v2 trace also carries its frame
+// envelope, so it is larger still).
 func TestV3SmallerThanV2(t *testing.T) {
 	evs := v3TestEvents(8 * DefaultBatchRecords)
-	v2 := writeV2(t, evs, nil, 0)
+	v2 := len(evs) * recordSize
 	v3 := writeV3(t, evs, nil, 0, false)
-	if len(v3)*3 > len(v2) {
-		t.Errorf("v3 = %d bytes, v2 = %d bytes: less than 3x smaller", len(v3), len(v2))
+	if len(v3)*3 > v2 {
+		t.Errorf("v3 = %d bytes, v2 records = %d bytes: less than 3x smaller", len(v3), v2)
 	}
 	v3z := writeV3(t, evs, nil, 0, true)
 	if len(v3z) > len(v3) {
@@ -198,7 +175,7 @@ func TestV3TruncationAtEveryOffset(t *testing.T) {
 			sym.Intern("fn")
 			evs := v3TestEvents(60)
 			data := writeV3(t, evs, sym, 5, compress)
-			bounds := frameBoundariesV3(t, data)
+			bounds := frameBoundaries(t, data)
 
 			expectAt := func(cut int) (uint64, int) {
 				best := boundary{offset: 8}
@@ -342,10 +319,11 @@ func TestV3StructuralCorruption(t *testing.T) {
 	}
 }
 
-// TestV3ReadAheadEquivalence mirrors TestReadAheadEquivalence for v3
-// (raw and compressed): identical events, errors and SalvageInfo
-// between the synchronous and read-ahead readers, plus identical
-// Stats, on clean, truncated and bit-flipped traces.
+// TestV3ReadAheadEquivalence checks the one-worker pipeline (the
+// DecodeWorkers setting that once selected a read-ahead goroutine)
+// against the synchronous reader on v3, raw and compressed: identical
+// events, errors and SalvageInfo, plus identical Stats, on clean,
+// truncated and bit-flipped traces.
 func TestV3ReadAheadEquivalence(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		sym := event.NewSymtab()
@@ -461,7 +439,6 @@ func TestWriterEmitAllocs(t *testing.T) {
 		opts  WriterOptions
 		slack float64
 	}{
-		{"v2", WriterOptions{Version: Version}, 0},
 		{"v3", WriterOptions{Version: VersionV3}, 0},
 		// flate's Reset keeps its state but the stdlib may still grow
 		// internal tables once; allow a few allocs, nothing per frame.

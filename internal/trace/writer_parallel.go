@@ -1,6 +1,6 @@
 // Parallel frame-encode pipeline: the WriterOptions.Workers ≥ 1 write
-// path (v3 only — that is the format whose encode cost is real:
-// columnar delta encoding plus optional per-frame flate).
+// path. Encoding a frame costs real CPU: columnar delta encoding plus
+// optional per-frame flate.
 //
 // The caller's Emit path only appends events to the current batch.
 // When a batch seals (DefaultBatchRecords events, or Flush/Close), it

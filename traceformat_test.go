@@ -3,6 +3,8 @@ package heapmd
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"heapmd/internal/event"
@@ -20,13 +22,17 @@ import (
 // without letting the encoding quietly decay toward fixed width.
 const v3BytesPerEventBudget = 13.0
 
+// v2RecordBytes is the size of one fixed-width record of the legacy
+// v1/v2 formats: type u8 | fn u32 | addr, value, old, size u64.
+const v2RecordBytes = 37
+
 // TestTraceFormatEquivalence is the end-to-end cross-format oracle:
-// one parser-workload run recorded simultaneously as v2, v3 and
-// compressed v3 must replay — through the full logger — to
-// byte-identical reports and identical symbol tables. (The trace
-// package's TestCrossVersionEquivalence checks raw event sequences;
-// this covers the whole replay stack the CLI uses, v1 included via
-// that test since RecordTrace no longer writes it.)
+// one parser-workload run recorded simultaneously as v3 and compressed
+// v3 must replay — through the full logger — to byte-identical reports
+// and identical symbol tables. (The trace package's
+// TestCrossVersionEquivalence checks raw event sequences across every
+// format; TestLegacyFixtureReports pins the reports of the checked-in
+// v2 and v3 traces.)
 func TestTraceFormatEquivalence(t *testing.T) {
 	traces, nEvents := recordParserTraces(t)
 
@@ -54,33 +60,33 @@ func TestTraceFormatEquivalence(t *testing.T) {
 		}
 		outcomes[name] = outcome{report: js, symbols: sym.Len()}
 	}
-	base := outcomes["v2"]
+	base := outcomes["v3"]
 	for name, o := range outcomes {
 		if !bytes.Equal(o.report, base.report) {
-			t.Errorf("%s: replayed report differs from v2's", name)
+			t.Errorf("%s: replayed report differs from v3's", name)
 		}
 		if o.symbols != base.symbols {
-			t.Errorf("%s: %d symbols, v2 replayed %d", name, o.symbols, base.symbols)
+			t.Errorf("%s: %d symbols, v3 replayed %d", name, o.symbols, base.symbols)
 		}
 	}
 }
 
 // TestTraceV3SizeBudget is the trace-size regression gate on the
-// recorded parser workload: v3 must stay at least 3x smaller than v2
-// per event (the format's acceptance bar) and within the committed
+// recorded parser workload: v3 must stay at least 3x smaller per event
+// than v2's fixed 37-byte records (the format's acceptance bar; a v2
+// trace also paid for its frame envelope) and within the committed
 // absolute budget.
 func TestTraceV3SizeBudget(t *testing.T) {
 	traces, nEvents := recordParserTraces(t)
-	v2bpe := float64(len(traces["v2"])) / float64(nEvents)
 	v3bpe := float64(len(traces["v3"])) / float64(nEvents)
 	zbpe := float64(len(traces["v3-flate"])) / float64(nEvents)
-	t.Logf("parser workload, %d events: v2 %.2f bytes/event, v3 %.2f, v3-flate %.2f",
-		nEvents, v2bpe, v3bpe, zbpe)
+	t.Logf("parser workload, %d events: v3 %.2f bytes/event, v3-flate %.2f (v2 records %d)",
+		nEvents, v3bpe, zbpe, v2RecordBytes)
 	if v3bpe > v3BytesPerEventBudget {
 		t.Errorf("v3 = %.2f bytes/event, budget %.2f", v3bpe, v3BytesPerEventBudget)
 	}
-	if v3bpe*3 > v2bpe {
-		t.Errorf("v3 = %.2f bytes/event, not 3x smaller than v2's %.2f", v3bpe, v2bpe)
+	if v3bpe*3 > v2RecordBytes {
+		t.Errorf("v3 = %.2f bytes/event, not 3x smaller than v2's %d-byte records", v3bpe, v2RecordBytes)
 	}
 	if zbpe > v3bpe {
 		t.Errorf("v3-flate = %.2f bytes/event, larger than raw v3's %.2f", zbpe, v3bpe)
@@ -134,11 +140,95 @@ func TestRecordTraceWithFormats(t *testing.T) {
 	})
 	check("RecordTraceWith zero", data, n, uint64(trace.VersionV3))
 	data, n = run(func(r *Run, w *bytes.Buffer) (func() error, error) {
-		return RecordTraceWith(r, w, TraceOptions{Version: TraceFormatV3, Compress: true})
+		return RecordTraceWith(r, w, TraceOptions{Compress: true})
 	})
-	check("RecordTraceWith compress", data, n, uint64(trace.VersionV3))
-	if _, err := RecordTraceWith(nil, nil, TraceOptions{Version: TraceFormatV2, Compress: true}); err == nil {
-		t.Error("compressed v2 recording accepted")
+	check("RecordTraceWith compress", data, n, uint64(TraceFormatV3))
+}
+
+const legacyReportGoldenPath = "testdata/golden/legacy-reports.json"
+
+// legacyReport is what replaying one legacy trace fixture through the
+// facade must yield: the report's digest (see reportDigest) and the
+// salvage counters the facade adds to its health.
+type legacyReport struct {
+	Digest        string `json:"digest"`
+	Events        uint64 `json:"events"`
+	SalvagedGaps  uint64 `json:"salvaged_gaps"`
+	SalvagedBytes uint64 `json:"salvaged_bytes"`
+}
+
+// TestLegacyFixtureReports pins reports, not just event streams, on the
+// trace package's checked-in mcf fixtures (see legacyFixtures in
+// internal/trace/legacy_test.go). The clean v2, v3 and v3-flate
+// recordings of the one run must replay through ReplayTraceWith, on
+// the synchronous reader and at the machine's default decode workers,
+// to byte-identical report JSON; the truncated and bit-flipped ones
+// are salvaged. Every outcome is checked against a digest golden
+// (testdata/golden/legacy-reports.json; -update rewrites it).
+func TestLegacyFixtureReports(t *testing.T) {
+	got := map[string]legacyReport{}
+	var clean []byte
+	for _, name := range []string{"v2", "v3", "v3-flate", "v3-flate-trunc", "v3-flate-flip"} {
+		data, err := os.ReadFile(filepath.Join("internal", "trace", "testdata", "legacy-mcf-"+name+".trace"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, DefaultDecodeWorkers()} {
+			opts := ReplayOptions{Salvage: true, DecodeWorkers: workers}
+			rep, _, info, err := ReplayTraceWith(bytes.NewReader(data), "mcf", "in0", opts)
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", name, workers, err)
+			}
+			key := name
+			if !info.Salvaged() {
+				js, err := json.Marshal(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if clean == nil {
+					clean = js
+				} else if !bytes.Equal(js, clean) {
+					t.Errorf("%s workers %d: report differs from the other clean fixtures'", name, workers)
+				}
+				key = "clean"
+			}
+			r := legacyReport{
+				Digest:        reportDigest(t, rep),
+				Events:        info.EventsRecovered,
+				SalvagedGaps:  rep.Health.SalvagedGaps,
+				SalvagedBytes: rep.Health.SalvagedBytes,
+			}
+			if prev, ok := got[key]; ok && prev != r {
+				t.Errorf("%s workers %d: %+v, but %+v before", name, workers, r, prev)
+			}
+			got[key] = r
+		}
+	}
+	if *updateGoldens {
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(legacyReportGoldenPath, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(legacyReportGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	var want map[string]legacyReport
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d outcomes, golden has %d", len(got), len(want))
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s: %+v, golden %+v", name, got[name], w)
+		}
 	}
 }
 
