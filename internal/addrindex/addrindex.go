@@ -1,61 +1,58 @@
 // Package addrindex provides the execution logger's O(1) address
 // resolution structure: a page-indexed object table in the style of
-// tcmalloc's pagemap and the Go runtime's span index.
+// tcmalloc's pagemap and the Go runtime's span index. The logger
+// resolves two addresses per observed pointer store, so this is its
+// hottest lookup; the intervals.Map treap answers the same queries in
+// O(log n) pointer-chasing steps and remains the test oracle.
 //
-// The logger resolves two addresses per observed pointer store (the
-// written slot and the stored value), so address resolution dominates
-// the per-event hot path. The treap behind intervals.Map answers the
-// same queries in O(log n) pointer-chasing steps through GC-scanned
-// nodes; this table answers them with a couple of array indexes:
+//	addr ──▶ chunk directory ──▶ page start bitmap ──▶ rank ───────▶ object record
+//	         (hash, cached)      (bits.Len64 scan)    (popcount)    (arena slot)
 //
-//	addr ──▶ chunk directory ──▶ page ref list ──▶ object record
-//	         (hash, cached)      (binary search)   (arena slot)
+// 4 KiB pages are grouped into 512-page (2 MiB) chunks. The first
+// object that starts on a page allocates its page record: a one-cache-
+// line start bitmap (a bit per 8-byte granule in which an object
+// starts) and refs, those objects' arena indices in address order. An
+// object's position in refs is its rank, the popcount of the start
+// bits below its granule, so Insert and Remove find their slot without
+// a search. A page that only lies inside an object costs its chunk one
+// cover entry (4 bytes). Object records live in a segmented arena
+// (arena.Seg) with a freelist and empty page records are recycled, so
+// steady-state churn allocates nothing. Objects starting in one
+// granule (unaligned or sub-word, from damaged raw traces) chain
+// through their records, base descending. Zero-size ranges live in a
+// side map, and ranges wider than maxSpanPages in a linear huge list.
 //
-// Layout. The address space is cut into 4 KiB pages and pages are
-// grouped into 512-page (2 MiB) chunks. A chunk holds, per page, the
-// list of objects whose [base, base+size) range intersects that page,
-// sorted by base. Each ref carries its object's base next to the arena
-// index, so the binary search runs over one contiguous list and the
-// arena is touched once, for the containment check. Object records
-// live in a segmented arena (arena.Seg) with freelist recycling: it
-// grows without copying, and steady-state alloc/free traffic performs
-// no heap allocation at all. Two single-entry caches make the
-// common cases pure array work: a last-hit cache (store bursts into
-// one object resolve with one comparison) and a last-chunk cache
-// (locality across objects skips the chunk directory hash).
-//
-// Objects spanning more than maxSpanPages pages would make per-page
-// registration arbitrarily expensive (a malformed trace can claim a
-// 2^63-byte allocation), so such ranges go to a small linear side
-// list instead — semantics are identical, and well-formed workloads
-// never hit it.
-//
-// Semantics match intervals.Map exactly (the treap remains the test
-// oracle): ranges are half-open, interior addresses resolve to their
-// containing range, a stab at base+size misses, and zero-size ranges
-// are Get/Remove-able but transparent to Stab.
+// Semantics match intervals.Map: ranges are half-open, interior
+// addresses resolve to their containing range, and zero-size ranges
+// are Get/Remove-able but transparent to Stab. Stab takes the live
+// range with the largest non-zero-size base <= addr, then checks
+// containment; with disjoint ranges that is the only possible hit.
+// Overlapping ranges (damaged traces) stay safe: Get and Remove reach
+// every base once, and a Stab hit always contains addr and is live.
+// But the candidate is then sought on addr's page only, else in the
+// page's cover (the last-inserted range reaching it), so such a stab
+// may miss or hit where the treap would not.
 package addrindex
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"heapmd/internal/arena"
 )
 
 const (
 	// PageShift selects the 4 KiB page granularity of the index.
-	PageShift = 12
-	pageSize  = 1 << PageShift
-
-	// chunkShift groups 512 pages (2 MiB of address space) per chunk.
-	chunkShift = 9
+	PageShift  = 12
+	pageSize   = 1 << PageShift
+	chunkShift = 9 // 512 pages (2 MiB) per chunk
 	chunkPages = 1 << chunkShift
 
 	// maxSpanPages bounds per-page registration work for one object;
 	// larger ranges are kept in the linear huge list.
 	maxSpanPages = 1 << 16 // 256 MiB
-
-	noEntry = int32(-1)
+	noEntry      = int32(-1)
 )
 
 // entry is one object record in the arena.
@@ -63,38 +60,55 @@ type entry[V any] struct {
 	base  uint64
 	size  uint64
 	value V
+	next  int32 // next range of the same granule or zero-size base, by base descending
 	live  bool
 }
 
-// ref names one object record: its base address and arena index.
+// ref names one huge object record: its base address and arena index.
 type ref struct {
 	base uint64
 	i    int32
 }
 
-// chunk holds the per-page object ref lists for one 2 MiB address
-// range. refs[i] lists every live object whose range intersects page
-// i, sorted by base. Most pages hold a handful of objects, so the
-// lists stay in the small-slice regime.
-type chunk struct {
-	refs [chunkPages][]ref
+// page indexes the objects that start in one page.
+type page struct {
+	starts [8]uint64 // bit g: an object starts in 8-byte granule g (512 per page)
+	refs   []int32   // chain heads, one per start bit, in address order
+	before [8]uint16 // start bits in the words below each word
 }
 
-// Table maps disjoint [base, base+size) ranges to values of type V
-// with O(1) expected stabbing queries. The zero Table is not ready to
-// use; call New. A Table is single-goroutine, like the logger that
-// owns it.
+// granule returns the index of addr's 8-byte granule in its page.
+func granule(addr uint64) uint { return uint(addr>>3) & (pageSize/8 - 1) }
+
+// rank returns the number of start bits below granule g.
+func (p *page) rank(g uint) int {
+	return int(p.before[g>>6]) + bits.OnesCount64(p.starts[g>>6]&(1<<(g&63)-1))
+}
+
+// chunk indexes one 2 MiB address range. cover[i] is 1 + the arena index
+// of the last range inserted that started on an earlier page and reaches
+// page i, or 0. Remove leaves it stale: a freed record has size 0 and
+// fails every containment check, and a live range reusing the slot is,
+// if it contains the address, the only range that can.
+type chunk struct {
+	pages [chunkPages]*page
+	cover [chunkPages]int32
+}
+
+// Table maps disjoint [base, base+size) ranges to values of type V with
+// O(1) expected stabbing queries. The zero Table is not ready to use;
+// call New. A Table is single-goroutine, like the logger that owns it.
 type Table[V any] struct {
 	chunks map[uint64]*chunk
 	arena  arena.Seg[entry[V]]
 	free   []int32
-	huge   []ref // ranges wider than maxSpanPages
+	spare  []*page          // emptied page records, for reuse
+	zero   map[uint64]int32 // zero-size ranges: 1 + chain head per base
+	huge   []ref            // ranges wider than maxSpanPages
 	n      int
-
-	// lastHits caches the arena indices of recent successful Stabs
-	// (noEntry when empty), most recent first. Two entries, because
-	// the logger stabs two addresses per store — the written slot and
-	// the stored value — and a single entry would thrash between them.
+	// lastHits caches the arena indices of recent Stab hits (noEntry
+	// when empty), most recent first: two, because the logger stabs two
+	// addresses per store and a single entry would thrash between them.
 	lastHits  [2]int32
 	lastChunk *chunk // chunk of the last directory lookup
 	lastKey   uint64
@@ -102,137 +116,118 @@ type Table[V any] struct {
 
 // New returns an empty table.
 func New[V any]() *Table[V] {
-	return &Table[V]{chunks: make(map[uint64]*chunk), lastHits: [2]int32{noEntry, noEntry}}
+	return &Table[V]{chunks: make(map[uint64]*chunk), zero: make(map[uint64]int32),
+		lastHits: [2]int32{noEntry, noEntry}}
 }
 
 // Len returns the number of live ranges.
 func (t *Table[V]) Len() int { return t.n }
 
-// chunkFor returns the chunk covering page, creating it if needed.
-func (t *Table[V]) chunkFor(page uint64) *chunk {
+// chunkFor returns the chunk covering page, creating it if create is
+// set, else returning nil when there is none.
+func (t *Table[V]) chunkFor(page uint64, create bool) *chunk {
 	key := page >> chunkShift
 	if t.lastChunk != nil && t.lastKey == key {
 		return t.lastChunk
 	}
 	c := t.chunks[key]
-	if c == nil {
+	if c == nil && create {
 		c = new(chunk)
 		t.chunks[key] = c
 	}
-	t.lastKey, t.lastChunk = key, c
-	return c
-}
-
-// lookupChunk returns the chunk covering page without creating it.
-func (t *Table[V]) lookupChunk(page uint64) *chunk {
-	key := page >> chunkShift
-	if t.lastChunk != nil && t.lastKey == key {
-		return t.lastChunk
-	}
-	c := t.chunks[key]
 	if c != nil {
 		t.lastKey, t.lastChunk = key, c
 	}
 	return c
 }
 
-// pageRange returns the inclusive page span of [base, base+size),
-// clamping the degenerate and wrapping cases: a zero-size range
-// occupies only its base page (for Get/Remove reachability), and a
-// range whose end wraps past the top of the address space is clamped
-// to the last page.
+// pageRange returns the inclusive page span of a non-empty range
+// [base, base+size), clamping an end that wraps to the last page.
 func pageRange(base, size uint64) (first, last uint64) {
-	first = base >> PageShift
-	if size == 0 {
-		return first, first
-	}
 	end := base + size - 1
 	if end < base { // wrapped
 		end = ^uint64(0)
 	}
-	return first, end >> PageShift
+	return base >> PageShift, end >> PageShift
 }
 
-// search returns the position of the first ref in refs whose base is
-// at least base (hand rolled: the sort.Search closure is measurable on
-// the event hot path).
-func search(refs []ref, base uint64) int {
-	lo, hi := 0, len(refs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if refs[mid].base >= base {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+// unlink removes arena index i from the chain starting at *link.
+func (t *Table[V]) unlink(link *int32, i int32) {
+	for *link != i {
+		link = &t.arena.At(*link).next
 	}
-	return lo
+	*link = t.arena.At(i).next
 }
 
-// insertRef adds r into a sorted ref list.
-func insertRef(refs []ref, r ref) []ref {
-	pos := search(refs, r.base)
-	refs = append(refs, ref{})
-	copy(refs[pos+1:], refs[pos:])
-	refs[pos] = r
-	return refs
-}
-
-// removeRef deletes the ref to arena index i from a ref list.
-func removeRef(refs []ref, i int32) []ref {
-	for k, r := range refs {
-		if r.i == i {
-			copy(refs[k:], refs[k+1:])
-			return refs[:len(refs)-1]
-		}
-	}
-	return refs
-}
-
-// Insert adds the range [base, base+size) with the given value. The
-// caller must guarantee the range does not overlap an existing one;
-// allocators never hand out overlapping live ranges. The returned
-// pointer refers to the stored value and remains valid until the range
-// is removed.
+// Insert adds the range [base, base+size) with the given value. Live
+// ranges should not overlap (allocators never hand out overlapping
+// ones); if a damaged trace makes them, see the package comment. The
+// returned pointer refers to the stored value and remains valid until
+// the range is removed.
 func (t *Table[V]) Insert(base, size uint64, value V) *V {
-	var i int32
-	var e *entry[V]
+	i := int32(t.arena.Len())
 	if k := len(t.free); k > 0 {
-		i = t.free[k-1]
-		t.free = t.free[:k-1]
-		e = t.arena.At(i)
+		i, t.free = t.free[k-1], t.free[:k-1]
 	} else {
-		i = int32(t.arena.Len())
-		e = t.arena.Push()
+		t.arena.Push()
 	}
-	*e = entry[V]{base: base, size: size, value: value, live: true}
-	r := ref{base: base, i: i}
-	first, last := pageRange(base, size)
-	if size > 0 && last-first+1 > maxSpanPages {
-		t.huge = append(t.huge, r)
-	} else {
-		for p := first; ; p++ {
-			c := t.chunkFor(p)
-			pi := p & (chunkPages - 1)
-			c.refs[pi] = insertRef(c.refs[pi], r)
-			if p == last {
-				break
-			}
-		}
-	}
+	e := t.arena.At(i)
+	*e = entry[V]{base: base, size: size, value: value, next: noEntry, live: true}
 	t.n++
+	first, last := pageRange(base, size)
+	switch {
+	case size == 0:
+		e.next, t.zero[base] = t.zero[base]-1, i+1
+		return &e.value
+	case last-first+1 > maxSpanPages:
+		t.huge = append(t.huge, ref{base: base, i: i})
+		return &e.value
+	}
+	c := t.chunkFor(first, true)
+	p := c.pages[first&(chunkPages-1)]
+	if p == nil {
+		if k := len(t.spare); k > 0 {
+			p, t.spare = t.spare[k-1], t.spare[:k-1]
+		} else {
+			p = new(page)
+		}
+		c.pages[first&(chunkPages-1)] = p
+	}
+	g := granule(base)
+	r := p.rank(g)
+	if bit := uint64(1) << (g & 63); p.starts[g>>6]&bit == 0 {
+		p.starts[g>>6] |= bit
+		for w := g>>6 + 1; w < 8; w++ {
+			p.before[w]++
+		}
+		p.refs = slices.Insert(p.refs, r, i)
+	} else {
+		link := &p.refs[r]
+		for *link != noEntry && t.arena.At(*link).base > base {
+			link = &t.arena.At(*link).next
+		}
+		e.next, *link = *link, i
+	}
+	for q := first + 1; q <= last; q++ {
+		t.chunkFor(q, true).cover[q&(chunkPages-1)] = i + 1
+	}
 	return &e.value
 }
 
-// findExact returns the arena index of the range based exactly at
-// base, or noEntry.
+// findExact returns the arena index of a range based at base, or noEntry.
 func (t *Table[V]) findExact(base uint64) int32 {
-	c := t.lookupChunk(base >> PageShift)
-	if c != nil {
-		refs := c.refs[(base>>PageShift)&(chunkPages-1)]
-		if k := search(refs, base); k < len(refs) && refs[k].base == base {
-			return refs[k].i
+	if c := t.chunkFor(base>>PageShift, false); c != nil {
+		p, g := c.pages[(base>>PageShift)&(chunkPages-1)], granule(base)
+		if p != nil && p.starts[g>>6]&(1<<(g&63)) != 0 {
+			for i := p.refs[p.rank(g)]; i != noEntry; i = t.arena.At(i).next {
+				if t.arena.At(i).base == base {
+					return i
+				}
+			}
 		}
+	}
+	if i := t.zero[base]; i != 0 {
+		return i - 1
 	}
 	for _, r := range t.huge {
 		if r.base == base {
@@ -245,11 +240,10 @@ func (t *Table[V]) findExact(base uint64) int32 {
 // Get returns a pointer to the value of the range based exactly at
 // base, or nil. The pointer remains valid until the range is removed.
 func (t *Table[V]) Get(base uint64) *V {
-	i := t.findExact(base)
-	if i == noEntry {
-		return nil
+	if i := t.findExact(base); i != noEntry {
+		return &t.arena.At(i).value
 	}
-	return &t.arena.At(i).value
+	return nil
 }
 
 // Remove deletes the range based exactly at base, returning its value
@@ -261,34 +255,38 @@ func (t *Table[V]) Remove(base uint64) (V, bool) {
 		return zero, false
 	}
 	e := t.arena.At(i)
-	first, last := pageRange(e.base, e.size)
-	if e.size > 0 && last-first+1 > maxSpanPages {
-		t.huge = removeRef(t.huge, i)
-	} else {
-		for p := first; ; p++ {
-			c := t.lookupChunk(p)
-			if c != nil {
-				pi := p & (chunkPages - 1)
-				c.refs[pi] = removeRef(c.refs[pi], i)
+	first, last := pageRange(base, e.size)
+	switch {
+	case e.size == 0:
+		head := t.zero[base] - 1
+		if t.unlink(&head, i); head == noEntry {
+			delete(t.zero, base)
+		} else {
+			t.zero[base] = head + 1
+		}
+	case last-first+1 > maxSpanPages:
+		t.huge = slices.DeleteFunc(t.huge, func(r ref) bool { return r.i == i })
+	default:
+		c, pi := t.chunkFor(first, false), first&(chunkPages-1)
+		p, g := c.pages[pi], granule(base)
+		r := p.rank(g)
+		if t.unlink(&p.refs[r], i); p.refs[r] == noEntry {
+			p.starts[g>>6] &^= 1 << (g & 63)
+			for w := g>>6 + 1; w < 8; w++ {
+				p.before[w]--
 			}
-			if p == last {
-				break
+			if p.refs = slices.Delete(p.refs, r, r+1); len(p.refs) == 0 {
+				c.pages[pi] = nil
+				t.spare = append(t.spare, p)
 			}
 		}
 	}
+	// Zeroing releases the value's references and leaves a size-0
+	// record, which no Stab, cached or not, can hit until reuse.
 	v := e.value
-	var zero V
-	e.value = zero // release references held by the recycled slot
-	e.live = false
-	e.size = 0
+	*e = entry[V]{}
 	t.free = append(t.free, i)
 	t.n--
-	if t.lastHits[0] == i {
-		t.lastHits[0] = noEntry
-	}
-	if t.lastHits[1] == i {
-		t.lastHits[1] = noEntry
-	}
 	return v, true
 }
 
@@ -300,11 +298,36 @@ func (t *Table[V]) remember(i int32) {
 	}
 }
 
-// Stab returns the base, size and value of the range containing addr.
-// Interior addresses resolve to their containing range. The semantics
-// are identical to intervals.Map.Stab: half-open ranges, zero-size
-// ranges transparent. The value pointer remains valid until the range
-// is removed.
+// candidate returns the arena index of the range with the largest base
+// <= addr among those starting on addr's page, else that page's cover,
+// or noEntry. It scans the start bitmap down from addr's granule; a
+// chain is walked only where several ranges start in one granule.
+func (t *Table[V]) candidate(c *chunk, addr uint64) int32 {
+	pi := (addr >> PageShift) & (chunkPages - 1)
+	if p := c.pages[pi]; p != nil {
+		g := granule(addr)
+		w, word := g>>6, p.starts[g>>6]&(2<<(g&63)-1) // starts in granules <= g
+		for word != 0 || w > 0 {
+			if word == 0 {
+				w--
+				word = p.starts[w]
+				continue
+			}
+			// word's top bit is the granule; the bits below it, its rank.
+			for i := p.refs[int(p.before[w])+bits.OnesCount64(word)-1]; i != noEntry; i = t.arena.At(i).next {
+				if t.arena.At(i).base <= addr {
+					return i
+				}
+			}
+			word &^= 1 << (bits.Len64(word) - 1) // that granule's ranges start above addr
+		}
+	}
+	return c.cover[pi] - 1
+}
+
+// Stab returns the base, size and value of the range containing addr,
+// by the rule in the package comment. The value pointer remains valid
+// until the range is removed.
 func (t *Table[V]) Stab(addr uint64) (base, size uint64, value *V, ok bool) {
 	// Last-hit cache: consecutive stores into one object resolve with
 	// a single comparison. addr-e.base underflows to a huge value when
@@ -321,32 +344,11 @@ func (t *Table[V]) Stab(addr uint64) (base, size uint64, value *V, ok bool) {
 			return e.base, e.size, &e.value, true
 		}
 	}
-	c := t.lookupChunk(addr >> PageShift)
-	if c != nil {
-		refs := c.refs[(addr>>PageShift)&(chunkPages-1)]
-		// The candidate is the entry with the largest base <= addr.
-		// Walking back over non-containing predecessors (instead of
-		// testing only the immediate one) makes zero-size entries
-		// transparent — they are registered on their base page for
-		// Get/Remove but always fail the containment check — and keeps
-		// the search robust when a damaged trace registers
-		// overlapping ranges. The binary search (first base > addr,
-		// hand rolled like search) reads only the ref list; the arena
-		// is touched for the containment check alone.
-		lo, hi := 0, len(refs)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if refs[mid].base > addr {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		for pos := lo - 1; pos >= 0; pos-- {
-			r := refs[pos]
-			if e := t.arena.At(r.i); addr-r.base < e.size {
-				t.remember(r.i)
-				return r.base, e.size, &e.value, true
+	if c := t.chunkFor(addr>>PageShift, false); c != nil {
+		if i := t.candidate(c, addr); i != noEntry {
+			if e := t.arena.At(i); addr-e.base < e.size {
+				t.remember(i)
+				return e.base, e.size, &e.value, true
 			}
 		}
 	}
@@ -359,10 +361,9 @@ func (t *Table[V]) Stab(addr uint64) (base, size uint64, value *V, ok bool) {
 	return 0, 0, nil, false
 }
 
-// Walk visits every live range in ascending base order; iteration
-// stops if fn returns false. fn must not mutate the table. Walk sorts
-// an index of the arena per call — it exists for tests and
-// diagnostics, not the hot path.
+// Walk visits every live range in ascending base order until fn returns
+// false. fn must not mutate the table. Walk sorts an index of the arena
+// per call: it is for tests and diagnostics, not the hot path.
 func (t *Table[V]) Walk(fn func(base, size uint64, value *V) bool) {
 	idx := make([]int32, 0, t.n)
 	for i := int32(0); i < int32(t.arena.Len()); i++ {
@@ -370,9 +371,7 @@ func (t *Table[V]) Walk(fn func(base, size uint64, value *V) bool) {
 			idx = append(idx, i)
 		}
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return t.arena.At(idx[a]).base < t.arena.At(idx[b]).base
-	})
+	slices.SortFunc(idx, func(a, b int32) int { return cmp.Compare(t.arena.At(a).base, t.arena.At(b).base) })
 	for _, i := range idx {
 		e := t.arena.At(i)
 		if !fn(e.base, e.size, &e.value) {

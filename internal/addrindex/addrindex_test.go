@@ -1,6 +1,7 @@
 package addrindex
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -311,5 +312,126 @@ func TestArenaRecycling(t *testing.T) {
 	}
 	if tb.Len() != 64 {
 		t.Fatalf("Len = %d, want 64", tb.Len())
+	}
+}
+
+// TestOverlappingInsertsStaySafe feeds the table what a damaged raw
+// trace can make the logger insert: overlapping ranges and duplicate
+// bases, at any alignment, in a few pages around a chunk boundary. The
+// table need not resolve such a heap as the treap would, but it must
+// stay safe: no panic, every Stab hit contains the probed address and
+// names a live range, Get and Remove reach every inserted base once,
+// Len returns to 0, and a removed range never resolves again once its
+// arena slot is recycled.
+func TestOverlappingInsertsStaySafe(t *testing.T) {
+	type rec struct{ base, size uint64 }
+	const region = uint64(1<<32 + chunkPages*pageSize - 2*pageSize)
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := New[int]()
+		live := make(map[int]rec)       // value -> range
+		count := make(map[uint64]int)   // base -> live ranges based there
+		removed := make(map[uint64]int) // base -> ranges removed from there
+		randAddr := func() uint64 { return region + uint64(rng.Intn(4*pageSize)) }
+		randSize := func() uint64 {
+			switch rng.Intn(8) {
+			case 0:
+				return 0
+			case 1:
+				return uint64(rng.Intn(3*pageSize) + 1)
+			case 2:
+				return (maxSpanPages + 1) * pageSize
+			default:
+				return uint64(rng.Intn(64) + 1)
+			}
+		}
+		checkStab := func(step int, addr uint64) {
+			b, s, v, ok := tb.Stab(addr)
+			if !ok {
+				return
+			}
+			r, isLive := live[*v]
+			if !isLive || r != (rec{b, s}) || addr-b >= s {
+				t.Fatalf("seed %d step %d: Stab(%#x) = (%#x, %d, value %d), live %v as %+v",
+					seed, step, addr, b, s, *v, isLive, r)
+			}
+		}
+		var bases []uint64
+		for step := 0; step < 4000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				base := randAddr()
+				if len(bases) > 0 && rng.Intn(4) == 0 {
+					base = bases[rng.Intn(len(bases))] // duplicate base
+				}
+				size := randSize()
+				if v := tb.Insert(base, size, step); *v != step {
+					t.Fatalf("seed %d step %d: Insert returned value %d", seed, step, *v)
+				}
+				live[step] = rec{base, size}
+				count[base]++
+				bases = append(bases, base)
+			case op < 6 && len(bases) > 0:
+				base := bases[rng.Intn(len(bases))]
+				v, ok := tb.Remove(base)
+				if ok != (count[base] > 0) {
+					t.Fatalf("seed %d step %d: Remove(%#x) ok=%v with %d live there", seed, step, base, ok, count[base])
+				}
+				if ok {
+					if r, isLive := live[v]; !isLive || r.base != base {
+						t.Fatalf("seed %d step %d: Remove(%#x) returned value %d, live %v as %+v", seed, step, base, v, isLive, r)
+					}
+					delete(live, v)
+					count[base]--
+					removed[base]++
+				}
+			case op < 7 && len(bases) > 0:
+				base := bases[rng.Intn(len(bases))]
+				v := tb.Get(base)
+				if (v != nil) != (count[base] > 0) || (v != nil && live[*v].base != base) {
+					t.Fatalf("seed %d step %d: Get(%#x) disagrees with %d live there", seed, step, base, count[base])
+				}
+			default:
+				addr := randAddr()
+				if len(bases) > 0 && rng.Intn(2) == 0 {
+					addr = bases[rng.Intn(len(bases))] + uint64(rng.Intn(16)) - 8
+				}
+				checkStab(step, addr)
+			}
+			if tb.Len() != len(live) {
+				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, tb.Len(), len(live))
+			}
+		}
+		// Drain: each base gives up exactly its live ranges, then misses.
+		for base, n := range count {
+			for k := 0; k < n; k++ {
+				v, ok := tb.Remove(base)
+				if r, isLive := live[v]; !ok || !isLive || r.base != base {
+					t.Fatalf("seed %d: drain Remove(%#x) #%d = (%d, %v)", seed, base, k, v, ok)
+				}
+				delete(live, v)
+			}
+			if _, ok := tb.Remove(base); ok {
+				t.Fatalf("seed %d: Remove(%#x) succeeded more often than inserted", seed, base)
+			}
+		}
+		if tb.Len() != 0 {
+			t.Fatalf("seed %d: Len %d after draining", seed, tb.Len())
+		}
+		// Recycle every arena slot with disjoint ranges far away; no
+		// address of the old region may resolve any more.
+		const far = uint64(9 << 40)
+		for k := 0; k < tb.arena.Len(); k++ {
+			tb.Insert(far+uint64(k)*64, 64, -1-k)
+			live[-1-k] = rec{far + uint64(k)*64, 64}
+		}
+		for a := region - 16; a < region+8*pageSize; a += 3 {
+			if _, _, v, ok := tb.Stab(a); ok {
+				t.Fatalf("seed %d: Stab(%#x) hit value %d after all old ranges were removed", seed, a, *v)
+			}
+		}
+		for k := 0; k < tb.arena.Len(); k += 7 {
+			checkStab(-1, far+uint64(k)*64+9)
+		}
 	}
 }

@@ -27,19 +27,24 @@ func (op fuzzOp) encode(data []byte) []byte {
 }
 
 // fuzzAddr is the address an operation names: region hi>>6, then
-// 8-byte steps (hi&63)<<8|lo into it — 128 KiB, 32 pages.
-func fuzzAddr(hi, lo byte) uint64 {
-	return fuzzRegions[hi>>6] + (uint64(hi&63)<<8|uint64(lo))*8
+// 8-byte steps (hi&63)<<8|lo into it — 128 KiB, 32 pages — plus a byte
+// offset of 0–7 from the opcode's spare bits code>>2&7, so unaligned
+// bases share granules (opcodes 0–3 name the aligned address).
+func fuzzAddr(code, hi, lo byte) uint64 {
+	return fuzzRegions[hi>>6] + (uint64(hi&63)<<8|uint64(lo))*8 + uint64(code>>2&7)
 }
 
-// fuzzSize is the size an insert's arg selects: zero (Stab-transparent),
-// a small object, a page-spanning one, or one wider than maxSpanPages
-// (the huge list).
+// fuzzSize is the size an insert's arg selects: zero (Stab-transparent)
+// or sub-word (1–7 bytes, for k >= 32), a small object, a page-spanning
+// one, or one wider than maxSpanPages (the huge list).
 func fuzzSize(arg byte) uint64 {
 	k := uint64(arg & 63)
 	switch arg >> 6 {
 	case 0:
-		return 0
+		if k < 32 {
+			return 0
+		}
+		return 1 + k%7
 	case 1:
 		return 8 + 8*k
 	case 2:
@@ -52,9 +57,12 @@ func fuzzSize(arg byte) uint64 {
 // fuzzSeeds builds seed inputs in the shapes of
 // TestOracleAgainstIntervals: same-page clusters, page-spanning and
 // zero-size objects, removals of live and absent bases, and probes at
-// a base, one past the end, the interior and just below. The last
+// a base, one past the end, the interior and just below. The fourth
 // seed inserts enough objects to cross several arena segment
-// boundaries (63/64, 191/192) and recycles slots across them.
+// boundaries (63/64, 191/192) and recycles slots across them; the last
+// packs 1–3-byte objects into the granule where a page-spanning object
+// ends, next to another page-spanning one, probes every byte around
+// them and removes them one by one.
 func fuzzSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(1))
 	probe := func(data []byte, hi, lo byte) []byte {
@@ -92,19 +100,40 @@ func fuzzSeeds() [][]byte {
 	for i := 0; i < 40; i++ {
 		many = fuzzOp{code: 0, hi: 32 + byte(i>>4), lo: byte(i << 4), arg: 64 | 3}.encode(many)
 	}
-	return [][]byte{cluster, spanning, mixed, many}
+	// The spanning object covers region bytes [2048, 11265): granule
+	// 1408 (hi 5, lo 128) holds its last byte and then the packed ones,
+	// whose size class arg 34+size (k%7 = size-1) is sub-word.
+	packed := fuzzOp{code: 0, hi: 1, lo: 0, arg: 128 | 9}.encode(nil)
+	for _, o := range []struct{ off, size byte }{{1, 1}, {2, 2}, {5, 3}, {4, 1}} {
+		packed = fuzzOp{code: o.off << 2, hi: 5, lo: 128, arg: 34 + o.size}.encode(packed)
+	}
+	packed = fuzzOp{code: 0, hi: 5, lo: 129, arg: 128 | 5}.encode(packed)
+	probeAll := func(data []byte) []byte {
+		for d := -9; d <= 16; d++ {
+			data = fuzzOp{code: 2, hi: 5, lo: 128, arg: byte(int8(d))}.encode(data)
+			data = fuzzOp{code: 3, hi: 5, lo: 128, arg: byte(int8(d))}.encode(data)
+		}
+		return data
+	}
+	packed = probeAll(packed)
+	for _, off := range []byte{2, 1, 5, 4} {
+		packed = fuzzOp{code: 1 | off<<2, hi: 5, lo: 128}.encode(packed)
+		packed = probeAll(packed)
+	}
+	return [][]byte{cluster, spanning, mixed, many, packed}
 }
 
 // FuzzAddrIndexOracle drives a byte-driven stream of Insert, Remove,
 // Stab and Get through the table and through intervals.Map, the treap
 // it replaces, and fails on the first disagreement. Each operation is
-// four bytes: an opcode (mod 4: insert, remove, stab, get), two address
-// bytes (fuzzAddr) and an argument — the size class for an insert
-// (fuzzSize), a signed displacement from the address for a stab or
-// get. Inserts that would overlap a live range are skipped, as
-// allocators never hand out overlapping ranges. Only the first
-// maxFuzzOps operations run: the overlap check scans every live range,
-// and the mutator's megabyte inputs would make one run take minutes.
+// four bytes: an opcode (mod 4: insert, remove, stab, get; bits 2–4 a
+// byte offset), two address bytes (fuzzAddr) and an argument — the
+// size class for an insert (fuzzSize), a signed displacement from the
+// address for a stab or get. Inserts that would overlap a live range
+// are skipped, as allocators never hand out overlapping ranges. Only
+// the first maxFuzzOps operations run: the overlap check scans every
+// live range, and the mutator's megabyte inputs would make one run
+// take minutes.
 func FuzzAddrIndexOracle(f *testing.F) {
 	const maxFuzzOps = 2048
 	for _, seed := range fuzzSeeds() {
@@ -119,7 +148,7 @@ func FuzzAddrIndexOracle(f *testing.F) {
 		live := make(map[uint64]uint64) // base -> size
 		for k := 0; k+4 <= len(data); k += 4 {
 			op := fuzzOp{code: data[k], hi: data[k+1], lo: data[k+2], arg: data[k+3]}
-			addr := fuzzAddr(op.hi, op.lo)
+			addr := fuzzAddr(op.code, op.hi, op.lo)
 			switch op.code % 4 {
 			case 0:
 				size := fuzzSize(op.arg)

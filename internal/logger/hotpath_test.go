@@ -27,7 +27,7 @@ func TestStoreHotPathAllocs(t *testing.T) {
 		l.Emit(event.Event{Type: event.Alloc, Addr: addr, Size: 64, Fn: 1})
 	}
 	// Warm up: visit every object once so one-time growth (spill maps,
-	// page ref lists, arena capacity) happens before measurement.
+	// page records, arena capacity) happens before measurement.
 	for i := 0; i < n*8; i++ {
 		src := addrs[i&(n-1)]
 		dst := addrs[(i*31+7)&(n-1)]
