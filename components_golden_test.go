@@ -28,9 +28,15 @@ const componentGoldenPath = "testdata/golden/components.json"
 // fixed-seed synthetic streams. Each entry is the SHA-256 of the
 // report's JSON encoding, so any change to a component count, a
 // degree metric, a tick or a health counter fails here. Run with
-// -update to regenerate deliberately.
+// -update to regenerate deliberately. The corpus then runs a second
+// time in reverse order, so each entry's logger is reused from a
+// different run than before, and must give the same digests.
 func TestComponentGoldens(t *testing.T) {
-	got := componentGoldenDigests(t)
+	corpus := componentGoldenCorpus(t)
+	got := make(map[string]string)
+	for _, e := range corpus {
+		got[e.name] = reportDigest(t, e.run())
+	}
 	if *updateGoldens {
 		buf, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -60,20 +66,32 @@ func TestComponentGoldens(t *testing.T) {
 	if len(got) != len(want) {
 		t.Errorf("corpus has %d entries, golden %d", len(got), len(want))
 	}
+	for i := len(corpus) - 1; i >= 0; i-- {
+		if d := reportDigest(t, corpus[i].run()); d != got[corpus[i].name] {
+			t.Errorf("%s: report digest %s on the reverse-order pass, %s on the first", corpus[i].name, d, got[corpus[i].name])
+		}
+	}
 }
 
-// componentGoldenDigests runs the golden corpus and returns entry name
-// → report digest.
-func componentGoldenDigests(t *testing.T) map[string]string {
+// goldenEntry is one named run of the golden corpus.
+type goldenEntry struct {
+	name string
+	run  func() *logger.Report
+}
+
+// componentGoldenCorpus returns the golden corpus's runs in order.
+func componentGoldenCorpus(t *testing.T) []goldenEntry {
 	t.Helper()
-	out := make(map[string]string)
+	var out []goldenEntry
 	cfg := workloads.RunConfig{Logger: logger.Options{Suite: metrics.ExtendedSuite()}}
 	for _, w := range workloads.All() {
-		rep, _, err := workloads.RunLogged(w, w.Inputs(1)[0], cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name(), err)
-		}
-		out[w.Name()] = reportDigest(t, rep)
+		out = append(out, goldenEntry{w.Name(), func() *logger.Report {
+			rep, _, err := workloads.RunLogged(w, w.Inputs(1)[0], cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", w.Name(), err)
+			}
+			return rep
+		}})
 	}
 	w, err := workloads.Get("multimedia")
 	if err != nil {
@@ -84,15 +102,20 @@ func componentGoldenDigests(t *testing.T) map[string]string {
 		c.Plan = faults.NewPlan().EnableAlways(fault)
 		// A fault may crash the simulated program; the report of the
 		// prefix is what the logger saw and is pinned as such.
-		rep, _, _ := workloads.RunLogged(w, w.Inputs(1)[0], c)
-		out[w.Name()+"+"+fault] = reportDigest(t, rep)
+		out = append(out, goldenEntry{w.Name() + "+" + fault, func() *logger.Report {
+			rep, _, _ := workloads.RunLogged(w, w.Inputs(1)[0], c)
+			return rep
+		}})
 	}
-	out["synthetic/tree-cross-churn"] = reportDigest(t, replaySynthetic(func(s event.Sink) {
-		goldenTreeEvents(rand.New(rand.NewSource(7)), 3000, 24, s)
-	}))
-	out["synthetic/store-free-churn"] = reportDigest(t, replaySynthetic(func(s event.Sink) {
-		goldenChurnEvents(rand.New(rand.NewSource(11)), 2048, 60000, s)
-	}))
+	out = append(out, goldenEntry{"synthetic/tree-cross-churn", func() *logger.Report {
+		return replaySynthetic(func(s event.Sink) {
+			goldenTreeEvents(rand.New(rand.NewSource(7)), 3000, 24, s)
+		})
+	}}, goldenEntry{"synthetic/store-free-churn", func() *logger.Report {
+		return replaySynthetic(func(s event.Sink) {
+			goldenChurnEvents(rand.New(rand.NewSource(11)), 2048, 60000, s)
+		})
+	}})
 	return out
 }
 
@@ -112,7 +135,9 @@ func replaySynthetic(gen func(event.Sink)) *logger.Report {
 	l := logger.New(logger.Options{Frequency: logger.SimulationFrequency, Suite: metrics.ExtendedSuite()})
 	l.SetRun("synthetic", "golden", 1)
 	gen(l)
-	return l.Report()
+	rep := l.Report()
+	l.Release()
+	return rep
 }
 
 // goldenTreeEvents emits a heap-ordered binary tree of n 32-byte nodes

@@ -490,18 +490,21 @@ type ReplayOptions struct {
 	IngestWorkers int
 }
 
-// ReplayTrace replays a recorded trace into a fresh logger and
+// ReplayTrace replays a recorded trace into an empty logger and
 // returns the reconstructed report; see ReplayOptions.Frequency.
 func ReplayTrace(rd io.ReadSeeker, program, input string, frequency uint64) (*Report, *Symtab, error) {
 	rep, sym, _, err := ReplayTraceWith(rd, program, input, ReplayOptions{Frequency: frequency})
 	return rep, sym, err
 }
 
-// ReplayTraceWith replays a recorded trace into a fresh logger with
+// ReplayTraceWith replays a recorded trace into an empty logger with
 // full control over ingestion. With Salvage set, a damaged trace
 // yields the report reconstructed from its longest valid prefix plus
 // a SalvageInfo describing the loss; without it, damage yields an
-// error wrapping trace.ErrCorrupt.
+// error wrapping trace.ErrCorrupt. The logger is released when the
+// replay ends, so the next replay reuses its heap image (see
+// logger.New); the report shares no storage with it. Concurrent
+// replays are safe: each takes its own logger.
 func ReplayTraceWith(rd io.ReadSeeker, program, input string, opts ReplayOptions) (*Report, *Symtab, *SalvageInfo, error) {
 	if _, err := sched.ParseIngestWorkers(opts.IngestWorkers); err != nil {
 		return nil, nil, nil, err
@@ -515,6 +518,7 @@ func ReplayTraceWith(rd io.ReadSeeker, program, input string, opts ReplayOptions
 		Suite:            opts.Suite,
 		RebuildThreshold: opts.RebuildThreshold,
 	})
+	defer l.Release()
 	l.SetRun(program, input, 1)
 	var (
 		sym  *Symtab

@@ -17,10 +17,11 @@
 // a search. A page that only lies inside an object costs its chunk one
 // cover entry (4 bytes). Object records live in a segmented arena
 // (arena.Seg) with a freelist and empty page records are recycled, so
-// steady-state churn allocates nothing. Objects starting in one
-// granule (unaligned or sub-word, from damaged raw traces) chain
-// through their records, base descending. Zero-size ranges live in a
-// side map, and ranges wider than maxSpanPages in a linear huge list.
+// steady-state churn allocates nothing; Reset keeps all of it for the
+// next run. Objects starting in one granule (unaligned or sub-word,
+// from damaged raw traces) chain through their records, base
+// descending. Zero-size ranges live in a side map, and ranges wider
+// than maxSpanPages in a linear huge list.
 //
 // Semantics match intervals.Map: ranges are half-open, interior
 // addresses resolve to their containing range, and zero-size ranges
@@ -99,13 +100,14 @@ type chunk struct {
 // O(1) expected stabbing queries. The zero Table is not ready to use;
 // call New. A Table is single-goroutine, like the logger that owns it.
 type Table[V any] struct {
-	chunks map[uint64]*chunk
-	arena  arena.Seg[entry[V]]
-	free   []int32
-	spare  []*page          // emptied page records, for reuse
-	zero   map[uint64]int32 // zero-size ranges: 1 + chain head per base
-	huge   []ref            // ranges wider than maxSpanPages
-	n      int
+	chunks      map[uint64]*chunk
+	arena       arena.Seg[entry[V]]
+	free        []int32
+	spare       []*page          // emptied page records, for reuse
+	spareChunks []*chunk         // chunks Reset took out of the directory
+	zero        map[uint64]int32 // zero-size ranges: 1 + chain head per base
+	huge        []ref            // ranges wider than maxSpanPages
+	n           int
 	// lastHits caches the arena indices of recent Stab hits (noEntry
 	// when empty), most recent first: two, because the logger stabs two
 	// addresses per store and a single entry would thrash between them.
@@ -123,6 +125,32 @@ func New[V any]() *Table[V] {
 // Len returns the number of live ranges.
 func (t *Table[V]) Len() int { return t.n }
 
+// Reset empties the table for reuse, keeping its storage: the arena's
+// segments (arena.Seg.Reset), the free list's capacity, every page
+// record (emptied, to spare) and every chunk (to spareChunks; zeroed
+// when chunkFor takes it back). Chunks leave the directory map, which
+// is keyed by address, so what a reset table holds is bounded by one
+// run's high-water mark however scattered the next run's addresses.
+func (t *Table[V]) Reset() {
+	for _, c := range t.chunks {
+		for _, p := range c.pages {
+			if p != nil {
+				*p = page{refs: p.refs[:0]}
+				t.spare = append(t.spare, p)
+			}
+		}
+		t.spareChunks = append(t.spareChunks, c)
+	}
+	clear(t.chunks)
+	t.arena.Reset()
+	t.free = t.free[:0]
+	clear(t.zero)
+	t.huge = t.huge[:0]
+	t.n = 0
+	t.lastHits = [2]int32{noEntry, noEntry}
+	t.lastChunk, t.lastKey = nil, 0
+}
+
 // chunkFor returns the chunk covering page, creating it if create is
 // set, else returning nil when there is none.
 func (t *Table[V]) chunkFor(page uint64, create bool) *chunk {
@@ -132,7 +160,12 @@ func (t *Table[V]) chunkFor(page uint64, create bool) *chunk {
 	}
 	c := t.chunks[key]
 	if c == nil && create {
-		c = new(chunk)
+		if k := len(t.spareChunks); k > 0 {
+			c, t.spareChunks = t.spareChunks[k-1], t.spareChunks[:k-1]
+			*c = chunk{}
+		} else {
+			c = new(chunk)
+		}
 		t.chunks[key] = c
 	}
 	if c != nil {

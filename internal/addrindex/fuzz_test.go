@@ -59,10 +59,11 @@ func fuzzSize(arg byte) uint64 {
 // zero-size objects, removals of live and absent bases, and probes at
 // a base, one past the end, the interior and just below. The fourth
 // seed inserts enough objects to cross several arena segment
-// boundaries (63/64, 191/192) and recycles slots across them; the last
-// packs 1–3-byte objects into the granule where a page-spanning object
-// ends, next to another page-spanning one, probes every byte around
-// them and removes them one by one.
+// boundaries (63/64, 191/192) and recycles slots across them; the
+// fifth packs 1–3-byte objects into the granule where a page-spanning
+// object ends, next to another page-spanning one, probes every byte
+// around them and removes them one by one. The last runs the fourth
+// and fifth on one table with a Reset before, between and after them.
 func fuzzSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(1))
 	probe := func(data []byte, hi, lo byte) []byte {
@@ -120,20 +121,31 @@ func fuzzSeeds() [][]byte {
 		packed = fuzzOp{code: 1 | off<<2, hi: 5, lo: 128}.encode(packed)
 		packed = probeAll(packed)
 	}
-	return [][]byte{cluster, spanning, mixed, many, packed}
+	reset := fuzzOp{code: fuzzReset}.encode(nil)
+	var resets []byte
+	for _, part := range [][]byte{many, reset, packed, reset, many, reset} {
+		resets = append(resets, part...)
+	}
+	resets = probeAll(resets)
+	return [][]byte{cluster, spanning, mixed, many, packed, resets}
 }
 
+// fuzzReset is the lowest opcode byte that resets the table; no
+// opcode below it names a reset, so the other seeds keep their meaning.
+const fuzzReset = 0xf8
+
 // FuzzAddrIndexOracle drives a byte-driven stream of Insert, Remove,
-// Stab and Get through the table and through intervals.Map, the treap
-// it replaces, and fails on the first disagreement. Each operation is
-// four bytes: an opcode (mod 4: insert, remove, stab, get; bits 2–4 a
-// byte offset), two address bytes (fuzzAddr) and an argument — the
-// size class for an insert (fuzzSize), a signed displacement from the
-// address for a stab or get. Inserts that would overlap a live range
-// are skipped, as allocators never hand out overlapping ranges. Only
-// the first maxFuzzOps operations run: the overlap check scans every
-// live range, and the mutator's megabyte inputs would make one run
-// take minutes.
+// Stab, Get and Reset through the table and through intervals.Map, the
+// treap it replaces, and fails on the first disagreement. Each
+// operation is four bytes: an opcode (fuzzReset and above: Reset the
+// table in place and start a fresh oracle; otherwise mod 4: insert,
+// remove, stab, get, with bits 2–4 a byte offset), two address bytes
+// (fuzzAddr) and an argument — the size class for an insert
+// (fuzzSize), a signed displacement from the address for a stab or
+// get. Inserts that would overlap a live range are skipped, as
+// allocators never hand out overlapping ranges. Only the first
+// maxFuzzOps operations run: the overlap check scans every live range,
+// and the mutator's megabyte inputs would make one run take minutes.
 func FuzzAddrIndexOracle(f *testing.F) {
 	const maxFuzzOps = 2048
 	for _, seed := range fuzzSeeds() {
@@ -149,8 +161,12 @@ func FuzzAddrIndexOracle(f *testing.F) {
 		for k := 0; k+4 <= len(data); k += 4 {
 			op := fuzzOp{code: data[k], hi: data[k+1], lo: data[k+2], arg: data[k+3]}
 			addr := fuzzAddr(op.code, op.hi, op.lo)
-			switch op.code % 4 {
-			case 0:
+			switch {
+			case op.code >= fuzzReset:
+				tb.Reset()
+				or = intervals.New[int]()
+				clear(live)
+			case op.code%4 == 0:
 				size := fuzzSize(op.arg)
 				if addr+size < addr {
 					size = ^uint64(0) - addr // keep the range inside the address space
@@ -170,21 +186,21 @@ func FuzzAddrIndexOracle(f *testing.F) {
 				}
 				or.Insert(addr, size, k)
 				live[addr] = size
-			case 1:
+			case op.code%4 == 1:
 				gotV, gotOK := tb.Remove(addr)
 				wantV, wantOK := or.Get(addr)
 				if or.Remove(addr) != wantOK || gotOK != wantOK || gotV != wantV {
 					t.Fatalf("op %d: Remove(%#x) = (%d, %v), oracle (%d, %v)", k/4, addr, gotV, gotOK, wantV, wantOK)
 				}
 				delete(live, addr)
-			case 2:
+			case op.code%4 == 2:
 				a := addr + uint64(int64(int8(op.arg)))
 				gb, gs, gv, gok := tb.Stab(a)
 				wb, ws, wv, wok := or.Stab(a)
 				if gok != wok || (gok && (gb != wb || gs != ws || *gv != wv)) {
 					t.Fatalf("op %d: Stab(%#x) = (%#x, %d, ok=%v), oracle (%#x, %d, ok=%v)", k/4, a, gb, gs, gok, wb, ws, wok)
 				}
-			case 3:
+			case op.code%4 == 3:
 				a := addr + uint64(int64(int8(op.arg)))
 				g := tb.Get(a)
 				ov, ook := or.Get(a)

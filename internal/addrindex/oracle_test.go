@@ -13,9 +13,11 @@ import (
 // divergence in Stab, Get, Remove or Len is a bug in the pagemap.
 // Seeds 8–15 add the shapes only damaged raw traces produce: bases at
 // any byte offset and sub-word sizes, so several ranges start in one
-// 8-byte granule.
+// 8-byte granule. Seeds 16–19 also Reset the table now and then (the
+// oracle starts afresh), 18 and 19 with the damaged shapes; the other
+// seeds draw exactly as they did before resets existed.
 func TestOracleAgainstIntervals(t *testing.T) {
-	for seed := int64(0); seed < 16; seed++ {
+	for seed := int64(0); seed < 20; seed++ {
 		seed := seed
 		t.Run("", func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -25,7 +27,8 @@ func TestOracleAgainstIntervals(t *testing.T) {
 
 			// Address pool mixing tight same-page clusters, page-
 			// spanning objects and far-apart chunks.
-			unaligned := seed >= 8
+			unaligned := seed >= 8 && seed < 16 || seed >= 18
+			resets := seed >= 16
 			randBase := func() uint64 {
 				region := uint64(rng.Intn(4)+1) << 32
 				base := region + uint64(rng.Intn(1<<16))*8
@@ -49,6 +52,11 @@ func TestOracleAgainstIntervals(t *testing.T) {
 			}
 
 			for step := 0; step < 20000; step++ {
+				if resets && rng.Intn(1000) == 0 {
+					tb.Reset()
+					or = intervals.New[int]()
+					clear(live)
+				}
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3: // insert
 					base := randBase()

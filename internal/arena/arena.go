@@ -9,7 +9,13 @@
 // k holds 64<<k entries, so entry i lives at a position computed with
 // one bits.Len32, nothing is ever copied, each byte is zeroed once (by
 // the segment's allocation), and the capacity stays below 2×Len+64.
-// A pointer returned by At or Push stays valid for the life of the Seg.
+// A pointer returned by At or Push stays valid until the next Reset.
+//
+// Reset empties a Seg but keeps its segments, so a heap image rebuilt
+// for the next run refills the same memory instead of allocating and
+// zeroing it again. Push then zeroes a reused entry itself, and only
+// below the previous high-water mark: entries in segments no run has
+// reached yet still come zeroed from their allocation.
 package arena
 
 import "math/bits"
@@ -20,8 +26,9 @@ const firstShift = 6
 // Seg is a segmented array indexed by int32. The zero value is empty
 // and ready to use.
 type Seg[T any] struct {
-	segs [][]T
-	n    int32
+	segs  [][]T
+	n     int32
+	dirty int32 // entries below dirty may hold values from before a Reset
 }
 
 // Len returns the number of entries pushed.
@@ -44,12 +51,24 @@ func (s *Seg[T]) At(i int32) *T {
 
 // Push appends a zero entry and returns a pointer to it; its index is
 // Len()-1. When the last segment is full, Push allocates the next one,
-// twice as large.
+// twice as large, unless a Reset kept it.
 func (s *Seg[T]) Push() *T {
 	k, off := locate(s.n)
 	if k == len(s.segs) {
 		s.segs = append(s.segs, make([]T, 1<<(firstShift+k)))
 	}
+	e := &s.segs[k][off]
+	if s.n < s.dirty {
+		var zero T
+		*e = zero
+	}
 	s.n++
-	return &s.segs[k][off]
+	return e
+}
+
+// Reset empties s and keeps its segments for the entries pushed next.
+// Pointers taken before the Reset must not be used after it.
+func (s *Seg[T]) Reset() {
+	s.dirty = max(s.dirty, s.n)
+	s.n = 0
 }

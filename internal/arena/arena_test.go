@@ -97,3 +97,41 @@ func TestPushAllocations(t *testing.T) {
 		t.Errorf("%v allocations to fill four segments, want <= 7", allocs)
 	}
 }
+
+// TestResetReusesSegments: after Reset every Push returns a zero entry,
+// pointer field included, however dirty the reused entry was; refilling
+// to the old length allocates nothing; and entries past the old
+// high-water mark, in segments first reached after the Reset, are zero
+// too.
+func TestResetReusesSegments(t *testing.T) {
+	var s Seg[rec]
+	x := 7
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			r := s.Push()
+			if *r != (rec{}) {
+				t.Fatalf("entry %d not zero after Push: %+v", i, *r)
+			}
+			*r = rec{a: ^uint64(0), b: uint64(i), p: &x}
+		}
+	}
+	fill(1000)
+	s.Reset()
+	if s.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", s.Len())
+	}
+	fill(300) // below the high-water mark
+	s.Reset()
+	fill(1000) // entries 300–999 still hold the first fill's values
+	s.Reset()
+	fill(3000) // past the mark: new segments
+	s.Reset()
+	if allocs := testing.AllocsPerRun(5, func() {
+		s.Reset()
+		for i := 0; i < 3000; i++ {
+			s.Push().p = &x
+		}
+	}); allocs != 0 {
+		t.Errorf("%v allocations to refill a reset Seg, want 0", allocs)
+	}
+}

@@ -26,6 +26,9 @@ func NewTracker() *Tracker {
 	return &Tracker{stack: make([]event.FnID, 0, 64)}
 }
 
+// Reset empties the tracker, keeping the stack's capacity.
+func (t *Tracker) Reset() { t.stack = t.stack[:0] }
+
 // Enter pushes fn.
 func (t *Tracker) Enter(fn event.FnID) { t.stack = append(t.stack, fn) }
 

@@ -106,8 +106,10 @@ func TestTrackerRebuildCounts(t *testing.T) {
 // componentProgram applies a fuzz program to g: two bytes per
 // operation, an opcode and two 4-bit vertex operands. Opcode 5 diffs
 // both trackers against the reference walks, as does the end of the
-// program.
-func componentProgram(t *testing.T, g *Graph, data []byte) {
+// program. Opcode 6 resets g and turns both trackers on again at the
+// given threshold and allowance, so they reuse the old trackers'
+// slices, and diffs them on the emptied graph.
+func componentProgram(t *testing.T, g *Graph, data []byte, threshold, allowance int) {
 	t.Helper()
 	check := func() {
 		t.Helper()
@@ -121,7 +123,7 @@ func componentProgram(t *testing.T, g *Graph, data []byte) {
 	for i := 0; i+1 < len(data); i += 2 {
 		u := VertexID(data[i+1] >> 4)
 		v := VertexID(data[i+1] & 0x0f)
-		switch data[i] % 6 {
+		switch data[i] % 7 {
 		case 0:
 			g.AddVertex(u)
 		case 1:
@@ -133,6 +135,15 @@ func componentProgram(t *testing.T, g *Graph, data []byte) {
 		case 4:
 			g.AddEdge(u, u)
 		case 5:
+			check()
+		case 6:
+			g.Reset()
+			g.TrackConnectivity(threshold)
+			g.TrackSCC(threshold)
+			g.setAllowance(allowance)
+			if g.NumVertices() != 0 || g.NumEdges() != 0 || g.HasVertex(u) {
+				t.Fatalf("Reset left %s", g)
+			}
 			check()
 		}
 	}
@@ -183,11 +194,13 @@ func treeProgram(seed int64) []byte {
 // arbitrary mutation programs and diffs them against the reference
 // walks (CheckComponents), at rebuild thresholds 1, default and 2^30,
 // each with the default search allowance and with an allowance of 2
-// entries, at which nearly every search bails out and dirties.
+// entries, at which nearly every search bails out and dirties. Reset
+// steps (opcode 6) send the rest of a program through reused trackers.
 func FuzzIncrementalComponents(f *testing.F) {
 	f.Add(treeProgram(1))
 	f.Add(treeProgram(2))
 	f.Add([]byte{0x00, 0x10, 0x00, 0x20, 0x01, 0x12, 0x01, 0x21, 0x05, 0x00, 0x02, 0x21, 0x05, 0x00})
+	f.Add(append(append(treeProgram(1), 6, 0), treeProgram(2)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, th := range []int{1, DefaultRebuildThreshold, 1 << 30} {
 			for _, allowance := range []int{0, 2} {
@@ -195,7 +208,7 @@ func FuzzIncrementalComponents(f *testing.F) {
 				g.TrackConnectivity(th)
 				g.TrackSCC(th)
 				g.setAllowance(allowance)
-				componentProgram(t, g, data)
+				componentProgram(t, g, data, th, allowance)
 			}
 		}
 	})

@@ -41,6 +41,7 @@
 package heapgraph
 
 import (
+	"cmp"
 	"fmt"
 
 	"heapmd/internal/arena"
@@ -96,15 +97,43 @@ type Graph struct {
 	// Incremental weak (incremental.go) and strong
 	// (incremental_scc.go) connectivity trackers; nil until turned on
 	// or first queried. srch is the scratch their searches share,
-	// allocated with the first tracker search or rebuild.
-	wcc  *wccTracker
-	scc  *sccTracker
-	srch *search
+	// allocated with the first tracker search or rebuild. Reset turns
+	// the trackers off and parks them in spareWCC and spareSCC, whose
+	// slices the next TrackConnectivity and TrackSCC reuse.
+	wcc      *wccTracker
+	scc      *sccTracker
+	srch     *search
+	spareWCC *wccTracker
+	spareSCC *sccTracker
 }
 
 // New returns an empty heap-graph.
 func New() *Graph {
 	return &Graph{}
+}
+
+// Reset empties the graph for reuse as if it were new, keeping the
+// storage it has grown: the vertex arena and the dense index are
+// truncated, the adjacency arenas reset (arena.Seg.Reset), and the
+// trackers turned off with their slices kept for the next
+// TrackConnectivity or TrackSCC. The search scratch stays as it is:
+// its marks are stamped with an epoch that only ever advances.
+func (g *Graph) Reset() {
+	g.outAdj.Reset()
+	g.inAdj.Reset()
+	*g = Graph{
+		dense:     g.dense[:0],
+		ids:       g.ids[:0],
+		inDeg:     g.inDeg[:0],
+		outDeg:    g.outDeg[:0],
+		outAdj:    g.outAdj,
+		inAdj:     g.inAdj,
+		alive:     g.alive[:0],
+		freeSlots: g.freeSlots[:0],
+		srch:      g.srch,
+		spareWCC:  cmp.Or(g.wcc, g.spareWCC),
+		spareSCC:  cmp.Or(g.scc, g.spareSCC),
+	}
 }
 
 // slotOf returns v's arena slot, or noSlot.

@@ -106,6 +106,13 @@ type ufCore struct {
 	rebuilds int // full rebuilds so far (read by tests)
 }
 
+// restart returns an unbuilt core with the given rebuild threshold
+// that keeps t's slices, so a tracker turned on again over a reset
+// graph does not regrow them.
+func (t *ufCore) restart(threshold int) ufCore {
+	return ufCore{node: t.node[:0], parent: t.parent[:0], size: t.size[:0], threshold: threshold}
+}
+
 // newNode appends a fresh singleton node to the node arena.
 func (t *ufCore) newNode() int32 {
 	n := int32(len(t.parent))
@@ -286,14 +293,20 @@ func (t *wccTracker) link(a, b int32) {
 
 // TrackConnectivity turns on the weak-connectivity tracker with the
 // given rebuild threshold (<= 0 selects DefaultRebuildThreshold),
-// replacing any tracker already on. The tracker builds itself from the
-// live adjacency at the first query, so it may be turned on at any
-// time.
+// replacing any tracker already on (whose slices, or those of a
+// tracker parked by Reset, the new one reuses). The tracker builds
+// itself from the live adjacency at the first query, so it may be
+// turned on at any time.
 func (g *Graph) TrackConnectivity(rebuildThreshold int) {
 	if rebuildThreshold <= 0 {
 		rebuildThreshold = DefaultRebuildThreshold
 	}
-	g.wcc = &wccTracker{ufCore: ufCore{threshold: rebuildThreshold}}
+	t := cmp.Or(g.wcc, g.spareWCC)
+	if t == nil {
+		t = new(wccTracker)
+	}
+	*t = wccTracker{ufCore: t.restart(rebuildThreshold), fpar: t.fpar[:0]}
+	g.wcc, g.spareWCC = t, nil
 }
 
 // ConnectedComponentCount returns the number of weakly connected

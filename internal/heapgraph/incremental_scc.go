@@ -1,6 +1,10 @@
 package heapgraph
 
-import "heapmd/internal/arena"
+import (
+	"cmp"
+
+	"heapmd/internal/arena"
+)
 
 // This file implements incremental strong-connectivity tracking, the
 // SCC sibling of the weak-connectivity tracker in incremental.go. It
@@ -92,13 +96,28 @@ type sccTracker struct {
 
 // TrackSCC turns on the strong-connectivity tracker with the given
 // rebuild threshold (<= 0 selects DefaultRebuildThreshold), replacing
-// any tracker already on. Like TrackConnectivity, the tracker builds
-// itself at the first query.
+// any tracker already on. Like TrackConnectivity, it reuses the slices
+// of the tracker it replaces or that Reset parked, and builds itself
+// at the first query.
 func (g *Graph) TrackSCC(rebuildThreshold int) {
 	if rebuildThreshold <= 0 {
 		rebuildThreshold = DefaultRebuildThreshold
 	}
-	g.scc = &sccTracker{ufCore: ufCore{threshold: rebuildThreshold}}
+	t := cmp.Or(g.scc, g.spareSCC)
+	if t == nil {
+		t = new(sccTracker)
+	}
+	*t = sccTracker{
+		ufCore:  t.restart(rebuildThreshold),
+		offs:    t.offs[:0],
+		targets: t.targets[:0],
+		index:   t.index[:0],
+		low:     t.low[:0],
+		onStack: t.onStack[:0],
+		frames:  t.frames[:0],
+		stack:   t.stack[:0],
+	}
+	g.scc, g.spareSCC = t, nil
 }
 
 // StronglyConnectedComponentCount returns the number of strongly

@@ -217,11 +217,11 @@ func TestStabEdgeCases(t *testing.T) {
 			name:   "half-open end",
 			ranges: []rng{{base: 100, size: 24, val: 1}},
 			probes: []probe{
-				{addr: 100, wantBase: 100, wantOK: true},  // first byte
-				{addr: 123, wantBase: 100, wantOK: true},  // last byte
-				{addr: 124, wantOK: false},                // exactly base+size
-				{addr: 125, wantOK: false},                // past the end
-				{addr: 99, wantOK: false},                 // just below base
+				{addr: 100, wantBase: 100, wantOK: true}, // first byte
+				{addr: 123, wantBase: 100, wantOK: true}, // last byte
+				{addr: 124, wantOK: false},               // exactly base+size
+				{addr: 125, wantOK: false},               // past the end
+				{addr: 99, wantOK: false},                // just below base
 			},
 		},
 		{

@@ -22,6 +22,7 @@ package logger
 
 import (
 	"fmt"
+	"sync"
 
 	"heapmd/internal/addrindex"
 	"heapmd/internal/callstack"
@@ -208,21 +209,46 @@ type Logger struct {
 	version int
 }
 
-// New creates a Logger.
+// released holds loggers handed back by Release for New to reuse; when
+// it has none, it builds an empty one.
+var released = sync.Pool{New: func() any {
+	return &Logger{
+		graph:   heapgraph.New(),
+		objects: addrindex.New[objInfo](),
+		stack:   callstack.NewTracker(),
+		freed:   make(map[uint64]struct{}),
+	}
+}}
+
+// New creates a Logger. It reuses a logger handed back by Release when
+// one is pooled: the heap image is reset in place, keeping the storage
+// an earlier run grew, and the result behaves exactly like a logger
+// built from nothing.
 func New(opts Options) *Logger {
+	l := released.Get().(*Logger)
+	l.reset(opts)
+	return l
+}
+
+// reset empties every layer of the heap image and applies opts.
+func (l *Logger) reset(opts Options) {
 	if opts.Frequency == 0 {
 		opts.Frequency = DefaultFrequency
 	}
 	if opts.Suite.Len() == 0 {
 		opts.Suite = metrics.DefaultSuite()
 	}
-	l := &Logger{
+	l.graph.Reset()
+	l.objects.Reset()
+	l.stack.Reset()
+	clear(l.freed)
+	*l = Logger{
 		opts:    opts,
 		suite:   opts.Suite,
-		graph:   heapgraph.New(),
-		objects: addrindex.New[objInfo](),
-		stack:   callstack.NewTracker(),
-		freed:   make(map[uint64]struct{}),
+		graph:   l.graph,
+		objects: l.objects,
+		stack:   l.stack,
+		freed:   l.freed,
 	}
 	// The component trackers cost work on every mutation, so only a
 	// suite that reads them turns them on.
@@ -232,7 +258,17 @@ func New(opts Options) *Logger {
 	if opts.Suite.Index(metrics.SCCs) >= 0 {
 		l.graph.TrackSCC(opts.RebuildThreshold)
 	}
-	return l
+}
+
+// Release hands a finished logger back for a later New to reuse. The
+// caller must be done with it and with everything it exposes — Graph,
+// Stack, Health — and must feed it no more events. Reports taken
+// before Release stay valid: they share no storage with the logger.
+// Release drops the logger's references to observers, the symbol
+// table and the snapshots, so pooling it keeps none of them alive.
+func (l *Logger) Release() {
+	*l = Logger{graph: l.graph, objects: l.objects, stack: l.stack, freed: l.freed}
+	released.Put(l)
 }
 
 // SetRun records identifying metadata copied into the Report.

@@ -115,20 +115,34 @@ func TestExtendedMetricPointAllocs(t *testing.T) {
 
 // BenchmarkLoggerStructureExtended replays a structure-heavy stream —
 // a 4096-node tree with cross edges, then 20 rounds of churn each
-// closed by a metric point — through a fresh logger under the extended
-// suite per iteration, and reports the cost per event.
+// closed by a metric point — under the extended suite, one logger per
+// iteration, and reports the cost per event: "fresh" builds every
+// logger from nothing, "reused" releases each one so the next New
+// resets its heap image in place.
 func BenchmarkLoggerStructureExtended(b *testing.B) {
 	evs := newTreeStream(1, 4096, 20).events()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l := New(Options{Frequency: SimulationFrequency, Suite: metrics.ExtendedSuite()})
-		for rest := evs; len(rest) > 0; {
-			k := min(len(rest), DefaultBatchSize)
-			l.EmitBatch(rest[:k])
-			rest = rest[k:]
-		}
-		l.Report()
+	opts := Options{Frequency: SimulationFrequency, Suite: metrics.ExtendedSuite()}
+	for _, c := range []struct {
+		name    string
+		newLog  func(Options) *Logger
+		release bool
+	}{{"fresh", NewUnpooled, false}, {"reused", New, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l := c.newLog(opts)
+				for rest := evs; len(rest) > 0; {
+					k := min(len(rest), DefaultBatchSize)
+					l.EmitBatch(rest[:k])
+					rest = rest[k:]
+				}
+				l.Report()
+				if c.release {
+					l.Release()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
 }

@@ -272,7 +272,9 @@ func (r *runner) iteration(w workloads.Workload, in workloads.Input, plan *fault
 	if cerr := pipe.Close(); cerr != nil {
 		return nil, false, cerr
 	}
-	return l.Report(), err != nil, nil
+	rep := l.Report()
+	l.Release()
+	return rep, err != nil, nil
 }
 
 func (r *runner) runCell(c Cell) (CellResult, error) {

@@ -75,7 +75,7 @@ func uvarintAt(body []byte, pos int) (uint64, int) {
 		x := binary.LittleEndian.Uint64(body[pos:])
 		if inv := ^x & 0x8080808080808080; inv != 0 {
 			n := bits.TrailingZeros64(inv) >> 3 // 0-based terminator byte index
-			x &= ^uint64(0) >> ((7 - n) << 3)  // drop bytes past the terminator
+			x &= ^uint64(0) >> ((7 - n) << 3)   // drop bytes past the terminator
 			return compact56(x), pos + n + 1
 		}
 		// All eight loaded bytes carry continuation bits: a 9- or

@@ -54,8 +54,10 @@ type RunConfig struct {
 const DefaultFrequency = logger.SimulationFrequency
 
 // RunLogged executes w on the given input under a fresh process and
-// logger and returns the metric report. The returned process allows
-// post-run heap inspection (leak counting, invariant checks).
+// an empty logger and returns the metric report. The returned process
+// allows post-run heap inspection (leak counting, invariant checks),
+// but must not run further: the logger subscribed to it has been
+// released for the next run to reuse (see logger.New).
 func RunLogged(w Workload, in Input, cfg RunConfig) (*logger.Report, *prog.Process, error) {
 	if _, err := sched.ParseIngestWorkers(cfg.IngestWorkers); err != nil {
 		return nil, nil, err
@@ -92,7 +94,9 @@ func RunLogged(w Workload, in Input, cfg RunConfig) (*logger.Report, *prog.Proce
 			err = ferr
 		}
 	}
-	return l.Report(), p, err
+	rep := l.Report()
+	l.Release()
+	return rep, p, err
 }
 
 // Train runs w on n training inputs and returns their reports, in
