@@ -24,7 +24,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -259,106 +258,6 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	})
-}
-
-// eventSynth synthesizes one instrumented thread's event stream into
-// sink: allocations, pointer stores, frees and function entries over a
-// private address arena, with `work` rounds of arithmetic per event
-// standing in for the application computation between instrumentation
-// points. Deterministic per (arena, count, work), so the direct and
-// pipelined benchmark variants ingest identical streams.
-func eventSynth(sink event.Sink, arena uint64, count, work int) {
-	base := (arena + 1) << 32
-	live := make([]uint64, 0, 1024)
-	acc := base | 1
-	for i := 0; i < count; i++ {
-		for w := 0; w < work; w++ {
-			acc = acc*6364136223846793005 + 1442695040888963407
-		}
-		switch acc % 8 {
-		case 0, 1, 2:
-			addr := base + uint64(i)*64
-			sink.Emit(event.Event{Type: event.Alloc, Addr: addr, Size: 32, Fn: 1})
-			live = append(live, addr)
-		case 3, 4:
-			if len(live) >= 2 {
-				src := live[(acc>>8)%uint64(len(live))]
-				dst := live[(acc>>24)%uint64(len(live))]
-				sink.Emit(event.Event{Type: event.Store, Addr: src + 8, Value: dst})
-			}
-		case 5:
-			if len(live) > 0 {
-				k := (acc >> 16) % uint64(len(live))
-				sink.Emit(event.Event{Type: event.Free, Addr: live[k]})
-				live = append(live[:k], live[k+1:]...)
-			}
-		default:
-			sink.Emit(event.Event{Type: event.Enter, Fn: 2})
-			sink.Emit(event.Event{Type: event.Leave})
-		}
-	}
-}
-
-// BenchmarkPipelineIngestion measures the tentpole concurrency win:
-// total wall-clock to synthesize and ingest four instrumented
-// threads' event streams, single-threaded against the bare Logger vs
-// four concurrent producers through the Pipeline. The per-event code
-// is identical in both variants — only the concurrency differs. The
-// synthesis work (~2x the logger's apply cost per event) models the
-// application computation between instrumentation points; with
-// GOMAXPROCS >= 2 it overlaps the consumer's graph mutation and the
-// pipeline variant ingests >= 2x faster, while on a single core the
-// two variants measure the pipeline's framing overhead (a few
-// percent) instead.
-func BenchmarkPipelineIngestion(b *testing.B) {
-	const producers = 4
-	const perProducer = 8192
-	const work = 1200
-
-	b.Run("direct-single-threaded", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		var ingested uint64
-		for i := 0; i < b.N; i++ {
-			l := logger.New(logger.Options{Frequency: 1024})
-			for a := 0; a < producers; a++ {
-				eventSynth(l, uint64(a), perProducer, work)
-			}
-			ingested = l.Report().Events
-			if ingested == 0 {
-				b.Fatal("no events ingested")
-			}
-		}
-		b.ReportMetric(float64(ingested)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-	})
-	b.Run("pipeline-4-producers", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		var ingested uint64
-		for i := 0; i < b.N; i++ {
-			l := logger.New(logger.Options{Frequency: 1024})
-			p := logger.NewPipeline(l, logger.PipelineOptions{})
-			var wg sync.WaitGroup
-			for a := 0; a < producers; a++ {
-				wg.Add(1)
-				go func(arena int) {
-					defer wg.Done()
-					pr := p.NewProducer()
-					defer pr.Close()
-					eventSynth(pr, uint64(arena), perProducer, work)
-				}(a)
-			}
-			wg.Wait()
-			if err := p.Close(); err != nil {
-				b.Fatal(err)
-			}
-			ingested = l.Report().Events
-			if ingested == 0 {
-				b.Fatal("no events ingested")
-			}
-		}
-		b.ReportMetric(float64(ingested)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 	})
 }
 

@@ -58,7 +58,7 @@ func main() {
 	}
 
 	runOnce := func(seed, r15 uint64) (*logger.Report, error) {
-		l := logger.New(logger.Options{Frequency: *freq, Symtab: sym})
+		l := logger.New(logger.Options{Frequency: *freq})
 		l.SetRun(*src, fmt.Sprintf("seed-%d", seed), 1)
 		vm := machine.New(inst, sym,
 			machine.WithSeed(seed),

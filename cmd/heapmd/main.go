@@ -11,7 +11,7 @@
 //	heapmd check -workload gzip -model gzip.model [-fault dlist-missing-prev[:prob]] [-inputs 5]
 //	heapmd replay -trace run.trace [more.trace ...] [-model gzip.model] [-salvage] [-parallel N]
 //	heapmd plot  -workload vpr -metric Outdeg=1 [-model vpr.model] [-fault ...]
-//	heapmd soak  -duration 30s -seed 1 [-policy block|drop] [-faults a,b] [-check]
+//	heapmd soak  -duration 30s -seed 1 [-faults a,b] [-check]
 //	heapmd faults
 package main
 
@@ -106,7 +106,6 @@ func cmdSoak(args []string) error {
 	duration := fs.Duration("duration", 30*time.Second, "wall-clock soak budget beyond the minimum schedule (0 = minimum only)")
 	seed := fs.Int64("seed", 1, "soak seed (perturbs held-out inputs; equal seeds reproduce the scoreboard)")
 	faultList := fs.String("faults", "", "comma-separated fault names to soak (default: the whole catalog)")
-	policy := fs.String("policy", "block", "pipeline backpressure policy: block|drop")
 	parallel := fs.Int("parallel", 0, "cells soaked concurrently (0 = all cores, 1 = serial)")
 	train := fs.Int("train", 0, "training inputs per workload model (0 = soak default)")
 	extended := fs.Bool("extended", false, "soak with the extended metric suite (adds WCC/SCC structure metrics)")
@@ -126,14 +125,6 @@ func cmdSoak(args []string) error {
 		Parallel:    workers,
 		TrainInputs: *train,
 		Extended:    *extended,
-	}
-	switch *policy {
-	case "block":
-		opts.Policy = logger.Block
-	case "drop":
-		opts.Policy = logger.Drop
-	default:
-		return fmt.Errorf("unknown policy %q (want block or drop)", *policy)
 	}
 	if *faultList != "" {
 		opts.Faults = strings.Split(*faultList, ",")

@@ -116,7 +116,7 @@ func main() {
 	fmt.Printf("instrumented %d functions; symbol table: %d names\n", len(inst.Fns), sym.Len())
 
 	runOnce := func(seed uint64, buggyFlag uint64) *logger.Report {
-		l := logger.New(logger.Options{Frequency: 8, Symtab: sym})
+		l := logger.New(logger.Options{Frequency: 8})
 		l.SetRun("chains.bin", fmt.Sprintf("seed-%d", seed), 1)
 		vm := machine.New(inst, sym,
 			machine.WithSeed(seed),

@@ -106,19 +106,6 @@ type (
 	// version, bytes per event, compression ratio.
 	TraceStats = trace.Stats
 
-	// Pipeline is the concurrent monitoring pipeline: a multi-
-	// producer/single-consumer batched event channel in front of the
-	// execution logger, with configurable backpressure.
-	Pipeline = logger.Pipeline
-
-	// PipelineProducer is one goroutine's batching front-end to a
-	// Pipeline; it implements the event sink interface.
-	PipelineProducer = logger.Producer
-
-	// PipelineOptions configures batching, queue depth and the
-	// backpressure policy of a Pipeline.
-	PipelineOptions = logger.PipelineOptions
-
 	// ConnectivityMode is the type of the ignored Connectivity and
 	// SCC option fields; its one value's String is "incremental".
 	//
@@ -148,16 +135,6 @@ func parseComponentMode(what, s string) (ConnectivityMode, error) {
 	}
 	return 0, fmt.Errorf("heapmd: unknown %s mode %q (want snapshot, incremental or verify)", what, s)
 }
-
-// Backpressure policies for PipelineOptions.Policy.
-const (
-	// BlockWhenFull stalls producers until the consumer catches up;
-	// no events are lost (default).
-	BlockWhenFull = logger.Block
-	// DropWhenFull sheds batches under overload and tallies the loss
-	// in the report's health counters (DroppedEvents).
-	DropWhenFull = logger.Drop
-)
 
 // SimulationFrequency is the default sampling frequency for simulated
 // runs and trace replay; see logger.SimulationFrequency for why it
@@ -198,10 +175,6 @@ type Options struct {
 	// FieldGranularity builds the heap-graph with one vertex per
 	// word instead of per object (paper Figure 3 ablation).
 	FieldGranularity bool
-	// RebuildThreshold is the incremental component trackers' dirty
-	// budget between amortized rebuilds (shared by the WCC and SCC
-	// trackers); zero selects the default.
-	RebuildThreshold int
 	// Connectivity is ignored.
 	//
 	// Deprecated: component counts are always incremental.
@@ -266,24 +239,10 @@ func (s *Session) newRun(program, input string, seed int64, plan *FaultPlan) *Ru
 	if freq == 0 {
 		freq = logger.SimulationFrequency
 	}
-	l := logger.New(logger.Options{
-		Frequency:        freq,
-		Granularity:      gran,
-		RebuildThreshold: s.opts.RebuildThreshold,
-	})
+	l := logger.New(logger.Options{Frequency: freq, Granularity: gran})
 	l.SetRun(program, input, 1)
 	p.Subscribe(l)
 	return &Run{process: p, log: l}
-}
-
-// Pipeline puts a concurrent ingestion pipeline in front of a run's
-// logger: hand each producing goroutine its own PipelineProducer (an
-// event sink), close every producer, then Close the pipeline before
-// calling Report. The run's own simulated process remains subscribed
-// directly; the pipeline is for additional concurrent event sources
-// (replayed traces, instrumented workload threads).
-func (r *Run) Pipeline(opts PipelineOptions) *Pipeline {
-	return logger.NewPipeline(r.log, opts)
 }
 
 // Process returns the simulated program context to execute against.
@@ -471,9 +430,6 @@ type ReplayOptions struct {
 	// replayed trace: format version, bytes per event, compression
 	// ratio.
 	Stats *TraceStats
-	// RebuildThreshold is the incremental component trackers' dirty
-	// budget; see Options.RebuildThreshold.
-	RebuildThreshold int
 	// Connectivity is ignored.
 	//
 	// Deprecated: component counts are always incremental.
@@ -513,11 +469,7 @@ func ReplayTraceWith(rd io.ReadSeeker, program, input string, opts ReplayOptions
 	if freq == 0 {
 		freq = logger.SimulationFrequency
 	}
-	l := logger.New(logger.Options{
-		Frequency:        freq,
-		Suite:            opts.Suite,
-		RebuildThreshold: opts.RebuildThreshold,
-	})
+	l := logger.New(logger.Options{Frequency: freq, Suite: opts.Suite})
 	defer l.Release()
 	l.SetRun(program, input, 1)
 	var (

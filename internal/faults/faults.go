@@ -147,33 +147,27 @@ type CatalogEntry struct {
 	// indirect and poorly-disguised faults, false for disguised and
 	// invisible ones.
 	ExpectDetect bool
-	// HealthBased marks faults whose detection signal is the
-	// instrumentation-health counters (wild stores, double frees)
-	// rather than a degree-metric shift. Under the Drop backpressure
-	// policy the health counters become approximate, so health-based
-	// detection is only trusted under Block.
-	HealthBased bool
 }
 
 // Catalog enumerates every fault in a fixed order: the paper's
 // original mechanisms first, then the extended soak catalog.
 func Catalog() []CatalogEntry {
 	return []CatalogEntry{
-		{DListNoPrev, Systemic, "skip prev pointers on doubly-linked-list insert (Figure 1)", true, false},
-		{TypoLeak, Systemic, "wrong-index table copy leaks property lists (Figure 11)", true, false},
-		{SharedFree, Systemic, "free shared circular-list head, dangling tail (Figure 12)", true, false},
-		{TreeNoParent, Systemic, "omit child->parent pointers on tree insert (Figure 10)", true, false},
-		{OctDAG, PoorlyDisguised, "share oct-tree subtrees, producing an oct-DAG", true, false},
-		{BadHash, Indirect, "degenerate hash function, long collision chains", true, false},
-		{SingleChild, Indirect, "binary-tree builder emits one child, not two", true, false},
-		{AtypicalGraph, Indirect, "adjacency-list generator collapses to a star", true, false},
-		{SmallLeak, Disguised, "leak a handful of objects (should NOT fire)", false, false},
-		{ReachableLeak, Invisible, "grow a never-accessed reachable cache (should NOT fire)", false, false},
-		{FragStorm, Systemic, "alloc/free size churn strands transient fragments", true, false},
-		{LeakPlateau, Systemic, "leak that plateaus before the detection window closes", true, false},
-		{ABARewire, Systemic, "node freed mid-unlink; rewire writes through the stale pointer", true, true},
-		{AllocCascade, Systemic, "burst allocations with deferred release starve the pipeline", true, false},
-		{SlowDrift, Disguised, "creep capped under the stability threshold (should NOT fire)", false, false},
+		{DListNoPrev, Systemic, "skip prev pointers on doubly-linked-list insert (Figure 1)", true},
+		{TypoLeak, Systemic, "wrong-index table copy leaks property lists (Figure 11)", true},
+		{SharedFree, Systemic, "free shared circular-list head, dangling tail (Figure 12)", true},
+		{TreeNoParent, Systemic, "omit child->parent pointers on tree insert (Figure 10)", true},
+		{OctDAG, PoorlyDisguised, "share oct-tree subtrees, producing an oct-DAG", true},
+		{BadHash, Indirect, "degenerate hash function, long collision chains", true},
+		{SingleChild, Indirect, "binary-tree builder emits one child, not two", true},
+		{AtypicalGraph, Indirect, "adjacency-list generator collapses to a star", true},
+		{SmallLeak, Disguised, "leak a handful of objects (should NOT fire)", false},
+		{ReachableLeak, Invisible, "grow a never-accessed reachable cache (should NOT fire)", false},
+		{FragStorm, Systemic, "alloc/free size churn strands transient fragments", true},
+		{LeakPlateau, Systemic, "leak that plateaus before the detection window closes", true},
+		{ABARewire, Systemic, "node freed mid-unlink; rewire writes through the stale pointer", true},
+		{AllocCascade, Systemic, "burst allocations with deferred release starve the pipeline", true},
+		{SlowDrift, Disguised, "creep capped under the stability threshold (should NOT fire)", false},
 	}
 }
 

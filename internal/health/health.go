@@ -1,5 +1,5 @@
 // Package health implements instrumentation-health accounting: a
-// tally of every event the pipeline observed but could not interpret.
+// tally of every event the logger observed but could not interpret.
 //
 // HeapMD's whole premise is running against buggy programs, and a
 // buggy program emits buggy instrumentation: double frees, frees of
@@ -50,19 +50,13 @@ type Counters struct {
 	SalvagedGaps uint64 `json:"salvaged_gaps,omitempty"`
 	// SalvagedBytes is the total size of those dropped regions.
 	SalvagedBytes uint64 `json:"salvaged_bytes,omitempty"`
-	// DroppedEvents counts events discarded by the concurrent
-	// ingestion pipeline's Drop backpressure policy before they
-	// reached the logger (zero under the default Block policy). Any
-	// nonzero value means the heap image — and every metric derived
-	// from it — is incomplete for the run.
-	DroppedEvents uint64 `json:"dropped_events,omitempty"`
 }
 
 // Total returns the sum of all anomaly counters (salvaged bytes are
 // excluded: they are a size, not an occurrence count).
 func (c *Counters) Total() uint64 {
 	return c.DoubleFrees + c.WildFrees + c.WildStores + c.BadReallocs +
-		c.UnknownEvents + c.ObserverPanics + c.SalvagedGaps + c.DroppedEvents
+		c.UnknownEvents + c.ObserverPanics + c.SalvagedGaps
 }
 
 // Zero reports whether no anomalies were recorded.
@@ -78,7 +72,6 @@ func (c *Counters) Add(o Counters) {
 	c.ObserverPanics += o.ObserverPanics
 	c.SalvagedGaps += o.SalvagedGaps
 	c.SalvagedBytes += o.SalvagedBytes
-	c.DroppedEvents += o.DroppedEvents
 }
 
 // Item is one named counter value, for iteration and rendering.
@@ -98,7 +91,6 @@ func (c *Counters) Items() []Item {
 		{"unknown-events", c.UnknownEvents},
 		{"observer-panics", c.ObserverPanics},
 		{"salvaged-gaps", c.SalvagedGaps},
-		{"dropped-events", c.DroppedEvents},
 	}
 }
 
@@ -141,7 +133,6 @@ type Thresholds struct {
 	MaxUnknownEvents  uint64 `json:"max_unknown_events"`
 	MaxObserverPanics uint64 `json:"max_observer_panics"`
 	MaxSalvagedGaps   uint64 `json:"max_salvaged_gaps"`
-	MaxDroppedEvents  uint64 `json:"max_dropped_events"`
 }
 
 // DefaultThresholds tolerates nothing: any double free, wild free,
@@ -154,7 +145,6 @@ func DefaultThresholds() Thresholds {
 	return Thresholds{
 		MaxObserverPanics: ^uint64(0),
 		MaxSalvagedGaps:   ^uint64(0),
-		MaxDroppedEvents:  ^uint64(0),
 	}
 }
 
@@ -184,7 +174,6 @@ func (t Thresholds) Exceeded(c Counters) []Excess {
 		{"unknown-events", c.UnknownEvents, t.MaxUnknownEvents},
 		{"observer-panics", c.ObserverPanics, t.MaxObserverPanics},
 		{"salvaged-gaps", c.SalvagedGaps, t.MaxSalvagedGaps},
-		{"dropped-events", c.DroppedEvents, t.MaxDroppedEvents},
 	}
 	var out []Excess
 	for _, l := range limits {

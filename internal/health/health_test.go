@@ -54,8 +54,8 @@ func TestNonzeroFilters(t *testing.T) {
 	if len(items) != 1 || items[0].Name != "wild-stores" || items[0].Count != 7 {
 		t.Errorf("Nonzero = %+v", items)
 	}
-	if n := len(c.Items()); n != 8 {
-		t.Errorf("Items len = %d, want 8", n)
+	if n := len(c.Items()); n != 7 {
+		t.Errorf("Items len = %d, want 7", n)
 	}
 }
 

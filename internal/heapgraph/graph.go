@@ -35,9 +35,9 @@
 // incremental_scc.go); the whole-graph walks in analysis.go are their
 // test oracles.
 //
-// Concurrency: a Graph belongs to a single goroutine — the execution
-// logger's, which in the monitoring pipeline is its consumer. Every
-// method, reads of the counts included, must be called from it.
+// Concurrency: a Graph belongs to a single goroutine — the one feeding
+// the execution logger its event stream. Every method, reads of the
+// counts included, must be called from it.
 package heapgraph
 
 import (

@@ -185,7 +185,7 @@ func TestBinaryPipelineEndToEnd(t *testing.T) {
 	}
 
 	runOnce := func(seed uint64, buggy bool) *logger.Report {
-		l := logger.New(logger.Options{Frequency: 8, Symtab: sym})
+		l := logger.New(logger.Options{Frequency: 8})
 		l.SetRun("listbinary", "seed", 1)
 		// r15 is the program's mode flag: the buggy build path (skip
 		// chain linking) is taken when it is non-zero — the

@@ -4,7 +4,7 @@ package logger
 // the pool of released loggers, so tests can compare reused loggers
 // against ones built from nothing.
 func NewUnpooled(opts Options) *Logger {
-	l := released.New().(*Logger)
+	l := emptyLogger()
 	l.reset(opts)
 	return l
 }

@@ -51,6 +51,10 @@ func TestStoreHotPathAllocs(t *testing.T) {
 	}
 }
 
+// testBatchSize is the events per batch in the batched benchmarks
+// and tests of this package.
+const testBatchSize = 256
+
 // storeBatches builds a steady-state store-only batch set over a
 // settled object population: batch 0 allocates n objects, the other
 // 63 are full batches of pointer stores between them.
@@ -64,9 +68,9 @@ func storeBatches(n int) [][]event.Event {
 	batches := make([][]event.Event, 0, 64)
 	batches = append(batches, allocs)
 	for b := 0; b < 63; b++ {
-		batch := make([]event.Event, DefaultBatchSize)
+		batch := make([]event.Event, testBatchSize)
 		for j := range batch {
-			i := b*DefaultBatchSize + j
+			i := b*testBatchSize + j
 			src := addrs[(i*17)%n]
 			dst := addrs[(i*31+7)%n]
 			batch[j] = event.Event{Type: event.Store, Addr: src + uint64(i%64)*8, Value: dst}

@@ -22,6 +22,7 @@ package logger
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"heapmd/internal/addrindex"
@@ -82,13 +83,6 @@ type Options struct {
 	Frequency uint64
 	// Granularity selects object- or field-granularity graphs.
 	Granularity Granularity
-	// Symtab resolves function IDs for reporting; optional.
-	Symtab *event.Symtab
-	// RebuildThreshold is the incremental component trackers' dirty
-	// budget between amortized rebuilds, shared by both trackers; zero
-	// selects heapgraph.DefaultRebuildThreshold. Only meaningful when
-	// the suite contains Components or SCCs.
-	RebuildThreshold int
 	// Connectivity is ignored.
 	//
 	// Deprecated: component counts are always incremental.
@@ -179,8 +173,8 @@ func (r *Report) Series(id metrics.ID) []float64 {
 }
 
 // Logger consumes events and produces a Report. It implements
-// event.Sink. A Logger is single-goroutine; to feed it from several
-// producers, put a Pipeline in front of it.
+// event.Sink. A Logger is single-goroutine: it consumes one in-order
+// event stream.
 type Logger struct {
 	opts  Options
 	suite metrics.Suite
@@ -209,23 +203,43 @@ type Logger struct {
 	version int
 }
 
-// released holds loggers handed back by Release for New to reuse; when
-// it has none, it builds an empty one.
-var released = sync.Pool{New: func() any {
+// released holds loggers handed back by Release for New to reuse, at
+// most GOMAXPROCS of them: as many as a process running one logger per
+// CPU uses at once. It is a plain list, not a sync.Pool: a sync.Pool
+// empties over two garbage collections and hides the last object a P
+// put from the other Ps, so whether a run reused a heap image or
+// rebuilt one from nothing would hang on GC and scheduler timing.
+var released struct {
+	sync.Mutex
+	free []*Logger
+}
+
+// emptyLogger builds a logger no run has used.
+func emptyLogger() *Logger {
 	return &Logger{
 		graph:   heapgraph.New(),
 		objects: addrindex.New[objInfo](),
 		stack:   callstack.NewTracker(),
 		freed:   make(map[uint64]struct{}),
 	}
-}}
+}
 
 // New creates a Logger. It reuses a logger handed back by Release when
 // one is pooled: the heap image is reset in place, keeping the storage
 // an earlier run grew, and the result behaves exactly like a logger
 // built from nothing.
 func New(opts Options) *Logger {
-	l := released.Get().(*Logger)
+	var l *Logger
+	released.Lock()
+	if n := len(released.free); n > 0 {
+		l = released.free[n-1]
+		released.free[n-1] = nil
+		released.free = released.free[:n-1]
+	}
+	released.Unlock()
+	if l == nil {
+		l = emptyLogger()
+	}
 	l.reset(opts)
 	return l
 }
@@ -253,10 +267,10 @@ func (l *Logger) reset(opts Options) {
 	// The component trackers cost work on every mutation, so only a
 	// suite that reads them turns them on.
 	if opts.Suite.Index(metrics.Components) >= 0 {
-		l.graph.TrackConnectivity(opts.RebuildThreshold)
+		l.graph.TrackConnectivity(heapgraph.DefaultRebuildThreshold)
 	}
 	if opts.Suite.Index(metrics.SCCs) >= 0 {
-		l.graph.TrackSCC(opts.RebuildThreshold)
+		l.graph.TrackSCC(heapgraph.DefaultRebuildThreshold)
 	}
 }
 
@@ -264,11 +278,15 @@ func (l *Logger) reset(opts Options) {
 // caller must be done with it and with everything it exposes — Graph,
 // Stack, Health — and must feed it no more events. Reports taken
 // before Release stay valid: they share no storage with the logger.
-// Release drops the logger's references to observers, the symbol
-// table and the snapshots, so pooling it keeps none of them alive.
+// Release drops the logger's references to observers, the suite and
+// the snapshots, so pooling it keeps none of them alive.
 func (l *Logger) Release() {
 	*l = Logger{graph: l.graph, objects: l.objects, stack: l.stack, freed: l.freed}
-	released.Put(l)
+	released.Lock()
+	if len(released.free) < runtime.GOMAXPROCS(0) {
+		released.free = append(released.free, l)
+	}
+	released.Unlock()
 }
 
 // SetRun records identifying metadata copied into the Report.

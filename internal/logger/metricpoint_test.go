@@ -132,11 +132,7 @@ func BenchmarkLoggerStructureExtended(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				l := c.newLog(opts)
-				for rest := evs; len(rest) > 0; {
-					k := min(len(rest), DefaultBatchSize)
-					l.EmitBatch(rest[:k])
-					rest = rest[k:]
-				}
+				emitBatches(l, evs, testBatchSize)
 				l.Report()
 				if c.release {
 					l.Release()

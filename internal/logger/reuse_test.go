@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"heapmd/internal/event"
@@ -228,26 +229,39 @@ func TestReuseMatchesFresh(t *testing.T) {
 // the freed set is per run.
 func TestReuseForgetsFreedBases(t *testing.T) {
 	const base = 0x1000
-	for try := 0; try < 50; try++ {
-		l := logger.New(logger.Options{Frequency: 1})
-		l.Emit(event.Event{Type: event.Alloc, Addr: base, Size: 16})
-		l.Emit(event.Event{Type: event.Free, Addr: base})
-		l.Emit(event.Event{Type: event.Free, Addr: base})
-		if h := l.Report().Health; h.DoubleFrees != 1 || h.WildFrees != 0 {
-			t.Fatalf("first run: %+v, want one double free", h)
-		}
-		l.Release()
-		l2 := logger.New(logger.Options{Frequency: 1})
-		l2.Emit(event.Event{Type: event.Free, Addr: base})
-		h := l2.Report().Health
-		l2.Release()
-		if l2 != l {
-			continue // the pool dropped it (it may, e.g. under -race); try again
-		}
-		if h.WildFrees != 1 || h.DoubleFrees != 0 {
-			t.Fatalf("second run on the reused logger: %+v, want one wild free and no double free", h)
-		}
-		return
+	l := logger.New(logger.Options{Frequency: 1})
+	l.Emit(event.Event{Type: event.Alloc, Addr: base, Size: 16})
+	l.Emit(event.Event{Type: event.Free, Addr: base})
+	l.Emit(event.Event{Type: event.Free, Addr: base})
+	if h := l.Report().Health; h.DoubleFrees != 1 || h.WildFrees != 0 {
+		t.Fatalf("first run: %+v, want one double free", h)
 	}
-	t.Fatal("New never returned the logger just released")
+	l.Release()
+	l2 := logger.New(logger.Options{Frequency: 1})
+	l2.Emit(event.Event{Type: event.Free, Addr: base})
+	h := l2.Report().Health
+	l2.Release()
+	if l2 != l {
+		t.Fatal("New did not return the logger just released")
+	}
+	if h.WildFrees != 1 || h.DoubleFrees != 0 {
+		t.Fatalf("second run on the reused logger: %+v, want one wild free and no double free", h)
+	}
+}
+
+// TestReuseSurvivesGC: a released logger waits for the next New
+// however many garbage collections pass in between, so whether a run
+// rebuilds its heap image from nothing does not hang on GC timing.
+func TestReuseSurvivesGC(t *testing.T) {
+	l := logger.New(logger.Options{Frequency: 1})
+	l.Emit(event.Event{Type: event.Alloc, Addr: 0x1000, Size: 16})
+	l.Release()
+	for range 3 {
+		runtime.GC()
+	}
+	l2 := logger.New(logger.Options{Frequency: 1})
+	defer l2.Release()
+	if l2 != l {
+		t.Fatal("New built a fresh logger: the released one was dropped by garbage collection")
+	}
 }

@@ -37,6 +37,14 @@ func (o *componentOracle) attach(l *logger.Logger) {
 	l.Observe(oracleObserver{o: o, g: l.Graph()})
 }
 
+// retrack re-tracks both component trackers of a soak iteration's
+// logger at the given rebuild threshold (<= 0 selects the default)
+// before the run starts.
+func retrack(l *logger.Logger, threshold int) {
+	l.Graph().TrackConnectivity(threshold)
+	l.Graph().TrackSCC(threshold)
+}
+
 type oracleObserver struct {
 	o *componentOracle
 	g *heapgraph.Graph
@@ -62,12 +70,14 @@ func soakWithOracle(t *testing.T, threshold int) {
 	t.Helper()
 	oracle := &componentOracle{}
 	sb, err := Run(Options{
-		Seed:             1,
-		Faults:           []string{faults.FragStorm, faults.ABARewire},
-		Extended:         true,
-		RebuildThreshold: threshold,
-		Parallel:         -1,
-		observe:          oracle.attach,
+		Seed:     1,
+		Faults:   []string{faults.FragStorm, faults.ABARewire},
+		Extended: true,
+		Parallel: -1,
+		observe: func(l *logger.Logger) {
+			retrack(l, threshold)
+			oracle.attach(l)
+		},
 	})
 	if err != nil {
 		t.Fatalf("threshold %d: %v", threshold, err)
@@ -101,11 +111,11 @@ func TestSoakSCCVerify(t *testing.T) { soakWithOracle(t, 8) }
 func checkScoreboardGolden(t *testing.T, threshold int) {
 	t.Helper()
 	sb, err := Run(Options{
-		Seed:             1,
-		Faults:           []string{faults.FragStorm, faults.ABARewire, faults.TypoLeak},
-		Extended:         true,
-		RebuildThreshold: threshold,
-		Parallel:         -1,
+		Seed:     1,
+		Faults:   []string{faults.FragStorm, faults.ABARewire, faults.TypoLeak},
+		Extended: true,
+		Parallel: -1,
+		observe:  func(l *logger.Logger) { retrack(l, threshold) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -77,8 +77,8 @@ type PhaseStats struct {
 	// Ticks is the total metric computation points observed.
 	Ticks uint64 `json:"ticks"`
 	// Findings counts detection-signal findings (range violations,
-	// extreme stability, and — under Block — instrumentation
-	// anomalies) across the phase's iterations.
+	// extreme stability and instrumentation anomalies) across the
+	// phase's iterations.
 	Findings int `json:"findings"`
 	// FalsePositives equals Findings for fault-free phases (warmup,
 	// recovery), where any signal is spurious; it is zero for the
@@ -96,7 +96,7 @@ type CellResult struct {
 	Class     string `json:"class"`
 	Mechanism string `json:"mechanism"`
 	// ExpectDetect is the taxonomy verdict the cell is scored
-	// against (health-based faults are not expected under Drop).
+	// against.
 	ExpectDetect bool `json:"expect_detect"`
 	// Detected reports whether any fault-window iteration produced a
 	// detection signal.
@@ -122,10 +122,8 @@ type CellResult struct {
 	Recovery    PhaseStats `json:"recovery"`
 
 	// Health aggregates the instrumentation-health counters of every
-	// iteration in the cell; DroppedEvents surfaces the pipeline's
-	// backpressure accounting separately for quick scanning.
-	Health        health.Counters `json:"health"`
-	DroppedEvents uint64          `json:"dropped_events"`
+	// iteration in the cell.
+	Health health.Counters `json:"health"`
 }
 
 // Summary aggregates the scoreboard.
@@ -137,16 +135,14 @@ type Summary struct {
 	// WarmupFalsePositives and RecoveryFalsePositives sum the
 	// fault-free phases' spurious findings across all cells; the
 	// acceptance bar is zero on warmup.
-	WarmupFalsePositives   int    `json:"warmup_false_positives"`
-	RecoveryFalsePositives int    `json:"recovery_false_positives"`
-	Crashes                int    `json:"crashes"`
-	DroppedEvents          uint64 `json:"dropped_events"`
+	WarmupFalsePositives   int `json:"warmup_false_positives"`
+	RecoveryFalsePositives int `json:"recovery_false_positives"`
+	Crashes                int `json:"crashes"`
 }
 
 // Scoreboard is the soak run's machine-readable result.
 type Scoreboard struct {
 	Seed        int64        `json:"seed"`
-	Policy      string       `json:"policy"`
 	Duration    string       `json:"duration"`
 	TrainInputs int          `json:"train_inputs"`
 	Cells       []CellResult `json:"cells"`
@@ -183,7 +179,6 @@ func (s *Scoreboard) summarize() {
 		sum.WarmupFalsePositives += c.Warmup.FalsePositives
 		sum.RecoveryFalsePositives += c.Recovery.FalsePositives
 		sum.Crashes += c.Warmup.Crashes + c.FaultWindow.Crashes + c.Recovery.Crashes
-		sum.DroppedEvents += c.DroppedEvents
 	}
 	s.Summary = sum
 }

@@ -1,7 +1,7 @@
 // Package soak is the chaos harness: it drives workloads through the
-// full concurrent ingestion pipeline for a wall-clock budget while
-// injecting catalogued faults on a phase schedule, and scores the
-// detector's behaviour per failure mode.
+// execution logger for a wall-clock budget while injecting catalogued
+// faults on a phase schedule, and scores the detector's behaviour per
+// failure mode.
 //
 // Each cell (fault × workload × config, see DefaultCells) runs a
 // warmup → fault window → recovery schedule of complete workload
@@ -16,13 +16,9 @@
 // false alarm against the taxonomy, i.e. the harness's expectations
 // are miscalibrated).
 //
-// Every iteration runs the real MPSC pipeline — the workload goroutine
-// produces events through a logger.Producer while the pipeline's
-// consumer applies them — so the soak also exercises backpressure:
-// under the Drop policy, shed events surface in the scoreboard's
-// dropped-event accounting, and health-based detections (wild-store
-// counters) are no longer guaranteed, which downgrades the
-// expectation for catalog entries marked HealthBased.
+// Every iteration subscribes a fresh logger to the workload's process,
+// as training, checking and replay do, so the soaked runs see the
+// same in-order event stream the calibrated model was trained on.
 package soak
 
 import (
@@ -53,16 +49,6 @@ type Options struct {
 	// Faults optionally restricts the run to the named catalog
 	// entries; empty means the full default cell set.
 	Faults []string
-	// Policy is the pipeline backpressure policy (Block default).
-	Policy logger.BackpressurePolicy
-	// QueueDepth is the pipeline queue depth in batches (default
-	// 256). Soak iterations are bounded — 50..150 batches each — so
-	// the default buffers a whole iteration: under Drop, shed events
-	// then indicate genuine saturation, not the transient
-	// producer/consumer rate mismatch every run begins with. Set it
-	// low (e.g. logger.DefaultQueueDepth) to study exactly that
-	// mismatch; the scoreboard accounts the shed events either way.
-	QueueDepth int
 	// Parallel is the number of cells soaked concurrently: 0 or 1
 	// serial, <0 GOMAXPROCS.
 	Parallel int
@@ -81,16 +67,13 @@ type Options struct {
 	// the degree metrics plus the WCC/SCC structure metrics, which
 	// turn on the incremental component trackers.
 	Extended bool
-	// RebuildThreshold is the incremental trackers' dirty budget
-	// between amortized rebuilds; 0 selects the default. Only
-	// observable with Extended.
-	RebuildThreshold int
 	// Progress, when set, receives one line per completed cell.
 	Progress io.Writer
 
 	// observe, when set, is called with every soak iteration's logger
 	// before the run starts (a same-package test hook: the component
-	// oracle test attaches its observer here).
+	// tests attach their oracle observer and re-track the trackers at
+	// the rebuild threshold they sweep here).
 	observe func(*logger.Logger)
 }
 
@@ -106,9 +89,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Recovery == 0 {
 		o.Recovery = 2
-	}
-	if o.QueueDepth == 0 {
-		o.QueueDepth = 256
 	}
 	if o.Thresholds == (model.Thresholds{}) {
 		o.Thresholds = model.Defaults()
@@ -196,7 +176,6 @@ func Run(opts Options) (*Scoreboard, error) {
 
 	sb := &Scoreboard{
 		Seed:        opts.Seed,
-		Policy:      opts.Policy.String(),
 		Duration:    opts.Duration.String(),
 		TrainInputs: opts.TrainInputs,
 		Cells:       results,
@@ -221,17 +200,14 @@ func (r *runner) heldInputs(w workloads.Workload) []workloads.Input {
 
 // signal reports whether a finding counts as a detection for
 // scoreboard purposes. Range violations and extreme stability are the
-// paper's bug signals. Instrumentation anomalies count only under the
-// Block policy: with Drop, the health counters run on an incomplete
-// event stream, so they are evidence but not a reliable verdict
-// input. Unexpected stability is excluded entirely — it is a
-// run-level curiosity report, not a bug claim.
-func (r *runner) signal(f *detect.Finding) bool {
+// paper's bug signals, and instrumentation anomalies (wild stores,
+// double frees) are heap-bug evidence in their own right. Unexpected
+// stability is excluded — it is a run-level curiosity report, not a
+// bug claim.
+func signal(f *detect.Finding) bool {
 	switch f.Kind {
-	case detect.RangeViolation, detect.ExtremeStability:
+	case detect.RangeViolation, detect.ExtremeStability, detect.InstrumentationAnomaly:
 		return true
-	case detect.InstrumentationAnomaly:
-		return r.opts.Policy == logger.Block
 	default:
 		return false
 	}
@@ -241,40 +217,29 @@ func (r *runner) signal(f *detect.Finding) bool {
 // runs and soak iterations: the suite must match so the calibrated
 // model and the soaked runs measure the same thing.
 func (r *runner) loggerOptions() logger.Options {
-	opts := logger.Options{
-		Frequency:        workloads.DefaultFrequency,
-		RebuildThreshold: r.opts.RebuildThreshold,
-	}
+	opts := logger.Options{Frequency: workloads.DefaultFrequency}
 	if r.opts.Extended {
 		opts.Suite = metrics.ExtendedSuite()
 	}
 	return opts
 }
 
-// iteration executes one complete workload run through the concurrent
-// pipeline. The returned bool reports whether the workload crashed on
-// a simulator fault (the report then covers the prefix).
-func (r *runner) iteration(w workloads.Workload, in workloads.Input, plan *faults.Plan) (*logger.Report, bool, error) {
+// iteration executes one complete workload run with a logger
+// subscribed to its process. The returned bool reports whether the
+// workload crashed on a simulator fault (the report then covers the
+// prefix).
+func (r *runner) iteration(w workloads.Workload, in workloads.Input, plan *faults.Plan) (*logger.Report, bool) {
 	p := prog.NewProcess(prog.Options{Seed: in.Seed, Plan: plan})
 	l := logger.New(r.loggerOptions())
 	l.SetRun(w.Name(), in.Name, 1)
 	if r.opts.observe != nil {
 		r.opts.observe(l)
 	}
-	pipe := logger.NewPipeline(l, logger.PipelineOptions{
-		Policy:     r.opts.Policy,
-		QueueDepth: r.opts.QueueDepth,
-	})
-	prod := pipe.NewProducer()
-	p.Subscribe(prod)
+	p.Subscribe(l)
 	err := prog.Run(func() { w.Run(p, in, 1) })
-	prod.Close()
-	if cerr := pipe.Close(); cerr != nil {
-		return nil, false, cerr
-	}
 	rep := l.Report()
 	l.Release()
-	return rep, err != nil, nil
+	return rep, err != nil
 }
 
 func (r *runner) runCell(c Cell) (CellResult, error) {
@@ -294,15 +259,9 @@ func (r *runner) runCell(c Cell) (CellResult, error) {
 		Workload:              c.Workload,
 		Class:                 entry.Class.String(),
 		Mechanism:             entry.Mechanism,
+		ExpectDetect:          entry.ExpectDetect,
 		DetectionLatencyTicks: -1,
 	}
-	expect := entry.ExpectDetect
-	if entry.HealthBased && r.opts.Policy == logger.Drop {
-		// The fault's only footprint is in health counters, which the
-		// Drop policy makes approximate; don't demand detection.
-		expect = false
-	}
-	res.ExpectDetect = expect
 
 	var cum uint64 // metric computation points elapsed across iterations
 	var faultEpoch uint64
@@ -311,17 +270,14 @@ func (r *runner) runCell(c Cell) (CellResult, error) {
 	windowSet := false // first fault-window iteration
 	iter := 0
 
-	runOne := func(ph *PhaseStats, faulty bool) error {
+	runOne := func(ph *PhaseStats, faulty bool) {
 		in := held[iter%len(held)]
 		iter++
 		var plan *faults.Plan
 		if faulty {
 			plan = faults.NewPlan().Enable(c.Fault, c.Config)
 		}
-		rep, crashed, err := r.iteration(w, in, plan)
-		if err != nil {
-			return err
-		}
+		rep, crashed := r.iteration(w, in, plan)
 		ph.Iterations++
 		if crashed {
 			ph.Crashes++
@@ -332,7 +288,6 @@ func (r *runner) runCell(c Cell) (CellResult, error) {
 		}
 		ph.Ticks += iterTicks
 		res.Health.Add(rep.Health)
-		res.DroppedEvents += rep.Health.DroppedEvents
 
 		if faulty {
 			if !windowSet {
@@ -348,7 +303,7 @@ func (r *runner) runCell(c Cell) (CellResult, error) {
 			}
 		}
 		for _, f := range detect.CheckReport(mdl, rep, detect.Options{}) {
-			if !r.signal(f) {
+			if !signal(f) {
 				continue
 			}
 			ph.Findings++
@@ -378,13 +333,12 @@ func (r *runner) runCell(c Cell) (CellResult, error) {
 			}
 		}
 		cum += iterTicks
-		return nil
 	}
 
 	// Phase time budgets split the cell's share 1:2:1; each phase
 	// always runs its minimum iterations, then spends budget while the
 	// global deadline holds.
-	runPhase := func(ph *PhaseStats, min int, budget time.Duration, faulty bool) error {
+	runPhase := func(ph *PhaseStats, min int, budget time.Duration, faulty bool) {
 		start := time.Now()
 		for i := 0; ; i++ {
 			if i >= min {
@@ -392,25 +346,16 @@ func (r *runner) runCell(c Cell) (CellResult, error) {
 					break
 				}
 			}
-			if err := runOne(ph, faulty); err != nil {
-				return err
-			}
+			runOne(ph, faulty)
 		}
-		return nil
 	}
 
 	wBudget := r.share / 4
 	fBudget := r.share / 2
 	rBudget := r.share - wBudget - fBudget
-	if err := runPhase(&res.Warmup, r.opts.Warmup, wBudget, false); err != nil {
-		return CellResult{}, err
-	}
-	if err := runPhase(&res.FaultWindow, r.opts.FaultIters, fBudget, true); err != nil {
-		return CellResult{}, err
-	}
-	if err := runPhase(&res.Recovery, r.opts.Recovery, rBudget, false); err != nil {
-		return CellResult{}, err
-	}
+	runPhase(&res.Warmup, r.opts.Warmup, wBudget, false)
+	runPhase(&res.FaultWindow, r.opts.FaultIters, fBudget, true)
+	runPhase(&res.Recovery, r.opts.Recovery, rBudget, false)
 
 	res.Verdict, res.OK = verdictOf(res.ExpectDetect, res.Detected)
 	r.progress("soak %-22s on %-11s %-12s triggers=%-6d latency=%d\n",

@@ -40,7 +40,14 @@ func (o *componentOracle) Sample(metrics.Snapshot, *callstack.Tracker) {
 func runWithOracle(t *testing.T, w Workload, in Input, suite metrics.Suite, threshold int, plan *faults.Plan) *logger.Report {
 	t.Helper()
 	p := prog.NewProcess(prog.Options{Seed: in.Seed, Plan: plan})
-	l := logger.New(logger.Options{Frequency: DefaultFrequency, Suite: suite, RebuildThreshold: threshold})
+	l := logger.New(logger.Options{Frequency: DefaultFrequency, Suite: suite})
+	// Re-track the trackers the suite turned on at the swept threshold.
+	if suite.Index(metrics.Components) >= 0 {
+		l.Graph().TrackConnectivity(threshold)
+	}
+	if suite.Index(metrics.SCCs) >= 0 {
+		l.Graph().TrackSCC(threshold)
+	}
 	l.SetRun(w.Name(), in.Name, 1)
 	oracle := &componentOracle{g: l.Graph()}
 	l.Observe(oracle)
