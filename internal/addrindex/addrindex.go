@@ -196,7 +196,8 @@ func (t *Table[V]) unlink(link *int32, i int32) {
 // ranges should not overlap (allocators never hand out overlapping
 // ones); if a damaged trace makes them, see the package comment. The
 // returned pointer refers to the stored value and remains valid until
-// the range is removed.
+// the range is removed; a caller with a large V may insert a zero value
+// and fill the record through it.
 func (t *Table[V]) Insert(base, size uint64, value V) *V {
 	i := int32(t.arena.Len())
 	if k := len(t.free); k > 0 {
@@ -204,8 +205,11 @@ func (t *Table[V]) Insert(base, size uint64, value V) *V {
 	} else {
 		t.arena.Push()
 	}
+	// Field by field: a composite literal would build the whole record
+	// on the stack and copy it in.
 	e := t.arena.At(i)
-	*e = entry[V]{base: base, size: size, value: value, next: noEntry, live: true}
+	e.base, e.size, e.next, e.live = base, size, noEntry, true
+	e.value = value
 	t.n++
 	first, last := pageRange(base, size)
 	switch {
@@ -281,11 +285,10 @@ func (t *Table[V]) Get(base uint64) *V {
 
 // Remove deletes the range based exactly at base, returning its value
 // and whether an entry was removed.
-func (t *Table[V]) Remove(base uint64) (V, bool) {
+func (t *Table[V]) Remove(base uint64) (v V, ok bool) {
 	i := t.findExact(base)
 	if i == noEntry {
-		var zero V
-		return zero, false
+		return v, false
 	}
 	e := t.arena.At(i)
 	first, last := pageRange(base, e.size)
@@ -316,7 +319,7 @@ func (t *Table[V]) Remove(base uint64) (V, bool) {
 	}
 	// Zeroing releases the value's references and leaves a size-0
 	// record, which no Stab, cached or not, can hit until reuse.
-	v := e.value
+	v = e.value
 	*e = entry[V]{}
 	t.free = append(t.free, i)
 	t.n--

@@ -39,16 +39,30 @@ import (
 //     Removing an interior forest vertex may split several subtrees at
 //     once: the tracker marks itself dirty and counts the delete.
 //
+// The tracker grows with the graph. The logger turns it on over the
+// empty heap image, where it is exact at count 0, and every vertex and
+// edge after that is one of the exact additions above, so the build of
+// a heap costs O(α) per link and no walk. (Turned on over a populated
+// graph, it builds itself from the adjacency at once.) It replaced a
+// lazy build at the first query, which sorted every vertex by age:
+// with it and the SCC trim of incremental_scc.go,
+// BenchmarkLoggerStructureExtended/reused went from 405 to 367
+// ns/event at 4096 nodes and from 278 to 233 at 8192 (medians of ten
+// alternating runs on a shared 2-vCPU VM).
+//
 // Searches (cut enumerations here, probes and re-splits in the SCC
 // tracker) charge every adjacency entry they scan against an allowance
-// of V+E+64 entries, refilled at every count query and every rebuild.
-// A search that exhausts it gives up and marks the tracker dirty, so
-// a query interval costs at most about two rebuilds' worth of work.
+// of V+E+64 entries, refilled at every count query and every rebuild,
+// and credited one entry for every vertex and edge the tracker adds,
+// so cuts before the first query have a V+E-sized budget too. A search
+// that exhausts it gives up and marks the tracker dirty, so a query
+// interval costs at most about two rebuilds' worth of work.
 //
-// Dirty states are amortized by rebuilds: when the dirty counter
-// reaches the rebuild threshold the tracker rebuilds at the end of the
-// mutation (synchronously — the graph is single-goroutine, so there is
-// no background rebuild to race with), and a query on a dirty tracker
+// Dirty states are amortized by rebuilds, the only ones the tracker
+// runs besides arena compaction: when the dirty counter reaches the
+// rebuild threshold the tracker rebuilds at the end of the mutation
+// (synchronously — the graph is single-goroutine, so there is no
+// background rebuild to race with), and a query on a dirty tracker
 // rebuilds lazily first. A rebuild replays the graph's links in
 // vertex-age order — each vertex, oldest first, linked to its older
 // neighbours with the same rule as an edge insert — so it rebuilds the
@@ -96,19 +110,18 @@ type ufCore struct {
 	parent []int32
 	size   []int32
 
-	count     int // live component count; exact iff valid && dirty == 0
+	count     int // live component count; exact iff dirty == 0 (and, for SCC, built)
 	dirty     int // conservative mutations since the tracker was last exact
 	threshold int // dirty level that forces a rebuild during mutation
-	valid     bool
 
 	allow    int // adjacency entries searches may still scan this interval
 	allowCap int // test override of the allowance (0 = V+E+allowanceSlack)
 	rebuilds int // full rebuilds so far (read by tests)
 }
 
-// restart returns an unbuilt core with the given rebuild threshold
-// that keeps t's slices, so a tracker turned on again over a reset
-// graph does not regrow them.
+// restart returns an empty core with the given rebuild threshold that
+// keeps t's slices, so a tracker turned on again over a reset graph
+// does not regrow them.
 func (t *ufCore) restart(threshold int) ufCore {
 	return ufCore{node: t.node[:0], parent: t.parent[:0], size: t.size[:0], threshold: threshold}
 }
@@ -178,11 +191,20 @@ func (t *ufCore) refill(g *Graph) {
 	}
 }
 
-// needsRebuild reports whether a built tracker should rebuild at the
-// end of a mutation: the dirty counter has reached the rebuild
-// threshold, or abandoned nodes dominate the node arena.
+// credit grows the search allowance by one entry for a vertex or edge
+// the graph gained, so that the allowance keeps pace with V+E between
+// queries (a test override stays fixed).
+func (t *ufCore) credit() {
+	if t.allowCap <= 0 {
+		t.allow++
+	}
+}
+
+// needsRebuild reports whether an exact-maintained tracker should
+// rebuild at the end of a mutation: the dirty counter has reached the
+// rebuild threshold, or abandoned nodes dominate the node arena.
 func (t *ufCore) needsRebuild(nVerts int) bool {
-	return t.valid && (t.dirty >= t.threshold || len(t.parent) > 4*nVerts+64)
+	return t.dirty >= t.threshold || len(t.parent) > 4*nVerts+64
 }
 
 // Search marks. A mark entry holds the search epoch in its high bits
@@ -294,9 +316,10 @@ func (t *wccTracker) link(a, b int32) {
 // TrackConnectivity turns on the weak-connectivity tracker with the
 // given rebuild threshold (<= 0 selects DefaultRebuildThreshold),
 // replacing any tracker already on (whose slices, or those of a
-// tracker parked by Reset, the new one reuses). The tracker builds
-// itself from the live adjacency at the first query, so it may be
-// turned on at any time.
+// tracker parked by Reset, the new one reuses). The tracker is exact
+// from the start: over an empty graph it starts at count 0 and grows
+// with the graph, and over a populated one it builds itself from the
+// live adjacency at once (a build, not counted as a rebuild).
 func (g *Graph) TrackConnectivity(rebuildThreshold int) {
 	if rebuildThreshold <= 0 {
 		rebuildThreshold = DefaultRebuildThreshold
@@ -307,18 +330,20 @@ func (g *Graph) TrackConnectivity(rebuildThreshold int) {
 	}
 	*t = wccTracker{ufCore: t.restart(rebuildThreshold), fpar: t.fpar[:0]}
 	g.wcc, g.spareWCC = t, nil
+	g.rebuildWCC()
+	t.rebuilds = 0
 }
 
 // ConnectedComponentCount returns the number of weakly connected
 // components from the incremental tracker, turning it on at the
-// default threshold if it is off and rebuilding it first if it has
-// never been built or mutations have dirtied it.
+// default threshold if it is off and rebuilding it first if mutations
+// have dirtied it.
 func (g *Graph) ConnectedComponentCount() int {
 	if g.wcc == nil {
 		g.TrackConnectivity(0)
 	}
 	t := g.wcc
-	if !t.valid || t.dirty > 0 {
+	if t.dirty > 0 {
 		g.rebuildWCC()
 	}
 	t.refill(g)
@@ -331,8 +356,10 @@ func (g *Graph) ConnectedComponentCount() int {
 // first, since the edge that attached an object to the heap is
 // usually the first pointer stored to it. Existing slice capacity is
 // reused, so rebuilds after the first allocate only when the arena has
-// grown. This is also the compaction path: it resets the node arena to
-// exactly one node per live vertex.
+// grown. It runs for dirty states and for compaction (it resets the
+// node arena to exactly one node per live vertex), and once when the
+// tracker is turned on, where over an empty graph it only sizes the
+// tables.
 func (g *Graph) rebuildWCC() {
 	t := g.wcc
 	n := len(g.ids)
@@ -363,7 +390,6 @@ func (g *Graph) rebuildWCC() {
 	}
 	sc.qa = order
 	t.dirty = 0
-	t.valid = true
 	t.rebuilds++
 	t.refill(g)
 }
@@ -372,11 +398,11 @@ func (g *Graph) rebuildWCC() {
 // mutation hooks should apply precise maintenance.
 func (g *Graph) wccMaintain() bool {
 	t := g.wcc
-	return t != nil && t.valid && t.dirty == 0
+	return t != nil && t.dirty == 0
 }
 
 // wccAddVertex is the AddVertex hook: a new vertex is a new singleton
-// tree.
+// tree, and one more entry of search allowance.
 func (g *Graph) wccAddVertex(s int32) {
 	if !g.wccMaintain() {
 		return
@@ -390,14 +416,17 @@ func (g *Graph) wccAddVertex(s int32) {
 	t.node[s] = t.newNode()
 	t.fpar[s] = -1
 	t.count++
+	t.credit()
 	g.wccSettle() // the arena may need compacting
 }
 
 // wccAddEdge is the AddEdge hook (u != v slots; self-loops never
-// change weak connectivity and are filtered by the caller).
+// change weak connectivity and are filtered by the caller): an O(α)
+// link, and one more entry of search allowance.
 func (g *Graph) wccAddEdge(us, vs int32) {
-	if g.wccMaintain() {
-		g.wcc.link(us, vs)
+	if t := g.wcc; g.wccMaintain() {
+		t.link(us, vs)
+		t.credit()
 	}
 }
 
@@ -408,8 +437,8 @@ func (g *Graph) wccAddEdge(us, vs int32) {
 // edge runs the cut search.
 func (g *Graph) wccRemoveEdge(us, vs int32) {
 	t := g.wcc
-	if t == nil || !t.valid {
-		return // never queried yet; the first query builds from scratch
+	if t == nil {
+		return
 	}
 	if t.dirty > 0 {
 		t.dirty++
@@ -532,7 +561,7 @@ func (g *Graph) forestExpand(s *search, list []int32, x int32, flag uint32, budg
 // forest vertex may split its tree several ways: dirty.
 func (g *Graph) wccRemoveVertex(s int32) {
 	t := g.wcc
-	if t == nil || !t.valid {
+	if t == nil {
 		return
 	}
 	if t.dirty > 0 {

@@ -61,11 +61,22 @@ import (
 // rebuild at the configured threshold at the end of a mutation
 // (sccSettle — AddEdge settles too, because probe bailouts dirty on
 // insert), and queries on a dirty tracker rebuild lazily first. The
-// rebuild is the same iterative Tarjan as the local re-split, run over
-// every live vertex with an edge; isolated vertices become singleton
-// SCCs directly. All Tarjan scratch is tracker-owned and
-// capacity-reused, so steady-state rebuilds and re-splits allocate
-// nothing.
+// rebuild is the same iterative Tarjan as the local re-split. It runs
+// only over the live vertices with both in- and out-edges, along the
+// edges between them: any other vertex lies on no cycle and becomes a
+// singleton SCC directly. On a tree that leaves out every leaf and the
+// root, and every edge into a leaf. All Tarjan scratch is
+// tracker-owned and capacity-reused, so steady-state rebuilds and
+// re-splits allocate nothing.
+//
+// Unlike the WCC tracker, this one is built at the first query, not
+// grown with the graph: the build phase of a heap inserts thousands of
+// edges, and each would run a probe. One prototype measured a tracker
+// grown from the empty graph slower on
+// BenchmarkLoggerStructureExtended/reused, 333 → 387 ns/event; against
+// the trimmed first build, sixteen alternating runs each at 4096 and
+// 8192 nodes found the two level (medians within the spread), so
+// growing it would buy nothing for the probes it adds.
 //
 // Like the WCC tracker, only Count is maintained (the suite consumes
 // SCC per 100 vertices); Largest is left to the reference walk.
@@ -80,6 +91,9 @@ type sccFrame struct {
 // sccTracker is the incremental strong-connectivity state.
 type sccTracker struct {
 	ufCore
+	// built is set by the first rebuild, at the first query; until
+	// then the mutation hooks do nothing.
+	built bool
 
 	// Tarjan scratch (rebuildSCC and the local re-split), indexed by
 	// slot: a CSR copy of the members' out-edges — offs[s] points at a
@@ -97,8 +111,8 @@ type sccTracker struct {
 // TrackSCC turns on the strong-connectivity tracker with the given
 // rebuild threshold (<= 0 selects DefaultRebuildThreshold), replacing
 // any tracker already on. Like TrackConnectivity, it reuses the slices
-// of the tracker it replaces or that Reset parked, and builds itself
-// at the first query.
+// of the tracker it replaces or that Reset parked; unlike it, the
+// tracker builds itself at the first query (see the file comment).
 func (g *Graph) TrackSCC(rebuildThreshold int) {
 	if rebuildThreshold <= 0 {
 		rebuildThreshold = DefaultRebuildThreshold
@@ -129,7 +143,7 @@ func (g *Graph) StronglyConnectedComponentCount() int {
 		g.TrackSCC(0)
 	}
 	t := g.scc
-	if !t.valid || t.dirty > 0 {
+	if !t.built || t.dirty > 0 {
 		g.rebuildSCC()
 	}
 	t.refill(g)
@@ -139,7 +153,7 @@ func (g *Graph) StronglyConnectedComponentCount() int {
 // sccMaintain reports whether the tracker is present and exact.
 func (g *Graph) sccMaintain() bool {
 	t := g.scc
-	return t != nil && t.valid && t.dirty == 0
+	return t != nil && t.built && t.dirty == 0
 }
 
 // sccAddVertex is the AddVertex hook: a new vertex is a new singleton
@@ -272,7 +286,7 @@ func (g *Graph) closure(s *search, seeds []int32, within uint32, adj *arena.Seg[
 // split any cycle). An intra-SCC edge runs the cut search.
 func (g *Graph) sccRemoveEdge(us, vs int32) {
 	t := g.scc
-	if t == nil || !t.valid {
+	if t == nil || !t.built {
 		return // never queried yet; the first query builds from scratch
 	}
 	if t.dirty > 0 {
@@ -381,7 +395,7 @@ func (g *Graph) sccResplit(members []int32, budget *int) {
 // members are re-split locally.
 func (g *Graph) sccRemoveVertex(x int32) {
 	t := g.scc
-	if t == nil || !t.valid {
+	if t == nil || !t.built {
 		return
 	}
 	if t.dirty > 0 {
@@ -407,15 +421,17 @@ func (g *Graph) sccRemoveVertex(x int32) {
 // rather than at the next query, keeping worst-case query latency
 // flat. Like wccSettle it must not run mid-mutation.
 func (g *Graph) sccSettle() {
-	if t := g.scc; t != nil && t.needsRebuild(g.nVerts) {
+	if t := g.scc; t != nil && t.built && t.needsRebuild(g.nVerts) {
 		g.rebuildSCC()
 	}
 }
 
-// rebuildSCC recomputes the tracker from the live adjacency: isolated
-// vertices (no edges in either direction) become singleton SCCs
-// directly, and one Tarjan pass over every other live vertex gives
-// each SCC one union-find node. This is also the compaction path.
+// rebuildSCC recomputes the tracker from the live adjacency. A vertex
+// with no in-edges or no out-edges lies on no cycle, so it becomes a
+// singleton SCC directly and stays out of the CSR and Tarjan; one
+// Tarjan pass over the other live vertices, along the edges between
+// them, gives each remaining SCC one union-find node. This is also the
+// compaction path.
 func (g *Graph) rebuildSCC() {
 	t := g.scc
 	n := len(g.ids)
@@ -426,7 +442,7 @@ func (g *Graph) rebuildSCC() {
 	for s := 0; s < n; s++ {
 		switch {
 		case !g.alive[s]:
-		case g.inDeg[s] == 0 && g.outDeg[s] == 0:
+		case g.inDeg[s] == 0 || g.outDeg[s] == 0:
 			t.node[s] = t.newNode()
 			t.count++
 		default:
@@ -437,7 +453,7 @@ func (g *Graph) rebuildSCC() {
 	g.sccCSR(members, false, nil)
 	g.tarjan(members)
 	t.dirty = 0
-	t.valid = true
+	t.built = true
 	t.rebuilds++
 	t.refill(g)
 }
@@ -445,8 +461,9 @@ func (g *Graph) rebuildSCC() {
 // sccCSR copies the out-edges of members into the tracker's CSR. A
 // local copy keeps only edges to slots marked markR and charges the
 // copied adjacency to budget, reporting false, with nothing copied, if
-// that overdraws it; a rebuild copies every edge (all targets of a
-// live vertex's edges are members) without a budget.
+// that overdraws it; a rebuild keeps every edge to another member — a
+// vertex with out-edges, since its in-edge is the one being copied —
+// without a budget.
 func (g *Graph) sccCSR(members []int32, local bool, budget *int) bool {
 	t := g.scc
 	total := 0
@@ -467,7 +484,7 @@ func (g *Graph) sccCSR(members []int32, local bool, budget *int) bool {
 		t.offs[x] = head
 		i++
 		g.outAdj.At(x).each(func(w, _ int32) bool {
-			if !local || s.has(w, markR) {
+			if local && s.has(w, markR) || !local && g.outDeg[w] > 0 {
 				t.targets[i] = w
 				i++
 			}

@@ -2,6 +2,7 @@ package heapgraph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -454,6 +455,65 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 		}
 		sccOracleCheck(t, g)
 	})
+}
+
+// TestSCCRebuildTrimsDegreeZero pins the rebuild's trim on a
+// hand-built graph: a vertex with no in-edges or no out-edges lies on
+// no cycle, so the rebuild makes it a singleton SCC and leaves it out
+// of the CSR and Tarjan, along with every edge into it. The graph has
+// a source-only vertex feeding a 2-cycle (1→3, 3⇄4), a sink-only
+// vertex (4→2, 7→2), an isolated vertex (6), a source-only vertex
+// feeding only a sink (7), a vertex with only a self-loop (5), and a
+// chain feeding the cycle (9→8→3), whose middle vertex has edges both
+// ways and so stays in Tarjan as a singleton. Counts are checked
+// against the Tarjan walk at rebuild thresholds 1, default and 2^30,
+// after the first build and after mutations that pull trimmed
+// vertices into a cycle and out again.
+func TestSCCRebuildTrimsDegreeZero(t *testing.T) {
+	for _, th := range []int{1, DefaultRebuildThreshold, 1 << 30} {
+		t.Run("threshold="+itoa(uint64(th)), func(t *testing.T) {
+			g := New()
+			g.TrackSCC(th)
+			for v := VertexID(1); v <= 9; v++ {
+				g.AddVertex(v)
+			}
+			for _, e := range [][2]VertexID{{1, 3}, {3, 4}, {4, 3}, {4, 2}, {7, 2}, {5, 5}, {9, 8}, {8, 3}} {
+				g.AddEdge(e[0], e[1])
+			}
+			sccOracleCheck(t, g)
+			if got := g.StronglyConnectedComponentCount(); got != 8 {
+				t.Fatalf("count = %d, want 8: {3,4} and seven singletons", got)
+			}
+			// The rebuild leaves its member list in the search scratch:
+			// only 3, 4, 5 and 8 have edges both ways.
+			var members []VertexID
+			for _, s := range g.srch.qa {
+				members = append(members, g.ids[s])
+			}
+			slices.Sort(members)
+			if want := []VertexID{3, 4, 5, 8}; !slices.Equal(members, want) {
+				t.Fatalf("rebuild ran Tarjan over %v, want %v", members, want)
+			}
+			tr := g.scc
+			for _, v := range []VertexID{1, 2, 6, 7, 9} {
+				if r := tr.find(tr.node[g.slotOf(v)]); tr.size[r] != 1 {
+					t.Fatalf("trimmed vertex %d shares a union-find class of size %d", v, tr.size[r])
+				}
+			}
+			// Close a cycle through the sink and the source (2→1 makes
+			// 1→3→4→2→1), then open it again and rebuild from scratch.
+			g.AddEdge(2, 1)
+			sccOracleCheck(t, g)
+			g.AddEdge(2, 7)
+			sccOracleCheck(t, g)
+			g.RemoveEdge(4, 2)
+			sccOracleCheck(t, g)
+			g.RemoveVertex(3)
+			sccOracleCheck(t, g)
+			g.rebuildSCC()
+			sccOracleCheck(t, g)
+		})
+	}
 }
 
 // TestIncrementalSCCProbeBudgetBailout forces a probe past its budget:

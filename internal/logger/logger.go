@@ -390,8 +390,10 @@ func (l *Logger) newVertex() heapgraph.VertexID {
 	return heapgraph.VertexID(l.vertexSeq)
 }
 
+// onAlloc inserts a zero record and fills it in place: the record is
+// large, and building it on the stack would cost a copy per allocation.
 func (l *Logger) onAlloc(base, size uint64) {
-	var info objInfo
+	info := l.objects.Insert(base, size, objInfo{})
 	if l.opts.Granularity == FieldGranularity {
 		nWords := size / 8
 		info.wordVertices = make([]heapgraph.VertexID, nWords)
@@ -404,7 +406,6 @@ func (l *Logger) onAlloc(base, size uint64) {
 		info.vertex = l.newVertex()
 		l.graph.AddVertex(info.vertex)
 	}
-	l.objects.Insert(base, size, info)
 	delete(l.freed, base) // address recycled: a future free is legitimate
 }
 

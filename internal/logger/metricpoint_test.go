@@ -1,6 +1,7 @@
 package logger
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -114,31 +115,34 @@ func TestExtendedMetricPointAllocs(t *testing.T) {
 }
 
 // BenchmarkLoggerStructureExtended replays a structure-heavy stream —
-// a 4096-node tree with cross edges, then 20 rounds of churn each
-// closed by a metric point — under the extended suite, one logger per
-// iteration, and reports the cost per event: "fresh" builds every
-// logger from nothing, "reused" releases each one so the next New
-// resets its heap image in place.
+// a tree with cross edges, then 20 rounds of churn each closed by a
+// metric point — under the extended suite, one logger per iteration,
+// and reports the cost per event. The tree has 4096 nodes, and 8192,
+// the median tree size of the benchmark's structure-extended workload.
+// "fresh" builds every logger from nothing, "reused" releases each one
+// so the next New resets its heap image in place.
 func BenchmarkLoggerStructureExtended(b *testing.B) {
-	evs := newTreeStream(1, 4096, 20).events()
 	opts := Options{Frequency: SimulationFrequency, Suite: metrics.ExtendedSuite()}
-	for _, c := range []struct {
-		name    string
-		newLog  func(Options) *Logger
-		release bool
-	}{{"fresh", NewUnpooled, false}, {"reused", New, true}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				l := c.newLog(opts)
-				emitBatches(l, evs, testBatchSize)
-				l.Report()
-				if c.release {
-					l.Release()
+	for _, nodes := range []int{4096, 8192} {
+		evs := newTreeStream(1, nodes, 20).events()
+		for _, c := range []struct {
+			name    string
+			newLog  func(Options) *Logger
+			release bool
+		}{{"fresh", NewUnpooled, false}, {"reused", New, true}} {
+			b.Run(fmt.Sprintf("nodes=%d/%s", nodes, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					l := c.newLog(opts)
+					emitBatches(l, evs, testBatchSize)
+					l.Report()
+					if c.release {
+						l.Release()
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+			})
+		}
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"math"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -105,10 +103,10 @@ func v2FrameTrace(t testing.TB, n int) []byte {
 }
 
 // TestReplayFrameDecodeAllocs is the zero-alloc gate for the frame
-// decode loop: replaying a trace with 64x more event frames (8x under
-// the race detector) must cost exactly the same number of allocations
-// as a small one, proving the payload and batch buffers are reused
-// across frames and batch delivery allocates nothing per frame. (The
+// decode loop: replaying a trace with 64x more event frames must cost
+// exactly the same number of allocations as a small one, proving the
+// payload and batch buffers are reused across frames and batch
+// delivery allocates nothing per frame. (The
 // fixed per-call overhead — bufio.Reader, decoder, symtab, info — is
 // allowed; scaling with frame count is not.)
 func TestReplayFrameDecodeAllocs(t *testing.T) {
@@ -135,36 +133,9 @@ func TestReplayFrameDecodeAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !raceEnabled {
-			return testing.AllocsPerRun(20, replay)
-		}
-		// Under the race detector sync.Pool drops a random quarter of
-		// what replay puts back, so a warm replay rebuilds a random
-		// share of its decode state. Empty the pools instead (two GCs
-		// clear them): every replay then builds all of it afresh, so a
-		// pool drop cannot tell the traces apart. The cheapest of a few
-		// replays sheds runtime noise such as refilling the cleared
-		// sudog cache.
-		best := uint64(math.MaxUint64)
-		for range 5 {
-			runtime.GC()
-			runtime.GC()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			replay()
-			runtime.ReadMemStats(&after)
-			best = min(best, after.Mallocs-before.Mallocs)
-		}
-		return float64(best)
+		return testing.AllocsPerRun(20, replay)
 	}
-	// A replay with empty pools grows every frame buffer and decoder it
-	// touches. Under the race detector the small trace therefore has to
-	// touch all of them too — the pipeline below cycles 2*3+2 = 8
-	// buffers — so that the fixed cost is the same for both traces.
-	smallFrames := 2
-	if raceEnabled {
-		smallFrames = 16
-	}
+	const smallFrames = 2
 	for _, w := range []struct {
 		name    string
 		mkTrace func(frames int) []byte
@@ -202,7 +173,7 @@ func TestReplayFrameDecodeAllocs(t *testing.T) {
 }
 
 // recycleBudget is what one replay of a trace may allocate once the
-// decode-state pools are warm: the pipeline's channels and ring,
+// decode-state lists are warm: the pipeline's channels and ring,
 // closures, the symtab and SalvageInfo. It is a
 // constant, so it cannot grow with DefaultBatchRecords, while a single
 // unrecycled frame buffer (DefaultBatchRecords decoded events) already
@@ -212,29 +183,12 @@ const recycleBudget = 8 << 10
 // TestReplayRecyclesDecodeBuffers is the gate for recycling decode
 // state across replays: back-to-back replays of one 32-frame
 // flate-compressed v3 trace may each allocate at most recycleBudget
-// bytes after the first, on every reader. The garbage collector is off
-// for the measurement, so the pools keep what replay puts back. The
-// gate takes the median replay: sync.Pool keeps one item per P out of
-// other Ps' reach, so a replay whose goroutines land on another P may
-// still miss the pool and allocate a buffer now and then.
+// bytes after the first, on every reader. The gate takes the median
+// replay, which sheds the runtime's occasional allocations (a sudog
+// for a parked goroutine, a grown stack).
 func TestReplayRecyclesDecodeBuffers(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates and makes sync.Pool drop buffers")
-	}
 	const frames = 32
-	var buf bytes.Buffer
-	w, err := NewWriterWith(&buf, WriterOptions{Version: VersionV3, Compress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range v3TestEvents(frames * DefaultBatchRecords) {
-		w.Emit(e)
-	}
-	if err := w.Close(nil); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	data := flateTrace(t, frames)
 	for _, workers := range []int{0, 1, 2} {
 		var c event.Counter
 		var st Stats
@@ -261,6 +215,75 @@ func TestReplayRecyclesDecodeBuffers(t *testing.T) {
 			workers, first, median, recycleBudget)
 		if median > recycleBudget {
 			t.Errorf("DecodeWorkers %d: replay allocates a median %d bytes once warm, budget %d — decode state is not recycled",
+				workers, median, recycleBudget)
+		}
+	}
+}
+
+// flateTrace returns a flate-compressed v3 trace of the given number of
+// full event frames.
+func flateTrace(t *testing.T, frames int) []byte {
+	var buf bytes.Buffer
+	w, err := NewWriterWith(&buf, WriterOptions{Version: VersionV3, Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range v3TestEvents(frames * DefaultBatchRecords) {
+		w.Emit(e)
+	}
+	if err := w.Close(nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeReuseSurvivesGC: the frame buffers, decoders and readers a
+// replay hands back wait for the next replay however many garbage
+// collections pass in between, so whether a replay rebuilds its decode
+// state does not hang on GC timing. It is the decode-side twin of the
+// logger's TestReuseSurvivesGC: the recycled state must survive three
+// collections untouched, and warm replays that each follow three
+// collections must stay within recycleBudget (the median of five).
+func TestDecodeReuseSurvivesGC(t *testing.T) {
+	data := flateTrace(t, 32)
+	for _, workers := range []int{0, 2} {
+		replay := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var c event.Counter
+			if _, _, err := ReplayWith(bytes.NewReader(data), &c, ReadOptions{DecodeWorkers: workers}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		frameBufs.free, decoders.free, readers.free = nil, nil, nil // build afresh
+		for range 3 {
+			replay()
+		}
+		bufs, decs := slices.Clone(frameBufs.free), slices.Clone(decoders.free)
+		if len(bufs) == 0 || len(decs) == 0 || len(readers.free) != 1 {
+			t.Fatalf("DecodeWorkers %d: replays handed back %d frame buffers, %d decoders and %d readers",
+				workers, len(bufs), len(decs), len(readers.free))
+		}
+		for range 3 {
+			runtime.GC()
+		}
+		if !slices.Equal(frameBufs.free, bufs) || !slices.Equal(decoders.free, decs) || len(readers.free) != 1 {
+			t.Fatalf("DecodeWorkers %d: garbage collection dropped recycled decode state", workers)
+		}
+		allocs := make([]uint64, 5)
+		for i := range allocs {
+			for range 3 {
+				runtime.GC()
+			}
+			allocs[i] = replay()
+		}
+		slices.Sort(allocs)
+		median := allocs[len(allocs)/2]
+		t.Logf("DecodeWorkers %d: a warm replay after three GCs allocates a median %d bytes (budget %d)", workers, median, recycleBudget)
+		if median > recycleBudget {
+			t.Errorf("DecodeWorkers %d: a warm replay after three GCs allocates a median %d bytes, budget %d — it rebuilt its decode state",
 				workers, median, recycleBudget)
 		}
 	}

@@ -62,7 +62,7 @@ type decodePipeline struct {
 	wg      sync.WaitGroup
 
 	depth   int
-	bufs    []*frameBuf // every buffer in flight, pooled again by halt
+	bufs    []*frameBuf // every buffer in flight, put back by halt
 	ring    []frameMsg
 	have    []bool
 	nextSeq uint64
@@ -143,13 +143,13 @@ func (p *decodePipeline) scan(fr *frameReader) {
 }
 
 // worker CRC-checks and decodes scanned frames. Each worker owns one
-// pooled payloadDecoder, so inflate state and decompression scratch are
-// O(workers), reused across all frames the worker touches and, through
-// the pool, across replays.
+// recycled payloadDecoder, so inflate state and decompression scratch
+// are O(workers), reused across all frames the worker touches and,
+// through the decoder list, across replays.
 func (p *decodePipeline) worker(version uint32) {
 	defer p.wg.Done()
 	dec := getDecoder(version)
-	defer decoderPool.Put(dec)
+	defer putDecoder(dec)
 	for job := range p.work {
 		select {
 		case p.results <- dec.decodeJob(job):
@@ -193,14 +193,14 @@ func (p *decodePipeline) release(b *frameBuf) {
 }
 
 // halt tears the pipeline down and waits for every stage to exit,
-// then pools the frame buffers and folds the scanner's stall count
+// then puts the frame buffers back and folds the scanner's stall count
 // into Stats. Safe to call on any consumer exit path, clean or
 // corrupt, once the consumer is done with the last frame's events.
 func (p *decodePipeline) halt() {
 	close(p.stop)
 	p.wg.Wait()
 	for _, b := range p.bufs {
-		frameBufPool.Put(b)
+		putFrameBuf(b)
 	}
 	if p.stats != nil {
 		p.stats.ScannerStalls = p.scannerStalls.Load()

@@ -629,31 +629,101 @@ type frameBuf struct {
 // compressed one through about 200 KiB of inflate scratch, which every
 // replay would otherwise allocate afresh for each frameBuf and
 // payloadDecoder it uses. A replay takes what it needs from these
-// pools and returns all of it once no stage can touch it any more.
+// lists and returns all of it once no stage can touch it any more.
+//
+// They are plain capped lists, not sync.Pools: a sync.Pool empties
+// over two garbage collections, so whether a replay reused its decode
+// state or rebuilt it would hang on GC timing. Each list keeps at most
+// what GOMAXPROCS replays at DefaultDecodeWorkers hold at once (see
+// decodeHold), so what it retains is bounded by the peak a process
+// reached, never by how many replays it ran.
 var (
-	frameBufPool = sync.Pool{New: func() any { return new(frameBuf) }}
-	decoderPool  = sync.Pool{New: func() any { return new(payloadDecoder) }}
-	readerPool   = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
+	frameBufs freeList[frameBuf]
+	decoders  freeList[payloadDecoder]
+	readers   freeList[bufio.Reader]
 )
 
-func getFrameBuf() *frameBuf { return frameBufPool.Get().(*frameBuf) }
+// freeList is a capped LIFO list of reusable values, safe for
+// concurrent use.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// get returns the most recently put value, or nil when the list is
+// empty.
+func (f *freeList[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.free)
+	if n == 0 {
+		return nil
+	}
+	x := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
+	return x
+}
+
+// put keeps x for a later get unless the list already holds limit
+// values, in which case x is left to the garbage collector.
+func (f *freeList[T]) put(x *T, limit int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.free) < limit {
+		f.free = append(f.free, x)
+	}
+}
+
+// decodeHold returns how many frame buffers, decoders and readers
+// GOMAXPROCS replays hold at once at DefaultDecodeWorkers: the
+// pipeline's 2w+2 buffers and w decoders each (one of each on the
+// synchronous reader), and one reader each.
+func decodeHold() (bufs, decs, rdrs int) {
+	p, w := runtime.GOMAXPROCS(0), DefaultDecodeWorkers()
+	return p * (2*w + 2), p * max(w, 1), p
+}
+
+func getFrameBuf() *frameBuf {
+	if b := frameBufs.get(); b != nil {
+		return b
+	}
+	return new(frameBuf)
+}
+
+func putFrameBuf(b *frameBuf) {
+	n, _, _ := decodeHold()
+	frameBufs.put(b, n)
+}
 
 func getDecoder(version uint32) *payloadDecoder {
-	d := decoderPool.Get().(*payloadDecoder)
+	d := decoders.get()
+	if d == nil {
+		d = new(payloadDecoder)
+	}
 	d.version = version
 	return d
 }
 
+func putDecoder(d *payloadDecoder) {
+	_, n, _ := decodeHold()
+	decoders.put(d, n)
+}
+
 func getReader(r io.Reader) *bufio.Reader {
-	br := readerPool.Get().(*bufio.Reader)
+	br := readers.get()
+	if br == nil {
+		return bufio.NewReaderSize(r, 1<<16)
+	}
 	br.Reset(r)
 	return br
 }
 
-// putReader drops br's reference to its source before pooling it.
+// putReader drops br's reference to its source before keeping it.
 func putReader(br *bufio.Reader) {
 	br.Reset(nil)
-	readerPool.Put(br)
+	_, _, n := decodeHold()
+	readers.put(br, n)
 }
 
 // frameMsg is one fully-validated, fully-decoded frame (or the reason
@@ -752,7 +822,7 @@ type frameReader struct {
 	hdr    [frameHeaderSize]byte // scratch; a local would escape via io.ReadFull
 }
 
-// newFrameReader takes a reader from the pool for the framed region of
+// newFrameReader takes a recycled reader for the framed region of
 // a trace whose 8-byte header r has consumed; release returns it.
 func newFrameReader(r io.Reader, size int64) *frameReader {
 	return &frameReader{br: getReader(r), offset: 8, size: size}
@@ -885,8 +955,8 @@ func replayFramed(r io.ReadSeeker, sink event.Sink, version uint32, size int64, 
 		buf := getFrameBuf()
 		defer func() {
 			fr.release()
-			decoderPool.Put(dec)
-			frameBufPool.Put(buf)
+			putDecoder(dec)
+			putFrameBuf(buf)
 		}()
 		next = func() frameMsg { return dec.decodeJob(fr.readFrame(buf)) }
 	}
