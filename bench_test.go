@@ -472,7 +472,8 @@ func processCPU() time.Duration {
 // more. The frame-decode loop reuses its payload and batch buffers, so
 // the batched variants hold allocs/op flat regardless of trace
 // length; bytes/event shows the storage density each format trades
-// that throughput against.
+// that throughput against. Each run releases its logger, so later runs
+// reuse its heap image the way ReplayTraceWith does.
 func BenchmarkReplayThroughput(b *testing.B) {
 	traces, nEvents := recordParserTraces(b)
 	events := map[string]uint64{"v3": nEvents, "v3-flate": nEvents}
@@ -536,9 +537,38 @@ func BenchmarkReplayThroughput(b *testing.B) {
 				if err := v.run(l, data); err != nil {
 					b.Fatal(err)
 				}
+				l.Release()
 			}
 			b.ReportMetric(float64(nEvents)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 			b.ReportMetric(float64(len(data))/float64(nEvents), "bytes/event")
+		})
+	}
+}
+
+// discardBatches is a BatchSink that drops every event, so a replay
+// into it costs the trace decode alone.
+type discardBatches struct{}
+
+func (discardBatches) Emit(event.Event)        {}
+func (discardBatches) EmitBatch([]event.Event) {}
+
+// BenchmarkReplayDecode measures the decode layer of post-mortem
+// replay without the logger: the recorded parser traces, raw and
+// flate-compressed v3, replayed serially into a sink that discards
+// every batch. ns/event is the decode cost per event.
+func BenchmarkReplayDecode(b *testing.B) {
+	traces, nEvents := recordParserTraces(b)
+	for _, format := range []string{"v3", "v3-flate"} {
+		data := traces[format]
+		b.Run(format, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, _, err := trace.Replay(bytes.NewReader(data), discardBatches{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(nEvents)*float64(b.N)), "ns/event")
 		})
 	}
 }

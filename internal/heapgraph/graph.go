@@ -43,6 +43,7 @@ package heapgraph
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"heapmd/internal/arena"
 )
@@ -63,6 +64,9 @@ const maxTracked = 8
 // headroom). IDs further out go to the sparse map instead, so one wild
 // ID from a damaged trace cannot balloon the index.
 const denseSlack = 1 << 16
+
+// minSlots is the vertex arena's first capacity.
+const minSlots = 64
 
 // noSlot marks an absent vertex in slot lookups.
 const noSlot = int32(-1)
@@ -199,6 +203,16 @@ func (g *Graph) newSlot(v VertexID) int32 {
 		return s
 	}
 	s := int32(len(g.ids))
+	if len(g.ids) == cap(g.ids) {
+		// Grow the slot-indexed tables together and by doubling, so a
+		// heap of n objects regrows them log2(n/minSlots) times rather
+		// than at every step of append's tapering growth.
+		c := max(2*cap(g.ids), minSlots)
+		g.ids = slices.Grow(g.ids, c-len(g.ids))
+		g.inDeg = slices.Grow(g.inDeg, c-len(g.inDeg))
+		g.outDeg = slices.Grow(g.outDeg, c-len(g.outDeg))
+		g.alive = slices.Grow(g.alive, c-len(g.alive))
+	}
 	g.ids = append(g.ids, v)
 	g.inDeg = append(g.inDeg, 0)
 	g.outDeg = append(g.outDeg, 0)

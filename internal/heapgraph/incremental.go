@@ -401,6 +401,17 @@ func (g *Graph) wccMaintain() bool {
 	return t != nil && t.dirty == 0
 }
 
+// growTables gives the four slot- and node-indexed tables room for c
+// entries when the vertex arena has grown to capacity c, so they
+// reallocate together with it rather than one append at a time.
+func (t *wccTracker) growTables(c int) {
+	for _, s := range [...]*[]int32{&t.node, &t.fpar, &t.parent, &t.size} {
+		if n := c - len(*s); n > 0 {
+			*s = slices.Grow(*s, n)
+		}
+	}
+}
+
 // wccAddVertex is the AddVertex hook: a new vertex is a new singleton
 // tree, and one more entry of search allowance.
 func (g *Graph) wccAddVertex(s int32) {
@@ -409,9 +420,9 @@ func (g *Graph) wccAddVertex(s int32) {
 	}
 	t := g.wcc
 	if int(s) >= len(t.node) {
-		// The vertex arena grew; mirror it. Amortized like append.
-		t.node = append(t.node, 0)
-		t.fpar = append(t.fpar, 0)
+		t.growTables(cap(g.ids))
+		t.node = t.node[:s+1]
+		t.fpar = t.fpar[:s+1]
 	}
 	t.node[s] = t.newNode()
 	t.fpar[s] = -1

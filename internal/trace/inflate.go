@@ -91,28 +91,20 @@ func (b *bitReader) read(n int) (uint32, error) {
 // subtableBits, and the subtable entry carries the code's total
 // length. Entry 0 (length 0) marks an invalid bit pattern — how the
 // degenerate and empty codes stdlib accepts at build time fail at
-// first use, exactly like decompressor.huffSym.
+// first use, exactly like decompressor.huffSym. The primary table is
+// always full size, codes shorter than huffTableBits replicated across
+// it, so a lookup masks with a constant and needs no bounds check.
 const (
 	huffTableBits = 10
+	huffTableMask = 1<<huffTableBits - 1
 	huffSubFlag   = 1 << 31
 	huffSubOffs   = 1<<23 - 1 // mask for the arena offset after >>8
 )
 
 type huffTable struct {
-	bits    int    // primary index width (≤ huffTableBits)
-	mask    uint32 // 1<<bits - 1
-	primary []uint32
+	primary [1 << huffTableBits]uint32
 	sub     []uint32
-	subw    []uint8 // build scratch: per-slot subtable width
-}
-
-func growU32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		s = make([]uint32, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
+	subw    [1 << huffTableBits]uint8 // build scratch: per-slot subtable width
 }
 
 // build constructs the decode table for the canonical code described
@@ -135,8 +127,7 @@ func (t *huffTable) build(lengths []int) bool {
 		count[n]++
 	}
 	if max == 0 {
-		t.bits, t.mask = 0, 0
-		t.primary = growU32(t.primary, 1)
+		clear(t.primary[:])
 		return true
 	}
 
@@ -147,27 +138,20 @@ func (t *huffTable) build(lengths []int) bool {
 		nextcode[i] = code
 		code += count[i]
 	}
-	if code != 1<<uint(max) && !(code == 1 && max == 1) {
-		return false
+	if code != 1<<uint(max) {
+		if !(code == 1 && max == 1) {
+			return false
+		}
+		// The degenerate code leaves every other entry invalid; a
+		// complete code overwrites every entry below.
+		clear(t.primary[:])
 	}
 
-	tb := max
-	if tb > huffTableBits {
-		tb = huffTableBits
-	}
-	t.bits = tb
-	t.mask = uint32(1)<<uint(tb) - 1
-	size := 1 << uint(tb)
-	t.primary = growU32(t.primary, size)
-
+	const tb = huffTableBits
 	if max > tb {
 		// First pass: each primary slot's subtable is as wide as the
 		// longest code sharing that tb-bit prefix requires.
-		if cap(t.subw) < size {
-			t.subw = make([]uint8, size)
-		}
-		t.subw = t.subw[:size]
-		clear(t.subw)
+		clear(t.subw[:])
 		nc := nextcode
 		for _, n := range lengths {
 			if n == 0 {
@@ -179,7 +163,7 @@ func (t *huffTable) build(lengths []int) bool {
 				continue
 			}
 			rev := int(bits.Reverse16(uint16(c))) >> uint(16-n)
-			if s := rev & int(t.mask); int(t.subw[s]) < n-tb {
+			if s := rev & huffTableMask; int(t.subw[s]) < n-tb {
 				t.subw[s] = uint8(n - tb)
 			}
 		}
@@ -191,7 +175,10 @@ func (t *huffTable) build(lengths []int) bool {
 			t.primary[s] = huffSubFlag | uint32(off)<<8 | uint32(w)
 			off += 1 << uint(w)
 		}
-		t.sub = growU32(t.sub, off)
+		if cap(t.sub) < off {
+			t.sub = make([]uint32, off)
+		}
+		t.sub = t.sub[:off]
 	}
 
 	for sym, n := range lengths {
@@ -203,14 +190,14 @@ func (t *huffTable) build(lengths []int) bool {
 		rev := int(bits.Reverse16(uint16(c))) >> uint(16-n)
 		entry := uint32(sym)<<8 | uint32(n)
 		if n <= tb {
-			for off := rev; off < size; off += 1 << uint(n) {
+			for off := rev; off < len(t.primary); off += 1 << uint(n) {
 				t.primary[off] = entry
 			}
 		} else {
-			p := t.primary[rev&int(t.mask)]
+			p := t.primary[rev&huffTableMask]
 			base := int(p>>8) & huffSubOffs
 			w := int(p & 0xff)
-			for off := rev >> uint(tb); off < 1<<uint(w); off += 1 << uint(n-tb) {
+			for off := rev >> tb; off < 1<<uint(w); off += 1 << uint(n-tb) {
 				t.sub[base+off] = entry
 			}
 		}
@@ -224,9 +211,9 @@ func (b *bitReader) readSym(t *huffTable) (int, error) {
 	if b.cnt < 15 {
 		b.fill()
 	}
-	e := t.primary[uint32(b.bits)&t.mask]
+	e := t.primary[uint32(b.bits)&huffTableMask]
 	if e&huffSubFlag != 0 {
-		e = t.sub[(int(e>>8)&huffSubOffs)+int(uint32(b.bits)>>uint(t.bits))&(1<<(e&0xff)-1)]
+		e = t.sub[(int(e>>8)&huffSubOffs)+int(uint32(b.bits)>>huffTableBits)&(1<<(e&0xff)-1)]
 	}
 	n := int(e & 0xff)
 	if n == 0 || n > b.cnt {
@@ -446,21 +433,35 @@ func (d *inflater) readHuffman() error {
 	return nil
 }
 
-// huffmanBlock decodes one compressed block into out starting at w.
-// One fill per iteration covers the worst-case symbol: 15 bits of
-// literal/length code + 5 extra + 15 bits of distance code + 13 extra
-// = 48 ≤ 56; the per-step cnt checks only fire near true end of input
-// (where they mean truncation) — never in steady state.
+// Margins of the fast loop (huffmanFast): it runs while a whole 64-bit
+// refill load fits in the input and the longest match, rounded up to
+// whole 8-byte word stores, fits in the output.
+const (
+	fastInMargin  = 8
+	fastOutMargin = 258 + 8
+)
+
+// huffmanBlock decodes one compressed block into out starting at w:
+// huffmanFast first, then the careful loop below for the block tail
+// the fast loop's margins leave. In the careful loop one fill per
+// iteration covers the worst-case symbol: 15 bits of literal/length
+// code + 5 extra + 15 bits of distance code + 13 extra = 48 ≤ 56; the
+// per-step cnt checks only fire near true end of input (where they
+// mean truncation) — never in steady state.
 func (d *inflater) huffmanBlock(out []byte, w int, lit, dist *huffTable) (int, error) {
+	w, done, err := d.huffmanFast(out, w, lit, dist)
+	if done || err != nil {
+		return w, err
+	}
 	b := &d.br
 	max := len(out)
 	for {
 		if b.cnt < 48 {
 			b.fill()
 		}
-		e := lit.primary[uint32(b.bits)&lit.mask]
+		e := lit.primary[uint32(b.bits)&huffTableMask]
 		if e&huffSubFlag != 0 {
-			e = lit.sub[(int(e>>8)&huffSubOffs)+int(uint32(b.bits)>>uint(lit.bits))&(1<<(e&0xff)-1)]
+			e = lit.sub[(int(e>>8)&huffSubOffs)+int(uint32(b.bits)>>huffTableBits)&(1<<(e&0xff)-1)]
 		}
 		n := int(e & 0xff)
 		if n == 0 || n > b.cnt {
@@ -494,9 +495,9 @@ func (d *inflater) huffmanBlock(out []byte, w int, lit, dist *huffTable) (int, e
 			b.cnt -= eb
 		}
 
-		e = dist.primary[uint32(b.bits)&dist.mask]
+		e = dist.primary[uint32(b.bits)&huffTableMask]
 		if e&huffSubFlag != 0 {
-			e = dist.sub[(int(e>>8)&huffSubOffs)+int(uint32(b.bits)>>uint(dist.bits))&(1<<(e&0xff)-1)]
+			e = dist.sub[(int(e>>8)&huffSubOffs)+int(uint32(b.bits)>>huffTableBits)&(1<<(e&0xff)-1)]
 		}
 		n = int(e & 0xff)
 		if n == 0 || n > b.cnt {
@@ -538,4 +539,125 @@ func (d *inflater) huffmanBlock(out []byte, w int, lit, dist *huffTable) (int, e
 		}
 		w += length
 	}
+}
+
+// huffmanFast is the body of huffmanBlock while the input holds at
+// least fastInMargin unread bytes and the output fastOutMargin free
+// ones (the structure of libdeflate's decompressor fast loop; the
+// refill is the branch-free 64-bit refill of Fabian Giesen's "Reading
+// bits in far too many ways"). The bit state lives in locals and is written
+// back to d.br on every exit. Each iteration refills with one
+// unaligned 64-bit load, leaving ≥ 56 valid bits: more than the
+// worst-case length/distance pair (48 bits), so no step can run out of
+// bits and the careful loop's truncation checks are not needed here.
+// The output margin makes the oversize check unnecessary too and lets
+// match copies store whole words: nothing lands past len(out), and the
+// bytes a word store writes past the match end are overwritten before
+// they are read, or lie beyond the returned out[:w]. Every other check
+// of the careful loop stays, with the same errors. done reports that
+// the block's end-of-block symbol was decoded; otherwise, without an
+// error, the careful loop finishes the block.
+func (d *inflater) huffmanFast(out []byte, w int, lit, dist *huffTable) (_ int, done bool, err error) {
+	in := d.br.in
+	pos, bb, cnt := d.br.pos, d.br.bits, uint(d.br.cnt)
+	for pos+fastInMargin <= len(in) && w+fastOutMargin <= len(out) {
+		bb |= binary.LittleEndian.Uint64(in[pos:]) << (cnt & 63)
+		k := (63 - cnt) >> 3
+		pos += int(k)
+		cnt += k << 3
+
+		e := lit.primary[uint32(bb)&huffTableMask]
+		if e&huffSubFlag != 0 {
+			e = lit.sub[(int(e>>8)&huffSubOffs)+int(uint32(bb)>>huffTableBits)&(1<<(e&0xff)-1)]
+		}
+		n := uint(e & 0xff)
+		if n == 0 {
+			err = errInflate
+			break
+		}
+		if e < 256<<8 {
+			bb >>= n & 63
+			cnt -= n
+			out[w] = byte(e >> 8)
+			w++
+			// A second literal fits in the ≥ 41 bits left; anything
+			// else is decoded again after the next refill.
+			e = lit.primary[uint32(bb)&huffTableMask]
+			if e&huffSubFlag != 0 {
+				e = lit.sub[(int(e>>8)&huffSubOffs)+int(uint32(bb)>>huffTableBits)&(1<<(e&0xff)-1)]
+			}
+			if n = uint(e & 0xff); n != 0 && e < 256<<8 {
+				bb >>= n & 63
+				cnt -= n
+				out[w] = byte(e >> 8)
+				w++
+			}
+			continue
+		}
+		bb >>= n & 63
+		cnt -= n
+		sym := int(e >> 8)
+		if sym == 256 {
+			done = true
+			break
+		}
+		li := sym - 257
+		if li >= len(lenBase) {
+			err = errInflate
+			break
+		}
+		eb := uint(lenExtra[li])
+		length := int(lenBase[li]) + int(bb&(1<<eb-1))
+		bb >>= eb & 63
+		cnt -= eb
+
+		e = dist.primary[uint32(bb)&huffTableMask]
+		if e&huffSubFlag != 0 {
+			e = dist.sub[(int(e>>8)&huffSubOffs)+int(uint32(bb)>>huffTableBits)&(1<<(e&0xff)-1)]
+		}
+		n = uint(e & 0xff)
+		if n == 0 {
+			err = errInflate
+			break
+		}
+		bb >>= n & 63
+		cnt -= n
+		ds := int(e >> 8)
+		if ds >= inflateMaxDist {
+			err = errInflate
+			break
+		}
+		eb = uint(distExtra[ds])
+		dst := int(distBase[ds]) + int(bb&(1<<eb-1))
+		bb >>= eb & 63
+		cnt -= eb
+		if dst > w {
+			err = errInflate // match reaches before output start
+			break
+		}
+
+		switch {
+		case dst >= 8:
+			src := w - dst
+			binary.LittleEndian.PutUint64(out[w:], binary.LittleEndian.Uint64(out[src:]))
+			binary.LittleEndian.PutUint64(out[w+8:], binary.LittleEndian.Uint64(out[src+8:]))
+			for i := 16; i < length; i += 8 {
+				binary.LittleEndian.PutUint64(out[w+i:], binary.LittleEndian.Uint64(out[src+i:]))
+			}
+		case dst == 1:
+			v := uint64(out[w-1]) * 0x0101010101010101
+			binary.LittleEndian.PutUint64(out[w:], v)
+			binary.LittleEndian.PutUint64(out[w+8:], v)
+			for i := 16; i < length; i += 8 {
+				binary.LittleEndian.PutUint64(out[w+i:], v)
+			}
+		default:
+			for i := 0; i < length; i++ {
+				out[w+i] = out[w-dst+i]
+			}
+		}
+		w += length
+	}
+	d.br.pos, d.br.bits, d.br.cnt = pos, bb, int(cnt)
+	return w, done, err
 }

@@ -5,7 +5,11 @@ import (
 	"compress/flate"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"heapmd/internal/event"
 )
 
 // inflateStdlib is the reference decoder: the stdlib flate reader
@@ -256,26 +260,135 @@ func TestInflateRawRejected(t *testing.T) {
 
 // FuzzInflate drives arbitrary bytes through both decoders and
 // requires them to agree on accept/reject and on every output byte.
+// For a stream the stdlib accepts, the output bound is derived from
+// its length: exact, up to 300 spare bytes, or one byte short, so the
+// switch from the fast loop to the careful tail loop on the output
+// margin lands everywhere in the stream.
 func FuzzInflate(f *testing.F) {
 	payloads := inflatePayloads(f)
 	for _, name := range []string{"tiny", "columnar"} {
 		for _, level := range []int{flate.NoCompression, flate.BestSpeed, 6, flate.HuffmanOnly} {
-			f.Add(deflateLevel(f, payloads[name], level))
+			for _, slack := range []uint16{0, 1, 266, 301} {
+				f.Add(deflateLevel(f, payloads[name], level), slack)
+			}
 		}
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0x01, 0x00, 0x00, 0xff, 0xff}) // stored, n=0, final
-	f.Add([]byte{0x03, 0x00})                   // fixed, EOB only
-	f.Add([]byte{0xed, 0xfd, 0x01})             // dynamic header fragment
-	f.Fuzz(func(t *testing.T, body []byte) {
-		const max = 1 << 17
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{0x01, 0x00, 0x00, 0xff, 0xff}, uint16(1)) // stored, n=0, final
+	f.Add([]byte{0x03, 0x00}, uint16(1))                   // fixed, EOB only
+	f.Add([]byte{0xed, 0xfd, 0x01}, uint16(0))             // dynamic header fragment
+	f.Fuzz(func(t *testing.T, body []byte, slack uint16) {
+		max := 1 << 17
+		if ref, err := inflateStdlib(body, max); err == nil {
+			max = len(ref) + int(slack%302) - 1
+			if max < 0 {
+				max = 0
+			}
+		}
 		want, wantErr := inflateStdlib(body, max)
 		got, gotErr := inflateCustom(body, max)
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("accept/reject mismatch: stdlib err %v, custom err %v", wantErr, gotErr)
+			t.Fatalf("max %d: accept/reject mismatch: stdlib err %v, custom err %v", max, wantErr, gotErr)
 		}
 		if wantErr == nil && !bytes.Equal(want, got) {
-			t.Fatalf("output mismatch: stdlib %d bytes, custom %d bytes", len(want), len(got))
+			t.Fatalf("max %d: output mismatch: stdlib %d bytes, custom %d bytes", max, len(want), len(got))
 		}
 	})
+}
+
+// TestInflateFastLoopBoundary decodes streams full of 258-byte matches
+// at distances 1–8 (each copy rule of the fast loop: the broadcast
+// store, byte copies, overlapping word copies), with block ends near
+// the end of the input, at every output bound from one byte short to
+// 300 spare. Across that range the fast loop's output margin falls on
+// every symbol of the last ~565 output bytes; both decoders must agree
+// on the verdict and the bytes at every bound. Each stream is decoded
+// as is, where the fast loop stops on the input margin before the
+// last blocks, and with trailing bytes (ignored by both decoders) that
+// keep the fast loop running to the final match.
+func TestInflateFastLoopBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	noise := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	for dist := 1; dist <= 8; dist++ {
+		run := make([]byte, 700)
+		copy(run, noise(dist))
+		for i := dist; i < len(run); i++ {
+			run[i] = run[i-dist]
+		}
+		for _, tail := range []int{257, 258, 300} {
+			// A sync flush between chunks ends a block there; the last
+			// blocks end within a few bytes of the input end, the last
+			// one on a long match.
+			chunks := [][]byte{noise(40), run, noise(5), run[:tail]}
+			var payload []byte
+			for _, c := range chunks {
+				payload = append(payload, c...)
+			}
+			for _, level := range []int{flate.BestSpeed, flate.BestCompression} {
+				var buf bytes.Buffer
+				fw, err := flate.NewWriter(&buf, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range chunks {
+					fw.Write(c)
+					fw.Flush()
+				}
+				fw.Close()
+				for _, pad := range []int{0, 16} {
+					body := append(bytes.Clone(buf.Bytes()), make([]byte, pad)...)
+					for max := len(payload) - 1; max <= len(payload)+300; max++ {
+						want, wantErr := inflateStdlib(body, max)
+						got, gotErr := inflateCustom(body, max)
+						if (wantErr == nil) != (gotErr == nil) || !bytes.Equal(want, got) {
+							t.Fatalf("dist %d tail %d level %d pad %d max %d: stdlib %d bytes err %v, custom %d bytes err %v",
+								dist, tail, level, pad, max, len(want), wantErr, len(got), gotErr)
+						}
+						if wantErr == nil && !bytes.Equal(got, payload) {
+							t.Fatalf("dist %d tail %d level %d pad %d max %d: round-trip mismatch", dist, tail, level, pad, max)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkInflate measures the inflater alone on the frame bodies a
+// real program's trace compresses to: the events of the checked-in
+// mcf trace, cut into DefaultBatchRecords-record frames, column-
+// encoded and deflated at the writer's level. ns/event is inflate
+// time per decoded record.
+func BenchmarkInflate(b *testing.B) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy-mcf-v3.trace"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var evs []event.Event
+	if _, _, err := Replay(bytes.NewReader(data), event.SinkFunc(func(e event.Event) { evs = append(evs, e) })); err != nil {
+		b.Fatal(err)
+	}
+	var bodies [][]byte
+	raw := 0
+	for i := 0; i < len(evs); i += DefaultBatchRecords {
+		cols := encodeColumns(nil, evs[i:min(i+DefaultBatchRecords, len(evs))])
+		raw += len(cols)
+		bodies = append(bodies, deflateLevel(b, cols, flate.BestSpeed))
+	}
+	var c flateCodec
+	var dst []byte
+	b.SetBytes(int64(raw))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, body := range bodies {
+			if dst, err = c.Decompress(dst, body, DefaultBatchRecords*maxEncodedRecord); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(len(evs))*float64(b.N)), "ns/event")
 }
