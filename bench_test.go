@@ -644,7 +644,7 @@ func BenchmarkConnectivityMetricPoint(b *testing.B) {
 			query := func(g *heapgraph.Graph) int { return g.ConnectedComponentCount() }
 			name := "incremental"
 			if walk {
-				query = func(g *heapgraph.Graph) int { return g.WeaklyConnectedComponents().Count }
+				query = func(g *heapgraph.Graph) int { return g.WeaklyConnectedComponents() }
 				name = "reference-walk"
 			}
 			b.Run(fmt.Sprintf("V=%d/%s", n, name), func(b *testing.B) {
@@ -702,7 +702,7 @@ func BenchmarkSCCMetricPoint(b *testing.B) {
 			query := func(g *heapgraph.Graph) int { return g.StronglyConnectedComponentCount() }
 			name := "incremental"
 			if walk {
-				query = func(g *heapgraph.Graph) int { return g.StronglyConnectedComponents().Count }
+				query = func(g *heapgraph.Graph) int { return g.StronglyConnectedComponents() }
 				name = "reference-walk"
 			}
 			b.Run(fmt.Sprintf("V=%d/%s", n, name), func(b *testing.B) {

@@ -11,35 +11,28 @@ package heapgraph
 
 import (
 	"fmt"
+	"strconv"
 
 	"heapmd/internal/arena"
 )
 
-// ComponentStats summarizes a components decomposition.
-type ComponentStats struct {
-	Count   int // number of components
-	Largest int // vertex count of the largest component
-}
-
-// WeaklyConnectedComponents computes the number and largest size of
-// weakly connected components (edge direction ignored). Isolated
-// vertices are singleton components.
-func (g *Graph) WeaklyConnectedComponents() ComponentStats {
+// WeaklyConnectedComponents returns the number of weakly connected
+// components (edge direction ignored). Isolated vertices are singleton
+// components.
+func (g *Graph) WeaklyConnectedComponents() int {
 	seen := make([]bool, len(g.ids))
-	var stats ComponentStats
+	count := 0
 	stack := make([]int32, 0, 64)
 	for root := range g.ids {
 		if !g.alive[root] || seen[root] {
 			continue
 		}
-		stats.Count++
-		size := 0
+		count++
 		stack = append(stack[:0], int32(root))
 		seen[root] = true
 		for len(stack) > 0 {
 			s := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			size++
 			visit := func(w, _ int32) bool {
 				if !seen[w] {
 					seen[w] = true
@@ -50,30 +43,26 @@ func (g *Graph) WeaklyConnectedComponents() ComponentStats {
 			g.outAdj.At(s).each(visit)
 			g.inAdj.At(s).each(visit)
 		}
-		if size > stats.Largest {
-			stats.Largest = size
-		}
 	}
-	return stats
+	return count
 }
 
-// StronglyConnectedComponents computes the number and largest size of
-// strongly connected components using an iterative Tarjan algorithm.
-// The iterative formulation matters: heap graphs routinely contain
-// list structures hundreds of thousands of vertices long, which would
-// overflow the goroutine stack under naive recursion.
-func (g *Graph) StronglyConnectedComponents() ComponentStats {
+// StronglyConnectedComponents returns the number of strongly connected
+// components, found by an iterative Tarjan algorithm. The iterative
+// formulation matters: heap graphs routinely contain list structures
+// hundreds of thousands of vertices long, which would overflow the
+// goroutine stack under naive recursion.
+func (g *Graph) StronglyConnectedComponents() int {
 	n := len(g.ids)
 	if g.NumVertices() == 0 {
-		return ComponentStats{}
+		return 0
 	}
 	index := make([]int32, n) // discovery index, 0 = unvisited
 	lowlink := make([]int32, n)
 	onStack := make([]bool, n)
 	sccStack := make([]int32, 0, 64)
 	next := int32(1)
-
-	var stats ComponentStats
+	count := 0
 
 	// frame emulates Tarjan's recursion: succs holds the successor
 	// slots still to be explored.
@@ -136,24 +125,19 @@ func (g *Graph) StronglyConnectedComponents() ComponentStats {
 			}
 			if lowlink[v] == index[v] {
 				// v is an SCC root: pop its component.
-				size := 0
 				for {
 					w := sccStack[len(sccStack)-1]
 					sccStack = sccStack[:len(sccStack)-1]
 					onStack[w] = false
-					size++
 					if w == v {
 						break
 					}
 				}
-				stats.Count++
-				if size > stats.Largest {
-					stats.Largest = size
-				}
+				count++
 			}
 		}
 	}
-	return stats
+	return count
 }
 
 // CheckInvariants verifies the incremental bookkeeping against a full
@@ -172,13 +156,13 @@ func (g *Graph) CheckInvariants() string {
 		live++
 		v := g.ids[s]
 		if g.slotOf(v) != int32(s) {
-			return "index does not resolve vertex " + itoa(uint64(v)) + " to its slot"
+			return "index does not resolve vertex " + strconv.FormatUint(uint64(v), 10) + " to its slot"
 		}
 		in, out := 0, 0
 		violation := ""
 		g.inAdj.At(int32(s)).each(func(_, m int32) bool {
 			if m <= 0 {
-				violation = "non-positive in-multiplicity at vertex " + itoa(uint64(v))
+				violation = "non-positive in-multiplicity at vertex " + strconv.FormatUint(uint64(v), 10)
 				return false
 			}
 			in += int(m)
@@ -189,7 +173,7 @@ func (g *Graph) CheckInvariants() string {
 		}
 		g.outAdj.At(int32(s)).each(func(_, m int32) bool {
 			if m <= 0 {
-				violation = "non-positive out-multiplicity at vertex " + itoa(uint64(v))
+				violation = "non-positive out-multiplicity at vertex " + strconv.FormatUint(uint64(v), 10)
 				return false
 			}
 			out += int(m)
@@ -199,10 +183,10 @@ func (g *Graph) CheckInvariants() string {
 			return violation
 		}
 		if in != int(g.inDeg[s]) {
-			return "cached indegree mismatch for vertex " + itoa(uint64(v))
+			return "cached indegree mismatch for vertex " + strconv.FormatUint(uint64(v), 10)
 		}
 		if out != int(g.outDeg[s]) {
-			return "cached outdegree mismatch for vertex " + itoa(uint64(v))
+			return "cached outdegree mismatch for vertex " + strconv.FormatUint(uint64(v), 10)
 		}
 		inHist[bucket(in)]++
 		outHist[bucket(out)]++
@@ -240,12 +224,12 @@ func (g *Graph) CheckInvariants() string {
 	// mismatched slot.
 	for v, ref := range g.dense {
 		if ref != 0 && (!g.alive[ref-1] || g.ids[ref-1] != VertexID(v)) {
-			return "stale dense index entry for vertex " + itoa(uint64(v))
+			return "stale dense index entry for vertex " + strconv.FormatUint(uint64(v), 10)
 		}
 	}
 	for v, ref := range g.sparse {
 		if ref == 0 || !g.alive[ref-1] || g.ids[ref-1] != v {
-			return "stale sparse index entry for vertex " + itoa(uint64(v))
+			return "stale sparse index entry for vertex " + strconv.FormatUint(uint64(v), 10)
 		}
 	}
 	// Symmetry: u's out-multiplicity to v must equal v's
@@ -273,9 +257,9 @@ func (g *Graph) checkSymmetric(s int32, a *adjacency, mirror *arena.Seg[adjacenc
 	a.each(func(w, m int32) bool {
 		switch {
 		case w < 0 || int(w) >= len(g.ids) || !g.alive[w]:
-			asym = "dead neighbour slot in the adjacency of " + itoa(uint64(g.ids[s]))
+			asym = "dead neighbour slot in the adjacency of " + strconv.FormatUint(uint64(g.ids[s]), 10)
 		case mirror.At(w).get(s) != m:
-			asym = "adjacency asymmetry between " + itoa(uint64(g.ids[s])) + " and " + itoa(uint64(g.ids[w]))
+			asym = "adjacency asymmetry between " + strconv.FormatUint(uint64(g.ids[s]), 10) + " and " + strconv.FormatUint(uint64(g.ids[w]), 10)
 		}
 		return asym == ""
 	})
@@ -287,34 +271,20 @@ func (g *Graph) checkSymmetric(s int32, a *adjacency, mirror *arena.Seg[adjacenc
 // WeaklyConnectedComponents, the strong count with
 // StronglyConnectedComponents — and returns a description of the
 // first disagreement, or "" when they agree (or no tracker is on).
-// Like a metric point, the query may first rebuild a dirty tracker.
+// Like a metric point, the query first rebuilds a stale tracker.
 // Tests call it at every metric point as the differential oracle.
 func (g *Graph) CheckComponents() string {
 	if g.wcc != nil {
-		if inc, ref := g.ConnectedComponentCount(), g.WeaklyConnectedComponents().Count; inc != ref {
+		if inc, ref := g.ConnectedComponentCount(), g.WeaklyConnectedComponents(); inc != ref {
 			return fmt.Sprintf("weak components: incremental=%d reference=%d (V=%d E=%d)",
 				inc, ref, g.NumVertices(), g.NumEdges())
 		}
 	}
 	if g.scc != nil {
-		if inc, ref := g.StronglyConnectedComponentCount(), g.StronglyConnectedComponents().Count; inc != ref {
+		if inc, ref := g.StronglyConnectedComponentCount(), g.StronglyConnectedComponents(); inc != ref {
 			return fmt.Sprintf("strong components: incremental=%d reference=%d (V=%d E=%d)",
 				inc, ref, g.NumVertices(), g.NumEdges())
 		}
 	}
 	return ""
-}
-
-func itoa(x uint64) string {
-	if x == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for x > 0 {
-		i--
-		buf[i] = byte('0' + x%10)
-		x /= 10
-	}
-	return string(buf[i:])
 }

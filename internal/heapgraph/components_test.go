@@ -87,13 +87,14 @@ func treeChurn(g *Graph, seed int64, nodes, points int, point func()) {
 // query, and 1 SCC rebuild except 2 on the 4096-node streams of seeds
 // 1 and 2, where one interval's searches overran the allowance. With
 // the weak tracker grown from the empty graph: 0 WCC rebuilds
-// everywhere, SCC unchanged.
+// everywhere, SCC unchanged. Deleting the rebuild threshold changed
+// neither: no eager rebuild ever fired on these streams.
 func TestTrackerRebuildCounts(t *testing.T) {
 	for _, nodes := range []int{4096, 8192, 12288} {
 		for seed := int64(1); seed <= 3; seed++ {
 			g := New()
-			g.TrackConnectivity(0)
-			g.TrackSCC(0)
+			g.TrackConnectivity()
+			g.TrackSCC()
 			treeChurn(g, seed, nodes, 20, func() {
 				if msg := g.CheckComponents(); msg != "" {
 					t.Fatalf("nodes=%d seed=%d: %s", nodes, seed, msg)
@@ -106,13 +107,86 @@ func TestTrackerRebuildCounts(t *testing.T) {
 	}
 }
 
+// TestTrackerStaleUntilQuery pins the exact-or-stale lifecycle. In one
+// query interval, 200 interior-forest-vertex removals leave the weak
+// tracker stale from the first on, and the query rebuilds it once (a
+// tracker that rebuilt during mutation would rebuild on the way). And a
+// query-free stream of 10^5 vertex add/remove rounds keeps both
+// trackers' node arenas within 4·V+65 nodes: an exact tracker goes
+// stale at the bound, and a stale one adds no nodes.
+func TestTrackerStaleUntilQuery(t *testing.T) {
+	t.Run("interior removals rebuild once, at the query", func(t *testing.T) {
+		const paths = 200
+		g := New()
+		g.TrackConnectivity()
+		for i := VertexID(0); i < paths; i++ {
+			a := 3 * i
+			g.AddVertex(a)
+			g.AddVertex(a + 1)
+			g.AddVertex(a + 2)
+			g.AddEdge(a, a+1)
+			g.AddEdge(a+1, a+2) // the forest is the path: a+1 is interior
+		}
+		for i := VertexID(0); i < paths; i++ {
+			g.RemoveVertex(3*i + 1)
+		}
+		if !g.wcc.stale || g.wcc.rebuilds != 0 {
+			t.Fatalf("before the query: stale=%v after %d rebuilds, want stale after 0", g.wcc.stale, g.wcc.rebuilds)
+		}
+		if got := g.ConnectedComponentCount(); got != 2*paths {
+			t.Fatalf("count = %d, want %d", got, 2*paths)
+		}
+		if g.wcc.rebuilds != 1 {
+			t.Fatalf("%d rebuilds, want 1", g.wcc.rebuilds)
+		}
+		oracleCheck(t, g)
+	})
+	t.Run("query-free churn bounds the node arena", func(t *testing.T) {
+		const n = 64
+		g := New()
+		g.TrackConnectivity()
+		g.TrackSCC()
+		for i := VertexID(0); i < n; i++ {
+			g.AddVertex(i)
+			if i > 0 {
+				g.AddEdge(i-1, i)
+			}
+		}
+		if msg := g.CheckComponents(); msg != "" { // builds the strong tracker
+			t.Fatal(msg)
+		}
+		for r := VertexID(0); r < 100000; r++ {
+			// A leaf and a singleton SCC: exact to add and remove, one
+			// abandoned node per round in each tracker.
+			v := n + r
+			g.AddVertex(v)
+			g.AddEdge(r%n, v)
+			g.RemoveVertex(v)
+			for _, c := range []*ufCore{&g.wcc.ufCore, &g.scc.ufCore} {
+				if len(c.parent) > 4*g.NumVertices()+65 {
+					t.Fatalf("round %d: %d nodes over %d vertices", r, len(c.parent), g.NumVertices())
+				}
+			}
+		}
+		if !g.wcc.stale || !g.scc.stale {
+			t.Fatalf("stale = %v/%v after the churn, want both stale at the bound", g.wcc.stale, g.scc.stale)
+		}
+		if msg := g.CheckComponents(); msg != "" {
+			t.Fatal(msg)
+		}
+		if w, s := len(g.wcc.parent), len(g.scc.parent); w != n || s != n {
+			t.Fatalf("the query's rebuilds left %d and %d nodes, want %d", w, s, n)
+		}
+	})
+}
+
 // componentProgram applies a fuzz program to g: two bytes per
 // operation, an opcode and two 4-bit vertex operands. Opcode 5 diffs
 // both trackers against the reference walks, as does the end of the
 // program. Opcode 6 resets g and turns both trackers on again at the
-// given threshold and allowance, so they reuse the old trackers'
-// slices, and diffs them on the emptied graph.
-func componentProgram(t *testing.T, g *Graph, data []byte, threshold, allowance int) {
+// given allowance, so they reuse the old trackers' slices, and diffs
+// them on the emptied graph.
+func componentProgram(t *testing.T, g *Graph, data []byte, allowance int) {
 	t.Helper()
 	check := func() {
 		t.Helper()
@@ -141,8 +215,8 @@ func componentProgram(t *testing.T, g *Graph, data []byte, threshold, allowance 
 			check()
 		case 6:
 			g.Reset()
-			g.TrackConnectivity(threshold)
-			g.TrackSCC(threshold)
+			g.TrackConnectivity()
+			g.TrackSCC()
 			g.setAllowance(allowance)
 			if g.NumVertices() != 0 || g.NumEdges() != 0 || g.HasVertex(u) {
 				t.Fatalf("Reset left %s", g)
@@ -195,24 +269,22 @@ func treeProgram(seed int64) []byte {
 
 // FuzzIncrementalComponents drives both trackers together through
 // arbitrary mutation programs and diffs them against the reference
-// walks (CheckComponents), at rebuild thresholds 1, default and 2^30,
-// each with the default search allowance and with an allowance of 2
-// entries, at which nearly every search bails out and dirties. Reset
-// steps (opcode 6) send the rest of a program through reused trackers.
+// walks (CheckComponents), with the default search allowance and with
+// an allowance of 2 entries, at which nearly every search bails out
+// and the trackers go stale. Reset steps (opcode 6) send the rest of a
+// program through reused trackers.
 func FuzzIncrementalComponents(f *testing.F) {
 	f.Add(treeProgram(1))
 	f.Add(treeProgram(2))
 	f.Add([]byte{0x00, 0x10, 0x00, 0x20, 0x01, 0x12, 0x01, 0x21, 0x05, 0x00, 0x02, 0x21, 0x05, 0x00})
 	f.Add(append(append(treeProgram(1), 6, 0), treeProgram(2)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, th := range []int{1, DefaultRebuildThreshold, 1 << 30} {
-			for _, allowance := range []int{0, 2} {
-				g := New()
-				g.TrackConnectivity(th)
-				g.TrackSCC(th)
-				g.setAllowance(allowance)
-				componentProgram(t, g, data, th, allowance)
-			}
+		for _, allowance := range []int{0, 2} {
+			g := New()
+			g.TrackConnectivity()
+			g.TrackSCC()
+			g.setAllowance(allowance)
+			componentProgram(t, g, data, allowance)
 		}
 	})
 }

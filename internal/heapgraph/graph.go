@@ -100,7 +100,8 @@ type Graph struct {
 
 	// Incremental weak (incremental.go) and strong
 	// (incremental_scc.go) connectivity trackers; nil until turned on
-	// or first queried. srch is the scratch their searches share,
+	// or first queried. Each is exact or stale, and only a count query
+	// rebuilds a stale one. srch is the scratch their searches share,
 	// allocated with the first tracker search or rebuild. Reset turns
 	// the trackers off and parks them in spareWCC and spareSCC, whose
 	// slices the next TrackConnectivity and TrackSCC reuse.
@@ -349,8 +350,6 @@ func (g *Graph) RemoveVertex(v VertexID) {
 	g.clearSlot(v)
 	g.freeSlots = append(g.freeSlots, s)
 	g.nVerts--
-	g.wccSettle()
-	g.sccSettle()
 }
 
 // AddEdge adds one unit of edge multiplicity from u to v. Both
@@ -383,9 +382,6 @@ func (g *Graph) AddEdge(u, v VertexID) bool {
 		g.sccAddEdge(us, vs)
 	}
 	g.edges++
-	// Unlike weak connectivity, edge *insertion* can dirty the SCC
-	// tracker (a probe out of allowance), so inserts also settle.
-	g.sccSettle()
 	return true
 }
 
@@ -418,8 +414,6 @@ func (g *Graph) RemoveEdge(u, v VertexID) bool {
 		g.sccRemoveEdge(us, vs)
 	}
 	g.edges--
-	g.wccSettle()
-	g.sccSettle()
 	return true
 }
 

@@ -212,28 +212,23 @@ func buildList(g *Graph, base VertexID, n int) {
 
 func TestWeaklyConnectedComponents(t *testing.T) {
 	g := New()
-	if cs := g.WeaklyConnectedComponents(); cs.Count != 0 {
-		t.Errorf("empty graph components = %+v", cs)
+	if n := g.WeaklyConnectedComponents(); n != 0 {
+		t.Errorf("empty graph components = %d", n)
 	}
 	buildList(g, 0, 10)
 	buildList(g, 100, 5)
 	g.AddVertex(999) // isolated singleton
-	cs := g.WeaklyConnectedComponents()
-	if cs.Count != 3 {
-		t.Errorf("Count = %d, want 3", cs.Count)
-	}
-	if cs.Largest != 10 {
-		t.Errorf("Largest = %d, want 10", cs.Largest)
+	if n := g.WeaklyConnectedComponents(); n != 3 {
+		t.Errorf("count = %d, want 3", n)
 	}
 }
 
 func TestSCCList(t *testing.T) {
 	g := New()
 	buildList(g, 0, 100)
-	cs := g.StronglyConnectedComponents()
 	// A list is acyclic: every vertex is its own SCC.
-	if cs.Count != 100 || cs.Largest != 1 {
-		t.Errorf("list SCCs = %+v, want {100 1}", cs)
+	if n := g.StronglyConnectedComponents(); n != 100 {
+		t.Errorf("list SCCs = %d, want 100", n)
 	}
 }
 
@@ -246,9 +241,8 @@ func TestSCCCycle(t *testing.T) {
 	for i := 0; i < n; i++ {
 		g.AddEdge(VertexID(i), VertexID((i+1)%n))
 	}
-	cs := g.StronglyConnectedComponents()
-	if cs.Count != 1 || cs.Largest != n {
-		t.Errorf("cycle SCCs = %+v, want {1 %d}", cs, n)
+	if got := g.StronglyConnectedComponents(); got != 1 {
+		t.Errorf("cycle SCCs = %d, want 1", got)
 	}
 }
 
@@ -263,9 +257,8 @@ func TestSCCMixed(t *testing.T) {
 	g.AddEdge(2, 0)
 	g.AddEdge(2, 3)
 	g.AddEdge(3, 4)
-	cs := g.StronglyConnectedComponents()
-	if cs.Count != 3 || cs.Largest != 3 {
-		t.Errorf("mixed SCCs = %+v, want {3 3}", cs)
+	if n := g.StronglyConnectedComponents(); n != 3 {
+		t.Errorf("mixed SCCs = %d, want 3", n)
 	}
 }
 
@@ -275,9 +268,8 @@ func TestSCCDeepListNoOverflow(t *testing.T) {
 	g := New()
 	const n = 300000
 	buildList(g, 0, n)
-	cs := g.StronglyConnectedComponents()
-	if cs.Count != n {
-		t.Errorf("deep list SCC count = %d, want %d", cs.Count, n)
+	if got := g.StronglyConnectedComponents(); got != n {
+		t.Errorf("deep list SCC count = %d, want %d", got, n)
 	}
 }
 
@@ -363,18 +355,18 @@ func TestGraphMetricsMatchBruteForce(t *testing.T) {
 // of a multi-edge must keep the endpoints connected.
 func TestStructureSelfLoopAndMultiEdge(t *testing.T) {
 	g := New()
-	g.TrackConnectivity(0)
-	g.TrackSCC(0)
+	g.TrackConnectivity()
+	g.TrackSCC()
 	g.AddVertex(1)
 	g.AddVertex(2)
 	g.AddEdge(1, 1) // self-loop
 	g.AddEdge(1, 2)
 	g.AddEdge(1, 2) // multi-edge
-	if got := g.WeaklyConnectedComponents(); got != (ComponentStats{Count: 1, Largest: 2}) {
-		t.Errorf("WCC = %+v, want 1 component of 2", got)
+	if got := g.WeaklyConnectedComponents(); got != 1 {
+		t.Errorf("WCC = %d, want 1", got)
 	}
-	if got := g.StronglyConnectedComponents(); got != (ComponentStats{Count: 2, Largest: 1}) {
-		t.Errorf("SCC = %+v, want 2 singletons", got)
+	if got := g.StronglyConnectedComponents(); got != 2 {
+		t.Errorf("SCC = %d, want 2 singletons", got)
 	}
 	if msg := g.CheckComponents(); msg != "" {
 		t.Fatal(msg)

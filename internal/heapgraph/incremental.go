@@ -37,7 +37,7 @@ import (
 //     forest leaf, however many non-forest edges it carries) or a
 //     forest root with one child leaves every tree connected: exact.
 //     Removing an interior forest vertex may split several subtrees at
-//     once: the tracker marks itself dirty and counts the delete.
+//     once: the tracker goes stale (see Lifecycle below).
 //
 // The tracker grows with the graph. The logger turns it on over the
 // empty heap image, where it is exact at count 0, and every vertex and
@@ -54,22 +54,24 @@ import (
 // tracker) charge every adjacency entry they scan against an allowance
 // of V+E+64 entries, refilled at every count query and every rebuild,
 // and credited one entry for every vertex and edge the tracker adds,
-// so cuts before the first query have a V+E-sized budget too. A search
-// that exhausts it gives up and marks the tracker dirty, so a query
-// interval costs at most about two rebuilds' worth of work.
+// so cuts before the first query have a V+E-sized budget too.
 //
-// Dirty states are amortized by rebuilds, the only ones the tracker
-// runs besides arena compaction: when the dirty counter reaches the
-// rebuild threshold the tracker rebuilds at the end of the mutation
-// (synchronously — the graph is single-goroutine, so there is no
-// background rebuild to race with), and a query on a dirty tracker
-// rebuilds lazily first. A rebuild replays the graph's links in
-// vertex-age order — each vertex, oldest first, linked to its older
-// neighbours with the same rule as an edge insert — so it rebuilds the
-// forest incremental maintenance would have grown: a tree's forest is
-// the tree, and a cross edge stays a non-forest link whose re-pointing
-// costs nothing. (A BFS forest would pick up cross edges, and then
-// every re-pointed cross edge is a cut.)
+// Lifecycle. Both trackers are either exact or stale. A tracker goes
+// stale in three ways: a search overruns its allowance, a delete shape
+// it cannot maintain exactly occurs (here, an interior forest vertex's
+// removal), or its node arena outgrows 4·V+64 nodes. A stale tracker's
+// mutation hooks return at once and add no nodes, so its memory stays
+// bounded. The next count query rebuilds it, and that is the only
+// place a rebuild runs: metrics are read only at metric points (paper
+// §2.1), so a count between two of them need not be exact, and a query
+// interval costs at most one rebuild plus one allowance of search
+// work. A rebuild replays the graph's links in vertex-age order — each
+// vertex, oldest first, linked to its older neighbours with the same
+// rule as an edge insert — so it rebuilds the forest incremental
+// maintenance would have grown: a tree's forest is the tree, and a
+// cross edge stays a non-forest link whose re-pointing costs nothing.
+// (A BFS forest would pick up cross edges, and then every re-pointed
+// cross edge is a cut.)
 //
 // Node indirection. A union-find element cannot be detached from its
 // tree without breaking other elements' parent chains through it. The
@@ -77,19 +79,12 @@ import (
 // per-slot table maps each live vertex to a node in a growable node
 // arena, and splitting vertices off just points their slots at a fresh
 // node, leaving the old nodes in place as interior links. Abandoned
-// nodes accumulate; when the node arena exceeds ~4x the live vertex
-// count a rebuild compacts it (reusing the slices' capacity, so
-// steady-state churn performs no allocation).
+// nodes accumulate until the arena bound makes the tracker stale, and
+// the query's rebuild compacts the arena, reusing the slices' capacity,
+// so steady-state churn performs no allocation.
 //
-// The tracker maintains Count only. The metric suite only consumes
-// Count (WCC per 100 vertices); Largest is left to the reference walk.
-
-// DefaultRebuildThreshold is the number of conservatively-counted
-// mutations that triggers an amortized rebuild. One rebuild is an
-// O(V+E) walk; at 64 dirtying mutations per rebuild the amortized cost
-// per mutation stays far below one full walk per metric point even on
-// delete-heavy churn.
-const DefaultRebuildThreshold = 64
+// The tracker maintains the count only, the one value the metric suite
+// reads (WCC per 100 vertices).
 
 // allowanceSlack is the constant part of a tracker's search allowance
 // (V+E+allowanceSlack adjacency entries per query interval), so tiny
@@ -99,10 +94,10 @@ const allowanceSlack = 64
 // ufCore is the union-find state shared by the weak-connectivity
 // tracker below and the strong-connectivity tracker
 // (incremental_scc.go): the node-indirection table, the node arena,
-// the count/dirty/threshold bookkeeping and the search allowance.
+// the count, the stale flag and the search allowance.
 type ufCore struct {
 	// node maps arena slot → union-find node, parallel to Graph.ids.
-	// Entries for dead slots are stale and never read.
+	// Entries for dead slots are leftovers and never read.
 	node []int32
 	// parent/size form the union-find node arena. size is only
 	// meaningful at roots and counts live vertices (not nodes), so
@@ -110,20 +105,18 @@ type ufCore struct {
 	parent []int32
 	size   []int32
 
-	count     int // live component count; exact iff dirty == 0 (and, for SCC, built)
-	dirty     int // conservative mutations since the tracker was last exact
-	threshold int // dirty level that forces a rebuild during mutation
+	count int  // live component count; exact unless stale
+	stale bool // maintenance given up; the next count query rebuilds
 
 	allow    int // adjacency entries searches may still scan this interval
 	allowCap int // test override of the allowance (0 = V+E+allowanceSlack)
 	rebuilds int // full rebuilds so far (read by tests)
 }
 
-// restart returns an empty core with the given rebuild threshold that
-// keeps t's slices, so a tracker turned on again over a reset graph
-// does not regrow them.
-func (t *ufCore) restart(threshold int) ufCore {
-	return ufCore{node: t.node[:0], parent: t.parent[:0], size: t.size[:0], threshold: threshold}
+// restart returns an empty core that keeps t's slices, so a tracker
+// turned on again over a reset graph does not regrow them.
+func (t *ufCore) restart() ufCore {
+	return ufCore{node: t.node[:0], parent: t.parent[:0], size: t.size[:0]}
 }
 
 // newNode appends a fresh singleton node to the node arena.
@@ -200,11 +193,14 @@ func (t *ufCore) credit() {
 	}
 }
 
-// needsRebuild reports whether an exact-maintained tracker should
-// rebuild at the end of a mutation: the dirty counter has reached the
-// rebuild threshold, or abandoned nodes dominate the node arena.
-func (t *ufCore) needsRebuild(nVerts int) bool {
-	return t.dirty >= t.threshold || len(t.parent) > 4*nVerts+64
+// bound marks the tracker stale once abandoned nodes dominate its node
+// arena — more than 4·V+64 nodes over V live vertices — so that the
+// next query's rebuild compacts it. Hooks call it after adding nodes
+// and when a vertex leaves.
+func (t *ufCore) bound(nVerts int) {
+	if len(t.parent) > 4*nVerts+64 {
+		t.stale = true
+	}
 }
 
 // Search marks. A mark entry holds the search epoch in its high bits
@@ -313,37 +309,32 @@ func (t *wccTracker) link(a, b int32) {
 	t.unite(ra, rb)
 }
 
-// TrackConnectivity turns on the weak-connectivity tracker with the
-// given rebuild threshold (<= 0 selects DefaultRebuildThreshold),
-// replacing any tracker already on (whose slices, or those of a
-// tracker parked by Reset, the new one reuses). The tracker is exact
-// from the start: over an empty graph it starts at count 0 and grows
-// with the graph, and over a populated one it builds itself from the
-// live adjacency at once (a build, not counted as a rebuild).
-func (g *Graph) TrackConnectivity(rebuildThreshold int) {
-	if rebuildThreshold <= 0 {
-		rebuildThreshold = DefaultRebuildThreshold
-	}
+// TrackConnectivity turns on the weak-connectivity tracker, replacing
+// any tracker already on (whose slices, or those of a tracker parked
+// by Reset, the new one reuses). The tracker is exact from the start:
+// over an empty graph it starts at count 0 and grows with the graph,
+// and over a populated one it builds itself from the live adjacency at
+// once (a build, not counted as a rebuild).
+func (g *Graph) TrackConnectivity() {
 	t := cmp.Or(g.wcc, g.spareWCC)
 	if t == nil {
 		t = new(wccTracker)
 	}
-	*t = wccTracker{ufCore: t.restart(rebuildThreshold), fpar: t.fpar[:0]}
+	*t = wccTracker{ufCore: t.restart(), fpar: t.fpar[:0]}
 	g.wcc, g.spareWCC = t, nil
 	g.rebuildWCC()
 	t.rebuilds = 0
 }
 
 // ConnectedComponentCount returns the number of weakly connected
-// components from the incremental tracker, turning it on at the
-// default threshold if it is off and rebuilding it first if mutations
-// have dirtied it.
+// components from the incremental tracker, turning it on if it is off
+// and rebuilding it first if it is stale.
 func (g *Graph) ConnectedComponentCount() int {
 	if g.wcc == nil {
-		g.TrackConnectivity(0)
+		g.TrackConnectivity()
 	}
 	t := g.wcc
-	if t.dirty > 0 {
+	if t.stale {
 		g.rebuildWCC()
 	}
 	t.refill(g)
@@ -356,10 +347,10 @@ func (g *Graph) ConnectedComponentCount() int {
 // first, since the edge that attached an object to the heap is
 // usually the first pointer stored to it. Existing slice capacity is
 // reused, so rebuilds after the first allocate only when the arena has
-// grown. It runs for dirty states and for compaction (it resets the
-// node arena to exactly one node per live vertex), and once when the
-// tracker is turned on, where over an empty graph it only sizes the
-// tables.
+// grown. It runs at a query on a stale tracker, which also compacts
+// the node arena to exactly one node per live vertex, and once when
+// the tracker is turned on, where over an empty graph it only sizes
+// the tables.
 func (g *Graph) rebuildWCC() {
 	t := g.wcc
 	n := len(g.ids)
@@ -389,7 +380,7 @@ func (g *Graph) rebuildWCC() {
 		g.outAdj.At(s).each(older)
 	}
 	sc.qa = order
-	t.dirty = 0
+	t.stale = false
 	t.rebuilds++
 	t.refill(g)
 }
@@ -398,7 +389,7 @@ func (g *Graph) rebuildWCC() {
 // mutation hooks should apply precise maintenance.
 func (g *Graph) wccMaintain() bool {
 	t := g.wcc
-	return t != nil && t.dirty == 0
+	return t != nil && !t.stale
 }
 
 // growTables gives the four slot- and node-indexed tables room for c
@@ -428,7 +419,7 @@ func (g *Graph) wccAddVertex(s int32) {
 	t.fpar[s] = -1
 	t.count++
 	t.credit()
-	g.wccSettle() // the arena may need compacting
+	t.bound(g.nVerts)
 }
 
 // wccAddEdge is the AddEdge hook (u != v slots; self-loops never
@@ -447,14 +438,10 @@ func (g *Graph) wccAddEdge(us, vs int32) {
 // forest still spans every component: exact no-op. Losing a forest
 // edge runs the cut search.
 func (g *Graph) wccRemoveEdge(us, vs int32) {
+	if !g.wccMaintain() {
+		return
+	}
 	t := g.wcc
-	if t == nil {
-		return
-	}
-	if t.dirty > 0 {
-		t.dirty++
-		return
-	}
 	if g.outAdj.At(us).get(vs) > 0 || g.outAdj.At(vs).get(us) > 0 {
 		return // still directly linked in some direction
 	}
@@ -471,8 +458,8 @@ func (g *Graph) wccRemoveEdge(us, vs int32) {
 // lockstep until one is complete, then looks for a graph edge leaving
 // that smaller half. One found becomes the replacement forest edge;
 // none means the half is a component of its own, and it moves to one
-// fresh union-find node. Running out of allowance marks the tracker
-// dirty instead.
+// fresh union-find node. Running out of allowance makes the tracker
+// stale instead.
 func (g *Graph) wccCut(c, p int32) {
 	t := g.wcc
 	t.fpar[c] = -1
@@ -496,8 +483,7 @@ func (g *Graph) wccCut(c, p int32) {
 		s.qa = g.forestExpand(s, s.qa, s.qa[i], markA, &budget)
 		s.qb = g.forestExpand(s, s.qb, s.qb[i], markB, &budget)
 		if budget < 0 {
-			t.allow = 0
-			t.dirty++
+			t.stale = true
 			return
 		}
 	}
@@ -517,8 +503,7 @@ func (g *Graph) wccCut(c, p int32) {
 			g.inAdj.At(x).each(leaves)
 		}
 		if budget < 0 {
-			t.allow = 0
-			t.dirty++
+			t.stale = true
 			return
 		}
 		if exit >= 0 {
@@ -537,6 +522,7 @@ func (g *Graph) wccCut(c, p int32) {
 		t.node[x] = r
 	}
 	t.count++
+	t.bound(g.nVerts)
 }
 
 // forestExpand appends to list the unvisited forest neighbours of slot
@@ -569,16 +555,12 @@ func (g *Graph) forestExpand(s *search, list []int32, x int32, flag uint32, budg
 // adjacency. Exact cases: no forest children (a singleton tree, or a
 // forest leaf whose other links are all non-forest edges) and a
 // forest root with one child (the child becomes the root). An interior
-// forest vertex may split its tree several ways: dirty.
+// forest vertex may split its tree several ways: stale.
 func (g *Graph) wccRemoveVertex(s int32) {
+	if !g.wccMaintain() {
+		return
+	}
 	t := g.wcc
-	if t == nil {
-		return
-	}
-	if t.dirty > 0 {
-		t.dirty++
-		return
-	}
 	child, kids := int32(-1), 0
 	count := func(y, _ int32) bool {
 		if t.fpar[y] == s && y != child {
@@ -602,18 +584,7 @@ func (g *Graph) wccRemoveVertex(s int32) {
 		t.fpar[child] = -1
 		t.size[r]--
 	default:
-		t.dirty++
+		t.stale = true
 	}
-}
-
-// wccSettle runs at the END of a mutation: once the dirty counter has
-// spent the rebuild threshold (or the node arena needs compacting),
-// rebuild now rather than at the next query, keeping worst-case query
-// latency flat. It must not run mid-mutation — wccRemoveVertex
-// classifies before the edges are detached, and a rebuild at that
-// point would capture the half-removed vertex.
-func (g *Graph) wccSettle() {
-	if t := g.wcc; t != nil && t.needsRebuild(g.nVerts) {
-		g.rebuildWCC()
-	}
+	t.bound(g.nVerts - 1) // the vertex is not yet uncounted
 }

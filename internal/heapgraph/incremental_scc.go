@@ -9,9 +9,10 @@ import (
 // This file implements incremental strong-connectivity tracking, the
 // SCC sibling of the weak-connectivity tracker in incremental.go. It
 // shares the union-find core (node indirection, growable node arena,
-// dirty/threshold bookkeeping, search allowance) and the search
-// scratch, and keeps the extended metric suite free of O(V+E) walks:
-// with both trackers on, a metric point costs O(churn), never O(heap).
+// stale flag, search allowance), the exact-or-stale lifecycle and the
+// search scratch, and keeps the extended metric suite free of O(V+E)
+// walks: with both trackers on, a metric point costs O(churn), never
+// O(heap).
 //
 // Edge inserts. Adding u→v merges SCCs exactly when v already reaches
 // u; every SCC on a v⇝u path joins u's SCC. The probe (sccProbe) runs
@@ -54,32 +55,30 @@ import (
 //   - removing a member of a multi-vertex SCC: the same local re-split
 //     over the SCC's other members.
 //
-// Probes, cut searches and re-splits charge the allowance shared with
-// the file comment of incremental.go (V+E+64 adjacency entries per
-// query interval); exhausting it marks the tracker dirty. Dirty states
-// amortize exactly like the WCC tracker's: the dirty counter forces a
-// rebuild at the configured threshold at the end of a mutation
-// (sccSettle — AddEdge settles too, because probe bailouts dirty on
-// insert), and queries on a dirty tracker rebuild lazily first. The
-// rebuild is the same iterative Tarjan as the local re-split. It runs
-// only over the live vertices with both in- and out-edges, along the
-// edges between them: any other vertex lies on no cycle and becomes a
-// singleton SCC directly. On a tree that leaves out every leaf and the
-// root, and every edge into a leaf. All Tarjan scratch is
-// tracker-owned and capacity-reused, so steady-state rebuilds and
-// re-splits allocate nothing.
+// Every shape above is exact, so this tracker goes stale only when a
+// probe, cut search or re-split overruns the allowance shared with the
+// file comment of incremental.go (V+E+64 adjacency entries per query
+// interval), or when its node arena outgrows 4·V+64 nodes; the next
+// query rebuilds it. The rebuild is the same iterative Tarjan as the
+// local re-split. It runs only over the live vertices with both in-
+// and out-edges, along the edges between them: any other vertex lies
+// on no cycle and becomes a singleton SCC directly. On a tree that
+// leaves out every leaf and the root, and every edge into a leaf. All
+// Tarjan scratch is tracker-owned and capacity-reused, so steady-state
+// rebuilds and re-splits allocate nothing.
 //
-// Unlike the WCC tracker, this one is built at the first query, not
-// grown with the graph: the build phase of a heap inserts thousands of
-// edges, and each would run a probe. One prototype measured a tracker
+// Unlike the WCC tracker, this one is not grown with the graph: it is
+// turned on stale, so its first query builds it. The build phase of a
+// heap inserts thousands of edges, and each would run a probe. One
+// prototype measured a tracker
 // grown from the empty graph slower on
 // BenchmarkLoggerStructureExtended/reused, 333 → 387 ns/event; against
 // the trimmed first build, sixteen alternating runs each at 4096 and
 // 8192 nodes found the two level (medians within the spread), so
 // growing it would buy nothing for the probes it adds.
 //
-// Like the WCC tracker, only Count is maintained (the suite consumes
-// SCC per 100 vertices); Largest is left to the reference walk.
+// Like the WCC tracker, it maintains the count only (the suite reads
+// SCC per 100 vertices).
 
 // sccFrame is one iterative-Tarjan stack frame: a vertex slot, the
 // next unexplored position within its CSR edge range, and the range
@@ -91,9 +90,6 @@ type sccFrame struct {
 // sccTracker is the incremental strong-connectivity state.
 type sccTracker struct {
 	ufCore
-	// built is set by the first rebuild, at the first query; until
-	// then the mutation hooks do nothing.
-	built bool
 
 	// Tarjan scratch (rebuildSCC and the local re-split), indexed by
 	// slot: a CSR copy of the members' out-edges — offs[s] points at a
@@ -108,21 +104,17 @@ type sccTracker struct {
 	stack   []int32
 }
 
-// TrackSCC turns on the strong-connectivity tracker with the given
-// rebuild threshold (<= 0 selects DefaultRebuildThreshold), replacing
-// any tracker already on. Like TrackConnectivity, it reuses the slices
-// of the tracker it replaces or that Reset parked; unlike it, the
-// tracker builds itself at the first query (see the file comment).
-func (g *Graph) TrackSCC(rebuildThreshold int) {
-	if rebuildThreshold <= 0 {
-		rebuildThreshold = DefaultRebuildThreshold
-	}
+// TrackSCC turns on the strong-connectivity tracker, replacing any
+// tracker already on. Like TrackConnectivity, it reuses the slices of
+// the tracker it replaces or that Reset parked; unlike it, the tracker
+// starts stale, so the first query builds it (see the file comment).
+func (g *Graph) TrackSCC() {
 	t := cmp.Or(g.scc, g.spareSCC)
 	if t == nil {
 		t = new(sccTracker)
 	}
 	*t = sccTracker{
-		ufCore:  t.restart(rebuildThreshold),
+		ufCore:  t.restart(),
 		offs:    t.offs[:0],
 		targets: t.targets[:0],
 		index:   t.index[:0],
@@ -131,19 +123,19 @@ func (g *Graph) TrackSCC(rebuildThreshold int) {
 		frames:  t.frames[:0],
 		stack:   t.stack[:0],
 	}
+	t.stale = true
 	g.scc, g.spareSCC = t, nil
 }
 
 // StronglyConnectedComponentCount returns the number of strongly
-// connected components from the incremental tracker, turning it on at
-// the default threshold if it is off and rebuilding it first if it has
-// never been built or mutations have dirtied it.
+// connected components from the incremental tracker, turning it on if
+// it is off and rebuilding it first if it is stale.
 func (g *Graph) StronglyConnectedComponentCount() int {
 	if g.scc == nil {
-		g.TrackSCC(0)
+		g.TrackSCC()
 	}
 	t := g.scc
-	if !t.built || t.dirty > 0 {
+	if t.stale {
 		g.rebuildSCC()
 	}
 	t.refill(g)
@@ -153,7 +145,7 @@ func (g *Graph) StronglyConnectedComponentCount() int {
 // sccMaintain reports whether the tracker is present and exact.
 func (g *Graph) sccMaintain() bool {
 	t := g.scc
-	return t != nil && t.built && t.dirty == 0
+	return t != nil && !t.stale
 }
 
 // sccAddVertex is the AddVertex hook: a new vertex is a new singleton
@@ -168,7 +160,7 @@ func (g *Graph) sccAddVertex(s int32) {
 	}
 	t.node[s] = t.newNode()
 	t.count++
-	g.sccSettle() // the arena may need compacting
+	t.bound(g.nVerts)
 }
 
 // sccAddEdge is the AddEdge hook (u != v slots; a self-loop never
@@ -201,8 +193,7 @@ func (g *Graph) sccProbe(us, vs, ru, rv int32) {
 		g.probeStep(s, &s.qa, &s.sa, s.qa[i], markA, &g.outAdj, ru, &budget)
 		g.probeStep(s, &s.qb, &s.sb, s.qb[i], markB, &g.inAdj, rv, &budget)
 		if budget < 0 {
-			t.allow = 0
-			t.dirty++
+			t.stale = true
 			return
 		}
 	}
@@ -218,8 +209,7 @@ func (g *Graph) sccProbe(us, vs, ru, rv int32) {
 	}
 	g.closure(s, seeds, side, back, &budget)
 	if budget < 0 {
-		t.allow = 0
-		t.dirty++
+		t.stale = true
 		return
 	}
 	t.allow = budget
@@ -285,14 +275,10 @@ func (g *Graph) closure(s *search, seeds []int32, within uint32, adj *arena.Seg[
 // a parallel edge remains, or the edge was cross-SCC (losing it cannot
 // split any cycle). An intra-SCC edge runs the cut search.
 func (g *Graph) sccRemoveEdge(us, vs int32) {
-	t := g.scc
-	if t == nil || !t.built {
-		return // never queried yet; the first query builds from scratch
-	}
-	if t.dirty > 0 {
-		t.dirty++
+	if !g.sccMaintain() {
 		return
 	}
+	t := g.scc
 	if g.outAdj.At(us).get(vs) > 0 {
 		return // parallel edge remains: same reachability
 	}
@@ -317,14 +303,14 @@ func (g *Graph) sccCut(us, vs, r int32) {
 		met = g.cutStep(s, &s.qa, s.qa[i], markA, markB, &g.outAdj, r, &budget) ||
 			g.cutStep(s, &s.qb, s.qb[i], markB, markA, &g.inAdj, r, &budget)
 		if budget < 0 {
-			t.allow = 0
-			t.dirty++
+			t.stale = true
 			return
 		}
 	}
 	if !met {
 		members := g.sccClass(s, us, r, &budget)
 		g.sccResplit(members, &budget)
+		t.bound(g.nVerts)
 		return
 	}
 	t.allow = budget
@@ -374,12 +360,11 @@ func (g *Graph) sccClass(s *search, x, r int32, budget *int) []int32 {
 
 // sccResplit replaces one SCC by the SCCs Tarjan finds among members
 // (the slots marked markR), following only edges between members. Out
-// of allowance, it marks the tracker dirty instead.
+// of allowance, it makes the tracker stale instead.
 func (g *Graph) sccResplit(members []int32, budget *int) {
 	t := g.scc
 	if *budget < 0 || !g.sccCSR(members, true, budget) {
-		t.allow = 0
-		t.dirty++
+		t.stale = true
 		return
 	}
 	t.allow = *budget
@@ -394,44 +379,30 @@ func (g *Graph) sccResplit(members []int32, budget *int) {
 // a member of a larger SCC breaks the cycles through it: the other
 // members are re-split locally.
 func (g *Graph) sccRemoveVertex(x int32) {
+	if !g.sccMaintain() {
+		return
+	}
 	t := g.scc
-	if t == nil || !t.built {
-		return
-	}
-	if t.dirty > 0 {
-		t.dirty++
-		return
-	}
-	r := t.find(t.node[x])
-	if t.size[r] == 1 {
+	if r := t.find(t.node[x]); t.size[r] == 1 {
 		t.size[r] = 0
 		t.count--
-		return
+	} else {
+		s := g.beginSearch()
+		budget := t.allow
+		members := g.sccClass(s, x, r, &budget)
+		s.mark[x] &^= markR // x heads the list; the re-split leaves it out
+		g.sccResplit(members[1:], &budget)
 	}
-	s := g.beginSearch()
-	budget := t.allow
-	members := g.sccClass(s, x, r, &budget)
-	s.mark[x] &^= markR // x heads the list; the re-split leaves it out
-	g.sccResplit(members[1:], &budget)
-}
-
-// sccSettle runs at the end of a mutation (inserts too — a probe
-// bailout dirties on insert): once the dirty counter has spent the
-// rebuild threshold (or the node arena needs compacting), rebuild now
-// rather than at the next query, keeping worst-case query latency
-// flat. Like wccSettle it must not run mid-mutation.
-func (g *Graph) sccSettle() {
-	if t := g.scc; t != nil && t.built && t.needsRebuild(g.nVerts) {
-		g.rebuildSCC()
-	}
+	t.bound(g.nVerts - 1) // x is not yet uncounted
 }
 
 // rebuildSCC recomputes the tracker from the live adjacency. A vertex
 // with no in-edges or no out-edges lies on no cycle, so it becomes a
 // singleton SCC directly and stays out of the CSR and Tarjan; one
 // Tarjan pass over the other live vertices, along the edges between
-// them, gives each remaining SCC one union-find node. This is also the
-// compaction path.
+// them, gives each remaining SCC one union-find node. It runs at a
+// query on a stale tracker (the first query included, since TrackSCC
+// turns the tracker on stale), and it is also the compaction path.
 func (g *Graph) rebuildSCC() {
 	t := g.scc
 	n := len(g.ids)
@@ -452,8 +423,7 @@ func (g *Graph) rebuildSCC() {
 	sc.qa = members
 	g.sccCSR(members, false, nil)
 	g.tarjan(members)
-	t.dirty = 0
-	t.built = true
+	t.stale = false
 	t.rebuilds++
 	t.refill(g)
 }

@@ -2,6 +2,7 @@ package heapgraph
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ import (
 func oracleCheck(t *testing.T, g *Graph) {
 	t.Helper()
 	got := g.ConnectedComponentCount()
-	want := g.WeaklyConnectedComponents().Count
+	want := g.WeaklyConnectedComponents()
 	if got != want {
 		t.Fatalf("ConnectedComponentCount = %d, oracle = %d (V=%d E=%d)",
 			got, want, g.NumVertices(), g.NumEdges())
@@ -22,17 +23,17 @@ func oracleCheck(t *testing.T, g *Graph) {
 }
 
 // TestIncrementalWCCMatchesSnapshotRandom drives a delete-heavy random
-// mutation mix against the incremental tracker at several rebuild
-// thresholds (1 = rebuild on every conservative delete, 1<<30 = only
-// lazy query rebuilds) and checks the count against the reference walk
-// after every few operations.
+// mutation mix against the incremental tracker at two search
+// allowances (budget=2: nearly every cut search bails out and the
+// tracker goes stale; budget=128: searches mostly complete) and checks
+// the count against the reference walk after every few operations.
 func TestIncrementalWCCMatchesSnapshotRandom(t *testing.T) {
-	for _, th := range []int{1, 4, DefaultRebuildThreshold, 1 << 30} {
-		th := th
-		t.Run("threshold="+itoa(uint64(th)), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(th)*7919 + 17))
+	for _, budget := range []int{2, 128} {
+		t.Run("budget="+strconv.Itoa(budget), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(budget)*13 + 17))
 			g := New()
-			g.TrackConnectivity(th)
+			g.TrackConnectivity()
+			g.setAllowance(budget)
 			const idSpace = 48
 			for step := 0; step < 4000; step++ {
 				u := VertexID(rng.Intn(idSpace))
@@ -66,7 +67,7 @@ func TestIncrementalWCCMatchesSnapshotRandom(t *testing.T) {
 func TestIncrementalWCCVerifyMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g := New()
-	g.TrackConnectivity(2)
+	g.TrackConnectivity()
 	verify := func(step int) {
 		if msg := g.CheckComponents(); msg != "" {
 			t.Fatalf("step %d: %s", step, msg)
@@ -95,7 +96,7 @@ func TestIncrementalWCCVerifyMode(t *testing.T) {
 // in-package and checks the oracle actually trips.
 func TestCheckComponentsReportsWCCDivergence(t *testing.T) {
 	g := New()
-	g.TrackConnectivity(0)
+	g.TrackConnectivity()
 	g.AddVertex(1)
 	g.AddVertex(2)
 	g.AddEdge(1, 2)
@@ -110,22 +111,22 @@ func TestCheckComponentsReportsWCCDivergence(t *testing.T) {
 
 // TestIncrementalWCCExactShapes pins the delete shapes the tracker
 // claims to handle exactly: after each, the tracker must still be
-// clean (no dirty rebuild pending) and correct.
+// exact (not stale, so no rebuild pending) and correct.
 func TestIncrementalWCCExactShapes(t *testing.T) {
 	clean := func(t *testing.T, g *Graph, wantCount int) {
 		t.Helper()
+		if g.wcc.stale {
+			t.Fatal("tracker stale after an exact-shape mutation")
+		}
 		if got := g.ConnectedComponentCount(); got != wantCount {
 			t.Fatalf("count = %d, want %d", got, wantCount)
-		}
-		if g.wcc.dirty != 0 {
-			t.Fatalf("tracker dirty = %d after an exact-shape delete", g.wcc.dirty)
 		}
 		oracleCheck(t, g)
 	}
 
 	t.Run("parallel edge", func(t *testing.T) {
 		g := New()
-		g.TrackConnectivity(0)
+		g.TrackConnectivity()
 		g.AddVertex(1)
 		g.AddVertex(2)
 		g.AddEdge(1, 2)
@@ -137,7 +138,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("reverse edge", func(t *testing.T) {
 		g := New()
-		g.TrackConnectivity(0)
+		g.TrackConnectivity()
 		g.AddVertex(1)
 		g.AddVertex(2)
 		g.AddEdge(1, 2)
@@ -149,7 +150,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("edge isolating one endpoint", func(t *testing.T) {
 		g := New()
-		g.TrackConnectivity(0)
+		g.TrackConnectivity()
 		for i := 1; i <= 3; i++ {
 			g.AddVertex(VertexID(i))
 		}
@@ -162,7 +163,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("edge isolating both endpoints", func(t *testing.T) {
 		g := New()
-		g.TrackConnectivity(0)
+		g.TrackConnectivity()
 		g.AddVertex(1)
 		g.AddVertex(2)
 		g.AddEdge(1, 2)
@@ -173,7 +174,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("self-loop removal", func(t *testing.T) {
 		g := New()
-		g.TrackConnectivity(0)
+		g.TrackConnectivity()
 		g.AddVertex(1)
 		g.AddEdge(1, 1)
 		clean(t, g, 1)
@@ -183,7 +184,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("singleton vertex removal", func(t *testing.T) {
 		g := New()
-		g.TrackConnectivity(0)
+		g.TrackConnectivity()
 		g.AddVertex(1)
 		g.AddVertex(2)
 		clean(t, g, 2)
@@ -193,7 +194,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("leaf vertex removal", func(t *testing.T) {
 		g := New()
-		g.TrackConnectivity(0)
+		g.TrackConnectivity()
 		for i := 1; i <= 4; i++ {
 			g.AddVertex(VertexID(i))
 		}
@@ -207,7 +208,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("leaf with parallel and reverse edges", func(t *testing.T) {
 		g := New()
-		g.TrackConnectivity(0)
+		g.TrackConnectivity()
 		g.AddVertex(1)
 		g.AddVertex(2)
 		g.AddVertex(3)
@@ -223,7 +224,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("non-forest cross-edge delete", func(t *testing.T) {
 		g := New()
-		g.TrackConnectivity(0)
+		g.TrackConnectivity()
 		for i := 1; i <= 3; i++ {
 			g.AddVertex(VertexID(i))
 		}
@@ -237,7 +238,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("forest-edge delete with a replacement", func(t *testing.T) {
 		g := New()
-		g.TrackConnectivity(0)
+		g.TrackConnectivity()
 		for i := 1; i <= 4; i++ {
 			g.AddVertex(VertexID(i))
 		}
@@ -257,7 +258,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("forest-edge delete that splits", func(t *testing.T) {
 		g := New()
-		g.TrackConnectivity(0)
+		g.TrackConnectivity()
 		for i := 1; i <= 6; i++ {
 			g.AddVertex(VertexID(i))
 			if i > 1 {
@@ -278,7 +279,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("forest leaf with cross edges removal", func(t *testing.T) {
 		g := New()
-		g.TrackConnectivity(0)
+		g.TrackConnectivity()
 		for i := 1; i <= 5; i++ {
 			g.AddVertex(VertexID(i))
 		}
@@ -297,7 +298,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 		// A triangle: 1 is the forest root with one child (the forest
 		// is 1-2-3) and two distinct neighbours.
 		g := New()
-		g.TrackConnectivity(0)
+		g.TrackConnectivity()
 		for i := 1; i <= 3; i++ {
 			g.AddVertex(VertexID(i))
 		}
@@ -312,10 +313,10 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 	})
 
 	t.Run("interior vertex removal goes conservative", func(t *testing.T) {
-		// The shape that must still dirty: an interior forest vertex,
+		// The shape that must go stale: an interior forest vertex,
 		// with a forest parent and a forest child.
 		g := New()
-		g.TrackConnectivity(1 << 30)
+		g.TrackConnectivity()
 		for i := 1; i <= 3; i++ {
 			g.AddVertex(VertexID(i))
 		}
@@ -324,9 +325,9 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 		if g.ConnectedComponentCount() != 1 {
 			t.Fatal("setup")
 		}
-		g.RemoveVertex(2) // must dirty, and the split must be seen
-		if g.wcc.dirty == 0 {
-			t.Fatal("interior removal did not mark the tracker dirty")
+		g.RemoveVertex(2) // must go stale, and the split must be seen
+		if !g.wcc.stale {
+			t.Fatal("interior removal did not make the tracker stale")
 		}
 		if got := g.ConnectedComponentCount(); got != 2 {
 			t.Fatalf("count after split = %d, want 2", got)
@@ -336,7 +337,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("over-allowance cut goes conservative", func(t *testing.T) {
 		g := New()
-		g.TrackConnectivity(1 << 30)
+		g.TrackConnectivity()
 		for i := 1; i <= 16; i++ {
 			g.AddVertex(VertexID(i))
 			if i > 1 {
@@ -348,8 +349,8 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 		}
 		g.setAllowance(2)
 		g.RemoveEdge(8, 9) // both halves need more than 2 entries
-		if g.wcc.dirty == 0 {
-			t.Fatal("an over-allowance cut did not mark the tracker dirty")
+		if !g.wcc.stale {
+			t.Fatal("an over-allowance cut did not make the tracker stale")
 		}
 		if got := g.ConnectedComponentCount(); got != 2 {
 			t.Fatalf("count after rebuild = %d, want 2", got)
@@ -363,7 +364,7 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 // a fresh singleton, not inherit the dead vertex's component.
 func TestIncrementalWCCSlotReuse(t *testing.T) {
 	g := New()
-	g.TrackConnectivity(1 << 30)
+	g.TrackConnectivity()
 	for i := 0; i < 16; i++ {
 		g.AddVertex(VertexID(i))
 	}
@@ -406,7 +407,7 @@ func TestIncrementalWCCSwitchModes(t *testing.T) {
 	}
 	oracleCheck(t, g) // the first query turns the tracker on
 	g.RemoveEdge(5, 6)
-	g.TrackConnectivity(0)
+	g.TrackConnectivity()
 	oracleCheck(t, g)
 	g.RemoveEdge(1, 2)
 	oracleCheck(t, g)
@@ -415,12 +416,12 @@ func TestIncrementalWCCSwitchModes(t *testing.T) {
 // TestIncrementalWCCAllocs is the steady-state allocation gate: once
 // the node arena and the search scratch have hit their high-water
 // marks, churn — forest cuts that split, cuts that find a replacement,
-// over-allowance cuts, threshold rebuilds and compaction — must reuse
-// capacity. Wired into CI without -race (race instrumentation
-// allocates).
+// over-allowance cuts, and the stale→query rebuild every round forces
+// — must reuse capacity. Wired into CI without -race (race
+// instrumentation allocates).
 func TestIncrementalWCCAllocs(t *testing.T) {
 	g := New()
-	g.TrackConnectivity(8)
+	g.TrackConnectivity()
 	const ring = 256
 	for i := 0; i < ring; i++ {
 		g.AddVertex(VertexID(i))
@@ -443,6 +444,15 @@ func TestIncrementalWCCAllocs(t *testing.T) {
 	g.ConnectedComponentCount()
 
 	round := func() {
+		// Stale churn: vertex 128 is an interior forest vertex of the
+		// ring (the query before the round rebuilt the forest in age
+		// order), so removing it makes the tracker stale, its return
+		// is ignored, and the query rebuilds.
+		g.RemoveVertex(128)
+		g.AddVertex(128)
+		g.AddEdge(127, 128)
+		g.AddEdge(128, 129)
+		g.ConnectedComponentCount()
 		for k := 0; k < 32; k++ {
 			// Split churn: cutting the pendant's forest edge moves it to
 			// a fresh node; re-linking joins it back.
@@ -455,8 +465,7 @@ func TestIncrementalWCCAllocs(t *testing.T) {
 			g.ConnectedComponentCount()
 		}
 		// Ring cuts: the halves run up to 128 vertices, so cuts may
-		// find the replacement or overrun the allowance, dirty the
-		// tracker and exercise the threshold rebuild.
+		// find the replacement or overrun the allowance.
 		for k := 0; k < 16; k++ {
 			e := VertexID(k * 7 % ring)
 			g.RemoveEdge(e, VertexID((int(e)+1)%ring))
@@ -469,7 +478,12 @@ func TestIncrementalWCCAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		round()
 	}
-	if avg := testing.AllocsPerRun(50, round); avg != 0 {
+	const runs = 50 // AllocsPerRun adds one warm-up round
+	before := g.wcc.rebuilds
+	if avg := testing.AllocsPerRun(runs, round); avg != 0 {
 		t.Fatalf("steady-state churn allocates: %.1f allocs/round, want 0", avg)
+	}
+	if n := g.wcc.rebuilds - before; n != runs+1 {
+		t.Fatalf("%d rebuilds over %d rounds; each round rebuilds once, at its stale query", n, runs+1)
 	}
 }

@@ -87,7 +87,7 @@ type wccPointCheck struct {
 
 func (c *wccPointCheck) Sample(metrics.Snapshot, *callstack.Tracker) {
 	c.points++
-	if got, want := c.g.ConnectedComponentCount(), c.g.WeaklyConnectedComponents().Count; got != want {
+	if got, want := c.g.ConnectedComponentCount(), c.g.WeaklyConnectedComponents(); got != want {
 		c.t.Errorf("point %d: WCC count %d, reference walk %d", c.points, got, want)
 	}
 	if rebuilds, _ := c.g.WCCState(); rebuilds != 0 {
@@ -99,8 +99,8 @@ func (c *wccPointCheck) Sample(metrics.Snapshot, *callstack.Tracker) {
 // weak tracker with the heap, and the search allowance grows with it,
 // so the cuts before a late first metric point run exactly instead of
 // running out of allowance. The stream (lateFirstPointStream) can
-// dirty the tracker only by running out, so the tracker must never be
-// dirty after any event, must never rebuild, and must match the
+// make the tracker stale only by running out, so the tracker must never
+// be stale after any event, must never rebuild, and must match the
 // reference walk at every point.
 func TestLoggerWCCFirstPointAfterChurn(t *testing.T) {
 	const points = 20
@@ -111,8 +111,8 @@ func TestLoggerWCCFirstPointAfterChurn(t *testing.T) {
 		l.Observe(check)
 		for i, e := range evs {
 			l.Emit(e)
-			if _, dirty := l.Graph().WCCState(); dirty {
-				t.Fatalf("nodes=%d: event %d (%v) dirtied the weak tracker", nodes, i, e.Type)
+			if _, stale := l.Graph().WCCState(); stale {
+				t.Fatalf("nodes=%d: event %d (%v) made the weak tracker stale", nodes, i, e.Type)
 			}
 		}
 		if check.points != points {

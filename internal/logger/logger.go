@@ -267,10 +267,10 @@ func (l *Logger) reset(opts Options) {
 	// The component trackers cost work on every mutation, so only a
 	// suite that reads them turns them on.
 	if opts.Suite.Index(metrics.Components) >= 0 {
-		l.graph.TrackConnectivity(heapgraph.DefaultRebuildThreshold)
+		l.graph.TrackConnectivity()
 	}
 	if opts.Suite.Index(metrics.SCCs) >= 0 {
-		l.graph.TrackSCC(heapgraph.DefaultRebuildThreshold)
+		l.graph.TrackSCC()
 	}
 }
 

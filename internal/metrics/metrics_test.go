@@ -250,10 +250,10 @@ func TestComputeExtendedMatchesReference(t *testing.T) {
 		}
 		snap := suite.Compute(g, tick)
 		n := float64(g.NumVertices())
-		if want := float64(g.WeaklyConnectedComponents().Count) / n * 100; snap.Values[wcc] != want {
+		if want := float64(g.WeaklyConnectedComponents()) / n * 100; snap.Values[wcc] != want {
 			t.Fatalf("tick %d: %v = %v, reference %v", tick, Components, snap.Values[wcc], want)
 		}
-		if want := float64(g.StronglyConnectedComponents().Count) / n * 100; snap.Values[scc] != want {
+		if want := float64(g.StronglyConnectedComponents()) / n * 100; snap.Values[scc] != want {
 			t.Fatalf("tick %d: %v = %v, reference %v", tick, SCCs, snap.Values[scc], want)
 		}
 	}

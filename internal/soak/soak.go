@@ -72,8 +72,7 @@ type Options struct {
 
 	// observe, when set, is called with every soak iteration's logger
 	// before the run starts (a same-package test hook: the component
-	// tests attach their oracle observer and re-track the trackers at
-	// the rebuild threshold they sweep here).
+	// oracle test attaches its observer here).
 	observe func(*logger.Logger)
 }
 

@@ -34,29 +34,21 @@ func (o *componentOracle) Sample(metrics.Snapshot, *callstack.Tracker) {
 }
 
 // runWithOracle is RunLogged with the component oracle observing the
-// logger: one run of w on in under suite at the given rebuild
-// threshold (0 = default). It fails the test on the first tracker
-// divergence.
-func runWithOracle(t *testing.T, w Workload, in Input, suite metrics.Suite, threshold int, plan *faults.Plan) *logger.Report {
+// logger: one run of w on in under suite. It fails the test on the
+// first tracker divergence.
+func runWithOracle(t *testing.T, w Workload, in Input, suite metrics.Suite, plan *faults.Plan) *logger.Report {
 	t.Helper()
 	p := prog.NewProcess(prog.Options{Seed: in.Seed, Plan: plan})
 	l := logger.New(logger.Options{Frequency: DefaultFrequency, Suite: suite})
-	// Re-track the trackers the suite turned on at the swept threshold.
-	if suite.Index(metrics.Components) >= 0 {
-		l.Graph().TrackConnectivity(threshold)
-	}
-	if suite.Index(metrics.SCCs) >= 0 {
-		l.Graph().TrackSCC(threshold)
-	}
 	l.SetRun(w.Name(), in.Name, 1)
 	oracle := &componentOracle{g: l.Graph()}
 	l.Observe(oracle)
 	p.Subscribe(l)
 	if err := prog.Run(func() { w.Run(p, in, 1) }); err != nil {
-		t.Fatalf("%s/threshold=%d: %v", w.Name(), threshold, err)
+		t.Fatalf("%s: %v", w.Name(), err)
 	}
 	if oracle.failure != "" {
-		t.Fatalf("%s/threshold=%d: %s", w.Name(), threshold, oracle.failure)
+		t.Fatalf("%s: %s", w.Name(), oracle.failure)
 	}
 	if oracle.points == 0 {
 		t.Fatalf("%s: no metric points", w.Name())
@@ -64,7 +56,7 @@ func runWithOracle(t *testing.T, w Workload, in Input, suite metrics.Suite, thre
 	return l.Report()
 }
 
-// runPlain is one production run (no oracle, default threshold).
+// runPlain is one production run (no oracle).
 func runPlain(t *testing.T, w Workload, in Input, suite metrics.Suite, plan *faults.Plan) *logger.Report {
 	t.Helper()
 	rep, _, err := RunLogged(w, in, RunConfig{Plan: plan, Logger: logger.Options{Suite: suite}})
@@ -83,23 +75,20 @@ func mustJSON(t *testing.T, rep *logger.Report) []byte {
 	return buf
 }
 
-// sweepThresholds runs every workload under suite with the oracle at
-// rebuild thresholds 1 (rebuild on every conservative mutation) and
-// the default, and requires both reports to be byte-identical to the
-// production run's.
-func sweepThresholds(t *testing.T, suite metrics.Suite) {
+// checkOracleReports runs every workload under suite with the oracle
+// and requires the report to be byte-identical to the production
+// run's.
+func checkOracleReports(t *testing.T, suite metrics.Suite) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			t.Parallel()
 			in := w.Inputs(1)[0]
 			base := mustJSON(t, runPlain(t, w, in, suite, nil))
-			for _, th := range []int{1, 0} {
-				got := mustJSON(t, runWithOracle(t, w, in, suite, th, nil))
-				if !bytes.Equal(base, got) {
-					t.Fatalf("threshold %d report differs from the production run:\nproduction: %s\ngot:        %s",
-						th, base, got)
-				}
+			got := mustJSON(t, runWithOracle(t, w, in, suite, nil))
+			if !bytes.Equal(base, got) {
+				t.Fatalf("report under the oracle differs from the production run:\nproduction: %s\ngot:        %s",
+					base, got)
 			}
 		})
 	}
@@ -108,23 +97,23 @@ func sweepThresholds(t *testing.T, suite metrics.Suite) {
 // TestConnectivityModesByteIdenticalReports is the weak-connectivity
 // oracle sweep over all 13 workloads' allocation patterns: with only
 // the WCC tracker on (the degree suite plus Components), the tracker
-// must agree with the reference walk at every metric point, at every
-// rebuild threshold, without changing a byte of the report.
+// must agree with the reference walk at every metric point without
+// changing a byte of the report.
 func TestConnectivityModesByteIdenticalReports(t *testing.T) {
 	ids := append(append([]metrics.ID(nil), metrics.DefaultSuite().IDs()...), metrics.Components)
-	sweepThresholds(t, metrics.NewSuite(ids...))
+	checkOracleReports(t, metrics.NewSuite(ids...))
 }
 
 // TestSCCModesByteIdenticalReports is the same sweep for the full
 // extended suite, both trackers on.
 func TestSCCModesByteIdenticalReports(t *testing.T) {
-	sweepThresholds(t, metrics.ExtendedSuite())
+	checkOracleReports(t, metrics.ExtendedSuite())
 }
 
 // checkFindingsUnderOracle closes the loop through the detector: a
 // model trained on production extended-suite reports must yield the
 // same findings for a faulty run whether it ran on the production path
-// or under the oracle at rebuild threshold 1.
+// or under the oracle.
 func checkFindingsUnderOracle(t *testing.T, suite metrics.Suite) {
 	w, _ := Get("webapp")
 	training, err := Train(w, 4, RunConfig{Logger: logger.Options{Suite: suite}})
@@ -138,7 +127,7 @@ func checkFindingsUnderOracle(t *testing.T, suite metrics.Suite) {
 	in := w.Inputs(2)[1]
 	plan := func() *faults.Plan { return faults.NewPlan().EnableAlways(faults.TypoLeak) }
 	want := detect.CheckReport(built.Model, runPlain(t, w, in, suite, plan()), detect.Options{})
-	got := detect.CheckReport(built.Model, runWithOracle(t, w, in, suite, 1, plan()), detect.Options{})
+	got := detect.CheckReport(built.Model, runWithOracle(t, w, in, suite, plan()), detect.Options{})
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("findings under the oracle differ:\nproduction: %v\noracle:     %v", want, got)
 	}
