@@ -416,41 +416,35 @@ func recordParserTraces(t testing.TB) (map[string][]byte, uint64) {
 // BenchmarkRecordWhileMonitoring measures live recording: one corpus
 // program (parser, input 0) runs under the execution logger while
 // RecordTraceWith writes its flate-compressed v3 trace, with frames
-// encoded on the emitting goroutine (workers-0) or on a two-goroutine
-// encode pool (workers-2). It reports wall-clock and process CPU
-// nanoseconds per recorded event.
+// encoded on the emitting goroutine. It reports wall-clock and process
+// CPU nanoseconds per recorded event.
 func BenchmarkRecordWhileMonitoring(b *testing.B) {
 	w, err := workloads.Get("parser")
 	if err != nil {
 		b.Fatal(err)
 	}
 	in := w.Inputs(1)[0]
-	for _, workers := range []int{0, 2} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var events uint64
-			cpu0 := processCPU()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run := NewSession(Options{}).NewRun(w.Name(), in.Name, in.Seed)
-				closeTrace, err := RecordTraceWith(run, io.Discard,
-					TraceOptions{Compress: true, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := prog.Run(func() { w.Run(run.Process(), in, 1) }); err != nil {
-					b.Fatal(err)
-				}
-				if err := closeTrace(); err != nil {
-					b.Fatal(err)
-				}
-				events += run.Report().Events
-			}
-			b.StopTimer()
-			cpu := processCPU() - cpu0
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "wall-ns/event")
-			b.ReportMetric(float64(cpu.Nanoseconds())/float64(events), "cpu-ns/event")
-		})
+	var events uint64
+	cpu0 := processCPU()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run := NewSession(Options{}).NewRun(w.Name(), in.Name, in.Seed)
+		closeTrace, err := RecordTraceWith(run, io.Discard, TraceOptions{Compress: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := prog.Run(func() { w.Run(run.Process(), in, 1) }); err != nil {
+			b.Fatal(err)
+		}
+		if err := closeTrace(); err != nil {
+			b.Fatal(err)
+		}
+		events += run.Report().Events
 	}
+	b.StopTimer()
+	cpu := processCPU() - cpu0
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "wall-ns/event")
+	b.ReportMetric(float64(cpu.Nanoseconds())/float64(events), "cpu-ns/event")
 }
 
 // processCPU is the user plus system CPU time this process has used.

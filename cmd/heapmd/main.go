@@ -164,7 +164,6 @@ func cmdTrain(args []string) error {
 	parallel := fs.Int("parallel", 0, "training runs in flight (0 = all cores, 1 = serial; results are identical)")
 	recordDir := fs.String("record-traces", "", "record each run's event stream to DIR/<input>.trace for later 'heapmd replay'")
 	compress := fs.Bool("compress", false, "flate-compress recorded trace frames (smaller files, same replay)")
-	traceWorkers := fs.Int("trace-workers", 0, "encode recorded trace frames on this many workers per run (0 = synchronous; bytes are identical)")
 	extended := fs.Bool("extended", false, "train on the extended metric suite (adds WCC/SCC structure metrics)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -182,11 +181,7 @@ func cmdTrain(args []string) error {
 	if *recordDir != "" {
 		// Recording stays parallel: the hook opens a private writer per
 		// run (see RunConfig.Record).
-		encodeWorkers, err := sched.ParseEncodeWorkers(*traceWorkers)
-		if err != nil {
-			return err
-		}
-		cfg.Record, err = traceRecorder(*recordDir, *compress, encodeWorkers)
+		cfg.Record, err = traceRecorder(*recordDir, *compress)
 		if err != nil {
 			return err
 		}
@@ -225,7 +220,7 @@ func cmdTrain(args []string) error {
 // run's event stream to dir/<input>.trace. The hook builds a fresh
 // writer per run, so recorded training and check runs still fan out
 // across workers.
-func traceRecorder(dir string, compress bool, workers int) (func(in workloads.Input, p *prog.Process) (func() error, error), error) {
+func traceRecorder(dir string, compress bool) (func(in workloads.Input, p *prog.Process) (func() error, error), error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -234,7 +229,7 @@ func traceRecorder(dir string, compress bool, workers int) (func(in workloads.In
 		if err != nil {
 			return nil, err
 		}
-		tw, err := trace.NewWriterWith(f, trace.WriterOptions{Compress: compress, Workers: workers})
+		tw, err := trace.NewWriterWith(f, trace.WriterOptions{Compress: compress})
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -298,7 +293,6 @@ func cmdCheck(args []string) error {
 	parallel := fs.Int("parallel", 0, "check runs in flight (0 = all cores, 1 = serial; output is identical)")
 	recordDir := fs.String("record-traces", "", "record each run's event stream to DIR/<input>.trace for later 'heapmd replay'")
 	compress := fs.Bool("compress", false, "flate-compress recorded trace frames (smaller files, same replay)")
-	traceWorkers := fs.Int("trace-workers", 0, "encode recorded trace frames on this many workers per run (0 = synchronous; bytes are identical)")
 	extended := fs.Bool("extended", false, "check with the extended metric suite (adds WCC/SCC structure metrics)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -314,11 +308,7 @@ func cmdCheck(args []string) error {
 	logOpts := suiteOptions(*extended)
 	var record func(workloads.Input, *prog.Process) (func() error, error)
 	if *recordDir != "" {
-		encodeWorkers, werr := sched.ParseEncodeWorkers(*traceWorkers)
-		if werr != nil {
-			return werr
-		}
-		record, err = traceRecorder(*recordDir, *compress, encodeWorkers)
+		record, err = traceRecorder(*recordDir, *compress)
 		if err != nil {
 			return err
 		}

@@ -43,7 +43,6 @@ func cmdReplay(args []string) error {
 	tracePath := fs.String("trace", "", "trace file recorded with heapmd.RecordTrace, or a directory of traces")
 	modelPath := fs.String("model", "", "optional model file: check each replayed report against it")
 	salvage := fs.Bool("salvage", false, "recover the longest valid prefix of a damaged trace")
-	decodeWorkersFlag := fs.Int("decode-workers", 0, "frame decode workers per trace: 0 = auto (all cores; synchronous on a single core), n = scanner + n-worker pipeline (identical report at any setting)")
 	extended := fs.Bool("extended", false, "compute the extended metric suite (adds WCC/SCC structure metrics)")
 	freq := fs.Uint64("freq", 0, "sampling frequency; must match the recording (0 = simulation default)")
 	retries := fs.Int("retries", 3, "max retries per read/seek on transient I/O errors")
@@ -88,10 +87,6 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	decodeWorkers, err := sched.ParseDecodeWorkers(*decodeWorkersFlag)
-	if err != nil {
-		return err
-	}
 	var suite metrics.Suite
 	if *extended {
 		suite = metrics.ExtendedSuite()
@@ -100,7 +95,7 @@ func cmdReplay(args []string) error {
 		opts: heapmd.ReplayOptions{
 			Frequency:     *freq,
 			Salvage:       *salvage,
-			DecodeWorkers: decodeWorkers,
+			DecodeWorkers: heapmd.DefaultDecodeWorkers(),
 			Suite:         suite,
 		},
 		retries: *retries,

@@ -372,12 +372,6 @@ type TraceOptions struct {
 	// Compress flate-compresses event frames when that makes them
 	// smaller; replay output is identical.
 	Compress bool
-	// Workers encodes (and, with Compress, flate-compresses) sealed
-	// frames on a pool of that many goroutines instead of the emitting
-	// goroutine, with a single ordered writer performing the I/O. The
-	// trace bytes are identical at any worker count. Zero means
-	// synchronous.
-	Workers int
 }
 
 // RecordTrace attaches a trace writer to a run so its event stream
@@ -388,15 +382,16 @@ type TraceOptions struct {
 // the close function after execution for a cleanly-terminated trace.
 // The trace is written in the columnar v3 format, uncompressed — the
 // zero TraceOptions of RecordTraceWith, which also offers flate
-// compression and an encode pool.
+// compression. Frames are encoded on the goroutine that emits the
+// events.
 func RecordTrace(r *Run, w io.Writer) (func() error, error) {
 	return RecordTraceWith(r, w, TraceOptions{})
 }
 
-// RecordTraceWith is RecordTrace with control over compression and
-// encoding; the zero options record uncompressed, synchronously.
+// RecordTraceWith is RecordTrace with control over compression; the
+// zero options record uncompressed.
 func RecordTraceWith(r *Run, w io.Writer, opts TraceOptions) (func() error, error) {
-	tw, err := trace.NewWriterWith(w, trace.WriterOptions{Compress: opts.Compress, Workers: opts.Workers})
+	tw, err := trace.NewWriterWith(w, trace.WriterOptions{Compress: opts.Compress})
 	if err != nil {
 		return nil, err
 	}

@@ -97,30 +97,23 @@ func TestReplayReadAheadFacade(t *testing.T) {
 	}
 }
 
-// TestParallelCodecFacade checks the PR-8 knobs end to end through
-// the public API: TraceOptions.Workers records a byte-identical
-// compressed trace on an encode pool, and ReplayOptions.DecodeWorkers
-// reconstructs the same report as the synchronous reader, reporting
+// TestParallelCodecFacade checks the decode knob end to end through
+// the public API: ReplayOptions.DecodeWorkers reconstructs the same
+// report from a compressed trace as the synchronous reader, reporting
 // the worker count in TraceStats.
 func TestParallelCodecFacade(t *testing.T) {
-	record := func(workers int) []byte {
-		sess := NewSession(Options{Frequency: 4})
-		run := sess.NewRun("listprog", "traced", 7)
-		var buf bytes.Buffer
-		closeTrace, err := RecordTraceWith(run, &buf, TraceOptions{Compress: true, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		buildListProgram(run.Process(), false, 400)
-		if err := closeTrace(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	sess := NewSession(Options{Frequency: 4})
+	run := sess.NewRun("listprog", "traced", 7)
+	var buf bytes.Buffer
+	closeTrace, err := RecordTraceWith(run, &buf, TraceOptions{Compress: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	data := record(0)
-	if parallel := record(3); !bytes.Equal(data, parallel) {
-		t.Fatalf("TraceOptions{Workers: 3} recorded different bytes (%d vs %d)", len(parallel), len(data))
+	buildListProgram(run.Process(), false, 400)
+	if err := closeTrace(); err != nil {
+		t.Fatal(err)
 	}
+	data := buf.Bytes()
 
 	syncRep, _, _, err := ReplayTraceWith(bytes.NewReader(data), "listprog", "traced", ReplayOptions{Frequency: 4})
 	if err != nil {

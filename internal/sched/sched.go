@@ -46,7 +46,9 @@ func Workers(n int) int {
 // error. Historically each subcommand resolved the flag itself — 0
 // meant serial in one path, one worker in another and GOMAXPROCS in a
 // third, and negatives were silently clamped; the CLI now funnels
-// every occurrence of the flag through here.
+// every occurrence of the flag through here. It is the CLI's only
+// concurrency flag: recorded traces are encoded synchronously by each
+// run, and replay decodes at trace.DefaultDecodeWorkers.
 func ParseParallel(n int) (int, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("sched: -parallel must be >= 0 (0 = all cores), got %d", n)
@@ -54,16 +56,17 @@ func ParseParallel(n int) (int, error) {
 	return Workers(n), nil
 }
 
-// ParseDecodeWorkers validates a -decode-workers flag value and
-// resolves it to a trace.ReadOptions.DecodeWorkers setting: 0 selects
-// the machine default, trace.DefaultDecodeWorkers — all cores on a
-// multi-core machine, the synchronous decoder on a single core, where
-// extra goroutines only add handoff cost. Positive values are exact: a
-// scanner plus n decode workers. Negative values are an error. This is
-// the one decode knob; ingestion is serial.
+// ParseDecodeWorkers validates a decode-worker count and resolves it
+// to a trace.ReadOptions.DecodeWorkers setting: 0 selects the machine
+// default, trace.DefaultDecodeWorkers — all cores on a multi-core
+// machine, the synchronous decoder on a single core, where extra
+// goroutines only add handoff cost. Positive values are exact: a
+// scanner plus n decode workers. Negative values are an error. The
+// CLI always decodes at the default; the benchmark resolves its
+// default through here.
 func ParseDecodeWorkers(n int) (int, error) {
 	if n < 0 {
-		return 0, fmt.Errorf("sched: -decode-workers must be >= 0 (0 = auto), got %d", n)
+		return 0, fmt.Errorf("sched: decode workers must be >= 0 (0 = auto), got %d", n)
 	}
 	if n == 0 {
 		return trace.DefaultDecodeWorkers(), nil
@@ -80,18 +83,6 @@ func ParseIngestWorkers(n int) (int, error) {
 		return 0, fmt.Errorf("sched: ingest workers must be >= 0, got %d", n)
 	}
 	return 1, nil
-}
-
-// ParseEncodeWorkers validates a -trace-workers flag value: 0 encodes
-// recorded trace frames synchronously on the emitting goroutine (the
-// default — recording is rarely the bottleneck), positive values run
-// that many encode workers per writer, and negative values are an
-// error.
-func ParseEncodeWorkers(n int) (int, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("sched: -trace-workers must be >= 0 (0 = synchronous), got %d", n)
-	}
-	return n, nil
 }
 
 // Map executes fn(0) .. fn(n-1) on up to workers goroutines and

@@ -192,18 +192,6 @@ func TestParseDecodeWorkers(t *testing.T) {
 	}
 }
 
-func TestParseEncodeWorkers(t *testing.T) {
-	if got, err := ParseEncodeWorkers(0); err != nil || got != 0 {
-		t.Fatalf("ParseEncodeWorkers(0) = %d, %v", got, err)
-	}
-	if got, err := ParseEncodeWorkers(3); err != nil || got != 3 {
-		t.Fatalf("ParseEncodeWorkers(3) = %d, %v", got, err)
-	}
-	if _, err := ParseEncodeWorkers(-1); err == nil {
-		t.Fatal("ParseEncodeWorkers(-1) did not error")
-	}
-}
-
 // TestParseIngestWorkers pins the retired -ingest-workers value
 // mapping: every non-negative value is the serial path, negative
 // values are an error.

@@ -238,120 +238,6 @@ type batchSinkFunc func([]event.Event)
 func (f batchSinkFunc) Emit(e event.Event)          { f([]event.Event{e}) }
 func (f batchSinkFunc) EmitBatch(evs []event.Event) { f(evs) }
 
-// TestParallelWriterDeterminism: the encode pipeline must produce
-// byte-identical traces to the synchronous writer at every worker
-// count, with and without compression, across flush patterns — the
-// resequencer plus deterministic per-frame encoding make worker count
-// unobservable on the wire.
-func TestParallelWriterDeterminism(t *testing.T) {
-	sym := event.NewSymtab()
-	sym.Intern("alpha")
-	sym.Intern("beta")
-	evs := v3TestEvents(10*DefaultBatchRecords + 73) // 11 frames, each followed by a symtab checkpoint
-
-	write := func(workers, flushEvery int, compress bool) []byte {
-		var buf bytes.Buffer
-		w, err := NewWriterWith(&buf, WriterOptions{Version: VersionV3, Compress: compress, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.SetSymtab(sym)
-		for i, e := range evs {
-			w.Emit(e)
-			if flushEvery > 0 && (i+1)%flushEvery == 0 {
-				if err := w.Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := w.Close(sym); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	for _, compress := range []bool{false, true} {
-		for _, flushEvery := range []int{0, 97} {
-			want := write(0, flushEvery, compress)
-			for _, workers := range []int{1, 2, 4} {
-				got := write(workers, flushEvery, compress)
-				if !bytes.Equal(want, got) {
-					t.Fatalf("compress=%v flushEvery=%d workers=%d: output differs from synchronous writer (%d vs %d bytes)",
-						compress, flushEvery, workers, len(want), len(got))
-				}
-			}
-		}
-	}
-
-	// And the parallel reader round-trips the parallel writer's output.
-	data := write(3, 0, true)
-	serial := runReplay(t, data, false, 0)
-	parallel := runReplay(t, data, false, 3)
-	if d := diffOutcome(serial, parallel); d != "" {
-		t.Fatalf("round-trip: %s", d)
-	}
-	if serial.errStr != "" || serial.n != uint64(len(evs)) {
-		t.Fatalf("round-trip replay: n=%d err=%q", serial.n, serial.errStr)
-	}
-}
-
-// failAfterWriter fails every Write after the first n bytes.
-type failAfterWriter struct {
-	n   int
-	err error
-}
-
-func (w *failAfterWriter) Write(p []byte) (int, error) {
-	if w.n <= 0 {
-		return 0, w.err
-	}
-	if len(p) > w.n {
-		n := w.n
-		w.n = 0
-		return n, w.err
-	}
-	w.n -= len(p)
-	return len(p), nil
-}
-
-// TestParallelWriterError: an I/O failure under the pipelined writer
-// must surface as a sticky error on Flush/Close, without hanging and
-// without leaking goroutines.
-func TestParallelWriterError(t *testing.T) {
-	errBoom := fmt.Errorf("disk full")
-	before := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
-		w, err := NewWriterWith(&failAfterWriter{n: 300, err: errBoom}, WriterOptions{Version: VersionV3, Compress: true, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range v3TestEvents(4 * DefaultBatchRecords) {
-			w.Emit(e)
-		}
-		if err := w.Close(nil); err == nil {
-			t.Fatal("Close succeeded despite write failure")
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d after failed pipelined writes", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestParallelWriterRejectsV2: v2 is read-only, so asking for it must
-// fail rather than silently write v3, with or without encode workers.
-func TestParallelWriterRejectsV2(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		var buf bytes.Buffer
-		if _, err := NewWriterWith(&buf, WriterOptions{Version: VersionV2, Workers: workers}); err == nil {
-			t.Fatalf("Workers %d: writer accepted format v2", workers)
-		}
-	}
-}
-
 // TestParallelReplayThroughputGate: on a multi-core machine, the
 // decode pipeline must actually buy throughput on compressed traces —
 // inflate is ~3/4 of serial flate-replay cost, so fanning it out

@@ -164,13 +164,12 @@ type Writer struct {
 	w       *bufio.Writer
 	n       uint64 // events emitted
 	err     error
-	evs     *event.Batch // pending, not-yet-framed events (from pl's pool when pl != nil)
+	evs     event.Batch  // pending, not-yet-framed events
 	enc     []byte       // columnar body scratch, reused per frame
 	payload []byte       // assembled frame payload scratch
 	comp    bytes.Buffer // compressed body scratch
 	cdc     codec        // nil = never compress
 	sym     *event.Symtab
-	pl      *encodePipeline // non-nil: batches encode on a worker pool
 	// hdr is the frame-header scratch. A local array would be moved to
 	// the heap on every writeFrame call (bufio may hand the slice to
 	// the underlying io.Writer, so it escapes); keeping it on the
@@ -188,12 +187,6 @@ type WriterOptions struct {
 	// frame is stored compressed only when that is actually smaller,
 	// and replay output is identical either way.
 	Compress bool
-	// Workers moves frame encoding (columnar encode + flate) off the
-	// Emit path onto a pool of that many goroutines, with a single
-	// ordered writer performing all I/O. Output is byte-identical to
-	// the synchronous writer at any worker count. Zero means
-	// synchronous; negative is treated as zero.
-	Workers int
 }
 
 // NewWriterWith writes the v3 header and returns a Writer.
@@ -208,12 +201,6 @@ func NewWriterWith(w io.Writer, opts WriterOptions) (*Writer, error) {
 	tw := &Writer{w: bw}
 	if opts.Compress {
 		tw.cdc = &flateCodec{}
-	}
-	if opts.Workers > 0 {
-		tw.pl = newEncodePipeline(bw, opts.Compress, opts.Workers)
-		tw.evs = <-tw.pl.freeBatch
-	} else {
-		tw.evs = new(event.Batch)
 	}
 	return tw, nil
 }
@@ -252,18 +239,14 @@ func (tw *Writer) flushBatch() {
 	if tw.err != nil || tw.evs.Len() == 0 {
 		return
 	}
-	if tw.pl != nil {
-		tw.evs = tw.pl.submitEvents(tw.evs)
-	} else {
-		payload := tw.encodeEvents()
-		if tw.err != nil {
-			return
-		}
-		tw.writeFrame(frameEvents, payload)
-		tw.evs.Reset()
+	payload := tw.encodeEvents()
+	if tw.err != nil {
+		return
 	}
+	tw.writeFrame(frameEvents, payload)
+	tw.evs.Reset()
 	if tw.sym != nil {
-		tw.putFrame(frameSymtab, encodeSymtab(tw.sym))
+		tw.writeFrame(frameSymtab, encodeSymtab(tw.sym))
 	}
 }
 
@@ -295,16 +278,6 @@ func (tw *Writer) encodeEvents() []byte {
 	return tw.payload
 }
 
-// putFrame writes a caller-encoded frame (symtab, end) in sequence:
-// through the encode pool's ordered writer when there is one.
-func (tw *Writer) putFrame(kind byte, payload []byte) {
-	if tw.pl != nil {
-		tw.pl.submitFrame(kind, payload)
-		return
-	}
-	tw.writeFrame(kind, payload)
-}
-
 func (tw *Writer) writeFrame(kind byte, payload []byte) {
 	if tw.err != nil {
 		return
@@ -329,14 +302,8 @@ func (tw *Writer) Events() uint64 { return tw.n }
 // Writer remains usable.
 func (tw *Writer) Flush() error {
 	tw.flushBatch()
-	var err error
-	if tw.pl != nil {
-		err = tw.pl.flush()
-	} else if tw.err == nil {
-		err = tw.w.Flush()
-	}
 	if tw.err == nil {
-		tw.err = err
+		tw.err = tw.w.Flush()
 	}
 	return tw.err
 }
@@ -353,17 +320,8 @@ func (tw *Writer) Close(sym *event.Symtab) error {
 		}
 		var end [8]byte
 		binary.LittleEndian.PutUint64(end[:], tw.n)
-		tw.putFrame(frameSymtab, encodeSymtab(sym))
-		tw.putFrame(frameEnd, end[:])
-	}
-	if tw.pl != nil {
-		// The pipeline's goroutines must not outlive the Writer, even on
-		// the sticky-error path.
-		if err := tw.pl.close(); err != nil && tw.err == nil {
-			tw.err = err
-		}
-		tw.pl = nil
-		return tw.err
+		tw.writeFrame(frameSymtab, encodeSymtab(sym))
+		tw.writeFrame(frameEnd, end[:])
 	}
 	if tw.err == nil {
 		tw.err = tw.w.Flush()

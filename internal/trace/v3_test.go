@@ -443,20 +443,78 @@ func TestWriterEmitAllocs(t *testing.T) {
 		// flate's Reset keeps its state but the stdlib may still grow
 		// internal tables once; allow a few allocs, nothing per frame.
 		{"v3-flate", WriterOptions{Version: VersionV3, Compress: true}, 8},
-		// The encode pipeline's state is O(workers), never O(frames),
-		// but some of it materializes lazily under load: the 2-frame
-		// run may exercise one worker while the 128-frame run warms
-		// both (payload arenas, per-worker flate state), and channel
-		// parks add runtime noise. The slack covers that one-time
-		// warm-up; 126 extra frames of per-frame allocation would blow
-		// far past it.
-		{"v3-workers-2", WriterOptions{Version: VersionV3, Workers: 2}, 32},
-		{"v3-flate-workers-2", WriterOptions{Version: VersionV3, Compress: true, Workers: 2}, 64},
 	} {
 		aSmall, aLarge := measure(tc.opts, 2), measure(tc.opts, 128)
 		if aLarge > aSmall+tc.slack {
 			t.Errorf("%s: 128-frame write allocates %.0f, 2-frame allocates %.0f — encode path allocates per frame",
 				tc.name, aLarge, aSmall)
 		}
+	}
+}
+
+// failAfterWriter fails every Write after the first n bytes.
+type failAfterWriter struct {
+	n      int
+	err    error
+	writes int // Write calls made after the first failure
+}
+
+func (w *failAfterWriter) Write(p []byte) (int, error) {
+	if w.n <= 0 {
+		w.writes++
+		return 0, w.err
+	}
+	if len(p) > w.n {
+		n := w.n
+		w.n = 0
+		return n, w.err
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriterError: an I/O failure is sticky. Once a write fails, Flush
+// and Close both return that error, later Emits are dropped, and the
+// Writer never touches the underlying writer again.
+func TestWriterError(t *testing.T) {
+	errBoom := errors.New("disk full")
+	evs := v3TestEvents(4 * DefaultBatchRecords)
+	for _, compress := range []bool{false, true} {
+		fw := &failAfterWriter{n: 300, err: errBoom}
+		w, err := NewWriterWith(fw, WriterOptions{Version: VersionV3, Compress: compress})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range evs {
+			w.Emit(e)
+		}
+		if err := w.Flush(); !errors.Is(err, errBoom) {
+			t.Fatalf("compress=%v: Flush = %v, want %v", compress, err, errBoom)
+		}
+		n, writes := w.Events(), fw.writes
+		for _, e := range evs[:DefaultBatchRecords] {
+			w.Emit(e)
+		}
+		if w.Events() != n {
+			t.Errorf("compress=%v: Emit after a failed write counted %d more events", compress, w.Events()-n)
+		}
+		if err := w.Flush(); !errors.Is(err, errBoom) {
+			t.Errorf("compress=%v: second Flush = %v, want %v", compress, err, errBoom)
+		}
+		if err := w.Close(nil); !errors.Is(err, errBoom) {
+			t.Errorf("compress=%v: Close = %v, want %v", compress, err, errBoom)
+		}
+		if fw.writes != writes {
+			t.Errorf("compress=%v: %d writes reached the failed writer after the error", compress, fw.writes-writes)
+		}
+	}
+}
+
+// TestWriterRejectsV2: v2 is read-only, so asking for it must fail
+// rather than silently write v3.
+func TestWriterRejectsV2(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := NewWriterWith(&buf, WriterOptions{Version: VersionV2}); err == nil {
+		t.Fatal("writer accepted format v2")
 	}
 }
