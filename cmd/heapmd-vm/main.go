@@ -96,7 +96,7 @@ func main() {
 			fmt.Printf("check seed-%d: execution crashed: %v\n", seed, err)
 			continue
 		}
-		findings := detect.CheckReport(build.Model, rep, detect.Options{})
+		findings := detect.CheckReport(build.Model, rep)
 		fmt.Printf("check seed-%d (r15=%d): %d findings\n", seed, *flagReg, len(findings))
 		for _, f := range findings {
 			fmt.Printf("  %s\n", f.Describe(sym))

@@ -354,7 +354,7 @@ func cmdCheck(args []string) error {
 			out.text = b.String()
 			return out, nil
 		}
-		findings := detect.CheckReport(mdl, rep, detect.Options{})
+		findings := detect.CheckReport(mdl, rep)
 		if len(findings) == 0 {
 			fmt.Fprintf(&b, "%s: clean\n", in.Name)
 		} else {

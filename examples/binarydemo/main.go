@@ -145,10 +145,10 @@ func main() {
 
 	clean := runOnce(91, 0)
 	fmt.Printf("\nclean binary, held-out seed: %d findings\n",
-		len(detect.CheckReport(build.Model, clean, detect.Options{})))
+		len(detect.CheckReport(build.Model, clean)))
 
 	buggy := runOnce(92, 1)
-	findings := detect.CheckReport(build.Model, buggy, detect.Options{})
+	findings := detect.CheckReport(build.Model, buggy)
 	fmt.Printf("buggy binary: %d findings\n", len(findings))
 	for _, f := range findings {
 		fmt.Printf("  %s\n", f.Describe(sym))

@@ -55,7 +55,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			for _, f := range detect.CheckReport(build.Model, rep, detect.Options{}) {
+			for _, f := range detect.CheckReport(build.Model, rep) {
 				if f.Kind == detect.RangeViolation {
 					violations++
 				}
@@ -72,7 +72,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	findings := detect.CheckReport(build.Model, rep, detect.Options{})
+	findings := detect.CheckReport(build.Model, rep)
 	if len(findings) == 0 {
 		fmt.Println("  not detected — unexpected")
 		os.Exit(1)

@@ -62,7 +62,7 @@ func main() {
 		heapmdHits, swatHits := 0, 0
 		var firstFinding, firstLeak string
 		for _, in := range testInputs {
-			sw := swat.New(swat.Options{MinStaleCount: 2})
+			sw := swat.New()
 			rep, p, err := workloads.RunLogged(w, in, workloads.RunConfig{
 				Plan:       sc.plan(),
 				ExtraSinks: []event.Sink{sw},
@@ -71,7 +71,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			if findings := detect.CheckReport(build.Model, rep, detect.Options{}); len(findings) > 0 {
+			if findings := detect.CheckReport(build.Model, rep); len(findings) > 0 {
 				heapmdHits++
 				if firstFinding == "" {
 					firstFinding = findings[0].Describe(nil)

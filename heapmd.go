@@ -168,9 +168,10 @@ func DefaultThresholds() Thresholds { return model.Defaults() }
 // Options configures a Session.
 type Options struct {
 	// Frequency samples metrics once every Frequency function
-	// entries; 0 means a simulation-appropriate default.
+	// entries; 0 means SimulationFrequency.
 	Frequency uint64
-	// Thresholds override the paper defaults when non-zero.
+	// Thresholds override the paper defaults field by field: each
+	// zero field keeps its default.
 	Thresholds Thresholds
 	// FieldGranularity builds the heap-graph with one vertex per
 	// word instead of per object (paper Figure 3 ablation).
@@ -235,11 +236,7 @@ func (s *Session) newRun(program, input string, seed int64, plan *FaultPlan) *Ru
 	if s.opts.FieldGranularity {
 		gran = logger.FieldGranularity
 	}
-	freq := s.opts.Frequency
-	if freq == 0 {
-		freq = logger.SimulationFrequency
-	}
-	l := logger.New(logger.Options{Frequency: freq, Granularity: gran})
+	l := logger.New(logger.Options{Frequency: s.opts.Frequency, Granularity: gran})
 	l.SetRun(program, input, 1)
 	p.Subscribe(l)
 	return &Run{process: p, log: l}
@@ -282,11 +279,7 @@ type TrainingInput struct {
 // error no reports are added. body must not touch shared state without
 // its own synchronization.
 func (s *Session) TrainMany(program string, inputs []TrainingInput, parallel int, body func(*Run, TrainingInput) error) error {
-	workers := parallel
-	if workers < 0 {
-		workers = sched.Workers(0)
-	}
-	reports, err := sched.Map(workers, len(inputs), func(i int) (*Report, error) {
+	reports, err := sched.Map(parallel, len(inputs), func(i int) (*Report, error) {
 		run := s.newRun(program, inputs[i].Name, inputs[i].Seed, nil)
 		if err := body(run, inputs[i]); err != nil {
 			return nil, err
@@ -302,50 +295,19 @@ func (s *Session) TrainMany(program string, inputs []TrainingInput, parallel int
 
 // Build runs the metric summarizer over the training reports and
 // returns the model with its classification evidence. Each zero
-// threshold field is defaulted individually, so a caller overriding
-// only (say) TrimFrac or MinStableFraction keeps the paper defaults
-// for everything else instead of having the overrides silently
-// replaced wholesale.
+// threshold field takes its paper default (see model.Build).
 func (s *Session) Build() (*Model, *BuildResult, error) {
-	res, err := model.Build(s.reports, fillThresholds(s.opts.Thresholds))
+	res, err := model.Build(s.reports, s.opts.Thresholds)
 	if err != nil {
 		return nil, nil, err
 	}
 	return res.Model, res, nil
 }
 
-// fillThresholds replaces each zero field of th with the paper
-// default for that field, preserving the fields the caller did set.
-// Zero is treated as "unset" throughout (a MaxAvgChange of 0 would
-// classify every metric unstable, so no meaningful configuration is
-// lost).
-func fillThresholds(th Thresholds) Thresholds {
-	def := model.Defaults()
-	if th.MaxAvgChange == 0 {
-		th.MaxAvgChange = def.MaxAvgChange
-	}
-	if th.MaxStdDev == 0 {
-		th.MaxStdDev = def.MaxStdDev
-	}
-	if th.TrimFrac == 0 {
-		th.TrimFrac = def.TrimFrac
-	}
-	if th.MinStableFraction == 0 {
-		th.MinStableFraction = def.MinStableFraction
-	}
-	if th.MinSamples == 0 {
-		th.MinSamples = def.MinSamples
-	}
-	if th.GuardFrac == 0 {
-		th.GuardFrac = def.GuardFrac
-	}
-	return th
-}
-
 // Check performs offline checking of a report against a model and
 // returns the findings — the paper's post-mortem usage mode.
 func Check(m *Model, rep *Report) []*Finding {
-	return detect.CheckReport(m, rep, detect.Options{})
+	return detect.CheckReport(m, rep)
 }
 
 // NewDetector builds an online detector for the model; attach it to a
@@ -353,7 +315,7 @@ func Check(m *Model, rep *Report) []*Finding {
 // detector skips the startup window the model's summarizer also
 // trimmed.
 func NewDetector(m *Model) *Detector {
-	return detect.New(m, metrics.DefaultSuite(), detect.Options{SkipStart: m.SkipStartSamples()})
+	return detect.New(m, metrics.DefaultSuite())
 }
 
 // SaveModel serializes a model as JSON.
@@ -460,11 +422,7 @@ func ReplayTraceWith(rd io.ReadSeeker, program, input string, opts ReplayOptions
 	if _, err := sched.ParseIngestWorkers(opts.IngestWorkers); err != nil {
 		return nil, nil, nil, err
 	}
-	freq := opts.Frequency
-	if freq == 0 {
-		freq = logger.SimulationFrequency
-	}
-	l := logger.New(logger.Options{Frequency: freq, Suite: opts.Suite})
+	l := logger.New(logger.Options{Frequency: opts.Frequency, Suite: opts.Suite})
 	defer l.Release()
 	l.SetRun(program, input, 1)
 	var (

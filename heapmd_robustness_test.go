@@ -9,24 +9,6 @@ import (
 	"heapmd/internal/trace"
 )
 
-func TestFillThresholdsPartialOverride(t *testing.T) {
-	def := model.Defaults()
-	th := fillThresholds(Thresholds{TrimFrac: 0.25, MinStableFraction: 0.9})
-	if th.TrimFrac != 0.25 || th.MinStableFraction != 0.9 {
-		t.Errorf("caller overrides lost: %+v", th)
-	}
-	if th.MaxAvgChange != def.MaxAvgChange || th.MaxStdDev != def.MaxStdDev ||
-		th.MinSamples != def.MinSamples || th.GuardFrac != def.GuardFrac {
-		t.Errorf("unset fields not defaulted: %+v", th)
-	}
-}
-
-func TestFillThresholdsZeroValue(t *testing.T) {
-	if got := fillThresholds(Thresholds{}); got != model.Defaults() {
-		t.Errorf("zero thresholds = %+v, want paper defaults %+v", got, model.Defaults())
-	}
-}
-
 func TestSessionBuildKeepsPartialThresholds(t *testing.T) {
 	sess := NewSession(Options{Frequency: 4, Thresholds: Thresholds{TrimFrac: 0.2}})
 	run := sess.NewRun("p", "i", 1)

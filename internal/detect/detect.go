@@ -132,44 +132,18 @@ func (f *Finding) Describe(sym *event.Symtab) string {
 	return b.String()
 }
 
-// Options configures a Detector.
-type Options struct {
-	// ApproachFrac is the fraction of the calibrated range width
+// The detector's fixed settings (paper Section 2.2).
+const (
+	// approachFrac is the fraction of the calibrated range width
 	// within which a metric counts as "approaching" an extreme,
-	// arming call-stack logging. Default 0.10.
-	ApproachFrac float64
-	// RingCapacity is the circular call-stack buffer size per
-	// metric. Default 16.
-	RingCapacity int
-	// PostSamples is how many samples after a crossing the detector
-	// keeps logging stacks before finalizing the report. Default 3.
-	PostSamples int
-	// SkipStart ignores the first SkipStart samples of the run —
-	// the startup window the model constructor also discards. The
-	// paper configures this count in the settings file (Section
-	// 2.1); metrics "change rapidly during program startup", and a
-	// model calibrated on trimmed series would otherwise flag every
-	// startup transient. Offline checking (CheckReport) derives it
-	// from the model's TrimFrac instead.
-	SkipStart int
-	// Health bounds the instrumentation-health counters; counts
-	// above a bound become InstrumentationAnomaly findings. Nil
-	// means health.DefaultThresholds().
-	Health *health.Thresholds
-}
-
-func (o Options) withDefaults() Options {
-	if o.ApproachFrac == 0 {
-		o.ApproachFrac = 0.10
-	}
-	if o.RingCapacity == 0 {
-		o.RingCapacity = 16
-	}
-	if o.PostSamples == 0 {
-		o.PostSamples = 3
-	}
-	return o
-}
+	// arming call-stack logging.
+	approachFrac = 0.10
+	// ringCapacity is the circular call-stack buffer size per metric.
+	ringCapacity = 16
+	// postSamples is how many samples after a crossing the detector
+	// keeps logging stacks before finalizing the report.
+	postSamples = 3
+)
 
 // metricState is the detector's per-stable-metric state machine.
 type metricState struct {
@@ -192,28 +166,35 @@ type metricState struct {
 // logger.SampleObserver: attach it to a Logger with Observe and it
 // will see every metric computation point.
 type Detector struct {
-	opts   Options
 	mdl    *model.Model
 	suite  metrics.Suite
 	states []*metricState
-	// unstableIdx tracks metrics classified unstable during
-	// training, for the pathological check.
-	unstableIdx map[int]metrics.ID
-	findings    []*Finding
-	finished    bool
-	seen        int // samples observed, including skipped ones
+	// unstable lists the suite indices of metrics classified unstable
+	// during training, in suite order, for the pathological check.
+	unstable []int
+	findings []*Finding
+	finished bool
+	// skipStart is the number of leading samples ignored: the
+	// startup window the model constructor also discarded.
+	skipStart int
+	seen      int // samples observed, including skipped ones
 }
 
-// New builds a detector for the given model against executions logged
-// with the given metric suite. Stable metrics absent from the suite
-// are ignored.
-func New(mdl *model.Model, suite metrics.Suite, opts Options) *Detector {
-	d := &Detector{
-		opts:        opts.withDefaults(),
-		mdl:         mdl,
-		suite:       suite,
-		unstableIdx: make(map[int]metrics.ID),
-	}
+// New builds an online detector for the given model against
+// executions logged with the given metric suite. Stable metrics absent
+// from the suite are ignored. The detector ignores the first
+// mdl.SkipStartSamples() samples: metrics "change rapidly during
+// program startup" (paper Section 2.1), and the model was calibrated
+// on series with that prefix trimmed, so it would otherwise flag every
+// startup transient.
+func New(mdl *model.Model, suite metrics.Suite) *Detector {
+	return newDetector(mdl, suite, mdl.SkipStartSamples())
+}
+
+// newDetector builds a detector that ignores the first skipStart
+// samples.
+func newDetector(mdl *model.Model, suite metrics.Suite, skipStart int) *Detector {
+	d := &Detector{mdl: mdl, suite: suite, skipStart: skipStart}
 	for _, id := range mdl.StableIDs() {
 		idx := suite.Index(id)
 		if idx < 0 {
@@ -225,7 +206,7 @@ func New(mdl *model.Model, suite metrics.Suite, opts Options) *Detector {
 			idx:      idx,
 			class:    model.GloballyStable.String(),
 			rng:      rng,
-			ring:     callstack.NewRing(d.opts.RingCapacity),
+			ring:     callstack.NewRing(ringCapacity),
 			reported: make(map[Direction]*Finding),
 		})
 	}
@@ -242,13 +223,13 @@ func New(mdl *model.Model, suite metrics.Suite, opts Options) *Detector {
 			idx:      idx,
 			class:    model.LocallyStable.String(),
 			rng:      rng,
-			ring:     callstack.NewRing(d.opts.RingCapacity),
+			ring:     callstack.NewRing(ringCapacity),
 			reported: make(map[Direction]*Finding),
 		})
 	}
-	for _, id := range suite.IDs() {
+	for i, id := range suite.IDs() {
 		if cls, ok := mdl.ClassOf(id); ok && cls == model.Unstable {
-			d.unstableIdx[suite.Index(id)] = id
+			d.unstable = append(d.unstable, i)
 		}
 	}
 	return d
@@ -257,7 +238,7 @@ func New(mdl *model.Model, suite metrics.Suite, opts Options) *Detector {
 // Sample implements logger.SampleObserver.
 func (d *Detector) Sample(snap metrics.Snapshot, stack *callstack.Tracker) {
 	d.seen++
-	if d.seen <= d.opts.SkipStart {
+	if d.seen <= d.skipStart {
 		return
 	}
 	for _, st := range d.states {
@@ -293,7 +274,7 @@ func (d *Detector) step(st *metricState, v float64, tick uint64, stack *callstac
 	}
 
 	width := st.rng.Width()
-	margin := width * d.opts.ApproachFrac
+	margin := width * approachFrac
 	if width == 0 {
 		// Degenerate calibrated range: any excursion is a
 		// violation; use a small absolute arming margin.
@@ -342,7 +323,7 @@ func (d *Detector) violate(st *metricState, v float64, tick uint64, dir Directio
 	}
 	st.reported[dir] = f
 	st.open = f
-	st.postLeft = d.opts.PostSamples
+	st.postLeft = postSamples
 	d.findings = append(d.findings, f)
 }
 
@@ -374,7 +355,7 @@ func (d *Detector) Finish() {
 			continue
 		}
 		width := st.rng.Width()
-		eps := width * d.opts.ApproachFrac
+		eps := width * approachFrac
 		if width == 0 {
 			eps = 0.5
 		}
@@ -404,11 +385,13 @@ func (d *Detector) Finish() {
 
 // CheckUnstable evaluates the pathological-bug check against a full
 // run report: metrics that were unstable in training but are stable in
-// this run are reported as UnexpectedStability findings. It is split
-// from Finish because it needs the run's full report.
+// this run are reported as UnexpectedStability findings, in suite
+// order. It is split from Finish because it needs the run's full
+// report.
 func (d *Detector) CheckUnstable(rep *logger.Report) {
 	th := d.mdl.Thresholds
-	for idx, id := range d.unstableIdx {
+	ids := d.suite.IDs()
+	for _, idx := range d.unstable {
 		series := make([]float64, 0, len(rep.Snapshots))
 		for _, s := range rep.Snapshots {
 			if idx >= len(s.Values) {
@@ -427,7 +410,7 @@ func (d *Detector) CheckUnstable(rep *logger.Report) {
 		if abs(sum.AvgChange) <= th.MaxAvgChange && sum.StdDevChange <= th.MaxStdDev {
 			d.findings = append(d.findings, &Finding{
 				Kind:   UnexpectedStability,
-				Metric: id.String(),
+				Metric: ids[idx].String(),
 				Value:  sum.Observed.Max,
 				Range:  sum.Observed,
 			})
@@ -436,18 +419,13 @@ func (d *Detector) CheckUnstable(rep *logger.Report) {
 }
 
 // CheckHealth evaluates the instrumentation-health counters of a run
-// against the detector's thresholds and reports each excess as an
+// against health.DefaultThresholds and reports each excess as an
 // InstrumentationAnomaly finding. The counters are themselves bug
 // evidence: a double free or a spike in wild stores is a corruption
 // bug from the paper's taxonomy even when every degree metric stayed
 // inside its calibrated range.
 func (d *Detector) CheckHealth(c health.Counters) {
-	th := d.opts.Health
-	if th == nil {
-		def := health.DefaultThresholds()
-		th = &def
-	}
-	for _, ex := range th.Exceeded(c) {
+	for _, ex := range health.DefaultThresholds().Exceeded(c) {
 		d.findings = append(d.findings, &Finding{
 			Kind:      InstrumentationAnomaly,
 			Metric:    ex.Counter,
@@ -477,14 +455,16 @@ func (d *Detector) Violations() []*Finding {
 // metric report against a model: the paper's second usage mode, where
 // the execution trace is compared against the model after the fact.
 // Startup and shutdown samples are trimmed with the model's TrimFrac,
-// symmetric with how the model itself was calibrated. It returns the
-// findings; no call stacks are available in this mode.
-func CheckReport(mdl *model.Model, rep *logger.Report, opts Options) []*Finding {
+// symmetric with how the model itself was calibrated; that trim is the
+// only startup skip, so the detector skips nothing more. It returns the
+// findings in detection order; no call stacks are available in this
+// mode.
+func CheckReport(mdl *model.Model, rep *logger.Report) []*Finding {
 	suite, err := suiteOf(rep)
 	if err != nil {
 		return nil
 	}
-	d := New(mdl, suite, opts)
+	d := newDetector(mdl, suite, 0)
 	lo, hi := stats.TrimBounds(len(rep.Snapshots), mdl.Thresholds.TrimFrac)
 	for _, snap := range rep.Snapshots[lo:hi] {
 		d.Sample(snap, nil)

@@ -42,7 +42,7 @@ func feed(d *Detector, rootVals []float64) {
 }
 
 func TestNoViolationInBand(t *testing.T) {
-	d := New(testModel(), testSuite, Options{})
+	d := New(testModel(), testSuite)
 	feed(d, []float64{12, 15, 18, 11, 19.9, 10.0, 20.0})
 	d.Finish()
 	if len(d.Violations()) != 0 {
@@ -53,7 +53,7 @@ func TestNoViolationInBand(t *testing.T) {
 func TestInstabilityAloneIsNotABug(t *testing.T) {
 	// Wild swings inside the calibrated band must not be reported
 	// (paper Section 2.2: stability is not re-checked, only range).
-	d := New(testModel(), testSuite, Options{})
+	d := New(testModel(), testSuite)
 	feed(d, []float64{10, 20, 10, 20, 10, 20, 10, 20})
 	d.Finish()
 	if len(d.Violations()) != 0 {
@@ -62,7 +62,7 @@ func TestInstabilityAloneIsNotABug(t *testing.T) {
 }
 
 func TestViolationAboveMax(t *testing.T) {
-	d := New(testModel(), testSuite, Options{})
+	d := New(testModel(), testSuite)
 	feed(d, []float64{12, 15, 21.5})
 	d.Finish()
 	v := d.Violations()
@@ -76,7 +76,7 @@ func TestViolationAboveMax(t *testing.T) {
 }
 
 func TestViolationBelowMin(t *testing.T) {
-	d := New(testModel(), testSuite, Options{})
+	d := New(testModel(), testSuite)
 	feed(d, []float64{12, 9})
 	d.Finish()
 	v := d.Violations()
@@ -86,7 +86,7 @@ func TestViolationBelowMin(t *testing.T) {
 }
 
 func TestRecurrencesDeduplicated(t *testing.T) {
-	d := New(testModel(), testSuite, Options{})
+	d := New(testModel(), testSuite)
 	feed(d, []float64{12, 25, 26, 27, 9})
 	d.Finish()
 	v := d.Violations()
@@ -111,7 +111,7 @@ func stackFor(fns ...event.FnID) *callstack.Tracker {
 }
 
 func TestCallStackArmingAndCapture(t *testing.T) {
-	d := New(testModel(), testSuite, Options{ApproachFrac: 0.10, PostSamples: 2})
+	d := New(testModel(), testSuite)
 	send := func(tick uint64, v float64, st *callstack.Tracker) {
 		d.Sample(metrics.Snapshot{Tick: tick, Values: []float64{v, 0}}, st)
 	}
@@ -147,7 +147,7 @@ func TestCallStackArmingAndCapture(t *testing.T) {
 }
 
 func TestDisarmClearsStaleContext(t *testing.T) {
-	d := New(testModel(), testSuite, Options{ApproachFrac: 0.10, PostSamples: 1})
+	d := New(testModel(), testSuite)
 	send := func(tick uint64, v float64, st *callstack.Tracker) {
 		d.Sample(metrics.Snapshot{Tick: tick, Values: []float64{v, 0}}, st)
 	}
@@ -169,7 +169,7 @@ func TestDisarmClearsStaleContext(t *testing.T) {
 func TestExtremeStabilityPoorlyDisguised(t *testing.T) {
 	// Metric pinned at its calibrated minimum the whole run: the
 	// oct-DAG pattern (paper Section 4.3).
-	d := New(testModel(), testSuite, Options{})
+	d := New(testModel(), testSuite)
 	vals := make([]float64, 50)
 	for i := range vals {
 		vals[i] = 10.2 // hugs min=10 within 10% of width (1.0)
@@ -191,7 +191,7 @@ func TestExtremeStabilityPoorlyDisguised(t *testing.T) {
 }
 
 func TestNoExtremeStabilityMidBand(t *testing.T) {
-	d := New(testModel(), testSuite, Options{})
+	d := New(testModel(), testSuite)
 	vals := make([]float64, 50)
 	for i := range vals {
 		vals[i] = 15
@@ -231,7 +231,7 @@ func TestUnexpectedStabilityPathological(t *testing.T) {
 		leaves[i] = 42
 	}
 	rep := mkReport(roots, leaves)
-	findings := CheckReport(testModel(), rep, Options{})
+	findings := CheckReport(testModel(), rep)
 	var got *Finding
 	for _, f := range findings {
 		if f.Kind == UnexpectedStability {
@@ -249,7 +249,7 @@ func TestUnexpectedStabilityPathological(t *testing.T) {
 func TestCheckReportOffline(t *testing.T) {
 	roots := []float64{12, 14, 25, 13}
 	leaves := []float64{1, 50, 3, 80} // unstable as trained
-	findings := CheckReport(testModel(), mkReport(roots, leaves), Options{})
+	findings := CheckReport(testModel(), mkReport(roots, leaves))
 	var violations int
 	for _, f := range findings {
 		if f.Kind == RangeViolation {
@@ -301,7 +301,7 @@ func TestStableMetricMissingFromSuite(t *testing.T) {
 	// Model knows Roots, but the run's suite lacks it: no states, no
 	// panic, no findings.
 	suite := metrics.NewSuite(metrics.Leaves)
-	d := New(testModel(), suite, Options{})
+	d := New(testModel(), suite)
 	d.Sample(metrics.Snapshot{Tick: 1, Values: []float64{50}}, nil)
 	d.Finish()
 	if len(d.Findings()) != 0 {
@@ -312,7 +312,7 @@ func TestStableMetricMissingFromSuite(t *testing.T) {
 func TestDegenerateRangeViolation(t *testing.T) {
 	mdl := testModel()
 	mdl.Stable[metrics.Roots.String()] = stats.Range{Min: 15, Max: 15}
-	d := New(mdl, testSuite, Options{})
+	d := New(mdl, testSuite)
 	feed(d, []float64{15, 15, 16})
 	d.Finish()
 	if len(d.Violations()) != 1 {
@@ -321,7 +321,7 @@ func TestDegenerateRangeViolation(t *testing.T) {
 }
 
 func BenchmarkDetectorSample(b *testing.B) {
-	d := New(testModel(), testSuite, Options{})
+	d := New(testModel(), testSuite)
 	snap := metrics.Snapshot{Tick: 1, Values: []float64{15, 50}}
 	st := stackFor(1, 2, 3)
 	b.ReportAllocs()
@@ -341,7 +341,7 @@ func TestLocallyStableEnvelopeDetection(t *testing.T) {
 		metrics.Leaves.String(): {Min: 40, Max: 60},
 	}
 	mdl.Classes[metrics.Leaves.String()] = model.LocallyStable.String()
-	d := New(mdl, testSuite, Options{})
+	d := New(mdl, testSuite)
 
 	// Phase jumps inside the envelope are fine; exceeding every
 	// normal phase level is a bug.
@@ -374,11 +374,132 @@ func TestLocallyStableEnvelopeDetection(t *testing.T) {
 }
 
 func TestGloballyStableFindingClass(t *testing.T) {
-	d := New(testModel(), testSuite, Options{})
+	d := New(testModel(), testSuite)
 	feed(d, []float64{12, 25})
 	d.Finish()
 	v := d.Violations()
 	if len(v) != 1 || v[0].MetricClass != model.GloballyStable.String() {
 		t.Fatalf("violations = %+v", v)
+	}
+}
+
+// TestUnexpectedStabilityOrder pins the pathological findings to suite
+// order: heapmd check prints findings in order, and its output must
+// read the same on every run.
+func TestUnexpectedStabilityOrder(t *testing.T) {
+	unstable := []metrics.ID{metrics.Leaves, metrics.InDeg1, metrics.InDeg2, metrics.OutDeg1}
+	mdl := testModel()
+	for _, id := range unstable {
+		mdl.Classes[id.String()] = model.Unstable.String()
+	}
+	suite := metrics.NewSuite(append([]metrics.ID{metrics.Roots}, unstable...)...)
+	rep := &logger.Report{Program: "prog", Input: "in"}
+	for _, id := range suite.IDs() {
+		rep.Suite = append(rep.Suite, id.String())
+	}
+	for i := 0; i < 60; i++ {
+		// Every metric flat: Roots in band, the rest stable in this
+		// run although unstable in training.
+		rep.Snapshots = append(rep.Snapshots, metrics.Snapshot{
+			Tick: uint64(i + 1), Values: []float64{15, 42, 42, 42, 42},
+		})
+	}
+	for run := 0; run < 50; run++ {
+		var got []string
+		for _, f := range CheckReport(mdl, rep) {
+			if f.Kind == UnexpectedStability {
+				got = append(got, f.Metric)
+			}
+		}
+		if len(got) != len(unstable) {
+			t.Fatalf("run %d: unexpected-stability findings = %v, want %d", run, got, len(unstable))
+		}
+		for i, id := range unstable {
+			if got[i] != id.String() {
+				t.Fatalf("run %d: finding order = %v, want suite order %v", run, got, unstable)
+			}
+		}
+	}
+}
+
+// trainedModel is testModel with 50 training samples per run, so the
+// online detector skips SkipStartSamples() = 5 samples.
+func trainedModel(t *testing.T) *model.Model {
+	t.Helper()
+	mdl := testModel()
+	mdl.TrainingSamples = 50
+	if mdl.SkipStartSamples() != 5 {
+		t.Fatalf("SkipStartSamples = %d, want 5", mdl.SkipStartSamples())
+	}
+	return mdl
+}
+
+// TestNewSkipsStartupWindow pins New's startup skip to exactly the
+// model's SkipStartSamples.
+func TestNewSkipsStartupWindow(t *testing.T) {
+	mdl := trainedModel(t)
+	skip := mdl.SkipStartSamples()
+
+	// Out-of-range samples inside the window are ignored.
+	d := New(mdl, testSuite)
+	vals := make([]float64, 20)
+	for i := range vals {
+		vals[i] = 15
+		if i < skip {
+			vals[i] = 30
+		}
+	}
+	feed(d, vals)
+	d.Finish()
+	if v := d.Violations(); len(v) != 0 {
+		t.Fatalf("violation inside the %d-sample startup window reported: %+v", skip, v[0])
+	}
+
+	// The first sample after the window is checked.
+	d = New(mdl, testSuite)
+	vals[skip-1], vals[skip] = 15, 30
+	feed(d, vals)
+	d.Finish()
+	if v := d.Violations(); len(v) != 1 || v[0].Tick != uint64(skip+1) {
+		t.Fatalf("violations = %+v, want one at tick %d", v, skip+1)
+	}
+}
+
+// TestCheckReportTrimsOnce pins offline checking to one startup trim:
+// the report's own TrimFrac trim, with no online skip on top of it.
+func TestCheckReportTrimsOnce(t *testing.T) {
+	mdl := trainedModel(t)
+	skip := mdl.SkipStartSamples()
+	const n = 60
+	lo, _ := stats.TrimBounds(n, mdl.Thresholds.TrimFrac)
+	report := func(at int) *logger.Report {
+		roots := make([]float64, n)
+		leaves := make([]float64, n)
+		for i := range roots {
+			roots[i] = 15
+			leaves[i] = float64((i * 37) % 100)
+		}
+		roots[at] = 30
+		return mkReport(roots, leaves)
+	}
+	violations := func(rep *logger.Report) []*Finding {
+		var out []*Finding
+		for _, f := range CheckReport(mdl, rep) {
+			if f.Kind == RangeViolation {
+				out = append(out, f)
+			}
+		}
+		return out
+	}
+
+	// Inside the report's trimmed prefix: not checked.
+	if v := violations(report(lo - 1)); len(v) != 0 {
+		t.Fatalf("violation in the trimmed prefix reported: %+v", v[0])
+	}
+	// The last sample a second, online-style skip of the trimmed
+	// series would drop: checked, so the series is trimmed once.
+	at := lo + skip - 1
+	if v := violations(report(at)); len(v) != 1 || v[0].Tick != uint64(at+1) {
+		t.Fatalf("violations = %+v, want one at tick %d", v, at+1)
 	}
 }

@@ -25,7 +25,7 @@ func healthyReport(c health.Counters) *logger.Report {
 
 func TestInstrumentationAnomalyFromReport(t *testing.T) {
 	rep := healthyReport(health.Counters{WildStores: 5})
-	findings := CheckReport(testModel(), rep, Options{})
+	findings := CheckReport(testModel(), rep)
 	var got *Finding
 	for _, f := range findings {
 		if f.Kind == InstrumentationAnomaly {
@@ -48,7 +48,7 @@ func TestInstrumentationAnomalyFromReport(t *testing.T) {
 
 func TestInstrumentationAnomalyDescribe(t *testing.T) {
 	rep := healthyReport(health.Counters{WildStores: 5})
-	findings := CheckReport(testModel(), rep, Options{})
+	findings := CheckReport(testModel(), rep)
 	sym := event.NewSymtab()
 	var desc string
 	for _, f := range findings {
@@ -63,22 +63,9 @@ func TestInstrumentationAnomalyDescribe(t *testing.T) {
 	}
 }
 
-func TestInstrumentationTolerantThresholds(t *testing.T) {
-	rep := healthyReport(health.Counters{WildStores: 5, DoubleFrees: 1})
-	tolerant := health.DefaultThresholds()
-	tolerant.MaxWildStores = 10
-	tolerant.MaxDoubleFrees = 1
-	findings := CheckReport(testModel(), rep, Options{Health: &tolerant})
-	for _, f := range findings {
-		if f.Kind == InstrumentationAnomaly {
-			t.Fatalf("counters within custom thresholds still reported: %+v", f)
-		}
-	}
-}
-
 func TestInstrumentationMultipleCounters(t *testing.T) {
 	rep := healthyReport(health.Counters{DoubleFrees: 2, WildFrees: 1, BadReallocs: 3})
-	findings := CheckReport(testModel(), rep, Options{})
+	findings := CheckReport(testModel(), rep)
 	var metrics []string
 	for _, f := range findings {
 		if f.Kind == InstrumentationAnomaly {
@@ -98,7 +85,7 @@ func TestInstrumentationMultipleCounters(t *testing.T) {
 
 func TestCleanHealthNoFindings(t *testing.T) {
 	rep := healthyReport(health.Counters{})
-	for _, f := range CheckReport(testModel(), rep, Options{}) {
+	for _, f := range CheckReport(testModel(), rep) {
 		if f.Kind == InstrumentationAnomaly {
 			t.Fatalf("clean health produced a finding: %+v", f)
 		}

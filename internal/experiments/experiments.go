@@ -16,7 +16,6 @@ import (
 
 	"heapmd/internal/logger"
 	"heapmd/internal/model"
-	"heapmd/internal/sched"
 	"heapmd/internal/workloads"
 )
 
@@ -25,31 +24,13 @@ type Config struct {
 	// Quick caps input counts (5 training, 3 test) so experiments
 	// finish in test/bench budgets.
 	Quick bool
-	// Thresholds for the summarizer; zero value means
-	// model.Defaults().
-	Thresholds model.Thresholds
 	// Parallel is the worker count for independent experiment cells
 	// (benchmark rows, per-version training fleets, injection
-	// scenarios): 0 runs serially, <0 uses GOMAXPROCS. Every
-	// experiment aggregates cell results in deterministic cell order,
-	// so outputs are bit-identical to a serial run.
+	// scenarios), as sched.Map reads it: 0 or 1 runs serially, <0
+	// uses GOMAXPROCS. Every experiment aggregates cell results in
+	// deterministic cell order, so outputs are bit-identical to a
+	// serial run.
 	Parallel int
-}
-
-// workers resolves Parallel into a concrete worker count (0 = serial).
-func (c Config) workers() int {
-	if c.Parallel == 0 {
-		return 1
-	}
-	return sched.Workers(c.Parallel)
-}
-
-func (c Config) thresholds() model.Thresholds {
-	t := c.Thresholds
-	if t.MaxAvgChange == 0 && t.MaxStdDev == 0 {
-		return model.Defaults()
-	}
-	return t
 }
 
 // cap applies Quick-mode input capping.
@@ -90,7 +71,7 @@ func train(w workloads.Workload, n int, cfg Config) ([]*logger.Report, *model.Bu
 	if err != nil {
 		return nil, nil, fmt.Errorf("training %s: %w", w.Name(), err)
 	}
-	res, err := model.Build(reports, cfg.thresholds())
+	res, err := model.Build(reports, model.Defaults())
 	if err != nil {
 		return nil, nil, fmt.Errorf("summarizing %s: %w", w.Name(), err)
 	}

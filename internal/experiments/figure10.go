@@ -51,7 +51,7 @@ func Figure10(cfg Config) (*Figure10Result, error) {
 
 	// Online detection: attach the detector as a sample observer so
 	// call stacks are captured around the crossing.
-	det := detect.New(build.Model, metrics.DefaultSuite(), detect.Options{SkipStart: build.Model.SkipStartSamples()})
+	det := detect.New(build.Model, metrics.DefaultSuite())
 	rep, p, err := workloads.RunLogged(w, testIn, workloads.RunConfig{
 		Plan:      plan,
 		Observers: []logger.SampleObserver{det},

@@ -66,7 +66,7 @@ func Figure7A(cfg Config) (*Figure7AResult, error) {
 	// Each benchmark row is an independent training fleet; rows come
 	// back in benchmark order, so the table is bit-identical to a
 	// serial run at any worker count.
-	rows, err := sched.Map(cfg.workers(), len(ws), func(i int) (Figure7Row, error) {
+	rows, err := sched.Map(cfg.Parallel, len(ws), func(i int) (Figure7Row, error) {
 		w := ws[i]
 		n := cfg.cap(paperInputs(w.Name()))
 		_, build, err := train(w, n, cfg)
@@ -172,13 +172,13 @@ func Figure7B(cfg Config) (*Figure7BResult, error) {
 	// worker pool, then fold per-version builds into rows serially in
 	// cell order so the aggregation is order-identical to the old
 	// nested loops.
-	builds, err := sched.Map(cfg.workers(), len(ws)*versions, func(idx int) (*model.BuildResult, error) {
+	builds, err := sched.Map(cfg.Parallel, len(ws)*versions, func(idx int) (*model.BuildResult, error) {
 		w, v := ws[idx/versions], idx%versions+1
 		reports, err := workloads.Train(w, nInputs, workloads.RunConfig{Version: v})
 		if err != nil {
 			return nil, err
 		}
-		return model.Build(reports, cfg.thresholds())
+		return model.Build(reports, model.Defaults())
 	})
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"heapmd/internal/metrics"
+	"heapmd/internal/model"
 	"heapmd/internal/plot"
 	"heapmd/internal/stats"
 	"heapmd/internal/workloads"
@@ -71,11 +72,11 @@ func Figure5(cfg Config) (*Figure5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	th := cfg.thresholds()
+	trim := model.Defaults().TrimFrac
 	res := &Figure5Result{Inputs: f4.Inputs}
 	for i := 0; i < 2; i++ {
-		res.InEqOut[i] = stats.Fluctuation(stats.Trim(f4.InEqOut[i], th.TrimFrac))
-		res.OutDeg1[i] = stats.Fluctuation(stats.Trim(f4.OutDeg1[i], th.TrimFrac))
+		res.InEqOut[i] = stats.Fluctuation(stats.Trim(f4.InEqOut[i], trim))
+		res.OutDeg1[i] = stats.Fluctuation(stats.Trim(f4.OutDeg1[i], trim))
 	}
 	return res, nil
 }

@@ -41,7 +41,7 @@ func specInjectionScenarios() []Scenario {
 // benchmarks and checks HeapMD detects it against a clean model.
 func SPECInjection(cfg Config) (*InjectionResult, error) {
 	scs := specInjectionScenarios()
-	rows, err := sched.Map(cfg.workers(), len(scs), func(i int) (InjectionRow, error) {
+	rows, err := sched.Map(cfg.Parallel, len(scs), func(i int) (InjectionRow, error) {
 		sc := scs[i]
 		trainN := cfg.cap(paperInputs(sc.Workload))
 		out, err := runScenario(sc, trainN, cfg.capTest(6), cfg, false)

@@ -51,15 +51,15 @@ func TestPostMortemAgreesWithLive(t *testing.T) {
 		}
 
 		// Post-mortem: replay the trace into a fresh logger.
-		replay := logger.New(logger.Options{Frequency: workloads.DefaultFrequency})
+		replay := logger.New(logger.Options{})
 		replay.SetRun(w.Name(), testIn.Name, 1)
 		if _, _, err := trace.Replay(bytes.NewReader(buf.Bytes()), replay); err != nil {
 			t.Fatal(err)
 		}
 		replayRep := replay.Report()
 
-		liveFindings := detect.CheckReport(build.Model, liveRep, detect.Options{})
-		replayFindings := detect.CheckReport(build.Model, replayRep, detect.Options{})
+		liveFindings := detect.CheckReport(build.Model, liveRep)
+		replayFindings := detect.CheckReport(build.Model, replayRep)
 		if len(liveFindings) != len(replayFindings) {
 			t.Fatalf("buggy=%v: live %d findings, post-mortem %d",
 				buggy, len(liveFindings), len(replayFindings))

@@ -51,7 +51,7 @@ func ThresholdSweep(cfg Config) (*ThresholdSweepResult, error) {
 	if cfg.Quick {
 		benchmarks = benchmarks[:2]
 	}
-	rows, err := sched.Map(cfg.workers(), len(benchmarks), func(i int) (SweepRow, error) {
+	rows, err := sched.Map(cfg.Parallel, len(benchmarks), func(i int) (SweepRow, error) {
 		name := benchmarks[i]
 		w, err := workloads.Get(name)
 		if err != nil {

@@ -97,10 +97,7 @@ func runScenario(sc Scenario, trainN, testN int, cfg Config, withSWAT bool) (*sc
 		var sw *swat.Detector
 		rc := workloads.RunConfig{Plan: plan}
 		if withSWAT {
-			// MinStaleCount 2: the paper's smallest synthesized
-			// leaks abandon a couple of objects, below SWAT's
-			// default site threshold but within its sensitivity.
-			sw = swat.New(swat.Options{MinStaleCount: 2})
+			sw = swat.New()
 			rc.ExtraSinks = []event.Sink{sw}
 		}
 		rep, p, err := workloads.RunLogged(w, in, rc)
@@ -108,7 +105,7 @@ func runScenario(sc Scenario, trainN, testN int, cfg Config, withSWAT bool) (*sc
 			out.Crashed++
 			continue
 		}
-		findings := detect.CheckReport(build.Model, rep, detect.Options{})
+		findings := detect.CheckReport(build.Model, rep)
 		for _, f := range findings {
 			if f.Kind == detect.RangeViolation || f.Kind == detect.ExtremeStability {
 				if !out.HeapMD {
@@ -199,7 +196,7 @@ func Table1(cfg Config) (*Table1Result, error) {
 	// pool, then fold the ordered results exactly as the serial loops
 	// did, so the table is bit-identical at any worker count.
 	scs := table1Scenarios()
-	outcomes, err := sched.Map(cfg.workers(), len(scs), func(i int) (*scenarioOutcome, error) {
+	outcomes, err := sched.Map(cfg.Parallel, len(scs), func(i int) (*scenarioOutcome, error) {
 		return runScenario(scs[i], trainN, testN, cfg, true)
 	})
 	if err != nil {
@@ -234,7 +231,7 @@ func Table1(cfg Config) (*Table1Result, error) {
 	}
 	names := []string{"multimedia", "webapp", "game_sim"}
 	type fpCount struct{ heapmd, swat int }
-	fps, err := sched.Map(cfg.workers(), len(names), func(i int) (fpCount, error) {
+	fps, err := sched.Map(cfg.Parallel, len(names), func(i int) (fpCount, error) {
 		name := names[i]
 		var fp fpCount
 		w, err := workloads.Get(name)
@@ -247,14 +244,14 @@ func Table1(cfg Config) (*Table1Result, error) {
 		}
 		all := w.Inputs(trainN + testN)
 		for _, in := range all[trainN:] {
-			sw := swat.New(swat.Options{MinStaleCount: 2})
+			sw := swat.New()
 			rep, p, err := workloads.RunLogged(w, in, workloads.RunConfig{
 				ExtraSinks: []event.Sink{sw},
 			})
 			if err != nil {
 				return fp, err
 			}
-			for _, f := range detect.CheckReport(build.Model, rep, detect.Options{}) {
+			for _, f := range detect.CheckReport(build.Model, rep) {
 				if f.Kind == detect.RangeViolation {
 					fp.heapmd++
 				}
@@ -405,7 +402,7 @@ func Table2(cfg Config) (*Table2Result, error) {
 	// cells; run them on the worker pool and aggregate in cell order
 	// (see Table1 for the determinism argument).
 	scs := table2Scenarios()
-	outcomes, err := sched.Map(cfg.workers(), len(scs), func(i int) (*scenarioOutcome, error) {
+	outcomes, err := sched.Map(cfg.Parallel, len(scs), func(i int) (*scenarioOutcome, error) {
 		return runScenario(scs[i], trainN, testN, cfg, false)
 	})
 	if err != nil {
@@ -422,7 +419,7 @@ func Table2(cfg Config) (*Table2Result, error) {
 		}
 	}
 	// Clean-run false positives per application.
-	fps, err := sched.Map(cfg.workers(), len(order), func(i int) (int, error) {
+	fps, err := sched.Map(cfg.Parallel, len(order), func(i int) (int, error) {
 		w, err := workloads.Get(order[i])
 		if err != nil {
 			return 0, err
@@ -438,7 +435,7 @@ func Table2(cfg Config) (*Table2Result, error) {
 			if err != nil {
 				return 0, err
 			}
-			for _, f := range detect.CheckReport(build.Model, rep, detect.Options{}) {
+			for _, f := range detect.CheckReport(build.Model, rep) {
 				if f.Kind == detect.RangeViolation {
 					falsePos++
 				}

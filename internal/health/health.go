@@ -137,10 +137,9 @@ type Thresholds struct {
 
 // DefaultThresholds tolerates nothing: any double free, wild free,
 // wild store, bad realloc or unknown event is reported. Salvaged
-// gaps and observer panics default to tolerated (they indicate
-// damaged infrastructure, not necessarily a heap bug in the
-// monitored program); callers tighten them by setting the max to 0
-// via Strict.
+// gaps and observer panics are tolerated (they indicate damaged
+// infrastructure, not necessarily a heap bug in the monitored
+// program). The detector checks every run against these thresholds.
 func DefaultThresholds() Thresholds {
 	return Thresholds{
 		MaxObserverPanics: ^uint64(0),

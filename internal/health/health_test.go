@@ -76,6 +76,21 @@ func TestDefaultThresholds(t *testing.T) {
 	}
 }
 
+func TestExceededTolerantThresholds(t *testing.T) {
+	c := Counters{WildStores: 5, DoubleFrees: 1}
+	tolerant := DefaultThresholds()
+	tolerant.MaxWildStores = 10
+	tolerant.MaxDoubleFrees = 1
+	if ex := tolerant.Exceeded(c); len(ex) != 0 {
+		t.Fatalf("counters within custom thresholds still reported: %+v", ex)
+	}
+	// A bound is the largest acceptable count: one more exceeds it.
+	c.DoubleFrees = 2
+	if ex := tolerant.Exceeded(c); len(ex) != 1 || ex[0].Counter != "double-frees" || ex[0].Threshold != 1 {
+		t.Errorf("Exceeded = %+v, want double-frees over 1", ex)
+	}
+}
+
 func TestExceededOrderAndMulti(t *testing.T) {
 	c := Counters{DoubleFrees: 2, WildStores: 9, UnknownEvents: 1}
 	ex := DefaultThresholds().Exceeded(c)

@@ -215,12 +215,12 @@ func TestBinaryPipelineEndToEnd(t *testing.T) {
 	}
 
 	clean := runOnce(77, false)
-	for _, f := range detect.CheckReport(build.Model, clean, detect.Options{}) {
+	for _, f := range detect.CheckReport(build.Model, clean) {
 		t.Errorf("false positive on clean binary: %s", f.Metric)
 	}
 
 	buggy := runOnce(78, true)
-	findings := detect.CheckReport(build.Model, buggy, detect.Options{})
+	findings := detect.CheckReport(build.Model, buggy)
 	if len(findings) == 0 {
 		t.Fatal("buggy binary not detected")
 	}

@@ -57,10 +57,6 @@ func (g Granularity) String() string {
 	return "object"
 }
 
-// DefaultFrequency is the paper's sampling frequency: one metric
-// computation per 100,000 function entries.
-const DefaultFrequency = 100000
-
 // SimulationFrequency is the sampling frequency for the simulated
 // workloads and trace replay (one metric computation per 16 function
 // entries). It differs from the paper's frq = 1/100,000 because the
@@ -68,9 +64,10 @@ const DefaultFrequency = 100000
 // millions of function entries per run, while the simulated workloads
 // here generate only thousands; both settings yield a few hundred
 // metric computation points per run, which is what the summarizer
-// and detector actually need. Every simulation-side default
-// (Session.NewRun, ReplayTrace, the workload harness) derives from
-// this one constant so recorded and replayed reports stay comparable.
+// and detector actually need. It is the default of Options.Frequency,
+// so every run that does not pick a frequency (Session.NewRun,
+// ReplayTrace, the workload harness, soak) samples at the same rate
+// and recorded and replayed reports stay comparable.
 const SimulationFrequency = 16
 
 // Options configures a Logger.
@@ -79,7 +76,7 @@ type Options struct {
 	// metrics.DefaultSuite().
 	Suite metrics.Suite
 	// Frequency samples metrics once every Frequency function
-	// entries. Zero means DefaultFrequency.
+	// entries. Zero means SimulationFrequency.
 	Frequency uint64
 	// Granularity selects object- or field-granularity graphs.
 	Granularity Granularity
@@ -247,7 +244,7 @@ func New(opts Options) *Logger {
 // reset empties every layer of the heap image and applies opts.
 func (l *Logger) reset(opts Options) {
 	if opts.Frequency == 0 {
-		opts.Frequency = DefaultFrequency
+		opts.Frequency = SimulationFrequency
 	}
 	if opts.Suite.Len() == 0 {
 		opts.Suite = metrics.DefaultSuite()

@@ -777,8 +777,8 @@ func TestOracleFindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fGot := detect.CheckReport(built.Model, trainGot[5], detect.Options{})
-	fWant := detect.CheckReport(built.Model, trainWant[5], detect.Options{})
+	fGot := detect.CheckReport(built.Model, trainGot[5])
+	fWant := detect.CheckReport(built.Model, trainWant[5])
 	if len(fGot) != len(fWant) {
 		t.Fatalf("%d findings, reference %d", len(fGot), len(fWant))
 	}

@@ -55,7 +55,6 @@ type Thresholds struct {
 	// the raw observed min/max; a small guard band compensates for
 	// training sets that undersample the extremes of a metric's
 	// natural excursion (real bugs move metrics far past any guard).
-	// Set to 0 for strict paper behaviour.
 	GuardFrac float64 `json:"guard_frac"`
 	// IncludeLocallyStable additionally calibrates ranges for
 	// locally stable metrics — the extension the paper names as
@@ -70,7 +69,8 @@ type Thresholds struct {
 	IncludeLocallyStable bool `json:"include_locally_stable,omitempty"`
 }
 
-// Defaults returns the paper's thresholds.
+// Defaults returns the paper's thresholds. Build gives each zero
+// field of its thresholds the value here.
 func Defaults() Thresholds {
 	return Thresholds{
 		MaxAvgChange:      1.0,
@@ -80,6 +80,33 @@ func Defaults() Thresholds {
 		MinSamples:        3,
 		GuardFrac:         0.15,
 	}
+}
+
+// withDefaults replaces each zero field of th with the paper default
+// for that field, keeping the fields the caller did set. Zero is
+// "unset" throughout (a MaxAvgChange of 0 would classify every metric
+// unstable, so no meaningful configuration is lost).
+func (th Thresholds) withDefaults() Thresholds {
+	def := Defaults()
+	if th.MaxAvgChange == 0 {
+		th.MaxAvgChange = def.MaxAvgChange
+	}
+	if th.MaxStdDev == 0 {
+		th.MaxStdDev = def.MaxStdDev
+	}
+	if th.TrimFrac == 0 {
+		th.TrimFrac = def.TrimFrac
+	}
+	if th.MinStableFraction == 0 {
+		th.MinStableFraction = def.MinStableFraction
+	}
+	if th.MinSamples == 0 {
+		th.MinSamples = def.MinSamples
+	}
+	if th.GuardFrac == 0 {
+		th.GuardFrac = def.GuardFrac
+	}
+	return th
 }
 
 // Class is the stability classification of one metric across the
@@ -295,14 +322,14 @@ var ErrNoReports = errors.New("model: no training reports")
 // inputs and produces the model. All reports must come from the same
 // program and share the same metric suite (the suite of the first
 // report is authoritative; reports with a different suite are
-// rejected).
+// rejected). Each zero field of th takes its paper default, so a
+// caller overriding only (say) TrimFrac keeps the defaults for
+// everything else.
 func Build(reports []*logger.Report, th Thresholds) (*BuildResult, error) {
 	if len(reports) == 0 {
 		return nil, ErrNoReports
 	}
-	if th.MaxAvgChange == 0 && th.MaxStdDev == 0 {
-		th = Defaults()
-	}
+	th = th.withDefaults()
 	suite := reports[0].Suite
 	for _, r := range reports[1:] {
 		if len(r.Suite) != len(suite) {

@@ -270,8 +270,24 @@ func TestZeroThresholdsUseDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Model.Thresholds.MaxAvgChange != 1.0 || res.Model.Thresholds.MaxStdDev != 5.0 {
-		t.Errorf("thresholds = %+v, want defaults", res.Model.Thresholds)
+	if res.Model.Thresholds != Defaults() {
+		t.Errorf("thresholds = %+v, want defaults %+v", res.Model.Thresholds, Defaults())
+	}
+}
+
+// TestBuildKeepsPartialThresholds pins the per-field default rule: a
+// caller overriding only some fields keeps them, and every zero field
+// takes its paper default.
+func TestBuildKeepsPartialThresholds(t *testing.T) {
+	reports := []*logger.Report{mkReport("a", testNames, flat(3, 50), flat(1, 50))}
+	res, err := Build(reports, Thresholds{TrimFrac: 0.25, MinStableFraction: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Defaults()
+	want.TrimFrac, want.MinStableFraction = 0.25, 0.9
+	if got := res.Model.Thresholds; got != want {
+		t.Errorf("thresholds = %+v, want %+v", got, want)
 	}
 }
 

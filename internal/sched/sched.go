@@ -85,10 +85,25 @@ func ParseIngestWorkers(n int) (int, error) {
 	return 1, nil
 }
 
+// Goroutines returns the number of goroutines Map and ForEach run for
+// a worker count, before capping it at the number of items: GOMAXPROCS
+// for a negative count, 1 (serial) for 0, and the count itself
+// otherwise. It is the one place the library's worker-count rule
+// lives: every Parallel setting below the CLI is handed to Map as is.
+// (The CLI's -parallel flag, where 0 means all cores, is resolved by
+// ParseParallel first.)
+func Goroutines(workers int) int {
+	if workers < 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return max(workers, 1)
+}
+
 // Map executes fn(0) .. fn(n-1) on up to workers goroutines and
-// returns the results in input order. workers <= 1 runs serially on
-// the calling goroutine. On failure Map returns the error of the
-// lowest-numbered failing index — exactly what a serial loop that
+// returns the results in input order. workers is resolved by
+// Goroutines: 0 or 1 runs serially on the calling goroutine, and a
+// negative count uses GOMAXPROCS. On failure Map returns the error of
+// the lowest-numbered failing index — exactly what a serial loop that
 // stops at the first error would return — after every in-flight run
 // has drained. A panicking fn is converted into an error on both the
 // serial and the parallel path, so a crashing run mid-fleet cannot
@@ -97,9 +112,7 @@ func Map[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(Goroutines(workers), n)
 	out := make([]T, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {

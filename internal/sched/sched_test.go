@@ -130,6 +130,18 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
+// TestGoroutines pins the library worker-count rule Map applies: a
+// negative count is GOMAXPROCS, 0 and 1 are serial.
+func TestGoroutines(t *testing.T) {
+	for _, c := range []struct{ in, want int }{
+		{-1, runtime.GOMAXPROCS(0)}, {-3, runtime.GOMAXPROCS(0)}, {0, 1}, {1, 1}, {7, 7},
+	} {
+		if got := Goroutines(c.in); got != c.want {
+			t.Errorf("Goroutines(%d) = %d, want %d", c.in, got, c.want)
+		}
+	}
+}
+
 // TestSchedStressFailingFleet is the race-detector stress target: many
 // workers, repeated fleets, one failing run per fleet at a rotating
 // position. Run under -race (the CI stress step does, with

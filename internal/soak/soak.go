@@ -49,20 +49,13 @@ type Options struct {
 	// Faults optionally restricts the run to the named catalog
 	// entries; empty means the full default cell set.
 	Faults []string
-	// Parallel is the number of cells soaked concurrently: 0 or 1
-	// serial, <0 GOMAXPROCS.
+	// Parallel is the number of cells soaked concurrently, as
+	// sched.Map reads it: 0 or 1 serial, <0 GOMAXPROCS.
 	Parallel int
 	// TrainInputs is the number of training inputs per workload
 	// model (default 12; at 8 the calibrated ranges are tight enough
 	// that held-out clean runs occasionally graze them).
 	TrainInputs int
-	// Warmup, FaultIters and Recovery are the minimum iteration
-	// counts per phase (defaults 2, 3, 2). With a Duration budget the
-	// phases extend beyond the minimums in a 1:2:1 time split.
-	Warmup, FaultIters, Recovery int
-	// Thresholds are the model-construction thresholds; the zero
-	// value means model.Defaults().
-	Thresholds model.Thresholds
 	// Extended soaks (and trains) with the extended metric suite —
 	// the degree metrics plus the WCC/SCC structure metrics, which
 	// turn on the incremental component trackers.
@@ -80,20 +73,16 @@ func (o Options) withDefaults() Options {
 	if o.TrainInputs == 0 {
 		o.TrainInputs = 12
 	}
-	if o.Warmup == 0 {
-		o.Warmup = 2
-	}
-	if o.FaultIters == 0 {
-		o.FaultIters = 3
-	}
-	if o.Recovery == 0 {
-		o.Recovery = 2
-	}
-	if o.Thresholds == (model.Thresholds{}) {
-		o.Thresholds = model.Defaults()
-	}
 	return o
 }
+
+// The minimum iteration counts of a cell's phases. With a Duration
+// budget the phases extend beyond them in a 1:2:1 time split.
+const (
+	warmupIters   = 2
+	faultIters    = 3
+	recoveryIters = 2
+)
 
 // heldPool is the number of held-out inputs each cell cycles through;
 // they come after the training inputs in the workload's input
@@ -126,20 +115,12 @@ func Run(opts Options) (*Scoreboard, error) {
 		}
 	}
 
-	workers := opts.Parallel
-	if workers < 0 {
-		workers = sched.Workers(0)
-	}
-	if workers == 0 {
-		workers = 1
-	}
-
 	r := &runner{opts: opts, models: make(map[string]*model.Model, len(wl))}
 
 	// Calibrate one clean model per distinct workload. Training time
 	// is excluded from the soak budget: the budget buys fault
 	// exposure, not setup.
-	trained, err := sched.Map(workers, len(wl), func(i int) (*model.Model, error) {
+	trained, err := sched.Map(opts.Parallel, len(wl), func(i int) (*model.Model, error) {
 		w, err := workloads.Get(wl[i])
 		if err != nil {
 			return nil, err
@@ -148,7 +129,7 @@ func Run(opts Options) (*Scoreboard, error) {
 		if err != nil {
 			return nil, fmt.Errorf("soak: training %s: %w", wl[i], err)
 		}
-		br, err := model.Build(reps, opts.Thresholds)
+		br, err := model.Build(reps, model.Defaults())
 		if err != nil {
 			return nil, fmt.Errorf("soak: building model for %s: %w", wl[i], err)
 		}
@@ -163,10 +144,10 @@ func Run(opts Options) (*Scoreboard, error) {
 
 	if opts.Duration > 0 {
 		r.deadline = time.Now().Add(opts.Duration)
-		r.share = time.Duration(int64(opts.Duration) * int64(workers) / int64(len(cells)))
+		r.share = time.Duration(int64(opts.Duration) * int64(sched.Goroutines(opts.Parallel)) / int64(len(cells)))
 	}
 
-	results, err := sched.Map(workers, len(cells), func(i int) (CellResult, error) {
+	results, err := sched.Map(opts.Parallel, len(cells), func(i int) (CellResult, error) {
 		return r.runCell(cells[i])
 	})
 	if err != nil {
@@ -216,7 +197,7 @@ func signal(f *detect.Finding) bool {
 // runs and soak iterations: the suite must match so the calibrated
 // model and the soaked runs measure the same thing.
 func (r *runner) loggerOptions() logger.Options {
-	opts := logger.Options{Frequency: workloads.DefaultFrequency}
+	var opts logger.Options
 	if r.opts.Extended {
 		opts.Suite = metrics.ExtendedSuite()
 	}
@@ -301,7 +282,7 @@ func (r *runner) runCell(c Cell) (CellResult, error) {
 				}
 			}
 		}
-		for _, f := range detect.CheckReport(mdl, rep, detect.Options{}) {
+		for _, f := range detect.CheckReport(mdl, rep) {
 			if !signal(f) {
 				continue
 			}
@@ -352,9 +333,9 @@ func (r *runner) runCell(c Cell) (CellResult, error) {
 	wBudget := r.share / 4
 	fBudget := r.share / 2
 	rBudget := r.share - wBudget - fBudget
-	runPhase(&res.Warmup, r.opts.Warmup, wBudget, false)
-	runPhase(&res.FaultWindow, r.opts.FaultIters, fBudget, true)
-	runPhase(&res.Recovery, r.opts.Recovery, rBudget, false)
+	runPhase(&res.Warmup, warmupIters, wBudget, false)
+	runPhase(&res.FaultWindow, faultIters, fBudget, true)
+	runPhase(&res.Recovery, recoveryIters, rBudget, false)
 
 	res.Verdict, res.OK = verdictOf(res.ExpectDetect, res.Detected)
 	r.progress("soak %-22s on %-11s %-12s triggers=%-6d latency=%d\n",

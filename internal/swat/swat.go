@@ -28,45 +28,31 @@ import (
 	"heapmd/internal/intervals"
 )
 
-// Options configures the detector.
-type Options struct {
-	// IdleFraction: an object is stale when it has been idle for at
-	// least this fraction of the observed run. Default 0.5.
-	IdleFraction float64
-	// MinStaleCount: a site is reported only when at least this many
-	// of its live objects are stale — single stray objects are
-	// noise, systemic leaks accumulate. Default 3.
-	MinStaleCount int
-	// MinStaleFraction: a site is reported only when at least this
+// The detector's fixed settings.
+const (
+	// idleFraction: an object is stale when it has been idle for at
+	// least this fraction of the observed run.
+	idleFraction = 0.5
+	// minStaleCount: a site is reported only when at least this many
+	// of its live objects are stale — single stray objects are noise,
+	// systemic leaks accumulate. The paper's smallest synthesized
+	// leaks abandon a couple of objects, so 2 keeps them within
+	// SWAT's sensitivity.
+	minStaleCount = 2
+	// minStaleFraction: a site is reported only when at least this
 	// fraction of its live objects are stale. Churning pools have
 	// long-lifetime tails; requiring a substantial share of a site's
-	// population to be stale separates leaks from tails. Default
-	// 0.3 — leaks share allocation sites with healthy objects (the
-	// Figure 11 typo leaks lists from a site that also feeds live
-	// lists), so demanding near-total staleness hides them.
-	MinStaleFraction float64
-	// SampleAfter enables adaptive access sampling: once a site has
-	// observed this many accesses, only every 8th access updates
-	// staleness bookkeeping (SWAT samples frequently-executed code
-	// paths at reduced rates). Zero disables sampling. Default 4096.
-	SampleAfter uint64
-}
-
-func (o Options) withDefaults() Options {
-	if o.IdleFraction == 0 {
-		o.IdleFraction = 0.5
-	}
-	if o.MinStaleCount == 0 {
-		o.MinStaleCount = 3
-	}
-	if o.MinStaleFraction == 0 {
-		o.MinStaleFraction = 0.3
-	}
-	if o.SampleAfter == 0 {
-		o.SampleAfter = 4096
-	}
-	return o
-}
+	// population to be stale separates leaks from tails. It is no
+	// higher because leaks share allocation sites with healthy
+	// objects (the Figure 11 typo leaks lists from a site that also
+	// feeds live lists), so demanding near-total staleness hides them.
+	minStaleFraction = 0.3
+	// sampleAfter is the adaptive access sampling threshold: once a
+	// site has observed this many accesses, only every 8th access
+	// updates staleness bookkeeping (SWAT samples frequently-executed
+	// code paths at reduced rates).
+	sampleAfter = 4096
+)
 
 // objRec tracks one live object.
 type objRec struct {
@@ -92,16 +78,14 @@ type Leak struct {
 
 // Detector implements event.Sink.
 type Detector struct {
-	opts     Options
 	clock    uint64 // advances once per event
 	objects  *intervals.Map[*objRec]
 	siteHits map[event.FnID]uint64
 }
 
 // New creates a SWAT detector.
-func New(opts Options) *Detector {
+func New() *Detector {
 	return &Detector{
-		opts:     opts.withDefaults(),
 		objects:  intervals.New[*objRec](),
 		siteHits: make(map[event.FnID]uint64),
 	}
@@ -139,7 +123,7 @@ func (d *Detector) touch(addr uint64) {
 	}
 	hits := d.siteHits[rec.site]
 	d.siteHits[rec.site] = hits + 1
-	if d.opts.SampleAfter > 0 && hits > d.opts.SampleAfter && hits%8 != 0 {
+	if hits > sampleAfter && hits%8 != 0 {
 		// Sampled out: SWAT trades access-tracking precision on hot
 		// paths for overhead; occasionally this manufactures
 		// staleness, one source of its false positives.
@@ -158,7 +142,7 @@ func (d *Detector) Live() int { return d.objects.Len() }
 // the sites that cross the reporting thresholds, most stale first.
 // sym, when non-nil, resolves site names.
 func (d *Detector) Report(sym *event.Symtab) []Leak {
-	idleCut := uint64(float64(d.clock) * d.opts.IdleFraction)
+	idleCut := uint64(float64(d.clock) * idleFraction)
 	type agg struct {
 		stale, live int
 		maxIdle     uint64
@@ -181,10 +165,10 @@ func (d *Detector) Report(sym *event.Symtab) []Leak {
 	})
 	var out []Leak
 	for site, a := range sites {
-		if a.stale < d.opts.MinStaleCount {
+		if a.stale < minStaleCount {
 			continue
 		}
-		if float64(a.stale) < d.opts.MinStaleFraction*float64(a.live) {
+		if float64(a.stale) < minStaleFraction*float64(a.live) {
 			continue
 		}
 		l := Leak{Site: site, Stale: a.stale, Live: a.live, MaxIdle: a.maxIdle}

@@ -32,7 +32,7 @@ func drive(d *Detector, site event.FnID, n int, touchEvery int, filler int) []ui
 }
 
 func TestAbandonedObjectsReported(t *testing.T) {
-	d := New(Options{})
+	d := New()
 	drive(d, 7, 5, 0, 1000) // 5 objects, never touched again
 	leaks := d.Report(nil)
 	if len(leaks) != 1 {
@@ -44,7 +44,7 @@ func TestAbandonedObjectsReported(t *testing.T) {
 }
 
 func TestTouchedObjectsNotReported(t *testing.T) {
-	d := New(Options{})
+	d := New()
 	drive(d, 7, 5, 100, 1000) // touched every 100 events
 	if leaks := d.Report(nil); len(leaks) != 0 {
 		t.Fatalf("touched objects reported: %+v", leaks)
@@ -52,7 +52,7 @@ func TestTouchedObjectsNotReported(t *testing.T) {
 }
 
 func TestFreedObjectsNotReported(t *testing.T) {
-	d := New(Options{})
+	d := New()
 	addrs := drive(d, 7, 5, 0, 500)
 	for _, a := range addrs {
 		d.Emit(event.Event{Type: event.Free, Addr: a, Size: 32})
@@ -69,16 +69,22 @@ func TestFreedObjectsNotReported(t *testing.T) {
 }
 
 func TestMinStaleCount(t *testing.T) {
-	d := New(Options{MinStaleCount: 3})
-	drive(d, 7, 2, 0, 1000) // only 2 stale: under threshold
+	d := New()
+	drive(d, 7, minStaleCount-1, 0, 1000) // one short of the threshold
 	if leaks := d.Report(nil); len(leaks) != 0 {
 		t.Fatalf("under-threshold site reported: %+v", leaks)
 	}
+	d = New()
+	drive(d, 7, minStaleCount, 0, 1000) // exactly at the threshold
+	if leaks := d.Report(nil); len(leaks) != 1 || leaks[0].Stale != minStaleCount {
+		t.Fatalf("at-threshold site: leaks = %+v, want one with %d stale", leaks, minStaleCount)
+	}
 }
 
-func TestMinStaleFraction(t *testing.T) {
-	d := New(Options{MinStaleFraction: 0.8, MinStaleCount: 3})
-	// 4 stale objects and 16 busy ones at the same site: 20% stale.
+// staleShare drives 16 busy objects and stale idle ones at one site and
+// returns the report.
+func staleShare(stale int) []Leak {
+	d := New()
 	site := event.FnID(9)
 	var busy []uint64
 	for i := 0; i < 16; i++ {
@@ -86,19 +92,28 @@ func TestMinStaleFraction(t *testing.T) {
 		busy = append(busy, a)
 		d.Emit(event.Event{Type: event.Alloc, Fn: site, Addr: a, Size: 32})
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < stale; i++ {
 		d.Emit(event.Event{Type: event.Alloc, Fn: site, Addr: uint64(0x3000_0000 + i*64), Size: 32})
 	}
-	for t2 := 0; t2 < 2000; t2++ {
-		d.Emit(event.Event{Type: event.Load, Addr: busy[t2%len(busy)]})
+	for t := 0; t < 2000; t++ {
+		d.Emit(event.Event{Type: event.Load, Addr: busy[t%len(busy)]})
 	}
-	if leaks := d.Report(nil); len(leaks) != 0 {
+	return d.Report(nil)
+}
+
+func TestMinStaleFraction(t *testing.T) {
+	// 4 of 20 live objects stale (20%) is under minStaleFraction...
+	if leaks := staleShare(4); len(leaks) != 0 {
 		t.Fatalf("mostly-busy site reported: %+v", leaks)
+	}
+	// ...and 7 of 23 (30.4%) is over it.
+	if leaks := staleShare(7); len(leaks) != 1 || leaks[0].Stale != 7 || leaks[0].Live != 23 {
+		t.Fatalf("site over the stale fraction: leaks = %+v", leaks)
 	}
 }
 
 func TestReallocKeepsTracking(t *testing.T) {
-	d := New(Options{})
+	d := New()
 	for i := 0; i < 4; i++ {
 		d.Emit(event.Event{Type: event.Alloc, Fn: 7, Addr: uint64(0x1000 + i*64), Size: 32})
 	}
@@ -116,7 +131,7 @@ func TestReallocKeepsTracking(t *testing.T) {
 func TestSiteNameResolution(t *testing.T) {
 	sym := event.NewSymtab()
 	site := sym.Intern("assets.load")
-	d := New(Options{})
+	d := New()
 	drive(d, site, 4, 0, 800)
 	leaks := d.Report(sym)
 	if len(leaks) != 1 || leaks[0].SiteName != "assets.load" {
@@ -134,7 +149,7 @@ func TestReachableLeakVisibleToSWAT(t *testing.T) {
 	}
 	in := w.Inputs(1)[0]
 	plan := faults.NewPlan().Enable(faults.ReachableLeak, faults.Config{MaxTriggers: 8})
-	d := New(Options{})
+	d := New()
 	_, p, err := workloads.RunLogged(w, in, workloads.RunConfig{
 		Plan:       plan,
 		ExtraSinks: []event.Sink{d},
@@ -163,7 +178,7 @@ func TestCleanWorkloadRunFewReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := w.Inputs(1)[0]
-	d := New(Options{})
+	d := New()
 	_, p, err := workloads.RunLogged(w, in, workloads.RunConfig{
 		ExtraSinks: []event.Sink{d},
 	})
@@ -181,7 +196,7 @@ func TestCleanWorkloadRunFewReports(t *testing.T) {
 }
 
 func BenchmarkEmitStore(b *testing.B) {
-	d := New(Options{})
+	d := New()
 	for i := 0; i < 1000; i++ {
 		d.Emit(event.Event{Type: event.Alloc, Fn: 1, Addr: uint64(0x1000 + i*64), Size: 32})
 	}

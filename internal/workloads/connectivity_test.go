@@ -39,7 +39,7 @@ func (o *componentOracle) Sample(metrics.Snapshot, *callstack.Tracker) {
 func runWithOracle(t *testing.T, w Workload, in Input, suite metrics.Suite, plan *faults.Plan) *logger.Report {
 	t.Helper()
 	p := prog.NewProcess(prog.Options{Seed: in.Seed, Plan: plan})
-	l := logger.New(logger.Options{Frequency: DefaultFrequency, Suite: suite})
+	l := logger.New(logger.Options{Suite: suite})
 	l.SetRun(w.Name(), in.Name, 1)
 	oracle := &componentOracle{g: l.Graph()}
 	l.Observe(oracle)
@@ -126,8 +126,8 @@ func checkFindingsUnderOracle(t *testing.T, suite metrics.Suite) {
 	}
 	in := w.Inputs(2)[1]
 	plan := func() *faults.Plan { return faults.NewPlan().EnableAlways(faults.TypoLeak) }
-	want := detect.CheckReport(built.Model, runPlain(t, w, in, suite, plan()), detect.Options{})
-	got := detect.CheckReport(built.Model, runWithOracle(t, w, in, suite, plan()), detect.Options{})
+	want := detect.CheckReport(built.Model, runPlain(t, w, in, suite, plan()))
+	got := detect.CheckReport(built.Model, runWithOracle(t, w, in, suite, plan()))
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("findings under the oracle differ:\nproduction: %v\noracle:     %v", want, got)
 	}

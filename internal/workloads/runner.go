@@ -15,8 +15,8 @@ type RunConfig struct {
 	Version int
 	// Plan is the fault-injection plan; nil means fault-free.
 	Plan *faults.Plan
-	// Logger configures the execution logger. A zero Frequency
-	// defaults to DefaultFrequency (see RunLogged).
+	// Logger configures the execution logger; a zero Frequency means
+	// logger.SimulationFrequency.
 	Logger logger.Options
 	// Observers are attached to the logger before the run (e.g. an
 	// online anomaly detector).
@@ -24,10 +24,11 @@ type RunConfig struct {
 	// ExtraSinks receive the raw event stream (e.g. a trace writer
 	// or the SWAT baseline).
 	ExtraSinks []event.Sink
-	// Parallel is the worker count for Train's independent runs:
-	// 0 or 1 runs serially, <0 uses GOMAXPROCS. Results are
-	// bit-identical to serial regardless of the setting — each run is
-	// seeded and isolated, and reports come back in input order.
+	// Parallel is the worker count for Train's independent runs, as
+	// sched.Map reads it: 0 or 1 runs serially, <0 uses GOMAXPROCS.
+	// Results are bit-identical to serial regardless of the setting —
+	// each run is seeded and isolated, and reports come back in input
+	// order.
 	// Runs sharing Observers or ExtraSinks cannot be isolated, so
 	// Train falls back to serial when either is set.
 	Parallel int
@@ -47,12 +48,6 @@ type RunConfig struct {
 	IngestWorkers int
 }
 
-// DefaultFrequency is the sampling frequency used by the experiment
-// harnesses: the shared simulation-wide constant (see
-// logger.SimulationFrequency for why it differs from the paper's
-// every-100,000th-entry frq).
-const DefaultFrequency = logger.SimulationFrequency
-
 // RunLogged executes w on the given input under a fresh process and
 // an empty logger and returns the metric report. The returned process
 // allows post-run heap inspection (leak counting, invariant checks),
@@ -64,9 +59,6 @@ func RunLogged(w Workload, in Input, cfg RunConfig) (*logger.Report, *prog.Proce
 	}
 	if cfg.Version == 0 {
 		cfg.Version = 1
-	}
-	if cfg.Logger.Frequency == 0 {
-		cfg.Logger.Frequency = DefaultFrequency
 	}
 	p := prog.NewProcess(prog.Options{Seed: in.Seed, Plan: cfg.Plan})
 	l := logger.New(cfg.Logger)
@@ -109,12 +101,9 @@ func RunLogged(w Workload, in Input, cfg RunConfig) (*logger.Report, *prog.Proce
 func Train(w Workload, n int, cfg RunConfig) ([]*logger.Report, error) {
 	inputs := w.Inputs(n)
 	workers := cfg.Parallel
-	if workers < 0 {
-		workers = sched.Workers(0)
-	}
 	// cfg.Record stays parallel: it constructs fresh per-run state
 	// inside each worker rather than sharing an object across runs.
-	if workers == 0 || len(cfg.Observers) > 0 || len(cfg.ExtraSinks) > 0 {
+	if len(cfg.Observers) > 0 || len(cfg.ExtraSinks) > 0 {
 		workers = 1
 	}
 	return sched.Map(workers, len(inputs), func(i int) (*logger.Report, error) {
