@@ -9,6 +9,22 @@ import (
 	"heapmd/internal/trace"
 )
 
+// TestFillThresholdsZeroValue checks that a session given no thresholds
+// builds its model with the paper defaults in every field.
+func TestFillThresholdsZeroValue(t *testing.T) {
+	sess := NewSession(Options{Frequency: 4})
+	run := sess.NewRun("p", "i", 1)
+	buildListProgram(run.Process(), false, 300)
+	sess.AddTraining(run)
+	mdl, _, err := sess.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mdl.Thresholds; got != DefaultThresholds() {
+		t.Errorf("zero thresholds = %+v, want paper defaults %+v", got, DefaultThresholds())
+	}
+}
+
 func TestSessionBuildKeepsPartialThresholds(t *testing.T) {
 	sess := NewSession(Options{Frequency: 4, Thresholds: Thresholds{TrimFrac: 0.2}})
 	run := sess.NewRun("p", "i", 1)
