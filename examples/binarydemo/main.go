@@ -139,8 +139,9 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("trained on %d clean executions: %d stable metrics\n", len(reports), build.StableCount())
-	for name, rng := range build.Model.Stable {
-		fmt.Printf("  %-9s [%.2f%%, %.2f%%]\n", name, rng.Min, rng.Max)
+	for _, id := range build.Model.StableIDs() {
+		rng, _ := build.Model.RangeOf(id)
+		fmt.Printf("  %-9s [%.2f%%, %.2f%%]\n", id, rng.Min, rng.Max)
 	}
 
 	clean := runOnce(91, 0)

@@ -26,7 +26,7 @@
 //	...
 //	run := sess.NewRun("myprog", testInput)
 //	execute(run.Process())
-//	findings := heapmd.Check(model, run.Report())
+//	findings := heapmd.Check(model, run.Report()) // Report ends the run
 //
 // Programs execute against a simulated heap (heapmd.Process), which
 // plays the role of the paper's Vulcan-instrumented x86 binary: every
@@ -212,10 +212,13 @@ type Session struct {
 // NewSession creates an empty training session.
 func NewSession(opts Options) *Session { return &Session{opts: opts} }
 
-// Run couples a Process with the execution logger observing it.
+// Run couples a Process with the execution logger observing it. The
+// run lasts until Report ends it; the logger then goes back to a free
+// list, so the next run reuses its heap image (see logger.New).
 type Run struct {
 	process *Process
-	log     *logger.Logger
+	log     *logger.Logger // nil once Report has ended the run
+	rep     *Report
 }
 
 // NewRun creates an instrumented process for one execution of the
@@ -246,18 +249,37 @@ func (s *Session) newRun(program, input string, seed int64, plan *FaultPlan) *Ru
 func (r *Run) Process() *Process { return r.process }
 
 // Observe attaches a sample observer (e.g. an online Detector) to the
-// run's logger. Must be called before executing the program.
-func (r *Run) Observe(d *Detector) { r.log.Observe(d) }
+// run's logger. Must be called before executing the program; after
+// Report has ended the run it does nothing.
+func (r *Run) Observe(d *Detector) {
+	if r.log != nil {
+		r.log.Observe(d)
+	}
+}
 
-// Report finalizes the run's metric report.
-func (r *Run) Report() *Report { return r.log.Report() }
+// Report ends the run and returns its metric report. The first call
+// takes the report, detaches the logger from the process and releases
+// it for a later run to reuse; later calls return the same report,
+// which shares no storage with the logger. Events the process emits
+// after the end reach no logger. Call Report once the program is done,
+// from the goroutine that ran it, never from inside an observer.
+func (r *Run) Report() *Report {
+	if r.log != nil {
+		r.rep = r.log.Report()
+		r.process.Unsubscribe(r.log)
+		r.log.Release()
+		r.log = nil
+	}
+	return r.rep
+}
 
 // IngestStats returns IngestStats{Workers: 1}.
 //
 // Deprecated: ingestion is always serial.
 func (r *Run) IngestStats() IngestStats { return IngestStats{Workers: 1} }
 
-// AddTraining adds a completed run's report to the training set.
+// AddTraining ends a completed run (Run.Report) and adds its report to
+// the training set.
 func (s *Session) AddTraining(r *Run) { s.reports = append(s.reports, r.Report()) }
 
 // AddReport adds a previously produced report (e.g. replayed from a
@@ -276,15 +298,18 @@ type TrainingInput struct {
 // serially, negative uses GOMAXPROCS. Because every run owns its
 // process and logger, the collected reports (and the error, if any
 // body fails) are identical to a serial loop at any worker count; on
-// error no reports are added. body must not touch shared state without
-// its own synchronization.
+// error no reports are added. Each run ends (Run.Report) when its body
+// returns. body must not touch shared state without its own
+// synchronization.
 func (s *Session) TrainMany(program string, inputs []TrainingInput, parallel int, body func(*Run, TrainingInput) error) error {
 	reports, err := sched.Map(parallel, len(inputs), func(i int) (*Report, error) {
 		run := s.newRun(program, inputs[i].Name, inputs[i].Seed, nil)
-		if err := body(run, inputs[i]); err != nil {
+		err := body(run, inputs[i])
+		rep := run.Report() // ends the run, failed or not
+		if err != nil {
 			return nil, err
 		}
-		return run.Report(), nil
+		return rep, nil
 	})
 	if err != nil {
 		return err

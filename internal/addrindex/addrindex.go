@@ -205,20 +205,27 @@ func (t *Table[V]) Insert(base, size uint64, value V) *V {
 	} else {
 		t.arena.Push()
 	}
+	e := t.arena.At(i)
+	e.value = value
+	t.n++
+	t.place(i, base, size)
+	return &e.value
+}
+
+// place indexes arena record i as the live range [base, base+size).
+func (t *Table[V]) place(i int32, base, size uint64) {
 	// Field by field: a composite literal would build the whole record
 	// on the stack and copy it in.
 	e := t.arena.At(i)
 	e.base, e.size, e.next, e.live = base, size, noEntry, true
-	e.value = value
-	t.n++
 	first, last := pageRange(base, size)
 	switch {
 	case size == 0:
 		e.next, t.zero[base] = t.zero[base]-1, i+1
-		return &e.value
+		return
 	case last-first+1 > maxSpanPages:
 		t.huge = append(t.huge, ref{base: base, i: i})
-		return &e.value
+		return
 	}
 	c := t.chunkFor(first, true)
 	p := c.pages[first&(chunkPages-1)]
@@ -248,7 +255,6 @@ func (t *Table[V]) Insert(base, size uint64, value V) *V {
 	for q := first + 1; q <= last; q++ {
 		t.chunkFor(q, true).cover[q&(chunkPages-1)] = i + 1
 	}
-	return &e.value
 }
 
 // findExact returns the arena index of a range based at base, or noEntry.
@@ -283,13 +289,40 @@ func (t *Table[V]) Get(base uint64) *V {
 	return nil
 }
 
-// Remove deletes the range based exactly at base, returning its value
-// and whether an entry was removed.
-func (t *Table[V]) Remove(base uint64) (v V, ok bool) {
+// Remove deletes the range based exactly at base, returning a pointer
+// to its value and whether an entry was removed. The value is not
+// copied out: the pointer stays valid until the next Insert, which may
+// reuse the record, and no Stab, cached or not, hits the record before
+// that. The value keeps its references until the record is reused.
+func (t *Table[V]) Remove(base uint64) (*V, bool) {
 	i := t.findExact(base)
 	if i == noEntry {
-		return v, false
+		return nil, false
 	}
+	t.displace(i, base)
+	t.free = append(t.free, i)
+	t.n--
+	return &t.arena.At(i).value, true
+}
+
+// Move re-bases the range based exactly at oldBase to [newBase,
+// newBase+newSize), keeping its value in place, and returns a pointer
+// to it and whether an entry was moved. The table ends as Remove and
+// then Insert of the same value would leave it, record for record.
+func (t *Table[V]) Move(oldBase, newBase, newSize uint64) (*V, bool) {
+	i := t.findExact(oldBase)
+	if i == noEntry {
+		return nil, false
+	}
+	t.displace(i, oldBase)
+	t.place(i, newBase, newSize)
+	return &t.arena.At(i).value, true
+}
+
+// displace takes arena record i, the range based at base, out of the
+// index and leaves it a size-0 record that no Stab can hit; its value
+// stays.
+func (t *Table[V]) displace(i int32, base uint64) {
 	e := t.arena.At(i)
 	first, last := pageRange(base, e.size)
 	switch {
@@ -317,13 +350,7 @@ func (t *Table[V]) Remove(base uint64) (v V, ok bool) {
 			}
 		}
 	}
-	// Zeroing releases the value's references and leaves a size-0
-	// record, which no Stab, cached or not, can hit until reuse.
-	v = e.value
-	*e = entry[V]{}
-	t.free = append(t.free, i)
-	t.n--
-	return v, true
+	e.base, e.size, e.next, e.live = 0, 0, noEntry, false
 }
 
 // remember records arena index i as the most recent Stab hit.

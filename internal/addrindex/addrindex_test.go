@@ -2,6 +2,7 @@ package addrindex
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -18,8 +19,8 @@ func TestInsertGetRemove(t *testing.T) {
 	if v := tb.Get(101); v != nil {
 		t.Error("Get of interior address should fail")
 	}
-	if v, ok := tb.Remove(100); !ok || v != "a" {
-		t.Errorf("Remove(100) = (%q,%v)", v, ok)
+	if v, ok := tb.Remove(100); !ok || *v != "a" {
+		t.Errorf("Remove(100) = (%v,%v)", v, ok)
 	}
 	if _, ok := tb.Remove(100); ok {
 		t.Error("second Remove(100) should succeed only once")
@@ -373,11 +374,12 @@ func TestOverlappingInsertsStaySafe(t *testing.T) {
 				bases = append(bases, base)
 			case op < 6 && len(bases) > 0:
 				base := bases[rng.Intn(len(bases))]
-				v, ok := tb.Remove(base)
+				p, ok := tb.Remove(base)
 				if ok != (count[base] > 0) {
 					t.Fatalf("seed %d step %d: Remove(%#x) ok=%v with %d live there", seed, step, base, ok, count[base])
 				}
 				if ok {
+					v := *p
 					if r, isLive := live[v]; !isLive || r.base != base {
 						t.Fatalf("seed %d step %d: Remove(%#x) returned value %d, live %v as %+v", seed, step, base, v, isLive, r)
 					}
@@ -405,9 +407,13 @@ func TestOverlappingInsertsStaySafe(t *testing.T) {
 		// Drain: each base gives up exactly its live ranges, then misses.
 		for base, n := range count {
 			for k := 0; k < n; k++ {
-				v, ok := tb.Remove(base)
-				if r, isLive := live[v]; !ok || !isLive || r.base != base {
-					t.Fatalf("seed %d: drain Remove(%#x) #%d = (%d, %v)", seed, base, k, v, ok)
+				p, ok := tb.Remove(base)
+				if !ok {
+					t.Fatalf("seed %d: drain Remove(%#x) #%d missed", seed, base, k)
+				}
+				v := *p
+				if r, isLive := live[v]; !isLive || r.base != base {
+					t.Fatalf("seed %d: drain Remove(%#x) #%d = %d", seed, base, k, v)
 				}
 				delete(live, v)
 			}
@@ -432,6 +438,131 @@ func TestOverlappingInsertsStaySafe(t *testing.T) {
 		}
 		for k := 0; k < tb.arena.Len(); k += 7 {
 			checkStab(-1, far+uint64(k)*64+9)
+		}
+	}
+}
+
+// TestRemovedRecordUnhittable: Remove hands back the record's value in
+// place, and until the next Insert that pointer still reads the value,
+// while no Stab reaches the record: not through the last-hit cache, not
+// through its page, and not through the cover of a later page it used
+// to reach.
+func TestRemovedRecordUnhittable(t *testing.T) {
+	tb := New[int]()
+	const base = 1 << 32
+	tb.Insert(base, 3*pageSize, 7)
+	tb.Insert(base+4*pageSize, 64, 8)
+	for _, addr := range []uint64{base + 8, base + 2*pageSize + 8} {
+		if _, _, _, ok := tb.Stab(addr); !ok {
+			t.Fatalf("warm-up Stab(%#x) missed", addr)
+		}
+	}
+	v, ok := tb.Remove(base)
+	if !ok || *v != 7 {
+		t.Fatalf("Remove = (%v, %v), want the value 7", v, ok)
+	}
+	for _, addr := range []uint64{base + 8, base + 2*pageSize + 8, base, base + 3*pageSize - 1} {
+		if b, s, _, ok := tb.Stab(addr); ok {
+			t.Fatalf("Stab(%#x) hit removed range [%#x, +%d)", addr, b, s)
+		}
+	}
+	if *v != 7 {
+		t.Fatalf("removed value reads %d before the next Insert, want 7", *v)
+	}
+	if g := tb.Get(base); g != nil {
+		t.Fatalf("Get of a removed base = %v", g)
+	}
+}
+
+// TestMoveMatchesRemoveInsert drives two tables through one random
+// sequence, one moving ranges with Move and the other with Remove and
+// then Insert of the removed value, over the shapes a damaged trace
+// can make (overlaps, duplicate bases, unaligned and zero-size ranges,
+// huge ranges, moves onto live bases). Every query must agree at every
+// step, and Move must return the moved value.
+func TestMoveMatchesRemoveInsert(t *testing.T) {
+	const region = uint64(1<<32 + chunkPages*pageSize - 2*pageSize)
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		moved, copied := New[int](), New[int]()
+		randAddr := func() uint64 { return region + uint64(rng.Intn(4*pageSize)) }
+		randSize := func() uint64 {
+			switch rng.Intn(8) {
+			case 0:
+				return 0
+			case 1:
+				return uint64(rng.Intn(3*pageSize) + 1)
+			case 2:
+				return (maxSpanPages + 1) * pageSize
+			default:
+				return uint64(rng.Intn(64) + 1)
+			}
+		}
+		var bases []uint64
+		pick := func() uint64 {
+			if len(bases) > 0 && rng.Intn(4) != 0 {
+				return bases[rng.Intn(len(bases))]
+			}
+			return randAddr()
+		}
+		for step := 0; step < 4000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				base, size := pick(), randSize()
+				moved.Insert(base, size, step)
+				copied.Insert(base, size, step)
+				bases = append(bases, base)
+			case op < 6:
+				base := pick()
+				a, okA := moved.Remove(base)
+				b, okB := copied.Remove(base)
+				if okA != okB || okA && *a != *b {
+					t.Fatalf("seed %d step %d: Remove(%#x) disagrees", seed, step, base)
+				}
+			case op < 8:
+				oldBase, newBase, newSize := pick(), pick(), randSize()
+				if rng.Intn(4) == 0 {
+					newBase = oldBase
+				}
+				a, okA := moved.Move(oldBase, newBase, newSize)
+				b, okB := copied.Remove(oldBase)
+				if okA != okB || okA && *a != *b {
+					t.Fatalf("seed %d step %d: Move(%#x→%#x) = (%v, %v), Remove (%v, %v)", seed, step, oldBase, newBase, a, okA, b, okB)
+				}
+				if okB {
+					copied.Insert(newBase, newSize, *b)
+					bases = append(bases, newBase)
+				}
+			default:
+				addr := pick() + uint64(rng.Intn(16)) - 8
+				ba, sa, va, okA := moved.Stab(addr)
+				bb, sb, vb, okB := copied.Stab(addr)
+				if okA != okB || okA && (ba != bb || sa != sb || *va != *vb) {
+					t.Fatalf("seed %d step %d: Stab(%#x) disagrees", seed, step, addr)
+				}
+				ga, gb := moved.Get(addr), copied.Get(addr)
+				if (ga == nil) != (gb == nil) || ga != nil && *ga != *gb {
+					t.Fatalf("seed %d step %d: Get(%#x) disagrees", seed, step, addr)
+				}
+			}
+			if moved.Len() != copied.Len() || moved.arena.Len() != copied.arena.Len() {
+				t.Fatalf("seed %d step %d: Len %d/%d, arena %d/%d", seed, step,
+					moved.Len(), copied.Len(), moved.arena.Len(), copied.arena.Len())
+			}
+		}
+		type rec struct {
+			base, size uint64
+			v          int
+		}
+		walk := func(tb *Table[int]) (out []rec) {
+			tb.Walk(func(base, size uint64, v *int) bool {
+				out = append(out, rec{base, size, *v})
+				return true
+			})
+			return out
+		}
+		if a, b := walk(moved), walk(copied); !slices.Equal(a, b) {
+			t.Fatalf("seed %d: final tables differ:\n%v\n%v", seed, a, b)
 		}
 	}
 }

@@ -81,11 +81,11 @@ func TestOracleAgainstIntervals(t *testing.T) {
 					live[base] = size
 				case 4: // remove a live base
 					for b := range live {
-						gotV, gotOK := tb.Remove(b)
+						gotP, gotOK := tb.Remove(b)
 						wantV, wantOK := or.Get(b)
-						if !or.Remove(b) || !gotOK || gotV != wantV || !wantOK {
-							t.Fatalf("seed %d step %d: Remove(%#x) = (%d,%v), oracle (%d,%v)",
-								seed, step, b, gotV, gotOK, wantV, wantOK)
+						if !or.Remove(b) || !gotOK || *gotP != wantV || !wantOK {
+							t.Fatalf("seed %d step %d: Remove(%#x) = (%v,%v), oracle (%d,%v)",
+								seed, step, b, gotP, gotOK, wantV, wantOK)
 						}
 						delete(live, b)
 						break

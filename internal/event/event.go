@@ -172,6 +172,18 @@ func (m Multi) Emit(e Event) {
 	}
 }
 
+// Without returns m less its first registration of sink, in a new
+// slice, so an Emit ranging over m is undisturbed. sink's dynamic type
+// must be comparable.
+func (m Multi) Without(sink Sink) Multi {
+	for i, s := range m {
+		if s == sink {
+			return append(append(Multi(nil), m[:i]...), m[i+1:]...)
+		}
+	}
+	return m
+}
+
 // Counter is a Sink that tallies events by type; useful in tests and
 // for run statistics. Events with an out-of-range type byte (possible
 // when counting a damaged trace) land in Unknown rather than

@@ -122,6 +122,10 @@ func New(opts ...Option) *Sim {
 // heap without the sink seeing it.
 func (s *Sim) Subscribe(sink event.Sink) { s.sinks = append(s.sinks, sink) }
 
+// Unsubscribe removes sink's first registration; later events do not
+// reach it.
+func (s *Sim) Unsubscribe(sink event.Sink) { s.sinks = s.sinks.Without(sink) }
+
 // SetSite sets the allocation-site attribution used for subsequent
 // Alloc events. The workload runtime keeps this synchronized with the
 // top of the simulated call stack.

@@ -60,9 +60,10 @@ type VertexID uint64
 const maxTracked = 8
 
 // denseSlack bounds how far past the current dense-index frontier an
-// ID may land while still growing the dense slice (4 bytes per ID of
-// headroom). IDs further out go to the sparse map instead, so one wild
-// ID from a damaged trace cannot balloon the index.
+// ID may land while still growing the dense slice. IDs further out go
+// to the sparse map instead, so one wild ID from a damaged trace cannot
+// balloon the index. It is a distance, not a reservation: a full slice
+// regrows to 1.5 times the length it needs plus minSlots entries.
 const denseSlack = 1 << 16
 
 // minSlots is the vertex arena's first capacity.
@@ -154,7 +155,8 @@ func (g *Graph) slotOf(v VertexID) int32 {
 
 // setSlot records v → slot in the index, growing the dense slice when
 // v is within denseSlack of its frontier and falling back to the
-// sparse map otherwise.
+// sparse map otherwise. Vertex IDs never repeat, so within one run the
+// dense slice grows by 4 bytes per vertex ever added, live or not.
 func (g *Graph) setSlot(v VertexID, slot int32) {
 	if uint64(v) < uint64(len(g.dense)) {
 		g.dense[v] = slot + 1
@@ -163,7 +165,7 @@ func (g *Graph) setSlot(v VertexID, slot int32) {
 	if uint64(v) < uint64(len(g.dense))+denseSlack {
 		n := int(v) + 1
 		if cap(g.dense) < n {
-			grown := make([]int32, n, n+n/2+denseSlack)
+			grown := make([]int32, n, n+n/2+minSlots)
 			copy(grown, g.dense)
 			g.dense = grown
 		} else {

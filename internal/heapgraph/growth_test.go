@@ -67,6 +67,35 @@ func TestGraphGrowthAllocBytes(t *testing.T) {
 	}
 }
 
+// denseIndexBudget bounds the dense VertexID index of a fresh graph of
+// 1000 vertices, in bytes: 4 per ID and half as much again for growth
+// room, where reserving denseSlack IDs on the first vertex made it
+// 256 KiB.
+const denseIndexBudget = 8 << 10
+
+// TestDenseIndexGrowth: a fresh graph's dense index grows with the
+// vertex IDs it holds, not by denseSlack at a time, and IDs beyond
+// denseSlack of its frontier still land in the sparse map.
+func TestDenseIndexGrowth(t *testing.T) {
+	g := New()
+	for v := VertexID(1); v <= 1000; v++ {
+		g.AddVertex(v)
+	}
+	if bytes := 4 * cap(g.dense); bytes > denseIndexBudget {
+		t.Fatalf("dense index of a fresh 1000-vertex graph holds %d B, budget %d", bytes, denseIndexBudget)
+	}
+	wild := VertexID(1000 + denseSlack + 1)
+	g.AddVertex(wild)
+	if len(g.sparse) != 1 || cap(g.dense) > denseIndexBudget/4 {
+		t.Fatalf("wild ID %d: %d sparse entries, dense capacity %d", wild, len(g.sparse), cap(g.dense))
+	}
+	for _, v := range []VertexID{1, 500, 1000, wild} {
+		if !g.HasVertex(v) {
+			t.Fatalf("vertex %d lost", v)
+		}
+	}
+}
+
 // BenchmarkGraphBuild builds the growth gate's graph from empty once
 // per iteration; run with -benchmem.
 func BenchmarkGraphBuild(b *testing.B) {

@@ -202,13 +202,24 @@ type Logger struct {
 
 // released holds loggers handed back by Release for New to reuse, at
 // most GOMAXPROCS of them: as many as a process running one logger per
-// CPU uses at once. It is a plain list, not a sync.Pool: a sync.Pool
-// empties over two garbage collections and hides the last object a P
-// put from the other Ps, so whether a run reused a heap image or
-// rebuilt one from nothing would hang on GC and scheduler timing.
+// CPU uses at once. New takes the most recently released one, and drops
+// any left in the list while 2×GOMAXPROCS New calls took others, so a
+// process that has gone back to one logger at a time does not keep the
+// idle images of its concurrent phase alive. It is a plain list, not a
+// sync.Pool: a sync.Pool empties over two garbage collections and hides
+// the last object a P put from the other Ps, so whether a run reused a
+// heap image or rebuilt one from nothing would hang on GC and scheduler
+// timing.
 var released struct {
 	sync.Mutex
-	free []*Logger
+	free []idle // oldest first
+	news uint64 // New calls so far
+}
+
+// idle is a released logger and the New count when it was released.
+type idle struct {
+	l  *Logger
+	at uint64
 }
 
 // emptyLogger builds a logger no run has used.
@@ -222,17 +233,23 @@ func emptyLogger() *Logger {
 }
 
 // New creates a Logger. It reuses a logger handed back by Release when
-// one is pooled: the heap image is reset in place, keeping the storage
-// an earlier run grew, and the result behaves exactly like a logger
-// built from nothing.
+// one is in the free list: the heap image is reset in place, keeping
+// the storage an earlier run grew, and the result behaves exactly like
+// a logger built from nothing.
 func New(opts Options) *Logger {
 	var l *Logger
 	released.Lock()
-	if n := len(released.free); n > 0 {
-		l = released.free[n-1]
-		released.free[n-1] = nil
-		released.free = released.free[:n-1]
+	released.news++
+	free := released.free
+	if n := len(free); n > 0 {
+		l, free[n-1] = free[n-1].l, idle{}
+		free = free[:n-1]
 	}
+	for len(free) > 0 && released.news-free[0].at >= 2*uint64(runtime.GOMAXPROCS(0)) {
+		free[0] = idle{}
+		free = free[1:]
+	}
+	released.free = free
 	released.Unlock()
 	if l == nil {
 		l = emptyLogger()
@@ -281,7 +298,7 @@ func (l *Logger) Release() {
 	*l = Logger{graph: l.graph, objects: l.objects, stack: l.stack, freed: l.freed}
 	released.Lock()
 	if len(released.free) < runtime.GOMAXPROCS(0) {
-		released.free = append(released.free, l)
+		released.free = append(released.free, idle{l, released.news})
 	}
 	released.Unlock()
 }
@@ -427,8 +444,10 @@ func (l *Logger) onFree(base uint64) {
 	}
 }
 
+// onRealloc re-bases the object's record in place (Table.Move): the
+// record is large, and it is never copied out.
 func (l *Logger) onRealloc(oldBase, newBase, newSize uint64) {
-	info, ok := l.objects.Remove(oldBase)
+	info, ok := l.objects.Move(oldBase, newBase, newSize)
 	if !ok {
 		// Realloc of a freed, never-allocated or interior address.
 		l.health.BadReallocs++
@@ -439,7 +458,7 @@ func (l *Logger) onRealloc(oldBase, newBase, newSize uint64) {
 	}
 	delete(l.freed, newBase)
 	if info.wordVertices != nil {
-		l.reallocField(&info, newBase, newSize)
+		l.reallocField(info, newSize)
 		return
 	}
 	// Object granularity: the vertex survives the move; slots beyond
@@ -448,10 +467,9 @@ func (l *Logger) onRealloc(oldBase, newBase, newSize uint64) {
 	info.slots.resize(newSize, func(_ uint64, target heapgraph.VertexID) {
 		l.graph.RemoveEdge(info.vertex, target)
 	})
-	l.objects.Insert(newBase, newSize, info)
 }
 
-func (l *Logger) reallocField(info *objInfo, newBase, newSize uint64) {
+func (l *Logger) reallocField(info *objInfo, newSize uint64) {
 	oldWords := uint64(len(info.wordVertices))
 	newWords := newSize / 8
 	// Shrink: drop vertices past the end (their edges die with them).
@@ -473,7 +491,6 @@ func (l *Logger) reallocField(info *objInfo, newBase, newSize uint64) {
 	// truncated tail word.
 	info.slots.resize(newWords*8, nil)
 	info.wordVertices = wv
-	l.objects.Insert(newBase, newSize, *info)
 }
 
 // sourceVertex returns the vertex that an edge stored at offset off

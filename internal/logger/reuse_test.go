@@ -265,3 +265,61 @@ func TestReuseSurvivesGC(t *testing.T) {
 		t.Fatal("New built a fresh logger: the released one was dropped by garbage collection")
 	}
 }
+
+// drainReleased takes every waiting logger out of the released list
+// and drops it, so a test starts from an empty list.
+func drainReleased() {
+	for logger.ReleasedLen() > 0 {
+		logger.New(logger.Options{})
+	}
+}
+
+// TestReleasedListDropsIdle pins the released list's rule at
+// GOMAXPROCS 2: a logger left in the list while 2×GOMAXPROCS New calls
+// took others is dropped, so a process back to one logger at a time
+// keeps one idle image, not two. Two loggers used in turn, as by two
+// concurrent replays, both stay in use.
+func TestReleasedListDropsIdle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const limit = 4 // 2×GOMAXPROCS
+	drainReleased()
+	a, b := logger.New(logger.Options{}), logger.New(logger.Options{})
+	b.Release()
+	a.Release()
+	for k := 1; k <= limit; k++ {
+		l := logger.New(logger.Options{})
+		if l != a {
+			t.Fatalf("New #%d did not take the most recently released logger", k)
+		}
+		l.Release()
+		want := 2
+		if k == limit {
+			want = 1
+		}
+		if n := logger.ReleasedLen(); n != want {
+			t.Fatalf("after %d New calls took the other logger, %d loggers wait; want %d", k, n, want)
+		}
+	}
+	if l := logger.New(logger.Options{}); l != a {
+		t.Fatal("the logger in use was dropped instead of the idle one")
+	}
+	if l := logger.New(logger.Options{}); l == b {
+		t.Fatal("New returned the dropped logger")
+	}
+
+	drainReleased()
+	a, b = logger.New(logger.Options{}), logger.New(logger.Options{})
+	a.Release()
+	b.Release()
+	for round := 0; round < 4*limit; round++ {
+		x, y := logger.New(logger.Options{}), logger.New(logger.Options{})
+		if x == y || (x != a && x != b) || (y != a && y != b) {
+			t.Fatalf("round %d: two loggers used in turn were not both reused", round)
+		}
+		y.Release()
+		x.Release()
+	}
+	if n := logger.ReleasedLen(); n != 2 {
+		t.Fatalf("%d loggers wait after alternating use; want 2", n)
+	}
+}

@@ -84,6 +84,13 @@ func (p *Process) Subscribe(sink event.Sink) {
 	p.heap.Subscribe(sink)
 }
 
+// Unsubscribe detaches sink from the merged event stream and from the
+// heap: events after it do not reach sink. The process keeps running.
+func (p *Process) Unsubscribe(sink event.Sink) {
+	p.sinks = p.sinks.Without(sink)
+	p.heap.Unsubscribe(sink)
+}
+
 // Sym returns the process symbol table.
 func (p *Process) Sym() *event.Symtab { return p.sym }
 
