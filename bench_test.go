@@ -142,11 +142,12 @@ func BenchmarkGranularityAblation(b *testing.B) {
 func BenchmarkIncrementalVsRecompute(b *testing.B) {
 	build := func() *heapgraph.Graph {
 		g := heapgraph.New()
-		for i := 0; i < 50000; i++ {
-			g.AddVertex(heapgraph.VertexID(i))
+		v := make([]heapgraph.VertexID, 50000)
+		for i := range v {
+			v[i] = g.AddVertex()
 		}
-		for i := 0; i < 50000; i++ {
-			g.AddEdge(heapgraph.VertexID(i), heapgraph.VertexID((i*7+13)%50000))
+		for i := range v {
+			g.AddEdge(v[i], v[(i*7+13)%50000])
 		}
 		return g
 	}
@@ -619,17 +620,18 @@ func BenchmarkHeapSimulator(b *testing.B) {
 func BenchmarkConnectivityMetricPoint(b *testing.B) {
 	build := func(n int) *heapgraph.Graph {
 		g := heapgraph.New()
-		for i := 0; i < n; i++ {
-			g.AddVertex(heapgraph.VertexID(i))
+		v := make([]heapgraph.VertexID, n)
+		for i := range v {
+			v[i] = g.AddVertex()
 		}
 		// Mostly list/tree-shaped linkage with some cross edges: the
 		// paper's heap shapes, and a mix of exact and conservative
 		// delete classes under churn.
 		for i := 1; i < n; i++ {
-			g.AddEdge(heapgraph.VertexID(i/2), heapgraph.VertexID(i))
+			g.AddEdge(v[i/2], v[i])
 		}
 		for i := 0; i < n/8; i++ {
-			g.AddEdge(heapgraph.VertexID(i*7%n), heapgraph.VertexID(i*13%n))
+			g.AddEdge(v[i*7%n], v[i*13%n])
 		}
 		return g
 	}
@@ -644,21 +646,24 @@ func BenchmarkConnectivityMetricPoint(b *testing.B) {
 			b.Run(fmt.Sprintf("V=%d/%s", n, name), func(b *testing.B) {
 				g := build(n)
 				query(g) // settle the initial build (and turn the tracker on)
+				// The churn runs by position; a zero handle is a run not
+				// yet added.
+				var runs [1024][16]heapgraph.VertexID
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					// ~64 graph operations of churn per metric point:
 					// allocate a small linked run, free an old one.
-					base := heapgraph.VertexID(n + (i%1024)*16)
-					for j := 0; j < 16; j++ {
-						g.AddVertex(base + heapgraph.VertexID(j))
+					run := &runs[i%1024]
+					for j := range run {
+						run[j] = g.AddVertex()
 						if j > 0 {
-							g.AddEdge(base+heapgraph.VertexID(j-1), base+heapgraph.VertexID(j))
+							g.AddEdge(run[j-1], run[j])
 						}
 					}
-					old := heapgraph.VertexID(n + ((i+512)%1024)*16)
+					old := &runs[(i+512)%1024]
 					for j := 15; j >= 0; j-- {
-						g.RemoveVertex(old + heapgraph.VertexID(j))
+						g.RemoveVertex(old[j])
 					}
 					query(g)
 				}
@@ -677,17 +682,18 @@ func BenchmarkConnectivityMetricPoint(b *testing.B) {
 func BenchmarkSCCMetricPoint(b *testing.B) {
 	build := func(n int) *heapgraph.Graph {
 		g := heapgraph.New()
-		for i := 0; i < n; i++ {
-			g.AddVertex(heapgraph.VertexID(i))
+		v := make([]heapgraph.VertexID, n)
+		for i := range v {
+			v[i] = g.AddVertex()
 		}
 		// Same shape as the weak-connectivity benchmark: tree linkage
 		// plus cross edges, so some inserts close cycles and exercise
 		// the probe while the churn below stays in the exact classes.
 		for i := 1; i < n; i++ {
-			g.AddEdge(heapgraph.VertexID(i/2), heapgraph.VertexID(i))
+			g.AddEdge(v[i/2], v[i])
 		}
 		for i := 0; i < n/8; i++ {
-			g.AddEdge(heapgraph.VertexID(i*7%n), heapgraph.VertexID(i*13%n))
+			g.AddEdge(v[i*7%n], v[i*13%n])
 		}
 		return g
 	}
@@ -702,19 +708,22 @@ func BenchmarkSCCMetricPoint(b *testing.B) {
 			b.Run(fmt.Sprintf("V=%d/%s", n, name), func(b *testing.B) {
 				g := build(n)
 				query(g) // settle the initial build (and turn the tracker on)
+				// The churn runs by position; a zero handle is a run not
+				// yet added.
+				var runs [1024][16]heapgraph.VertexID
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					base := heapgraph.VertexID(n + (i%1024)*16)
-					for j := 0; j < 16; j++ {
-						g.AddVertex(base + heapgraph.VertexID(j))
+					run := &runs[i%1024]
+					for j := range run {
+						run[j] = g.AddVertex()
 						if j > 0 {
-							g.AddEdge(base+heapgraph.VertexID(j-1), base+heapgraph.VertexID(j))
+							g.AddEdge(run[j-1], run[j])
 						}
 					}
-					old := heapgraph.VertexID(n + ((i+512)%1024)*16)
+					old := &runs[(i+512)%1024]
 					for j := 15; j >= 0; j-- {
-						g.RemoveVertex(old + heapgraph.VertexID(j))
+						g.RemoveVertex(old[j])
 					}
 					query(g)
 				}

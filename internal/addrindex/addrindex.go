@@ -196,9 +196,18 @@ func (t *Table[V]) unlink(link *int32, i int32) {
 // ranges should not overlap (allocators never hand out overlapping
 // ones); if a damaged trace makes them, see the package comment. The
 // returned pointer refers to the stored value and remains valid until
-// the range is removed; a caller with a large V may insert a zero value
-// and fill the record through it.
+// the range is removed.
 func (t *Table[V]) Insert(base, size uint64, value V) *V {
+	p := t.InsertZero(base, size)
+	*p = value
+	return p
+}
+
+// InsertZero is Insert of V's zero value, which it writes in place in
+// the record: a caller with a large V fills the record through the
+// returned pointer without building a value on the stack and copying
+// it in.
+func (t *Table[V]) InsertZero(base, size uint64) *V {
 	i := int32(t.arena.Len())
 	if k := len(t.free); k > 0 {
 		i, t.free = t.free[k-1], t.free[:k-1]
@@ -206,7 +215,8 @@ func (t *Table[V]) Insert(base, size uint64, value V) *V {
 		t.arena.Push()
 	}
 	e := t.arena.At(i)
-	e.value = value
+	var zero V
+	e.value = zero
 	t.n++
 	t.place(i, base, size)
 	return &e.value

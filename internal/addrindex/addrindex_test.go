@@ -30,6 +30,24 @@ func TestInsertGetRemove(t *testing.T) {
 	}
 }
 
+// TestInsertZeroClearsReusedRecord: InsertZero hands out a zero value
+// also when it reuses the record of a removed range, whose value Remove
+// leaves in place.
+func TestInsertZeroClearsReusedRecord(t *testing.T) {
+	tb := New[[4]string]()
+	tb.Insert(100, 24, [4]string{"a", "b", "c", "d"})
+	if _, ok := tb.Remove(100); !ok {
+		t.Fatal("Remove(100) failed")
+	}
+	v := tb.InsertZero(200, 8)
+	if *v != [4]string{} {
+		t.Fatalf("InsertZero on a reused record = %q, want the zero value", *v)
+	}
+	if got := tb.Get(200); got != v {
+		t.Fatalf("Get(200) = %p, want the record InsertZero returned (%p)", got, v)
+	}
+}
+
 func TestStabBasics(t *testing.T) {
 	tb := New[int]()
 	tb.Insert(100, 24, 1)

@@ -20,11 +20,11 @@ import (
 // components (edge direction ignored). Isolated vertices are singleton
 // components.
 func (g *Graph) WeaklyConnectedComponents() int {
-	seen := make([]bool, len(g.ids))
+	seen := make([]bool, len(g.gen))
 	count := 0
 	stack := make([]int32, 0, 64)
-	for root := range g.ids {
-		if !g.alive[root] || seen[root] {
+	for root := range g.gen {
+		if !g.live(root) || seen[root] {
 			continue
 		}
 		count++
@@ -53,7 +53,7 @@ func (g *Graph) WeaklyConnectedComponents() int {
 // hundreds of thousands of vertices long, which would overflow the
 // goroutine stack under naive recursion.
 func (g *Graph) StronglyConnectedComponents() int {
-	n := len(g.ids)
+	n := len(g.gen)
 	if g.NumVertices() == 0 {
 		return 0
 	}
@@ -87,7 +87,7 @@ func (g *Graph) StronglyConnectedComponents() int {
 	}
 
 	for root := 0; root < n; root++ {
-		if !g.alive[root] || index[root] != 0 {
+		if !g.live(root) || index[root] != 0 {
 			continue
 		}
 		stack := []frame{{v: int32(root), succs: succsOf(int32(root))}}
@@ -142,22 +142,22 @@ func (g *Graph) StronglyConnectedComponents() int {
 
 // CheckInvariants verifies the incremental bookkeeping against a full
 // recomputation: histogram populations, the in==out counter, the edge
-// total, the VertexID → slot index, and the freelist must all match
-// what a fresh scan of the arena produces. It returns a non-empty
-// description of the first violation found, or "" when consistent.
-// Tests and the fuzzing harness call this after mutation sequences.
+// total and the freelist must all match what a fresh scan of the arena
+// produces. It returns a non-empty description of the first violation
+// found, or "" when consistent. Tests and the fuzzing harness call this
+// after mutation sequences.
 func (g *Graph) CheckInvariants() string {
 	var inHist, outHist [maxTracked + 2]int
-	eq, edges, live := 0, 0, 0
-	for s := range g.ids {
-		if !g.alive[s] {
+	eq, edges, live, retired := 0, 0, 0, 0
+	for s := range g.gen {
+		if !g.live(s) {
+			if g.gen[s] == 0 {
+				retired++
+			}
 			continue
 		}
 		live++
-		v := g.ids[s]
-		if g.slotOf(v) != int32(s) {
-			return "index does not resolve vertex " + strconv.FormatUint(uint64(v), 10) + " to its slot"
-		}
+		v := handle(int32(s), g.gen[s])
 		in, out := 0, 0
 		violation := ""
 		g.inAdj.At(int32(s)).each(func(_, m int32) bool {
@@ -210,33 +210,21 @@ func (g *Graph) CheckInvariants() string {
 	if live != g.NumVertices() {
 		return "vertex count mismatch"
 	}
-	// Arena accounting: every slot is either alive or on the freelist,
-	// exactly once.
+	// Arena accounting: every slot is alive, on the freelist exactly
+	// once, or retired with its generation wrapped to 0.
 	for _, s := range g.freeSlots {
-		if g.alive[s] {
-			return "freelist holds a live slot"
+		if g.live(int(s)) || g.gen[s] == 0 {
+			return "freelist holds a live or retired slot"
 		}
 	}
-	if live+len(g.freeSlots) != len(g.ids) {
+	if live+len(g.freeSlots)+retired != len(g.gen) {
 		return "arena slot accounting mismatch"
-	}
-	// Index hygiene: no dense or sparse entry may point at a dead or
-	// mismatched slot.
-	for v, ref := range g.dense {
-		if ref != 0 && (!g.alive[ref-1] || g.ids[ref-1] != VertexID(v)) {
-			return "stale dense index entry for vertex " + strconv.FormatUint(uint64(v), 10)
-		}
-	}
-	for v, ref := range g.sparse {
-		if ref == 0 || !g.alive[ref-1] || g.ids[ref-1] != v {
-			return "stale sparse index entry for vertex " + strconv.FormatUint(uint64(v), 10)
-		}
 	}
 	// Symmetry: u's out-multiplicity to v must equal v's
 	// in-multiplicity from u, in both directions, and every neighbour
 	// slot must be live (a recycled slot would name the wrong vertex).
-	for s := range g.ids {
-		if !g.alive[s] {
+	for s := range g.gen {
+		if !g.live(s) {
 			continue
 		}
 		if msg := g.checkSymmetric(int32(s), g.outAdj.At(int32(s)), &g.inAdj); msg != "" {
@@ -256,10 +244,10 @@ func (g *Graph) checkSymmetric(s int32, a *adjacency, mirror *arena.Seg[adjacenc
 	asym := ""
 	a.each(func(w, m int32) bool {
 		switch {
-		case w < 0 || int(w) >= len(g.ids) || !g.alive[w]:
-			asym = "dead neighbour slot in the adjacency of " + strconv.FormatUint(uint64(g.ids[s]), 10)
+		case w < 0 || int(w) >= len(g.gen) || !g.live(int(w)):
+			asym = "dead neighbour slot in the adjacency of slot " + strconv.Itoa(int(s))
 		case mirror.At(w).get(s) != m:
-			asym = "adjacency asymmetry between " + strconv.FormatUint(uint64(g.ids[s]), 10) + " and " + strconv.FormatUint(uint64(g.ids[w]), 10)
+			asym = "adjacency asymmetry between slots " + strconv.Itoa(int(s)) + " and " + strconv.Itoa(int(w))
 		}
 		return asym == ""
 	})

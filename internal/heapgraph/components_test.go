@@ -24,27 +24,27 @@ func (g *Graph) setAllowance(n int) {
 // cross), nodes/8 cross edges, then points rounds of 32 re-pointed
 // cross edges and 4 leaves freed and replaced by fresh objects, each
 // round closed by point(). A store retires the field's previous edge
-// (a no-op when its target is gone) and adds the new one, and IDs are
-// handed out in allocation order — exactly as the execution logger
-// applies the stream — and the random draws follow the stream's, so a
-// seed here replays the same mutations as the same seed there.
+// (a no-op when its target is gone, whose handle is then stale) and
+// adds the new one — exactly as the execution logger applies the
+// stream — and the random draws follow the stream's, so a seed here
+// replays the same mutations as the same seed there.
 func treeChurn(g *Graph, seed int64, nodes, points int, point func()) {
 	rng := rand.New(rand.NewSource(seed))
-	var fields [][3]VertexID // per vertex ID: current field targets, 0 = none
-	alloc := func() VertexID {
+	var objs []VertexID      // per object, in allocation order: its vertex
+	var fields [][3]VertexID // per object: current field targets, 0 = none
+	alloc := func() int {
+		objs = append(objs, g.AddVertex())
 		fields = append(fields, [3]VertexID{})
-		id := VertexID(len(fields)) // IDs start at 1, like the logger's
-		g.AddVertex(id)
-		return id
+		return len(objs) - 1
 	}
-	store := func(src VertexID, f int, dst VertexID) {
-		if old := fields[src-1][f]; old != 0 {
-			g.RemoveEdge(src, old)
+	store := func(src, f, dst int) {
+		if old := fields[src][f]; old != 0 {
+			g.RemoveEdge(objs[src], old)
 		}
-		g.AddEdge(src, dst)
-		fields[src-1][f] = dst
+		g.AddEdge(objs[src], objs[dst])
+		fields[src][f] = objs[dst]
 	}
-	cur := make([]VertexID, nodes)
+	cur := make([]int, nodes) // object index of each tree position
 	link := func(i int) { store(cur[(i-1)/2], (i-1)%2, cur[i]) }
 	cross := func() {
 		src := cur[rng.Intn(nodes)]
@@ -65,7 +65,7 @@ func treeChurn(g *Graph, seed int64, nodes, points int, point func()) {
 		}
 		for k := 0; k < 4; k++ {
 			i := nodes/2 + rng.Intn(nodes-nodes/2) // no children at i >= nodes/2
-			g.RemoveVertex(cur[i])
+			g.RemoveVertex(objs[cur[i]])
 			cur[i] = alloc()
 			link(i)
 		}
@@ -119,16 +119,15 @@ func TestTrackerStaleUntilQuery(t *testing.T) {
 		const paths = 200
 		g := New()
 		g.TrackConnectivity()
-		for i := VertexID(0); i < paths; i++ {
-			a := 3 * i
-			g.AddVertex(a)
-			g.AddVertex(a + 1)
-			g.AddVertex(a + 2)
-			g.AddEdge(a, a+1)
-			g.AddEdge(a+1, a+2) // the forest is the path: a+1 is interior
+		var interior []VertexID
+		for i := 0; i < paths; i++ {
+			v := addVertices(g, 3)
+			g.AddEdge(v[0], v[1])
+			g.AddEdge(v[1], v[2]) // the forest is the path: v[1] is interior
+			interior = append(interior, v[1])
 		}
-		for i := VertexID(0); i < paths; i++ {
-			g.RemoveVertex(3*i + 1)
+		for _, v := range interior {
+			g.RemoveVertex(v)
 		}
 		if !g.wcc.stale || g.wcc.rebuilds != 0 {
 			t.Fatalf("before the query: stale=%v after %d rebuilds, want stale after 0", g.wcc.stale, g.wcc.rebuilds)
@@ -146,21 +145,18 @@ func TestTrackerStaleUntilQuery(t *testing.T) {
 		g := New()
 		g.TrackConnectivity()
 		g.TrackSCC()
-		for i := VertexID(0); i < n; i++ {
-			g.AddVertex(i)
-			if i > 0 {
-				g.AddEdge(i-1, i)
-			}
+		chain := addVertices(g, n)
+		for i := 1; i < n; i++ {
+			g.AddEdge(chain[i-1], chain[i])
 		}
 		if msg := g.CheckComponents(); msg != "" { // builds the strong tracker
 			t.Fatal(msg)
 		}
-		for r := VertexID(0); r < 100000; r++ {
+		for r := 0; r < 100000; r++ {
 			// A leaf and a singleton SCC: exact to add and remove, one
 			// abandoned node per round in each tracker.
-			v := n + r
-			g.AddVertex(v)
-			g.AddEdge(r%n, v)
+			v := g.AddVertex()
+			g.AddEdge(chain[r%n], v)
 			g.RemoveVertex(v)
 			for _, c := range []*ufCore{&g.wcc.ufCore, &g.scc.ufCore} {
 				if len(c.parent) > 4*g.NumVertices()+65 {
@@ -180,51 +176,133 @@ func TestTrackerStaleUntilQuery(t *testing.T) {
 	})
 }
 
-// componentProgram applies a fuzz program to g: two bytes per
-// operation, an opcode and two 4-bit vertex operands. Opcode 5 diffs
-// both trackers against the reference walks, as does the end of the
-// program. Opcode 6 resets g and turns both trackers on again at the
-// given allowance, so they reuse the old trackers' slices, and diffs
-// them on the emptied graph.
-func componentProgram(t *testing.T, g *Graph, data []byte, allowance int) {
-	t.Helper()
-	check := func() {
-		t.Helper()
-		if msg := g.CheckComponents(); msg != "" {
-			t.Fatal(msg)
+// program applies mutation programs, which name up to 16 vertices by
+// 4-bit operands, to a graph and to a reference multigraph over the
+// same names. A removed vertex's name keeps its stale handle until the
+// name is added again, so later operations on the name use a stale
+// handle, also after another name's vertex has reused the slot; the
+// reference turns one that reaches a live vertex into a failure.
+type program struct {
+	t    *testing.T
+	g    *Graph
+	v    names
+	live [16]bool
+	mult [16][16]int
+}
+
+func newProgram(t *testing.T, g *Graph) *program {
+	return &program{t: t, g: g, v: make(names, 16)}
+}
+
+func (p *program) addVertex(u int) {
+	p.v.add(p.g, u)
+	p.live[u] = true
+}
+
+func (p *program) addEdge(u, w int) {
+	p.t.Helper()
+	want := p.live[u] && p.live[w]
+	if got := p.g.AddEdge(p.v[u], p.v[w]); got != want {
+		p.t.Fatalf("AddEdge(%d, %d) = %v, want %v", u, w, got, want)
+	}
+	if want {
+		p.mult[u][w]++
+	}
+}
+
+func (p *program) removeEdge(u, w int) {
+	p.t.Helper()
+	want := p.live[u] && p.live[w] && p.mult[u][w] > 0
+	if got := p.g.RemoveEdge(p.v[u], p.v[w]); got != want {
+		p.t.Fatalf("RemoveEdge(%d, %d) = %v, want %v", u, w, got, want)
+	}
+	if want {
+		p.mult[u][w]--
+	}
+}
+
+func (p *program) removeVertex(u int) {
+	p.g.RemoveVertex(p.v[u])
+	p.live[u] = false
+	for w := range p.mult {
+		p.mult[u][w], p.mult[w][u] = 0, 0
+	}
+}
+
+// reset empties the graph and the reference; handles do not survive
+// Reset, so every name is forgotten.
+func (p *program) reset() {
+	p.g.Reset()
+	clear(p.v)
+	p.live, p.mult = [16]bool{}, [16][16]int{}
+}
+
+// check diffs the graph against the reference, every name's handle
+// included, and the graph's trackers against the reference walks.
+func (p *program) check() {
+	p.t.Helper()
+	verts, edges := 0, 0
+	for u := range p.mult {
+		if p.g.HasVertex(p.v[u]) != p.live[u] {
+			p.t.Fatalf("vertex %d: HasVertex = %v, want %v", u, !p.live[u], p.live[u])
 		}
-		if msg := g.CheckInvariants(); msg != "" {
-			t.Fatalf("invariants violated: %s", msg)
+		if p.live[u] {
+			verts++
+		}
+		for w, m := range p.mult[u] {
+			edges += m
+			if got := p.g.Multiplicity(p.v[u], p.v[w]); got != m {
+				p.t.Fatalf("Multiplicity(%d, %d) = %d, want %d", u, w, got, m)
+			}
 		}
 	}
+	if p.g.NumVertices() != verts || p.g.NumEdges() != edges {
+		p.t.Fatalf("graph %s, reference V=%d E=%d", p.g, verts, edges)
+	}
+	if msg := p.g.CheckComponents(); msg != "" {
+		p.t.Fatal(msg)
+	}
+	if msg := p.g.CheckInvariants(); msg != "" {
+		p.t.Fatalf("invariants violated: %s", msg)
+	}
+}
+
+// componentProgram applies a fuzz program to g: two bytes per
+// operation, an opcode and two 4-bit vertex operands. Opcode 5 diffs
+// g against the reference and both trackers against the reference
+// walks, as does the end of the program. Opcode 6 resets g and turns
+// both trackers on again at the given allowance, so they reuse the old
+// trackers' slices, and diffs them on the emptied graph.
+func componentProgram(t *testing.T, g *Graph, data []byte, allowance int) {
+	t.Helper()
+	p := newProgram(t, g)
 	for i := 0; i+1 < len(data); i += 2 {
-		u := VertexID(data[i+1] >> 4)
-		v := VertexID(data[i+1] & 0x0f)
+		u, v := int(data[i+1]>>4), int(data[i+1]&0x0f)
 		switch data[i] % 7 {
 		case 0:
-			g.AddVertex(u)
+			p.addVertex(u)
 		case 1:
-			g.AddEdge(u, v)
+			p.addEdge(u, v)
 		case 2:
-			g.RemoveEdge(u, v)
+			p.removeEdge(u, v)
 		case 3:
-			g.RemoveVertex(u)
+			p.removeVertex(u)
 		case 4:
-			g.AddEdge(u, u)
+			p.addEdge(u, u)
 		case 5:
-			check()
+			p.check()
 		case 6:
-			g.Reset()
+			p.reset()
 			g.TrackConnectivity()
 			g.TrackSCC()
 			g.setAllowance(allowance)
-			if g.NumVertices() != 0 || g.NumEdges() != 0 || g.HasVertex(u) {
+			if g.NumVertices() != 0 || g.NumEdges() != 0 {
 				t.Fatalf("Reset left %s", g)
 			}
-			check()
+			p.check()
 		}
 	}
-	check()
+	p.check()
 }
 
 // treeProgram is a fuzz seed in componentProgram's encoding: a
@@ -269,7 +347,8 @@ func treeProgram(seed int64) []byte {
 
 // FuzzIncrementalComponents drives both trackers together through
 // arbitrary mutation programs and diffs them against the reference
-// walks (CheckComponents), with the default search allowance and with
+// walks (CheckComponents), and the graph against a reference
+// multigraph, with the default search allowance and with
 // an allowance of 2 entries, at which nearly every search bails out
 // and the trackers go stale. Reset steps (opcode 6) send the rest of a
 // program through reused trackers.
@@ -278,6 +357,15 @@ func FuzzIncrementalComponents(f *testing.F) {
 	f.Add(treeProgram(2))
 	f.Add([]byte{0x00, 0x10, 0x00, 0x20, 0x01, 0x12, 0x01, 0x21, 0x05, 0x00, 0x02, 0x21, 0x05, 0x00})
 	f.Add(append(append(treeProgram(1), 6, 0), treeProgram(2)...))
+	// Stale handles: vertex 1 is removed and vertex 3 reuses its slot,
+	// then edges to, from and on the old handle must fail, and removing
+	// it again must leave vertex 3 alone.
+	f.Add([]byte{
+		0x00, 0x10, 0x00, 0x20, 0x01, 0x12, 0x01, 0x21, 0x05, 0x00,
+		0x03, 0x10, 0x00, 0x30, 0x01, 0x13, 0x01, 0x31, 0x01, 0x21,
+		0x04, 0x10, 0x02, 0x12, 0x05, 0x00, 0x03, 0x10, 0x05, 0x00,
+		0x01, 0x32, 0x01, 0x23, 0x05, 0x00,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, allowance := range []int{0, 2} {
 			g := New()

@@ -9,3 +9,7 @@ func (g *Graph) WCCState() (rebuilds int, stale bool) {
 	}
 	return g.wcc.rebuilds, g.wcc.stale
 }
+
+// VertexTableLen returns the length of the graph's vertex-indexed
+// tables, one entry per arena slot, for tests outside the package.
+func (g *Graph) VertexTableLen() int { return len(g.gen) }

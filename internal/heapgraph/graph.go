@@ -17,14 +17,21 @@
 // reading of degree used by the paper.
 //
 // Storage. Vertices live in an arena indexed by slot: parallel slices
-// for ids, in/out degree (struct-of-arrays) and liveness, and one
-// adjacency set per direction in a segmented arena (arena.Seg), which
-// grows by adding a segment and never copies the sets already there.
-// Freed slots are recycled through a freelist, so steady-state
-// alloc/free traffic performs no heap allocation. The VertexID → slot
-// index is a dense slice while IDs stay near the allocated frontier
-// (the logger hands out sequential IDs, so in practice it always is)
-// with a sparse map fallback for outliers. Adjacency sets name their
+// for each slot's generation, age stamp and in/out degree
+// (struct-of-arrays), and one adjacency set per direction in a
+// segmented arena (arena.Seg), which grows by adding a segment and
+// never copies the sets already there. Freed slots are recycled
+// through a freelist, so steady-state alloc/free traffic performs no
+// heap allocation and every per-slot table stays at the peak number of
+// live vertices, however many vertices a run adds. The graph names its
+// own vertices: AddVertex returns a VertexID handle carrying the slot
+// and the slot's generation, so resolving a handle is one bounds check
+// and one compare, and there is no index from caller-chosen IDs to
+// slots. The generation is odd while the slot holds a vertex and
+// advances at every add and removal, so a handle outlives its vertex
+// harmlessly: the execution logger's pointer-slot tables keep the
+// targets of freed objects, and an edge operation naming one is a
+// no-op even after the slot is reused. Adjacency sets name their
 // neighbours by slot, inline up to maxTracked (8) distinct neighbours
 // per direction and spill to a map beyond that (see adjacency.go); the
 // paper's heap graphs are dominated by degree 0–2 vertices, so the
@@ -48,23 +55,22 @@ import (
 	"heapmd/internal/arena"
 )
 
-// VertexID names a heap object in the graph. The execution logger
-// assigns IDs from an allocation generation counter, so a recycled
-// address maps to a fresh vertex.
+// VertexID is a handle on a vertex, returned by AddVertex: the
+// vertex's arena slot in the low 32 bits and the slot's generation in
+// the high 32 bits. Generations start at 1, so no handle is 0. The
+// handle of a removed vertex resolves to no vertex, also after its slot
+// is reused, so every method given one treats it as absent. Handles
+// do not survive Reset.
 type VertexID uint64
+
+// handle returns the VertexID of slot s at generation gen.
+func handle(s int32, gen uint32) VertexID { return VertexID(gen)<<32 | VertexID(uint32(s)) }
 
 // maxTracked is the largest degree tracked with its own histogram
 // bucket; larger degrees share an overflow bucket. The paper's metrics
 // only inspect degrees 0..2, but we track a few more for extension
 // metrics and diagnostics.
 const maxTracked = 8
-
-// denseSlack bounds how far past the current dense-index frontier an
-// ID may land while still growing the dense slice. IDs further out go
-// to the sparse map instead, so one wild ID from a damaged trace cannot
-// balloon the index. It is a distance, not a reservation: a full slice
-// regrows to 1.5 times the length it needs plus minSlots entries.
-const denseSlack = 1 << 16
 
 // minSlots is the vertex arena's first capacity.
 const minSlots = 64
@@ -75,19 +81,22 @@ const noSlot = int32(-1)
 // Graph is the mutable heap-graph image. It is single-goroutine (see
 // the package comment).
 type Graph struct {
-	// VertexID → slot+1 (0 = absent). dense covers IDs below its
-	// length; sparse holds the stragglers and is nil until needed.
-	dense  []int32
-	sparse map[VertexID]int32
-
-	// The vertex arena, all indexed by slot.
-	ids    []VertexID
+	// The vertex arena, all indexed by slot. gen is the slot's
+	// generation, odd while a vertex lives in the slot; age is the
+	// vertex's stamp from clock, the number of vertices added so far,
+	// so sorting slots by age puts them in the order their vertices
+	// were added.
+	gen    []uint32
+	age    []uint64
 	inDeg  []int32 // total incoming multiplicity
 	outDeg []int32 // total outgoing multiplicity
 	outAdj arena.Seg[adjacency]
 	inAdj  arena.Seg[adjacency]
-	alive  []bool
+	clock  uint64
 
+	// freeSlots holds the dead slots AddVertex may reuse. A slot whose
+	// generation wrapped to 0 is retired instead: reusing it would
+	// revive the handles of its first vertex.
 	freeSlots []int32
 
 	// Degree histograms: inHist[d] (outHist[d]) counts the vertices
@@ -119,22 +128,22 @@ func New() *Graph {
 }
 
 // Reset empties the graph for reuse as if it were new, keeping the
-// storage it has grown: the vertex arena and the dense index are
-// truncated, the adjacency arenas reset (arena.Seg.Reset), and the
-// trackers turned off with their slices kept for the next
-// TrackConnectivity or TrackSCC. The search scratch stays as it is:
-// its marks are stamped with an epoch that only ever advances.
+// storage it has grown: the vertex arena is truncated, the adjacency
+// arenas reset (arena.Seg.Reset), and the trackers turned off with
+// their slices kept for the next TrackConnectivity or TrackSCC. The
+// search scratch stays as it is: its marks are stamped with an epoch
+// that only ever advances. Handles taken before Reset must not be used
+// after it.
 func (g *Graph) Reset() {
 	g.outAdj.Reset()
 	g.inAdj.Reset()
 	*g = Graph{
-		dense:     g.dense[:0],
-		ids:       g.ids[:0],
+		gen:       g.gen[:0],
+		age:       g.age[:0],
 		inDeg:     g.inDeg[:0],
 		outDeg:    g.outDeg[:0],
 		outAdj:    g.outAdj,
 		inAdj:     g.inAdj,
-		alive:     g.alive[:0],
 		freeSlots: g.freeSlots[:0],
 		srch:      g.srch,
 		spareWCC:  cmp.Or(g.wcc, g.spareWCC),
@@ -142,86 +151,50 @@ func (g *Graph) Reset() {
 	}
 }
 
-// slotOf returns v's arena slot, or noSlot.
+// slotOf returns the slot v's handle names, or noSlot when v names no
+// live vertex: a stale handle's generation no longer matches its
+// slot's, and a live slot's generation is odd.
 func (g *Graph) slotOf(v VertexID) int32 {
-	if uint64(v) < uint64(len(g.dense)) {
-		return g.dense[v] - 1
-	}
-	if g.sparse == nil {
+	s, gen := uint32(v), uint32(v>>32)
+	if gen&1 == 0 || s >= uint32(len(g.gen)) || g.gen[s] != gen {
 		return noSlot
 	}
-	return g.sparse[v] - 1
+	return int32(s)
 }
 
-// setSlot records v → slot in the index, growing the dense slice when
-// v is within denseSlack of its frontier and falling back to the
-// sparse map otherwise. Vertex IDs never repeat, so within one run the
-// dense slice grows by 4 bytes per vertex ever added, live or not.
-func (g *Graph) setSlot(v VertexID, slot int32) {
-	if uint64(v) < uint64(len(g.dense)) {
-		g.dense[v] = slot + 1
-		return
-	}
-	if uint64(v) < uint64(len(g.dense))+denseSlack {
-		n := int(v) + 1
-		if cap(g.dense) < n {
-			grown := make([]int32, n, n+n/2+minSlots)
-			copy(grown, g.dense)
-			g.dense = grown
-		} else {
-			old := len(g.dense)
-			g.dense = g.dense[:n]
-			for i := old; i < n; i++ {
-				g.dense[i] = 0
-			}
-		}
-		g.dense[v] = slot + 1
-		return
-	}
-	if g.sparse == nil {
-		g.sparse = make(map[VertexID]int32)
-	}
-	g.sparse[v] = slot + 1
-}
+// live reports whether slot s holds a vertex.
+func (g *Graph) live(s int) bool { return g.gen[s]&1 != 0 }
 
-// clearSlot removes v from the index.
-func (g *Graph) clearSlot(v VertexID) {
-	if uint64(v) < uint64(len(g.dense)) {
-		g.dense[v] = 0
-		return
-	}
-	delete(g.sparse, v)
-}
-
-// newSlot claims an arena slot for v, recycling from the freelist when
-// possible. The slot's adjacency sets are already empty (reset at
-// removal time).
-func (g *Graph) newSlot(v VertexID) int32 {
+// newSlot claims an arena slot for a new vertex, recycling from the
+// freelist when possible, and stamps it with the next age. The slot's
+// adjacency sets are already empty (reset at removal time).
+func (g *Graph) newSlot() int32 {
+	g.clock++
 	if k := len(g.freeSlots); k > 0 {
 		s := g.freeSlots[k-1]
 		g.freeSlots = g.freeSlots[:k-1]
-		g.ids[s] = v
+		g.gen[s]++
+		g.age[s] = g.clock
 		g.inDeg[s], g.outDeg[s] = 0, 0
-		g.alive[s] = true
 		return s
 	}
-	s := int32(len(g.ids))
-	if len(g.ids) == cap(g.ids) {
+	s := int32(len(g.gen))
+	if len(g.gen) == cap(g.gen) {
 		// Grow the slot-indexed tables together and by doubling, so a
 		// heap of n objects regrows them log2(n/minSlots) times rather
 		// than at every step of append's tapering growth.
-		c := max(2*cap(g.ids), minSlots)
-		g.ids = slices.Grow(g.ids, c-len(g.ids))
+		c := max(2*cap(g.gen), minSlots)
+		g.gen = slices.Grow(g.gen, c-len(g.gen))
+		g.age = slices.Grow(g.age, c-len(g.age))
 		g.inDeg = slices.Grow(g.inDeg, c-len(g.inDeg))
 		g.outDeg = slices.Grow(g.outDeg, c-len(g.outDeg))
-		g.alive = slices.Grow(g.alive, c-len(g.alive))
 	}
-	g.ids = append(g.ids, v)
+	g.gen = append(g.gen, 1)
+	g.age = append(g.age, g.clock)
 	g.inDeg = append(g.inDeg, 0)
 	g.outDeg = append(g.outDeg, 0)
 	g.outAdj.Push()
 	g.inAdj.Push()
-	g.alive = append(g.alive, true)
 	return s
 }
 
@@ -278,30 +251,26 @@ func (g *Graph) trackOut(in, oldOut, newOut int) {
 	}
 }
 
-// AddVertex inserts a new isolated vertex. Adding an existing vertex
-// is a no-op (the logger can observe redundant allocation events when
-// replaying truncated traces).
-func (g *Graph) AddVertex(v VertexID) {
-	if g.slotOf(v) != noSlot {
-		return
-	}
-	s := g.newSlot(v)
-	g.setSlot(v, s)
+// AddVertex inserts a new isolated vertex and returns its handle.
+func (g *Graph) AddVertex() VertexID {
+	s := g.newSlot()
 	g.inHist[0]++
 	g.outHist[0]++
 	g.eq++ // 0 == 0
 	g.nVerts++
 	g.wccAddVertex(s)
 	g.sccAddVertex(s)
+	return handle(s, g.gen[s])
 }
 
-// HasVertex reports whether v is present.
+// HasVertex reports whether v names a live vertex.
 func (g *Graph) HasVertex(v VertexID) bool {
 	return g.slotOf(v) != noSlot
 }
 
 // RemoveVertex deletes v and every incident edge (in both directions),
-// adjusting the degrees of its neighbours. Removing an absent vertex
+// adjusting the degrees of its neighbours, and advances the slot's
+// generation so that v's handle goes stale. Removing an absent vertex
 // is a no-op.
 func (g *Graph) RemoveVertex(v VertexID) {
 	s := g.slotOf(v)
@@ -348,9 +317,9 @@ func (g *Graph) RemoveVertex(v VertexID) {
 	// Reset now (not at reuse) so spill maps become collectable.
 	oa.reset()
 	ia.reset()
-	g.alive[s] = false
-	g.clearSlot(v)
-	g.freeSlots = append(g.freeSlots, s)
+	if g.gen[s]++; g.gen[s] != 0 {
+		g.freeSlots = append(g.freeSlots, s)
+	}
 	g.nVerts--
 }
 
@@ -490,7 +459,7 @@ func (g *Graph) Successors(v VertexID, fn func(succ VertexID, mult int) bool) {
 	if s == noSlot {
 		return
 	}
-	g.outAdj.At(s).each(func(w, m int32) bool { return fn(g.ids[w], int(m)) })
+	g.outAdj.At(s).each(func(w, m int32) bool { return fn(handle(w, g.gen[w]), int(m)) })
 }
 
 // Predecessors calls fn for every distinct predecessor of v with the
@@ -500,13 +469,13 @@ func (g *Graph) Predecessors(v VertexID, fn func(pred VertexID, mult int) bool) 
 	if s == noSlot {
 		return
 	}
-	g.inAdj.At(s).each(func(w, m int32) bool { return fn(g.ids[w], int(m)) })
+	g.inAdj.At(s).each(func(w, m int32) bool { return fn(handle(w, g.gen[w]), int(m)) })
 }
 
 // Vertices calls fn for every vertex; iteration order is unspecified.
 func (g *Graph) Vertices(fn func(VertexID) bool) {
-	for s := range g.ids {
-		if g.alive[s] && !fn(g.ids[s]) {
+	for s := range g.gen {
+		if g.live(s) && !fn(handle(int32(s), g.gen[s])) {
 			return
 		}
 	}

@@ -18,32 +18,33 @@ const growthVertices = 12288
 const growthBudget = 360
 
 // treeEdges returns the edges of a heap-ordered binary tree over
-// vertices 1..n followed by n/8 random cross edges, drawn from seed.
-func treeEdges(n int, seed int64) [][2]VertexID {
+// vertices 0..n-1, numbered in the order they are added, followed by
+// n/8 random cross edges, drawn from seed.
+func treeEdges(n int, seed int64) [][2]int {
 	rng := rand.New(rand.NewSource(seed))
-	edges := make([][2]VertexID, 0, n-1+n/8)
+	edges := make([][2]int, 0, n-1+n/8)
 	for i := 1; i < n; i++ {
-		edges = append(edges, [2]VertexID{VertexID((i-1)/2 + 1), VertexID(i + 1)})
+		edges = append(edges, [2]int{(i - 1) / 2, i})
 	}
 	for k := 0; k < n/8; k++ {
-		edges = append(edges, [2]VertexID{VertexID(rng.Intn(n) + 1), VertexID(rng.Intn(n) + 1)})
+		edges = append(edges, [2]int{rng.Intn(n), rng.Intn(n)})
 	}
 	return edges
 }
 
-// buildTree grows a fresh graph over vertices 1..n, each vertex linked
-// to its tree parent as soon as it exists, then adds the cross edges
-// (edges as from treeEdges).
-func buildTree(n int, edges [][2]VertexID) *Graph {
+// buildTree grows a fresh graph over len(v) vertices, recording vertex
+// i's handle in v[i] and linking it to its tree parent as soon as it
+// exists, then adds the cross edges (edges as from treeEdges).
+func buildTree(v []VertexID, edges [][2]int) *Graph {
 	g := New()
-	g.AddVertex(1)
-	for i := 2; i <= n; i++ {
-		g.AddVertex(VertexID(i))
-		e := edges[i-2]
-		g.AddEdge(e[0], e[1])
+	v[0] = g.AddVertex()
+	for i := 1; i < len(v); i++ {
+		v[i] = g.AddVertex()
+		e := edges[i-1]
+		g.AddEdge(v[e[0]], v[e[1]])
 	}
-	for _, e := range edges[n-1:] {
-		g.AddEdge(e[0], e[1])
+	for _, e := range edges[len(v)-1:] {
+		g.AddEdge(v[e[0]], v[e[1]])
 	}
 	return g
 }
@@ -53,9 +54,10 @@ func buildTree(n int, edges [][2]VertexID) *Graph {
 // growthBudget bytes per vertex in total, garbage included.
 func TestGraphGrowthAllocBytes(t *testing.T) {
 	edges := treeEdges(growthVertices, 1)
+	v := make([]VertexID, growthVertices)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	g := buildTree(growthVertices, edges)
+	g := buildTree(v, edges)
 	runtime.ReadMemStats(&after)
 	if msg := g.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
@@ -67,42 +69,14 @@ func TestGraphGrowthAllocBytes(t *testing.T) {
 	}
 }
 
-// denseIndexBudget bounds the dense VertexID index of a fresh graph of
-// 1000 vertices, in bytes: 4 per ID and half as much again for growth
-// room, where reserving denseSlack IDs on the first vertex made it
-// 256 KiB.
-const denseIndexBudget = 8 << 10
-
-// TestDenseIndexGrowth: a fresh graph's dense index grows with the
-// vertex IDs it holds, not by denseSlack at a time, and IDs beyond
-// denseSlack of its frontier still land in the sparse map.
-func TestDenseIndexGrowth(t *testing.T) {
-	g := New()
-	for v := VertexID(1); v <= 1000; v++ {
-		g.AddVertex(v)
-	}
-	if bytes := 4 * cap(g.dense); bytes > denseIndexBudget {
-		t.Fatalf("dense index of a fresh 1000-vertex graph holds %d B, budget %d", bytes, denseIndexBudget)
-	}
-	wild := VertexID(1000 + denseSlack + 1)
-	g.AddVertex(wild)
-	if len(g.sparse) != 1 || cap(g.dense) > denseIndexBudget/4 {
-		t.Fatalf("wild ID %d: %d sparse entries, dense capacity %d", wild, len(g.sparse), cap(g.dense))
-	}
-	for _, v := range []VertexID{1, 500, 1000, wild} {
-		if !g.HasVertex(v) {
-			t.Fatalf("vertex %d lost", v)
-		}
-	}
-}
-
 // BenchmarkGraphBuild builds the growth gate's graph from empty once
 // per iteration; run with -benchmem.
 func BenchmarkGraphBuild(b *testing.B) {
 	edges := treeEdges(growthVertices, 1)
+	v := make([]VertexID, growthVertices)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buildTree(growthVertices, edges)
+		buildTree(v, edges)
 	}
 }

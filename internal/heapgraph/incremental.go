@@ -96,7 +96,7 @@ const allowanceSlack = 64
 // (incremental_scc.go): the node-indirection table, the node arena,
 // the count, the stale flag and the search allowance.
 type ufCore struct {
-	// node maps arena slot → union-find node, parallel to Graph.ids.
+	// node maps arena slot → union-find node, parallel to Graph.gen.
 	// Entries for dead slots are leftovers and never read.
 	node []int32
 	// parent/size form the union-find node arena. size is only
@@ -232,7 +232,7 @@ type search struct {
 // exact fit would reallocate on every search of that phase.
 func (g *Graph) beginSearch() *search {
 	s := g.scratch()
-	if n := len(g.ids); len(s.mark) < n {
+	if n := len(g.gen); len(s.mark) < n {
 		s.mark = make([]uint32, n+n/2)
 		s.epoch = 0
 	}
@@ -343,24 +343,24 @@ func (g *Graph) ConnectedComponentCount() int {
 
 // rebuildWCC rebuilds the tracker from the live adjacency: one fresh
 // node and one singleton tree per live vertex, then every vertex in
-// age (VertexID) order linked to its older neighbours — in-edges
-// first, since the edge that attached an object to the heap is
-// usually the first pointer stored to it. Existing slice capacity is
-// reused, so rebuilds after the first allocate only when the arena has
-// grown. It runs at a query on a stale tracker, which also compacts
-// the node arena to exactly one node per live vertex, and once when
-// the tracker is turned on, where over an empty graph it only sizes
-// the tables.
+// age order (the order AddVertex added them) linked to its older
+// neighbours — in-edges first, since the edge that attached an object
+// to the heap is usually the first pointer stored to it. Existing
+// slice capacity is reused, so rebuilds after the first allocate only
+// when the arena has grown. It runs at a query on a stale tracker,
+// which also compacts the node arena to exactly one node per live
+// vertex, and once when the tracker is turned on, where over an empty
+// graph it only sizes the tables.
 func (g *Graph) rebuildWCC() {
 	t := g.wcc
-	n := len(g.ids)
+	n := len(g.gen)
 	t.node = sizeI32(t.node, n)
 	t.fpar = sizeI32(t.fpar, n)
 	t.resetArena(n)
 	sc := g.scratch()
 	order := sizeI32(sc.qa, n)[:0] // the search lists are idle during a rebuild
-	for s := range g.ids {
-		if !g.alive[s] {
+	for s := range g.gen {
+		if !g.live(s) {
 			continue
 		}
 		order = append(order, int32(s))
@@ -368,10 +368,10 @@ func (g *Graph) rebuildWCC() {
 		t.fpar[s] = -1
 		t.count++
 	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(g.ids[a], g.ids[b]) })
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(g.age[a], g.age[b]) })
 	for _, s := range order {
 		older := func(w, _ int32) bool {
-			if g.ids[w] < g.ids[s] {
+			if g.age[w] < g.age[s] {
 				t.link(w, s)
 			}
 			return true
@@ -411,7 +411,7 @@ func (g *Graph) wccAddVertex(s int32) {
 	}
 	t := g.wcc
 	if int(s) >= len(t.node) {
-		t.growTables(cap(g.ids))
+		t.growTables(cap(g.gen))
 		t.node = t.node[:s+1]
 		t.fpar = t.fpar[:s+1]
 	}

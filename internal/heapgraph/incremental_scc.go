@@ -405,14 +405,14 @@ func (g *Graph) sccRemoveVertex(x int32) {
 // turns the tracker on stale), and it is also the compaction path.
 func (g *Graph) rebuildSCC() {
 	t := g.scc
-	n := len(g.ids)
+	n := len(g.gen)
 	t.node = sizeI32(t.node, n)
 	t.resetArena(n)
 	sc := g.scratch()
 	members := sizeI32(sc.qa, n)[:0] // the search lists are idle during a rebuild
 	for s := 0; s < n; s++ {
 		switch {
-		case !g.alive[s]:
+		case !g.live(s):
 		case g.inDeg[s] == 0 || g.outDeg[s] == 0:
 			t.node[s] = t.newNode()
 			t.count++
@@ -445,7 +445,7 @@ func (g *Graph) sccCSR(members []int32, local bool, budget *int) bool {
 			return false
 		}
 	}
-	t.offs = sizeI32(t.offs, len(g.ids))
+	t.offs = sizeI32(t.offs, len(g.gen))
 	t.targets = sizeI32(t.targets, total)
 	s := g.srch // set up by the search that collected a local member set
 	i := int32(0)
@@ -469,7 +469,7 @@ func (g *Graph) sccCSR(members []int32, local bool, budget *int) bool {
 // every SCC found a fresh union-find node and counting it.
 func (g *Graph) tarjan(members []int32) {
 	t := g.scc
-	n := len(g.ids)
+	n := len(g.gen)
 	t.index = sizeI32(t.index, n)
 	t.low = sizeI32(t.low, n)
 	if cap(t.onStack) < n {

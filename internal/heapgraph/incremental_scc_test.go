@@ -28,12 +28,13 @@ func sccOracleCheck(t *testing.T, g *Graph) {
 // test and the fuzz target's seed corpus replay.
 func sccRandomMix(t *testing.T, g *Graph, rng *rand.Rand, steps, idSpace int) {
 	t.Helper()
+	n := make(names, idSpace)
 	for step := 0; step < steps; step++ {
-		u := VertexID(rng.Intn(idSpace))
-		v := VertexID(rng.Intn(idSpace))
+		ui := rng.Intn(idSpace)
+		u, v := n[ui], n[rng.Intn(idSpace)]
 		switch rng.Intn(10) {
 		case 0, 1:
-			g.AddVertex(u)
+			n.add(g, ui)
 		case 2, 3, 4:
 			// Edge adds matter more for SCC than WCC: they exercise
 			// the probe (cycle closure and budget bailout paths).
@@ -77,12 +78,13 @@ func TestIncrementalSCCWithWCCRandom(t *testing.T) {
 	g := New()
 	g.TrackConnectivity()
 	g.TrackSCC()
+	n := make(names, 40)
 	for step := 0; step < 3000; step++ {
-		u := VertexID(rng.Intn(40))
-		v := VertexID(rng.Intn(40))
+		ui := rng.Intn(40)
+		u, v := n[ui], n[rng.Intn(40)]
 		switch rng.Intn(9) {
 		case 0, 1:
-			g.AddVertex(u)
+			n.add(g, ui)
 		case 2, 3, 4:
 			g.AddEdge(u, v)
 		case 5, 6:
@@ -111,12 +113,13 @@ func TestIncrementalSCCVerifyMode(t *testing.T) {
 			t.Fatalf("step %d: %s", step, msg)
 		}
 	}
+	n := make(names, 32)
 	for step := 0; step < 2000; step++ {
-		u := VertexID(rng.Intn(32))
-		v := VertexID(rng.Intn(32))
+		ui := rng.Intn(32)
+		u, v := n[ui], n[rng.Intn(32)]
 		switch rng.Intn(8) {
 		case 0:
-			g.AddVertex(u)
+			n.add(g, ui)
 		case 1, 2:
 			g.AddEdge(u, v)
 		case 3, 4:
@@ -134,10 +137,11 @@ func TestIncrementalSCCVerifyMode(t *testing.T) {
 // in-package and checks the oracle actually trips.
 func TestCheckComponentsReportsSCCDivergence(t *testing.T) {
 	g := New()
+	var v [3]VertexID
 	g.TrackSCC()
-	g.AddVertex(1)
-	g.AddVertex(2)
-	g.AddEdge(1, 2)
+	v[1] = g.AddVertex()
+	v[2] = g.AddVertex()
+	g.AddEdge(v[1], v[2])
 	if msg := g.CheckComponents(); msg != "" {
 		t.Fatalf("clean tracker reported: %s", msg)
 	}
@@ -167,36 +171,39 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 
 	t.Run("edge into fresh target", func(t *testing.T) {
 		g := New()
+		var v [3]VertexID
 		g.TrackSCC()
-		g.AddVertex(1)
-		g.AddVertex(2)
+		v[1] = g.AddVertex()
+		v[2] = g.AddVertex()
 		clean(t, g, 2)
-		g.AddEdge(1, 2) // 2 has no out-edges: probe finds no path back
+		g.AddEdge(v[1], v[2]) // 2 has no out-edges: probe finds no path back
 		clean(t, g, 2)
 	})
 
 	t.Run("two-cycle closure", func(t *testing.T) {
 		g := New()
+		var v [3]VertexID
 		g.TrackSCC()
-		g.AddVertex(1)
-		g.AddVertex(2)
-		g.AddEdge(1, 2)
+		v[1] = g.AddVertex()
+		v[2] = g.AddVertex()
+		g.AddEdge(v[1], v[2])
 		clean(t, g, 2)
-		g.AddEdge(2, 1) // closes the cycle: exact merge
+		g.AddEdge(v[2], v[1]) // closes the cycle: exact merge
 		clean(t, g, 1)
 	})
 
 	t.Run("long-cycle closure", func(t *testing.T) {
 		g := New()
+		var v [7]VertexID
 		g.TrackSCC()
 		for i := 1; i <= 6; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 			if i > 1 {
-				g.AddEdge(VertexID(i-1), VertexID(i))
+				g.AddEdge(v[i-1], v[i])
 			}
 		}
 		clean(t, g, 6)
-		g.AddEdge(6, 1) // every chain vertex joins one SCC
+		g.AddEdge(v[6], v[1]) // every chain vertex joins one SCC
 		clean(t, g, 1)
 	})
 
@@ -204,29 +211,31 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 		// Two disjoint v⇝u paths: closing u→v must merge the SCCs on
 		// BOTH paths, which a naive single-path union would miss.
 		g := New()
+		var v [5]VertexID
 		g.TrackSCC()
 		for i := 1; i <= 4; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 		}
 		// u = 1, v = 2; paths 2→3→1 and 2→4→1.
-		g.AddEdge(2, 3)
-		g.AddEdge(3, 1)
-		g.AddEdge(2, 4)
-		g.AddEdge(4, 1)
+		g.AddEdge(v[2], v[3])
+		g.AddEdge(v[3], v[1])
+		g.AddEdge(v[2], v[4])
+		g.AddEdge(v[4], v[1])
 		clean(t, g, 4)
-		g.AddEdge(1, 2)
+		g.AddEdge(v[1], v[2])
 		clean(t, g, 1)
 	})
 
 	t.Run("intra-SCC edge add", func(t *testing.T) {
 		g := New()
+		var v [3]VertexID
 		g.TrackSCC()
-		g.AddVertex(1)
-		g.AddVertex(2)
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 1)
+		v[1] = g.AddVertex()
+		v[2] = g.AddVertex()
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[2], v[1])
 		clean(t, g, 1)
-		g.AddEdge(1, 2) // endpoints already strongly connected: no-op
+		g.AddEdge(v[1], v[2]) // endpoints already strongly connected: no-op
 		clean(t, g, 1)
 	})
 
@@ -234,61 +243,66 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 		// A fresh vertex pointing INTO a cycle reaches it but is not
 		// reached back: exact no-merge.
 		g := New()
+		var v [5]VertexID
 		g.TrackSCC()
 		for i := 1; i <= 4; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 		}
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 3)
-		g.AddEdge(3, 1)
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[2], v[3])
+		g.AddEdge(v[3], v[1])
 		clean(t, g, 2)
-		g.AddEdge(4, 1) // probe walks the cycle as a super-node, no hit
+		g.AddEdge(v[4], v[1]) // probe walks the cycle as a super-node, no hit
 		clean(t, g, 2)
 	})
 
 	t.Run("cross-SCC edge removal", func(t *testing.T) {
 		g := New()
+		var v [4]VertexID
 		g.TrackSCC()
 		for i := 1; i <= 3; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 		}
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 3)
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[2], v[3])
 		clean(t, g, 3)
-		g.RemoveEdge(1, 2) // no cycle through a cross-SCC edge: no-op
+		g.RemoveEdge(v[1], v[2]) // no cycle through a cross-SCC edge: no-op
 		clean(t, g, 3)
 	})
 
 	t.Run("parallel intra-SCC edge removal", func(t *testing.T) {
 		g := New()
+		var v [3]VertexID
 		g.TrackSCC()
-		g.AddVertex(1)
-		g.AddVertex(2)
-		g.AddEdge(1, 2)
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 1)
+		v[1] = g.AddVertex()
+		v[2] = g.AddVertex()
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[2], v[1])
 		clean(t, g, 1)
-		g.RemoveEdge(1, 2) // a copy remains: reachability unchanged
+		g.RemoveEdge(v[1], v[2]) // a copy remains: reachability unchanged
 		clean(t, g, 1)
 	})
 
 	t.Run("self-loop add and removal", func(t *testing.T) {
 		g := New()
+		var v [2]VertexID
 		g.TrackSCC()
-		g.AddVertex(1)
-		g.AddEdge(1, 1)
+		v[1] = g.AddVertex()
+		g.AddEdge(v[1], v[1])
 		clean(t, g, 1)
-		g.RemoveEdge(1, 1)
+		g.RemoveEdge(v[1], v[1])
 		clean(t, g, 1)
 	})
 
 	t.Run("isolated vertex removal", func(t *testing.T) {
 		g := New()
+		var v [3]VertexID
 		g.TrackSCC()
-		g.AddVertex(1)
-		g.AddVertex(2)
+		v[1] = g.AddVertex()
+		v[2] = g.AddVertex()
 		clean(t, g, 2)
-		g.RemoveVertex(2)
+		g.RemoveVertex(v[2])
 		clean(t, g, 1)
 	})
 
@@ -297,53 +311,57 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 		// taxonomy handles exactly: a chain interior is its own SCC,
 		// so removing it just drops the count by one.
 		g := New()
+		var v [4]VertexID
 		g.TrackSCC()
 		for i := 1; i <= 3; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 		}
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 3)
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[2], v[3])
 		clean(t, g, 3)
-		g.RemoveVertex(2)
+		g.RemoveVertex(v[2])
 		clean(t, g, 2)
 	})
 
 	t.Run("self-loop vertex removal", func(t *testing.T) {
 		g := New()
+		var v [3]VertexID
 		g.TrackSCC()
-		g.AddVertex(1)
-		g.AddVertex(2)
-		g.AddEdge(1, 1)
-		g.AddEdge(1, 2)
+		v[1] = g.AddVertex()
+		v[2] = g.AddVertex()
+		g.AddEdge(v[1], v[1])
+		g.AddEdge(v[1], v[2])
 		clean(t, g, 2)
-		g.RemoveVertex(1) // self-loop SCC still has size 1: exact
+		g.RemoveVertex(v[1]) // self-loop SCC still has size 1: exact
 		clean(t, g, 1)
 	})
 
 	t.Run("intra-SCC edge delete the SCC survives", func(t *testing.T) {
 		g := New()
+		var v [4]VertexID
 		g.TrackSCC()
 		for i := 1; i <= 3; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 		}
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 1)
-		g.AddEdge(1, 3)
-		g.AddEdge(3, 2)
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[2], v[1])
+		g.AddEdge(v[1], v[3])
+		g.AddEdge(v[3], v[2])
 		clean(t, g, 1)
-		g.RemoveEdge(1, 2) // 1 still reaches 2 through 3: no-op
+		g.RemoveEdge(v[1], v[2]) // 1 still reaches 2 through 3: no-op
 		clean(t, g, 1)
 	})
 
 	t.Run("intra-SCC edge removal re-splits locally", func(t *testing.T) {
 		g := New()
+		var v [3]VertexID
 		g.TrackSCC()
-		g.AddVertex(1)
-		g.AddVertex(2)
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 1)
+		v[1] = g.AddVertex()
+		v[2] = g.AddVertex()
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[2], v[1])
 		clean(t, g, 1)
-		g.RemoveEdge(2, 1) // breaks the only cycle
+		g.RemoveEdge(v[2], v[1]) // breaks the only cycle
 		clean(t, g, 2)
 	})
 
@@ -351,37 +369,39 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 		// Two 2-cycles {1,2} and {3,4} joined into one SCC by 2→3 and
 		// 4→1, beside an unrelated cycle {5,6}.
 		g := New()
+		var v [7]VertexID
 		g.TrackSCC()
 		for i := 1; i <= 6; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 		}
-		for _, e := range [][2]VertexID{{1, 2}, {2, 1}, {3, 4}, {4, 3}, {5, 6}, {6, 5}, {2, 3}} {
-			g.AddEdge(e[0], e[1])
+		for _, e := range [][2]int{{1, 2}, {2, 1}, {3, 4}, {4, 3}, {5, 6}, {6, 5}, {2, 3}} {
+			g.AddEdge(v[e[0]], v[e[1]])
 		}
 		clean(t, g, 3)
-		g.AddEdge(4, 1) // merges {1,2} and {3,4}
+		g.AddEdge(v[4], v[1]) // merges {1,2} and {3,4}
 		clean(t, g, 2)
-		g.RemoveEdge(4, 1) // and the re-split separates them again
+		g.RemoveEdge(v[4], v[1]) // and the re-split separates them again
 		clean(t, g, 3)
-		g.AddEdge(4, 1)
+		g.AddEdge(v[4], v[1])
 		clean(t, g, 2)
 	})
 
 	t.Run("multi-member SCC vertex removal", func(t *testing.T) {
 		g := New()
+		var v [5]VertexID
 		g.TrackSCC()
 		for i := 1; i <= 4; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 		}
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 3)
-		g.AddEdge(3, 1)
-		g.AddEdge(3, 4)
-		g.AddEdge(4, 3)
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[2], v[3])
+		g.AddEdge(v[3], v[1])
+		g.AddEdge(v[3], v[4])
+		g.AddEdge(v[4], v[3])
 		clean(t, g, 1)
-		g.RemoveVertex(2) // shatters the 3-cycle; 3↔4 survives
+		g.RemoveVertex(v[2]) // shatters the 3-cycle; 3↔4 survives
 		clean(t, g, 2)
-		g.RemoveVertex(4)
+		g.RemoveVertex(v[4])
 		clean(t, g, 2)
 	})
 
@@ -390,17 +410,18 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 		// backward side completes at once. An allowance of 8 entries
 		// would not let the forward side finish.
 		g := New()
+		var v [30]VertexID
 		g.TrackSCC()
-		g.AddVertex(1)
+		v[1] = g.AddVertex()
 		for i := 10; i < 30; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 			if i > 10 {
-				g.AddEdge(VertexID(i-1), VertexID(i))
+				g.AddEdge(v[i-1], v[i])
 			}
 		}
 		clean(t, g, 21)
 		g.setAllowance(8)
-		g.AddEdge(1, 10)
+		g.AddEdge(v[1], v[10])
 		clean(t, g, 21)
 	})
 
@@ -409,41 +430,43 @@ func TestIncrementalSCCExactShapes(t *testing.T) {
 		// chain that the forward side would have to exhaust; u's only
 		// predecessor is 11.
 		g := New()
+		var v [40]VertexID
 		g.TrackSCC()
-		g.AddVertex(1)
-		g.AddVertex(10)
-		g.AddVertex(11)
-		g.AddEdge(10, 11)
-		g.AddEdge(11, 1)
+		v[1] = g.AddVertex()
+		v[10] = g.AddVertex()
+		v[11] = g.AddVertex()
+		g.AddEdge(v[10], v[11])
+		g.AddEdge(v[11], v[1])
 		for i := 20; i < 40; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 			if i == 20 {
-				g.AddEdge(10, 20)
+				g.AddEdge(v[10], v[20])
 			} else {
-				g.AddEdge(VertexID(i-1), VertexID(i))
+				g.AddEdge(v[i-1], v[i])
 			}
 		}
 		clean(t, g, 23)
 		g.setAllowance(10)
-		g.AddEdge(1, 10) // closes 1→10→11→1
+		g.AddEdge(v[1], v[10]) // closes 1→10→11→1
 		clean(t, g, 21)
 	})
 
 	t.Run("over-allowance cut goes conservative", func(t *testing.T) {
 		g := New()
+		var v [16]VertexID
 		g.TrackSCC()
 		const n = 16
 		for i := 0; i < n; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 		}
 		for i := 0; i < n; i++ {
-			g.AddEdge(VertexID(i), VertexID((i+1)%n))
+			g.AddEdge(v[i], v[(i+1)%n])
 		}
 		if g.StronglyConnectedComponentCount() != 1 {
 			t.Fatal("setup")
 		}
 		g.setAllowance(2)
-		g.RemoveEdge(7, 8) // the u⇝v check needs far more than 2 entries
+		g.RemoveEdge(v[7], v[8]) // the u⇝v check needs far more than 2 entries
 		if !g.scc.stale {
 			t.Fatal("an over-allowance cut search did not make the tracker stale")
 		}
@@ -475,11 +498,12 @@ func TestSCCRebuildTrimsDegreeZero(t *testing.T) {
 			g := New()
 			g.TrackSCC()
 			g.setAllowance(th)
-			for v := VertexID(1); v <= 9; v++ {
-				g.AddVertex(v)
+			var v [10]VertexID
+			for i := 1; i <= 9; i++ {
+				v[i] = g.AddVertex()
 			}
-			for _, e := range [][2]VertexID{{1, 3}, {3, 4}, {4, 3}, {4, 2}, {7, 2}, {5, 5}, {9, 8}, {8, 3}} {
-				g.AddEdge(e[0], e[1])
+			for _, e := range [][2]int{{1, 3}, {3, 4}, {4, 3}, {4, 2}, {7, 2}, {5, 5}, {9, 8}, {8, 3}} {
+				g.AddEdge(v[e[0]], v[e[1]])
 			}
 			sccOracleCheck(t, g)
 			if got := g.StronglyConnectedComponentCount(); got != 8 {
@@ -487,18 +511,18 @@ func TestSCCRebuildTrimsDegreeZero(t *testing.T) {
 			}
 			// The rebuild leaves its member list in the search scratch:
 			// only 3, 4, 5 and 8 have edges both ways.
-			var members []VertexID
+			var members []int
 			for _, s := range g.srch.qa {
-				members = append(members, g.ids[s])
+				members = append(members, slices.Index(v[:], handle(s, g.gen[s])))
 			}
 			slices.Sort(members)
-			if want := []VertexID{3, 4, 5, 8}; !slices.Equal(members, want) {
+			if want := []int{3, 4, 5, 8}; !slices.Equal(members, want) {
 				t.Fatalf("rebuild ran Tarjan over %v, want %v", members, want)
 			}
 			tr := g.scc
-			for _, v := range []VertexID{1, 2, 6, 7, 9} {
-				if r := tr.find(tr.node[g.slotOf(v)]); tr.size[r] != 1 {
-					t.Fatalf("trimmed vertex %d shares a union-find class of size %d", v, tr.size[r])
+			for _, i := range []int{1, 2, 6, 7, 9} {
+				if r := tr.find(tr.node[g.slotOf(v[i])]); tr.size[r] != 1 {
+					t.Fatalf("trimmed vertex %d shares a union-find class of size %d", i, tr.size[r])
 				}
 			}
 			// Close a cycle through the sink and the source (2→1 makes
@@ -506,15 +530,15 @@ func TestSCCRebuildTrimsDegreeZero(t *testing.T) {
 			// The merge probe scans more than one entry, so only the
 			// lowest threshold sends it to a rebuild; at the highest
 			// every mutation is maintained in place.
-			g.AddEdge(2, 1)
+			g.AddEdge(v[2], v[1])
 			if g.scc.stale != (th == 1) {
 				t.Fatalf("after the merge probe stale = %v", g.scc.stale)
 			}
 			sccOracleCheck(t, g)
 			for _, step := range []func(){
-				func() { g.AddEdge(2, 7) },
-				func() { g.RemoveEdge(4, 2) },
-				func() { g.RemoveVertex(3) },
+				func() { g.AddEdge(v[2], v[7]) },
+				func() { g.RemoveEdge(v[4], v[2]) },
+				func() { g.RemoveVertex(v[3]) },
 			} {
 				step()
 				if th == 1<<30 && g.scc.stale {
@@ -533,19 +557,20 @@ func TestSCCRebuildTrimsDegreeZero(t *testing.T) {
 // and the next query must recover exactness via rebuild.
 func TestIncrementalSCCProbeBudgetBailout(t *testing.T) {
 	g := New()
+	var v [32]VertexID
 	g.TrackSCC()
 	g.setAllowance(3)
 	const n = 32
 	for i := 0; i < n; i++ {
-		g.AddVertex(VertexID(i))
+		v[i] = g.AddVertex()
 		if i > 0 {
-			g.AddEdge(VertexID(i-1), VertexID(i))
+			g.AddEdge(v[i-1], v[i])
 		}
 	}
 	if g.StronglyConnectedComponentCount() != n {
 		t.Fatal("setup")
 	}
-	g.AddEdge(n-1, 0) // probe must traverse 31 hops; budget is 3
+	g.AddEdge(v[n-1], v[0]) // probe must traverse 31 hops; budget is 3
 	if !g.scc.stale {
 		t.Fatal("over-budget probe did not make the tracker stale")
 	}
@@ -560,26 +585,26 @@ func TestIncrementalSCCProbeBudgetBailout(t *testing.T) {
 // a fresh singleton SCC, not inherit the dead vertex's component.
 func TestIncrementalSCCSlotReuse(t *testing.T) {
 	g := New()
+	var v [12]VertexID
 	g.TrackSCC()
 	const n = 12
 	for i := 0; i < n; i++ {
-		g.AddVertex(VertexID(i))
-		g.AddEdge(VertexID(i), VertexID((i+1)%n)) // targets may not exist yet
+		v[i] = g.AddVertex()
+		g.AddEdge(v[i], v[(i+1)%n]) // targets may not exist yet
 	}
 	for i := 0; i < n; i++ {
-		g.AddEdge(VertexID(i), VertexID((i+1)%n)) // now they all do
+		g.AddEdge(v[i], v[(i+1)%n]) // now they all do
 	}
 	sccOracleCheck(t, g)
 	for round := 0; round < 20; round++ {
-		victim := VertexID(round % n)
-		g.RemoveVertex(victim)
+		victim := round % n
+		g.RemoveVertex(v[victim])
 		sccOracleCheck(t, g)
-		fresh := VertexID(1000 + round)
-		g.AddVertex(fresh)
+		fresh := g.AddVertex()
 		sccOracleCheck(t, g) // fresh vertex must be its own SCC
-		g.AddVertex(victim)
-		g.AddEdge(victim, fresh)
-		g.AddEdge(fresh, victim)
+		v[victim] = g.AddVertex()
+		g.AddEdge(v[victim], fresh)
+		g.AddEdge(fresh, v[victim])
 		sccOracleCheck(t, g)
 		g.RemoveVertex(fresh)
 		sccOracleCheck(t, g)
@@ -591,22 +616,23 @@ func TestIncrementalSCCSlotReuse(t *testing.T) {
 // rebuild from the live adjacency rather than trust stale state.
 func TestIncrementalSCCSwitchModes(t *testing.T) {
 	g := New()
+	var v [8]VertexID
 	for i := 0; i < 8; i++ {
-		g.AddVertex(VertexID(i))
+		v[i] = g.AddVertex()
 		if i > 0 {
-			g.AddEdge(VertexID(i-1), VertexID(i))
+			g.AddEdge(v[i-1], v[i])
 		}
 	}
-	g.AddEdge(7, 0)
-	g.RemoveVertex(3) // mutate while untracked
+	g.AddEdge(v[7], v[0])
+	g.RemoveVertex(v[3]) // mutate while untracked
 	if g.scc != nil {
 		t.Fatal("tracker on before anything asked for it")
 	}
 	sccOracleCheck(t, g) // the first query turns the tracker on
-	g.AddEdge(2, 1)
+	g.AddEdge(v[2], v[1])
 	g.TrackSCC()
 	sccOracleCheck(t, g)
-	g.RemoveEdge(1, 2)
+	g.RemoveEdge(v[1], v[2])
 	sccOracleCheck(t, g)
 }
 
@@ -620,12 +646,11 @@ func TestIncrementalSCCAllocs(t *testing.T) {
 	g := New()
 	g.TrackSCC()
 	const chain = 256
-	for i := 0; i < chain; i++ {
-		g.AddVertex(VertexID(i))
-		if i > 0 {
-			g.AddEdge(VertexID(i-1), VertexID(i))
-		}
+	v := addVertices(g, chain)
+	for i := 1; i < chain; i++ {
+		g.AddEdge(v[i-1], v[i])
 	}
+	var pendants [16]VertexID
 	g.StronglyConnectedComponentCount()
 
 	round := func() {
@@ -633,37 +658,36 @@ func TestIncrementalSCCAllocs(t *testing.T) {
 		// stale, the edge's removal is ignored, and the query
 		// rebuilds.
 		g.setAllowance(1)
-		g.AddEdge(chain-1, 0)
+		g.AddEdge(v[chain-1], v[0])
 		g.setAllowance(0)
-		g.RemoveEdge(chain-1, 0)
+		g.RemoveEdge(v[chain-1], v[0])
 		g.StronglyConnectedComponentCount()
 		// Cycle churn: closing the tail cycle exercises the probe's
 		// merge path; breaking it is an intra-SCC removal whose cut
 		// search fails and whose SCC is re-split locally.
 		for k := 0; k < 16; k++ {
-			g.AddEdge(chain-1, chain-6)
-			g.RemoveEdge(chain-1, chain-6)
+			g.AddEdge(v[chain-1], v[chain-6])
+			g.RemoveEdge(v[chain-1], v[chain-6])
 			g.StronglyConnectedComponentCount()
 		}
 		// Vertex re-split churn: a vertex closing a 4-cycle on the
 		// chain, removed again.
 		for k := 0; k < 8; k++ {
-			g.AddVertex(2000)
-			g.AddEdge(chain-30, 2000)
-			g.AddEdge(2000, chain-32)
-			g.RemoveVertex(2000)
+			w := g.AddVertex()
+			g.AddEdge(v[chain-30], w)
+			g.AddEdge(w, v[chain-32])
+			g.RemoveVertex(w)
 			g.StronglyConnectedComponentCount()
 		}
 		// Vertex churn: pendants on distinct hosts (so the inline
 		// adjacency never spills), removed as singleton SCCs — the
 		// exact delete path plus freelist slot reuse.
-		for k := 0; k < 16; k++ {
-			id := VertexID(1000 + k)
-			g.AddVertex(id)
-			g.AddEdge(VertexID(k*8%200), id)
+		for k := range pendants {
+			pendants[k] = g.AddVertex()
+			g.AddEdge(v[k*8%200], pendants[k])
 		}
 		for k := 15; k >= 0; k-- {
-			g.RemoveVertex(VertexID(1000 + k))
+			g.RemoveVertex(pendants[k])
 		}
 		g.StronglyConnectedComponentCount()
 	}
@@ -682,9 +706,10 @@ func TestIncrementalSCCAllocs(t *testing.T) {
 
 // FuzzIncrementalSCC feeds arbitrary byte programs to the tracker as
 // mutation sequences and diffs the maintained count against the
-// Tarjan oracle, at two search allowances (the default, and 2 entries:
-// nearly every search bails and the tracker goes stale). Two bytes
-// encode one operation: an opcode and two 4-bit vertex operands.
+// Tarjan oracle and the graph against a reference multigraph, at two
+// search allowances (the default, and 2 entries: nearly every search
+// bails and the tracker goes stale). Two bytes encode one operation:
+// an opcode and two 4-bit vertex operands.
 func FuzzIncrementalSCC(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x00, 0x02, 0x02, 0x12, 0x02, 0x21})
 	f.Add([]byte{0x00, 0x01, 0x01, 0x11, 0x03, 0x11, 0x04, 0x01})
@@ -692,31 +717,39 @@ func FuzzIncrementalSCC(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	rng.Read(seed)
 	f.Add(seed)
+	// Stale handles: vertex 1 is removed and vertex 3 reuses its slot,
+	// then edges to, from and on the old handle must fail, and removing
+	// it again must leave vertex 3 alone.
+	f.Add([]byte{
+		0x00, 0x10, 0x00, 0x20, 0x01, 0x12, 0x01, 0x21, 0x03, 0x10,
+		0x00, 0x30, 0x01, 0x13, 0x01, 0x31, 0x01, 0x21, 0x04, 0x10,
+		0x02, 0x12, 0x03, 0x10, 0x01, 0x32, 0x01, 0x23,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, budget := range []int{2, 0} {
 			g := New()
 			g.TrackSCC()
 			g.setAllowance(budget)
+			p := newProgram(t, g)
 			for i := 0; i+1 < len(data); i += 2 {
-				u := VertexID(data[i+1] >> 4)
-				v := VertexID(data[i+1] & 0x0f)
+				u, v := int(data[i+1]>>4), int(data[i+1]&0x0f)
 				switch data[i] % 5 {
 				case 0:
-					g.AddVertex(u)
+					p.addVertex(u)
 				case 1:
-					g.AddEdge(u, v)
+					p.addEdge(u, v)
 				case 2:
-					g.RemoveEdge(u, v)
+					p.removeEdge(u, v)
 				case 3:
-					g.RemoveVertex(u)
+					p.removeVertex(u)
 				case 4:
-					g.AddEdge(u, u)
+					p.addEdge(u, u)
 				}
 				if i%8 == 0 {
-					sccOracleCheck(t, g)
+					p.check()
 				}
 			}
-			sccOracleCheck(t, g)
+			p.check()
 		}
 	})
 }

@@ -35,14 +35,15 @@ func TestIncrementalWCCMatchesSnapshotRandom(t *testing.T) {
 			g.TrackConnectivity()
 			g.setAllowance(budget)
 			const idSpace = 48
+			n := make(names, idSpace)
 			for step := 0; step < 4000; step++ {
-				u := VertexID(rng.Intn(idSpace))
-				v := VertexID(rng.Intn(idSpace))
+				ui := rng.Intn(idSpace)
+				u, v := n[ui], n[rng.Intn(idSpace)]
 				// Delete-heavy: the exact-maintenance paths are the add
 				// hooks; the delete classification is what needs soak.
 				switch rng.Intn(10) {
 				case 0, 1:
-					g.AddVertex(u)
+					n.add(g, ui)
 				case 2, 3, 4:
 					g.AddEdge(u, v)
 				case 5, 6:
@@ -73,12 +74,13 @@ func TestIncrementalWCCVerifyMode(t *testing.T) {
 			t.Fatalf("step %d: %s", step, msg)
 		}
 	}
+	n := make(names, 32)
 	for step := 0; step < 2000; step++ {
-		u := VertexID(rng.Intn(32))
-		v := VertexID(rng.Intn(32))
+		ui := rng.Intn(32)
+		u, v := n[ui], n[rng.Intn(32)]
 		switch rng.Intn(8) {
 		case 0:
-			g.AddVertex(u)
+			n.add(g, ui)
 		case 1, 2:
 			g.AddEdge(u, v)
 		case 3, 4:
@@ -96,10 +98,11 @@ func TestIncrementalWCCVerifyMode(t *testing.T) {
 // in-package and checks the oracle actually trips.
 func TestCheckComponentsReportsWCCDivergence(t *testing.T) {
 	g := New()
+	var v [3]VertexID
 	g.TrackConnectivity()
-	g.AddVertex(1)
-	g.AddVertex(2)
-	g.AddEdge(1, 2)
+	v[1] = g.AddVertex()
+	v[2] = g.AddVertex()
+	g.AddEdge(v[1], v[2])
 	if msg := g.CheckComponents(); msg != "" {
 		t.Fatalf("clean tracker reported: %s", msg)
 	}
@@ -126,171 +129,183 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("parallel edge", func(t *testing.T) {
 		g := New()
+		var v [3]VertexID
 		g.TrackConnectivity()
-		g.AddVertex(1)
-		g.AddVertex(2)
-		g.AddEdge(1, 2)
-		g.AddEdge(1, 2)
+		v[1] = g.AddVertex()
+		v[2] = g.AddVertex()
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[1], v[2])
 		clean(t, g, 1)
-		g.RemoveEdge(1, 2) // one copy remains: exact no-op
+		g.RemoveEdge(v[1], v[2]) // one copy remains: exact no-op
 		clean(t, g, 1)
 	})
 
 	t.Run("reverse edge", func(t *testing.T) {
 		g := New()
+		var v [3]VertexID
 		g.TrackConnectivity()
-		g.AddVertex(1)
-		g.AddVertex(2)
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 1)
+		v[1] = g.AddVertex()
+		v[2] = g.AddVertex()
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[2], v[1])
 		clean(t, g, 1)
-		g.RemoveEdge(1, 2) // 2→1 remains: weak connectivity unchanged
+		g.RemoveEdge(v[1], v[2]) // 2→1 remains: weak connectivity unchanged
 		clean(t, g, 1)
 	})
 
 	t.Run("edge isolating one endpoint", func(t *testing.T) {
 		g := New()
+		var v [4]VertexID
 		g.TrackConnectivity()
 		for i := 1; i <= 3; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 		}
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 3)
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[2], v[3])
 		clean(t, g, 1)
-		g.RemoveEdge(2, 3) // 3 becomes isolated: exact detach
+		g.RemoveEdge(v[2], v[3]) // 3 becomes isolated: exact detach
 		clean(t, g, 2)
 	})
 
 	t.Run("edge isolating both endpoints", func(t *testing.T) {
 		g := New()
+		var v [3]VertexID
 		g.TrackConnectivity()
-		g.AddVertex(1)
-		g.AddVertex(2)
-		g.AddEdge(1, 2)
+		v[1] = g.AddVertex()
+		v[2] = g.AddVertex()
+		g.AddEdge(v[1], v[2])
 		clean(t, g, 1)
-		g.RemoveEdge(1, 2) // the pair case: count must go 1 → 2, not 1 → 3
+		g.RemoveEdge(v[1], v[2]) // the pair case: count must go 1 → 2, not 1 → 3
 		clean(t, g, 2)
 	})
 
 	t.Run("self-loop removal", func(t *testing.T) {
 		g := New()
+		var v [2]VertexID
 		g.TrackConnectivity()
-		g.AddVertex(1)
-		g.AddEdge(1, 1)
+		v[1] = g.AddVertex()
+		g.AddEdge(v[1], v[1])
 		clean(t, g, 1)
-		g.RemoveEdge(1, 1)
+		g.RemoveEdge(v[1], v[1])
 		clean(t, g, 1)
 	})
 
 	t.Run("singleton vertex removal", func(t *testing.T) {
 		g := New()
+		var v [3]VertexID
 		g.TrackConnectivity()
-		g.AddVertex(1)
-		g.AddVertex(2)
+		v[1] = g.AddVertex()
+		v[2] = g.AddVertex()
 		clean(t, g, 2)
-		g.RemoveVertex(2)
+		g.RemoveVertex(v[2])
 		clean(t, g, 1)
 	})
 
 	t.Run("leaf vertex removal", func(t *testing.T) {
 		g := New()
+		var v [5]VertexID
 		g.TrackConnectivity()
 		for i := 1; i <= 4; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 		}
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 3)
-		g.AddEdge(3, 4)
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[2], v[3])
+		g.AddEdge(v[3], v[4])
 		clean(t, g, 1)
-		g.RemoveVertex(4) // one distinct neighbour: leaf, never splits
+		g.RemoveVertex(v[4]) // one distinct neighbour: leaf, never splits
 		clean(t, g, 1)
 	})
 
 	t.Run("leaf with parallel and reverse edges", func(t *testing.T) {
 		g := New()
+		var v [4]VertexID
 		g.TrackConnectivity()
-		g.AddVertex(1)
-		g.AddVertex(2)
-		g.AddVertex(3)
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 3)
-		g.AddEdge(2, 3)
-		g.AddEdge(3, 2)
-		g.AddEdge(3, 3)
+		v[1] = g.AddVertex()
+		v[2] = g.AddVertex()
+		v[3] = g.AddVertex()
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[2], v[3])
+		g.AddEdge(v[2], v[3])
+		g.AddEdge(v[3], v[2])
+		g.AddEdge(v[3], v[3])
 		clean(t, g, 1)
-		g.RemoveVertex(3) // still one distinct neighbour (2): exact leaf
+		g.RemoveVertex(v[3]) // still one distinct neighbour (2): exact leaf
 		clean(t, g, 1)
 	})
 
 	t.Run("non-forest cross-edge delete", func(t *testing.T) {
 		g := New()
+		var v [4]VertexID
 		g.TrackConnectivity()
 		for i := 1; i <= 3; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 		}
-		g.AddEdge(1, 2)
-		g.AddEdge(1, 3)
-		clean(t, g, 1)  // the forest is the tree 1-2, 1-3
-		g.AddEdge(2, 3) // inside the component: a non-forest link
-		g.RemoveEdge(2, 3)
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[1], v[3])
+		clean(t, g, 1)        // the forest is the tree 1-2, 1-3
+		g.AddEdge(v[2], v[3]) // inside the component: a non-forest link
+		g.RemoveEdge(v[2], v[3])
 		clean(t, g, 1)
 	})
 
 	t.Run("forest-edge delete with a replacement", func(t *testing.T) {
 		g := New()
+		var v [5]VertexID
 		g.TrackConnectivity()
 		for i := 1; i <= 4; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 		}
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 3)
-		g.AddEdge(3, 4)
-		clean(t, g, 1)  // forest: the path 1-2-3-4
-		g.AddEdge(4, 1) // non-forest: closes the cycle
-		g.RemoveEdge(2, 3)
-		if g.wcc.fpar[g.slotOf(3)] == g.slotOf(2) {
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[2], v[3])
+		g.AddEdge(v[3], v[4])
+		clean(t, g, 1)        // forest: the path 1-2-3-4
+		g.AddEdge(v[4], v[1]) // non-forest: closes the cycle
+		g.RemoveEdge(v[2], v[3])
+		if g.wcc.fpar[g.slotOf(v[3])] == g.slotOf(v[2]) {
 			t.Fatal("the cut forest edge is still in the forest")
 		}
-		clean(t, g, 1)     // 4-1 replaces 2-3
-		g.RemoveEdge(4, 1) // now a forest edge with no replacement
+		clean(t, g, 1)           // 4-1 replaces 2-3
+		g.RemoveEdge(v[4], v[1]) // now a forest edge with no replacement
 		clean(t, g, 2)
 	})
 
 	t.Run("forest-edge delete that splits", func(t *testing.T) {
 		g := New()
+		var v [7]VertexID
 		g.TrackConnectivity()
 		for i := 1; i <= 6; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 			if i > 1 {
-				g.AddEdge(VertexID(i-1), VertexID(i))
+				g.AddEdge(v[i-1], v[i])
 			}
 		}
-		g.AddEdge(6, 5) // a reverse edge: still one link
+		g.AddEdge(v[6], v[5]) // a reverse edge: still one link
 		clean(t, g, 1)
-		g.RemoveEdge(2, 3) // {1,2} and {3..6}: the smaller half moves out
+		g.RemoveEdge(v[2], v[3]) // {1,2} and {3..6}: the smaller half moves out
 		clean(t, g, 2)
-		g.RemoveEdge(5, 6) // 6→5 remains
+		g.RemoveEdge(v[5], v[6]) // 6→5 remains
 		clean(t, g, 2)
-		g.AddEdge(6, 1) // the split halves merge again
+		g.AddEdge(v[6], v[1]) // the split halves merge again
 		clean(t, g, 1)
-		g.RemoveEdge(4, 5)
+		g.RemoveEdge(v[4], v[5])
 		clean(t, g, 2)
 	})
 
 	t.Run("forest leaf with cross edges removal", func(t *testing.T) {
 		g := New()
+		var v [6]VertexID
 		g.TrackConnectivity()
 		for i := 1; i <= 5; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 		}
-		g.AddEdge(1, 2)
-		g.AddEdge(1, 3)
-		g.AddEdge(2, 4)
-		g.AddEdge(3, 5)
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[1], v[3])
+		g.AddEdge(v[2], v[4])
+		g.AddEdge(v[3], v[5])
 		clean(t, g, 1)
-		g.AddEdge(4, 3) // cross edges: 4 has three distinct neighbours
-		g.AddEdge(5, 4)
-		g.RemoveVertex(4) // but no forest children: exact
+		g.AddEdge(v[4], v[3]) // cross edges: 4 has three distinct neighbours
+		g.AddEdge(v[5], v[4])
+		g.RemoveVertex(v[4]) // but no forest children: exact
 		clean(t, g, 1)
 	})
 
@@ -298,17 +313,18 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 		// A triangle: 1 is the forest root with one child (the forest
 		// is 1-2-3) and two distinct neighbours.
 		g := New()
+		var v [4]VertexID
 		g.TrackConnectivity()
 		for i := 1; i <= 3; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 		}
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 3)
-		g.AddEdge(3, 1)
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[2], v[3])
+		g.AddEdge(v[3], v[1])
 		clean(t, g, 1)
-		g.RemoveVertex(1) // its child becomes the root: exact
+		g.RemoveVertex(v[1]) // its child becomes the root: exact
 		clean(t, g, 1)
-		g.RemoveEdge(2, 3)
+		g.RemoveEdge(v[2], v[3])
 		clean(t, g, 2)
 	})
 
@@ -316,16 +332,17 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 		// The shape that must go stale: an interior forest vertex,
 		// with a forest parent and a forest child.
 		g := New()
+		var v [4]VertexID
 		g.TrackConnectivity()
 		for i := 1; i <= 3; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 		}
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 3)
+		g.AddEdge(v[1], v[2])
+		g.AddEdge(v[2], v[3])
 		if g.ConnectedComponentCount() != 1 {
 			t.Fatal("setup")
 		}
-		g.RemoveVertex(2) // must go stale, and the split must be seen
+		g.RemoveVertex(v[2]) // must go stale, and the split must be seen
 		if !g.wcc.stale {
 			t.Fatal("interior removal did not make the tracker stale")
 		}
@@ -337,18 +354,19 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 
 	t.Run("over-allowance cut goes conservative", func(t *testing.T) {
 		g := New()
+		var v [17]VertexID
 		g.TrackConnectivity()
 		for i := 1; i <= 16; i++ {
-			g.AddVertex(VertexID(i))
+			v[i] = g.AddVertex()
 			if i > 1 {
-				g.AddEdge(VertexID(i-1), VertexID(i))
+				g.AddEdge(v[i-1], v[i])
 			}
 		}
 		if g.ConnectedComponentCount() != 1 {
 			t.Fatal("setup")
 		}
 		g.setAllowance(2)
-		g.RemoveEdge(8, 9) // both halves need more than 2 entries
+		g.RemoveEdge(v[8], v[9]) // both halves need more than 2 entries
 		if !g.wcc.stale {
 			t.Fatal("an over-allowance cut did not make the tracker stale")
 		}
@@ -364,28 +382,28 @@ func TestIncrementalWCCExactShapes(t *testing.T) {
 // a fresh singleton, not inherit the dead vertex's component.
 func TestIncrementalWCCSlotReuse(t *testing.T) {
 	g := New()
+	var v [16]VertexID
 	g.TrackConnectivity()
 	for i := 0; i < 16; i++ {
-		g.AddVertex(VertexID(i))
+		v[i] = g.AddVertex()
 	}
 	for i := 1; i < 16; i++ {
-		g.AddEdge(0, VertexID(i))
+		g.AddEdge(v[0], v[i])
 	}
 	if g.ConnectedComponentCount() != 1 {
 		t.Fatal("setup")
 	}
 	for round := 0; round < 20; round++ {
-		// Leaf-remove a vertex (exact path), then re-add a new ID that
+		// Leaf-remove a vertex (exact path), then add a new one that
 		// reuses its slot.
-		victim := VertexID(round%15 + 1)
-		g.RemoveVertex(victim)
+		victim := round%15 + 1
+		g.RemoveVertex(v[victim])
 		oracleCheck(t, g)
-		fresh := VertexID(1000 + round)
-		g.AddVertex(fresh)
+		fresh := g.AddVertex()
 		oracleCheck(t, g) // fresh vertex must be its own component
-		g.AddEdge(0, fresh)
-		g.AddVertex(victim)
-		g.AddEdge(0, victim)
+		g.AddEdge(v[0], fresh)
+		v[victim] = g.AddVertex()
+		g.AddEdge(v[0], v[victim])
 		oracleCheck(t, g)
 	}
 }
@@ -395,21 +413,22 @@ func TestIncrementalWCCSlotReuse(t *testing.T) {
 // rebuild from the live adjacency rather than trust stale state.
 func TestIncrementalWCCSwitchModes(t *testing.T) {
 	g := New()
+	var v [8]VertexID
 	for i := 0; i < 8; i++ {
-		g.AddVertex(VertexID(i))
+		v[i] = g.AddVertex()
 		if i > 0 {
-			g.AddEdge(VertexID(i-1), VertexID(i))
+			g.AddEdge(v[i-1], v[i])
 		}
 	}
-	g.RemoveVertex(3) // mutate while untracked
+	g.RemoveVertex(v[3]) // mutate while untracked
 	if g.wcc != nil {
 		t.Fatal("tracker on before anything asked for it")
 	}
 	oracleCheck(t, g) // the first query turns the tracker on
-	g.RemoveEdge(5, 6)
+	g.RemoveEdge(v[5], v[6])
 	g.TrackConnectivity()
 	oracleCheck(t, g)
-	g.RemoveEdge(1, 2)
+	g.RemoveEdge(v[1], v[2])
 	oracleCheck(t, g)
 }
 
@@ -423,53 +442,54 @@ func TestIncrementalWCCAllocs(t *testing.T) {
 	g := New()
 	g.TrackConnectivity()
 	const ring = 256
+	v := addVertices(g, ring)
 	for i := 0; i < ring; i++ {
-		g.AddVertex(VertexID(i))
+		g.AddEdge(v[i], v[(i+1)%ring])
 	}
-	for i := 0; i < ring; i++ {
-		g.AddEdge(VertexID(i), VertexID((i+1)%ring))
-	}
-	pendant := VertexID(ring)
-	g.AddVertex(pendant)
-	g.AddEdge(0, pendant)
+	pendant := g.AddVertex()
+	g.AddEdge(v[0], pendant)
 	// A 4-cycle: each cut of a forest edge finds its replacement
 	// within a few entries.
-	const square = 1000
+	square := addVertices(g, 4)
 	for i := 0; i < 4; i++ {
-		g.AddVertex(square + VertexID(i))
+		g.AddEdge(square[i], square[(i+1)%4])
 	}
-	for i := 0; i < 4; i++ {
-		g.AddEdge(square+VertexID(i), square+VertexID((i+1)%4))
-	}
+	// A 3-vertex path whose middle vertex is replaced every round.
+	path := addVertices(g, 3)
+	g.AddEdge(path[0], path[1])
+	g.AddEdge(path[1], path[2])
 	g.ConnectedComponentCount()
 
 	round := func() {
-		// Stale churn: vertex 128 is an interior forest vertex of the
-		// ring (the query before the round rebuilt the forest in age
-		// order), so removing it makes the tracker stale, its return
-		// is ignored, and the query rebuilds.
-		g.RemoveVertex(128)
-		g.AddVertex(128)
-		g.AddEdge(127, 128)
-		g.AddEdge(128, 129)
+		// Stale churn: the path's middle vertex is an interior forest
+		// vertex (the query before the round rebuilt the forest in age
+		// order, and the youngest vertex joins the path's two ends), so
+		// removing it makes the tracker stale, its replacement is
+		// ignored, and the query rebuilds. A ring vertex would not do:
+		// replaced, it is the youngest, and the rebuild hangs it off
+		// the rest of the ring as a leaf.
+		g.RemoveVertex(path[1])
+		path[1] = g.AddVertex()
+		g.AddEdge(path[0], path[1])
+		g.AddEdge(path[1], path[2])
 		g.ConnectedComponentCount()
 		for k := 0; k < 32; k++ {
 			// Split churn: cutting the pendant's forest edge moves it to
 			// a fresh node; re-linking joins it back.
-			g.RemoveEdge(0, pendant)
-			g.AddEdge(0, pendant)
+			g.RemoveEdge(v[0], pendant)
+			g.AddEdge(v[0], pendant)
 			// Replacement churn on the square.
-			e := square + VertexID(k%4)
-			g.RemoveEdge(e, square+(e+1-square)%4)
-			g.AddEdge(e, square+(e+1-square)%4)
+			e := k % 4
+			g.RemoveEdge(square[e], square[(e+1)%4])
+			g.AddEdge(square[e], square[(e+1)%4])
 			g.ConnectedComponentCount()
 		}
 		// Ring cuts: the halves run up to 128 vertices, so cuts may
 		// find the replacement or overrun the allowance.
 		for k := 0; k < 16; k++ {
-			e := VertexID(k * 7 % ring)
-			g.RemoveEdge(e, VertexID((int(e)+1)%ring))
-			g.AddEdge(e, VertexID((int(e)+1)%ring))
+			e := k * 7 % ring
+			g.RemoveEdge(v[e], v[(e+1)%ring])
+			g.AddEdge(v[e], v[(e+1)%ring])
 			g.ConnectedComponentCount()
 		}
 	}

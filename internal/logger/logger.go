@@ -116,9 +116,10 @@ type objInfo struct {
 	// slots records which offsets within the object currently hold a
 	// pointer, mapping each to the *target vertex* recorded when the
 	// write was observed. At field granularity the key is the same
-	// but the source vertex is the slot's own word vertex.
+	// but the source vertex is the slot's own word vertex. A target
+	// freed since is a stale handle, which the graph ignores.
 	slots slotTable
-	// wordVertices holds per-word vertex IDs at field granularity;
+	// wordVertices holds per-word vertex handles at field granularity;
 	// nil at object granularity.
 	wordVertices []heapgraph.VertexID
 }
@@ -180,7 +181,6 @@ type Logger struct {
 	objects *addrindex.Table[objInfo]
 	stack   *callstack.Tracker
 
-	vertexSeq uint64 // vertex ID generator (generation counter)
 	fnEntries uint64
 	events    uint64
 	tick      uint64 // metric computation points taken so far
@@ -399,26 +399,18 @@ func (l *Logger) EmitBatch(batch []event.Event) {
 	}
 }
 
-func (l *Logger) newVertex() heapgraph.VertexID {
-	l.vertexSeq++
-	return heapgraph.VertexID(l.vertexSeq)
-}
-
 // onAlloc inserts a zero record and fills it in place: the record is
 // large, and building it on the stack would cost a copy per allocation.
 func (l *Logger) onAlloc(base, size uint64) {
-	info := l.objects.Insert(base, size, objInfo{})
+	info := l.objects.InsertZero(base, size)
 	if l.opts.Granularity == FieldGranularity {
 		nWords := size / 8
 		info.wordVertices = make([]heapgraph.VertexID, nWords)
 		for i := range info.wordVertices {
-			v := l.newVertex()
-			info.wordVertices[i] = v
-			l.graph.AddVertex(v)
+			info.wordVertices[i] = l.graph.AddVertex()
 		}
 	} else {
-		info.vertex = l.newVertex()
-		l.graph.AddVertex(info.vertex)
+		info.vertex = l.graph.AddVertex()
 	}
 	delete(l.freed, base) // address recycled: a future free is legitimate
 }
@@ -480,9 +472,7 @@ func (l *Logger) reallocField(info *objInfo, newSize uint64) {
 	copy(wv, info.wordVertices[:min(oldWords, newWords)])
 	// Grow: fresh vertices for the new words.
 	for i := oldWords; i < newWords; i++ {
-		v := l.newVertex()
-		wv[i] = v
-		l.graph.AddVertex(v)
+		wv[i] = l.graph.AddVertex()
 	}
 	// Drop the slots whose source word vertex no longer exists — their
 	// edges died with the vertices above, so no drop callback. The

@@ -16,7 +16,7 @@ import "heapmd/internal/heapgraph"
 //   - words: a word-indexed slice of targets for objects up to
 //     maxWordBytes whose slots are all word-aligned — one direct index
 //     per lookup, ceil(size/8) entries, VertexID 0 meaning "no
-//     pointer here" (the logger's vertex IDs start at 1).
+//     pointer here" (no vertex handle is 0).
 //   - spill: an offset-keyed map, the fully general fallback for huge
 //     objects and the unaligned stores only damaged raw traces
 //     produce.
@@ -72,7 +72,7 @@ func (t *slotTable) get(off uint64) (heapgraph.VertexID, bool) {
 
 // set records target at offset off. size is the object's current size,
 // consulted when the inline tier overflows to pick the next tier.
-// target must be non-zero (logger vertex IDs start at 1).
+// target must be non-zero, as every vertex handle is.
 func (t *slotTable) set(off uint64, target heapgraph.VertexID, size uint64) {
 	if t.spill != nil {
 		t.spill[off] = target

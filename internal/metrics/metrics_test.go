@@ -69,11 +69,12 @@ func TestComputeEmptyGraph(t *testing.T) {
 // in the paper's Figure 3 discussion.
 func linkedListGraph(k int) *heapgraph.Graph {
 	g := heapgraph.New()
-	for i := 0; i < k; i++ {
-		g.AddVertex(heapgraph.VertexID(i))
+	v := make([]heapgraph.VertexID, k)
+	for i := range v {
+		v[i] = g.AddVertex()
 	}
 	for i := 0; i+1 < k; i++ {
-		g.AddEdge(heapgraph.VertexID(i), heapgraph.VertexID(i+1))
+		g.AddEdge(v[i], v[i+1])
 	}
 	return g
 }
@@ -106,12 +107,13 @@ func TestComputeExtended(t *testing.T) {
 	// Two disjoint 5-node lists: 2 WCCs over 10 vertices = 20 per
 	// 100 vertices; 10 SCCs (acyclic) = 100 per 100 vertices.
 	g := heapgraph.New()
-	for i := 0; i < 10; i++ {
-		g.AddVertex(heapgraph.VertexID(i))
+	var v [10]heapgraph.VertexID
+	for i := range v {
+		v[i] = g.AddVertex()
 	}
 	for i := 0; i < 4; i++ {
-		g.AddEdge(heapgraph.VertexID(i), heapgraph.VertexID(i+1))
-		g.AddEdge(heapgraph.VertexID(5+i), heapgraph.VertexID(6+i))
+		g.AddEdge(v[i], v[i+1])
+		g.AddEdge(v[5+i], v[6+i])
 	}
 	s := ExtendedSuite()
 	snap := s.Compute(g, 0)
@@ -131,11 +133,12 @@ func TestPercentagesSumProperties(t *testing.T) {
 	f := func(edges []edge, nSeed uint8) bool {
 		n := int(nSeed%50) + 1
 		g := heapgraph.New()
-		for i := 0; i < n; i++ {
-			g.AddVertex(heapgraph.VertexID(i))
+		v := make([]heapgraph.VertexID, n)
+		for i := range v {
+			v[i] = g.AddVertex()
 		}
 		for _, e := range edges {
-			g.AddEdge(heapgraph.VertexID(int(e.U)%n), heapgraph.VertexID(int(e.V)%n))
+			g.AddEdge(v[int(e.U)%n], v[int(e.V)%n])
 		}
 		s := DefaultSuite()
 		snap := s.Compute(g, 0)
@@ -156,7 +159,7 @@ func TestSeries(t *testing.T) {
 	s := DefaultSuite()
 	g := linkedListGraph(4)
 	snaps := []Snapshot{s.Compute(g, 0)}
-	g.AddVertex(100) // new isolated root+leaf
+	g.AddVertex() // new isolated root+leaf
 	snaps = append(snaps, s.Compute(g, 1))
 	series := s.Series(snaps, Roots)
 	if len(series) != 2 {
@@ -232,21 +235,21 @@ func TestComputeExtendedMatchesReference(t *testing.T) {
 	suite := ExtendedSuite()
 	wcc, scc := suite.Index(Components), suite.Index(SCCs)
 	g := heapgraph.New()
-	next := heapgraph.VertexID(1)
+	var v []heapgraph.VertexID // in the order added
 	for tick := uint64(1); tick <= 40; tick++ {
 		// Grow a few linked chains, occasionally closing cycles.
 		for i := 0; i < 5; i++ {
-			g.AddVertex(next)
-			if next > 1 {
-				g.AddEdge(next-1, next)
+			v = append(v, g.AddVertex())
+			if n := len(v); n > 1 {
+				g.AddEdge(v[n-2], v[n-1])
 			}
-			next++
 		}
+		k := len(v)
 		if tick%7 == 0 {
-			g.AddEdge(next-1, next-4)
+			g.AddEdge(v[k-1], v[k-4])
 		}
 		if tick%11 == 0 {
-			g.RemoveVertex(next - 2)
+			g.RemoveVertex(v[k-2])
 		}
 		snap := suite.Compute(g, tick)
 		n := float64(g.NumVertices())

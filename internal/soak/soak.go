@@ -205,9 +205,10 @@ func (r *runner) loggerOptions() logger.Options {
 }
 
 // iteration executes one complete workload run with a logger
-// subscribed to its process. The returned bool reports whether the
-// workload crashed on a simulator fault (the report then covers the
-// prefix).
+// subscribed to its process, then ends the run like Run.Report: the
+// logger is detached from the process before it is released. The
+// returned bool reports whether the workload crashed on a simulator
+// fault (the report then covers the prefix).
 func (r *runner) iteration(w workloads.Workload, in workloads.Input, plan *faults.Plan) (*logger.Report, bool) {
 	p := prog.NewProcess(prog.Options{Seed: in.Seed, Plan: plan})
 	l := logger.New(r.loggerOptions())
@@ -218,6 +219,7 @@ func (r *runner) iteration(w workloads.Workload, in workloads.Input, plan *fault
 	p.Subscribe(l)
 	err := prog.Run(func() { w.Run(p, in, 1) })
 	rep := l.Report()
+	p.Unsubscribe(l)
 	l.Release()
 	return rep, err != nil
 }

@@ -50,9 +50,10 @@ type RunConfig struct {
 
 // RunLogged executes w on the given input under a fresh process and
 // an empty logger and returns the metric report. The returned process
-// allows post-run heap inspection (leak counting, invariant checks),
-// but must not run further: the logger subscribed to it has been
-// released for the next run to reuse (see logger.New).
+// allows post-run heap inspection (leak counting, invariant checks);
+// the run has ended, so its logger is detached from the process and
+// released for the next run to reuse (see logger.New), and events the
+// process emits afterwards reach no logger.
 func RunLogged(w Workload, in Input, cfg RunConfig) (*logger.Report, *prog.Process, error) {
 	if _, err := sched.ParseIngestWorkers(cfg.IngestWorkers); err != nil {
 		return nil, nil, err
@@ -87,6 +88,7 @@ func RunLogged(w Workload, in Input, cfg RunConfig) (*logger.Report, *prog.Proce
 		}
 	}
 	rep := l.Report()
+	p.Unsubscribe(l)
 	l.Release()
 	return rep, p, err
 }

@@ -2,6 +2,8 @@ package workloads
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 
 	"heapmd/internal/callstack"
@@ -78,6 +80,41 @@ func TestRunsAreDeterministic(t *testing.T) {
 				t.Fatalf("snapshot %d metric %d differs", i, j)
 			}
 		}
+	}
+}
+
+// TestEndedRunKeepsEmitting: the process RunLogged returns has ended
+// its run. Running the workload on it again, on another goroutine,
+// while a new run takes the logger the ended run released, must leave
+// the new run's report equal to a clean one; under the race detector
+// the two must share nothing.
+func TestEndedRunKeepsEmitting(t *testing.T) {
+	w, _ := Get("parser")
+	in := w.Inputs(2)
+	want, _, err := RunLogged(w, in[0], RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ended, err := RunLogged(w, in[1], RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// Whether the re-run crashes does not matter, only where its
+		// events go.
+		_ = prog.Run(func() { w.Run(ended, in[1], 1) })
+	}()
+	got, _, err := RunLogged(w, in[0], RunConfig{})
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("a run beside an ended process: %d events, %d snapshots; clean run: %d events, %d snapshots",
+			got.Events, len(got.Snapshots), want.Events, len(want.Snapshots))
 	}
 }
 
