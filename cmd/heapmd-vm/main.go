@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"heapmd/internal/detect"
@@ -28,37 +30,60 @@ import (
 )
 
 func main() {
-	src := flag.String("src", "", "assembly source file")
-	trainN := flag.Int("train", 8, "number of seeded training executions")
-	checkN := flag.Int("check", 2, "number of seeded checking executions")
-	flagReg := flag.Uint64("flag", 0, "r15 value for the checking executions")
-	freq := flag.Uint64("frq", 8, "metric sampling frequency (function entries)")
-	disasm := flag.Bool("disasm", false, "print the instrumented program and exit")
-	flag.Parse()
+	code, err := run(os.Args[1:], os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "heapmd-vm:", err)
+	}
+	os.Exit(code)
+}
 
+// run executes the command with args and writes its report to stdout.
+// It returns the exit status: 0 for a clean check, 1 when any checked
+// execution had findings or when the pipeline failed (err says why),
+// 2 for a usage error.
+func run(args []string, stdout io.Writer) (int, error) {
+	fs := flag.NewFlagSet("heapmd-vm", flag.ContinueOnError)
+	src := fs.String("src", "", "assembly source file")
+	trainN := fs.Int("train", 8, "number of seeded training executions")
+	checkN := fs.Int("check", 2, "number of seeded checking executions")
+	flagReg := fs.Uint64("flag", 0, "r15 value for the checking executions")
+	freq := fs.Uint64("frq", 8, "metric sampling frequency (function entries)")
+	disasm := fs.Bool("disasm", false, "print the instrumented program and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, nil
+		}
+		return 2, nil // the flag set has printed the error and usage
+	}
 	if *src == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2, nil
 	}
 	text, err := os.ReadFile(*src)
 	if err != nil {
-		fatal(err)
+		return 1, err
 	}
 	prog, err := machine.Assemble(string(text))
 	if err != nil {
-		fatal(err)
+		return 1, err
 	}
 	inst, sym, err := instrument.Instrument(prog)
 	if err != nil {
-		fatal(err)
+		return 1, err
 	}
 	if *disasm {
-		fmt.Print(machine.Disassemble(inst, sym))
-		return
+		fmt.Fprint(stdout, machine.Disassemble(inst, sym))
+		return 0, nil
 	}
 
+	// runOnce takes its logger from the released list and hands it
+	// back when the execution ends, so each run after the first reuses
+	// the heap image instead of building one from nothing. The VM that
+	// fed the logger is dropped on return, so nothing reaches the
+	// logger after Release.
 	runOnce := func(seed, r15 uint64) (*logger.Report, error) {
 		l := logger.New(logger.Options{Frequency: *freq})
+		defer l.Release()
 		l.SetRun(*src, fmt.Sprintf("seed-%d", seed), 1)
 		vm := machine.New(inst, sym,
 			machine.WithSeed(seed),
@@ -74,18 +99,19 @@ func main() {
 	for seed := uint64(1); seed <= uint64(*trainN); seed++ {
 		rep, err := runOnce(seed, 0)
 		if err != nil {
-			fatal(fmt.Errorf("training execution %d: %w", seed, err))
+			return 1, fmt.Errorf("training execution %d: %w", seed, err)
 		}
 		reports = append(reports, rep)
 	}
 	build, err := model.Build(reports, model.Defaults())
 	if err != nil {
-		fatal(err)
+		return 1, err
 	}
-	fmt.Printf("trained on %d executions: %d globally stable metrics\n",
+	fmt.Fprintf(stdout, "trained on %d executions: %d globally stable metrics\n",
 		len(reports), build.StableCount())
-	for name, rng := range build.Model.Stable {
-		fmt.Printf("  %-9s [%.2f%%, %.2f%%]\n", name, rng.Min, rng.Max)
+	for _, id := range build.Model.StableIDs() {
+		rng, _ := build.Model.RangeOf(id)
+		fmt.Fprintf(stdout, "  %-9s [%.2f%%, %.2f%%]\n", id, rng.Min, rng.Max)
 	}
 
 	total := 0
@@ -93,22 +119,18 @@ func main() {
 		seed := uint64(1000 + i)
 		rep, err := runOnce(seed, *flagReg)
 		if err != nil {
-			fmt.Printf("check seed-%d: execution crashed: %v\n", seed, err)
+			fmt.Fprintf(stdout, "check seed-%d: execution crashed: %v\n", seed, err)
 			continue
 		}
 		findings := detect.CheckReport(build.Model, rep)
-		fmt.Printf("check seed-%d (r15=%d): %d findings\n", seed, *flagReg, len(findings))
+		fmt.Fprintf(stdout, "check seed-%d (r15=%d): %d findings\n", seed, *flagReg, len(findings))
 		for _, f := range findings {
-			fmt.Printf("  %s\n", f.Describe(sym))
+			fmt.Fprintf(stdout, "  %s\n", f.Describe(sym))
 		}
 		total += len(findings)
 	}
 	if total > 0 {
-		os.Exit(1) // findings -> nonzero, usable in CI
+		return 1, nil // findings -> nonzero, usable in CI
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "heapmd-vm:", err)
-	os.Exit(1)
+	return 0, nil
 }

@@ -115,8 +115,11 @@ func main() {
 	}
 	fmt.Printf("instrumented %d functions; symbol table: %d names\n", len(inst.Fns), sym.Len())
 
+	// Each run hands its logger back when it ends, so the next run
+	// reuses the heap image; the VM that fed it is dropped on return.
 	runOnce := func(seed uint64, buggyFlag uint64) *logger.Report {
 		l := logger.New(logger.Options{Frequency: 8})
+		defer l.Release()
 		l.SetRun("chains.bin", fmt.Sprintf("seed-%d", seed), 1)
 		vm := machine.New(inst, sym,
 			machine.WithSeed(seed),

@@ -55,17 +55,6 @@ func (t *Tracker) Observe(e event.Event) bool {
 	return false
 }
 
-// Depth returns the current stack depth.
-func (t *Tracker) Depth() int { return len(t.stack) }
-
-// Top returns the innermost frame, or NoFn when the stack is empty.
-func (t *Tracker) Top() event.FnID {
-	if len(t.stack) == 0 {
-		return event.NoFn
-	}
-	return t.stack[len(t.stack)-1]
-}
-
 // Snapshot copies the current stack, outermost frame first.
 func (t *Tracker) Snapshot() []event.FnID {
 	out := make([]event.FnID, len(t.stack))
@@ -113,9 +102,6 @@ func (r *Ring) Add(c Capture) {
 
 // Len returns the number of captures currently held.
 func (r *Ring) Len() int { return r.n }
-
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
 
 // Snapshot returns the held captures oldest-first.
 func (r *Ring) Snapshot() []Capture {

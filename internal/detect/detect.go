@@ -23,6 +23,7 @@ package detect
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"heapmd/internal/callstack"
@@ -47,8 +48,8 @@ const (
 	// UnexpectedStability flags a training-time-unstable metric that
 	// held a stable value during checking ("pathological").
 	UnexpectedStability
-	// InstrumentationAnomaly flags an instrumentation-health counter
-	// above its threshold: the logger observed events it could not
+	// InstrumentationAnomaly flags a nonzero bug-evidence health
+	// counter: the logger observed events it could not
 	// apply to the heap image (double frees, wild stores, ...).
 	// These are direct evidence of the corruption bugs in the
 	// paper's taxonomy, reported even when every degree metric
@@ -392,13 +393,7 @@ func (d *Detector) CheckUnstable(rep *logger.Report) {
 	th := d.mdl.Thresholds
 	ids := d.suite.IDs()
 	for _, idx := range d.unstable {
-		series := make([]float64, 0, len(rep.Snapshots))
-		for _, s := range rep.Snapshots {
-			if idx >= len(s.Values) {
-				continue
-			}
-			series = append(series, s.Values[idx])
-		}
+		series := metrics.AppendSeries(make([]float64, 0, len(rep.Snapshots)), rep.Snapshots, idx)
 		trimmed := stats.Trim(series, th.TrimFrac)
 		if len(trimmed) < th.MinSamples {
 			continue
@@ -407,7 +402,7 @@ func (d *Detector) CheckUnstable(rep *logger.Report) {
 		if err != nil {
 			continue
 		}
-		if abs(sum.AvgChange) <= th.MaxAvgChange && sum.StdDevChange <= th.MaxStdDev {
+		if math.Abs(sum.AvgChange) <= th.MaxAvgChange && sum.StdDevChange <= th.MaxStdDev {
 			d.findings = append(d.findings, &Finding{
 				Kind:   UnexpectedStability,
 				Metric: ids[idx].String(),
@@ -418,20 +413,19 @@ func (d *Detector) CheckUnstable(rep *logger.Report) {
 	}
 }
 
-// CheckHealth evaluates the instrumentation-health counters of a run
-// against health.DefaultThresholds and reports each excess as an
-// InstrumentationAnomaly finding. The counters are themselves bug
-// evidence: a double free or a spike in wild stores is a corruption
-// bug from the paper's taxonomy even when every degree metric stayed
-// inside its calibrated range.
+// CheckHealth reports each nonzero bug-evidence counter of a run
+// (health.Counters.Evidence) as an InstrumentationAnomaly finding
+// whose range is [0, 0]: one occurrence is already out of range. The
+// counters are themselves bug evidence: a double free or a spike in
+// wild stores is a corruption bug from the paper's taxonomy even when
+// every degree metric stayed inside its calibrated range.
 func (d *Detector) CheckHealth(c health.Counters) {
-	for _, ex := range health.DefaultThresholds().Exceeded(c) {
+	for _, it := range c.Evidence() {
 		d.findings = append(d.findings, &Finding{
 			Kind:      InstrumentationAnomaly,
-			Metric:    ex.Counter,
+			Metric:    it.Name,
 			Direction: AboveMax,
-			Value:     float64(ex.Count),
-			Range:     stats.Range{Min: 0, Max: float64(ex.Threshold)},
+			Value:     float64(it.Count),
 		})
 	}
 }
@@ -486,11 +480,4 @@ func suiteOf(rep *logger.Report) (metrics.Suite, error) {
 		ids = append(ids, id)
 	}
 	return metrics.NewSuite(ids...), nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -91,3 +91,45 @@ func TestCleanHealthNoFindings(t *testing.T) {
 		}
 	}
 }
+
+// TestInstrumentationAnomalyRule pins the fixed health rule: each
+// bug-evidence counter at 1 gives exactly one InstrumentationAnomaly
+// finding with range [0, 0]; observer panics and salvaged gaps give
+// none.
+func TestInstrumentationAnomalyRule(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    health.Counters
+		want string // the finding's counter, or "" for none
+	}{
+		{"double-frees", health.Counters{DoubleFrees: 1}, "double-frees"},
+		{"wild-frees", health.Counters{WildFrees: 1}, "wild-frees"},
+		{"wild-stores", health.Counters{WildStores: 1}, "wild-stores"},
+		{"bad-reallocs", health.Counters{BadReallocs: 1}, "bad-reallocs"},
+		{"unknown-events", health.Counters{UnknownEvents: 1}, "unknown-events"},
+		{"observer-panics", health.Counters{ObserverPanics: 1}, ""},
+		{"salvaged-gaps", health.Counters{SalvagedGaps: 1, SalvagedBytes: 64}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []*Finding
+			for _, f := range CheckReport(testModel(), healthyReport(tc.c)) {
+				if f.Kind == InstrumentationAnomaly {
+					got = append(got, f)
+				}
+			}
+			if tc.want == "" {
+				if len(got) != 0 {
+					t.Fatalf("findings = %+v, want none", got[0])
+				}
+				return
+			}
+			if len(got) != 1 {
+				t.Fatalf("%d findings, want 1", len(got))
+			}
+			f := got[0]
+			if f.Metric != tc.want || f.Value != 1 || f.Direction != AboveMax || f.Range.Min != 0 || f.Range.Max != 0 {
+				t.Errorf("finding = %+v, want %s count 1 above [0, 0]", f, tc.want)
+			}
+		})
+	}
+}

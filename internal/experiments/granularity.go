@@ -23,19 +23,25 @@ type GranularityResult struct {
 	FieldA, FieldB   float64
 }
 
-// buildList lays out a k-node list under a logger at the given
-// granularity. Layout A stores [data, next] with next aiming at the
-// head of the next node; layout B stores [next, data] with next
-// aiming at the next node's next-field.
-func buildList(gran logger.Granularity, layoutB bool, k int) (*logger.Logger, error) {
+// inEqOut lays out a k-node list under a logger at the given
+// granularity and returns the In=Out percentage of the resulting heap
+// graph. Layout A stores [data, next] with next aiming at the head of
+// the next node; layout B stores [next, data] with next aiming at the
+// next node's next-field. The logger is detached and released before
+// return, so the next layout reuses its heap image.
+func inEqOut(gran logger.Granularity, layoutB bool, k int) (float64, error) {
 	h := heap.New()
 	l := logger.New(logger.Options{Granularity: gran, Frequency: 1})
 	h.Subscribe(l)
+	defer func() {
+		h.Unsubscribe(l)
+		l.Release()
+	}()
 	nodes := make([]uint64, k)
 	for i := range nodes {
 		a, err := h.Alloc(16)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		nodes[i] = a
 	}
@@ -47,20 +53,17 @@ func buildList(gran logger.Granularity, layoutB bool, k int) (*logger.Logger, er
 			err = h.Store(nodes[i]+8, nodes[i+1]) // next at word 1 -> next's head
 		}
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
-	return l, nil
+	g := l.Graph()
+	return float64(g.CountInEqOut()) / float64(g.NumVertices()) * 100, nil
 }
 
 // Granularity runs the Figure 3 demonstration.
 func Granularity(cfg Config) (*GranularityResult, error) {
 	const k = 64
 	res := &GranularityResult{K: k}
-	inEqOut := func(l *logger.Logger) float64 {
-		g := l.Graph()
-		return float64(g.CountInEqOut()) / float64(g.NumVertices()) * 100
-	}
 	for _, c := range []struct {
 		gran    logger.Granularity
 		layoutB bool
@@ -71,11 +74,11 @@ func Granularity(cfg Config) (*GranularityResult, error) {
 		{logger.FieldGranularity, false, &res.FieldA},
 		{logger.FieldGranularity, true, &res.FieldB},
 	} {
-		l, err := buildList(c.gran, c.layoutB, k)
+		v, err := inEqOut(c.gran, c.layoutB, k)
 		if err != nil {
 			return nil, err
 		}
-		*c.dst = inEqOut(l)
+		*c.dst = v
 	}
 	return res, nil
 }

@@ -12,7 +12,8 @@
 // salvaged should say so in its report. This package gives those
 // drops a home. The logger populates a Counters as it runs, the
 // Counters travels inside every logger.Report, and the detector
-// turns threshold excesses into InstrumentationAnomaly findings.
+// turns each nonzero bug-evidence counter into an
+// InstrumentationAnomaly finding.
 package health
 
 import (
@@ -80,8 +81,14 @@ type Item struct {
 	Count uint64
 }
 
+// evidenceCounters is how many of Items' leading counters are bug
+// evidence: double frees, wild frees, wild stores, bad reallocs and
+// unknown events.
+const evidenceCounters = 5
+
 // Items returns every counter with its canonical name, in a fixed
-// order. Zero counters are included; filter with Nonzero if needed.
+// order, bug evidence first. Zero counters are included; filter with
+// Nonzero if needed.
 func (c *Counters) Items() []Item {
 	return []Item{
 		{"double-frees", c.DoubleFrees},
@@ -95,9 +102,18 @@ func (c *Counters) Items() []Item {
 }
 
 // Nonzero returns only the counters with nonzero values.
-func (c *Counters) Nonzero() []Item {
+func (c *Counters) Nonzero() []Item { return nonzero(c.Items()) }
+
+// Evidence returns the nonzero bug-evidence counters, in Items order.
+// Any one of them is a corruption signal from the monitored program,
+// so a single occurrence counts. Observer panics and salvaged gaps
+// never do: they mark damaged infrastructure, not necessarily a heap
+// bug in the monitored program.
+func (c *Counters) Evidence() []Item { return nonzero(c.Items()[:evidenceCounters]) }
+
+func nonzero(items []Item) []Item {
 	var out []Item
-	for _, it := range c.Items() {
+	for _, it := range items {
 		if it.Count > 0 {
 			out = append(out, it)
 		}
@@ -120,65 +136,4 @@ func (c *Counters) String() string {
 		parts = append(parts, fmt.Sprintf("salvaged-bytes=%d", c.SalvagedBytes))
 	}
 	return strings.Join(parts, " ")
-}
-
-// Thresholds bounds each counter; an excess is a bug signal in its
-// own right. A threshold is the largest acceptable value: counts
-// strictly above it are anomalous.
-type Thresholds struct {
-	MaxDoubleFrees    uint64 `json:"max_double_frees"`
-	MaxWildFrees      uint64 `json:"max_wild_frees"`
-	MaxWildStores     uint64 `json:"max_wild_stores"`
-	MaxBadReallocs    uint64 `json:"max_bad_reallocs"`
-	MaxUnknownEvents  uint64 `json:"max_unknown_events"`
-	MaxObserverPanics uint64 `json:"max_observer_panics"`
-	MaxSalvagedGaps   uint64 `json:"max_salvaged_gaps"`
-}
-
-// DefaultThresholds tolerates nothing: any double free, wild free,
-// wild store, bad realloc or unknown event is reported. Salvaged
-// gaps and observer panics are tolerated (they indicate damaged
-// infrastructure, not necessarily a heap bug in the monitored
-// program). The detector checks every run against these thresholds.
-func DefaultThresholds() Thresholds {
-	return Thresholds{
-		MaxObserverPanics: ^uint64(0),
-		MaxSalvagedGaps:   ^uint64(0),
-	}
-}
-
-// Strict returns thresholds that tolerate nothing at all, including
-// infrastructure faults.
-func Strict() Thresholds { return Thresholds{} }
-
-// Excess is one counter that exceeded its threshold.
-type Excess struct {
-	Counter   string
-	Count     uint64
-	Threshold uint64
-}
-
-// Exceeded returns every counter in c that is strictly above its
-// threshold, in Items order.
-func (t Thresholds) Exceeded(c Counters) []Excess {
-	limits := []struct {
-		name  string
-		count uint64
-		max   uint64
-	}{
-		{"double-frees", c.DoubleFrees, t.MaxDoubleFrees},
-		{"wild-frees", c.WildFrees, t.MaxWildFrees},
-		{"wild-stores", c.WildStores, t.MaxWildStores},
-		{"bad-reallocs", c.BadReallocs, t.MaxBadReallocs},
-		{"unknown-events", c.UnknownEvents, t.MaxUnknownEvents},
-		{"observer-panics", c.ObserverPanics, t.MaxObserverPanics},
-		{"salvaged-gaps", c.SalvagedGaps, t.MaxSalvagedGaps},
-	}
-	var out []Excess
-	for _, l := range limits {
-		if l.count > l.max {
-			out = append(out, Excess{Counter: l.name, Count: l.count, Threshold: l.max})
-		}
-	}
-	return out
 }

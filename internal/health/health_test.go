@@ -59,48 +59,18 @@ func TestNonzeroFilters(t *testing.T) {
 	}
 }
 
-func TestDefaultThresholds(t *testing.T) {
-	th := DefaultThresholds()
-	// A single double free is anomalous under defaults.
-	ex := th.Exceeded(Counters{DoubleFrees: 1})
-	if len(ex) != 1 || ex[0].Counter != "double-frees" || ex[0].Count != 1 || ex[0].Threshold != 0 {
-		t.Errorf("Exceeded = %+v", ex)
+// TestEvidenceOrder: Evidence lists the nonzero bug-evidence counters
+// in Items order and leaves out the infrastructure counters.
+func TestEvidenceOrder(t *testing.T) {
+	c := Counters{DoubleFrees: 2, WildStores: 9, UnknownEvents: 1, ObserverPanics: 3, SalvagedGaps: 4}
+	got := c.Evidence()
+	want := []Item{{"double-frees", 2}, {"wild-stores", 9}, {"unknown-events", 1}}
+	if len(got) != len(want) {
+		t.Fatalf("Evidence = %+v, want %+v", got, want)
 	}
-	// Salvage gaps and observer panics are tolerated by default...
-	if ex := th.Exceeded(Counters{SalvagedGaps: 3, ObserverPanics: 2}); len(ex) != 0 {
-		t.Errorf("default thresholds flagged infra faults: %+v", ex)
-	}
-	// ...but not under Strict.
-	if ex := Strict().Exceeded(Counters{SalvagedGaps: 3, ObserverPanics: 2}); len(ex) != 2 {
-		t.Errorf("Strict().Exceeded = %+v, want 2 excesses", ex)
-	}
-}
-
-func TestExceededTolerantThresholds(t *testing.T) {
-	c := Counters{WildStores: 5, DoubleFrees: 1}
-	tolerant := DefaultThresholds()
-	tolerant.MaxWildStores = 10
-	tolerant.MaxDoubleFrees = 1
-	if ex := tolerant.Exceeded(c); len(ex) != 0 {
-		t.Fatalf("counters within custom thresholds still reported: %+v", ex)
-	}
-	// A bound is the largest acceptable count: one more exceeds it.
-	c.DoubleFrees = 2
-	if ex := tolerant.Exceeded(c); len(ex) != 1 || ex[0].Counter != "double-frees" || ex[0].Threshold != 1 {
-		t.Errorf("Exceeded = %+v, want double-frees over 1", ex)
-	}
-}
-
-func TestExceededOrderAndMulti(t *testing.T) {
-	c := Counters{DoubleFrees: 2, WildStores: 9, UnknownEvents: 1}
-	ex := DefaultThresholds().Exceeded(c)
-	if len(ex) != 3 {
-		t.Fatalf("Exceeded len = %d, want 3", len(ex))
-	}
-	wantOrder := []string{"double-frees", "wild-stores", "unknown-events"}
-	for i, w := range wantOrder {
-		if ex[i].Counter != w {
-			t.Errorf("excess[%d] = %s, want %s", i, ex[i].Counter, w)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("Evidence[%d] = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }

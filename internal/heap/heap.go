@@ -86,34 +86,21 @@ type Sim struct {
 	objects *intervals.Map[*object]
 	free    map[uint64][]uint64 // size class (bytes) -> reusable bases
 	next    uint64              // bump pointer
-	limit   uint64              // end of address space
+	limit   uint64              // end of address space: Base + 1<<40
 	seq     uint64              // allocation counter
 	sinks   event.Multi
 	stats   Stats
 	site    event.FnID // current allocation-site attribution
 }
 
-// Option configures a Sim.
-type Option func(*Sim)
-
-// WithAddressSpace limits the simulated virtual address space to n
-// bytes above Base. The default is 1<<40.
-func WithAddressSpace(n uint64) Option {
-	return func(s *Sim) { s.limit = Base + n }
-}
-
 // New creates an empty simulated heap.
-func New(opts ...Option) *Sim {
-	s := &Sim{
+func New() *Sim {
+	return &Sim{
 		objects: intervals.New[*object](),
 		free:    make(map[uint64][]uint64),
 		next:    Base,
 		limit:   Base + (1 << 40),
 	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
 }
 
 // Subscribe registers a sink to receive every heap event. Sinks are
@@ -300,27 +287,6 @@ func (s *Sim) Load(addr uint64) (uint64, error) {
 	return v, nil
 }
 
-// Peek reads a word without emitting a Load event or touching access
-// statistics; harness and verification code uses it to inspect heap
-// state out of band.
-func (s *Sim) Peek(addr uint64) (uint64, bool) {
-	obj := s.containing(addr)
-	if obj == nil {
-		return 0, false
-	}
-	return obj.words[(addr-obj.base)/WordSize], true
-}
-
-// Contains reports whether addr lies inside a live object and, if so,
-// returns the object's base address and size.
-func (s *Sim) Contains(addr uint64) (base, size uint64, ok bool) {
-	obj := s.containing(addr)
-	if obj == nil {
-		return 0, 0, false
-	}
-	return obj.base, obj.size, true
-}
-
 // containing resolves addr to its containing live object, if any.
 func (s *Sim) containing(addr uint64) *object {
 	_, _, obj, ok := s.objects.Stab(addr)
@@ -330,39 +296,11 @@ func (s *Sim) containing(addr uint64) *object {
 	return obj
 }
 
-// SizeOf returns the size of the live object based exactly at addr.
-func (s *Sim) SizeOf(addr uint64) (uint64, bool) {
-	obj, ok := s.objects.Get(addr)
-	if !ok {
-		return 0, false
-	}
-	return obj.size, true
-}
-
-// SiteOf returns the allocation site recorded for the live object
-// based at addr.
-func (s *Sim) SiteOf(addr uint64) (event.FnID, bool) {
-	obj, ok := s.objects.Get(addr)
-	if !ok {
-		return event.NoFn, false
-	}
-	return obj.site, true
-}
-
 // Live returns the number of live objects.
 func (s *Sim) Live() int { return s.objects.Len() }
 
 // Stats returns a copy of the allocator statistics.
 func (s *Sim) Stats() Stats { return s.stats }
-
-// WalkLive visits each live object in ascending address order, calling
-// fn with the base address and size; iteration stops if fn returns
-// false.
-func (s *Sim) WalkLive(fn func(base, size uint64) bool) {
-	s.objects.Walk(func(base, size uint64, _ *object) bool {
-		return fn(base, size)
-	})
-}
 
 // String implements fmt.Stringer with a one-line allocator summary.
 func (s *Sim) String() string {

@@ -301,7 +301,8 @@ func TestWalkLiveOrdered(t *testing.T) {
 }
 
 func TestAddressSpaceExhaustion(t *testing.T) {
-	s := New(WithAddressSpace(64))
+	s := New()
+	s.limit = Base + 64
 	if _, err := s.Alloc(32); err != nil {
 		t.Fatal(err)
 	}

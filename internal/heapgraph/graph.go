@@ -263,11 +263,6 @@ func (g *Graph) AddVertex() VertexID {
 	return handle(s, g.gen[s])
 }
 
-// HasVertex reports whether v names a live vertex.
-func (g *Graph) HasVertex(v VertexID) bool {
-	return g.slotOf(v) != noSlot
-}
-
 // RemoveVertex deletes v and every incident edge (in both directions),
 // adjusting the degrees of its neighbours, and advances the slot's
 // generation so that v's handle goes stale. Removing an absent vertex
@@ -388,15 +383,6 @@ func (g *Graph) RemoveEdge(u, v VertexID) bool {
 	return true
 }
 
-// Multiplicity returns the number of parallel edges from u to v.
-func (g *Graph) Multiplicity(u, v VertexID) int {
-	us, vs := g.slotOf(u), g.slotOf(v)
-	if us == noSlot || vs == noSlot {
-		return 0
-	}
-	return int(g.outAdj.At(us).get(vs))
-}
-
 // NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int { return g.nVerts }
 
@@ -404,8 +390,7 @@ func (g *Graph) NumVertices() int { return g.nVerts }
 func (g *Graph) NumEdges() int { return g.edges }
 
 // CountInDegree returns the number of vertices with indegree exactly d
-// (for d <= maxTracked; larger d values return 0 — use
-// CountInDegreeOverflow for the tail).
+// (for d <= maxTracked; larger d values return 0).
 func (g *Graph) CountInDegree(d int) int {
 	if d < 0 || d > maxTracked {
 		return 0
@@ -422,64 +407,9 @@ func (g *Graph) CountOutDegree(d int) int {
 	return g.outHist[d]
 }
 
-// CountInDegreeOverflow returns the number of vertices with indegree
-// greater than maxTracked.
-func (g *Graph) CountInDegreeOverflow() int { return g.inHist[maxTracked+1] }
-
-// CountOutDegreeOverflow returns the number of vertices with outdegree
-// greater than maxTracked.
-func (g *Graph) CountOutDegreeOverflow() int { return g.outHist[maxTracked+1] }
-
 // CountInEqOut returns the number of vertices whose indegree equals
 // their outdegree.
 func (g *Graph) CountInEqOut() int { return g.eq }
-
-// InDegree returns v's indegree (total incoming multiplicity).
-func (g *Graph) InDegree(v VertexID) int {
-	s := g.slotOf(v)
-	if s == noSlot {
-		return 0
-	}
-	return int(g.inDeg[s])
-}
-
-// OutDegree returns v's outdegree.
-func (g *Graph) OutDegree(v VertexID) int {
-	s := g.slotOf(v)
-	if s == noSlot {
-		return 0
-	}
-	return int(g.outDeg[s])
-}
-
-// Successors calls fn for every distinct successor of v with the edge
-// multiplicity; iteration order is unspecified.
-func (g *Graph) Successors(v VertexID, fn func(succ VertexID, mult int) bool) {
-	s := g.slotOf(v)
-	if s == noSlot {
-		return
-	}
-	g.outAdj.At(s).each(func(w, m int32) bool { return fn(handle(w, g.gen[w]), int(m)) })
-}
-
-// Predecessors calls fn for every distinct predecessor of v with the
-// edge multiplicity.
-func (g *Graph) Predecessors(v VertexID, fn func(pred VertexID, mult int) bool) {
-	s := g.slotOf(v)
-	if s == noSlot {
-		return
-	}
-	g.inAdj.At(s).each(func(w, m int32) bool { return fn(handle(w, g.gen[w]), int(m)) })
-}
-
-// Vertices calls fn for every vertex; iteration order is unspecified.
-func (g *Graph) Vertices(fn func(VertexID) bool) {
-	for s := range g.gen {
-		if g.live(s) && !fn(handle(int32(s), g.gen[s])) {
-			return
-		}
-	}
-}
 
 // String summarizes the graph for debugging.
 func (g *Graph) String() string {

@@ -252,38 +252,11 @@ func TestDegreeOverflowBucket(t *testing.T) {
 	if g.CountInDegree(20) != 0 {
 		t.Error("degrees beyond maxTracked must not appear in exact buckets")
 	}
-	if g.CountInDegreeOverflow() != 1 {
-		t.Errorf("overflow bucket = %d, want 1", g.CountInDegreeOverflow())
+	if n := g.inHist[maxTracked+1]; n != 1 {
+		t.Errorf("overflow bucket = %d, want 1", n)
 	}
 	if msg := g.CheckInvariants(); msg != "" {
 		t.Errorf("invariants: %s", msg)
-	}
-}
-
-func TestSuccessorsPredecessors(t *testing.T) {
-	g := New()
-	var v [4]VertexID
-	v[1] = g.AddVertex()
-	v[2] = g.AddVertex()
-	v[3] = g.AddVertex()
-	g.AddEdge(v[1], v[2])
-	g.AddEdge(v[1], v[3])
-	g.AddEdge(v[1], v[3])
-	succ := map[VertexID]int{}
-	g.Successors(v[1], func(s VertexID, m int) bool {
-		succ[s] = m
-		return true
-	})
-	if len(succ) != 2 || succ[v[2]] != 1 || succ[v[3]] != 2 {
-		t.Errorf("Successors = %v", succ)
-	}
-	pred := map[VertexID]int{}
-	g.Predecessors(v[3], func(p VertexID, m int) bool {
-		pred[p] = m
-		return true
-	})
-	if len(pred) != 1 || pred[v[1]] != 2 {
-		t.Errorf("Predecessors = %v", pred)
 	}
 }
 

@@ -76,7 +76,7 @@ func TestEmitBatchMatchesEmitExtended(t *testing.T) {
 // report records.
 func TestObserverSeesRecordedSnapshots(t *testing.T) {
 	l := New(Options{Frequency: 16, Suite: metrics.ExtendedSuite()})
-	suite := l.Suite()
+	suite := l.suite
 	wccIdx := suite.Index(metrics.Components)
 	var observed [][]float64
 	l.Observe(sampleFunc(func(snap metrics.Snapshot, _ *callstack.Tracker) {

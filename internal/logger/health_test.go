@@ -214,8 +214,8 @@ func TestObserverPanicQuarantine(t *testing.T) {
 	if h := l.Health(); h.ObserverPanics != 1 {
 		t.Errorf("observer-panics: %+v", *h)
 	}
-	if q := l.Quarantined(); len(q) != 1 || q[0] != bad {
-		t.Errorf("quarantine list wrong: %v", q)
+	if len(l.observers) != 1 || l.observers[0] != good {
+		t.Errorf("dispatch list after quarantine = %v, want only the healthy observer", l.observers)
 	}
 	if rep := l.Report(); rep.Health.ObserverPanics != 1 {
 		t.Error("observer panic not surfaced in Report")

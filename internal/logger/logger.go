@@ -23,6 +23,7 @@ package logger
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"heapmd/internal/addrindex"
@@ -148,26 +149,11 @@ type Report struct {
 // Series extracts the value series of the named metric from the
 // report, or nil if absent.
 func (r *Report) Series(id metrics.ID) []float64 {
-	idx := -1
-	for i, name := range r.Suite {
-		if name == id.String() {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(r.Suite, id.String())
 	if idx < 0 {
 		return nil
 	}
-	// Skip snapshots narrower than the suite (a report whose snapshot
-	// rows predate a suite extension) instead of indexing out of range.
-	out := make([]float64, 0, len(r.Snapshots))
-	for _, s := range r.Snapshots {
-		if idx >= len(s.Values) {
-			continue
-		}
-		out = append(out, s.Values[idx])
-	}
-	return out
+	return metrics.AppendSeries(make([]float64, 0, len(r.Snapshots)), r.Snapshots, idx)
 }
 
 // Logger consumes events and produces a Report. It implements
@@ -191,9 +177,8 @@ type Logger struct {
 	freed  map[uint64]struct{}
 	health health.Counters
 
-	snaps       []metrics.Snapshot
-	observers   []SampleObserver
-	quarantined []SampleObserver
+	snaps     []metrics.Snapshot
+	observers []SampleObserver
 
 	program string
 	input   string
@@ -315,19 +300,10 @@ func (l *Logger) Observe(o SampleObserver) { l.observers = append(l.observers, o
 // tests and diagnostic tools use it.
 func (l *Logger) Graph() *heapgraph.Graph { return l.graph }
 
-// Stack exposes the live call-stack tracker.
-func (l *Logger) Stack() *callstack.Tracker { return l.stack }
-
-// Suite returns the metric suite in use.
-func (l *Logger) Suite() metrics.Suite { return l.suite }
-
 // Health exposes the logger's instrumentation-health counters. The
 // returned pointer is live: trace ingestion uses it to record salvage
 // gaps, and the counters are copied into the Report.
 func (l *Logger) Health() *health.Counters { return &l.health }
-
-// Quarantined returns the observers removed after panicking.
-func (l *Logger) Quarantined() []SampleObserver { return l.quarantined }
 
 // Emit implements event.Sink.
 func (l *Logger) Emit(e event.Event) {
@@ -557,7 +533,6 @@ func (l *Logger) sample() {
 			continue
 		}
 		l.health.ObserverPanics++
-		l.quarantined = append(l.quarantined, l.observers[i])
 		l.observers = append(l.observers[:i], l.observers[i+1:]...)
 		i--
 	}
@@ -574,9 +549,6 @@ func (l *Logger) dispatch(o SampleObserver, snap metrics.Snapshot) (ok bool) {
 	o.Sample(snap, l.stack)
 	return true
 }
-
-// Ticks returns the number of metric computation points sampled.
-func (l *Logger) Ticks() uint64 { return l.tick }
 
 // Report finalizes and returns the metric report for the run.
 func (l *Logger) Report() *Report {

@@ -229,8 +229,8 @@ func TestSamplingCadence(t *testing.T) {
 	for i := 0; i < 95; i++ {
 		r.enter("f")
 	}
-	if got := r.l.Ticks(); got != 9 {
-		t.Fatalf("Ticks = %d, want 9", got)
+	if got := r.l.tick; got != 9 {
+		t.Fatalf("ticks = %d, want 9", got)
 	}
 	rep := r.l.Report()
 	if len(rep.Snapshots) != 9 {
@@ -245,7 +245,7 @@ func TestSampleObserverSeesStack(t *testing.T) {
 	r := newRig(t, Options{Frequency: 3})
 	var depths []int
 	r.l.Observe(sampleFunc(func(snap metrics.Snapshot, stack *callstack.Tracker) {
-		depths = append(depths, stack.Depth())
+		depths = append(depths, len(stack.Snapshot()))
 	}))
 	r.enter("a") // depth 1
 	r.enter("b") // depth 2
@@ -370,8 +370,8 @@ func TestLoggerStandaloneEvents(t *testing.T) {
 	l.Emit(event.Event{Type: event.Alloc, Addr: 4096, Size: 16}) // duplicate: graph AddVertex dedups by fresh ID... should not crash
 	l.Emit(event.Event{Type: event.Free, Addr: 8192})            // unknown free: ignored
 	l.Emit(event.Event{Type: event.Enter, Fn: 1})
-	if l.Ticks() != 1 {
-		t.Fatalf("ticks = %d", l.Ticks())
+	if l.tick != 1 {
+		t.Fatalf("ticks = %d", l.tick)
 	}
 }
 

@@ -106,7 +106,7 @@ func TestExtendedMetricPointAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		mallocs += after.Mallocs - before.Mallocs
 	}
-	if got := l.Ticks(); got != warm+measured {
+	if got := l.tick; got != warm+measured {
 		t.Fatalf("%d metric points, want %d", got, warm+measured)
 	}
 	if perPoint := mallocs / measured; perPoint > 1 {

@@ -190,32 +190,15 @@ func (s Suite) Compute(g *heapgraph.Graph, tick uint64) Snapshot {
 	return snap
 }
 
-// Series extracts the time series of a single metric from a sequence
-// of snapshots taken with this suite. It returns nil if the metric is
-// not in the suite. Snapshots narrower than the suite — a v1 trace's
-// report replayed against an extended suite — are skipped rather than
-// indexed out of range; use SeriesChecked to learn how many were.
-func (s Suite) Series(snaps []Snapshot, id ID) []float64 {
-	out, _ := s.SeriesChecked(snaps, id)
-	return out
-}
-
-// SeriesChecked is Series plus a count of snapshots skipped because
-// they carried fewer values than the suite's index for id requires.
-// A nonzero skip count means the snapshots were taken with a
-// different (narrower) suite than s.
-func (s Suite) SeriesChecked(snaps []Snapshot, id ID) (series []float64, skipped int) {
-	idx := s.Index(id)
-	if idx < 0 {
-		return nil, 0
-	}
-	out := make([]float64, 0, len(snaps))
+// AppendSeries appends column idx of snaps — one metric's time series —
+// to dst and returns it. Snapshots narrower than idx+1 values (rows
+// taken with a narrower suite, such as a v1 trace's report read with
+// extended metric names) are skipped rather than indexed out of range.
+func AppendSeries(dst []float64, snaps []Snapshot, idx int) []float64 {
 	for _, sn := range snaps {
-		if idx >= len(sn.Values) {
-			skipped++
-			continue
+		if idx < len(sn.Values) {
+			dst = append(dst, sn.Values[idx])
 		}
-		out = append(out, sn.Values[idx])
 	}
-	return out, skipped
+	return dst
 }

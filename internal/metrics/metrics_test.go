@@ -161,15 +161,16 @@ func TestSeries(t *testing.T) {
 	snaps := []Snapshot{s.Compute(g, 0)}
 	g.AddVertex() // new isolated root+leaf
 	snaps = append(snaps, s.Compute(g, 1))
-	series := s.Series(snaps, Roots)
+	series := AppendSeries(nil, snaps, s.Index(Roots))
 	if len(series) != 2 {
 		t.Fatalf("series length = %d", len(series))
 	}
 	if series[0] != 25 || series[1] != 40 {
 		t.Errorf("Roots series = %v, want [25 40]", series)
 	}
-	if s.Series(snaps, Components) != nil {
-		t.Error("Series of absent metric should be nil")
+	// The series lands after what dst already holds.
+	if got := AppendSeries([]float64{7}, snaps, s.Index(Roots)); len(got) != 3 || got[0] != 7 || got[2] != 40 {
+		t.Errorf("AppendSeries onto [7] = %v, want [7 25 40]", got)
 	}
 }
 
@@ -193,10 +194,10 @@ func BenchmarkComputeExtended(b *testing.B) {
 	}
 }
 
-// TestSeriesCheckedSkipsNarrowSnapshots: indexing an extended suite
-// into snapshots recorded with the narrower v1 suite must skip (and
-// count) them, not panic.
-func TestSeriesCheckedSkipsNarrowSnapshots(t *testing.T) {
+// TestSeriesSkipsNarrowSnapshots: indexing an extended suite into
+// snapshots recorded with the narrower v1 suite must skip them, not
+// panic.
+func TestSeriesSkipsNarrowSnapshots(t *testing.T) {
 	ext := ExtendedSuite()
 	narrowW := DefaultSuite().Len() // 7
 	snaps := []Snapshot{
@@ -208,23 +209,14 @@ func TestSeriesCheckedSkipsNarrowSnapshots(t *testing.T) {
 	snaps[1].Values[ext.Index(Components)] = 42
 	snaps[3].Values[ext.Index(Components)] = 43
 
-	series, skipped := ext.SeriesChecked(snaps, Components)
-	if skipped != 2 {
-		t.Errorf("skipped = %d, want 2", skipped)
-	}
+	series := AppendSeries(nil, snaps, ext.Index(Components))
 	if len(series) != 2 || series[0] != 42 || series[1] != 43 {
 		t.Errorf("series = %v, want [42 43]", series)
 	}
 
 	// A metric that fits inside the narrow width sees every snapshot.
-	all, skipped := ext.SeriesChecked(snaps, Roots)
-	if skipped != 0 || len(all) != len(snaps) {
-		t.Errorf("cheap metric: skipped=%d len=%d, want 0 and %d", skipped, len(all), len(snaps))
-	}
-
-	// Absent metric: nil series, no skips reported.
-	if s, k := DefaultSuite().SeriesChecked(snaps, Components); s != nil || k != 0 {
-		t.Errorf("absent metric gave (%v, %d)", s, k)
+	if all := AppendSeries(nil, snaps, ext.Index(Roots)); len(all) != len(snaps) {
+		t.Errorf("cheap metric: len=%d, want %d", len(all), len(snaps))
 	}
 }
 

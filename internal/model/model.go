@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"heapmd/internal/logger"
@@ -369,7 +370,7 @@ func Build(reports []*logger.Report, th Thresholds) (*BuildResult, error) {
 		var sumAvg, sumStd float64
 		classified := 0
 		for _, rep := range reports {
-			scratch = seriesInto(scratch[:0], rep, mi)
+			scratch = metrics.AppendSeries(scratch[:0], rep.Snapshots, mi)
 			series := scratch
 			trimmed := stats.Trim(series, th.TrimFrac)
 			if len(trimmed) < th.MinSamples {
@@ -382,7 +383,7 @@ func Build(reports []*logger.Report, th Thresholds) (*BuildResult, error) {
 				continue
 			}
 			classified++
-			stable := abs(sum.AvgChange) <= th.MaxAvgChange && sum.StdDevChange <= th.MaxStdDev
+			stable := math.Abs(sum.AvgChange) <= th.MaxAvgChange && sum.StdDevChange <= th.MaxStdDev
 			mr.Inputs = append(mr.Inputs, InputSummary{Input: rep.Input, Stable: stable, Summary: sum})
 			if stable {
 				mr.StableInputs++
@@ -472,31 +473,9 @@ func locallyStable(inputs []InputSummary, th Thresholds) bool {
 			continue
 		}
 		classified++
-		if abs(in.Summary.AvgChange) <= th.MaxAvgChange {
+		if math.Abs(in.Summary.AvgChange) <= th.MaxAvgChange {
 			nearZeroAvg++
 		}
 	}
 	return classified > 0 && float64(nearZeroAvg) >= th.MinStableFraction*float64(classified)
-}
-
-// seriesInto appends column idx of a report's snapshots to dst and
-// returns it, letting Build reuse one buffer for every extraction.
-// Snapshots narrower than the suite (a v1 report hand-edited or
-// replayed against extended metric names) are skipped rather than
-// indexed out of range.
-func seriesInto(dst []float64, rep *logger.Report, idx int) []float64 {
-	for _, s := range rep.Snapshots {
-		if idx >= len(s.Values) {
-			continue
-		}
-		dst = append(dst, s.Values[idx])
-	}
-	return dst
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -58,23 +58,16 @@ type Options struct {
 	Seed int64
 	// Plan is the fault-injection plan; nil means no faults.
 	Plan *faults.Plan
-	// AddressSpace optionally limits the simulated heap.
-	AddressSpace uint64
 }
 
 // NewProcess creates a process with its own heap, symbol table and RNG.
 func NewProcess(opts Options) *Process {
-	var heapOpts []heap.Option
-	if opts.AddressSpace != 0 {
-		heapOpts = append(heapOpts, heap.WithAddressSpace(opts.AddressSpace))
-	}
-	p := &Process{
-		heap: heap.New(heapOpts...),
+	return &Process{
+		heap: heap.New(),
 		sym:  event.NewSymtab(),
 		rng:  rand.New(rand.NewSource(opts.Seed)),
 		plan: opts.Plan,
 	}
-	return p
 }
 
 // Subscribe attaches a sink to the merged event stream. Must be
@@ -145,9 +138,6 @@ func (p *Process) emit(e event.Event) {
 		p.sinks.Emit(e)
 	}
 }
-
-// Depth returns the current simulated call-stack depth.
-func (p *Process) Depth() int { return len(p.stack) }
 
 // Alloc allocates size bytes and returns the base address.
 func (p *Process) Alloc(size uint64) uint64 {

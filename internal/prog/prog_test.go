@@ -19,13 +19,13 @@ func TestEnterLeaveEvents(t *testing.T) {
 		defer p.Enter("outer")()
 		func() {
 			defer p.Enter("inner")()
-			if p.Depth() != 2 {
-				t.Errorf("Depth = %d, want 2", p.Depth())
+			if len(p.stack) != 2 {
+				t.Errorf("stack depth = %d, want 2", len(p.stack))
 			}
 		}()
 	}()
-	if p.Depth() != 0 {
-		t.Fatalf("Depth after returns = %d", p.Depth())
+	if len(p.stack) != 0 {
+		t.Fatalf("stack depth after returns = %d", len(p.stack))
 	}
 	if len(got) != 4 {
 		t.Fatalf("events = %d, want 4", len(got))
@@ -155,22 +155,11 @@ func TestProcessDrivesLogger(t *testing.T) {
 		defer p.Enter("tick")()
 	}()
 
-	if l.Ticks() != 2 {
-		t.Fatalf("ticks = %d, want 2", l.Ticks())
+	if n := len(l.Report().Snapshots); n != 2 {
+		t.Fatalf("metric points = %d, want 2", n)
 	}
 	g := l.Graph()
 	if g.NumVertices() != 2 || g.NumEdges() != 1 {
 		t.Errorf("graph V=%d E=%d, want 2/1", g.NumVertices(), g.NumEdges())
-	}
-}
-
-func TestAddressSpaceOption(t *testing.T) {
-	p := NewProcess(Options{Seed: 1, AddressSpace: 16})
-	err := Run(func() {
-		p.AllocWords(2)
-		p.AllocWords(2) // exceeds 16-byte space
-	})
-	if !errors.Is(err, heap.ErrOutOfSpace) {
-		t.Fatalf("err = %v, want ErrOutOfSpace", err)
 	}
 }

@@ -30,9 +30,9 @@ import (
 	"heapmd/internal/trace"
 )
 
-// Workers resolves a worker-count setting: values <= 0 select
+// resolveWorkers resolves a worker-count setting: values <= 0 select
 // GOMAXPROCS, the default for every -parallel flag.
-func Workers(n int) int {
+func resolveWorkers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -53,7 +53,7 @@ func ParseParallel(n int) (int, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("sched: -parallel must be >= 0 (0 = all cores), got %d", n)
 	}
-	return Workers(n), nil
+	return resolveWorkers(n), nil
 }
 
 // ParseDecodeWorkers validates a decode-worker count and resolves it

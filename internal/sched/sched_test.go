@@ -119,14 +119,14 @@ func TestForEach(t *testing.T) {
 }
 
 func TestWorkers(t *testing.T) {
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(0) = %d", got)
+	if got := resolveWorkers(0); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("resolveWorkers(0) = %d", got)
 	}
-	if got := Workers(-3); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(-3) = %d", got)
+	if got := resolveWorkers(-3); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("resolveWorkers(-3) = %d", got)
 	}
-	if got := Workers(7); got != 7 {
-		t.Fatalf("Workers(7) = %d", got)
+	if got := resolveWorkers(7); got != 7 {
+		t.Fatalf("resolveWorkers(7) = %d", got)
 	}
 }
 

@@ -46,8 +46,8 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(sum / float64(len(xs)))
 }
 
-// MinMax returns the minimum and maximum of xs.
-func MinMax(xs []float64) (min, max float64, err error) {
+// minMax returns the minimum and maximum of xs.
+func minMax(xs []float64) (min, max float64, err error) {
 	if len(xs) == 0 {
 		return 0, 0, ErrEmpty
 	}
@@ -154,23 +154,6 @@ type Range struct {
 	Max float64 `json:"max"`
 }
 
-// NewRange returns the degenerate range containing only x.
-func NewRange(x float64) Range { return Range{Min: x, Max: x} }
-
-// Contains reports whether x lies within r (inclusive).
-func (r Range) Contains(x float64) bool { return x >= r.Min && x <= r.Max }
-
-// Extend grows r to include x and returns the result.
-func (r Range) Extend(x float64) Range {
-	if x < r.Min {
-		r.Min = x
-	}
-	if x > r.Max {
-		r.Max = x
-	}
-	return r
-}
-
 // Union returns the smallest range containing both r and s.
 func (r Range) Union(s Range) Range {
 	if s.Min < r.Min {
@@ -188,7 +171,7 @@ func (r Range) Width() float64 { return r.Max - r.Min }
 
 // RangeOf computes the range spanned by xs.
 func RangeOf(xs []float64) (Range, error) {
-	min, max, err := MinMax(xs)
+	min, max, err := minMax(xs)
 	if err != nil {
 		return Range{}, err
 	}

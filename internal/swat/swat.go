@@ -132,12 +132,6 @@ func (d *Detector) touch(addr uint64) {
 	rec.lastAccess = d.clock
 }
 
-// Clock returns the number of events observed.
-func (d *Detector) Clock() uint64 { return d.clock }
-
-// Live returns the number of tracked live objects.
-func (d *Detector) Live() int { return d.objects.Len() }
-
 // Report aggregates stale live objects by allocation site and returns
 // the sites that cross the reporting thresholds, most stale first.
 // sym, when non-nil, resolves site names.

@@ -63,8 +63,8 @@ func TestFreedObjectsNotReported(t *testing.T) {
 	if leaks := d.Report(nil); len(leaks) != 0 {
 		t.Fatalf("freed objects reported: %+v", leaks)
 	}
-	if d.Live() != 0 {
-		t.Errorf("Live = %d", d.Live())
+	if n := d.objects.Len(); n != 0 {
+		t.Errorf("tracked objects = %d", n)
 	}
 }
 
