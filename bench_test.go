@@ -335,13 +335,14 @@ func recordParserTraces(t testing.TB) (map[string][]byte, uint64) {
 		writers[i] = tw
 		sinks[i] = tw
 	}
+	var nEvents uint64
+	sinks = append(sinks, event.SinkFunc(func(event.Event) { nEvents++ }))
 	_, p, err := workloads.RunLogged(w, w.Inputs(1)[0], workloads.RunConfig{
 		ExtraSinks: sinks,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nEvents := writers[0].Events()
 	out := make(map[string][]byte, len(formats))
 	for i, f := range formats {
 		if err := writers[i].Close(p.Sym()); err != nil {

@@ -36,7 +36,6 @@
 package addrindex
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 
@@ -121,9 +120,6 @@ func New[V any]() *Table[V] {
 	return &Table[V]{chunks: make(map[uint64]*chunk), zero: make(map[uint64]int32),
 		lastHits: [2]int32{noEntry, noEntry}}
 }
-
-// Len returns the number of live ranges.
-func (t *Table[V]) Len() int { return t.n }
 
 // Reset empties the table for reuse, keeping its storage: the arena's
 // segments (arena.Seg.Reset), the free list's capacity, every page
@@ -290,13 +286,15 @@ func (t *Table[V]) findExact(base uint64) int32 {
 	return noEntry
 }
 
-// Get returns a pointer to the value of the range based exactly at
-// base, or nil. The pointer remains valid until the range is removed.
-func (t *Table[V]) Get(base uint64) *V {
-	if i := t.findExact(base); i != noEntry {
-		return &t.arena.At(i).value
+// Values calls fn with the value of every live range, in no particular
+// order. fn must not insert or remove ranges. It allocates nothing: the
+// logger hands slot storage back through it before a Reset.
+func (t *Table[V]) Values(fn func(value *V)) {
+	for i := int32(0); i < int32(t.arena.Len()); i++ {
+		if e := t.arena.At(i); e.live {
+			fn(&e.value)
+		}
 	}
-	return nil
 }
 
 // Remove deletes the range based exactly at base, returning a pointer
@@ -432,23 +430,4 @@ func (t *Table[V]) Stab(addr uint64) (base, size uint64, value *V, ok bool) {
 		}
 	}
 	return 0, 0, nil, false
-}
-
-// Walk visits every live range in ascending base order until fn returns
-// false. fn must not mutate the table. Walk sorts an index of the arena
-// per call: it is for tests and diagnostics, not the hot path.
-func (t *Table[V]) Walk(fn func(base, size uint64, value *V) bool) {
-	idx := make([]int32, 0, t.n)
-	for i := int32(0); i < int32(t.arena.Len()); i++ {
-		if t.arena.At(i).live {
-			idx = append(idx, i)
-		}
-	}
-	slices.SortFunc(idx, func(a, b int32) int { return cmp.Compare(t.arena.At(a).base, t.arena.At(b).base) })
-	for _, i := range idx {
-		e := t.arena.At(i)
-		if !fn(e.base, e.size, &e.value) {
-			return
-		}
-	}
 }

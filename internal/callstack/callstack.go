@@ -41,20 +41,6 @@ func (t *Tracker) Leave() {
 	}
 }
 
-// Observe updates the tracker from an event, ignoring non-call events,
-// and reports whether the event affected the stack.
-func (t *Tracker) Observe(e event.Event) bool {
-	switch e.Type {
-	case event.Enter:
-		t.Enter(e.Fn)
-		return true
-	case event.Leave:
-		t.Leave()
-		return true
-	}
-	return false
-}
-
 // Snapshot copies the current stack, outermost frame first.
 func (t *Tracker) Snapshot() []event.FnID {
 	out := make([]event.FnID, len(t.stack))
@@ -99,9 +85,6 @@ func (r *Ring) Add(c Capture) {
 	r.buf[r.start] = c
 	r.start = (r.start + 1) % len(r.buf)
 }
-
-// Len returns the number of captures currently held.
-func (r *Ring) Len() int { return r.n }
 
 // Snapshot returns the held captures oldest-first.
 func (r *Ring) Snapshot() []Capture {

@@ -17,3 +17,20 @@ func (t *Tracker) Top() event.FnID {
 
 // Cap returns the ring capacity.
 func (r *Ring) Cap() int { return len(r.buf) }
+
+// Observe updates the tracker from an event, ignoring non-call events,
+// and reports whether the event affected the stack.
+func (t *Tracker) Observe(e event.Event) bool {
+	switch e.Type {
+	case event.Enter:
+		t.Enter(e.Fn)
+		return true
+	case event.Leave:
+		t.Leave()
+		return true
+	}
+	return false
+}
+
+// Len returns the number of captures currently held.
+func (r *Ring) Len() int { return r.n }

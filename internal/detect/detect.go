@@ -154,13 +154,48 @@ type metricState struct {
 	rng     stats.Range
 	prev    float64
 	hasPrev bool
-	ring    *callstack.Ring
+	// ring holds the metric's logged call stacks; nil until the first
+	// capture, so a run checked without stacks (CheckReport) never
+	// allocates one.
+	ring *callstack.Ring
 	// open is the finding currently collecting post-crossing
 	// context, if any.
 	open     *Finding
 	postLeft int
-	reported map[Direction]*Finding // first finding per direction
-	values   []float64              // full value series for run-level checks
+	reported [2]*Finding // first finding per Direction
+	values   []float64   // full value series for run-level checks
+}
+
+// capture logs the current call stack, if there is one, into the
+// metric's ring.
+func (st *metricState) capture(tick uint64, v float64, stack *callstack.Tracker) {
+	if stack == nil {
+		return
+	}
+	if st.ring == nil {
+		st.ring = callstack.NewRing(ringCapacity)
+	}
+	st.ring.Add(callstack.Capture{Tick: tick, Value: v, Stack: stack.Snapshot()})
+}
+
+// clearRing drops the logged call stacks.
+func (st *metricState) clearRing() {
+	if st.ring != nil {
+		st.ring.Clear()
+	}
+}
+
+// closeOpen hands the logged call stacks, oldest first, to the open
+// finding — an empty, non-nil list when none were logged — and closes
+// it.
+func (st *metricState) closeOpen() {
+	if st.ring == nil {
+		st.open.Captures = []callstack.Capture{}
+	} else {
+		st.open.Captures = st.ring.Snapshot()
+		st.ring.Clear()
+	}
+	st.open = nil
 }
 
 // Detector is the online execution checker. It implements
@@ -169,7 +204,7 @@ type metricState struct {
 type Detector struct {
 	mdl    *model.Model
 	suite  metrics.Suite
-	states []*metricState
+	states []metricState
 	// unstable lists the suite indices of metrics classified unstable
 	// during training, in suite order, for the pathological check.
 	unstable []int
@@ -189,44 +224,36 @@ type Detector struct {
 // on series with that prefix trimmed, so it would otherwise flag every
 // startup transient.
 func New(mdl *model.Model, suite metrics.Suite) *Detector {
-	return newDetector(mdl, suite, mdl.SkipStartSamples())
+	return newDetector(mdl, suite, mdl.SkipStartSamples(), 0)
 }
 
 // newDetector builds a detector that ignores the first skipStart
-// samples.
-func newDetector(mdl *model.Model, suite metrics.Suite, skipStart int) *Detector {
+// samples. samples, when known, is how many samples the detector will
+// keep, so each metric's value series is allocated once.
+func newDetector(mdl *model.Model, suite metrics.Suite, skipStart, samples int) *Detector {
 	d := &Detector{mdl: mdl, suite: suite, skipStart: skipStart}
-	for _, id := range mdl.StableIDs() {
-		idx := suite.Index(id)
-		if idx < 0 {
-			continue
+	stable, local := mdl.StableIDs(), mdl.LocallyStableIDs()
+	d.states = make([]metricState, 0, len(stable)+len(local))
+	add := func(id metrics.ID, class model.Class, rng stats.Range) {
+		if idx := suite.Index(id); idx >= 0 {
+			d.states = append(d.states, metricState{
+				id:     id,
+				idx:    idx,
+				class:  class.String(),
+				rng:    rng,
+				values: make([]float64, 0, samples),
+			})
 		}
+	}
+	for _, id := range stable {
 		rng, _ := mdl.RangeOf(id)
-		d.states = append(d.states, &metricState{
-			id:       id,
-			idx:      idx,
-			class:    model.GloballyStable.String(),
-			rng:      rng,
-			ring:     callstack.NewRing(ringCapacity),
-			reported: make(map[Direction]*Finding),
-		})
+		add(id, model.GloballyStable, rng)
 	}
 	// Future-work extension: locally stable metrics carry envelope
 	// ranges when the model was built with IncludeLocallyStable.
-	for _, id := range mdl.LocallyStableIDs() {
-		idx := suite.Index(id)
-		if idx < 0 {
-			continue
-		}
+	for _, id := range local {
 		rng, _ := mdl.LocalRangeOf(id)
-		d.states = append(d.states, &metricState{
-			id:       id,
-			idx:      idx,
-			class:    model.LocallyStable.String(),
-			rng:      rng,
-			ring:     callstack.NewRing(ringCapacity),
-			reported: make(map[Direction]*Finding),
-		})
+		add(id, model.LocallyStable, rng)
 	}
 	for i, id := range suite.IDs() {
 		if cls, ok := mdl.ClassOf(id); ok && cls == model.Unstable {
@@ -242,7 +269,8 @@ func (d *Detector) Sample(snap metrics.Snapshot, stack *callstack.Tracker) {
 	if d.seen <= d.skipStart {
 		return
 	}
-	for _, st := range d.states {
+	for i := range d.states {
+		st := &d.states[i]
 		if st.idx >= len(snap.Values) {
 			// Snapshot narrower than the suite (v1 report against an
 			// extended suite): no evidence for this metric, skip it.
@@ -263,14 +291,10 @@ func (d *Detector) step(st *metricState, v float64, tick uint64, stack *callstac
 
 	// Finish an open finding's post-crossing context window.
 	if st.open != nil {
-		if stack != nil {
-			st.ring.Add(callstack.Capture{Tick: tick, Value: v, Stack: stack.Snapshot()})
-		}
+		st.capture(tick, v, stack)
 		st.postLeft--
 		if st.postLeft <= 0 {
-			st.open.Captures = st.ring.Snapshot()
-			st.ring.Clear()
-			st.open = nil
+			st.closeOpen()
 		}
 	}
 
@@ -292,12 +316,10 @@ func (d *Detector) step(st *metricState, v float64, tick uint64, stack *callstac
 		nearMax := v >= st.rng.Max-margin && slope > 0
 		nearMin := v <= st.rng.Min+margin && slope < 0
 		if nearMax || nearMin {
-			if stack != nil {
-				st.ring.Add(callstack.Capture{Tick: tick, Value: v, Stack: stack.Snapshot()})
-			}
+			st.capture(tick, v, stack)
 		} else if v < st.rng.Max-margin && v > st.rng.Min+margin {
 			// Moved away from both extremes: drop stale context.
-			st.ring.Clear()
+			st.clearRing()
 		}
 	}
 }
@@ -319,9 +341,7 @@ func (d *Detector) violate(st *metricState, v float64, tick uint64, dir Directio
 		Value:       v,
 		Range:       st.rng,
 	}
-	if stack != nil {
-		st.ring.Add(callstack.Capture{Tick: tick, Value: v, Stack: stack.Snapshot()})
-	}
+	st.capture(tick, v, stack)
 	st.reported[dir] = f
 	st.open = f
 	st.postLeft = postSamples
@@ -337,16 +357,15 @@ func (d *Detector) Finish() {
 	d.finished = true
 	th := d.mdl.Thresholds
 	// Close findings still collecting context.
-	for _, st := range d.states {
-		if st.open != nil {
-			st.open.Captures = st.ring.Snapshot()
-			st.ring.Clear()
-			st.open = nil
+	for i := range d.states {
+		if st := &d.states[i]; st.open != nil {
+			st.closeOpen()
 		}
 	}
 	// Poorly disguised: stable metric pinned at a calibrated extreme
 	// all run (after trimming).
-	for _, st := range d.states {
+	for i := range d.states {
+		st := &d.states[i]
 		trimmed := stats.Trim(st.values, th.TrimFrac)
 		if len(trimmed) < th.MinSamples {
 			continue
@@ -392,8 +411,12 @@ func (d *Detector) Finish() {
 func (d *Detector) CheckUnstable(rep *logger.Report) {
 	th := d.mdl.Thresholds
 	ids := d.suite.IDs()
+	var series []float64 // one buffer for every metric's series
+	if len(d.unstable) > 0 {
+		series = make([]float64, 0, len(rep.Snapshots))
+	}
 	for _, idx := range d.unstable {
-		series := metrics.AppendSeries(make([]float64, 0, len(rep.Snapshots)), rep.Snapshots, idx)
+		series = metrics.AppendSeries(series[:0], rep.Snapshots, idx)
 		trimmed := stats.Trim(series, th.TrimFrac)
 		if len(trimmed) < th.MinSamples {
 			continue
@@ -458,8 +481,8 @@ func CheckReport(mdl *model.Model, rep *logger.Report) []*Finding {
 	if err != nil {
 		return nil
 	}
-	d := newDetector(mdl, suite, 0)
 	lo, hi := stats.TrimBounds(len(rep.Snapshots), mdl.Thresholds.TrimFrac)
+	d := newDetector(mdl, suite, 0, hi-lo)
 	for _, snap := range rep.Snapshots[lo:hi] {
 		d.Sample(snap, nil)
 	}

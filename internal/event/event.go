@@ -45,11 +45,6 @@ const (
 // NumTypes is the number of defined event types.
 const NumTypes = 7
 
-// Known reports whether t is a defined event type. Trace replay and
-// the execution logger use it to route corrupted or version-skewed
-// records into health accounting instead of misinterpreting them.
-func (t Type) Known() bool { return t < NumTypes }
-
 // String returns the mnemonic name of the event type.
 func (t Type) String() string {
 	switch t {
@@ -183,33 +178,3 @@ func (m Multi) Without(sink Sink) Multi {
 	}
 	return m
 }
-
-// Counter is a Sink that tallies events by type; useful in tests and
-// for run statistics. Events with an out-of-range type byte (possible
-// when counting a damaged trace) land in Unknown rather than
-// panicking.
-type Counter struct {
-	ByType  [NumTypes]uint64
-	Unknown uint64
-	Total   uint64
-}
-
-// Emit implements Sink.
-func (c *Counter) Emit(e Event) {
-	if e.Type.Known() {
-		c.ByType[e.Type]++
-	} else {
-		c.Unknown++
-	}
-	c.Total++
-}
-
-// EmitBatch implements BatchSink.
-func (c *Counter) EmitBatch(batch []Event) {
-	for _, e := range batch {
-		c.Emit(e)
-	}
-}
-
-// Count returns the number of events of type t seen so far.
-func (c *Counter) Count(t Type) uint64 { return c.ByType[t] }

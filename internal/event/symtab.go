@@ -14,10 +14,15 @@ type Symtab struct {
 }
 
 // NewSymtab returns an empty symbol table.
-func NewSymtab() *Symtab {
+func NewSymtab() *Symtab { return NewSymtabCap(0) }
+
+// NewSymtabCap returns an empty symbol table with room for n names, for
+// a table whose size is known when it is built, as when a trace's is
+// decoded.
+func NewSymtabCap(n int) *Symtab {
 	return &Symtab{
-		byName: make(map[string]FnID),
-		byID:   []string{""},
+		byName: make(map[string]FnID, n),
+		byID:   append(make([]string, 0, n+1), ""),
 	}
 }
 
@@ -46,12 +51,6 @@ func (s *Symtab) Name(id FnID) string {
 		return s.byID[id]
 	}
 	return "?"
-}
-
-// Lookup returns the FnID for name without interning.
-func (s *Symtab) Lookup(name string) (FnID, bool) {
-	id, ok := s.byName[name]
-	return id, ok
 }
 
 // Len returns the number of interned names (excluding NoFn).

@@ -301,16 +301,3 @@ func (p *Plan) Triggers(name string) int {
 	}
 	return p.triggers[name]
 }
-
-// Reset zeroes the firing counters, keeping the configuration; used
-// when one plan drives several runs.
-func (p *Plan) Reset() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for k := range p.triggers {
-		delete(p.triggers, k)
-	}
-}

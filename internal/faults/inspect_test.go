@@ -15,3 +15,16 @@ func (p *Plan) Active() []string {
 	}
 	return out
 }
+
+// Reset zeroes the firing counters, keeping the configuration; used
+// when one plan drives several runs.
+func (p *Plan) Reset() {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for k := range p.triggers {
+		delete(p.triggers, k)
+	}
+}

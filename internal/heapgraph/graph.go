@@ -33,9 +33,10 @@
 // targets of freed objects, and an edge operation naming one is a
 // no-op even after the slot is reused. Adjacency sets name their
 // neighbours by slot, inline up to maxTracked (8) distinct neighbours
-// per direction and spill to a map beyond that (see adjacency.go); the
-// paper's heap graphs are dominated by degree 0–2 vertices, so the
-// maps — and their allocation and GC-scan cost — all but disappear.
+// per direction and spill to an open-addressed table beyond that (see
+// adjacency.go); the paper's heap graphs are dominated by degree 0–2
+// vertices, so the tables are rare, and the graph recycles them
+// through size-class free lists across vertex removal and Reset.
 //
 // Component counts for the structure extension metrics come from
 // incremental trackers maintained under mutation (incremental.go,
@@ -99,6 +100,10 @@ type Graph struct {
 	// revive the handles of its first vertex.
 	freeSlots []int32
 
+	// spills holds the spill tables of sets that no longer need them,
+	// for the next set that spills (adjacency.go).
+	spills spillPool
+
 	// Degree histograms: inHist[d] (outHist[d]) counts the vertices
 	// with indegree (outdegree) d, the last bucket every degree above
 	// maxTracked. eq counts vertices with indegree == outdegree.
@@ -128,13 +133,20 @@ func New() *Graph {
 }
 
 // Reset empties the graph for reuse as if it were new, keeping the
-// storage it has grown: the vertex arena is truncated, the adjacency
+// storage it has grown: the vertex arena is truncated, the live
+// vertices' spill tables go back to the spill pool, the adjacency
 // arenas reset (arena.Seg.Reset), and the trackers turned off with
 // their slices kept for the next TrackConnectivity or TrackSCC. The
 // search scratch stays as it is: its marks are stamped with an epoch
 // that only ever advances. Handles taken before Reset must not be used
 // after it.
 func (g *Graph) Reset() {
+	for s := int32(0); g.spills.out > 0 && s < int32(len(g.gen)); s++ {
+		if g.live(int(s)) {
+			g.outAdj.At(s).release(&g.spills)
+			g.inAdj.At(s).release(&g.spills)
+		}
+	}
 	g.outAdj.Reset()
 	g.inAdj.Reset()
 	*g = Graph{
@@ -145,6 +157,7 @@ func (g *Graph) Reset() {
 		outAdj:    g.outAdj,
 		inAdj:     g.inAdj,
 		freeSlots: g.freeSlots[:0],
+		spills:    g.spills,
 		srch:      g.srch,
 		spareWCC:  cmp.Or(g.wcc, g.spareWCC),
 		spareSCC:  cmp.Or(g.scc, g.spareSCC),
@@ -309,9 +322,10 @@ func (g *Graph) RemoveVertex(v VertexID) {
 	if g.inDeg[s] == g.outDeg[s] {
 		g.eq--
 	}
-	// Reset now (not at reuse) so spill maps become collectable.
-	oa.reset()
-	ia.reset()
+	// Empty the sets now (not at reuse), handing their spill tables
+	// to the next set that spills.
+	oa.release(&g.spills)
+	ia.release(&g.spills)
 	if g.gen[s]++; g.gen[s] != 0 {
 		g.freeSlots = append(g.freeSlots, s)
 	}
@@ -330,8 +344,8 @@ func (g *Graph) AddEdge(u, v VertexID) bool {
 	if vs == noSlot {
 		return false
 	}
-	g.outAdj.At(us).inc(vs)
-	g.inAdj.At(vs).inc(us)
+	g.outAdj.At(us).inc(vs, &g.spills)
+	g.inAdj.At(vs).inc(us, &g.spills)
 	if u == v {
 		in, out := int(g.inDeg[us]), int(g.outDeg[us])
 		g.track(in, out, in+1, out+1)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"heapmd/internal/event"
+	"heapmd/internal/metrics"
 )
 
 // TestStoreHotPathAllocs is the allocation budget for the per-event
@@ -94,4 +95,44 @@ func BenchmarkEmitBatch(b *testing.B) {
 		l.EmitBatch(steady[i%len(steady)])
 	}
 	b.SetBytes(int64(perBatch))
+}
+
+// TestWordTablesRecycled replays one store-heavy run into a logger
+// again and again, resetting it in between. Every object takes the
+// words tier, some grow it by realloc and half are freed, so each
+// run hands words back through free, realloc and reset; a run on a
+// reset logger must take them all from the pool and allocate nothing.
+func TestWordTablesRecycled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on the hot path")
+	}
+	const n = 512
+	var run []event.Event
+	addr := func(i int) uint64 { return uint64(0x100_0000_0000) + uint64(i)*4096 }
+	for i := 0; i < n; i++ {
+		run = append(run, event.Event{Type: event.Alloc, Addr: addr(i), Size: 256})
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < 8; j++ {
+			run = append(run, event.Event{Type: event.Store, Addr: addr(i) + uint64(j)*16, Value: addr((i + j + 1) % n)})
+		}
+	}
+	for i := 0; i < n; i += 4 {
+		run = append(run, event.Event{Type: event.Realloc, Addr: addr(i), Value: addr(i), Size: 2048})
+		run = append(run, event.Event{Type: event.Free, Addr: addr(i + 1)})
+		run = append(run, event.Event{Type: event.Free, Addr: addr(i + 2)})
+	}
+	opts := Options{Frequency: 1 << 62, Suite: metrics.DefaultSuite()}
+	l := NewUnpooled(opts)
+	replay := func() {
+		l.reset(opts)
+		l.EmitBatch(run)
+	}
+	replay()
+	if l.words.out == 0 {
+		t.Fatal("no object reached the words tier")
+	}
+	if allocs := testing.AllocsPerRun(5, replay); allocs != 0 {
+		t.Errorf("a run on a reset logger allocated %.0f times, want 0", allocs)
+	}
 }

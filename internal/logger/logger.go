@@ -177,6 +177,9 @@ type Logger struct {
 	freed  map[uint64]struct{}
 	health health.Counters
 
+	// words recycles the words tiers of the objects' slot tables.
+	words wordPool
+
 	snaps     []metrics.Snapshot
 	observers []SampleObserver
 
@@ -252,6 +255,9 @@ func (l *Logger) reset(opts Options) {
 		opts.Suite = metrics.DefaultSuite()
 	}
 	l.graph.Reset()
+	if l.words.out > 0 {
+		l.objects.Values(func(info *objInfo) { info.slots.release(&l.words) })
+	}
 	l.objects.Reset()
 	l.stack.Reset()
 	clear(l.freed)
@@ -262,6 +268,7 @@ func (l *Logger) reset(opts Options) {
 		objects: l.objects,
 		stack:   l.stack,
 		freed:   l.freed,
+		words:   l.words,
 	}
 	// The component trackers cost work on every mutation, so only a
 	// suite that reads them turns them on.
@@ -280,7 +287,7 @@ func (l *Logger) reset(opts Options) {
 // Release drops the logger's references to observers, the suite and
 // the snapshots, so pooling it keeps none of them alive.
 func (l *Logger) Release() {
-	*l = Logger{graph: l.graph, objects: l.objects, stack: l.stack, freed: l.freed}
+	*l = Logger{graph: l.graph, objects: l.objects, stack: l.stack, freed: l.freed, words: l.words}
 	released.Lock()
 	if len(released.free) < runtime.GOMAXPROCS(0) {
 		released.free = append(released.free, idle{l, released.news})
@@ -403,6 +410,7 @@ func (l *Logger) onFree(base uint64) {
 		return
 	}
 	l.freed[base] = struct{}{}
+	info.slots.release(&l.words)
 	if info.wordVertices != nil {
 		for _, v := range info.wordVertices {
 			l.graph.RemoveVertex(v)
@@ -434,7 +442,7 @@ func (l *Logger) onRealloc(oldBase, newBase, newSize uint64) {
 	// so the move itself rewrites nothing.
 	info.slots.resize(newSize, func(_ uint64, target heapgraph.VertexID) {
 		l.graph.RemoveEdge(info.vertex, target)
-	})
+	}, &l.words)
 }
 
 func (l *Logger) reallocField(info *objInfo, newSize uint64) {
@@ -455,7 +463,7 @@ func (l *Logger) reallocField(info *objInfo, newSize uint64) {
 	// cutoff is the surviving word span, not newSize: with a size not
 	// a multiple of 8, a slot can sit below newSize but inside the
 	// truncated tail word.
-	info.slots.resize(newWords*8, nil)
+	info.slots.resize(newWords*8, nil, &l.words)
 	info.wordVertices = wv
 }
 
@@ -515,7 +523,7 @@ func (l *Logger) onStore(addr, value uint64) {
 	// pointer stays valid across it.
 	if target, isPtr := l.targetVertex(value); isPtr {
 		l.graph.AddEdge(src, target)
-		info.slots.set(off, target, size)
+		info.slots.set(off, target, size, &l.words)
 	}
 }
 

@@ -1,6 +1,10 @@
 package logger
 
-import "heapmd/internal/heapgraph"
+import (
+	"math/bits"
+
+	"heapmd/internal/heapgraph"
+)
 
 // slotTable records which words of one live object currently hold a
 // pointer, mapping the slot's offset within the object to the target
@@ -16,7 +20,9 @@ import "heapmd/internal/heapgraph"
 //   - words: a word-indexed slice of targets for objects up to
 //     maxWordBytes whose slots are all word-aligned — one direct index
 //     per lookup, ceil(size/8) entries, VertexID 0 meaning "no
-//     pointer here" (no vertex handle is 0).
+//     pointer here" (no vertex handle is 0). The slices come from the
+//     logger's wordPool and go back to it when the object is freed,
+//     leaves the tier, or outlives its run (Logger.reset).
 //   - spill: an offset-keyed map, the fully general fallback for huge
 //     objects and the unaligned stores only damaged raw traces
 //     produce.
@@ -71,9 +77,10 @@ func (t *slotTable) get(off uint64) (heapgraph.VertexID, bool) {
 }
 
 // set records target at offset off. size is the object's current size,
-// consulted when the inline tier overflows to pick the next tier.
-// target must be non-zero, as every vertex handle is.
-func (t *slotTable) set(off uint64, target heapgraph.VertexID, size uint64) {
+// consulted when the inline tier overflows to pick the next tier, which
+// takes its words from p. target must be non-zero, as every vertex
+// handle is.
+func (t *slotTable) set(off uint64, target heapgraph.VertexID, size uint64, p *wordPool) {
 	if t.spill != nil {
 		t.spill[off] = target
 		return
@@ -85,7 +92,7 @@ func (t *slotTable) set(off uint64, target heapgraph.VertexID, size uint64) {
 		}
 		// An unaligned (or out-of-bounds) slot in word mode: only
 		// damaged raw traces get here. Fall back to the map.
-		t.demote()
+		t.demote(p)
 		t.spill[off] = target
 		return
 	}
@@ -103,7 +110,7 @@ func (t *slotTable) set(off uint64, target heapgraph.VertexID, size uint64) {
 	// Inline tier full: promote. Word-aligned slots in a modest object
 	// go to the direct-indexed slice; everything else to the map.
 	if size <= maxWordBytes && off%8 == 0 && t.inlineAligned() {
-		t.words = make([]heapgraph.VertexID, (size+7)/8)
+		t.words = p.get(int((size + 7) / 8))
 		for i := int32(0); i < t.n; i++ {
 			t.words[t.inline[i].off/8] = t.inline[i].target
 		}
@@ -131,16 +138,27 @@ func (t *slotTable) inlineAligned() bool {
 	return true
 }
 
-// demote converts the words tier to the spill map.
-func (t *slotTable) demote() {
+// demote converts the words tier to the spill map, handing the words
+// back to p.
+func (t *slotTable) demote(p *wordPool) {
 	m := make(map[uint64]heapgraph.VertexID, 2*inlineSlots)
 	for i, v := range t.words {
 		if v != 0 {
 			m[uint64(i)*8] = v
 		}
 	}
+	p.put(t.words)
 	t.words = nil
 	t.spill = m
+}
+
+// release hands the words tier, if any, back to p and leaves the
+// table without one; the object the table belongs to is gone.
+func (t *slotTable) release(p *wordPool) {
+	if t.words != nil {
+		p.put(t.words)
+		t.words = nil
+	}
 }
 
 // del removes the slot at offset off, if present.
@@ -166,9 +184,9 @@ func (t *slotTable) del(off uint64) {
 
 // resize drops every slot at offset >= newSize, calling drop (if
 // non-nil) for each removed entry, and re-bounds the words tier to the
-// new size. Realloc calls this: offset keys make it the whole of slot
-// rebasing.
-func (t *slotTable) resize(newSize uint64, drop func(off uint64, target heapgraph.VertexID)) {
+// new size, trading its words through p when they no longer fit.
+// Realloc calls this: offset keys make it the whole of slot rebasing.
+func (t *slotTable) resize(newSize uint64, drop func(off uint64, target heapgraph.VertexID), p *wordPool) {
 	switch {
 	case t.spill != nil:
 		for off, target := range t.spill {
@@ -189,7 +207,7 @@ func (t *slotTable) resize(newSize uint64, drop func(off uint64, target heapgrap
 			}
 		}
 		if newSize > maxWordBytes {
-			t.demote()
+			t.demote(p)
 			return
 		}
 		newWords := (newSize + 7) / 8
@@ -203,8 +221,9 @@ func (t *slotTable) resize(newSize uint64, drop func(off uint64, target heapgrap
 				t.words[i] = 0 // a prior shrink may have left stale entries in the cap region
 			}
 		default:
-			grown := make([]heapgraph.VertexID, newWords)
+			grown := p.get(int(newWords))
 			copy(grown, t.words)
+			p.put(t.words)
 			t.words = grown
 		}
 	default:
@@ -220,4 +239,45 @@ func (t *slotTable) resize(newSize uint64, drop func(off uint64, target heapgrap
 			i++
 		}
 	}
+}
+
+// minWordShift sizes the smallest words slice: 1<<minWordShift
+// entries, enough for the inlineSlots+1 pointers that promote a table.
+const minWordShift = 3
+
+// wordPool is the logger's store of words-tier slices not in use:
+// free[c] holds slices of capacity 1<<(minWordShift+c). Objects are
+// allocated, freed and rebuilt run after run with the same shapes, so
+// recycling by power-of-two capacity lets the next object, or the next
+// run, refill the slices an earlier one grew instead of allocating
+// them again.
+type wordPool struct {
+	free [][][]heapgraph.VertexID
+	out  int // slices handed out and not yet put back
+}
+
+// get returns a zeroed slice of n words.
+func (p *wordPool) get(n int) []heapgraph.VertexID {
+	p.out++
+	c := max(bits.Len(uint(n-1))-minWordShift, 0)
+	if c < len(p.free) {
+		if k := len(p.free[c]); k > 0 {
+			w := p.free[c][k-1][:n]
+			p.free[c][k-1] = nil
+			p.free[c] = p.free[c][:k-1]
+			clear(w)
+			return w
+		}
+	}
+	return make([]heapgraph.VertexID, n, 1<<(minWordShift+c))
+}
+
+// put takes w, a slice from get, back for a later get.
+func (p *wordPool) put(w []heapgraph.VertexID) {
+	p.out--
+	c := bits.Len(uint(cap(w))) - 1 - minWordShift
+	for len(p.free) <= c {
+		p.free = append(p.free, nil)
+	}
+	p.free[c] = append(p.free[c], w)
 }

@@ -295,16 +295,6 @@ type BuildResult struct {
 	Reports []MetricReport // one per metric in the suite, suite order
 }
 
-// Report returns the MetricReport for a metric ID, or nil.
-func (b *BuildResult) Report(id metrics.ID) *MetricReport {
-	for i := range b.Reports {
-		if b.Reports[i].Metric == id.String() {
-			return &b.Reports[i]
-		}
-	}
-	return nil
-}
-
 // StableCount returns the number of globally stable metrics found.
 func (b *BuildResult) StableCount() int {
 	n := 0

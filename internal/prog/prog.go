@@ -161,15 +161,6 @@ func (p *Process) Free(addr uint64) {
 	p.frees++
 }
 
-// Realloc resizes the object at addr, returning the new base.
-func (p *Process) Realloc(addr, newSize uint64) uint64 {
-	b, err := p.heap.Realloc(addr, newSize)
-	if err != nil {
-		panic(&Fault{Op: "realloc", Addr: addr, Err: err})
-	}
-	return b
-}
-
 // Store writes value at addr (word-aligned).
 func (p *Process) Store(addr, value uint64) {
 	if err := p.heap.Store(addr, value); err != nil {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"runtime"
 	"slices"
@@ -106,28 +107,35 @@ func v2FrameTrace(t testing.TB, n int) []byte {
 // decode loop: replaying a trace with 64x more event frames must cost
 // exactly the same number of allocations as a small one, proving the
 // payload and batch buffers are reused across frames and batch
-// delivery allocates nothing per frame. (The
-// fixed per-call overhead — bufio.Reader, decoder, symtab, info — is
+// delivery allocates nothing per frame. The symtab cases checkpoint
+// the symbol table after every frame, as recorded runs do: checkpoints
+// are validated in place and only the last one is decoded. (The fixed
+// per-call overhead — bufio.Reader, decoder, symtab, info — is
 // allowed; scaling with frame count is not.)
 func TestReplayFrameDecodeAllocs(t *testing.T) {
-	mkTrace := func(frames int, wopts WriterOptions) []byte {
+	sym := event.NewSymtab()
+	for i := 0; i < 100; i++ {
+		sym.Intern(fmt.Sprintf("fn%03d", i))
+	}
+	mkTrace := func(frames int, wopts WriterOptions, withSym bool) []byte {
 		var buf bytes.Buffer
 		w, err := NewWriterWith(&buf, wopts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if withSym {
+			w.SetSymtab(sym)
+		}
 		for _, e := range testEvents(frames * DefaultBatchRecords) {
 			w.Emit(e)
 		}
-		// Close with no symtab: checkpoint frames would legitimately
-		// allocate (interned name strings), clouding the measurement.
 		if err := w.Close(nil); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
 	measure := func(data []byte, opts ReadOptions) float64 {
-		var c event.Counter
+		var c tally
 		replay := func() {
 			if _, _, err := ReplayWith(bytes.NewReader(data), &c, opts); err != nil {
 				t.Fatal(err)
@@ -144,8 +152,10 @@ func TestReplayFrameDecodeAllocs(t *testing.T) {
 		slack float64
 	}{
 		{"v2", func(frames int) []byte { return v2FrameTrace(t, frames) }, 0},
-		{"v3", func(frames int) []byte { return mkTrace(frames, WriterOptions{}) }, 0},
-		{"v3-flate", func(frames int) []byte { return mkTrace(frames, WriterOptions{Compress: true}) }, 8},
+		{"v3", func(frames int) []byte { return mkTrace(frames, WriterOptions{}, false) }, 0},
+		{"v3-symtab", func(frames int) []byte { return mkTrace(frames, WriterOptions{}, true) }, 0},
+		{"v3-flate", func(frames int) []byte { return mkTrace(frames, WriterOptions{Compress: true}, false) }, 8},
+		{"v3-flate-symtab", func(frames int) []byte { return mkTrace(frames, WriterOptions{Compress: true}, true) }, 8},
 	} {
 		small, large := w.mkTrace(smallFrames), w.mkTrace(128)
 		for _, tc := range []struct {
@@ -190,7 +200,7 @@ func TestReplayRecyclesDecodeBuffers(t *testing.T) {
 	const frames = 32
 	data := flateTrace(t, frames)
 	for _, workers := range []int{0, 1, 2} {
-		var c event.Counter
+		var c tally
 		var st Stats
 		replay := func() uint64 {
 			var before, after runtime.MemStats
@@ -250,7 +260,7 @@ func TestDecodeReuseSurvivesGC(t *testing.T) {
 		replay := func() uint64 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			var c event.Counter
+			var c tally
 			if _, _, err := ReplayWith(bytes.NewReader(data), &c, ReadOptions{DecodeWorkers: workers}); err != nil {
 				t.Fatal(err)
 			}

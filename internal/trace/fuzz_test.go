@@ -95,7 +95,7 @@ func acceptable(err error) bool {
 func FuzzReplay(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var c event.Counter
+		var c tally
 		_, n, err := Replay(bytes.NewReader(data), &c)
 		if err != nil {
 			if !acceptable(err) {
@@ -133,7 +133,7 @@ func FuzzReplayParallel(f *testing.F) {
 func FuzzSalvage(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var c event.Counter
+		var c tally
 		sym, info, err := Salvage(bytes.NewReader(data), &c)
 		if err != nil {
 			if !acceptable(err) {
@@ -152,7 +152,7 @@ func FuzzSalvage(f *testing.F) {
 		}
 		// Cross-check strict mode: if strict accepts, salvage must
 		// have reported a clean, equally-sized replay.
-		var c2 event.Counter
+		var c2 tally
 		if _, n2, err2 := Replay(bytes.NewReader(data), &c2); err2 == nil {
 			if info.Salvaged() {
 				t.Fatalf("strict replay clean but salvage reported loss: %v", info)

@@ -258,7 +258,7 @@ func TestParallelReplayThroughputGate(t *testing.T) {
 	run := func(workers int) float64 {
 		best := 0.0
 		for trial := 0; trial < 3; trial++ {
-			var c event.Counter
+			var c tally
 			start := time.Now()
 			_, n, err := ReplayWith(bytes.NewReader(data), &c, ReadOptions{DecodeWorkers: workers})
 			if err != nil || n != events {
@@ -293,7 +293,7 @@ func TestParallelNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		for _, data := range [][]byte{clean, cut, flipped} {
-			var c event.Counter
+			var c tally
 			ReplayWith(bytes.NewReader(data), &c, ReadOptions{DecodeWorkers: 3})
 			SalvageWith(bytes.NewReader(data), &c, ReadOptions{DecodeWorkers: 3})
 		}

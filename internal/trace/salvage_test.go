@@ -180,7 +180,7 @@ func TestSymtabCheckpointSurvivesCrash(t *testing.T) {
 	}
 	// Crash: no Close. The trailer-based v1 format would lose every
 	// symbol here.
-	var c event.Counter
+	var c tally
 	gotSym, info, err := Salvage(bytes.NewReader(buf.Bytes()), &c)
 	if err != nil {
 		t.Fatal(err)

@@ -12,11 +12,11 @@
 // payload, and the symbol table is checkpointed periodically instead
 // of living only in an end-of-file trailer. Replay of a truncated or
 // corrupted framed trace can salvage every complete, checksum-valid
-// frame before the damage (see Salvage and SalvageInfo) instead of
+// frame before the damage (see SalvageWith and SalvageInfo) instead of
 // failing wholesale.
 //
 // The Writer writes format v3 only. Formats v1 and v2 are read-only:
-// Replay and Salvage still accept traces written by earlier versions.
+// Replay and SalvageWith still accept traces written by earlier versions.
 //
 // Format v3 (written by NewWriterWith; all integers little-endian):
 //
@@ -170,6 +170,7 @@ type Writer struct {
 	comp    bytes.Buffer // compressed body scratch
 	cdc     codec        // nil = never compress
 	sym     *event.Symtab
+	symBuf  []byte // symtab checkpoint scratch, reused per checkpoint
 	// hdr is the frame-header scratch. A local array would be moved to
 	// the heap on every writeFrame call (bufio may hand the slice to
 	// the underlying io.Writer, so it escapes); keeping it on the
@@ -246,7 +247,8 @@ func (tw *Writer) flushBatch() {
 	tw.writeFrame(frameEvents, payload)
 	tw.evs.Reset()
 	if tw.sym != nil {
-		tw.writeFrame(frameSymtab, encodeSymtab(tw.sym))
+		tw.symBuf = appendSymtab(tw.symBuf[:0], tw.sym)
+		tw.writeFrame(frameSymtab, tw.symBuf)
 	}
 }
 
@@ -294,20 +296,6 @@ func (tw *Writer) writeFrame(kind byte, payload []byte) {
 	}
 }
 
-// Events returns the number of events written so far.
-func (tw *Writer) Events() uint64 { return tw.n }
-
-// Flush seals any pending batch into a frame and flushes buffered
-// bytes to the underlying writer, establishing a salvage point. The
-// Writer remains usable.
-func (tw *Writer) Flush() error {
-	tw.flushBatch()
-	if tw.err == nil {
-		tw.err = tw.w.Flush()
-	}
-	return tw.err
-}
-
 // Close seals pending events, writes the final symbol-table
 // checkpoint and the end frame, and flushes. The Writer is unusable
 // afterwards. sym may be nil if SetSymtab was used (or there are no
@@ -320,7 +308,8 @@ func (tw *Writer) Close(sym *event.Symtab) error {
 		}
 		var end [8]byte
 		binary.LittleEndian.PutUint64(end[:], tw.n)
-		tw.writeFrame(frameSymtab, encodeSymtab(sym))
+		tw.symBuf = appendSymtab(tw.symBuf[:0], sym)
+		tw.writeFrame(frameSymtab, tw.symBuf)
 		tw.writeFrame(frameEnd, end[:])
 	}
 	if tw.err == nil {
@@ -329,52 +318,61 @@ func (tw *Writer) Close(sym *event.Symtab) error {
 	return tw.err
 }
 
-// encodeSymtab renders a full symbol-table snapshot (count, then
-// length-prefixed names). A nil symtab encodes as zero entries.
-func encodeSymtab(sym *event.Symtab) []byte {
+// appendSymtab appends a full symbol-table snapshot (count, then
+// length-prefixed names) to dst. A nil symtab encodes as zero entries.
+func appendSymtab(dst []byte, sym *event.Symtab) []byte {
 	count := 0
 	if sym != nil {
 		count = sym.Len()
 	}
-	size := 4
-	for id := event.FnID(1); id <= event.FnID(count); id++ {
-		size += 4 + len(sym.Name(id))
-	}
-	buf := make([]byte, 0, size)
-	var u [4]byte
-	binary.LittleEndian.PutUint32(u[:], uint32(count))
-	buf = append(buf, u[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
 	for id := event.FnID(1); id <= event.FnID(count); id++ {
 		name := sym.Name(id)
-		binary.LittleEndian.PutUint32(u[:], uint32(len(name)))
-		buf = append(buf, u[:]...)
-		buf = append(buf, name...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(name)))
+		dst = append(dst, name...)
 	}
-	return buf
+	return dst
 }
 
-// decodeSymtab parses an encodeSymtab payload.
-func decodeSymtab(payload []byte) (*event.Symtab, error) {
+// checkSymtab validates an appendSymtab payload without decoding it.
+func checkSymtab(payload []byte) error {
 	if len(payload) < 4 {
-		return nil, fmt.Errorf("%w: symtab count", ErrCorrupt)
+		return fmt.Errorf("%w: symtab count", ErrCorrupt)
 	}
 	count := binary.LittleEndian.Uint32(payload)
 	rest := payload[4:]
-	sym := event.NewSymtab()
 	for i := uint32(0); i < count; i++ {
 		if len(rest) < 4 {
-			return nil, fmt.Errorf("%w: symtab entry", ErrCorrupt)
+			return fmt.Errorf("%w: symtab entry", ErrCorrupt)
 		}
 		n := binary.LittleEndian.Uint32(rest)
 		rest = rest[4:]
 		if uint64(n) > uint64(len(rest)) {
-			return nil, fmt.Errorf("%w: symtab name", ErrCorrupt)
+			return fmt.Errorf("%w: symtab name", ErrCorrupt)
 		}
-		sym.Intern(string(rest[:n]))
 		rest = rest[n:]
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: symtab trailing bytes", ErrCorrupt)
+		return fmt.Errorf("%w: symtab trailing bytes", ErrCorrupt)
+	}
+	return nil
+}
+
+// decodeSymtab parses an appendSymtab payload. The names share one
+// string: a symbol table is built once per replay, and its names live
+// as long as it does.
+func decodeSymtab(payload []byte) (*event.Symtab, error) {
+	if err := checkSymtab(payload); err != nil {
+		return nil, err
+	}
+	count := binary.LittleEndian.Uint32(payload)
+	all := string(payload)
+	sym := event.NewSymtabCap(int(count))
+	for i, off := uint32(0), 4; i < count; i++ {
+		n := int(binary.LittleEndian.Uint32(payload[off:]))
+		off += 4
+		sym.Intern(all[off : off+n])
+		off += n
 	}
 	return sym, nil
 }
@@ -509,7 +507,7 @@ type ReadOptions struct {
 // event to sink in order. It returns the reconstructed symbol table
 // and the number of events replayed. Replay is strict: any damage
 // yields ErrCorrupt (events before the damage may already have been
-// delivered). Use Salvage to recover the valid prefix of a damaged
+// delivered). Use SalvageWith to recover the valid prefix of a damaged
 // trace instead.
 //
 // Events are delivered a frame at a time through event.EmitAll: a sink
@@ -527,15 +525,11 @@ func ReplayWith(r io.ReadSeeker, sink event.Sink, opts ReadOptions) (*event.Symt
 	return sym, n, err
 }
 
-// Salvage reads a possibly-damaged trace, delivering every event from
-// the longest valid prefix to sink, and reports what was recovered
-// and what was lost. It fails only when not even the 8-byte header
-// survives (nothing to salvage) or the version is unknown.
-func Salvage(r io.ReadSeeker, sink event.Sink) (*event.Symtab, *SalvageInfo, error) {
-	return SalvageWith(r, sink, ReadOptions{})
-}
-
-// SalvageWith is Salvage with control over the reader (see ReadOptions).
+// SalvageWith reads a possibly-damaged trace, delivering every event
+// from the longest valid prefix to sink, and reports what was
+// recovered and what was lost. It fails only when not even the 8-byte
+// header survives (nothing to salvage) or the version is unknown. opts
+// controls the reader as for ReplayWith.
 func SalvageWith(r io.ReadSeeker, sink event.Sink, opts ReadOptions) (*event.Symtab, *SalvageInfo, error) {
 	sym, _, info, err := replay(r, sink, true, opts)
 	return sym, info, err
@@ -596,9 +590,10 @@ type frameBuf struct {
 // decodeHold), so what it retains is bounded by the peak a process
 // reached, never by how many replays it ran.
 var (
-	frameBufs freeList[frameBuf]
-	decoders  freeList[payloadDecoder]
-	readers   freeList[bufio.Reader]
+	frameBufs   freeList[frameBuf]
+	decoders    freeList[payloadDecoder]
+	readers     freeList[bufio.Reader]
+	checkpoints freeList[[]byte]
 )
 
 // freeList is a capped LIFO list of reusable values, safe for
@@ -636,7 +631,8 @@ func (f *freeList[T]) put(x *T, limit int) {
 // decodeHold returns how many frame buffers, decoders and readers
 // GOMAXPROCS replays hold at once at DefaultDecodeWorkers: the
 // pipeline's 2w+2 buffers and w decoders each (one of each on the
-// synchronous reader), and one reader each.
+// synchronous reader), and one reader each. Each also holds one
+// checkpoint buffer, as many as readers.
 func decodeHold() (bufs, decs, rdrs int) {
 	p, w := runtime.GOMAXPROCS(0), DefaultDecodeWorkers()
 	return p * (2*w + 2), p * max(w, 1), p
@@ -684,6 +680,21 @@ func putReader(br *bufio.Reader) {
 	readers.put(br, n)
 }
 
+// getCheckpoint returns an empty buffer for a replay's last symtab
+// checkpoint; putCheckpoint keeps it for the next replay.
+func getCheckpoint() *[]byte {
+	if b := checkpoints.get(); b != nil {
+		*b = (*b)[:0]
+		return b
+	}
+	return new([]byte)
+}
+
+func putCheckpoint(b *[]byte) {
+	_, _, n := decodeHold()
+	checkpoints.put(b, n)
+}
+
 // frameMsg is one fully-validated, fully-decoded frame (or the reason
 // decoding stopped). Exactly one terminal message ends every stream:
 // either err != nil, or kind == frameEnd.
@@ -691,12 +702,11 @@ type frameMsg struct {
 	kind       byte
 	seq        uint64        // frame sequence number (parallel resequencing)
 	events     []event.Event // frameEvents: decoded records (alias buf.events)
-	sym        *event.Symtab // frameSymtab: decoded checkpoint
 	declared   uint64        // frameEnd: writer's event count
 	end        int64         // offset consumed through the last fully-valid frame
 	buf        *frameBuf     // must be released by the consumer once delivered
 	err        error         // corruption, message-compatible with strict mode
-	stored     int           // frameEvents: on-disk payload bytes
+	stored     int           // frameEvents, frameSymtab: on-disk payload bytes, buf.payload[:stored]
 	raw        int           // frameEvents: payload bytes before compression
 	compressed bool          // frameEvents: body was stored flate-compressed
 }
@@ -738,12 +748,11 @@ func (d *payloadDecoder) decodePayload(kind byte, payload []byte, buf *frameBuf,
 		msg.stored = len(payload)
 		msg.raw = len(payload)
 	case frameSymtab:
-		s, err := decodeSymtab(payload)
-		if err != nil {
+		if checkSymtab(payload) != nil {
 			msg.err = errors.New("bad symtab checkpoint")
 			return
 		}
-		msg.sym = s
+		msg.stored = len(payload)
 	case frameEnd:
 		if len(payload) != 8 {
 			msg.err = errors.New("bad end frame")
@@ -919,8 +928,20 @@ func replayFramed(r io.ReadSeeker, sink event.Sink, version uint32, size int64, 
 		next = func() frameMsg { return dec.decodeJob(fr.readFrame(buf)) }
 	}
 
+	// Workers only validate symtab checkpoints; the last valid one is
+	// kept as bytes and decoded once, into the symbol table the replay
+	// returns.
+	last := getCheckpoint()
+	defer putCheckpoint(last)
+	symtab := func() *event.Symtab {
+		if len(*last) == 0 {
+			return event.NewSymtab()
+		}
+		sym, _ := decodeSymtab(*last)
+		return sym
+	}
+
 	info := &SalvageInfo{Truncated: true}
-	sym := event.NewSymtab()
 	var replayed uint64
 	offset := int64(8) // consumed through the last fully-valid frame
 	var declared uint64
@@ -933,9 +954,9 @@ func replayFramed(r io.ReadSeeker, sink event.Sink, version uint32, size int64, 
 		if salvage {
 			info.EventsRecovered = replayed
 			info.BytesDropped = uint64(size - offset)
-			return sym, replayed, info, nil
+			return symtab(), replayed, info, nil
 		}
-		return sym, replayed, nil, fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+		return symtab(), replayed, nil, fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 	}
 
 	for !sawEnd {
@@ -957,7 +978,7 @@ func replayFramed(r io.ReadSeeker, sink event.Sink, version uint32, size int64, 
 				}
 			}
 		case frameSymtab:
-			sym = msg.sym
+			*last = append((*last)[:0], msg.buf.payload[:msg.stored]...)
 		case frameEnd:
 			declared = msg.declared
 			sawEnd = true
@@ -977,13 +998,13 @@ func replayFramed(r io.ReadSeeker, sink event.Sink, version uint32, size int64, 
 			info.Truncated = false
 			info.EventsRecovered = replayed
 			info.BytesDropped = uint64(size - offset)
-			return sym, replayed, info, nil
+			return symtab(), replayed, info, nil
 		}
-		return sym, replayed, nil, fmt.Errorf("%w: %d trailing bytes after end frame", ErrCorrupt, size-offset)
+		return symtab(), replayed, nil, fmt.Errorf("%w: %d trailing bytes after end frame", ErrCorrupt, size-offset)
 	}
 	info.Truncated = false
 	info.EventsRecovered = replayed
-	return sym, replayed, info, nil
+	return symtab(), replayed, info, nil
 }
 
 // replayV1 reads the legacy trailer-based format. Strict mode is the

@@ -26,7 +26,7 @@ func TestRoundTripEmpty(t *testing.T) {
 	if err := w.Close(event.NewSymtab()); err != nil {
 		t.Fatal(err)
 	}
-	var c event.Counter
+	var c tally
 	sym, n, err := replayBytes(t, buf.Bytes(), &c)
 	if err != nil {
 		t.Fatal(err)

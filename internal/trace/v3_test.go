@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
@@ -105,7 +106,7 @@ func TestV3RoundTrip(t *testing.T) {
 
 func TestV3EmptyTrace(t *testing.T) {
 	data := writeV3(t, nil, event.NewSymtab(), 0, true)
-	var c event.Counter
+	var c tally
 	sym, n, err := Replay(bytes.NewReader(data), &c)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +149,7 @@ func TestV3IncompressibleStaysRaw(t *testing.T) {
 	}
 	data := writeV3(t, evs, nil, 1, true)
 	var st Stats
-	var c event.Counter
+	var c tally
 	if _, _, err := ReplayWith(bytes.NewReader(data), &c, ReadOptions{Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +388,7 @@ func TestV3Stats(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			data := writeV3(t, evs, nil, 0, tc.compress)
 			var st Stats
-			var c event.Counter
+			var c tally
 			_, n, err := ReplayWith(bytes.NewReader(data), &c, ReadOptions{Stats: &st})
 			if err != nil {
 				t.Fatal(err)
@@ -414,15 +415,23 @@ func TestV3Stats(t *testing.T) {
 
 // TestWriterEmitAllocs is the encode-path counterpart of
 // TestReplayFrameDecodeAllocs: emitting 64x more event frames may not
-// cost more allocations than a short run, proving the batch, columnar
-// and compression scratch buffers are reused across frames.
+// cost more allocations than a short run, proving the batch, columnar,
+// compression and symtab-checkpoint scratch buffers are reused across
+// frames.
 func TestWriterEmitAllocs(t *testing.T) {
 	evs := v3TestEvents(DefaultBatchRecords)
-	measure := func(opts WriterOptions, frames int) float64 {
+	sym := event.NewSymtab()
+	for i := 0; i < 200; i++ {
+		sym.Intern(fmt.Sprintf("fn%03d", i))
+	}
+	measure := func(opts WriterOptions, withSym bool, frames int) float64 {
 		return testing.AllocsPerRun(10, func() {
 			w, err := NewWriterWith(io.Discard, opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if withSym {
+				w.SetSymtab(sym) // a checkpoint after every frame
 			}
 			for f := 0; f < frames; f++ {
 				for _, e := range evs {
@@ -435,16 +444,19 @@ func TestWriterEmitAllocs(t *testing.T) {
 		})
 	}
 	for _, tc := range []struct {
-		name  string
-		opts  WriterOptions
-		slack float64
+		name    string
+		opts    WriterOptions
+		withSym bool
+		slack   float64
 	}{
-		{"v3", WriterOptions{Version: VersionV3}, 0},
+		{"v3", WriterOptions{Version: VersionV3}, false, 0},
+		{"v3-symtab", WriterOptions{Version: VersionV3}, true, 0},
 		// flate's Reset keeps its state but the stdlib may still grow
 		// internal tables once; allow a few allocs, nothing per frame.
-		{"v3-flate", WriterOptions{Version: VersionV3, Compress: true}, 8},
+		{"v3-flate", WriterOptions{Version: VersionV3, Compress: true}, false, 8},
+		{"v3-flate-symtab", WriterOptions{Version: VersionV3, Compress: true}, true, 8},
 	} {
-		aSmall, aLarge := measure(tc.opts, 2), measure(tc.opts, 128)
+		aSmall, aLarge := measure(tc.opts, tc.withSym, 2), measure(tc.opts, tc.withSym, 128)
 		if aLarge > aSmall+tc.slack {
 			t.Errorf("%s: 128-frame write allocates %.0f, 2-frame allocates %.0f — encode path allocates per frame",
 				tc.name, aLarge, aSmall)
