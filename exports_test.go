@@ -44,14 +44,11 @@ var exportAllowlist = map[string]bool{
 	// replay benchmarks.
 	"trace.Replay": true,
 
-	// The simulated heap behind a process and what tests read off it:
-	// live-object counts in TestAllWorkloadsRunCleanly and
-	// TestTypoLeakLeaksObjects (internal/workloads), live objects and
-	// allocator statistics in TestInstrumentedSemanticsUnchanged
-	// (internal/instrument).
+	// The simulated heap behind a process, which tests read live-object
+	// counts off (TestAllWorkloadsRunCleanly and TestTypoLeakLeaksObjects
+	// in internal/workloads) and subscribe to
+	// (TestInstrumentedSemanticsUnchanged in internal/instrument).
 	"prog.Process.Heap": true,
-	"heap.Sim.Live":     true,
-	"heap.Sim.Stats":    true,
 	// The simulated allocator's realloc, which no workload calls: the
 	// logger's realloc tests (internal/logger logger_test.go) drive
 	// Realloc events through it.

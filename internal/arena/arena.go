@@ -1,6 +1,9 @@
-// Package arena provides Seg, the append-only segmented array behind
-// the per-object arenas of the heap image: the heap graph's adjacency
-// sets and the address table's object records.
+// Package arena provides the storage that heap images and replays keep
+// from one run to the next: Seg, the append-only segmented array behind
+// the per-object arenas of the heap image (the heap graph's adjacency
+// sets and the address table's object records), and the two recyclers
+// every reuse goes through — FreeList for whole per-run values, and
+// SizeClasses for slices recycled by power-of-two capacity.
 //
 // A plain slice grown by append copies every entry each time it
 // doubles and leaves the old backing array to the collector, so a

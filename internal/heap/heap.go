@@ -65,20 +65,6 @@ type object struct {
 	seq   uint64     // allocation sequence number (generation)
 }
 
-// Stats summarizes allocator activity.
-type Stats struct {
-	Allocs     uint64 // total successful allocations
-	Frees      uint64 // total successful frees
-	Reallocs   uint64 // total successful reallocs
-	Stores     uint64
-	Loads      uint64
-	LiveBytes  uint64 // bytes in live objects
-	PeakBytes  uint64 // high-water mark of LiveBytes
-	LiveCount  int    // number of live objects
-	WildStores uint64 // stores to addresses outside any live object
-	WildLoads  uint64
-}
-
 // Sim is the simulated heap. It is not safe for concurrent use; the
 // simulated program is single-threaded, as are the paper's
 // instrumented runs.
@@ -89,7 +75,6 @@ type Sim struct {
 	limit   uint64              // end of address space: Base + 1<<40
 	seq     uint64              // allocation counter
 	sinks   event.Multi
-	stats   Stats
 	site    event.FnID // current allocation-site attribution
 }
 
@@ -158,12 +143,6 @@ func (s *Sim) Alloc(size uint64) (uint64, error) {
 		seq:   s.seq,
 	}
 	s.objects.Insert(base, size, obj)
-	s.stats.Allocs++
-	s.stats.LiveCount++
-	s.stats.LiveBytes += size
-	if s.stats.LiveBytes > s.stats.PeakBytes {
-		s.stats.PeakBytes = s.stats.LiveBytes
-	}
 	s.emit(event.Event{Type: event.Alloc, Fn: s.site, Addr: base, Size: size})
 	return base, nil
 }
@@ -182,9 +161,6 @@ func (s *Sim) Free(addr uint64) error {
 	}
 	s.objects.Remove(addr)
 	s.free[obj.size] = append(s.free[obj.size], addr)
-	s.stats.Frees++
-	s.stats.LiveCount--
-	s.stats.LiveBytes -= obj.size
 	s.emit(event.Event{Type: event.Free, Fn: s.site, Addr: addr, Size: obj.size})
 	return nil
 }
@@ -209,12 +185,10 @@ func (s *Sim) Realloc(addr uint64, newSize uint64) (uint64, error) {
 	// that do not split blocks); the interval map must be re-keyed
 	// so stabbing queries stop matching the abandoned tail.
 	if newSize < obj.size {
-		s.stats.LiveBytes -= obj.size - newSize
 		obj.size = newSize
 		obj.words = obj.words[:newSize/WordSize]
 		s.objects.Remove(addr)
 		s.objects.Insert(addr, newSize, obj)
-		s.stats.Reallocs++
 		s.emit(event.Event{Type: event.Realloc, Fn: s.site, Addr: addr, Value: addr, Size: newSize})
 		return addr, nil
 	}
@@ -234,14 +208,9 @@ func (s *Sim) Realloc(addr uint64, newSize uint64) (uint64, error) {
 	copy(words, obj.words)
 	s.objects.Remove(addr)
 	s.free[obj.size] = append(s.free[obj.size], addr)
-	s.stats.LiveBytes += newSize - obj.size
-	if s.stats.LiveBytes > s.stats.PeakBytes {
-		s.stats.PeakBytes = s.stats.LiveBytes
-	}
 	s.seq++
 	moved := &object{base: base, size: newSize, words: words, site: obj.site, seq: s.seq}
 	s.objects.Insert(base, newSize, moved)
-	s.stats.Reallocs++
 	s.emit(event.Event{Type: event.Realloc, Fn: s.site, Addr: addr, Value: base, Size: newSize})
 	return base, nil
 }
@@ -249,7 +218,7 @@ func (s *Sim) Realloc(addr uint64, newSize uint64) (uint64, error) {
 // Store writes value into the word at addr. Stores to addresses that
 // do not belong to any live object ("wild" stores — e.g. through a
 // dangling pointer after the range was freed and not yet recycled) are
-// tolerated and counted but have no backing storage; the event is still
+// tolerated but have no backing storage; the event is still
 // emitted because the paper's instrumenter observes every write
 // instruction regardless of where it lands.
 func (s *Sim) Store(addr, value uint64) error {
@@ -262,10 +231,7 @@ func (s *Sim) Store(addr, value uint64) error {
 		idx := (addr - obj.base) / WordSize
 		old = obj.words[idx]
 		obj.words[idx] = value
-	} else {
-		s.stats.WildStores++
 	}
-	s.stats.Stores++
 	s.emit(event.Event{Type: event.Store, Fn: s.site, Addr: addr, Value: value, Old: old})
 	return nil
 }
@@ -279,10 +245,7 @@ func (s *Sim) Load(addr uint64) (uint64, error) {
 	var v uint64
 	if obj != nil {
 		v = obj.words[(addr-obj.base)/WordSize]
-	} else {
-		s.stats.WildLoads++
 	}
-	s.stats.Loads++
 	s.emit(event.Event{Type: event.Load, Fn: s.site, Addr: addr, Value: v})
 	return v, nil
 }
@@ -299,11 +262,7 @@ func (s *Sim) containing(addr uint64) *object {
 // Live returns the number of live objects.
 func (s *Sim) Live() int { return s.objects.Len() }
 
-// Stats returns a copy of the allocator statistics.
-func (s *Sim) Stats() Stats { return s.stats }
-
 // String implements fmt.Stringer with a one-line allocator summary.
 func (s *Sim) String() string {
-	return fmt.Sprintf("heap{live=%d bytes=%d peak=%d allocs=%d frees=%d}",
-		s.stats.LiveCount, s.stats.LiveBytes, s.stats.PeakBytes, s.stats.Allocs, s.stats.Frees)
+	return fmt.Sprintf("heap{live=%d}", s.Live())
 }

@@ -16,8 +16,23 @@ func mustAlloc(t *testing.T, s *Sim, size uint64) uint64 {
 	return a
 }
 
+// liveBytes sums the sizes of s's live objects.
+func liveBytes(s *Sim) uint64 {
+	var total uint64
+	s.WalkLive(func(_, size uint64) bool { total += size; return true })
+	return total
+}
+
+// countEvents subscribes a sink to s that tallies its events by type.
+func countEvents(s *Sim) *[event.Leave + 1]int {
+	var n [event.Leave + 1]int
+	s.Subscribe(event.SinkFunc(func(e event.Event) { n[e.Type]++ }))
+	return &n
+}
+
 func TestAllocBasics(t *testing.T) {
 	s := New()
+	n := countEvents(s)
 	a := mustAlloc(t, s, 16)
 	b := mustAlloc(t, s, 16)
 	if a == b {
@@ -29,9 +44,8 @@ func TestAllocBasics(t *testing.T) {
 	if s.Live() != 2 {
 		t.Fatalf("Live = %d, want 2", s.Live())
 	}
-	st := s.Stats()
-	if st.LiveBytes != 32 || st.Allocs != 2 {
-		t.Fatalf("stats = %+v", st)
+	if lb, allocs := liveBytes(s), n[event.Alloc]; lb != 32 || allocs != 2 {
+		t.Fatalf("live bytes %d, alloc events %d; want 32 and 2", lb, allocs)
 	}
 }
 
@@ -125,11 +139,17 @@ func TestWildStoreTolerated(t *testing.T) {
 	if err := s.Free(a); err != nil {
 		t.Fatal(err)
 	}
+	var stores []event.Event
+	s.Subscribe(event.SinkFunc(func(e event.Event) {
+		if e.Type == event.Store {
+			stores = append(stores, e)
+		}
+	}))
 	if err := s.Store(a, 42); err != nil {
 		t.Fatalf("wild store err = %v, want nil", err)
 	}
-	if s.Stats().WildStores != 1 {
-		t.Errorf("WildStores = %d, want 1", s.Stats().WildStores)
+	if len(stores) != 1 || stores[0].Addr != a || stores[0].Value != 42 || stores[0].Old != 0 {
+		t.Errorf("wild store emitted %+v, want one store of 42 at %#x", stores, a)
 	}
 	if v, _ := s.Load(a); v != 0 {
 		t.Errorf("wild load = %d, want 0", v)
@@ -319,12 +339,14 @@ type op struct {
 }
 
 // TestAllocatorInvariants drives random alloc/free/store sequences and
-// checks global invariants: live ranges never overlap, LiveBytes
-// matches the sum of live object sizes, and Live() matches the count.
+// checks global invariants: live ranges never overlap, their sizes sum
+// to the word-rounded sizes the test allocated, and Live() matches the
+// count.
 func TestAllocatorInvariants(t *testing.T) {
 	f := func(ops []op) bool {
 		s := New()
 		var live []uint64
+		var want uint64
 		for _, o := range ops {
 			switch o.Kind % 3 {
 			case 0:
@@ -334,14 +356,17 @@ func TestAllocatorInvariants(t *testing.T) {
 					return false
 				}
 				live = append(live, a)
+				want += roundUp(size)
 			case 1:
 				if len(live) == 0 {
 					continue
 				}
 				i := int(o.Pick) % len(live)
+				size, _ := s.SizeOf(live[i])
 				if err := s.Free(live[i]); err != nil {
 					return false
 				}
+				want -= size
 				live = append(live[:i], live[i+1:]...)
 			case 2:
 				if len(live) == 0 {
@@ -356,7 +381,7 @@ func TestAllocatorInvariants(t *testing.T) {
 		if s.Live() != len(live) {
 			return false
 		}
-		// Live ranges must be disjoint and account for LiveBytes.
+		// Live ranges must be disjoint and account for every live byte.
 		var total uint64
 		prevEnd := uint64(0)
 		okRanges := true
@@ -369,7 +394,7 @@ func TestAllocatorInvariants(t *testing.T) {
 			total += size
 			return true
 		})
-		return okRanges && total == s.Stats().LiveBytes
+		return okRanges && total == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -1,6 +1,6 @@
 package heapgraph
 
-import "math/bits"
+import "heapmd/internal/arena"
 
 // This file implements the small-size-optimized adjacency set used by
 // the vertex arena. The paper's degree metrics live almost entirely at
@@ -13,10 +13,10 @@ import "math/bits"
 // table, and once spilled it stays spilled (no flapping at the
 // boundary).
 //
-// Spill tables come from the graph's spillPool, one free list per
-// power-of-two size class. A removed vertex hands its tables back, and
-// so does Reset for every vertex still live, so hub vertices rebuilt
-// by the next run — or by the next vertex to take the slot — refill
+// Spill tables come from the graph's size-class list
+// (arena.SizeClasses). A removed vertex hands its tables back, and so
+// does Reset for every vertex still live, so hub vertices rebuilt by
+// the next run — or by the next vertex to take the slot — refill
 // storage an earlier one grew instead of allocating it again.
 //
 // Neighbours are named by arena slot, not VertexID: an entry is 8
@@ -33,10 +33,9 @@ import "math/bits"
 // pay for a table.
 const inlineNeighbors = maxTracked
 
-// minSpillShift sizes the smallest spill table: 1<<minSpillShift
-// entries, room for the inlineNeighbors+1 neighbours that spill a set
-// below the load limit.
-const minSpillShift = 4
+// minSpill sizes the smallest spill table: room for the
+// inlineNeighbors+1 neighbours that spill a set below the load limit.
+const minSpill = 16
 
 // neighbor is one (vertex slot, edge multiplicity) pair.
 type neighbor struct {
@@ -48,31 +47,29 @@ type neighbor struct {
 // value is an empty set.
 type adjacency struct {
 	n      int32       // distinct neighbours, inline or spilled
-	spill  *spillTable // non-nil once spilled; inline unused from then on
+	spill  *[]neighbor // a spillTable once spilled; inline unused from then on
 	inline [inlineNeighbors]neighbor
 }
 
-// spillTable is an open-addressed, linearly probed neighbour table.
-// An entry's key is its slot plus one, so a zeroed entry is empty.
-// Deletion shifts the entries behind a hole back, so the table never
-// holds tombstones and a probe stops at the first empty entry.
-type spillTable struct {
-	e     []neighbor // len 1<<(32-shift); slot field holds slot+1
-	shift uint32     // 32 minus the table's log2 size
-}
+// spillTable is an open-addressed, linearly probed neighbour table of
+// a power-of-two size. An entry's slot field holds its slot plus one,
+// so a zeroed entry is empty. Deletion shifts the entries behind a hole
+// back, so the table never holds tombstones and a probe stops at the
+// first empty entry.
+type spillTable []neighbor
 
 // home returns the probe start of slot w: the top bits of w's
-// Fibonacci hash, which spread strided slot numbers as well as dense
-// ones.
-func (t *spillTable) home(w int32) int {
-	return int(uint32(w) * 0x9E3779B9 >> t.shift)
+// Fibonacci hash (its 32-bit product scaled by the table size), which
+// spread strided slot numbers as well as dense ones.
+func (t spillTable) home(w int32) int {
+	return int(uint64(uint32(w)*0x9E3779B9) * uint64(len(t)) >> 32)
 }
 
 // find returns the index of slot w's entry, or -1.
-func (t *spillTable) find(w int32) int {
-	mask := len(t.e) - 1
+func (t spillTable) find(w int32) int {
+	mask := len(t) - 1
 	for i := t.home(w); ; i = (i + 1) & mask {
-		switch t.e[i].slot {
+		switch t[i].slot {
 		case w + 1:
 			return i
 		case 0:
@@ -83,74 +80,41 @@ func (t *spillTable) find(w int32) int {
 
 // put stores a new entry for slot w, which must be absent, at the end
 // of its probe run.
-func (t *spillTable) put(w, mult int32) {
-	mask := len(t.e) - 1
+func (t spillTable) put(w, mult int32) {
+	mask := len(t) - 1
 	i := t.home(w)
-	for t.e[i].slot != 0 {
+	for t[i].slot != 0 {
 		i = (i + 1) & mask
 	}
-	t.e[i] = neighbor{slot: w + 1, mult: mult}
+	t[i] = neighbor{slot: w + 1, mult: mult}
 }
 
 // remove deletes the entry at index i, moving back every later entry
 // of the run whose probe start does not lie between the hole and it.
-func (t *spillTable) remove(i int) {
-	mask := len(t.e) - 1
+func (t spillTable) remove(i int) {
+	mask := len(t) - 1
 	for j := i; ; {
-		t.e[i] = neighbor{}
+		t[i] = neighbor{}
 		for {
 			j = (j + 1) & mask
-			if t.e[j].slot == 0 {
+			if t[j].slot == 0 {
 				return
 			}
 			// The entry at j may fill the hole at i unless its home
 			// lies cyclically in (i, j].
-			if h := t.home(t.e[j].slot - 1); (h-i-1)&mask >= (j-i)&mask {
+			if h := t.home(t[j].slot - 1); (h-i-1)&mask >= (j-i)&mask {
 				break
 			}
 		}
-		t.e[i] = t.e[j]
+		t[i] = t[j]
 		i = j
 	}
 }
 
-// spillPool is the graph's store of spill tables not in use: free[c]
-// holds tables of 1<<(minSpillShift+c) entries, zeroed when taken.
-type spillPool struct {
-	free [][]*spillTable
-	out  int // tables handed out and not yet put back
-}
-
-// get returns an empty table of 1<<(minSpillShift+c) entries.
-func (p *spillPool) get(c int) *spillTable {
-	p.out++
-	if c < len(p.free) {
-		if k := len(p.free[c]); k > 0 {
-			t := p.free[c][k-1]
-			p.free[c][k-1] = nil
-			p.free[c] = p.free[c][:k-1]
-			clear(t.e)
-			return t
-		}
-	}
-	size := 1 << (minSpillShift + c)
-	return &spillTable{e: make([]neighbor, size), shift: uint32(32 - minSpillShift - c)}
-}
-
-// put takes t back for a later get of its size class.
-func (p *spillPool) put(t *spillTable) {
-	p.out--
-	c := bits.Len(uint(len(t.e))) - 1 - minSpillShift
-	for len(p.free) <= c {
-		p.free = append(p.free, nil)
-	}
-	p.free[c] = append(p.free[c], t)
-}
-
 // release empties the set, handing a spill table back to p.
-func (a *adjacency) release(p *spillPool) {
+func (a *adjacency) release(p *arena.SizeClasses[neighbor]) {
 	if a.spill != nil {
-		p.put(a.spill)
+		p.Put(a.spill)
 		a.spill = nil
 	}
 	a.n = 0
@@ -158,9 +122,10 @@ func (a *adjacency) release(p *spillPool) {
 
 // get returns the multiplicity of slot w, or 0.
 func (a *adjacency) get(w int32) int32 {
-	if t := a.spill; t != nil {
+	if a.spill != nil {
+		t := spillTable(*a.spill)
 		if i := t.find(w); i >= 0 {
-			return t.e[i].mult
+			return t[i].mult
 		}
 		return 0
 	}
@@ -175,17 +140,18 @@ func (a *adjacency) get(w int32) int32 {
 // inc adds one unit of multiplicity for slot w, returning the new
 // multiplicity. A new neighbour that outgrows the set's storage takes
 // a larger table from p.
-func (a *adjacency) inc(w int32, p *spillPool) int32 {
-	if t := a.spill; t != nil {
+func (a *adjacency) inc(w int32, p *arena.SizeClasses[neighbor]) int32 {
+	if a.spill != nil {
+		t := spillTable(*a.spill)
 		if i := t.find(w); i >= 0 {
-			t.e[i].mult++
-			return t.e[i].mult
+			t[i].mult++
+			return t[i].mult
 		}
 		// Keep the load at most 2/3, so probe runs stay short.
-		if 3*(int(a.n)+1) > 2*len(t.e) {
+		if 3*(int(a.n)+1) > 2*len(t) {
 			a.grow(p)
 		}
-		a.spill.put(w, 1)
+		spillTable(*a.spill).put(w, 1)
 		a.n++
 		return 1
 	}
@@ -202,45 +168,46 @@ func (a *adjacency) inc(w int32, p *spillPool) int32 {
 	}
 	// Distinct neighbour number inlineNeighbors+1: spill the inline
 	// entries to a table.
-	t := p.get(0)
+	a.spill = p.Get(minSpill)
+	t := spillTable(*a.spill)
 	for _, e := range a.inline {
 		t.put(e.slot, e.mult)
 	}
 	t.put(w, 1)
-	a.spill = t
 	a.n++
 	return 1
 }
 
 // grow moves the spilled entries into a table of the next size class
 // and hands the old one back to p.
-func (a *adjacency) grow(p *spillPool) {
+func (a *adjacency) grow(p *arena.SizeClasses[neighbor]) {
 	old := a.spill
-	t := p.get(bits.Len(uint(len(old.e))) - minSpillShift)
-	for _, e := range old.e {
+	a.spill = p.Get(2 * len(*old))
+	t := spillTable(*a.spill)
+	for _, e := range *old {
 		if e.slot != 0 {
 			t.put(e.slot-1, e.mult)
 		}
 	}
-	p.put(old)
-	a.spill = t
+	p.Put(old)
 }
 
 // dec removes one unit of multiplicity for slot w, returning the new
 // multiplicity. The caller must know the entry is present (checked via
 // get); a multiplicity reaching zero removes the entry.
 func (a *adjacency) dec(w int32) int32 {
-	if t := a.spill; t != nil {
+	if a.spill != nil {
+		t := spillTable(*a.spill)
 		i := t.find(w)
 		if i < 0 {
 			return 0
 		}
-		m := t.e[i].mult - 1
+		m := t[i].mult - 1
 		if m == 0 {
 			t.remove(i)
 			a.n--
 		} else {
-			t.e[i].mult = m
+			t[i].mult = m
 		}
 		return m
 	}
@@ -261,7 +228,8 @@ func (a *adjacency) dec(w int32) int32 {
 // drop removes slot w entirely, regardless of multiplicity (vertex
 // removal detaches whole edges, not single units).
 func (a *adjacency) drop(w int32) {
-	if t := a.spill; t != nil {
+	if a.spill != nil {
+		t := spillTable(*a.spill)
 		if i := t.find(w); i >= 0 {
 			t.remove(i)
 			a.n--
@@ -286,8 +254,8 @@ func (a *adjacency) distinct() int { return int(a.n) }
 // set (mutating other vertices' sets is fine — vertex removal relies
 // on it).
 func (a *adjacency) each(fn func(w, mult int32) bool) {
-	if t := a.spill; t != nil {
-		for _, e := range t.e {
+	if a.spill != nil {
+		for _, e := range *a.spill {
 			if e.slot != 0 && !fn(e.slot-1, e.mult) {
 				return
 			}

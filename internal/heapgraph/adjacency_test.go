@@ -3,6 +3,8 @@ package heapgraph
 import (
 	"encoding/binary"
 	"testing"
+
+	"heapmd/internal/arena"
 )
 
 // spillSlots bounds the slots a spill program names, so single-slot
@@ -17,7 +19,7 @@ const spillSlots = 1 << 13
 // 1+operand/spillSlots, so a program crosses the inline threshold in
 // both directions and reaches thousands of neighbours in a few steps.
 func spillProgram(t *testing.T, data []byte) {
-	var pool spillPool
+	var pool arena.SizeClasses[neighbor]
 	var sets [2]adjacency
 	refs := [2]map[int32]int32{{}, {}}
 	check := func(k int) {
@@ -42,8 +44,8 @@ func spillProgram(t *testing.T, data []byte) {
 				t.Fatalf("set %d: get(%d) = %d, oracle %d", k, w, got, m)
 			}
 		}
-		if s := a.spill; s != nil && 3*int(a.n) > 2*len(s.e) {
-			t.Fatalf("set %d: %d entries in a table of %d", k, a.n, len(s.e))
+		if s := a.spill; s != nil && 3*int(a.n) > 2*len(*s) {
+			t.Fatalf("set %d: %d entries in a table of %d", k, a.n, len(*s))
 		}
 		out := 0
 		for i := range sets {
@@ -51,8 +53,8 @@ func spillProgram(t *testing.T, data []byte) {
 				out++
 			}
 		}
-		if out != pool.out {
-			t.Fatalf("pool lent %d tables, sets hold %d", pool.out, out)
+		if out != pool.Out() {
+			t.Fatalf("pool lent %d tables, sets hold %d", pool.Out(), out)
 		}
 	}
 	for ; len(data) >= 3; data = data[3:] {

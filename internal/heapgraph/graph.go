@@ -102,7 +102,7 @@ type Graph struct {
 
 	// spills holds the spill tables of sets that no longer need them,
 	// for the next set that spills (adjacency.go).
-	spills spillPool
+	spills arena.SizeClasses[neighbor]
 
 	// Degree histograms: inHist[d] (outHist[d]) counts the vertices
 	// with indegree (outdegree) d, the last bucket every degree above
@@ -134,14 +134,14 @@ func New() *Graph {
 
 // Reset empties the graph for reuse as if it were new, keeping the
 // storage it has grown: the vertex arena is truncated, the live
-// vertices' spill tables go back to the spill pool, the adjacency
+// vertices' spill tables go back to the size-class list, the adjacency
 // arenas reset (arena.Seg.Reset), and the trackers turned off with
 // their slices kept for the next TrackConnectivity or TrackSCC. The
 // search scratch stays as it is: its marks are stamped with an epoch
 // that only ever advances. Handles taken before Reset must not be used
 // after it.
 func (g *Graph) Reset() {
-	for s := int32(0); g.spills.out > 0 && s < int32(len(g.gen)); s++ {
+	for s := int32(0); g.spills.Out() > 0 && s < int32(len(g.gen)); s++ {
 		if g.live(int(s)) {
 			g.outAdj.At(s).release(&g.spills)
 			g.inAdj.At(s).release(&g.spills)

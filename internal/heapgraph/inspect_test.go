@@ -149,7 +149,7 @@ func (g *Graph) CheckInvariants() string {
 			}
 		}
 	}
-	if spilled != g.spills.out {
+	if spilled != g.spills.Out() {
 		return "spill pool accounting mismatch"
 	}
 	// Symmetry: u's out-multiplicity to v must equal v's

@@ -8,10 +8,3 @@ func NewUnpooled(opts Options) *Logger {
 	l.reset(opts)
 	return l
 }
-
-// ReleasedLen returns how many released loggers wait for New.
-func ReleasedLen() int {
-	released.Lock()
-	defer released.Unlock()
-	return len(released.free)
-}

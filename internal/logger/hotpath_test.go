@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"heapmd/internal/event"
-	"heapmd/internal/metrics"
 )
 
 // TestStoreHotPathAllocs is the allocation budget for the per-event
@@ -122,17 +121,31 @@ func TestWordTablesRecycled(t *testing.T) {
 		run = append(run, event.Event{Type: event.Free, Addr: addr(i + 1)})
 		run = append(run, event.Event{Type: event.Free, Addr: addr(i + 2)})
 	}
-	opts := Options{Frequency: 1 << 62, Suite: metrics.DefaultSuite()}
+	opts := Options{Frequency: 1 << 62}
 	l := NewUnpooled(opts)
 	replay := func() {
 		l.reset(opts)
 		l.EmitBatch(run)
 	}
 	replay()
-	if l.words.out == 0 {
+	if l.words.Out() == 0 {
 		t.Fatal("no object reached the words tier")
 	}
 	if allocs := testing.AllocsPerRun(5, replay); allocs != 0 {
 		t.Errorf("a run on a reset logger allocated %.0f times, want 0", allocs)
+	}
+}
+
+// TestWarmNewAllocatesNothing: once a logger waits in the released
+// list, taking it with default options and handing it back allocates
+// nothing — the reset keeps every layer's storage and the default
+// suite is shared.
+func TestWarmNewAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	New(Options{}).Release()
+	if allocs := testing.AllocsPerRun(10, func() { New(Options{}).Release() }); allocs != 0 {
+		t.Errorf("a warm New plus Release allocated %.0f times, want 0", allocs)
 	}
 }

@@ -22,11 +22,10 @@ package logger
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"heapmd/internal/addrindex"
+	"heapmd/internal/arena"
 	"heapmd/internal/callstack"
 	"heapmd/internal/event"
 	"heapmd/internal/health"
@@ -178,7 +177,7 @@ type Logger struct {
 	health health.Counters
 
 	// words recycles the words tiers of the objects' slot tables.
-	words wordPool
+	words arena.SizeClasses[heapgraph.VertexID]
 
 	snaps     []metrics.Snapshot
 	observers []SampleObserver
@@ -188,27 +187,8 @@ type Logger struct {
 	version int
 }
 
-// released holds loggers handed back by Release for New to reuse, at
-// most GOMAXPROCS of them: as many as a process running one logger per
-// CPU uses at once. New takes the most recently released one, and drops
-// any left in the list while 2×GOMAXPROCS New calls took others, so a
-// process that has gone back to one logger at a time does not keep the
-// idle images of its concurrent phase alive. It is a plain list, not a
-// sync.Pool: a sync.Pool empties over two garbage collections and hides
-// the last object a P put from the other Ps, so whether a run reused a
-// heap image or rebuilt one from nothing would hang on GC and scheduler
-// timing.
-var released struct {
-	sync.Mutex
-	free []idle // oldest first
-	news uint64 // New calls so far
-}
-
-// idle is a released logger and the New count when it was released.
-type idle struct {
-	l  *Logger
-	at uint64
-}
+// released holds loggers handed back by Release for New to reuse.
+var released arena.FreeList[Logger]
 
 // emptyLogger builds a logger no run has used.
 func emptyLogger() *Logger {
@@ -225,20 +205,7 @@ func emptyLogger() *Logger {
 // the storage an earlier run grew, and the result behaves exactly like
 // a logger built from nothing.
 func New(opts Options) *Logger {
-	var l *Logger
-	released.Lock()
-	released.news++
-	free := released.free
-	if n := len(free); n > 0 {
-		l, free[n-1] = free[n-1].l, idle{}
-		free = free[:n-1]
-	}
-	for len(free) > 0 && released.news-free[0].at >= 2*uint64(runtime.GOMAXPROCS(0)) {
-		free[0] = idle{}
-		free = free[1:]
-	}
-	released.free = free
-	released.Unlock()
+	l := released.Get()
 	if l == nil {
 		l = emptyLogger()
 	}
@@ -255,7 +222,7 @@ func (l *Logger) reset(opts Options) {
 		opts.Suite = metrics.DefaultSuite()
 	}
 	l.graph.Reset()
-	if l.words.out > 0 {
+	if l.words.Out() > 0 {
 		l.objects.Values(func(info *objInfo) { info.slots.release(&l.words) })
 	}
 	l.objects.Reset()
@@ -288,11 +255,7 @@ func (l *Logger) reset(opts Options) {
 // the snapshots, so pooling it keeps none of them alive.
 func (l *Logger) Release() {
 	*l = Logger{graph: l.graph, objects: l.objects, stack: l.stack, freed: l.freed, words: l.words}
-	released.Lock()
-	if len(released.free) < runtime.GOMAXPROCS(0) {
-		released.free = append(released.free, idle{l, released.news})
-	}
-	released.Unlock()
+	released.Put(l)
 }
 
 // SetRun records identifying metadata copied into the Report.

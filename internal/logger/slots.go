@@ -1,8 +1,7 @@
 package logger
 
 import (
-	"math/bits"
-
+	"heapmd/internal/arena"
 	"heapmd/internal/heapgraph"
 )
 
@@ -21,8 +20,11 @@ import (
 //     maxWordBytes whose slots are all word-aligned — one direct index
 //     per lookup, ceil(size/8) entries, VertexID 0 meaning "no
 //     pointer here" (no vertex handle is 0). The slices come from the
-//     logger's wordPool and go back to it when the object is freed,
-//     leaves the tier, or outlives its run (Logger.reset).
+//     logger's size-class list (arena.SizeClasses: objects are freed
+//     and rebuilt run after run in the same shapes, so the next object,
+//     or the next run, refills the slices an earlier one grew) and go
+//     back to it when the object is freed, leaves the tier, or
+//     outlives its run (Logger.reset).
 //   - spill: an offset-keyed map, the fully general fallback for huge
 //     objects and the unaligned stores only damaged raw traces
 //     produce.
@@ -35,7 +37,7 @@ import (
 type slotTable struct {
 	n      int32 // inline entries in use; 0 once promoted
 	inline [inlineSlots]slotEntry
-	words  []heapgraph.VertexID
+	words  *[]heapgraph.VertexID
 	spill  map[uint64]heapgraph.VertexID
 }
 
@@ -61,9 +63,9 @@ func (t *slotTable) get(off uint64) (heapgraph.VertexID, bool) {
 		return v, ok
 	}
 	if t.words != nil {
-		if off%8 == 0 {
-			if i := off / 8; i < uint64(len(t.words)) && t.words[i] != 0 {
-				return t.words[i], true
+		if w := *t.words; off%8 == 0 {
+			if i := off / 8; i < uint64(len(w)) && w[i] != 0 {
+				return w[i], true
 			}
 		}
 		return 0, false
@@ -80,14 +82,14 @@ func (t *slotTable) get(off uint64) (heapgraph.VertexID, bool) {
 // consulted when the inline tier overflows to pick the next tier, which
 // takes its words from p. target must be non-zero, as every vertex
 // handle is.
-func (t *slotTable) set(off uint64, target heapgraph.VertexID, size uint64, p *wordPool) {
+func (t *slotTable) set(off uint64, target heapgraph.VertexID, size uint64, p *arena.SizeClasses[heapgraph.VertexID]) {
 	if t.spill != nil {
 		t.spill[off] = target
 		return
 	}
 	if t.words != nil {
-		if off%8 == 0 && off/8 < uint64(len(t.words)) {
-			t.words[off/8] = target
+		if w := *t.words; off%8 == 0 && off/8 < uint64(len(w)) {
+			w[off/8] = target
 			return
 		}
 		// An unaligned (or out-of-bounds) slot in word mode: only
@@ -110,12 +112,13 @@ func (t *slotTable) set(off uint64, target heapgraph.VertexID, size uint64, p *w
 	// Inline tier full: promote. Word-aligned slots in a modest object
 	// go to the direct-indexed slice; everything else to the map.
 	if size <= maxWordBytes && off%8 == 0 && t.inlineAligned() {
-		t.words = p.get(int((size + 7) / 8))
+		t.words = p.Get(int((size + 7) / 8))
+		w := *t.words
 		for i := int32(0); i < t.n; i++ {
-			t.words[t.inline[i].off/8] = t.inline[i].target
+			w[t.inline[i].off/8] = t.inline[i].target
 		}
 		t.n = 0
-		t.words[off/8] = target
+		w[off/8] = target
 		return
 	}
 	m := make(map[uint64]heapgraph.VertexID, 2*inlineSlots)
@@ -140,23 +143,23 @@ func (t *slotTable) inlineAligned() bool {
 
 // demote converts the words tier to the spill map, handing the words
 // back to p.
-func (t *slotTable) demote(p *wordPool) {
+func (t *slotTable) demote(p *arena.SizeClasses[heapgraph.VertexID]) {
 	m := make(map[uint64]heapgraph.VertexID, 2*inlineSlots)
-	for i, v := range t.words {
+	for i, v := range *t.words {
 		if v != 0 {
 			m[uint64(i)*8] = v
 		}
 	}
-	p.put(t.words)
+	p.Put(t.words)
 	t.words = nil
 	t.spill = m
 }
 
 // release hands the words tier, if any, back to p and leaves the
 // table without one; the object the table belongs to is gone.
-func (t *slotTable) release(p *wordPool) {
+func (t *slotTable) release(p *arena.SizeClasses[heapgraph.VertexID]) {
 	if t.words != nil {
-		p.put(t.words)
+		p.Put(t.words)
 		t.words = nil
 	}
 }
@@ -168,8 +171,8 @@ func (t *slotTable) del(off uint64) {
 		return
 	}
 	if t.words != nil {
-		if off%8 == 0 && off/8 < uint64(len(t.words)) {
-			t.words[off/8] = 0
+		if w := *t.words; off%8 == 0 && off/8 < uint64(len(w)) {
+			w[off/8] = 0
 		}
 		return
 	}
@@ -186,7 +189,7 @@ func (t *slotTable) del(off uint64) {
 // non-nil) for each removed entry, and re-bounds the words tier to the
 // new size, trading its words through p when they no longer fit.
 // Realloc calls this: offset keys make it the whole of slot rebasing.
-func (t *slotTable) resize(newSize uint64, drop func(off uint64, target heapgraph.VertexID), p *wordPool) {
+func (t *slotTable) resize(newSize uint64, drop func(off uint64, target heapgraph.VertexID), p *arena.SizeClasses[heapgraph.VertexID]) {
 	switch {
 	case t.spill != nil:
 		for off, target := range t.spill {
@@ -198,12 +201,13 @@ func (t *slotTable) resize(newSize uint64, drop func(off uint64, target heapgrap
 			}
 		}
 	case t.words != nil:
-		for i := range t.words {
-			if off := uint64(i) * 8; off >= newSize && t.words[i] != 0 {
+		w := *t.words
+		for i := range w {
+			if off := uint64(i) * 8; off >= newSize && w[i] != 0 {
 				if drop != nil {
-					drop(off, t.words[i])
+					drop(off, w[i])
 				}
-				t.words[i] = 0
+				w[i] = 0
 			}
 		}
 		if newSize > maxWordBytes {
@@ -212,18 +216,15 @@ func (t *slotTable) resize(newSize uint64, drop func(off uint64, target heapgrap
 		}
 		newWords := (newSize + 7) / 8
 		switch {
-		case uint64(len(t.words)) > newWords:
-			t.words = t.words[:newWords]
-		case uint64(cap(t.words)) >= newWords:
-			old := len(t.words)
-			t.words = t.words[:newWords]
-			for i := old; i < len(t.words); i++ {
-				t.words[i] = 0 // a prior shrink may have left stale entries in the cap region
-			}
+		case uint64(len(w)) > newWords:
+			*t.words = w[:newWords]
+		case uint64(cap(w)) >= newWords:
+			*t.words = w[:newWords]
+			clear(w[len(w):newWords]) // a prior shrink may have left stale entries in the cap region
 		default:
-			grown := p.get(int(newWords))
-			copy(grown, t.words)
-			p.put(t.words)
+			grown := p.Get(int(newWords))
+			copy(*grown, w)
+			p.Put(t.words)
 			t.words = grown
 		}
 	default:
@@ -239,45 +240,4 @@ func (t *slotTable) resize(newSize uint64, drop func(off uint64, target heapgrap
 			i++
 		}
 	}
-}
-
-// minWordShift sizes the smallest words slice: 1<<minWordShift
-// entries, enough for the inlineSlots+1 pointers that promote a table.
-const minWordShift = 3
-
-// wordPool is the logger's store of words-tier slices not in use:
-// free[c] holds slices of capacity 1<<(minWordShift+c). Objects are
-// allocated, freed and rebuilt run after run with the same shapes, so
-// recycling by power-of-two capacity lets the next object, or the next
-// run, refill the slices an earlier one grew instead of allocating
-// them again.
-type wordPool struct {
-	free [][][]heapgraph.VertexID
-	out  int // slices handed out and not yet put back
-}
-
-// get returns a zeroed slice of n words.
-func (p *wordPool) get(n int) []heapgraph.VertexID {
-	p.out++
-	c := max(bits.Len(uint(n-1))-minWordShift, 0)
-	if c < len(p.free) {
-		if k := len(p.free[c]); k > 0 {
-			w := p.free[c][k-1][:n]
-			p.free[c][k-1] = nil
-			p.free[c] = p.free[c][:k-1]
-			clear(w)
-			return w
-		}
-	}
-	return make([]heapgraph.VertexID, n, 1<<(minWordShift+c))
-}
-
-// put takes w, a slice from get, back for a later get.
-func (p *wordPool) put(w []heapgraph.VertexID) {
-	p.out--
-	c := bits.Len(uint(cap(w))) - 1 - minWordShift
-	for len(p.free) <= c {
-		p.free = append(p.free, nil)
-	}
-	p.free[c] = append(p.free[c], w)
 }

@@ -109,16 +109,19 @@ func NewSuite(ids ...ID) Suite {
 	return Suite{ids: out}
 }
 
+// The two standard suites are built once and shared: a suite's IDs are
+// read-only, so every logger reset that takes a default costs nothing.
+var (
+	defaultSuite  = NewSuite(Roots, InDeg1, InDeg2, Leaves, OutDeg1, OutDeg2, InEqOut)
+	extendedSuite = NewSuite(Roots, InDeg1, InDeg2, Leaves, OutDeg1, OutDeg2, InEqOut, Components, SCCs)
+)
+
 // DefaultSuite returns the paper's seven degree-based metrics.
-func DefaultSuite() Suite {
-	return NewSuite(Roots, InDeg1, InDeg2, Leaves, OutDeg1, OutDeg2, InEqOut)
-}
+func DefaultSuite() Suite { return defaultSuite }
 
 // ExtendedSuite returns the default suite plus the structure
 // extension metrics.
-func ExtendedSuite() Suite {
-	return NewSuite(Roots, InDeg1, InDeg2, Leaves, OutDeg1, OutDeg2, InEqOut, Components, SCCs)
-}
+func ExtendedSuite() Suite { return extendedSuite }
 
 // IDs returns the suite's metric IDs in evaluation order. The caller
 // must not modify the returned slice.

@@ -16,6 +16,10 @@
 //	resequencer  the consumer (replayFramed's loop) reorders decoded
 //	             frames by sequence number and feeds the sink
 //
+// The stages run on a replay's decodeState (trace.go): its frame
+// buffers, decoders, channels and ring are recycled across replays, so
+// a warm replay starts the pipeline without allocating them.
+//
 // Ownership and ordering invariants:
 //
 //   - A frameBuf is owned by exactly one stage at a time and travels
@@ -39,69 +43,46 @@
 //     cleanly.
 //   - Exactly one terminal message reaches the consumer: a scan error
 //     or the end frame (the scanner stops after dispatching it). The
-//     consumer may stop earlier — on the first bad frame — and then
-//     halt() closes the stop channel; every stage's channel operation
-//     selects on stop, so all goroutines exit promptly and halt()
-//     can wait for them (a scanner mid-read finishes that one read
-//     first, so the caller may close the file after replay returns).
+//     consumer may stop earlier — on the first bad frame. Either way
+//     halt() closes the replay's stop channel; every stage's channel
+//     operation selects on stop, so all goroutines exit promptly and
+//     halt() can wait for them (a scanner mid-read finishes that one
+//     read first, so the caller may close the file after replay
+//     returns). No stage closes a data channel: halt() drains them
+//     instead, so the next replay reuses them empty.
 package trace
 
-import (
-	"io"
-	"sync"
-	"sync/atomic"
-)
-
-// decodePipeline wires the stages together. The consumer drives it
-// through next/release and must call halt when done (normally or not).
-type decodePipeline struct {
-	free    chan *frameBuf
-	work    chan scanJob
-	results chan frameMsg
-	stop    chan struct{}
-	wg      sync.WaitGroup
-
-	depth   int
-	bufs    []*frameBuf // every buffer in flight, put back by halt
-	ring    []frameMsg
-	have    []bool
-	nextSeq uint64
-
-	scannerStalls atomic.Uint64
-	stats         *Stats
-}
-
-// newDecodePipeline starts the scanner and workers ≥ 1 decode workers
-// over the framed region of a v2/v3 trace. With one worker the scanner
-// reads ahead while the worker decodes frame N+1 and the sink consumes
-// frame N.
-func newDecodePipeline(r io.Reader, version uint32, size int64, workers int, stats *Stats) *decodePipeline {
+// start starts the scanner and s.workers ≥ 1 decode workers over the
+// framed region s.fr reads. With one worker the scanner reads ahead
+// while the worker decodes frame N+1 and the sink consumes frame N.
+func (s *decodeState) start() {
 	// Depth bounds both memory (each in-flight frame owns a frameBuf)
 	// and how far the scanner runs ahead: enough for every worker to
 	// be busy while the resequencer holds a full window and the
-	// scanner keeps one frame in hand.
-	depth := 2*workers + 2
-	p := &decodePipeline{
-		free:    make(chan *frameBuf, depth),
-		work:    make(chan scanJob, depth),
-		results: make(chan frameMsg, depth),
-		stop:    make(chan struct{}),
-		depth:   depth,
-		ring:    make([]frameMsg, depth),
-		have:    make([]bool, depth),
-		stats:   stats,
+	// scanner keeps one frame in hand. The channels and ring keep the
+	// largest depth the state has served; a smaller one uses a prefix.
+	s.depth = 2*s.workers + 2
+	for len(s.bufs) < s.depth {
+		s.bufs = append(s.bufs, new(frameBuf))
 	}
-	p.bufs = make([]*frameBuf, depth)
-	for i := range p.bufs {
-		p.bufs[i] = getFrameBuf()
-		p.free <- p.bufs[i]
+	if cap(s.free) < s.depth {
+		s.free = make(chan *frameBuf, s.depth)
+		s.work = make(chan scanJob, s.depth)
+		s.results = make(chan frameMsg, s.depth)
+		s.ring = make([]frameMsg, s.depth)
+		s.have = make([]bool, s.depth)
 	}
-	p.wg.Add(1 + workers)
-	go p.scan(newFrameReader(r, size))
-	for i := 0; i < workers; i++ {
-		go p.worker(version)
+	for _, b := range s.bufs[:s.depth] {
+		s.free <- b
 	}
-	return p
+	s.nextSeq = 0
+	s.scannerStalls.Store(0)
+	s.stop = make(chan struct{})
+	s.wg.Add(1 + s.workers)
+	go s.scan()
+	for _, d := range s.decs[:s.workers] {
+		go s.worker(d)
+	}
 }
 
 // scan walks frame envelopes and fans whole frames to the workers.
@@ -109,28 +90,26 @@ func newDecodePipeline(r io.Reader, version uint32, size int64, workers int, sta
 // bound — CRC and payload structure are the workers' job. A frame with
 // an envelope error is dispatched like any other (decodeJob passes the
 // error through) and ends the scan.
-func (p *decodePipeline) scan(fr *frameReader) {
-	defer p.wg.Done()
-	defer close(p.work)
-	defer fr.release()
+func (s *decodeState) scan() {
+	defer s.wg.Done()
 	for {
 		var buf *frameBuf
 		select {
-		case buf = <-p.free:
+		case buf = <-s.free:
 		default:
 			// A frame is ready to scan but every buffer is downstream:
 			// decode or the sink is the bottleneck.
-			p.scannerStalls.Add(1)
+			s.scannerStalls.Add(1)
 			select {
-			case buf = <-p.free:
-			case <-p.stop:
+			case buf = <-s.free:
+			case <-s.stop:
 				return
 			}
 		}
-		job := fr.readFrame(buf)
+		job := s.fr.readFrame(buf)
 		select {
-		case p.work <- job:
-		case <-p.stop:
+		case s.work <- job:
+		case <-s.stop:
 			return
 		}
 		if job.err != nil || job.kind == frameEnd {
@@ -142,67 +121,68 @@ func (p *decodePipeline) scan(fr *frameReader) {
 	}
 }
 
-// worker CRC-checks and decodes scanned frames. Each worker owns one
-// recycled payloadDecoder, so inflate state and decompression scratch
-// are O(workers), reused across all frames the worker touches and,
-// through the decoder list, across replays.
-func (p *decodePipeline) worker(version uint32) {
-	defer p.wg.Done()
-	dec := getDecoder(version)
-	defer putDecoder(dec)
-	for job := range p.work {
+// worker CRC-checks and decodes scanned frames with dec, its own
+// payloadDecoder, so inflate state and decompression scratch are
+// O(workers) and reused across all frames the worker touches and,
+// through the state, across replays.
+func (s *decodeState) worker(dec *payloadDecoder) {
+	defer s.wg.Done()
+	for {
 		select {
-		case p.results <- dec.decodeJob(job):
-		case <-p.stop:
+		case job := <-s.work:
+			select {
+			case s.results <- dec.decodeJob(job):
+			case <-s.stop:
+				return
+			}
+		case <-s.stop:
 			return
 		}
 	}
 }
 
-// next returns the frame with the next sequence number, buffering
-// out-of-order arrivals in the ring.
-func (p *decodePipeline) next() frameMsg {
-	slot := p.nextSeq % uint64(p.depth)
-	for !p.have[slot] {
-		m := <-p.results
-		if m.seq != p.nextSeq && p.stats != nil {
+// resequence returns the frame with the next sequence number,
+// buffering out-of-order arrivals in the ring.
+func (s *decodeState) resequence() frameMsg {
+	slot := s.nextSeq % uint64(s.depth)
+	for !s.have[slot] {
+		m := <-s.results
+		if m.seq != s.nextSeq && s.stats != nil {
 			// Arrived ahead of an earlier frame still being decoded:
 			// worker skew is gating in-order delivery.
-			p.stats.ResequencerStalls++
+			s.stats.ResequencerStalls++
 		}
-		s := m.seq % uint64(p.depth)
-		p.ring[s] = m
-		p.have[s] = true
+		k := m.seq % uint64(s.depth)
+		s.ring[k] = m
+		s.have[k] = true
 	}
-	m := p.ring[slot]
-	p.ring[slot] = frameMsg{}
-	p.have[slot] = false
-	p.nextSeq++
+	m := s.ring[slot]
+	s.ring[slot] = frameMsg{}
+	s.have[slot] = false
+	s.nextSeq++
 	return m
 }
 
-// release returns a frameBuf to the scanner.
-func (p *decodePipeline) release(b *frameBuf) {
-	if b == nil {
-		return
-	}
-	select {
-	case p.free <- b:
-	case <-p.stop:
-	}
-}
-
 // halt tears the pipeline down and waits for every stage to exit,
-// then puts the frame buffers back and folds the scanner's stall count
-// into Stats. Safe to call on any consumer exit path, clean or
-// corrupt, once the consumer is done with the last frame's events.
-func (p *decodePipeline) halt() {
-	close(p.stop)
-	p.wg.Wait()
-	for _, b := range p.bufs {
-		putFrameBuf(b)
+// then empties the channels and the ring for the next replay and folds
+// the scanner's stall count into Stats. Safe to call on any consumer
+// exit path, clean or corrupt, once the consumer is done with the last
+// frame's events.
+func (s *decodeState) halt() {
+	close(s.stop)
+	s.wg.Wait()
+	for len(s.free) > 0 {
+		<-s.free
 	}
-	if p.stats != nil {
-		p.stats.ScannerStalls = p.scannerStalls.Load()
+	for len(s.work) > 0 {
+		<-s.work
+	}
+	for len(s.results) > 0 {
+		<-s.results
+	}
+	clear(s.ring)
+	clear(s.have)
+	if s.stats != nil {
+		s.stats.ScannerStalls = s.scannerStalls.Load()
 	}
 }

@@ -69,7 +69,9 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
+	"heapmd/internal/arena"
 	"heapmd/internal/event"
 )
 
@@ -576,123 +578,95 @@ type frameBuf struct {
 	events  event.Batch
 }
 
-// Decode state is recycled across replays, not only across frames: a
-// full frame decodes into DefaultBatchRecords events (160 KiB) and a
-// compressed one through about 200 KiB of inflate scratch, which every
-// replay would otherwise allocate afresh for each frameBuf and
-// payloadDecoder it uses. A replay takes what it needs from these
-// lists and returns all of it once no stage can touch it any more.
-//
-// They are plain capped lists, not sync.Pools: a sync.Pool empties
-// over two garbage collections, so whether a replay reused its decode
-// state or rebuilt it would hang on GC timing. Each list keeps at most
-// what GOMAXPROCS replays at DefaultDecodeWorkers hold at once (see
-// decodeHold), so what it retains is bounded by the peak a process
-// reached, never by how many replays it ran.
-var (
-	frameBufs   freeList[frameBuf]
-	decoders    freeList[payloadDecoder]
-	readers     freeList[bufio.Reader]
-	checkpoints freeList[[]byte]
-)
+// decodeState is everything one replay of a framed trace decodes
+// with: the frame reader and its buffered reader, the last symtab
+// checkpoint, the payload decoders, the frame buffers and the
+// pipeline's channels and resequencing ring (parallel.go). A full frame
+// decodes into DefaultBatchRecords events (160 KiB) and a compressed
+// one through about 200 KiB of inflate scratch, so a replay takes a
+// whole state from decodeStates and hands it back once no stage can
+// touch it any more. A state grows to the largest worker count it has
+// served, so replays that alternate worker counts share one state
+// without rebuilding it.
+type decodeState struct {
+	fr   frameReader
+	last []byte            // the last valid symtab checkpoint
+	decs []*payloadDecoder // one per worker, one for the synchronous reader
+	bufs []*frameBuf       // one per frame in flight
 
-// freeList is a capped LIFO list of reusable values, safe for
-// concurrent use.
-type freeList[T any] struct {
-	mu   sync.Mutex
-	free []*T
+	// The pipeline of this replay: workers is 0 on the synchronous
+	// reader, which uses only fr, decs[0] and bufs[0].
+	workers       int
+	depth         int // frames in flight
+	free          chan *frameBuf
+	work          chan scanJob
+	results       chan frameMsg
+	ring          []frameMsg
+	have          []bool
+	nextSeq       uint64
+	stop          chan struct{}
+	wg            sync.WaitGroup
+	scannerStalls atomic.Uint64
+	stats         *Stats
 }
 
-// get returns the most recently put value, or nil when the list is
-// empty.
-func (f *freeList[T]) get() *T {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := len(f.free)
-	if n == 0 {
-		return nil
+// decodeStates holds the states of finished replays for the next ones.
+var decodeStates arena.FreeList[decodeState]
+
+// openDecodeState takes a state for a replay of the framed region of
+// a trace whose 8-byte header r has consumed, and starts the decode
+// pipeline when workers ≥ 1. close hands the state back.
+func openDecodeState(r io.Reader, version uint32, size int64, workers int, stats *Stats) *decodeState {
+	s := decodeStates.Get()
+	if s == nil {
+		s = &decodeState{fr: frameReader{br: bufio.NewReaderSize(nil, 1<<16)}}
 	}
-	x := f.free[n-1]
-	f.free[n-1] = nil
-	f.free = f.free[:n-1]
-	return x
+	s.fr.br.Reset(r)
+	s.fr = frameReader{br: s.fr.br, offset: 8, size: size}
+	s.last = s.last[:0]
+	for len(s.decs) < max(workers, 1) {
+		s.decs = append(s.decs, new(payloadDecoder))
+	}
+	for _, d := range s.decs {
+		d.version = version
+	}
+	s.workers, s.stats = workers, stats
+	if workers >= 1 {
+		s.start()
+	} else if len(s.bufs) == 0 {
+		s.bufs = append(s.bufs, new(frameBuf))
+	}
+	return s
 }
 
-// put keeps x for a later get unless the list already holds limit
-// values, in which case x is left to the garbage collector.
-func (f *freeList[T]) put(x *T, limit int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.free) < limit {
-		f.free = append(f.free, x)
+// next returns the next frame in sequence order.
+func (s *decodeState) next() frameMsg {
+	if s.workers == 0 {
+		return s.decs[0].decodeJob(s.fr.readFrame(s.bufs[0]))
+	}
+	return s.resequence()
+}
+
+// release hands a delivered frame's buffer back to the scanner.
+func (s *decodeState) release(b *frameBuf) {
+	if s.workers == 0 || b == nil {
+		return
+	}
+	select {
+	case s.free <- b:
+	case <-s.stop:
 	}
 }
 
-// decodeHold returns how many frame buffers, decoders and readers
-// GOMAXPROCS replays hold at once at DefaultDecodeWorkers: the
-// pipeline's 2w+2 buffers and w decoders each (one of each on the
-// synchronous reader), and one reader each. Each also holds one
-// checkpoint buffer, as many as readers.
-func decodeHold() (bufs, decs, rdrs int) {
-	p, w := runtime.GOMAXPROCS(0), DefaultDecodeWorkers()
-	return p * (2*w + 2), p * max(w, 1), p
-}
-
-func getFrameBuf() *frameBuf {
-	if b := frameBufs.get(); b != nil {
-		return b
+// close stops the pipeline, if any, and keeps the state for the next
+// replay, without its reference to this replay's source.
+func (s *decodeState) close() {
+	if s.workers >= 1 {
+		s.halt()
 	}
-	return new(frameBuf)
-}
-
-func putFrameBuf(b *frameBuf) {
-	n, _, _ := decodeHold()
-	frameBufs.put(b, n)
-}
-
-func getDecoder(version uint32) *payloadDecoder {
-	d := decoders.get()
-	if d == nil {
-		d = new(payloadDecoder)
-	}
-	d.version = version
-	return d
-}
-
-func putDecoder(d *payloadDecoder) {
-	_, n, _ := decodeHold()
-	decoders.put(d, n)
-}
-
-func getReader(r io.Reader) *bufio.Reader {
-	br := readers.get()
-	if br == nil {
-		return bufio.NewReaderSize(r, 1<<16)
-	}
-	br.Reset(r)
-	return br
-}
-
-// putReader drops br's reference to its source before keeping it.
-func putReader(br *bufio.Reader) {
-	br.Reset(nil)
-	_, _, n := decodeHold()
-	readers.put(br, n)
-}
-
-// getCheckpoint returns an empty buffer for a replay's last symtab
-// checkpoint; putCheckpoint keeps it for the next replay.
-func getCheckpoint() *[]byte {
-	if b := checkpoints.get(); b != nil {
-		*b = (*b)[:0]
-		return b
-	}
-	return new([]byte)
-}
-
-func putCheckpoint(b *[]byte) {
-	_, _, n := decodeHold()
-	checkpoints.put(b, n)
+	s.fr.br.Reset(nil)
+	s.stats = nil
+	decodeStates.Put(s)
 }
 
 // frameMsg is one fully-validated, fully-decoded frame (or the reason
@@ -788,14 +762,6 @@ type frameReader struct {
 	seq    uint64
 	hdr    [frameHeaderSize]byte // scratch; a local would escape via io.ReadFull
 }
-
-// newFrameReader takes a recycled reader for the framed region of
-// a trace whose 8-byte header r has consumed; release returns it.
-func newFrameReader(r io.Reader, size int64) *frameReader {
-	return &frameReader{br: getReader(r), offset: 8, size: size}
-}
-
-func (fr *frameReader) release() { putReader(fr.br) }
 
 // readFrame reads the next frame's header and payload into buf,
 // checking only the length bound — the CRC and the payload structure
@@ -909,35 +875,17 @@ func replayFramed(r io.ReadSeeker, sink event.Sink, version uint32, size int64, 
 	if opts.Stats != nil {
 		opts.Stats.DecodeWorkers = workers
 	}
-	var next func() frameMsg
-	release := func(*frameBuf) {}
-	if workers >= 1 {
-		pl := newDecodePipeline(r, version, size, workers, opts.Stats)
-		defer pl.halt()
-		next = pl.next
-		release = pl.release
-	} else {
-		fr := newFrameReader(r, size)
-		dec := getDecoder(version)
-		buf := getFrameBuf()
-		defer func() {
-			fr.release()
-			putDecoder(dec)
-			putFrameBuf(buf)
-		}()
-		next = func() frameMsg { return dec.decodeJob(fr.readFrame(buf)) }
-	}
+	ds := openDecodeState(r, version, size, workers, opts.Stats)
+	defer ds.close()
 
 	// Workers only validate symtab checkpoints; the last valid one is
 	// kept as bytes and decoded once, into the symbol table the replay
 	// returns.
-	last := getCheckpoint()
-	defer putCheckpoint(last)
 	symtab := func() *event.Symtab {
-		if len(*last) == 0 {
+		if len(ds.last) == 0 {
 			return event.NewSymtab()
 		}
-		sym, _ := decodeSymtab(*last)
+		sym, _ := decodeSymtab(ds.last)
 		return sym
 	}
 
@@ -960,7 +908,7 @@ func replayFramed(r io.ReadSeeker, sink event.Sink, version uint32, size int64, 
 	}
 
 	for !sawEnd {
-		msg := next()
+		msg := ds.next()
 		offset = msg.end
 		if msg.err != nil {
 			return corrupt("%s", msg.err)
@@ -978,12 +926,12 @@ func replayFramed(r io.ReadSeeker, sink event.Sink, version uint32, size int64, 
 				}
 			}
 		case frameSymtab:
-			*last = append((*last)[:0], msg.buf.payload[:msg.stored]...)
+			ds.last = append(ds.last[:0], msg.buf.payload[:msg.stored]...)
 		case frameEnd:
 			declared = msg.declared
 			sawEnd = true
 		}
-		release(msg.buf)
+		ds.release(msg.buf)
 	}
 	if opts.Stats != nil {
 		opts.Stats.Events = replayed
