@@ -264,13 +264,6 @@ func replayOne(path string, cfg replayConfig) (*replayOut, error) {
 		}
 		b.WriteByte('\n')
 	}
-	if st.DecodeWorkers >= 1 {
-		// Stall counters locate the pipeline bottleneck: scanner stalls
-		// mean decode or the sink is behind; resequencer stalls mean
-		// worker skew is gating in-order delivery.
-		fmt.Fprintf(&b, "decode pipeline: %d workers, %d scanner stalls, %d resequencer stalls\n",
-			st.DecodeWorkers, st.ScannerStalls, st.ResequencerStalls)
-	}
 	if info.Salvaged() {
 		fmt.Fprintf(&b, "salvage: %s\n", info)
 	}

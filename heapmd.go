@@ -260,7 +260,8 @@ func (r *Run) Observe(d *Detector) {
 // Report ends the run and returns its metric report. The first call
 // takes the report, detaches the logger from the process and releases
 // it for a later run to reuse; later calls return the same report,
-// which shares no storage with the logger. Events the process emits
+// which stays valid while the logger runs again: its snapshots' values
+// sit in sample chunks the logger never reuses. Events the process emits
 // after the end reach no logger. Call Report once the program is done,
 // from the goroutine that ran it, never from inside an observer.
 func (r *Run) Report() *Report {
@@ -441,7 +442,8 @@ func ReplayTrace(rd io.ReadSeeker, program, input string, frequency uint64) (*Re
 // a SalvageInfo describing the loss; without it, damage yields an
 // error wrapping trace.ErrCorrupt. The logger is released when the
 // replay ends, so the next replay reuses its heap image (see
-// logger.New); the report shares no storage with it. Concurrent
+// logger.New); the report stays valid, because the logger never
+// writes into its sample chunks again. Concurrent
 // replays are safe: each takes its own logger.
 func ReplayTraceWith(rd io.ReadSeeker, program, input string, opts ReplayOptions) (*Report, *Symtab, *SalvageInfo, error) {
 	if _, err := sched.ParseIngestWorkers(opts.IngestWorkers); err != nil {

@@ -163,7 +163,10 @@ type metricState struct {
 	open     *Finding
 	postLeft int
 	reported [2]*Finding // first finding per Direction
-	values   []float64   // full value series for run-level checks
+	// values is the series the online detector observed, for the
+	// run-level checks. The offline check keeps none: it reads the
+	// series from the report (CheckReport).
+	values []float64
 }
 
 // capture logs the current call stack, if there is one, into the
@@ -210,6 +213,9 @@ type Detector struct {
 	unstable []int
 	findings []*Finding
 	finished bool
+	// series is the offline check's one scratch buffer for a metric's
+	// series read from the report.
+	series []float64
 	// skipStart is the number of leading samples ignored: the
 	// startup window the model constructor also discarded.
 	skipStart int
@@ -224,24 +230,22 @@ type Detector struct {
 // on series with that prefix trimmed, so it would otherwise flag every
 // startup transient.
 func New(mdl *model.Model, suite metrics.Suite) *Detector {
-	return newDetector(mdl, suite, mdl.SkipStartSamples(), 0)
+	return newDetector(mdl, suite, mdl.SkipStartSamples())
 }
 
 // newDetector builds a detector that ignores the first skipStart
-// samples. samples, when known, is how many samples the detector will
-// keep, so each metric's value series is allocated once.
-func newDetector(mdl *model.Model, suite metrics.Suite, skipStart, samples int) *Detector {
+// samples.
+func newDetector(mdl *model.Model, suite metrics.Suite, skipStart int) *Detector {
 	d := &Detector{mdl: mdl, suite: suite, skipStart: skipStart}
 	stable, local := mdl.StableIDs(), mdl.LocallyStableIDs()
 	d.states = make([]metricState, 0, len(stable)+len(local))
 	add := func(id metrics.ID, class model.Class, rng stats.Range) {
 		if idx := suite.Index(id); idx >= 0 {
 			d.states = append(d.states, metricState{
-				id:     id,
-				idx:    idx,
-				class:  class.String(),
-				rng:    rng,
-				values: make([]float64, 0, samples),
+				id:    id,
+				idx:   idx,
+				class: class.String(),
+				rng:   rng,
 			})
 		}
 	}
@@ -266,9 +270,14 @@ func newDetector(mdl *model.Model, suite metrics.Suite, skipStart, samples int) 
 // Sample implements logger.SampleObserver.
 func (d *Detector) Sample(snap metrics.Snapshot, stack *callstack.Tracker) {
 	d.seen++
-	if d.seen <= d.skipStart {
-		return
+	if d.seen > d.skipStart {
+		d.observe(snap, stack, true)
 	}
+}
+
+// observe steps every metric's state machine through one sample and,
+// with keep, appends the sample's values to the metrics' series.
+func (d *Detector) observe(snap metrics.Snapshot, stack *callstack.Tracker, keep bool) {
 	for i := range d.states {
 		st := &d.states[i]
 		if st.idx >= len(snap.Values) {
@@ -277,7 +286,9 @@ func (d *Detector) Sample(snap metrics.Snapshot, stack *callstack.Tracker) {
 			continue
 		}
 		v := snap.Values[st.idx]
-		st.values = append(st.values, v)
+		if keep {
+			st.values = append(st.values, v)
+		}
 		d.step(st, v, snap.Tick, stack)
 	}
 }
@@ -351,6 +362,11 @@ func (d *Detector) violate(st *metricState, v float64, tick uint64, dir Directio
 // Finish runs the end-of-run checks and finalizes open findings. It
 // must be called once after the monitored execution completes.
 func (d *Detector) Finish() {
+	d.finish(func(st *metricState) []float64 { return st.values })
+}
+
+// finish is Finish with each metric's observed series given by series.
+func (d *Detector) finish(series func(*metricState) []float64) {
 	if d.finished {
 		return
 	}
@@ -366,7 +382,7 @@ func (d *Detector) Finish() {
 	// all run (after trimming).
 	for i := range d.states {
 		st := &d.states[i]
-		trimmed := stats.Trim(st.values, th.TrimFrac)
+		trimmed := stats.Trim(series(st), th.TrimFrac)
 		if len(trimmed) < th.MinSamples {
 			continue
 		}
@@ -411,13 +427,8 @@ func (d *Detector) Finish() {
 func (d *Detector) CheckUnstable(rep *logger.Report) {
 	th := d.mdl.Thresholds
 	ids := d.suite.IDs()
-	var series []float64 // one buffer for every metric's series
-	if len(d.unstable) > 0 {
-		series = make([]float64, 0, len(rep.Snapshots))
-	}
 	for _, idx := range d.unstable {
-		series = metrics.AppendSeries(series[:0], rep.Snapshots, idx)
-		trimmed := stats.Trim(series, th.TrimFrac)
+		trimmed := stats.Trim(d.column(rep.Snapshots, idx), th.TrimFrac)
 		if len(trimmed) < th.MinSamples {
 			continue
 		}
@@ -434,6 +445,14 @@ func (d *Detector) CheckUnstable(rep *logger.Report) {
 			})
 		}
 	}
+}
+
+// column fills the detector's scratch buffer with column idx of snaps
+// (metrics.AppendSeries: narrow snapshots are skipped) and returns it.
+// The buffer is valid until the next call.
+func (d *Detector) column(snaps []metrics.Snapshot, idx int) []float64 {
+	d.series = metrics.AppendSeries(d.series[:0], snaps, idx)
+	return d.series
 }
 
 // CheckHealth reports each nonzero bug-evidence counter of a run
@@ -475,18 +494,21 @@ func (d *Detector) Violations() []*Finding {
 // symmetric with how the model itself was calibrated; that trim is the
 // only startup skip, so the detector skips nothing more. It returns the
 // findings in detection order; no call stacks are available in this
-// mode.
+// mode. The detector keeps no series of its own: the run-level checks
+// read each metric's series from the report into one scratch buffer.
 func CheckReport(mdl *model.Model, rep *logger.Report) []*Finding {
 	suite, err := suiteOf(rep)
 	if err != nil {
 		return nil
 	}
 	lo, hi := stats.TrimBounds(len(rep.Snapshots), mdl.Thresholds.TrimFrac)
-	d := newDetector(mdl, suite, 0, hi-lo)
-	for _, snap := range rep.Snapshots[lo:hi] {
-		d.Sample(snap, nil)
+	checked := rep.Snapshots[lo:hi]
+	d := newDetector(mdl, suite, 0)
+	d.series = make([]float64, 0, len(rep.Snapshots))
+	for _, snap := range checked {
+		d.observe(snap, nil, false)
 	}
-	d.Finish()
+	d.finish(func(st *metricState) []float64 { return d.column(checked, st.idx) })
 	d.CheckUnstable(rep)
 	d.CheckHealth(rep.Health)
 	return d.Findings()

@@ -26,10 +26,11 @@ func BenchmarkIncrementalVsRecompute(b *testing.B) {
 	b.Run("incremental-histograms", func(b *testing.B) {
 		g := build()
 		suite := metrics.DefaultSuite()
+		values := make([]float64, suite.Len())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			suite.Compute(g, uint64(i))
+			suite.Compute(g, uint64(i), values)
 		}
 	})
 	b.Run("full-recompute", func(b *testing.B) {

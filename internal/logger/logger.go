@@ -179,7 +179,9 @@ type Logger struct {
 	// words recycles the words tiers of the objects' slot tables.
 	words arena.SizeClasses[heapgraph.VertexID]
 
-	snaps     []metrics.Snapshot
+	// chunks is the run's sample log; tick is the number of samples in
+	// it. See sampleChunk.
+	chunks    []sampleChunk
 	observers []SampleObserver
 
 	program string
@@ -228,6 +230,7 @@ func (l *Logger) reset(opts Options) {
 	l.objects.Reset()
 	l.stack.Reset()
 	clear(l.freed)
+	clear(l.chunks)
 	*l = Logger{
 		opts:    opts,
 		suite:   opts.Suite,
@@ -236,6 +239,7 @@ func (l *Logger) reset(opts Options) {
 		stack:   l.stack,
 		freed:   l.freed,
 		words:   l.words,
+		chunks:  l.chunks[:0],
 	}
 	// The component trackers cost work on every mutation, so only a
 	// suite that reads them turns them on.
@@ -250,11 +254,13 @@ func (l *Logger) reset(opts Options) {
 // Release hands a finished logger back for a later New to reuse. The
 // caller must be done with it and with everything it exposes — Graph,
 // Stack, Health — and must feed it no more events. Reports taken
-// before Release stay valid: they share no storage with the logger.
-// Release drops the logger's references to observers, the suite and
-// the snapshots, so pooling it keeps none of them alive.
+// before Release stay valid: their snapshots' Values alias the run's
+// sample chunks, and Release drops those chunks instead of reusing
+// them. It also drops the logger's references to observers and the
+// suite, so pooling it keeps none of them alive.
 func (l *Logger) Release() {
-	*l = Logger{graph: l.graph, objects: l.objects, stack: l.stack, freed: l.freed, words: l.words}
+	clear(l.chunks)
+	*l = Logger{graph: l.graph, objects: l.objects, stack: l.stack, freed: l.freed, words: l.words, chunks: l.chunks[:0]}
 	released.Put(l)
 }
 
@@ -490,15 +496,19 @@ func (l *Logger) onStore(addr, value uint64) {
 	}
 }
 
-// sample computes a metric snapshot and dispatches it to observers.
+// sample computes a metric snapshot into the sample log and dispatches
+// it to observers.
 // A panicking observer is quarantined — removed from the dispatch
 // list and tallied in the health counters — rather than being allowed
 // to kill the monitored run: HeapMD exists to watch buggy programs,
 // and one faulty diagnostic attachment must not end the diagnosis.
 func (l *Logger) sample() {
 	l.tick++
-	snap := l.suite.Compute(l.graph, l.tick)
-	l.snaps = append(l.snaps, snap)
+	c := l.lastChunk()
+	w := l.suite.Len()
+	at := len(c.heads) * w
+	snap := l.suite.Compute(l.graph, l.tick, c.vals[at:at+w:at+w])
+	c.heads = append(c.heads, sampleHead{tick: snap.Tick, vertices: snap.Vertices, edges: snap.Edges})
 	for i := 0; i < len(l.observers); i++ {
 		if l.dispatch(l.observers[i], snap) {
 			continue
@@ -507,6 +517,48 @@ func (l *Logger) sample() {
 		l.observers = append(l.observers[:i], l.observers[i+1:]...)
 		i--
 	}
+}
+
+// The sample log holds a run's samples in chunks that are never copied
+// or reused: a chunk's rows stay where they were written, so a sample's
+// Values can be handed to observers and into reports as a slice of its
+// chunk, and growing the log copies nothing. Chunk k holds
+// firstChunkRows<<min(k, maxChunkDoublings) rows: 8, 16, then 32 each.
+// The unused tail of the last chunk is what the log wastes, so chunks
+// stay small: the structure workload's runs take about 20 samples, the
+// replay corpus's 20 to 300 (DESIGN.md §9.6.3 compares sizes).
+const (
+	firstChunkRows    = 8
+	maxChunkDoublings = 2
+)
+
+// sampleChunk is one chunk of the sample log: the headers of up to
+// cap(heads) samples, and their values row-major in vals, Suite.Len()
+// values per row.
+type sampleChunk struct {
+	heads []sampleHead
+	vals  []float64
+}
+
+// sampleHead is the part of a sample's snapshot that is not its values.
+type sampleHead struct {
+	tick            uint64
+	vertices, edges int
+}
+
+// lastChunk returns the chunk the next sample goes into, appending a
+// new one when the last is full.
+func (l *Logger) lastChunk() *sampleChunk {
+	n := len(l.chunks)
+	if n == 0 || len(l.chunks[n-1].heads) == cap(l.chunks[n-1].heads) {
+		rows := firstChunkRows << min(n, maxChunkDoublings)
+		l.chunks = append(l.chunks, sampleChunk{
+			heads: make([]sampleHead, 0, rows),
+			vals:  make([]float64, rows*l.suite.Len()),
+		})
+		n++
+	}
+	return &l.chunks[n-1]
 }
 
 // dispatch delivers one sample to one observer, converting a panic
@@ -521,18 +573,33 @@ func (l *Logger) dispatch(o SampleObserver, snap metrics.Snapshot) (ok bool) {
 	return true
 }
 
-// Report finalizes and returns the metric report for the run.
+// Report finalizes and returns the metric report for the run. Its
+// snapshots are built once here, in one exact-size slice; their Values
+// alias the sample log, which is never overwritten.
 func (l *Logger) Report() *Report {
-	names := make([]string, l.suite.Len())
+	w := l.suite.Len()
+	names := make([]string, w)
 	for i, id := range l.suite.IDs() {
 		names[i] = id.String()
+	}
+	var snaps []metrics.Snapshot
+	if l.tick > 0 {
+		snaps = make([]metrics.Snapshot, 0, l.tick)
+	}
+	for _, c := range l.chunks {
+		for i, h := range c.heads {
+			snaps = append(snaps, metrics.Snapshot{
+				Tick: h.tick, Vertices: h.vertices, Edges: h.edges,
+				Values: c.vals[i*w : (i+1)*w : (i+1)*w],
+			})
+		}
 	}
 	return &Report{
 		Program:   l.program,
 		Input:     l.input,
 		Version:   l.version,
 		Suite:     names,
-		Snapshots: l.snaps,
+		Snapshots: snaps,
 		FnEntries: l.fnEntries,
 		Events:    l.events,
 		Health:    l.health,

@@ -78,13 +78,15 @@ func (s *treeStream) events() []event.Event {
 // TestExtendedMetricPointAllocs is the metric-point allocation gate
 // for the extended suite at default logger options: once the
 // trackers' scratch has reached its high-water mark, a metric point
-// over a 4096-node tree with cross-edge churn may allocate only the
-// snapshot's Values slice (appending the snapshot to the report is
+// over a 4096-node tree with cross-edge churn allocates nothing. The
+// snapshot's values are computed into the sample log, whose rare new
+// chunk (two allocations, once over the 64 measured points here) is
 // amortized away by the per-point average's integer division, as in
-// testing.AllocsPerRun). The component counts come from the
+// testing.AllocsPerRun. The component counts come from the
 // incremental trackers, whose rebuilds reuse capacity. Measured on a
-// 2-vCPU Xeon VM: 1 alloc per point; when the counts came from full
-// BFS/Tarjan walks at every point it was 2962.
+// 2-vCPU Xeon VM: 0 allocs per point; 1 while each snapshot's Values
+// was its own allocation, and 2962 when the counts came from full
+// BFS/Tarjan walks at every point.
 func TestExtendedMetricPointAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -109,8 +111,8 @@ func TestExtendedMetricPointAllocs(t *testing.T) {
 	if got := l.tick; got != warm+measured {
 		t.Fatalf("%d metric points, want %d", got, warm+measured)
 	}
-	if perPoint := mallocs / measured; perPoint > 1 {
-		t.Fatalf("a steady-state extended metric point allocates %d times; budget is 1 (the Values slice)", perPoint)
+	if perPoint := mallocs / measured; perPoint > 0 {
+		t.Fatalf("a steady-state extended metric point allocates %d times (%d over %d points); budget is 0", perPoint, mallocs, measured)
 	}
 }
 

@@ -224,6 +224,36 @@ func TestReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestReuseKeepsEarlierReports: a report outlives its logger. Its
+// snapshots alias the run's sample log, so after Release a longer run
+// with a wider suite on the same logger must leave the first report's
+// bytes untouched.
+func TestReuseKeepsEarlierReports(t *testing.T) {
+	l := logger.New(logger.Options{Frequency: 4})
+	want := runReport(t, l, "first", genEvents(3, genCfg{nOps: 3000, bigOdds: 10, bigPagesMax: 4}))
+	rep := l.Report()
+	if len(rep.Snapshots) < 25 {
+		t.Fatalf("first run took %d samples; want more than two chunks' worth", len(rep.Snapshots))
+	}
+	l.Release()
+	l2 := logger.New(logger.Options{Frequency: 1, Suite: metrics.ExtendedSuite()})
+	if l2 != l {
+		t.Fatal("New did not return the logger just released")
+	}
+	second := runReport(t, l2, "second", genEvents(4, genCfg{nOps: 12000, bigOdds: 10, bigPagesMax: 4}))
+	l2.Release()
+	if len(second) <= len(want) {
+		t.Fatalf("second report (%d bytes) is no longer than the first (%d)", len(second), len(want))
+	}
+	got, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the first report changed after its logger was reused:\n got %.300s\nwant %.300s", got, want)
+	}
+}
+
 // TestReuseForgetsFreedBases: a free in one run of a base freed in an
 // earlier run on the same logger is a wild free, not a double free —
 // the freed set is per run.

@@ -151,43 +151,42 @@ type Snapshot struct {
 	Values   []float64 `json:"values"`
 }
 
-// Compute evaluates the suite against g. An empty graph yields zeros
-// for every metric: with no vertices there is no population to take
+// Compute evaluates the suite against g into values, which must hold
+// exactly Len() elements, and returns the snapshot whose Values is
+// values. Every element is written. An empty graph yields zeros for
+// every metric: with no vertices there is no population to take
 // percentages of, and treating the metrics as zero keeps startup
 // samples well-defined (they are trimmed away by the summarizer
 // anyway).
-func (s Suite) Compute(g *heapgraph.Graph, tick uint64) Snapshot {
-	snap := Snapshot{
-		Tick:     tick,
-		Vertices: g.NumVertices(),
-		Edges:    g.NumEdges(),
-		Values:   make([]float64, len(s.ids)),
-	}
+func (s Suite) Compute(g *heapgraph.Graph, tick uint64, values []float64) Snapshot {
+	values = values[:len(s.ids)]
 	n := g.NumVertices()
+	snap := Snapshot{Tick: tick, Vertices: n, Edges: g.NumEdges(), Values: values}
 	if n == 0 {
+		clear(values)
 		return snap
 	}
 	pct := func(count int) float64 { return float64(count) / float64(n) * 100 }
 	for i, id := range s.ids {
 		switch id {
 		case Roots:
-			snap.Values[i] = pct(g.CountInDegree(0))
+			values[i] = pct(g.CountInDegree(0))
 		case InDeg1:
-			snap.Values[i] = pct(g.CountInDegree(1))
+			values[i] = pct(g.CountInDegree(1))
 		case InDeg2:
-			snap.Values[i] = pct(g.CountInDegree(2))
+			values[i] = pct(g.CountInDegree(2))
 		case Leaves:
-			snap.Values[i] = pct(g.CountOutDegree(0))
+			values[i] = pct(g.CountOutDegree(0))
 		case OutDeg1:
-			snap.Values[i] = pct(g.CountOutDegree(1))
+			values[i] = pct(g.CountOutDegree(1))
 		case OutDeg2:
-			snap.Values[i] = pct(g.CountOutDegree(2))
+			values[i] = pct(g.CountOutDegree(2))
 		case InEqOut:
-			snap.Values[i] = pct(g.CountInEqOut())
+			values[i] = pct(g.CountInEqOut())
 		case Components:
-			snap.Values[i] = float64(g.ConnectedComponentCount()) / float64(n) * 100
+			values[i] = float64(g.ConnectedComponentCount()) / float64(n) * 100
 		case SCCs:
-			snap.Values[i] = float64(g.StronglyConnectedComponentCount()) / float64(n) * 100
+			values[i] = float64(g.StronglyConnectedComponentCount()) / float64(n) * 100
 		}
 	}
 	return snap

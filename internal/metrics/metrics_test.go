@@ -54,7 +54,7 @@ func TestDefaultSuite(t *testing.T) {
 
 func TestComputeEmptyGraph(t *testing.T) {
 	g := heapgraph.New()
-	snap := DefaultSuite().Compute(g, 3)
+	snap := DefaultSuite().Compute(g, 3, []float64{1, 2, 3, 4, 5, 6, 7}) // stale values are overwritten
 	if snap.Tick != 3 || snap.Vertices != 0 {
 		t.Fatalf("snapshot header = %+v", snap)
 	}
@@ -63,6 +63,11 @@ func TestComputeEmptyGraph(t *testing.T) {
 			t.Errorf("metric %d on empty graph = %v, want 0", i, v)
 		}
 	}
+}
+
+// compute evaluates s against g into a fresh values slice.
+func compute(s Suite, g *heapgraph.Graph, tick uint64) Snapshot {
+	return s.Compute(g, tick, make([]float64, s.Len()))
 }
 
 // linkedListGraph builds the canonical k-node singly linked list used
@@ -85,7 +90,7 @@ func TestComputeLinkedList(t *testing.T) {
 	// with in==out (the head has 0/1, the tail 1/0).
 	g := linkedListGraph(10)
 	s := DefaultSuite()
-	snap := s.Compute(g, 0)
+	snap := compute(s, g, 0)
 	want := map[ID]float64{
 		Roots:   10,
 		InDeg1:  90,
@@ -116,7 +121,7 @@ func TestComputeExtended(t *testing.T) {
 		g.AddEdge(v[5+i], v[6+i])
 	}
 	s := ExtendedSuite()
-	snap := s.Compute(g, 0)
+	snap := compute(s, g, 0)
 	if got := snap.Values[s.Index(Components)]; math.Abs(got-20) > 1e-9 {
 		t.Errorf("Components = %v, want 20", got)
 	}
@@ -141,7 +146,7 @@ func TestPercentagesSumProperties(t *testing.T) {
 			g.AddEdge(v[int(e.U)%n], v[int(e.V)%n])
 		}
 		s := DefaultSuite()
-		snap := s.Compute(g, 0)
+		snap := compute(s, g, 0)
 		for _, v := range snap.Values {
 			if v < 0 || v > 100+1e-9 {
 				return false
@@ -158,9 +163,9 @@ func TestPercentagesSumProperties(t *testing.T) {
 func TestSeries(t *testing.T) {
 	s := DefaultSuite()
 	g := linkedListGraph(4)
-	snaps := []Snapshot{s.Compute(g, 0)}
+	snaps := []Snapshot{compute(s, g, 0)}
 	g.AddVertex() // new isolated root+leaf
-	snaps = append(snaps, s.Compute(g, 1))
+	snaps = append(snaps, compute(s, g, 1))
 	series := AppendSeries(nil, snaps, s.Index(Roots))
 	if len(series) != 2 {
 		t.Fatalf("series length = %d", len(series))
@@ -177,20 +182,22 @@ func TestSeries(t *testing.T) {
 func BenchmarkComputeDefault(b *testing.B) {
 	g := linkedListGraph(100000)
 	s := DefaultSuite()
+	values := make([]float64, s.Len())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Compute(g, uint64(i))
+		s.Compute(g, uint64(i), values)
 	}
 }
 
 func BenchmarkComputeExtended(b *testing.B) {
 	g := linkedListGraph(10000)
 	s := ExtendedSuite()
+	values := make([]float64, s.Len())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Compute(g, uint64(i))
+		s.Compute(g, uint64(i), values)
 	}
 }
 
@@ -243,7 +250,7 @@ func TestComputeExtendedMatchesReference(t *testing.T) {
 		if tick%11 == 0 {
 			g.RemoveVertex(v[k-2])
 		}
-		snap := suite.Compute(g, tick)
+		snap := compute(suite, g, tick)
 		n := float64(g.NumVertices())
 		if want := float64(g.WeaklyConnectedComponents()) / n * 100; snap.Values[wcc] != want {
 			t.Fatalf("tick %d: %v = %v, reference %v", tick, Components, snap.Values[wcc], want)
