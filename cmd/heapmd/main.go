@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -38,40 +40,77 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the subcommand named by args[0] with the rest of args,
+// writing its report to stdout and progress and diagnostics to
+// stderr. It returns the exit status: 0 on success, 1 when the command
+// failed, 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		usage(stderr)
+		return 2
 	}
 	var err error
-	switch os.Args[1] {
+	switch args[0] {
 	case "list":
-		err = cmdList()
+		err = cmdList(stdout)
 	case "faults":
-		err = cmdFaults()
+		err = cmdFaults(stdout)
 	case "train":
-		err = cmdTrain(os.Args[2:])
+		err = cmdTrain(args[1:], stdout, stderr)
 	case "check":
-		err = cmdCheck(os.Args[2:])
+		err = cmdCheck(args[1:], stdout, stderr)
 	case "replay":
-		err = cmdReplay(os.Args[2:])
+		err = cmdReplay(args[1:], stdout, stderr)
 	case "plot":
-		err = cmdPlot(os.Args[2:])
+		err = cmdPlot(args[1:], stdout, stderr)
 	case "soak":
-		err = cmdSoak(os.Args[2:])
+		err = cmdSoak(args[1:], stdout, stderr)
 	case "-h", "--help", "help":
-		usage()
+		usage(stderr)
 	default:
-		usage()
-		os.Exit(2)
+		usage(stderr)
+		return 2
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "heapmd:", err)
-		os.Exit(1)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
+	default:
+		fmt.Fprintln(stderr, "heapmd:", err)
+		return 1
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+// errUsage reports a flag parse failure that the flag set has already
+// printed, with its usage, to stderr.
+var errUsage = errors.New("usage error")
+
+// newFlagSet returns the flag set of subcommand name. It reports parse
+// errors and usage to stderr and leaves the exit to run.
+func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// parseFlags parses args into fs. It returns flag.ErrHelp for -h and
+// errUsage for any other parse failure.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	return nil
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage:
   heapmd list                                    list bundled workloads
   heapmd faults                                  list injectable faults
   heapmd train -workload W [-inputs N] -o FILE   build a model from clean runs
@@ -81,28 +120,28 @@ func usage() {
   heapmd soak  [-duration D] [-seed N] [flags]   chaos-soak the fault catalog, emit a JSON scoreboard`)
 }
 
-func cmdList() error {
-	fmt.Printf("%-13s %-11s %-10s %s\n", "Workload", "Class", "Stable", "Models")
+func cmdList(stdout io.Writer) error {
+	fmt.Fprintf(stdout, "%-13s %-11s %-10s %s\n", "Workload", "Class", "Stable", "Models")
 	for _, w := range workloads.All() {
-		fmt.Printf("%-13s %-11s %-10s %s\n", w.Name(), w.Class(), w.StableMetric(), w.Description())
+		fmt.Fprintf(stdout, "%-13s %-11s %-10s %s\n", w.Name(), w.Class(), w.StableMetric(), w.Description())
 	}
 	return nil
 }
 
-func cmdFaults() error {
-	fmt.Printf("%-24s %-17s %-7s %s\n", "Fault", "Class", "Detect", "Mechanism")
+func cmdFaults(stdout io.Writer) error {
+	fmt.Fprintf(stdout, "%-24s %-17s %-7s %s\n", "Fault", "Class", "Detect", "Mechanism")
 	for _, e := range faults.Catalog() {
 		expect := "no"
 		if e.ExpectDetect {
 			expect = "yes"
 		}
-		fmt.Printf("%-24s %-17s %-7s %s\n", e.Name, e.Class, expect, e.Mechanism)
+		fmt.Fprintf(stdout, "%-24s %-17s %-7s %s\n", e.Name, e.Class, expect, e.Mechanism)
 	}
 	return nil
 }
 
-func cmdSoak(args []string) error {
-	fs := flag.NewFlagSet("soak", flag.ExitOnError)
+func cmdSoak(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("soak", stderr)
 	duration := fs.Duration("duration", 30*time.Second, "wall-clock soak budget beyond the minimum schedule (0 = minimum only)")
 	seed := fs.Int64("seed", 1, "soak seed (perturbs held-out inputs; equal seeds reproduce the scoreboard)")
 	faultList := fs.String("faults", "", "comma-separated fault names to soak (default: the whole catalog)")
@@ -112,7 +151,7 @@ func cmdSoak(args []string) error {
 	check := fs.Bool("check", false, "exit nonzero unless every verdict matches the taxonomy with zero warmup false positives")
 	out := fs.String("o", "", "write the JSON scoreboard to FILE (default: stdout)")
 	quiet := fs.Bool("q", false, "suppress per-cell progress lines on stderr")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	workers, err := sched.ParseParallel(*parallel)
@@ -130,13 +169,13 @@ func cmdSoak(args []string) error {
 		opts.Faults = strings.Split(*faultList, ",")
 	}
 	if !*quiet {
-		opts.Progress = os.Stderr
+		opts.Progress = stderr
 	}
 	sb, err := soak.Run(opts)
 	if err != nil {
 		return err
 	}
-	dst := os.Stdout
+	dst := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
@@ -155,8 +194,8 @@ func cmdSoak(args []string) error {
 	return nil
 }
 
-func cmdTrain(args []string) error {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
+func cmdTrain(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("train", stderr)
 	name := fs.String("workload", "", "workload to train on (see 'heapmd list')")
 	inputs := fs.Int("inputs", 25, "number of training inputs")
 	out := fs.String("o", "", "output model file (default: stdout)")
@@ -165,7 +204,7 @@ func cmdTrain(args []string) error {
 	recordDir := fs.String("record-traces", "", "record each run's event stream to DIR/<input>.trace for later 'heapmd replay'")
 	compress := fs.Bool("compress", false, "flate-compress recorded trace frames (smaller files, same replay)")
 	extended := fs.Bool("extended", false, "train on the extended metric suite (adds WCC/SCC structure metrics)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	w, err := workloads.Get(*name)
@@ -194,17 +233,17 @@ func cmdTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "trained %s on %d inputs: %d globally stable metrics\n",
+	fmt.Fprintf(stderr, "trained %s on %d inputs: %d globally stable metrics\n",
 		w.Name(), *inputs, res.StableCount())
 	for _, mr := range res.Reports {
-		fmt.Fprintf(os.Stderr, "  %-9s %-16s", mr.Metric, mr.Klass)
+		fmt.Fprintf(stderr, "  %-9s %-16s", mr.Metric, mr.Klass)
 		if _, ok := res.Model.Stable[mr.Metric]; ok {
 			rng := res.Model.Stable[mr.Metric]
-			fmt.Fprintf(os.Stderr, " range=[%.2f, %.2f]", rng.Min, rng.Max)
+			fmt.Fprintf(stderr, " range=[%.2f, %.2f]", rng.Min, rng.Max)
 		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintln(stderr)
 	}
-	dst := os.Stdout
+	dst := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
@@ -282,8 +321,8 @@ func parseFault(spec string) (string, faults.Config, error) {
 	}
 }
 
-func cmdCheck(args []string) error {
-	fs := flag.NewFlagSet("check", flag.ExitOnError)
+func cmdCheck(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("check", stderr)
 	name := fs.String("workload", "", "workload to check")
 	modelPath := fs.String("model", "", "model file from 'heapmd train'")
 	faultSpec := fs.String("fault", "", "fault to inject: name[:prob[:max]] (see 'heapmd faults')")
@@ -294,7 +333,7 @@ func cmdCheck(args []string) error {
 	recordDir := fs.String("record-traces", "", "record each run's event stream to DIR/<input>.trace for later 'heapmd replay'")
 	compress := fs.Bool("compress", false, "flate-compress recorded trace frames (smaller files, same replay)")
 	extended := fs.Bool("extended", false, "check with the extended metric suite (adds WCC/SCC structure metrics)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	w, err := workloads.Get(*name)
@@ -375,22 +414,22 @@ func cmdCheck(args []string) error {
 	}
 	total := 0
 	for _, out := range outs {
-		fmt.Print(out.text)
+		fmt.Fprint(stdout, out.text)
 		total += out.findings
 	}
-	fmt.Printf("total findings: %d\n", total)
+	fmt.Fprintf(stdout, "total findings: %d\n", total)
 	return nil
 }
 
-func cmdPlot(args []string) error {
-	fs := flag.NewFlagSet("plot", flag.ExitOnError)
+func cmdPlot(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("plot", stderr)
 	name := fs.String("workload", "", "workload to run")
 	metricName := fs.String("metric", "Indeg=1", "metric to plot")
 	modelPath := fs.String("model", "", "optional model file: draws calibrated bounds")
 	faultSpec := fs.String("fault", "", "fault to inject: name[:prob[:max]]")
 	inputIdx := fs.Int("input", 0, "input index to run")
 	version := fs.Int("version", 1, "development version")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	w, err := workloads.Get(*name)
@@ -433,6 +472,6 @@ func cmdPlot(args []string) error {
 			opts.HLines = map[string]float64{"calibrated min": rng.Min, "calibrated max": rng.Max}
 		}
 	}
-	fmt.Print(plot.Render(opts, plot.Series{Name: id.String() + " (%)", Values: rep.Series(id)}))
+	fmt.Fprint(stdout, plot.Render(opts, plot.Series{Name: id.String() + " (%)", Values: rep.Series(id)}))
 	return nil
 }

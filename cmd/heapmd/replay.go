@@ -11,7 +11,6 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -38,8 +37,8 @@ type replayConfig struct {
 	input   string
 }
 
-func cmdReplay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+func cmdReplay(args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet("replay", stderr)
 	tracePath := fs.String("trace", "", "trace file recorded with heapmd.RecordTrace, or a directory of traces")
 	modelPath := fs.String("model", "", "optional model file: check each replayed report against it")
 	salvage := fs.Bool("salvage", false, "recover the longest valid prefix of a damaged trace")
@@ -51,7 +50,7 @@ func cmdReplay(args []string) error {
 	input := fs.String("input", "trace", "input name recorded in the report (single trace; multi-trace uses file names)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the replay to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after the replay to this file")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	paths, err := collectTracePaths(*tracePath, fs.Args())
@@ -73,13 +72,13 @@ func cmdReplay(args []string) error {
 		defer func() {
 			pf, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 				return
 			}
 			defer pf.Close()
 			runtime.GC() // settle the heap so the profile shows live replay state
 			if err := pprof.WriteHeapProfile(pf); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 			}
 		}()
 	}
@@ -118,7 +117,7 @@ func cmdReplay(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(out.text)
+		fmt.Fprint(stdout, out.text)
 		return nil
 	}
 	// Multi-trace: fan the files out on the worker pool. Summaries
@@ -139,7 +138,7 @@ func cmdReplay(args []string) error {
 	var aggStats heapmd.TraceStats
 	formats := map[uint32]int{}
 	for _, out := range outs {
-		fmt.Print(out.text)
+		fmt.Fprint(stdout, out.text)
 		agg.Add(out.health)
 		events += out.events
 		findings += uint64(out.findings)
@@ -153,11 +152,11 @@ func cmdReplay(args []string) error {
 			formats[out.stats.Version]++
 		}
 	}
-	fmt.Printf("replayed %d traces: %d events total", len(paths), events)
+	fmt.Fprintf(stdout, "replayed %d traces: %d events total", len(paths), events)
 	if cfg.mdl != nil {
-		fmt.Printf(", %d findings", findings)
+		fmt.Fprintf(stdout, ", %d findings", findings)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	if aggStats.Events > 0 {
 		var fmts []string
 		for _, v := range []uint32{1, 2, 3} {
@@ -165,14 +164,14 @@ func cmdReplay(args []string) error {
 				fmts = append(fmts, fmt.Sprintf("v%d ×%d", v, n))
 			}
 		}
-		fmt.Printf("trace storage: %s, %.2f bytes/event overall", strings.Join(fmts, ", "), aggStats.BytesPerEvent())
+		fmt.Fprintf(stdout, "trace storage: %s, %.2f bytes/event overall", strings.Join(fmts, ", "), aggStats.BytesPerEvent())
 		if aggStats.CompressedFrames > 0 {
-			fmt.Printf(", compression %.2fx", aggStats.CompressionRatio())
+			fmt.Fprintf(stdout, ", compression %.2fx", aggStats.CompressionRatio())
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if !agg.Zero() {
-		fmt.Printf("aggregate instrumentation health: %s\n", agg.String())
+		fmt.Fprintf(stdout, "aggregate instrumentation health: %s\n", agg.String())
 	}
 	return nil
 }
