@@ -236,7 +236,7 @@ func cmdTrain(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "trained %s on %d inputs: %d globally stable metrics\n",
 		w.Name(), *inputs, res.StableCount())
 	for _, mr := range res.Reports {
-		fmt.Fprintf(stderr, "  %-9s %-16s", mr.Metric, mr.Klass)
+		fmt.Fprintf(stderr, "  %-9s %-16s", mr.Metric, mr.Class)
 		if _, ok := res.Model.Stable[mr.Metric]; ok {
 			rng := res.Model.Stable[mr.Metric]
 			fmt.Fprintf(stderr, " range=[%.2f, %.2f]", rng.Min, rng.Max)

@@ -23,7 +23,6 @@ package detect
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"heapmd/internal/callstack"
@@ -89,14 +88,9 @@ func (d Direction) String() string {
 
 // Finding is one detector report.
 type Finding struct {
-	Kind   Kind
-	Metric string
-	// MetricClass records the training-time class of the violated
-	// metric: "globally-stable" for the paper's detectors, or
-	// "locally-stable" for the future-work extension (envelope
-	// ranges across program phases; weaker evidence).
-	MetricClass string
-	Direction   Direction
+	Kind      Kind
+	Metric    string
+	Direction Direction
 	// Tick is the metric computation point of the first violation.
 	Tick uint64
 	// Value is the offending metric value.
@@ -149,8 +143,7 @@ const (
 // metricState is the detector's per-stable-metric state machine.
 type metricState struct {
 	id      metrics.ID
-	idx     int    // index in the suite
-	class   string // training-time classification of the metric
+	idx     int // index in the suite
 	rng     stats.Range
 	prev    float64
 	hasPrev bool
@@ -237,30 +230,16 @@ func New(mdl *model.Model, suite metrics.Suite) *Detector {
 // samples.
 func newDetector(mdl *model.Model, suite metrics.Suite, skipStart int) *Detector {
 	d := &Detector{mdl: mdl, suite: suite, skipStart: skipStart}
-	stable, local := mdl.StableIDs(), mdl.LocallyStableIDs()
-	d.states = make([]metricState, 0, len(stable)+len(local))
-	add := func(id metrics.ID, class model.Class, rng stats.Range) {
+	stable := mdl.StableIDs()
+	d.states = make([]metricState, 0, len(stable))
+	for _, id := range stable {
 		if idx := suite.Index(id); idx >= 0 {
-			d.states = append(d.states, metricState{
-				id:    id,
-				idx:   idx,
-				class: class.String(),
-				rng:   rng,
-			})
+			rng, _ := mdl.RangeOf(id)
+			d.states = append(d.states, metricState{id: id, idx: idx, rng: rng})
 		}
 	}
-	for _, id := range stable {
-		rng, _ := mdl.RangeOf(id)
-		add(id, model.GloballyStable, rng)
-	}
-	// Future-work extension: locally stable metrics carry envelope
-	// ranges when the model was built with IncludeLocallyStable.
-	for _, id := range local {
-		rng, _ := mdl.LocalRangeOf(id)
-		add(id, model.LocallyStable, rng)
-	}
 	for i, id := range suite.IDs() {
-		if cls, ok := mdl.ClassOf(id); ok && cls == model.Unstable {
+		if mdl.Classes[id.String()] == model.Unstable {
 			d.unstable = append(d.unstable, i)
 		}
 	}
@@ -344,13 +323,12 @@ func (d *Detector) violate(st *metricState, v float64, tick uint64, dir Directio
 		return
 	}
 	f := &Finding{
-		Kind:        RangeViolation,
-		Metric:      st.id.String(),
-		MetricClass: st.class,
-		Direction:   dir,
-		Tick:        tick,
-		Value:       v,
-		Range:       st.rng,
+		Kind:      RangeViolation,
+		Metric:    st.id.String(),
+		Direction: dir,
+		Tick:      tick,
+		Value:     v,
+		Range:     st.rng,
 	}
 	st.capture(tick, v, stack)
 	st.reported[dir] = f
@@ -407,36 +385,26 @@ func (d *Detector) finish(series func(*metricState) []float64) {
 				val = obs.Min
 			}
 			d.findings = append(d.findings, &Finding{
-				Kind:        ExtremeStability,
-				Metric:      st.id.String(),
-				MetricClass: st.class,
-				Direction:   dir,
-				Tick:        0,
-				Value:       val,
-				Range:       st.rng,
+				Kind:      ExtremeStability,
+				Metric:    st.id.String(),
+				Direction: dir,
+				Tick:      0,
+				Value:     val,
+				Range:     st.rng,
 			})
 		}
 	}
 }
 
-// CheckUnstable evaluates the pathological-bug check against a full
+// checkUnstable evaluates the pathological-bug check against a full
 // run report: metrics that were unstable in training but are stable in
-// this run are reported as UnexpectedStability findings, in suite
-// order. It is split from Finish because it needs the run's full
-// report.
-func (d *Detector) CheckUnstable(rep *logger.Report) {
-	th := d.mdl.Thresholds
+// this run, by the summarizer's own per-input rule, are reported as
+// UnexpectedStability findings, in suite order. It is split from
+// finish because it needs the run's full report.
+func (d *Detector) checkUnstable(rep *logger.Report) {
 	ids := d.suite.IDs()
 	for _, idx := range d.unstable {
-		trimmed := stats.Trim(d.column(rep.Snapshots, idx), th.TrimFrac)
-		if len(trimmed) < th.MinSamples {
-			continue
-		}
-		sum, err := stats.Summarize(trimmed)
-		if err != nil {
-			continue
-		}
-		if math.Abs(sum.AvgChange) <= th.MaxAvgChange && sum.StdDevChange <= th.MaxStdDev {
+		if sum, stable, ok := d.mdl.Thresholds.Classify(d.column(rep.Snapshots, idx)); ok && stable {
 			d.findings = append(d.findings, &Finding{
 				Kind:   UnexpectedStability,
 				Metric: ids[idx].String(),
@@ -509,7 +477,7 @@ func CheckReport(mdl *model.Model, rep *logger.Report) []*Finding {
 		d.observe(snap, nil, false)
 	}
 	d.finish(func(st *metricState) []float64 { return d.column(checked, st.idx) })
-	d.CheckUnstable(rep)
+	d.checkUnstable(rep)
 	d.CheckHealth(rep.Health)
 	return d.Findings()
 }

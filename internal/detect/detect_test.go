@@ -25,9 +25,9 @@ func testModel() *model.Model {
 		Stable: map[string]stats.Range{
 			metrics.Roots.String(): {Min: 10, Max: 20},
 		},
-		Classes: map[string]string{
-			metrics.Roots.String():  model.GloballyStable.String(),
-			metrics.Leaves.String(): model.Unstable.String(),
+		Classes: map[string]model.Class{
+			metrics.Roots.String():  model.GloballyStable,
+			metrics.Leaves.String(): model.Unstable,
 		},
 		TrainingInputs: 5,
 	}
@@ -332,57 +332,6 @@ func BenchmarkDetectorSample(b *testing.B) {
 	}
 }
 
-func TestLocallyStableEnvelopeDetection(t *testing.T) {
-	// Model with a locally-stable envelope for Leaves (the
-	// future-work extension): phases at 40 and 60, envelope
-	// [40, 60].
-	mdl := testModel()
-	mdl.LocallyStable = map[string]stats.Range{
-		metrics.Leaves.String(): {Min: 40, Max: 60},
-	}
-	mdl.Classes[metrics.Leaves.String()] = model.LocallyStable.String()
-	d := New(mdl, testSuite)
-
-	// Phase jumps inside the envelope are fine; exceeding every
-	// normal phase level is a bug.
-	for i, v := range []float64{40, 40, 60, 60, 40, 75} {
-		d.Sample(metrics.Snapshot{Tick: uint64(i + 1), Values: []float64{15, v}}, nil)
-	}
-	d.Finish()
-	var hit *Finding
-	for _, f := range d.Violations() {
-		if f.Metric == metrics.Leaves.String() {
-			hit = f
-		}
-	}
-	if hit == nil {
-		t.Fatal("envelope violation not detected")
-	}
-	if hit.MetricClass != model.LocallyStable.String() {
-		t.Errorf("MetricClass = %q", hit.MetricClass)
-	}
-	if hit.Value != 75 || hit.Direction != AboveMax {
-		t.Errorf("finding = %+v", hit)
-	}
-	// The globally stable metric (Roots) stayed in band: its
-	// findings must be absent.
-	for _, f := range d.Violations() {
-		if f.Metric == metrics.Roots.String() {
-			t.Errorf("unexpected Roots violation: %+v", f)
-		}
-	}
-}
-
-func TestGloballyStableFindingClass(t *testing.T) {
-	d := New(testModel(), testSuite)
-	feed(d, []float64{12, 25})
-	d.Finish()
-	v := d.Violations()
-	if len(v) != 1 || v[0].MetricClass != model.GloballyStable.String() {
-		t.Fatalf("violations = %+v", v)
-	}
-}
-
 // TestUnexpectedStabilityOrder pins the pathological findings to suite
 // order: heapmd check prints findings in order, and its output must
 // read the same on every run.
@@ -390,7 +339,7 @@ func TestUnexpectedStabilityOrder(t *testing.T) {
 	unstable := []metrics.ID{metrics.Leaves, metrics.InDeg1, metrics.InDeg2, metrics.OutDeg1}
 	mdl := testModel()
 	for _, id := range unstable {
-		mdl.Classes[id.String()] = model.Unstable.String()
+		mdl.Classes[id.String()] = model.Unstable
 	}
 	suite := metrics.NewSuite(append([]metrics.ID{metrics.Roots}, unstable...)...)
 	rep := &logger.Report{Program: "prog", Input: "in"}

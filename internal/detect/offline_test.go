@@ -26,7 +26,7 @@ func sampledFindings(mdl *model.Model, rep *logger.Report) []*Finding {
 		d.Sample(snap, nil)
 	}
 	d.Finish()
-	d.CheckUnstable(rep)
+	d.checkUnstable(rep)
 	d.CheckHealth(rep.Health)
 	return d.Findings()
 }
@@ -41,8 +41,8 @@ func sampledFindings(mdl *model.Model, rep *logger.Report) []*Finding {
 func TestCheckReportMatchesSampledDetector(t *testing.T) {
 	mdl := testModel()
 	mdl.Stable[metrics.Components.String()] = stats.Range{Min: 5, Max: 6}
-	mdl.Classes[metrics.Components.String()] = model.GloballyStable.String()
-	mdl.Classes[metrics.InDeg1.String()] = model.Unstable.String()
+	mdl.Classes[metrics.Components.String()] = model.GloballyStable
+	mdl.Classes[metrics.InDeg1.String()] = model.Unstable
 	suite := metrics.NewSuite(metrics.Roots, metrics.Leaves, metrics.InDeg1, metrics.Components)
 	names := make([]string, suite.Len())
 	for i, id := range suite.IDs() {

@@ -57,17 +57,6 @@ type Thresholds struct {
 	// training sets that undersample the extremes of a metric's
 	// natural excursion (real bugs move metrics far past any guard).
 	GuardFrac float64 `json:"guard_frac"`
-	// IncludeLocallyStable additionally calibrates ranges for
-	// locally stable metrics — the extension the paper names as
-	// future work ("we plan to extend the implementation of HeapMD
-	// to also include locally stable metrics in the model", Section
-	// 2.1). A locally stable metric jumps between program phases but
-	// holds steady within each; its calibrated range is the envelope
-	// of every phase seen in training, so it is a weaker detector
-	// than a globally stable metric, but it can catch bugs whose
-	// effect exceeds all normal phase levels. Off by default (paper
-	// behaviour).
-	IncludeLocallyStable bool `json:"include_locally_stable,omitempty"`
 }
 
 // Defaults returns the paper's thresholds. Build gives each zero
@@ -110,32 +99,43 @@ func (th Thresholds) withDefaults() Thresholds {
 	return th
 }
 
+// Classify applies the per-input stability rule to one run's series of
+// a metric. It trims the series' startup and shutdown samples; ok is
+// false when fewer than MinSamples remain, too little evidence either
+// way. Otherwise sum summarizes the trimmed series, and stable reports
+// whether the metric met both thresholds on it: an average change
+// within ±MaxAvgChange and a deviation of change within MaxStdDev. The
+// summarizer classifies each training input with it, and the detector
+// each checked run of a training-time-unstable metric.
+func (th Thresholds) Classify(series []float64) (sum stats.Summary, stable, ok bool) {
+	trimmed := stats.Trim(series, th.TrimFrac)
+	if len(trimmed) < th.MinSamples {
+		return sum, false, false
+	}
+	sum, err := stats.Summarize(trimmed)
+	if err != nil {
+		return sum, false, false
+	}
+	return sum, math.Abs(sum.AvgChange) <= th.MaxAvgChange && sum.StdDevChange <= th.MaxStdDev, true
+}
+
 // Class is the stability classification of one metric across the
-// training set (paper Section 2.1, "metric summarizer").
-type Class int
+// training set (paper Section 2.1, "metric summarizer"). Its values
+// are the names model files record.
+type Class string
 
 const (
 	// Unstable metrics are neither globally nor locally stable.
-	Unstable Class = iota
+	Unstable Class = "unstable"
 	// LocallyStable metrics have near-zero average change but large
 	// deviation: they jump between program phases yet hold steady
-	// within each phase.
-	LocallyStable
+	// within each phase. The model records their class only; the
+	// paper leaves ranges for them to future work.
+	LocallyStable Class = "locally-stable"
 	// GloballyStable metrics satisfy both thresholds on enough
 	// training inputs; only these enter the model.
-	GloballyStable
+	GloballyStable Class = "globally-stable"
 )
-
-func (c Class) String() string {
-	switch c {
-	case GloballyStable:
-		return "globally-stable"
-	case LocallyStable:
-		return "locally-stable"
-	default:
-		return "unstable"
-	}
-}
 
 // InputSummary is the per-training-input evidence for one metric.
 type InputSummary struct {
@@ -149,8 +149,7 @@ type InputSummary struct {
 // MetricReport is the summarizer's verdict on one metric.
 type MetricReport struct {
 	Metric string         `json:"metric"`
-	Class  Class          `json:"-"`
-	Klass  string         `json:"class"` // serialized form of Class
+	Class  Class          `json:"class"`
 	Inputs []InputSummary `json:"inputs"`
 	// StableInputs counts inputs where the metric met both
 	// thresholds.
@@ -176,16 +175,11 @@ type Model struct {
 	Thresholds Thresholds `json:"thresholds"`
 	// Stable maps metric name -> calibrated range.
 	Stable map[string]stats.Range `json:"stable"`
-	// LocallyStable maps metric name -> the cross-phase envelope
-	// range, populated only when Thresholds.IncludeLocallyStable is
-	// set (the paper's future-work extension).
-	LocallyStable map[string]stats.Range `json:"locally_stable,omitempty"`
 	// Classes records the training-time classification of every
-	// metric in the suite ("globally-stable", "locally-stable",
-	// "unstable"). The anomaly detector uses it to notice
+	// metric in the suite. The anomaly detector uses it to notice
 	// *pathological* bugs: normally-unstable metrics that become
 	// stable during checking (paper Section 4.1).
-	Classes map[string]string `json:"classes"`
+	Classes map[string]Class `json:"classes"`
 	// TrainingInputs is the number of inputs used for calibration.
 	TrainingInputs int `json:"training_inputs"`
 	// TrainingSamples is the mean number of metric samples per
@@ -203,22 +197,6 @@ type Model struct {
 // from Trim's clamping on short runs and out-of-range TrimFrac values.
 func (m *Model) SkipStartSamples() int {
 	return stats.TrimCount(m.TrainingSamples, m.Thresholds.TrimFrac)
-}
-
-// ClassOf returns the training-time classification of a metric.
-func (m *Model) ClassOf(id metrics.ID) (Class, bool) {
-	name, ok := m.Classes[id.String()]
-	if !ok {
-		return Unstable, false
-	}
-	switch name {
-	case GloballyStable.String():
-		return GloballyStable, true
-	case LocallyStable.String():
-		return LocallyStable, true
-	default:
-		return Unstable, true
-	}
 }
 
 // StableIDs returns the globally stable metric IDs in the model,
@@ -245,30 +223,6 @@ func (m *Model) RangeOf(id metrics.ID) (stats.Range, bool) {
 	return r, ok
 }
 
-// LocalRangeOf returns the cross-phase envelope range of a locally
-// stable metric, when the model was built with IncludeLocallyStable.
-func (m *Model) LocalRangeOf(id metrics.ID) (stats.Range, bool) {
-	r, ok := m.LocallyStable[id.String()]
-	return r, ok
-}
-
-// LocallyStableIDs returns the locally stable metric IDs in the
-// model, sorted by name.
-func (m *Model) LocallyStableIDs() []metrics.ID {
-	names := make([]string, 0, len(m.LocallyStable))
-	for n := range m.LocallyStable {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]metrics.ID, 0, len(names))
-	for _, n := range names {
-		if id, err := metrics.ParseID(n); err == nil {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // Save serializes the model as JSON.
 func (m *Model) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -276,11 +230,19 @@ func (m *Model) Save(w io.Writer) error {
 	return enc.Encode(m)
 }
 
-// Load deserializes a model previously written by Save.
+// Load deserializes a model previously written by Save. It rejects a
+// model that records a class it does not know.
 func Load(r io.Reader) (*Model, error) {
 	var m Model
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("model: decoding: %w", err)
+	}
+	for name, c := range m.Classes {
+		switch c {
+		case Unstable, LocallyStable, GloballyStable:
+		default:
+			return nil, fmt.Errorf("model: metric %q has unknown class %q", name, c)
+		}
 	}
 	if m.Stable == nil {
 		m.Stable = make(map[string]stats.Range)
@@ -342,7 +304,7 @@ func Build(reports []*logger.Report, th Thresholds) (*BuildResult, error) {
 			Program:         reports[0].Program,
 			Thresholds:      th,
 			Stable:          make(map[string]stats.Range),
-			Classes:         make(map[string]string),
+			Classes:         make(map[string]Class),
 			TrainingInputs:  len(reports),
 			TrainingSamples: totalSamples / len(reports),
 		},
@@ -350,8 +312,8 @@ func Build(reports []*logger.Report, th Thresholds) (*BuildResult, error) {
 
 	res.Reports = make([]MetricReport, 0, len(suite))
 	// One scratch series, reused across every (metric, report) pair:
-	// Trim subslices it and Summarize consumes it before the next
-	// iteration overwrites it, so nothing escapes.
+	// Classify consumes it before the next iteration overwrites it, so
+	// nothing escapes.
 	var scratch []float64
 	for mi, name := range suite {
 		mr := MetricReport{Metric: name, Inputs: make([]InputSummary, 0, len(reports))}
@@ -361,19 +323,12 @@ func Build(reports []*logger.Report, th Thresholds) (*BuildResult, error) {
 		classified := 0
 		for _, rep := range reports {
 			scratch = metrics.AppendSeries(scratch[:0], rep.Snapshots, mi)
-			series := scratch
-			trimmed := stats.Trim(series, th.TrimFrac)
-			if len(trimmed) < th.MinSamples {
-				mr.Inputs = append(mr.Inputs, InputSummary{Input: rep.Input, Skipped: true})
-				continue
-			}
-			sum, err := stats.Summarize(trimmed)
-			if err != nil {
+			sum, stable, ok := th.Classify(scratch)
+			if !ok {
 				mr.Inputs = append(mr.Inputs, InputSummary{Input: rep.Input, Skipped: true})
 				continue
 			}
 			classified++
-			stable := math.Abs(sum.AvgChange) <= th.MaxAvgChange && sum.StdDevChange <= th.MaxStdDev
 			mr.Inputs = append(mr.Inputs, InputSummary{Input: rep.Input, Stable: stable, Summary: sum})
 			if stable {
 				mr.StableInputs++
@@ -396,36 +351,7 @@ func Build(reports []*logger.Report, th Thresholds) (*BuildResult, error) {
 		default:
 			mr.Class = Unstable
 		}
-		if mr.Class == LocallyStable && th.IncludeLocallyStable {
-			// Envelope across every classified input: the union of
-			// all observed phase levels.
-			var env stats.Range
-			haveEnv := false
-			for _, in := range mr.Inputs {
-				if in.Skipped {
-					continue
-				}
-				if haveEnv {
-					env = env.Union(in.Summary.Observed)
-				} else {
-					env = in.Summary.Observed
-					haveEnv = true
-				}
-			}
-			if haveEnv {
-				if g := th.GuardFrac * env.Width(); g > 0 {
-					env.Min -= g
-					env.Max += g
-				}
-				if res.Model.LocallyStable == nil {
-					res.Model.LocallyStable = make(map[string]stats.Range)
-				}
-				res.Model.LocallyStable[name] = env
-				mr.Range = env
-			}
-		}
-		mr.Klass = mr.Class.String()
-		res.Model.Classes[name] = mr.Klass
+		res.Model.Classes[name] = mr.Class
 		if mr.Class == GloballyStable && haveRange {
 			mr.Range = stableRange
 			mr.AvgChange = sumAvg / float64(mr.StableInputs)

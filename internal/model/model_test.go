@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"heapmd/internal/logger"
@@ -326,13 +327,24 @@ func TestLoadGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("{nope")); err == nil {
 		t.Fatal("Load of garbage should fail")
 	}
-}
-
-func TestClassString(t *testing.T) {
-	if GloballyStable.String() != "globally-stable" ||
-		LocallyStable.String() != "locally-stable" ||
-		Unstable.String() != "unstable" {
-		t.Error("Class.String mismatch")
+	// A class name the summarizer never writes is rejected, not read
+	// as some class: it would decide which metrics the pathological
+	// check watches.
+	for _, class := range []string{"stable", "Unstable", ""} {
+		in := `{"program": "prog", "classes": {"Roots": "globally-stable", "Leaves": "` + class + `"}}`
+		if _, err := Load(bytes.NewBufferString(in)); err == nil || !strings.Contains(err.Error(), "unknown class") {
+			t.Errorf("Load with class %q: err = %v, want unknown class", class, err)
+		}
+	}
+	for _, class := range []Class{Unstable, LocallyStable, GloballyStable} {
+		in := `{"program": "prog", "classes": {"Roots": "` + string(class) + `"}}`
+		m, err := Load(bytes.NewBufferString(in))
+		if err != nil {
+			t.Fatalf("Load with class %q: %v", class, err)
+		}
+		if m.Classes["Roots"] != class {
+			t.Errorf("Classes[Roots] = %q, want %q", m.Classes["Roots"], class)
+		}
 	}
 }
 
@@ -347,67 +359,6 @@ func BenchmarkBuild(b *testing.B) {
 		if _, err := Build(reports, Defaults()); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestLocallyStableExtensionOptIn(t *testing.T) {
-	// A two-phase metric: flat at 10, then flat at 18 — locally
-	// stable. With the extension enabled its cross-phase envelope
-	// enters the model; without it, it does not.
-	series := phased(10, 18, 200)
-	reports := []*logger.Report{
-		mkReport("in1", testNames, series, flat(1, 200)),
-		mkReport("in2", testNames, series, flat(1, 200)),
-	}
-
-	// Paper behaviour: no envelope.
-	res, err := Build(reports, Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := res.Model.LocalRangeOf(metrics.Roots); ok {
-		t.Fatal("locally stable envelope present without opt-in")
-	}
-
-	// Extension enabled.
-	th := Defaults()
-	th.IncludeLocallyStable = true
-	res, err = Build(reports, th)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report(metrics.Roots).Class != LocallyStable {
-		t.Fatalf("class = %v", res.Report(metrics.Roots).Class)
-	}
-	env, ok := res.Model.LocalRangeOf(metrics.Roots)
-	if !ok {
-		t.Fatal("envelope missing with opt-in")
-	}
-	// Envelope spans both phase levels (plus the guard band).
-	if env.Min > 10 || env.Max < 18 {
-		t.Errorf("envelope = %+v, must cover [10,18]", env)
-	}
-	ids := res.Model.LocallyStableIDs()
-	if len(ids) != 1 || ids[0] != metrics.Roots {
-		t.Errorf("LocallyStableIDs = %v", ids)
-	}
-}
-
-func TestLocallyStableEnvelopeNotForGloballyStable(t *testing.T) {
-	th := Defaults()
-	th.IncludeLocallyStable = true
-	reports := []*logger.Report{
-		mkReport("in1", testNames, flat(10, 100), flat(1, 100)),
-	}
-	res, err := Build(reports, th)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := res.Model.LocalRangeOf(metrics.Roots); ok {
-		t.Error("globally stable metric must not get a local envelope")
-	}
-	if _, ok := res.Model.RangeOf(metrics.Roots); !ok {
-		t.Error("globally stable range missing")
 	}
 }
 

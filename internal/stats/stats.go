@@ -82,17 +82,22 @@ func Fluctuation(xs []float64) []float64 {
 	}
 	out := make([]float64, 0, len(xs)-1)
 	for i := 1; i < len(xs); i++ {
-		y1, y2 := xs[i-1], xs[i]
-		switch {
-		case y1 == 0 && y2 == 0:
-			out = append(out, 0)
-		case y1 == 0:
-			out = append(out, 100)
-		default:
-			out = append(out, (y2-y1)/y1*100)
-		}
+		out = append(out, change(xs[i-1], xs[i]))
 	}
 	return out
+}
+
+// change is one step of the fluctuation series: the percentage change
+// from y1 to y2, with the zero cases Fluctuation documents.
+func change(y1, y2 float64) float64 {
+	switch {
+	case y1 == 0 && y2 == 0:
+		return 0
+	case y1 == 0:
+		return 100
+	default:
+		return (y2 - y1) / y1 * 100
+	}
 }
 
 // TrimCount returns the number of samples Trim discards at EACH end of
@@ -192,20 +197,34 @@ type Summary struct {
 	Samples int
 }
 
-// Summarize computes a Summary from a trimmed metric value series.
+// Summarize computes a Summary from a trimmed metric value series. Its
+// AvgChange and StdDevChange equal Mean and StdDev of
+// Fluctuation(trimmed) bit for bit, but it builds no fluctuation
+// series: it walks the steps twice, once for the mean and once for the
+// deviation.
 func Summarize(trimmed []float64) (Summary, error) {
-	if len(trimmed) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	fl := Fluctuation(trimmed)
 	obs, err := RangeOf(trimmed)
 	if err != nil {
 		return Summary{}, err
 	}
-	return Summary{
-		AvgChange:    Mean(fl),
-		StdDevChange: StdDev(fl),
-		Observed:     obs,
-		Samples:      len(trimmed),
-	}, nil
+	s := Summary{Observed: obs, Samples: len(trimmed)}
+	n := len(trimmed) - 1 // fluctuation steps
+	if n == 0 {
+		return s, nil
+	}
+	sum := 0.0
+	for i := 1; i < len(trimmed); i++ {
+		sum += change(trimmed[i-1], trimmed[i])
+	}
+	s.AvgChange = sum / float64(n)
+	if n < 2 {
+		return s, nil
+	}
+	sum = 0
+	for i := 1; i < len(trimmed); i++ {
+		d := change(trimmed[i-1], trimmed[i]) - s.AvgChange
+		sum += d * d
+	}
+	s.StdDevChange = math.Sqrt(sum / float64(n))
+	return s, nil
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -222,6 +223,44 @@ func TestSummarizeGrowth(t *testing.T) {
 	}
 	if s.StdDevChange > 1e-9 {
 		t.Errorf("StdDevChange = %v, want ~0 for constant-rate growth", s.StdDevChange)
+	}
+}
+
+// TestSummarizeMatchesFluctuation: Summarize's change statistics equal
+// Mean and StdDev of the Fluctuation series bit for bit, on random
+// series of every short length and with runs of zeros (0->0 and 0->y
+// steps), and a call allocates nothing.
+func TestSummarizeMatchesFluctuation(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		xs := make([]float64, 1+rng.Intn(40))
+		for i := range xs {
+			switch rng.Intn(4) {
+			case 0:
+				xs[i] = 0
+			case 1:
+				xs[i] = float64(rng.Intn(5))
+			default:
+				xs[i] = rng.NormFloat64() * 50
+			}
+		}
+		s, err := Summarize(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl := Fluctuation(xs)
+		if s.AvgChange != Mean(fl) || s.StdDevChange != StdDev(fl) {
+			t.Fatalf("Summarize(%v) = %v / %v, Fluctuation gives %v / %v",
+				xs, s.AvgChange, s.StdDevChange, Mean(fl), StdDev(fl))
+		}
+	}
+	xs := []float64{0, 0, 3, 0, 7.5, 7.25, 0, 0, 12}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Summarize(xs); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Summarize allocates %v times per call, want 0", allocs)
 	}
 }
 

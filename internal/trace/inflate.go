@@ -289,9 +289,11 @@ const (
 	inflateMaxDist = 30  // maxNumDist: HDIST bound and distance symbol bound
 )
 
+var errOversizedFrame = errors.New("trace: compressed frame inflates past its declared size")
+
 // inflater decodes one whole DEFLATE stream per call, reusing its
 // tables and scratch across calls. Not goroutine-safe; each frame
-// decoder / codec worker owns one.
+// decoder owns one.
 type inflater struct {
 	br   bitReader
 	lit  huffTable // dynamic literal/length table

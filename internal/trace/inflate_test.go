@@ -41,8 +41,21 @@ func inflateStdlib(body []byte, max int) ([]byte, error) {
 
 // inflateCustom runs the package inflater with the same contract.
 func inflateCustom(body []byte, max int) ([]byte, error) {
-	var c flateCodec
-	return c.Decompress(nil, body, max)
+	var d inflater
+	return inflateInto(&d, nil, body, max)
+}
+
+// inflateInto decodes body with d into dst, grown to max bytes when it
+// is shorter, as the frame decoder does, and returns the decoded bytes.
+func inflateInto(d *inflater, dst, body []byte, max int) ([]byte, error) {
+	if cap(dst) < max {
+		dst = make([]byte, max)
+	}
+	n, err := d.decompress(dst[:max], body)
+	if err != nil {
+		return nil, err
+	}
+	return dst[:n], nil
 }
 
 // deflateLevel compresses payload at the given stdlib level.
@@ -148,11 +161,11 @@ func TestInflateDifferential(t *testing.T) {
 	}
 }
 
-// TestInflateReuse decodes many streams through one codec instance in
+// TestInflateReuse decodes many streams through one inflater in
 // varied order — reused tables and scratch must not leak state between
 // streams.
 func TestInflateReuse(t *testing.T) {
-	var c flateCodec
+	var c inflater
 	payloads := inflatePayloads(t)
 	names := make([]string, 0, len(payloads))
 	for name := range payloads {
@@ -165,7 +178,7 @@ func TestInflateReuse(t *testing.T) {
 		payload := payloads[name]
 		level := []int{flate.NoCompression, flate.BestSpeed, 6, flate.HuffmanOnly}[rng.Intn(4)]
 		body := deflateLevel(t, payload, level)
-		got, err := c.Decompress(dst, body, len(payload)+64)
+		got, err := inflateInto(&c, dst, body, len(payload)+64)
 		if err != nil {
 			t.Fatalf("iter %d (%s, level %d): %v", i, name, level, err)
 		}
@@ -379,13 +392,13 @@ func BenchmarkInflate(b *testing.B) {
 		raw += len(cols)
 		bodies = append(bodies, deflateLevel(b, cols, flate.BestSpeed))
 	}
-	var c flateCodec
+	var c inflater
 	var dst []byte
 	b.SetBytes(int64(raw))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, body := range bodies {
-			if dst, err = c.Decompress(dst, body, DefaultBatchRecords*maxEncodedRecord); err != nil {
+			if dst, err = inflateInto(&c, dst, body, DefaultBatchRecords*maxEncodedRecord); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -62,6 +62,7 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -166,11 +167,11 @@ type Writer struct {
 	w       *bufio.Writer
 	n       uint64 // events emitted
 	err     error
-	evs     event.Batch  // pending, not-yet-framed events
-	enc     []byte       // columnar body scratch, reused per frame
-	payload []byte       // assembled frame payload scratch
-	comp    bytes.Buffer // compressed body scratch
-	cdc     codec        // nil = never compress
+	evs     event.Batch   // pending, not-yet-framed events
+	enc     []byte        // columnar body scratch, reused per frame
+	payload []byte        // assembled frame payload scratch
+	comp    bytes.Buffer  // compressed body scratch
+	fw      *flate.Writer // writes into comp; nil = never compress
 	sym     *event.Symtab
 	symBuf  []byte // symtab checkpoint scratch, reused per checkpoint
 	// hdr is the frame-header scratch. A local array would be moved to
@@ -203,7 +204,13 @@ func NewWriterWith(w io.Writer, opts WriterOptions) (*Writer, error) {
 	}
 	tw := &Writer{w: bw}
 	if opts.Compress {
-		tw.cdc = &flateCodec{}
+		// flate reaches ~2x on columnar residue at BestSpeed; the
+		// writer is reset per frame, so framing allocates nothing.
+		fw, err := flate.NewWriter(&tw.comp, flate.BestSpeed)
+		if err != nil {
+			return nil, err
+		}
+		tw.fw = fw
 	}
 	return tw, nil
 }
@@ -255,23 +262,28 @@ func (tw *Writer) flushBatch() {
 }
 
 // encodeEvents assembles the pending batch into an event-frame payload
-// (flags | count | body), reusing the Writer's scratch buffers. With a
-// codec attached, the body is stored compressed only when that is
+// (flags | count | body), reusing the Writer's scratch buffers. With
+// compression on, the body is stored compressed only when that is
 // smaller — the flags byte records the choice per frame.
 func (tw *Writer) encodeEvents() []byte {
 	evs := tw.evs.Events()
 	tw.enc = encodeColumns(tw.enc[:0], evs)
 	body := tw.enc
 	flags := codecRaw
-	if tw.cdc != nil {
+	if tw.fw != nil {
 		tw.comp.Reset()
-		if err := tw.cdc.Compress(&tw.comp, body); err != nil {
+		tw.fw.Reset(&tw.comp)
+		if _, err := tw.fw.Write(body); err != nil {
+			tw.err = err
+			return nil
+		}
+		if err := tw.fw.Close(); err != nil {
 			tw.err = err
 			return nil
 		}
 		if tw.comp.Len() < len(body) {
 			body = tw.comp.Bytes()
-			flags = tw.cdc.ID()
+			flags = codecFlate
 		}
 	}
 	var count [4]byte
@@ -688,12 +700,12 @@ type frameMsg struct {
 // payloadDecoder turns one CRC-valid frame payload into a frameMsg.
 // It is the version-specific half of frame decoding, shared by the
 // synchronous reader and by each pipeline decode worker; its decomp
-// and flate state are reused across frames, so one instance belongs
+// and inflate state are reused across frames, so one instance belongs
 // to exactly one goroutine.
 type payloadDecoder struct {
 	version uint32
-	decomp  []byte     // v3: decompressed body scratch, reused per frame
-	inflate flateCodec // v3: reusable flate state
+	decomp  []byte   // v3: decompressed body scratch, reused per frame
+	inf     inflater // v3: reusable inflate state (inflate.go)
 }
 
 // decodePayload validates and decodes payload into msg, filling
@@ -827,6 +839,15 @@ func (d *payloadDecoder) decodeJob(job scanJob) frameMsg {
 // v3 event-frame payload prefix: flags u8 | count u32.
 const v3EventHeaderSize = 5
 
+// Wire values of the v3 event-frame flags byte: how the frame body is
+// stored. The writer sets codecFlate only when the compressed body
+// came out smaller, so the value is a pure storage decision — replay
+// output is identical either way.
+const (
+	codecRaw   byte = 0
+	codecFlate byte = 1
+)
+
 // decodeEventsV3 decodes a CRC-valid v3 event-frame payload into the
 // frame's reusable batch. The CRC already vouches for the bytes, so
 // any structural failure here (unknown codec, lying count, ragged
@@ -847,12 +868,18 @@ func (d *payloadDecoder) decodeEventsV3(payload []byte, buf *frameBuf, msg *fram
 		if flags != codecFlate {
 			return fmt.Errorf("unknown event frame codec %d", flags)
 		}
-		var err error
-		d.decomp, err = d.inflate.Decompress(d.decomp, body, int(count)*maxEncodedRecord+v3EventHeaderSize)
+		// A body that inflates past what count records can encode to
+		// is corrupt: the bound caps what a damaged count can make
+		// replay allocate.
+		max := int(count)*maxEncodedRecord + v3EventHeaderSize
+		if cap(d.decomp) < max {
+			d.decomp = make([]byte, max)
+		}
+		n, err := d.inf.decompress(d.decomp[:max], body)
 		if err != nil {
 			return errors.New("bad compressed event frame")
 		}
-		body = d.decomp
+		body = d.decomp[:n]
 		msg.raw = v3EventHeaderSize + len(body)
 		msg.compressed = true
 	}
